@@ -80,6 +80,9 @@ SimdIsa DetectCpuIsa() {
   // __builtin_cpu_supports reads cpuid once and caches; AVX2 implies the
   // OS saved YMM state per the builtin's semantics.
   static const SimdIsa detected = [] {
+    // Both vector tiers also use POPCNT, which every SSE4.2-era CPU has;
+    // a CPU (or VM) hiding it gets the scalar table.
+    if (!__builtin_cpu_supports("popcnt")) return SimdIsa::kScalar;
     if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
     if (__builtin_cpu_supports("sse4.2")) return SimdIsa::kSse42;
     return SimdIsa::kScalar;

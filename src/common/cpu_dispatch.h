@@ -1,9 +1,9 @@
 // Runtime CPU dispatch for the SIMD counting kernels. The scan and reduce
-// hot paths come in up to three implementations — scalar (the original
-// row-at-a-time code, kept as the bit-identical oracle), SSE4.2, and AVX2 —
-// and the one that runs is chosen once per process from cpuid, overridable
-// with the QARM_FORCE_ISA environment variable (scalar|sse42|avx2) for A/B
-// measurement and for running the determinism suite against every path.
+// hot paths come in up to three implementations — portable scalar, SSE4.2,
+// and AVX2 — and the one that runs is chosen once per process from cpuid,
+// overridable with the QARM_FORCE_ISA environment variable
+// (scalar|sse42|avx2) for A/B measurement and for running the determinism
+// suite against every kernel table.
 //
 // Determinism contract: every ISA produces byte-identical mined rules. The
 // kernels only ever compute integer comparisons, integer sums, and

@@ -1,8 +1,8 @@
 // Block-level SIMD kernels for the support-counting scan (Section 5's
-// hottest loop). Instead of testing one record at a time, the kernel path
-// computes, per super-candidate, a bitmask over a whole block's rows —
-// vectorized equality/range compares per dimension, ANDed across
-// dimensions — and popcounts it into the counters.
+// hottest loop). Instead of testing one record at a time, the scan computes
+// bitmasks over a whole block's rows — vectorized equality/range compares
+// per categorical item and per dimension, ANDed per super-candidate — and
+// popcounts them into the counters.
 //
 // Masks are bitsets over a block's rows: bit r%64 of word r/64 is row r.
 // `fill_ones` establishes the invariant that bits at and above `n` are

@@ -203,27 +203,6 @@ Result<ItemCatalog> ItemCatalog::BuildFromValueCounts(
   for (size_t i = 1; i < catalog.items_.size(); ++i) {
     QARM_DCHECK(catalog.items_[i - 1] < catalog.items_[i]);
   }
-
-  // Categorical value -> item id lookup. Taxonomized (ranged) categorical
-  // attributes are excluded: their items are ranges, counted as rectangle
-  // dimensions rather than via the hash tree.
-  catalog.categorical_item_ids_.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    if (source.attribute(a).kind == AttributeKind::kCategorical &&
-        !source.attribute(a).ranged()) {
-      catalog.categorical_item_ids_[a].assign(
-          source.attribute(a).domain_size(), -1);
-    }
-  }
-  for (size_t i = 0; i < catalog.items_.size(); ++i) {
-    const RangeItem& item = catalog.items_[i];
-    const size_t a = static_cast<size_t>(item.attr);
-    if (source.attribute(a).kind == AttributeKind::kCategorical &&
-        !source.attribute(a).ranged()) {
-      catalog.categorical_item_ids_[a][static_cast<size_t>(item.lo)] =
-          static_cast<int32_t>(i);
-    }
-  }
   return catalog;
 }
 
@@ -300,24 +279,6 @@ Result<ItemCatalog> ItemCatalog::Restore(const RecordSource& source,
       prefix[v] = sum;
     }
   }
-
-  catalog.categorical_item_ids_.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    if (source.attribute(a).kind == AttributeKind::kCategorical &&
-        !source.attribute(a).ranged()) {
-      catalog.categorical_item_ids_[a].assign(
-          source.attribute(a).domain_size(), -1);
-    }
-  }
-  for (size_t i = 0; i < catalog.items_.size(); ++i) {
-    const RangeItem& item = catalog.items_[i];
-    const size_t a = static_cast<size_t>(item.attr);
-    if (source.attribute(a).kind == AttributeKind::kCategorical &&
-        !source.attribute(a).ranged()) {
-      catalog.categorical_item_ids_[a][static_cast<size_t>(item.lo)] =
-          static_cast<int32_t>(i);
-    }
-  }
   return catalog;
 }
 
@@ -326,13 +287,6 @@ RangeItemset ItemCatalog::Decode(const std::vector<int32_t>& ids) const {
   itemset.reserve(ids.size());
   for (int32_t id : ids) itemset.push_back(item(id));
   return itemset;
-}
-
-int32_t ItemCatalog::CategoricalItemId(size_t attr, int32_t value) const {
-  const auto& lookup = categorical_item_ids_[attr];
-  QARM_DCHECK(!lookup.empty());
-  QARM_DCHECK(value >= 0 && static_cast<size_t>(value) < lookup.size());
-  return lookup[static_cast<size_t>(value)];
 }
 
 uint64_t ItemCatalog::RangeCount(int32_t attr, int32_t lo, int32_t hi) const {

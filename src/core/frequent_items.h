@@ -58,8 +58,7 @@ class ItemCatalog {
   // Checkpoint support: Snapshot captures the catalog's full state as the
   // storage-neutral checkpoint structure; Restore rebuilds a catalog from
   // that structure without re-scanning the data (the derived prefix sums
-  // and categorical lookups are recomputed from the saved value counts and
-  // `source`'s attribute schema). Restore rejects a snapshot whose shape
+  // are recomputed from the saved value counts). Restore rejects a snapshot whose shape
   // does not match `source`.
   CheckpointCatalog Snapshot() const;
   static Result<ItemCatalog> Restore(const RecordSource& source,
@@ -76,10 +75,6 @@ class ItemCatalog {
 
   // Converts an itemset of item ids into explicit ranges.
   RangeItemset Decode(const std::vector<int32_t>& ids) const;
-
-  // Item id of the categorical item <attr, value, value>, or -1 when that
-  // value is not a frequent item.
-  int32_t CategoricalItemId(size_t attr, int32_t value) const;
 
   // Marginal support count / fraction of an arbitrary range of `attr`
   // (mapped domain, clipped).
@@ -107,9 +102,6 @@ class ItemCatalog {
   // Per attribute: per-value counts and inclusive prefix sums.
   std::vector<std::vector<uint64_t>> value_counts_;
   std::vector<std::vector<uint64_t>> prefix_counts_;
-
-  // Per categorical attribute: value -> item id (-1 if not frequent).
-  std::vector<std::vector<int32_t>> categorical_item_ids_;
 };
 
 }  // namespace qarm

@@ -150,7 +150,7 @@ std::string StatsToJson(const MiningStats& stats) {
         "\"tree_counters\":%zu,\"direct_counters\":%zu,"
         "\"degraded_counters\":%zu,"
         "\"atomic_shared_counters\":%zu,\"threads_used\":%zu,"
-        "\"isa\":\"%s\",\"kernel_groups\":%zu,\"hash_groups\":%zu,"
+        "\"isa\":\"%s\","
         "\"counter_bytes\":%llu,\"replicated_bytes\":%llu,"
         "\"group_seconds\":%.6f,\"build_seconds\":%.6f,"
         "\"scan_seconds\":%.6f,\"reduce_seconds\":%.6f,"
@@ -167,8 +167,7 @@ std::string StatsToJson(const MiningStats& stats) {
         counting.num_tree_counters, counting.num_direct,
         counting.num_degraded,
         counting.num_atomic_shared, counting.threads_used,
-        IsaName(counting.isa), counting.num_kernel_groups,
-        counting.num_hash_groups,
+        IsaName(counting.isa),
         static_cast<unsigned long long>(counting.counter_bytes),
         static_cast<unsigned long long>(counting.replicated_bytes),
         counting.group_seconds, counting.build_seconds,

@@ -14,7 +14,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/count_kernels.h"
-#include "index/hash_tree.h"
 #include "index/ndim_array.h"
 #include "index/rstar_tree.h"
 
@@ -31,20 +30,30 @@ struct SuperCandidate {
   // direct-scan mode below.
   std::vector<uint32_t> tree_counts;
   uint64_t direct_count = 0;          // purely categorical
-  // Degraded mode (counter budget exhausted): no counting structure at
-  // all — each record is tested against every member's rectangle, stored
-  // flat here as lo/hi pairs per dimension.
+  // Degraded mode (counter budget exhausted, or too many dimensions for an
+  // R*-tree and no room for a grid): no counting structure at all — each
+  // record is tested against every member's rectangle, stored flat here as
+  // lo/hi pairs per dimension.
   bool degraded_scan = false;
   std::vector<int32_t> member_rects;
   // Parallel scan: grid shared across workers, updated atomically (its
   // per-thread replicas would not fit the replication budget).
   bool atomic_shared = false;
-  // Counted by the block-kernel path (SIMD compare masks over whole column
-  // slices) instead of the row-at-a-time hash-tree probe.
-  bool kernel = false;
-  // Grid strides as int32, for the vectorized flat-index computation; only
-  // filled for kernel array groups (gated on FlatIndexFitsInt32).
+  // Grid strides as int32, for the vectorized flat-index computation.
   std::vector<int32_t> grid_strides;
+  // The shared row masks (see SharedMask) whose AND selects the rows this
+  // group counts: one per categorical item, one per dimension.
+  std::vector<uint32_t> mask_slots;
+};
+
+// One row mask the scan builds per block and shares across every group
+// that needs it: rows where `attr` equals `value` (a categorical item), or,
+// with `equal` false, rows where `attr` differs from `value` (a dimension's
+// not-missing test).
+struct SharedMask {
+  size_t attr;
+  int32_t value;
+  bool equal;
 };
 
 // Thread-local accumulators of one scan worker. Worker 0 writes directly
@@ -55,28 +64,7 @@ struct WorkerCounters {
   std::vector<std::unique_ptr<NDimArray>> arrays;   // per group, or null
   std::vector<std::vector<uint32_t>> tree_counts;   // per group
   std::vector<uint64_t> direct;                     // per group
-  HashTree::SubsetScratch scratch;
 };
-
-// Per-worker scratch of the block-kernel scan path: row masks sized to the
-// largest block, the vectorized flat-index buffer, and (for row-major
-// sources) the slab the needed columns are materialized into.
-struct KernelScratch {
-  std::vector<uint64_t> base_mask;
-  std::vector<uint64_t> tmp_mask;
-  std::vector<int32_t> flat_idx;
-  std::vector<int32_t> columns;           // kernel_attrs.size() * max_rows
-  std::vector<const int32_t*> col_ptr;    // per attribute, null if unused
-};
-
-// Cat-bearing super-candidates run the block kernels only while the group
-// count is modest: every kernel group touches each block, so with G groups
-// the kernel path is O(G * rows) compares, whereas the hash tree prunes to
-// the groups a record can match. Boolean-heavy workloads (thousands of
-// purely categorical groups) therefore stay on the probe path; quantitative
-// passes (few groups, wide rectangles) vectorize. Pure-quant groups match
-// every record, so the tree never prunes them and they always kernel.
-constexpr size_t kMaxKernelCatGroups = 512;
 
 }  // namespace
 
@@ -192,7 +180,6 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       ++local_stats.num_direct;
       continue;
     }
-    QARM_CHECK_LE(sc.quant_attrs.size(), kRStarMaxDims);
     std::vector<int32_t> dim_sizes;
     dim_sizes.reserve(sc.quant_attrs.size());
     for (int32_t attr : sc.quant_attrs) {
@@ -206,9 +193,22 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
         array_bytes <= options.counter_memory_budget_bytes &&
         array_bytes_total <=
             options.counter_memory_budget_bytes - array_bytes;
-    const bool use_array = fits_budget || array_bytes <= tree_bytes;
+    // The vectorized flat-index scatter computes int32 cell indices, so a
+    // grid stays under 2^31 cells (8 GiB, far past any counter budget).
+    const bool grid_indexable =
+        array_bytes / sizeof(uint32_t) <=
+        static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
+    // Only the R*-tree is limited in dimensions: a wider group gets the
+    // grid if it fits, or the degraded scan otherwise.
+    const bool tree_allowed = sc.quant_attrs.size() <= kRStarMaxDims;
+    const bool use_array =
+        grid_indexable &&
+        (fits_budget || (tree_allowed && array_bytes <= tree_bytes));
     if (use_array) {
       sc.array = std::make_unique<NDimArray>(dim_sizes);
+      for (uint64_t stride : sc.array->strides()) {
+        sc.grid_strides.push_back(static_cast<int32_t>(stride));
+      }
       array_bytes_total += array_bytes;
       local_stats.counter_bytes += array_bytes;
       ++local_stats.num_array_counters;
@@ -238,6 +238,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       // linear scan of their member rectangles — much slower per record
       // but near-zero memory, so the pass always completes.
       const bool tree_fits =
+          tree_allowed &&
           tree_bytes_total <= options.counter_memory_budget_bytes;
       sc.tree_counts.assign(sc.members.size(), 0);
       if (tree_fits) {
@@ -285,84 +286,57 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
                          "counting this pass";
   }
 
-  // --- Kernel plan: block-kernel path vs row-at-a-time hash-tree path. ---
-  // Under the scalar ISA every group takes the original row-at-a-time path,
-  // which doubles as the oracle the vector ISAs are tested against.
+  // --- Shared row masks. ---
+  // Every group is counted per block from one bitmask over the block's
+  // rows. Groups share the masks that mask is built from: the scan computes
+  // one equality mask per distinct categorical item of the pass and one
+  // not-missing mask per distinct dimension, and each group ANDs together
+  // the masks of its items and dimensions. With G groups, I distinct items
+  // and n rows, a block then costs about I * n compares plus G * n / 64
+  // word ANDs, where per-group sweeps would cost G * n compares.
   const CountKernels& kern = CountKernels::Active();
   local_stats.isa = kern.isa;
-  std::vector<int32_t> kernel_group_ids;
-  std::vector<size_t> kernel_attrs;  // sorted unique attrs the kernels read
-  for (size_t g = 0; g < groups.size(); ++g) {
-    SuperCandidate& sc = groups[g];
-    if (kern.isa == SimdIsa::kScalar) continue;
-    if (!sc.cat_item_ids.empty() && groups.size() > kMaxKernelCatGroups) {
-      continue;
+  const size_t num_attrs = source.num_attributes();
+  std::vector<SharedMask> masks;
+  std::vector<int32_t> item_slot(catalog.num_items(), -1);
+  std::vector<int32_t> dim_slot(num_attrs, -1);
+  auto slot_of = [&masks](int32_t* slot, SharedMask mask) {
+    if (*slot < 0) {
+      *slot = static_cast<int32_t>(masks.size());
+      masks.push_back(mask);
     }
-    // The vectorized flat-index scatter needs int32 indices; grids beyond
-    // 2^31 cells (8 GiB+, far past any counter budget) stay on the row
-    // path rather than carrying a 64-bit kernel variant.
-    if (sc.array != nullptr && !sc.array->FlatIndexFitsInt32()) continue;
-    sc.kernel = true;
-    kernel_group_ids.push_back(static_cast<int32_t>(g));
-    if (sc.array != nullptr) {
-      sc.grid_strides.reserve(sc.array->strides().size());
-      for (uint64_t s : sc.array->strides()) {
-        sc.grid_strides.push_back(static_cast<int32_t>(s));
-      }
-    }
+    return static_cast<uint32_t>(*slot);
+  };
+  size_t max_dims = 0;
+  for (SuperCandidate& sc : groups) {
     for (int32_t id : sc.cat_item_ids) {
-      kernel_attrs.push_back(static_cast<size_t>(catalog.item(id).attr));
+      // A categorical item pins attr to one value; missing (-1) never
+      // equals a mapped value (>= 0), so the compare also filters nulls.
+      const RangeItem& item = catalog.item(id);
+      sc.mask_slots.push_back(
+          slot_of(&item_slot[static_cast<size_t>(id)],
+                  {static_cast<size_t>(item.attr), item.lo, true}));
     }
     for (int32_t attr : sc.quant_attrs) {
-      kernel_attrs.push_back(static_cast<size_t>(attr));
+      // A record lacking any dimension supports no member.
+      sc.mask_slots.push_back(
+          slot_of(&dim_slot[static_cast<size_t>(attr)],
+                  {static_cast<size_t>(attr), kMissingValue, false}));
     }
+    max_dims = std::max(max_dims, sc.quant_attrs.size());
   }
-  std::sort(kernel_attrs.begin(), kernel_attrs.end());
-  kernel_attrs.erase(std::unique(kernel_attrs.begin(), kernel_attrs.end()),
-                     kernel_attrs.end());
-  local_stats.num_kernel_groups = kernel_group_ids.size();
-  local_stats.num_hash_groups = groups.size() - kernel_group_ids.size();
-
-  // --- Hash tree over the categorical parts of the non-kernel groups. ---
-  // Built and frozen once here; the scan only probes it (ForEachSubset with
-  // per-worker scratch), which is mutation-free and safe to run
-  // concurrently. When every group kernels, the tree (and the whole
-  // row-at-a-time loop) is skipped.
-  const bool any_hash_groups = local_stats.num_hash_groups > 0;
-  HashTree hash_tree(/*leaf_capacity=*/16, /*fanout=*/64);
-  if (any_hash_groups) {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].kernel) continue;
-      hash_tree.Insert(groups[g].cat_item_ids, static_cast<int32_t>(g));
-    }
-    hash_tree.Freeze();
-  }
+  // The columns the scan reads: every dimension has a not-missing mask, so
+  // the masked attributes cover the dimensions too.
+  std::vector<size_t> scan_attrs;
+  for (const SharedMask& mask : masks) scan_attrs.push_back(mask.attr);
+  std::sort(scan_attrs.begin(), scan_attrs.end());
+  scan_attrs.erase(std::unique(scan_attrs.begin(), scan_attrs.end()),
+                   scan_attrs.end());
   local_stats.build_seconds = phase_timer.ElapsedSeconds();
   phase_timer.Reset();
 
-  // The scan's per-row point buffers below are kRStarMaxDims wide; the
-  // per-group check in the build loop bounds each group, but guard the
-  // whole pass explicitly before any buffer is indexed.
-  size_t max_dims = 0;
-  for (const SuperCandidate& sc : groups) {
-    max_dims = std::max(max_dims, sc.quant_attrs.size());
-  }
-  QARM_CHECK_LE(max_dims, kRStarMaxDims);
-
-  // Satellite of the kernel path: the per-row transaction build only ever
-  // looks at plain categorical attributes, so resolve that set once per
-  // pass instead of re-testing attribute kinds on every row.
-  const size_t num_attrs = source.num_attributes();
-  std::vector<size_t> plain_cat_attrs;
-  for (size_t a = 0; a < num_attrs; ++a) {
-    const MappedAttribute& attr = source.attribute(a);
-    if (attr.kind == AttributeKind::kCategorical && !attr.ranged()) {
-      plain_cat_attrs.push_back(a);
-    }
-  }
-
-  const size_t max_block_rows =
-      kernel_group_ids.empty() ? 0 : source.max_block_rows();
+  const size_t max_block_rows = source.max_block_rows();
+  const size_t mask_stride = MaskWords(max_block_rows);
 
   // --- The pass over the database, sharded across workers. ---
   // Each worker streams a contiguous *block* range through its own
@@ -372,69 +346,61 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
   // otherwise increments go to the worker's own replicas. Grids flagged
   // atomic_shared are written by every worker via relaxed atomic adds.
   //
-  // Kernel groups are counted per *block*: one bitmask over the block's
-  // rows per group — vectorized equality compares for the categorical
-  // items, missing-value compares per dimension — then the mode-specific
-  // finish (popcount, flat-index scatter, tree probe of surviving rows, or
-  // per-member range masks). Hash groups run the original row-at-a-time
-  // probe over the same block afterwards.
+  // Per block, the worker builds the shared masks, then finishes each group
+  // from its ANDed mask: popcount, flat-index scatter, tree probe of the
+  // surviving rows, or per-member range masks.
   auto scan_blocks = [&](size_t block_begin, size_t block_end,
-                         WorkerCounters* local,
-                         HashTree::SubsetScratch* scratch) -> Status {
-    std::vector<int32_t> cat_transaction;
-    cat_transaction.reserve(num_attrs);
-    int32_t point[kRStarMaxDims];
+                         WorkerCounters* local) -> Status {
+    std::vector<uint64_t> shared_masks(masks.size() * mask_stride);
+    std::vector<uint64_t> group_mask(mask_stride);
+    std::vector<uint64_t> member_mask(mask_stride);
+    std::vector<int32_t> flat_idx(max_block_rows);
+    // Row-major sources materialize the scanned columns into this slab.
+    std::vector<int32_t> columns;
+    std::vector<const int32_t*> col_ptr(num_attrs, nullptr);
+    std::vector<const int32_t*> group_cols(max_dims);
     double dpoint[kRStarMaxDims];
     BlockView view;
 
-    KernelScratch ks;
-    if (!kernel_group_ids.empty()) {
-      ks.base_mask.resize(MaskWords(max_block_rows));
-      ks.tmp_mask.resize(MaskWords(max_block_rows));
-      ks.flat_idx.resize(max_block_rows);
-      ks.col_ptr.assign(num_attrs, nullptr);
-    }
-
-    // One kernel group over one block of n rows.
-    auto scan_kernel_group = [&](int32_t g, size_t n) {
-      SuperCandidate& sc = groups[static_cast<size_t>(g)];
+    // One group over one block of n rows.
+    auto scan_group = [&](size_t g, size_t n) {
+      SuperCandidate& sc = groups[g];
       const size_t dims = sc.quant_attrs.size();
-      uint64_t* mask = ks.base_mask.data();
-      kern.fill_ones(mask, n);
-      for (int32_t id : sc.cat_item_ids) {
-        const RangeItem& item = catalog.item(id);
-        // A categorical item pins attr to one value; missing (-1) never
-        // equals a mapped value (>= 0), so the compare also filters nulls.
-        kern.mask_eq(mask, ks.col_ptr[static_cast<size_t>(item.attr)], n,
-                     item.lo);
-      }
-      for (size_t d = 0; d < dims; ++d) {
-        // A record lacking any dimension supports no member.
-        kern.mask_neq(mask, ks.col_ptr[static_cast<size_t>(sc.quant_attrs[d])],
-                      n, kMissingValue);
+      const size_t words = MaskWords(n);
+      auto shared = [&](size_t s) {
+        return shared_masks.data() + sc.mask_slots[s] * mask_stride;
+      };
+      const uint64_t* mask = shared(0);
+      if (sc.mask_slots.size() > 1) {
+        uint64_t* dst = group_mask.data();
+        const uint64_t* second = shared(1);
+        for (size_t w = 0; w < words; ++w) dst[w] = mask[w] & second[w];
+        for (size_t s = 2; s < sc.mask_slots.size(); ++s) {
+          const uint64_t* next = shared(s);
+          for (size_t w = 0; w < words; ++w) dst[w] &= next[w];
+        }
+        mask = dst;
       }
       const uint64_t matches = kern.popcount(mask, n);
       if (dims == 0) {
         if (local != nullptr) {
-          local->direct[static_cast<size_t>(g)] += matches;
+          local->direct[g] += matches;
         } else {
           sc.direct_count += matches;
         }
         return;
       }
       if (matches == 0) return;
-      const size_t words = MaskWords(n);
+      for (size_t d = 0; d < dims; ++d) {
+        group_cols[d] = col_ptr[static_cast<size_t>(sc.quant_attrs[d])];
+      }
       if (sc.array != nullptr) {
-        const int32_t* cols[kRStarMaxDims];
-        for (size_t d = 0; d < dims; ++d) {
-          cols[d] = ks.col_ptr[static_cast<size_t>(sc.quant_attrs[d])];
-        }
-        kern.flat_index(ks.flat_idx.data(), cols, sc.grid_strides.data(),
-                        dims, n);
+        kern.flat_index(flat_idx.data(), group_cols.data(),
+                        sc.grid_strides.data(), dims, n);
         NDimArray* grid = sc.atomic_shared || local == nullptr
                               ? sc.array.get()
-                              : local->arrays[static_cast<size_t>(g)].get();
-        const int32_t* idx = ks.flat_idx.data();
+                              : local->arrays[g].get();
+        const int32_t* idx = flat_idx.data();
         for (size_t w = 0; w < words; ++w) {
           uint64_t bits = mask[w];
           while (bits != 0) {
@@ -450,10 +416,11 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
             }
           }
         }
-      } else if (sc.tree != nullptr) {
-        std::vector<uint32_t>& tree_counts =
-            local != nullptr ? local->tree_counts[static_cast<size_t>(g)]
-                             : sc.tree_counts;
+        return;
+      }
+      std::vector<uint32_t>& member_counts =
+          local != nullptr ? local->tree_counts[g] : sc.tree_counts;
+      if (sc.tree != nullptr) {
         for (size_t w = 0; w < words; ++w) {
           uint64_t bits = mask[w];
           while (bits != 0) {
@@ -461,88 +428,27 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
                 w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
             bits &= bits - 1;
             for (size_t d = 0; d < dims; ++d) {
-              dpoint[d] = static_cast<double>(
-                  ks.col_ptr[static_cast<size_t>(sc.quant_attrs[d])][r]);
+              dpoint[d] = static_cast<double>(group_cols[d][r]);
             }
-            sc.tree->ForEachContaining(dpoint, [&tree_counts](int32_t m) {
-              ++tree_counts[static_cast<size_t>(m)];
+            sc.tree->ForEachContaining(dpoint, [&member_counts](int32_t m) {
+              ++member_counts[static_cast<size_t>(m)];
             });
           }
         }
-      } else {
-        // Degraded mode, vectorized: per member, refine a copy of the base
-        // mask with one range compare per dimension and popcount it.
-        std::vector<uint32_t>& member_counts =
-            local != nullptr ? local->tree_counts[static_cast<size_t>(g)]
-                             : sc.tree_counts;
-        const int32_t* rects = sc.member_rects.data();
-        uint64_t* tmp = ks.tmp_mask.data();
-        for (size_t m = 0; m < sc.members.size(); ++m) {
-          const int32_t* rect = rects + m * dims * 2;
-          std::memcpy(tmp, mask, words * sizeof(uint64_t));
-          for (size_t d = 0; d < dims; ++d) {
-            kern.mask_range(tmp,
-                            ks.col_ptr[static_cast<size_t>(sc.quant_attrs[d])],
-                            n, rect[2 * d], rect[2 * d + 1]);
-          }
-          member_counts[m] += static_cast<uint32_t>(kern.popcount(tmp, n));
-        }
-      }
-    };
-
-    auto visit = [&](int32_t g, size_t r) {
-      SuperCandidate& sc = groups[static_cast<size_t>(g)];
-      const size_t dims = sc.quant_attrs.size();
-      if (dims == 0) {
-        if (local != nullptr) {
-          ++local->direct[static_cast<size_t>(g)];
-        } else {
-          ++sc.direct_count;
-        }
         return;
       }
-      for (size_t d = 0; d < dims; ++d) {
-        point[d] = view.value(r, static_cast<size_t>(sc.quant_attrs[d]));
-        // A record lacking any of the dimensions supports no candidate in
-        // this super-candidate.
-        if (point[d] == kMissingValue) return;
-      }
-      if (sc.array != nullptr) {
-        if (sc.atomic_shared) {
-          sc.array->AtomicIncrement(point);
-        } else if (local != nullptr) {
-          local->arrays[static_cast<size_t>(g)]->Increment(point);
-        } else {
-          sc.array->Increment(point);
-        }
-      } else if (sc.tree != nullptr) {
+      // Degraded mode: per member, refine a copy of the group mask with one
+      // range compare per dimension and popcount it.
+      const int32_t* rects = sc.member_rects.data();
+      uint64_t* tmp = member_mask.data();
+      for (size_t m = 0; m < sc.members.size(); ++m) {
+        const int32_t* rect = rects + m * dims * 2;
+        std::memcpy(tmp, mask, words * sizeof(uint64_t));
         for (size_t d = 0; d < dims; ++d) {
-          dpoint[d] = static_cast<double>(point[d]);
+          kern.mask_range(tmp, group_cols[d], n, rect[2 * d],
+                          rect[2 * d + 1]);
         }
-        std::vector<uint32_t>& tree_counts =
-            local != nullptr ? local->tree_counts[static_cast<size_t>(g)]
-                             : sc.tree_counts;
-        sc.tree->ForEachContaining(dpoint, [&tree_counts](int32_t m) {
-          ++tree_counts[static_cast<size_t>(m)];
-        });
-      } else {
-        // Degraded mode: test the point against every member rectangle.
-        std::vector<uint32_t>& member_counts =
-            local != nullptr ? local->tree_counts[static_cast<size_t>(g)]
-                             : sc.tree_counts;
-        const int32_t* rects = sc.member_rects.data();
-        const size_t num_members = sc.members.size();
-        for (size_t m = 0; m < num_members; ++m) {
-          const int32_t* rect = rects + m * dims * 2;
-          bool inside = true;
-          for (size_t d = 0; d < dims; ++d) {
-            if (point[d] < rect[2 * d] || point[d] > rect[2 * d + 1]) {
-              inside = false;
-              break;
-            }
-          }
-          if (inside) ++member_counts[m];
-        }
+        member_counts[m] += static_cast<uint32_t>(kern.popcount(tmp, n));
       }
     };
 
@@ -550,48 +456,35 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       QARM_RETURN_NOT_OK(source.ReadBlock(b, &view));
       const size_t block_rows = view.num_rows();
 
-      if (!kernel_group_ids.empty()) {
-        // Resolve contiguous column slices: columnar blocks (QBT) are read
-        // in place; row-major blocks materialize the needed attributes
-        // into the worker's slab once per block.
-        if (view.columnar()) {
-          for (size_t a : kernel_attrs) ks.col_ptr[a] = view.column(a);
-        } else {
-          if (ks.columns.size() < kernel_attrs.size() * max_block_rows) {
-            ks.columns.resize(kernel_attrs.size() * max_block_rows);
+      // Resolve contiguous column slices: columnar blocks (QBT) are read in
+      // place; row-major blocks materialize the scanned attributes into the
+      // worker's slab once per block.
+      if (view.columnar()) {
+        for (size_t a : scan_attrs) col_ptr[a] = view.column(a);
+      } else {
+        columns.resize(scan_attrs.size() * max_block_rows);
+        const size_t stride = view.stride();
+        for (size_t i = 0; i < scan_attrs.size(); ++i) {
+          const size_t a = scan_attrs[i];
+          const int32_t* src = view.column(a);
+          int32_t* dst = columns.data() + i * max_block_rows;
+          for (size_t r = 0; r < block_rows; ++r) {
+            dst[r] = src[r * stride];
           }
-          const size_t stride = view.stride();
-          for (size_t i = 0; i < kernel_attrs.size(); ++i) {
-            const size_t a = kernel_attrs[i];
-            const int32_t* src = view.column(a);
-            int32_t* dst = ks.columns.data() + i * max_block_rows;
-            for (size_t r = 0; r < block_rows; ++r) {
-              dst[r] = src[r * stride];
-            }
-            ks.col_ptr[a] = dst;
-          }
-        }
-        for (int32_t g : kernel_group_ids) {
-          scan_kernel_group(g, block_rows);
+          col_ptr[a] = dst;
         }
       }
-
-      if (!any_hash_groups) continue;
-      for (size_t r = 0; r < block_rows; ++r) {
-        cat_transaction.clear();
-        for (size_t a : plain_cat_attrs) {
-          const int32_t v = view.value(r, a);
-          if (v == kMissingValue) continue;
-          int32_t id = catalog.CategoricalItemId(a, v);
-          if (id >= 0) cat_transaction.push_back(id);
-        }
-        auto on_group = [&](int32_t g) { visit(g, r); };
-        if (scratch != nullptr) {
-          hash_tree.ForEachSubset(cat_transaction, on_group, scratch);
+      for (size_t s = 0; s < masks.size(); ++s) {
+        uint64_t* mask = shared_masks.data() + s * mask_stride;
+        const int32_t* col = col_ptr[masks[s].attr];
+        kern.fill_ones(mask, block_rows);
+        if (masks[s].equal) {
+          kern.mask_eq(mask, col, block_rows, masks[s].value);
         } else {
-          hash_tree.ForEachSubset(cat_transaction, on_group);
+          kern.mask_neq(mask, col, block_rows, masks[s].value);
         }
       }
+      for (size_t g = 0; g < groups.size(); ++g) scan_group(g, block_rows);
     }
     return Status::OK();
   };
@@ -602,8 +495,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
 
   std::vector<WorkerCounters> workers;
   if (threads_used == 1) {
-    QARM_RETURN_NOT_OK(scan_blocks(0, source.num_blocks(),
-                                   /*local=*/nullptr, /*scratch=*/nullptr));
+    QARM_RETURN_NOT_OK(scan_blocks(0, source.num_blocks(), /*local=*/nullptr));
   } else {
     workers.resize(threads_used);
     const std::vector<IndexRange> shards =
@@ -626,7 +518,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
         }
       }
       statuses[w] = scan_blocks(shards[w].begin, shards[w].end,
-                                w == 0 ? nullptr : &wc, &wc.scratch);
+                                w == 0 ? nullptr : &wc);
     });
     for (const Status& status : statuses) {
       QARM_RETURN_NOT_OK(status);

@@ -1,12 +1,14 @@
 // Support counting for candidate quantitative itemsets (Section 5.2).
 //
 // Candidates are partitioned into super-candidates: groups sharing the same
-// attributes and the same categorical values. A record first matches
-// super-candidates through the [AS94] hash tree on the categorical items;
-// the record's quantitative values then form a point that is counted into
-// the super-candidate's n-dimensional array (or, when the array would be
-// too large, queried against an R*-tree holding the candidates'
-// rectangles).
+// attributes and the same categorical values. Where the paper locates a
+// record's super-candidates through the [AS94] hash tree, the scan here
+// works a block of records at a time: per block it builds one row bitmask
+// per categorical item and per dimension, and a super-candidate's rows are
+// the AND of its items' and dimensions' masks. The quantitative values of
+// those rows then form points that are counted into the super-candidate's
+// n-dimensional array (or, when the array would be too large, queried
+// against an R*-tree holding the candidates' rectangles).
 #ifndef QARM_CORE_SUPPORT_COUNTING_H_
 #define QARM_CORE_SUPPORT_COUNTING_H_
 
@@ -43,15 +45,10 @@ struct CountingStats {
   // number of blocks of the scanned source).
   size_t threads_used = 1;
 
-  // The SIMD instruction set the pass's kernels dispatched to (detection
-  // clamped by QARM_FORCE_ISA). kScalar means the original row-at-a-time
-  // scan ran; any other ISA selects the block-kernel path for eligible
-  // super-candidates. Results are bit-identical either way.
+  // The kernel table the pass's block scan dispatched to (detection clamped
+  // by QARM_FORCE_ISA). Every super-candidate runs the same block kernels
+  // under every ISA; results are bit-identical across ISAs.
   SimdIsa isa = SimdIsa::kScalar;
-  // Super-candidates counted by the block-kernel path vs the row-at-a-time
-  // hash-tree probe path this pass.
-  size_t num_kernel_groups = 0;
-  size_t num_hash_groups = 0;
 
   // I/O performed by this pass's scan (zero for in-memory sources).
   ScanIoStats io;
@@ -62,7 +59,7 @@ struct CountingStats {
 
   // Per-phase wall times of the pass.
   double group_seconds = 0.0;   // grouping candidates into super-candidates
-  double build_seconds = 0.0;   // counting structures + hash tree
+  double build_seconds = 0.0;   // counting structures + shared-mask plan
   double scan_seconds = 0.0;    // the (possibly sharded) pass over the rows
   double reduce_seconds = 0.0;  // merging thread counters + collecting counts
 };

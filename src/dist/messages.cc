@@ -116,8 +116,6 @@ void AppendCountingStats(const CountingStats& stats, std::string* out) {
   QbtAppendU64(out, stats.num_atomic_shared);
   QbtAppendU64(out, stats.threads_used);
   QbtAppendU32(out, static_cast<uint32_t>(stats.isa));
-  QbtAppendU64(out, stats.num_kernel_groups);
-  QbtAppendU64(out, stats.num_hash_groups);
   AppendIoStats(stats.io, out);
   QbtAppendU64(out, stats.counter_bytes);
   QbtAppendU64(out, stats.replicated_bytes);
@@ -137,8 +135,6 @@ Status ParseCountingStats(Cursor* cursor, CountingStats* stats) {
   QARM_ASSIGN_OR_RETURN(stats->threads_used, cursor->ReadU64());
   QARM_ASSIGN_OR_RETURN(uint32_t isa, cursor->ReadU32());
   stats->isa = static_cast<SimdIsa>(isa);
-  QARM_ASSIGN_OR_RETURN(stats->num_kernel_groups, cursor->ReadU64());
-  QARM_ASSIGN_OR_RETURN(stats->num_hash_groups, cursor->ReadU64());
   QARM_RETURN_NOT_OK(ParseIoStats(cursor, &stats->io));
   QARM_ASSIGN_OR_RETURN(stats->counter_bytes, cursor->ReadU64());
   QARM_ASSIGN_OR_RETURN(stats->replicated_bytes, cursor->ReadU64());

@@ -29,7 +29,6 @@ HashTree::HashTree(size_t leaf_capacity, size_t fanout)
 HashTree::~HashTree() = default;
 
 void HashTree::Insert(std::span<const int32_t> itemset, int32_t id) {
-  QARM_CHECK(!frozen_);
   QARM_CHECK_GE(id, 0);
   for (size_t i = 1; i < itemset.size(); ++i) {
     QARM_CHECK_LT(itemset[i - 1], itemset[i]);
@@ -80,57 +79,6 @@ void HashTree::SplitLeaf(Node* node, size_t depth) {
   }
 }
 
-int32_t HashTree::FlattenRec(const Node& node) {
-  const int32_t index = static_cast<int32_t>(flat_nodes_.size());
-  flat_nodes_.emplace_back();
-  // Leaf ids and interior complete_ids play the same role in a probe
-  // ("verify containment, report"), so they share the ids pool.
-  const std::vector<int32_t>& ids =
-      node.is_leaf ? node.ids : node.complete_ids;
-  flat_nodes_[index].ids_begin = static_cast<uint32_t>(flat_ids_.size());
-  flat_ids_.insert(flat_ids_.end(), ids.begin(), ids.end());
-  flat_nodes_[index].ids_end = static_cast<uint32_t>(flat_ids_.size());
-  if (node.is_leaf) return index;
-
-  const size_t children_begin = flat_children_.size();
-  flat_children_.resize(children_begin + fanout_, -1);
-  for (size_t b = 0; b < fanout_; ++b) {
-    // Recursion appends to flat_children_, so re-index after each call.
-    const int32_t child = FlattenRec(*node.children[b]);
-    flat_children_[children_begin + b] = child;
-  }
-  flat_nodes_[index].children_begin = static_cast<int32_t>(children_begin);
-  return index;
-}
-
-void HashTree::Freeze() {
-  if (frozen_) return;
-  itemset_offsets_.assign(1, 0);
-  itemset_offsets_.reserve(itemsets_.size() + 1);
-  for (const std::vector<int32_t>& set : itemsets_) {
-    itemset_pool_.insert(itemset_pool_.end(), set.begin(), set.end());
-    itemset_offsets_.push_back(static_cast<uint32_t>(itemset_pool_.size()));
-  }
-  FlattenRec(*root_);
-  root_.reset();  // the pointer tree is dead weight from here on
-  frozen_ = true;
-}
-
-bool HashTree::IsSubsetFlat(int32_t id,
-                            std::span<const int32_t> transaction) const {
-  const int32_t* begin =
-      itemset_pool_.data() + itemset_offsets_[static_cast<size_t>(id)];
-  const int32_t* end =
-      itemset_pool_.data() + itemset_offsets_[static_cast<size_t>(id) + 1];
-  size_t t = 0;
-  for (const int32_t* item = begin; item != end; ++item) {
-    while (t < transaction.size() && transaction[t] < *item) ++t;
-    if (t == transaction.size() || transaction[t] != *item) return false;
-    ++t;
-  }
-  return true;
-}
-
 bool HashTree::IsSubset(std::span<const int32_t> itemset,
                         std::span<const int32_t> transaction) const {
   size_t t = 0;
@@ -154,39 +102,7 @@ void HashTree::ForEachSubset(std::span<const int32_t> transaction,
     scratch->stamps.resize(itemsets_.size(), 0);
   }
   ++scratch->generation;
-  if (frozen_) {
-    SearchFlat(0, transaction, 0, fn, *scratch);
-  } else {
-    SearchRec(root_.get(), transaction, 0, fn, *scratch);
-  }
-}
-
-void HashTree::SearchFlat(int32_t node_index,
-                          std::span<const int32_t> transaction, size_t start,
-                          const std::function<void(int32_t)>& fn,
-                          SubsetScratch& scratch) const {
-  const FlatNode& node = flat_nodes_[static_cast<size_t>(node_index)];
-  // Leaf ids and interior complete_ids are both routed here by hashes of
-  // their items; collisions mean containment must still be verified.
-  for (uint32_t i = node.ids_begin; i != node.ids_end; ++i) {
-    const int32_t id = flat_ids_[i];
-    if (!IsSubsetFlat(id, transaction)) continue;
-    uint64_t& stamp = scratch.stamps[static_cast<size_t>(id)];
-    if (stamp == scratch.generation) continue;
-    stamp = scratch.generation;
-    fn(id);
-  }
-  if (node.children_begin < 0) return;
-  const int32_t* children =
-      flat_children_.data() + static_cast<size_t>(node.children_begin);
-  for (size_t i = start; i < transaction.size(); ++i) {
-    size_t bucket =
-        static_cast<size_t>(static_cast<uint32_t>(transaction[i])) % fanout_;
-    const int32_t child = children[bucket];
-    if (child < 0) continue;
-    __builtin_prefetch(&flat_nodes_[static_cast<size_t>(child)]);
-    SearchFlat(child, transaction, i + 1, fn, scratch);
-  }
+  SearchRec(root_.get(), transaction, 0, fn, *scratch);
 }
 
 void HashTree::SearchRec(const Node* node,

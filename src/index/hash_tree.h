@@ -1,8 +1,9 @@
 // The hash-tree of [AS94]: stores a set of sorted integer itemsets and, for
 // a given sorted transaction, enumerates every stored itemset contained in
 // it, visiting only a small fraction of the candidates. Used by the boolean
-// Apriori baseline (candidates per pass) and by the quantitative miner
-// (locating super-candidates by their categorical items, Section 5.2).
+// Apriori baseline (candidates per pass). The quantitative miner's support
+// counting (core/support_counting.h) matches categorical items with
+// block-wide row masks instead.
 #ifndef QARM_INDEX_HASH_TREE_H_
 #define QARM_INDEX_HASH_TREE_H_
 
@@ -17,7 +18,7 @@ namespace qarm {
 
 // Itemsets are identified by dense ids 0..N-1 assigned by the caller.
 // Items within an itemset must be sorted ascending and unique; itemsets of
-// different lengths may coexist (the super-candidate use case).
+// different lengths may coexist.
 class HashTree {
  public:
   // `leaf_capacity`: max itemsets in a leaf before it splits;
@@ -31,19 +32,8 @@ class HashTree {
   HashTree& operator=(HashTree&&) = default;
 
   // Inserts a sorted itemset under id `id`. Ids must be dense (0..N-1 in any
-  // order) — they index the dedup stamp table. Insertion is only allowed
-  // before Freeze().
+  // order) — they index the dedup stamp table.
   void Insert(std::span<const int32_t> itemset, int32_t id);
-
-  // Flattens the pointer tree into the probe-optimized layout: nodes in one
-  // contiguous arena (children as an index array per interior node, leaf /
-  // complete ids and the stored itemsets in contiguous pools) so the probe
-  // hot path walks arrays and can prefetch the next level instead of
-  // chasing per-node heap allocations. Probing works before and after —
-  // Freeze only changes speed, never results — but Insert afterwards is a
-  // programming error (checked). Idempotent.
-  void Freeze();
-  bool frozen() const { return frozen_; }
 
   // Per-probe dedup state: a leaf can be reached through several transaction
   // items, so matches are deduplicated with per-id generation stamps. A
@@ -73,29 +63,14 @@ class HashTree {
  private:
   struct Node;
 
-  // One node of the frozen layout. Both leaf ids and interior complete_ids
-  // are "check containment, report" — they share the ids span; only
-  // interior nodes have a children block (fanout_ consecutive entries in
-  // flat_children_, -1 for an absent child).
-  struct FlatNode {
-    int32_t children_begin = -1;  // -1: leaf
-    uint32_t ids_begin = 0;
-    uint32_t ids_end = 0;
-  };
-
   void InsertRec(Node* node, size_t depth, std::span<const int32_t> itemset,
                  int32_t id);
   void SplitLeaf(Node* node, size_t depth);
   void SearchRec(const Node* node, std::span<const int32_t> transaction,
                  size_t start, const std::function<void(int32_t)>& fn,
                  SubsetScratch& scratch) const;
-  void SearchFlat(int32_t node_index, std::span<const int32_t> transaction,
-                  size_t start, const std::function<void(int32_t)>& fn,
-                  SubsetScratch& scratch) const;
-  int32_t FlattenRec(const Node& node);
   bool IsSubset(std::span<const int32_t> itemset,
                 std::span<const int32_t> transaction) const;
-  bool IsSubsetFlat(int32_t id, std::span<const int32_t> transaction) const;
 
   size_t leaf_capacity_;
   size_t fanout_;
@@ -104,15 +79,6 @@ class HashTree {
 
   // Stored itemsets, indexed by id (for the leaf containment check).
   std::vector<std::vector<int32_t>> itemsets_;
-
-  // Frozen layout (Freeze()); empty until then.
-  bool frozen_ = false;
-  std::vector<FlatNode> flat_nodes_;
-  std::vector<int32_t> flat_children_;
-  std::vector<int32_t> flat_ids_;
-  // Itemsets flattened id -> [offsets_[id], offsets_[id + 1]) in pool.
-  std::vector<uint32_t> itemset_offsets_;
-  std::vector<int32_t> itemset_pool_;
 
   // Scratch backing the convenience (serial) ForEachSubset overload.
   mutable SubsetScratch scratch_;

@@ -200,14 +200,9 @@ void NDimArray::Increment(const int32_t* point) {
   ++cells_[FlatIndex(point)];
 }
 
-void NDimArray::AtomicIncrement(const int32_t* point) {
+void NDimArray::AtomicIncrementFlat(size_t index) {
   // uint32_t in a vector satisfies atomic_ref's alignment requirement, so
   // the plain storage doubles as the shared-atomic counting mode.
-  std::atomic_ref<uint32_t> cell(cells_[FlatIndex(point)]);
-  cell.fetch_add(1, std::memory_order_relaxed);
-}
-
-void NDimArray::AtomicIncrementFlat(size_t index) {
   std::atomic_ref<uint32_t> cell(cells_[index]);
   cell.fetch_add(1, std::memory_order_relaxed);
 }

@@ -1,12 +1,17 @@
 #include "core/support_counting.h"
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_dispatch.h"
 #include "common/random.h"
 #include "index/rstar_tree.h"
+#include "storage/qbt_writer.h"
+#include "storage/record_source.h"
 #include "testutil.h"
 
 namespace qarm {
@@ -268,61 +273,78 @@ TEST(SupportCountingTest, DegradedGroupsMatchBruteForce) {
   EXPECT_EQ(roomy_counts, counts);
 }
 
-// A candidate spanning exactly kRStarMaxDims quantitative attributes: the
-// scan's fixed per-row point buffers are sized for this maximum and guarded
-// by a QARM_CHECK_LE, so the widest legal candidate must count correctly
-// (serially and sharded) rather than overflow.
+// Candidates spanning kRStarMaxDims quantitative attributes (the widest an
+// R*-tree can index) and one more. Only the tree is limited in dimensions:
+// a wider group takes the grid when it fits and the degraded member scan
+// otherwise, so both widths must count exactly — serially and sharded, at
+// the default budget and at one that rules every grid out.
 TEST(SupportCountingTest, CandidateAtMaxDimsCounts) {
-  Rng rng(17);
-  std::vector<std::vector<int32_t>> rows;
-  for (size_t r = 0; r < 200; ++r) {
-    std::vector<int32_t> row;
-    for (size_t a = 0; a < kRStarMaxDims; ++a) {
-      row.push_back(static_cast<int32_t>(rng.UniformInt(0, 1)));
+  for (size_t dims : {kRStarMaxDims, kRStarMaxDims + 1}) {
+    SCOPED_TRACE("dims=" + std::to_string(dims));
+    Rng rng(17);
+    std::vector<std::vector<int32_t>> rows;
+    for (size_t r = 0; r < 200; ++r) {
+      std::vector<int32_t> row;
+      for (size_t a = 0; a < dims; ++a) {
+        row.push_back(static_cast<int32_t>(rng.UniformInt(0, 1)));
+      }
+      rows.push_back(std::move(row));
     }
-    rows.push_back(std::move(row));
-  }
-  std::vector<MappedAttribute> attrs;
-  for (size_t a = 0; a < kRStarMaxDims; ++a) {
-    std::string name = "q";  // GCC 12 -Wrestrict misfires on "q" + to_string
-    name += std::to_string(a);
-    attrs.push_back(QuantAttr(name, 2));
-  }
-  MappedTable table = MakeMappedTable(attrs, rows);
-  MinerOptions options;
-  options.minsup = 0.0001;  // a 16-way conjunction is rare by construction
-  options.max_support = 0.6;
-  ItemCatalog catalog = ItemCatalog::Build(table, options);
+    std::vector<MappedAttribute> attrs;
+    for (size_t a = 0; a < dims; ++a) {
+      std::string name = "q";  // GCC 12 -Wrestrict misfires on "q" + to_string
+      name += std::to_string(a);
+      attrs.push_back(QuantAttr(name, 2));
+    }
+    MappedTable table = MakeMappedTable(attrs, rows);
+    MinerOptions options;
+    options.minsup = 0.0001;  // a 16-way conjunction is rare by construction
+    options.max_support = 0.6;
+    ItemCatalog catalog = ItemCatalog::Build(table, options);
 
-  // One item per attribute, lowest item id first (itemsets are id-sorted).
-  std::vector<int32_t> member;
-  std::vector<bool> taken(kRStarMaxDims, false);
-  for (size_t i = 0; i < catalog.num_items(); ++i) {
-    size_t attr =
-        static_cast<size_t>(catalog.item(static_cast<int32_t>(i)).attr);
-    if (!taken[attr]) {
-      taken[attr] = true;
-      member.push_back(static_cast<int32_t>(i));
+    // One item per attribute, lowest item id first (itemsets are id-sorted).
+    std::vector<int32_t> member;
+    std::vector<bool> taken(dims, false);
+    for (size_t i = 0; i < catalog.num_items(); ++i) {
+      size_t attr =
+          static_cast<size_t>(catalog.item(static_cast<int32_t>(i)).attr);
+      if (!taken[attr]) {
+        taken[attr] = true;
+        member.push_back(static_cast<int32_t>(i));
+      }
+    }
+    ASSERT_EQ(member.size(), dims);
+    std::sort(member.begin(), member.end());
+    ItemsetSet candidates(dims);
+    candidates.AppendVector(member);
+    const uint64_t expected = BruteForceSupport(
+        table, catalog.Decode(candidates.itemset_vector(0)));
+
+    for (uint64_t budget :
+         {MinerOptions().counter_memory_budget_bytes, uint64_t{1}}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget));
+      MinerOptions run = options;
+      run.counter_memory_budget_bytes = budget;
+      CountingStats stats;
+      std::vector<uint32_t> counts =
+          CountSupports(table, catalog, candidates, run, &stats);
+      ASSERT_EQ(counts.size(), 1u);
+      EXPECT_EQ(counts[0], expected);
+      if (budget == 1) {
+        // No grid fits: the 16-wide group gets its tree, the wider one
+        // degrades.
+        EXPECT_EQ(stats.num_tree_counters, dims <= kRStarMaxDims ? 1u : 0u);
+        EXPECT_EQ(stats.num_degraded, dims <= kRStarMaxDims ? 0u : 1u);
+      } else {
+        EXPECT_EQ(stats.num_array_counters, 1u);
+      }
+
+      run.num_threads = 4;
+      std::vector<uint32_t> parallel_counts =
+          CountSupports(table, catalog, candidates, run, nullptr);
+      EXPECT_EQ(parallel_counts, counts);
     }
   }
-  ASSERT_EQ(member.size(), kRStarMaxDims);
-  std::sort(member.begin(), member.end());
-  ItemsetSet candidates(kRStarMaxDims);
-  candidates.AppendVector(member);
-
-  CountingStats stats;
-  std::vector<uint32_t> counts =
-      CountSupports(table, catalog, candidates, options, &stats);
-  ASSERT_EQ(counts.size(), 1u);
-  EXPECT_EQ(counts[0],
-            BruteForceSupport(table,
-                              catalog.Decode(candidates.itemset_vector(0))));
-
-  MinerOptions parallel_options = options;
-  parallel_options.num_threads = 4;
-  std::vector<uint32_t> parallel_counts =
-      CountSupports(table, catalog, candidates, parallel_options, nullptr);
-  EXPECT_EQ(parallel_counts, counts);
 }
 
 TEST(SupportCountingTest, EmptyCandidates) {
@@ -334,6 +356,245 @@ TEST(SupportCountingTest, EmptyCandidates) {
   auto counts = CountSupports(table, catalog, empty, options, &stats);
   EXPECT_TRUE(counts.empty());
 }
+
+// --- Brute-force oracle sweep. ---
+// Generated schemas that steer the counting pass into each of its regimes,
+// checked candidate by candidate against BruteForceSupport under every
+// kernel table the CPU supports, at 1 and 4 threads, over the in-memory
+// table and over the same rows written to a QBT file.
+struct OracleScenario {
+  std::string name;
+  std::function<MappedTable()> make_table;
+  double minsup = 0.05;
+  double max_support = 0.5;
+  uint64_t counter_budget = MinerOptions().counter_memory_budget_bytes;
+  size_t max_level = 3;
+  // Keep every stride-th candidate of each level (1 = all): sparse groups
+  // have few members, which is what makes the R*-tree beat the grid.
+  size_t candidate_stride = 1;
+  // Checked on the serial level-2 pass, so each scenario provably reaches
+  // the regime it is named for.
+  std::function<void(const CountingStats&)> check_level2;
+};
+
+// A categorical attribute generalized by a taxonomy: its interior nodes are
+// contiguous leaf ranges, which makes it a ranged attribute — a rectangle
+// dimension of the counting pass instead of a per-value item.
+MappedAttribute TaxonomyAttr(const std::string& name,
+                             std::vector<std::string> labels,
+                             std::vector<Taxonomy::NodeRange> ranges) {
+  MappedAttribute attr = CatAttr(name, std::move(labels));
+  attr.taxonomy_ranges = std::move(ranges);
+  return attr;
+}
+
+std::vector<std::string> Labels(size_t n) {
+  std::vector<std::string> labels;
+  for (size_t v = 0; v < n; ++v) {
+    std::string label = "v";
+    label += std::to_string(v);
+    labels.push_back(std::move(label));
+  }
+  return labels;
+}
+
+// Rows drawn uniformly from each attribute's domain; each value is missing
+// with probability 1/missing_one_in (0 = never).
+MappedTable UniformTable(uint64_t seed, size_t num_rows,
+                         std::vector<MappedAttribute> attrs,
+                         int64_t missing_one_in) {
+  Rng rng(seed);
+  std::vector<std::vector<int32_t>> rows;
+  for (size_t r = 0; r < num_rows; ++r) {
+    std::vector<int32_t> row;
+    for (const MappedAttribute& attr : attrs) {
+      int32_t v = static_cast<int32_t>(rng.UniformInt(
+          0, static_cast<int64_t>(attr.domain_size()) - 1));
+      if (missing_one_in > 0 && rng.UniformInt(0, missing_one_in - 1) == 0) {
+        v = kMissingValue;
+      }
+      row.push_back(v);
+    }
+    rows.push_back(std::move(row));
+  }
+  return MakeMappedTable(std::move(attrs), rows);
+}
+
+std::vector<OracleScenario> OracleScenarios() {
+  std::vector<OracleScenario> scenarios;
+  {
+    // Four categorical attributes x 12 values: 6 x 144 = 864 purely
+    // categorical pair groups, well past the group counts where per-group
+    // column sweeps would stop paying, plus categorical x quantitative
+    // groups whose masks AND an item with a dimension.
+    OracleScenario s;
+    s.name = "WideCategorical";
+    s.make_table = [] {
+      return UniformTable(
+          101, 1200,
+          {CatAttr("c1", Labels(12)), CatAttr("c2", Labels(12)),
+           QuantAttr("q1", 8), CatAttr("c3", Labels(12)),
+           CatAttr("c4", Labels(12)), QuantAttr("q2", 6)},
+          /*missing_one_in=*/0);
+    };
+    s.minsup = 0.004;
+    s.max_support = 0.2;
+    s.check_level2 = [](const CountingStats& stats) {
+      EXPECT_GT(stats.num_direct, 512u);
+      EXPECT_GT(stats.num_array_counters, 0u);
+    };
+    scenarios.push_back(std::move(s));
+  }
+  {
+    // A taxonomy (a ranged categorical attribute) beside quantitative and
+    // plain categorical ones, with missing values in every attribute.
+    OracleScenario s;
+    s.name = "TaxonomyAndMissing";
+    s.make_table = [] {
+      return UniformTable(
+          202, 900,
+          {QuantAttr("balance", 12),
+           TaxonomyAttr("region", {"north", "south", "east", "west"},
+                        {{"any", 0, 3}, {"vertical", 0, 1}}),
+           CatAttr("status", {"single", "married", "divorced"}),
+           QuantAttr("age", 9), CatAttr("employed", {"yes", "no"})},
+          /*missing_one_in=*/15);
+    };
+    s.minsup = 0.05;
+    s.max_support = 0.6;
+    s.check_level2 = [](const CountingStats& stats) {
+      EXPECT_GT(stats.num_direct, 0u);
+      EXPECT_GT(stats.num_array_counters, 0u);
+    };
+    scenarios.push_back(std::move(s));
+  }
+  // Wide quantitative domains with a categorical attribute and missing
+  // values; sampled candidates leave each group a handful of members, so a
+  // small counter budget prefers R*-trees, and a 1-byte budget admits one
+  // tree and degrades the rest.
+  auto wide_quant = [] {
+    return UniformTable(
+        303, 600,
+        {QuantAttr("q1", 40), CatAttr("c", {"a", "b", "c"}),
+         QuantAttr("q2", 40), QuantAttr("q3", 36)},
+        /*missing_one_in=*/20);
+  };
+  {
+    OracleScenario s;
+    s.name = "TreeBudget";
+    s.make_table = wide_quant;
+    s.minsup = 0.02;
+    s.max_support = 0.12;
+    s.counter_budget = 4 << 10;  // no 40 x 40 grid fits
+    s.candidate_stride = 211;
+    s.check_level2 = [](const CountingStats& stats) {
+      EXPECT_GT(stats.num_tree_counters, 0u);
+    };
+    scenarios.push_back(std::move(s));
+  }
+  {
+    OracleScenario s;
+    s.name = "DegradedBudget";
+    s.make_table = wide_quant;
+    s.minsup = 0.02;
+    s.max_support = 0.12;
+    s.counter_budget = 1;
+    s.candidate_stride = 211;
+    s.check_level2 = [](const CountingStats& stats) {
+      EXPECT_GT(stats.num_degraded, 0u);
+    };
+    scenarios.push_back(std::move(s));
+  }
+  return scenarios;
+}
+
+void PrintTo(const OracleScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
+
+ItemsetSet EveryStride(const ItemsetSet& candidates, size_t stride) {
+  ItemsetSet kept(candidates.k());
+  for (size_t c = 0; c < candidates.size(); c += stride) {
+    kept.Append(candidates.itemset(c));
+  }
+  return kept;
+}
+
+class SupportCountingOracleTest
+    : public ::testing::TestWithParam<OracleScenario> {
+ protected:
+  void TearDown() override { ClearIsaForTest(); }
+};
+
+TEST_P(SupportCountingOracleTest, MatchesBruteForceEverywhere) {
+  const OracleScenario& scenario = GetParam();
+  const MappedTable table = scenario.make_table();
+  MinerOptions options;
+  options.minsup = scenario.minsup;
+  options.max_support = scenario.max_support;
+  options.counter_memory_budget_bytes = scenario.counter_budget;
+  const ItemCatalog catalog = ItemCatalog::Build(table, options);
+  ASSERT_GT(catalog.num_items(), 0u);
+
+  const std::string qbt_path =
+      ::testing::TempDir() + "/oracle_" + scenario.name + ".qbt";
+  QbtWriteOptions write_options;
+  write_options.rows_per_block = 128;  // several blocks per scan shard
+  ASSERT_TRUE(WriteQbt(table, qbt_path, write_options).ok());
+  auto qbt = QbtFileSource::Open(qbt_path);
+  ASSERT_TRUE(qbt.ok()) << qbt.status().ToString();
+
+  const SimdIsa detected = DetectCpuIsa();
+  const uint64_t min_count = static_cast<uint64_t>(
+      scenario.minsup * static_cast<double>(table.num_rows()));
+  ItemsetSet l1(1);
+  for (size_t i = 0; i < catalog.num_items(); ++i) {
+    l1.AppendVector({static_cast<int32_t>(i)});
+  }
+  ItemsetSet candidates =
+      EveryStride(GenerateCandidates(catalog, l1), scenario.candidate_stride);
+  for (size_t level = 2; level <= scenario.max_level && !candidates.empty();
+       ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    std::vector<uint32_t> oracle(candidates.size());
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      oracle[c] = static_cast<uint32_t>(BruteForceSupport(
+          table, catalog.Decode(candidates.itemset_vector(c))));
+    }
+
+    for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse42, SimdIsa::kAvx2}) {
+      if (static_cast<int>(isa) > static_cast<int>(detected)) continue;
+      SetIsaForTest(isa);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(std::string(IsaName(isa)) +
+                     " threads=" + std::to_string(threads));
+        MinerOptions run = options;
+        run.num_threads = threads;
+        CountingStats stats;
+        EXPECT_EQ(CountSupports(table, catalog, candidates, run, &stats),
+                  oracle)
+            << "in-memory";
+        EXPECT_EQ(stats.isa, isa);
+        if (level == 2 && threads == 1) scenario.check_level2(stats);
+
+        Result<std::vector<uint32_t>> streamed =
+            CountSupports(**qbt, catalog, candidates, run, nullptr);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        EXPECT_EQ(*streamed, oracle) << "QBT";
+      }
+    }
+
+    ItemsetSet frequent(level);
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (oracle[c] >= min_count) frequent.Append(candidates.itemset(c));
+    }
+    candidates = EveryStride(GenerateCandidates(catalog, frequent),
+                             scenario.candidate_stride);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemas, SupportCountingOracleTest,
+                         ::testing::ValuesIn(OracleScenarios()));
 
 }  // namespace
 }  // namespace qarm

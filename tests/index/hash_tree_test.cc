@@ -132,28 +132,25 @@ TEST_P(HashTreeRandomTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HashTreeRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-// Freeze() flattens the pointer tree into a probe-friendly arena; the
-// frozen probe must report exactly what the pointer walk reported.
-TEST_P(HashTreeRandomTest, FrozenMatchesUnfrozen) {
+// The caller-owned-scratch overload is the one concurrent probers use (the
+// sharded Apriori scan gives each worker its own scratch). One scratch
+// reused across many probes must report exactly what the internal-scratch
+// overload reports: its generation stamps may never leak between probes.
+TEST_P(HashTreeRandomTest, CallerScratchMatchesInternal) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 100 + 7);
   const int32_t universe = 24;
-  HashTree pointer_tree(/*leaf_capacity=*/2, /*fanout=*/3);
-  HashTree frozen_tree(/*leaf_capacity=*/2, /*fanout=*/3);
-
+  HashTree tree(/*leaf_capacity=*/2, /*fanout=*/3);
   for (int i = 0; i < 50; ++i) {
     std::set<int32_t> s;
     size_t size = static_cast<size_t>(rng.UniformInt(1, 4));
     while (s.size() < size) {
       s.insert(static_cast<int32_t>(rng.UniformInt(0, universe - 1)));
     }
-    std::vector<int32_t> itemset(s.begin(), s.end());
-    pointer_tree.Insert(itemset, static_cast<int32_t>(i));
-    frozen_tree.Insert(itemset, static_cast<int32_t>(i));
+    tree.Insert(std::vector<int32_t>(s.begin(), s.end()),
+                static_cast<int32_t>(i));
   }
-  frozen_tree.Freeze();
-  EXPECT_TRUE(frozen_tree.frozen());
-  frozen_tree.Freeze();  // idempotent
 
+  HashTree::SubsetScratch scratch;
   for (int t = 0; t < 40; ++t) {
     std::set<int32_t> txn_set;
     size_t size = static_cast<size_t>(rng.UniformInt(0, 10));
@@ -161,27 +158,12 @@ TEST_P(HashTreeRandomTest, FrozenMatchesUnfrozen) {
       txn_set.insert(static_cast<int32_t>(rng.UniformInt(0, universe - 1)));
     }
     std::vector<int32_t> txn(txn_set.begin(), txn_set.end());
-    EXPECT_EQ(FoundSubsets(frozen_tree, txn), FoundSubsets(pointer_tree, txn));
+    std::vector<int32_t> found;
+    tree.ForEachSubset(
+        txn, [&](int32_t id) { found.push_back(id); }, &scratch);
+    std::sort(found.begin(), found.end());
+    EXPECT_EQ(found, FoundSubsets(tree, txn));
   }
-}
-
-TEST(HashTreeTest, FrozenEmptyAndSingleItemset) {
-  HashTree empty;
-  empty.Freeze();
-  EXPECT_EQ(FoundSubsets(empty, {1, 2, 3}), (std::vector<int32_t>{}));
-
-  HashTree tree;
-  tree.Insert(std::vector<int32_t>{1, 3, 5}, 0);
-  tree.Freeze();
-  EXPECT_EQ(FoundSubsets(tree, {1, 2, 3, 4, 5}), (std::vector<int32_t>{0}));
-  EXPECT_EQ(FoundSubsets(tree, {1, 3}), (std::vector<int32_t>{}));
-}
-
-TEST(HashTreeDeathTest, InsertAfterFreezeAborts) {
-  HashTree tree;
-  tree.Insert(std::vector<int32_t>{1, 2}, 0);
-  tree.Freeze();
-  EXPECT_DEATH(tree.Insert(std::vector<int32_t>{3, 4}, 1), "frozen");
 }
 
 }  // namespace
