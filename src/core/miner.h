@@ -48,15 +48,16 @@ struct DistPassStats {
   double merge_seconds = 0.0;     // fixed-order merge of shard counts
 };
 
-// Per-worker robustness accounting for one distributed run. Fork-mode
-// workers have an empty endpoint and count respawns; TCP workers count
-// reconnects (and how many of those redistributed the shard to a
-// different endpoint) plus the liveness traffic seen on their channel.
+// Per-worker robustness accounting for one distributed run. Every worker
+// counts its re-established sessions (reconnects) and the liveness traffic
+// seen on its channel; forked workers have an empty endpoint and also
+// count the re-forks behind those sessions, TCP workers how many
+// reconnects redistributed the shard to a different endpoint.
 struct DistWorkerStats {
   uint32_t worker_id = 0;
   std::string endpoint;           // "" in fork mode, HOST:PORT over TCP
   size_t respawns = 0;            // fork-mode re-forks of this worker
-  size_t reconnects = 0;          // TCP sessions re-established
+  size_t reconnects = 0;          // sessions re-established (either mode)
   size_t redistributed = 0;       // reconnects that moved endpoints
   size_t heartbeats = 0;          // liveness frames seen awaiting replies
   size_t heartbeat_timeouts = 0;  // read deadlines that declared it dead

@@ -60,18 +60,6 @@ Status MinerOptions::Validate() const {
           "--workers (forked) and --worker=HOST:PORT (TCP) are mutually "
           "exclusive; the endpoint list already fixes the worker count");
     }
-    if (dist_io_timeout_ms == 0) {
-      return Status::InvalidArgument(
-          "dist_io_timeout_ms must be positive for TCP mining — an "
-          "unbounded read can hang on a partitioned worker");
-    }
-    if (dist_heartbeat_ms >= dist_io_timeout_ms) {
-      return Status::InvalidArgument(StrFormat(
-          "dist_heartbeat_ms (%llu) must be below dist_io_timeout_ms "
-          "(%llu), or a healthy worker trips the read deadline mid-pass",
-          static_cast<unsigned long long>(dist_heartbeat_ms),
-          static_cast<unsigned long long>(dist_io_timeout_ms)));
-    }
     if (dist_connect_attempts == 0) {
       return Status::InvalidArgument(
           "dist_connect_attempts must be >= 1");
@@ -81,6 +69,22 @@ Status MinerOptions::Validate() const {
       return Status::InvalidArgument(StrFormat(
           "dist_connect_backoff_ms must be finite and >= 0, got %g",
           dist_connect_backoff_ms));
+    }
+  }
+  // Forked and TCP workers run the same session protocol, so both honour
+  // the read/write deadline and the heartbeat interval.
+  if (!worker_endpoints.empty() || num_workers > 1) {
+    if (dist_io_timeout_ms == 0) {
+      return Status::InvalidArgument(
+          "dist_io_timeout_ms must be positive for distributed mining — an "
+          "unbounded read can hang on a silent or partitioned worker");
+    }
+    if (dist_heartbeat_ms >= dist_io_timeout_ms) {
+      return Status::InvalidArgument(StrFormat(
+          "dist_heartbeat_ms (%llu) must be below dist_io_timeout_ms "
+          "(%llu), or a healthy worker trips the read deadline mid-pass",
+          static_cast<unsigned long long>(dist_heartbeat_ms),
+          static_cast<unsigned long long>(dist_io_timeout_ms)));
     }
   }
   if (!checkpoint_path.empty()) {

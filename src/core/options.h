@@ -85,7 +85,10 @@ struct MinerOptions {
   // (tools/qarm mine --workers=N). The coordinator forks this many workers,
   // assigns each a contiguous range of QBT blocks, and merges their
   // per-shard counts in fixed worker order, so — like num_threads — the
-  // mined rules never depend on this setting. 1 (or 0) = the ordinary
+  // mined rules never depend on this setting. Forked workers run the TCP
+  // workers' session (handshake, deadlines, heartbeats), so the
+  // dist_io_timeout_ms and dist_heartbeat_ms rules apply whenever this
+  // exceeds 1. 1 (or 0) = the ordinary
   // single-process path. Only the QBT-streamed entry points honour it;
   // it is an execution knob, excluded from the checkpoint fingerprint, so
   // a run checkpointed at one worker count resumes at any other.
@@ -100,10 +103,11 @@ struct MinerOptions {
   // rules are byte-identical across in-process, forked, and TCP runs.
   std::vector<std::string> worker_endpoints;
 
-  // Per-frame read/write deadline for TCP mining, in milliseconds. Bounds
-  // every coordinator-side transport operation so a vanished or
-  // partitioned worker surfaces as an IOError (and a reconnect) instead of
-  // a hang. Must be positive when worker_endpoints is non-empty.
+  // Per-frame read/write deadline for distributed mining (forked or TCP
+  // workers), in milliseconds. Bounds every coordinator-side transport
+  // operation so a vanished, silent or partitioned worker surfaces as an
+  // IOError (and a relaunch) instead of a hang. Must be positive whenever
+  // workers run (num_workers > 1 or worker_endpoints non-empty).
   uint64_t dist_io_timeout_ms = 30000;
 
   // Interval between worker liveness heartbeats while a long counting
@@ -112,7 +116,7 @@ struct MinerOptions {
   // heartbeats (not recommended outside tests).
   uint64_t dist_heartbeat_ms = 1000;
 
-  // Connect retry budget per endpoint (attempts, with exponential
+  // Connect retry budget per TCP endpoint (attempts, with exponential
   // backoff starting at dist_connect_backoff_ms) for discovery and
   // reconnect after a worker death.
   size_t dist_connect_attempts = 10;

@@ -1,5 +1,6 @@
 #include "dist/coordinator.h"
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -9,11 +10,10 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/retry.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "dist/framing.h"
-#include "dist/handshake.h"
+#include "dist/worker.h"
 
 namespace qarm {
 namespace {
@@ -26,52 +26,51 @@ Status SendOn(Transport& transport, DistMessageType type,
 
 }  // namespace
 
-Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Start(
-    const DistWorkerConfig& base, const std::vector<IndexRange>& shards) {
+Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Launch(
+    const QbtFileSource& file, const MinerOptions& options,
+    uint64_t fingerprint, const std::vector<IndexRange>& shards,
+    std::vector<WorkerEndpoint> endpoints) {
   if (shards.empty()) {
     return Status::InvalidArgument("worker pool needs at least one shard");
   }
   // No public constructor, so no make_unique.
   std::unique_ptr<DistWorkerPool> pool(new DistWorkerPool());
-  pool->workers_.resize(shards.size());
-  for (size_t w = 0; w < shards.size(); ++w) {
-    Worker& worker = pool->workers_[w];
-    worker.config = base;
-    worker.config.worker_id = static_cast<uint32_t>(w);
-    worker.config.generation = 0;
-    worker.config.block_begin = shards[w].begin;
-    worker.config.block_end = shards[w].end;
-    worker.stats.worker_id = worker.config.worker_id;
-    QARM_RETURN_NOT_OK(pool->Fork(w));
-  }
-  return pool;
-}
-
-Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Connect(
-    const DistWorkerConfig& base, const std::vector<IndexRange>& shards,
-    const DistTcpOptions& tcp) {
-  if (shards.empty()) {
-    return Status::InvalidArgument("worker pool needs at least one shard");
-  }
-  if (shards.size() > tcp.endpoints.size()) {
+  pool->file_ = &file;
+  pool->expected_index_crc_ =
+      file.reader().IndexPrefixCrc(file.num_blocks());
+  pool->forked_ = endpoints.empty();
+  if (pool->forked_) {
+    endpoints.emplace_back();
+  } else if (shards.size() > endpoints.size()) {
     return Status::InvalidArgument(StrFormat(
         "%zu shards need at least as many worker endpoints, got %zu",
-        shards.size(), tcp.endpoints.size()));
+        shards.size(), endpoints.size()));
   }
-  std::unique_ptr<DistWorkerPool> pool(new DistWorkerPool());
-  pool->tcp_mode_ = true;
-  pool->tcp_ = tcp;
+  pool->endpoints_ = std::move(endpoints);
+  pool->io_timeout_ms_ = options.dist_io_timeout_ms;
+  pool->connect_policy_.max_attempts =
+      std::max<size_t>(1, options.dist_connect_attempts);
+  pool->connect_policy_.initial_backoff_ms = options.dist_connect_backoff_ms;
+  pool->connect_policy_.max_backoff_ms =
+      std::max(options.dist_connect_backoff_ms * 16.0, 1000.0);
   pool->workers_.resize(shards.size());
   for (size_t w = 0; w < shards.size(); ++w) {
     Worker& worker = pool->workers_[w];
-    worker.config = base;
-    worker.config.worker_id = static_cast<uint32_t>(w);
-    worker.config.generation = 0;
-    worker.config.block_begin = shards[w].begin;
-    worker.config.block_end = shards[w].end;
-    worker.config.heartbeat_ms = tcp.heartbeat_ms;
-    worker.endpoint = w;
-    worker.stats.worker_id = worker.config.worker_id;
+    DistHello& hello = worker.hello;
+    hello.worker_id = static_cast<uint32_t>(w);
+    hello.block_begin = shards[w].begin;
+    hello.block_end = shards[w].end;
+    hello.fingerprint = fingerprint;
+    hello.num_threads = options.num_threads;
+    hello.counter_memory_budget_bytes = options.counter_memory_budget_bytes;
+    hello.parallel_replication_budget_bytes =
+        options.parallel_replication_budget_bytes;
+    hello.stream_block_rows = options.stream_block_rows;
+    hello.heartbeat_ms = options.dist_heartbeat_ms;
+    hello.io_timeout_ms = options.dist_io_timeout_ms;
+    hello.inject_faults_spec = options.inject_faults_spec;
+    worker.endpoint = w % pool->endpoints_.size();
+    worker.stats.worker_id = hello.worker_id;
     QARM_RETURN_NOT_OK(pool->ConnectWorker(w));
   }
   return pool;
@@ -80,23 +79,15 @@ Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Connect(
 DistWorkerPool::~DistWorkerPool() {
   for (Worker& worker : workers_) {
     if (worker.transport != nullptr) {
-      // Best-effort clean shutdown; the close right after guarantees the
+      // Best-effort clean shutdown; the close in Reap guarantees the
       // worker sees EOF and ends the session even if the frame never
       // lands.
       const Status sent =
           SendOn(*worker.transport, DistMessageType::kShutdown, "", nullptr);
       (void)sent;
-      worker.transport->Close();
-      worker.transport.reset();
     }
   }
-  for (Worker& worker : workers_) {
-    if (worker.pid > 0) {
-      int wstatus = 0;
-      ::waitpid(worker.pid, &wstatus, 0);
-      worker.pid = -1;
-    }
-  }
+  for (Worker& worker : workers_) Reap(worker);
 }
 
 std::vector<DistWorkerStats> DistWorkerPool::WorkerStats() const {
@@ -108,83 +99,77 @@ std::vector<DistWorkerStats> DistWorkerPool::WorkerStats() const {
   return stats;
 }
 
-Status DistWorkerPool::Fork(size_t w) {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    return Status::IOError("socketpair failed for worker channel");
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return Status::IOError("fork failed for distributed worker");
-  }
-  if (pid == 0) {
-    // Child: drop the coordinator end and every sibling channel, then serve
-    // requests until shutdown. _Exit skips the coordinator's atexit state —
-    // this process must never run coordinator teardown.
-    ::close(fds[0]);
-    for (const Worker& other : workers_) {
-      if (other.transport != nullptr) other.transport->Close();
+Result<int> DistWorkerPool::OpenChannel(size_t w, size_t e) {
+  Worker& worker = workers_[w];
+  if (forked_) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      return Status::IOError("socketpair failed for worker channel");
     }
-    std::_Exit(RunDistWorker(fds[1], workers_[w].config));
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      return Status::IOError("fork failed for distributed worker");
+    }
+    if (pid == 0) {
+      // Child: drop the coordinator end and every sibling channel, then
+      // serve one session over the inherited QBT mapping, exactly as a
+      // `qarm worker` connection would. _Exit skips the coordinator's
+      // atexit state — this process must never run coordinator teardown.
+      ::close(fds[0]);
+      for (Worker& other : workers_) other.transport.reset();
+      TcpTransport transport(fds[1], io_timeout_ms_, /*read_timeout_ms=*/0);
+      std::_Exit(ServeConnection(transport, *file_).ok() ? 0 : 1);
+    }
+    ::close(fds[1]);
+    worker.pid = pid;
+    if (worker.hello.generation > 0) ++worker.stats.respawns;
+    return fds[0];
   }
-  ::close(fds[1]);
-  workers_[w].transport = std::make_unique<FdTransport>(fds[0]);
-  workers_[w].pid = pid;
-  return Status::OK();
+  const WorkerEndpoint& endpoint = endpoints_[e];
+  int fd = -1;
+  QARM_RETURN_NOT_OK(
+      RetryWithBackoff(connect_policy_, e, nullptr, [&]() -> Status {
+        QARM_ASSIGN_OR_RETURN(fd, TcpConnect(endpoint.host, endpoint.port,
+                                             io_timeout_ms_));
+        return Status::OK();
+      }));
+  return fd;
+}
+
+void DistWorkerPool::Reap(Worker& worker) {
+  worker.transport.reset();
+  if (worker.pid > 0) {
+    ::kill(worker.pid, SIGKILL);
+    int wstatus = 0;
+    ::waitpid(worker.pid, &wstatus, 0);
+    worker.pid = -1;
+  }
 }
 
 Status DistWorkerPool::ConnectWorker(size_t w) {
   Worker& worker = workers_[w];
-  worker.transport.reset();
-  RetryPolicy policy;
-  policy.max_attempts = std::max<size_t>(1, tcp_.connect_attempts);
-  policy.initial_backoff_ms = tcp_.connect_backoff_ms;
-  policy.max_backoff_ms = std::max(tcp_.connect_backoff_ms * 16.0, 1000.0);
-
-  DistHello hello;
-  hello.worker_id = worker.config.worker_id;
-  hello.generation = worker.config.generation;
-  hello.block_begin = worker.config.block_begin;
-  hello.block_end = worker.config.block_end;
-  hello.fingerprint = worker.config.fingerprint;
-  hello.num_threads = worker.config.options.num_threads;
-  hello.counter_memory_budget_bytes =
-      worker.config.options.counter_memory_budget_bytes;
-  hello.parallel_replication_budget_bytes =
-      worker.config.options.parallel_replication_budget_bytes;
-  hello.stream_block_rows = worker.config.options.stream_block_rows;
-  hello.heartbeat_ms = worker.config.heartbeat_ms;
-  hello.io_timeout_ms = tcp_.io_timeout_ms;
-  hello.inject_faults_spec = worker.config.options.inject_faults_spec;
   std::string hello_payload;
-  EncodeHello(hello, &hello_payload);
+  EncodeHello(worker.hello, &hello_payload);
 
-  // Walk the endpoint ring from the worker's pin: the same endpoint first
-  // (a restarted server replays), then the survivors (redistribution).
-  // Channel-level failures move to the next endpoint; a *deterministic*
-  // rejection (version mismatch, wrong shard file, a kError reply) fails
-  // the run — every endpoint of a misconfigured cluster would say the same.
-  Status last = Status::IOError("no worker endpoints configured");
-  for (size_t i = 0; i < tcp_.endpoints.size(); ++i) {
-    const size_t e = (worker.endpoint + i) % tcp_.endpoints.size();
-    const WorkerEndpoint& endpoint = tcp_.endpoints[e];
-    int fd = -1;
-    const Status connected =
-        RetryWithBackoff(policy, e, nullptr, [&]() -> Status {
-          Result<int> r =
-              TcpConnect(endpoint.host, endpoint.port, tcp_.io_timeout_ms);
-          if (!r.ok()) return r.status();
-          fd = *r;
-          return Status::OK();
-        });
-    if (!connected.ok()) {
-      last = connected;
+  // Walk the endpoint ring from the worker's pin. Channel-level failures
+  // move to the next endpoint; a *deterministic* rejection (version
+  // mismatch, wrong shard file, a kError reply) fails the run — every
+  // endpoint of a misconfigured cluster would say the same.
+  Status last;
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    const size_t e = (worker.endpoint + i) % endpoints_.size();
+    const WorkerEndpoint& endpoint = endpoints_[e];
+    const std::string where = forked_ ? std::string("forked worker")
+                                      : "worker endpoint " + endpoint.text;
+    Result<int> fd = OpenChannel(w, e);
+    if (!fd.ok()) {
+      last = fd.status();
       continue;
     }
-    auto transport = std::make_unique<TcpTransport>(fd, tcp_.io_timeout_ms,
-                                                    tcp_.io_timeout_ms);
+    auto transport =
+        std::make_unique<TcpTransport>(*fd, io_timeout_ms_, io_timeout_ms_);
     const Status shook = SendOn(*transport, DistMessageType::kHello,
                                 hello_payload, &worker.stats.bytes_sent);
     if (!shook.ok()) {
@@ -198,39 +183,35 @@ Status DistWorkerPool::ConnectWorker(size_t w) {
       continue;
     }
     if (reply->type == static_cast<uint32_t>(DistMessageType::kError)) {
-      return Status::IOError(StrFormat(
-          "worker endpoint %s rejected the handshake: %s",
-          endpoint.text.c_str(), reply->payload.c_str()));
+      return Status::IOError(StrFormat("%s rejected the handshake: %s",
+                                       where.c_str(),
+                                       reply->payload.c_str()));
     }
     if (reply->type != static_cast<uint32_t>(DistMessageType::kHelloAck)) {
-      return Status::Internal(StrFormat(
-          "worker endpoint %s answered the Hello with frame type %u",
-          endpoint.text.c_str(), reply->type));
+      return Status::Internal(
+          StrFormat("%s answered the Hello with frame type %u",
+                    where.c_str(), reply->type));
     }
     Result<DistHelloAck> ack = ParseHelloAck(
         reinterpret_cast<const uint8_t*>(reply->payload.data()),
         reply->payload.size());
     if (!ack.ok()) return ack.status();
-    if (ack->worker_id != worker.config.worker_id ||
-        ack->generation != worker.config.generation ||
-        ack->fingerprint != worker.config.fingerprint) {
-      return Status::Internal(StrFormat(
-          "worker endpoint %s acked a different assignment",
-          endpoint.text.c_str()));
+    if (ack->worker_id != worker.hello.worker_id ||
+        ack->generation != worker.hello.generation ||
+        ack->fingerprint != worker.hello.fingerprint) {
+      return Status::Internal(
+          StrFormat("%s acked a different assignment", where.c_str()));
     }
-    if (ack->num_rows != tcp_.expected_num_rows ||
-        ack->num_blocks != tcp_.expected_num_blocks ||
-        ack->index_crc != tcp_.expected_index_crc) {
+    if (ack->num_rows != file_->num_rows() ||
+        ack->num_blocks != file_->num_blocks() ||
+        ack->index_crc != expected_index_crc_) {
       return Status::InvalidArgument(StrFormat(
-          "worker endpoint %s serves a different QBT (rows %llu vs %llu, "
-          "blocks %llu vs %llu, index crc %08x vs %08x) — every worker "
-          "must serve the same table file as the coordinator",
-          endpoint.text.c_str(),
-          static_cast<unsigned long long>(ack->num_rows),
-          static_cast<unsigned long long>(tcp_.expected_num_rows),
-          static_cast<unsigned long long>(ack->num_blocks),
-          static_cast<unsigned long long>(tcp_.expected_num_blocks),
-          ack->index_crc, tcp_.expected_index_crc));
+          "%s serves a different QBT (rows %llu vs %zu, blocks %llu vs "
+          "%zu, index crc %08x vs %08x) — every worker must serve the same "
+          "table file as the coordinator",
+          where.c_str(), static_cast<unsigned long long>(ack->num_rows),
+          file_->num_rows(), static_cast<unsigned long long>(ack->num_blocks),
+          file_->num_blocks(), ack->index_crc, expected_index_crc_));
     }
     worker.endpoint = e;
     worker.stats.endpoint = endpoint.text;
@@ -238,9 +219,8 @@ Status DistWorkerPool::ConnectWorker(size_t w) {
     return Status::OK();
   }
   return Status::IOError(StrFormat(
-      "worker %u cannot reach any of the %zu endpoints; last error: %s",
-      worker.config.worker_id, tcp_.endpoints.size(),
-      last.ToString().c_str()));
+      "worker %u cannot reach any of its %zu launch targets; last error: %s",
+      worker.hello.worker_id, endpoints_.size(), last.ToString().c_str()));
 }
 
 Status DistWorkerPool::RespawnAndReplay(size_t w,
@@ -248,41 +228,28 @@ Status DistWorkerPool::RespawnAndReplay(size_t w,
                                         const std::string& request_payload,
                                         DistPassStats* stats) {
   Worker& worker = workers_[w];
-  if (worker.transport != nullptr) {
-    worker.transport->Close();
-    worker.transport.reset();
-  }
-  if (worker.pid > 0) {
-    int wstatus = 0;
-    ::waitpid(worker.pid, &wstatus, 0);
-    worker.pid = -1;
-  }
-  if (worker.config.generation >= kMaxRespawnsPerWorker) {
+  Reap(worker);
+  if (worker.hello.generation >= kMaxRespawnsPerWorker) {
     return Status::IOError(StrFormat(
-        "worker %u died %zu times; giving up",
-        worker.config.worker_id, static_cast<size_t>(kMaxRespawnsPerWorker)));
+        "worker %u died %zu times; giving up", worker.hello.worker_id,
+        static_cast<size_t>(kMaxRespawnsPerWorker)));
   }
-  ++worker.config.generation;
+  ++worker.hello.generation;
   ++workers_respawned_;
-  QARM_LOG(Warning) << "distributed worker " << worker.config.worker_id
+  QARM_LOG(Warning) << "distributed worker " << worker.hello.worker_id
                     << " died; respawning (generation "
-                    << worker.config.generation << ") and replaying blocks ["
-                    << worker.config.block_begin << ", "
-                    << worker.config.block_end << ")";
-  if (tcp_mode_) {
-    const size_t previous_endpoint = worker.endpoint;
-    QARM_RETURN_NOT_OK(ConnectWorker(w));
-    ++worker.stats.reconnects;
-    if (worker.endpoint != previous_endpoint) {
-      ++worker.stats.redistributed;
-      QARM_LOG(Warning) << "worker " << worker.config.worker_id
-                        << " redistributed from endpoint "
-                        << tcp_.endpoints[previous_endpoint].text << " to "
-                        << tcp_.endpoints[worker.endpoint].text;
-    }
-  } else {
-    QARM_RETURN_NOT_OK(Fork(w));
-    ++worker.stats.respawns;
+                    << worker.hello.generation << ") and replaying blocks ["
+                    << worker.hello.block_begin << ", "
+                    << worker.hello.block_end << ")";
+  const size_t previous_endpoint = worker.endpoint;
+  QARM_RETURN_NOT_OK(ConnectWorker(w));
+  ++worker.stats.reconnects;
+  if (worker.endpoint != previous_endpoint) {
+    ++worker.stats.redistributed;
+    QARM_LOG(Warning) << "worker " << worker.hello.worker_id
+                      << " redistributed from endpoint "
+                      << endpoints_[previous_endpoint].text << " to "
+                      << endpoints_[worker.endpoint].text;
   }
   uint64_t sent_bytes = 0;
   // Replay: the catalog (when one was published) restores the worker's only
@@ -343,19 +310,19 @@ Status DistWorkerPool::ReceiveReply(size_t w, DistMessageType request_type,
       if (frame->type == static_cast<uint32_t>(DistMessageType::kError)) {
         // A clean worker-side failure is deterministic; do not respawn.
         return Status::IOError(StrFormat("worker %u failed: %s",
-                                         workers_[w].config.worker_id,
+                                         workers_[w].hello.worker_id,
                                          frame->payload.c_str()));
       }
       return Status::Internal(
           StrFormat("unexpected reply type %u from worker %u", frame->type,
-                    workers_[w].config.worker_id));
+                    workers_[w].hello.worker_id));
     }
     if (frame.status().ToString().find("timed out") != std::string::npos) {
       // The per-frame deadline expired with no reply and no heartbeat:
       // the peer is wedged or partitioned, not merely slow.
       ++workers_[w].stats.heartbeat_timeouts;
     }
-    // Transport failure: the worker (or its link) is gone. Respawn,
+    // Transport failure: the worker (or its link) is gone. Relaunch,
     // replay, and wait for the fresh incarnation's reply (budget enforced
     // inside).
     QARM_RETURN_NOT_OK(
@@ -396,13 +363,13 @@ Result<std::vector<ShardSnapshot>> DistWorkerPool::ScanShards(
             reinterpret_cast<const uint8_t*>(replies[w].data()),
             replies[w].size()));
     const Worker& worker = workers_[w];
-    if (snapshot.worker_id != worker.config.worker_id ||
-        snapshot.fingerprint != worker.config.fingerprint ||
-        snapshot.block_begin != worker.config.block_begin ||
-        snapshot.block_end != worker.config.block_end) {
+    if (snapshot.worker_id != worker.hello.worker_id ||
+        snapshot.fingerprint != worker.hello.fingerprint ||
+        snapshot.block_begin != worker.hello.block_begin ||
+        snapshot.block_end != worker.hello.block_end) {
       return Status::Internal(StrFormat(
           "shard snapshot from worker %u does not match its assignment",
-          worker.config.worker_id));
+          worker.hello.worker_id));
     }
     snapshots.push_back(std::move(snapshot));
   }
@@ -433,7 +400,7 @@ Result<std::vector<DistCountReply>> DistWorkerPool::CountShards(
         DistCountReply reply,
         ParseCountReply(reinterpret_cast<const uint8_t*>(replies[w].data()),
                         replies[w].size()));
-    if (reply.worker_id != workers_[w].config.worker_id) {
+    if (reply.worker_id != workers_[w].hello.worker_id) {
       return Status::Internal("count reply arrived out of worker order");
     }
     parsed.push_back(std::move(reply));

@@ -1,16 +1,21 @@
-// Coordinator side of distributed mining: owns the worker channels (forked
-// child processes over socketpairs, or TCP sessions to `qarm worker`
-// servers) and the lockstep request/reply exchanges. Failure model: a
-// worker that vanishes (EOF, reset, or a missed read deadline) is given a
-// fresh incarnation at generation + 1 — re-forked in fork mode,
-// reconnected in TCP mode, redistributing its shard to the next reachable
-// endpoint when its own refuses to come back — and replayed: the catalog
-// (if already published) plus the in-flight request, under a per-worker
-// respawn budget. A worker that *answers* with a kError frame fails the
-// run instead, because a respawned worker would deterministically hit the
-// same error. Replies are always collected in worker order, so merged
-// counts never depend on worker scheduling or which endpoint served a
-// shard.
+// Coordinator side of distributed mining: launches the workers, owns their
+// sessions, and runs the lockstep request/reply exchanges. A worker is
+// launched one of two ways — a forked child on a socketpair, or a TCP
+// connection to a `qarm worker` server — and that launcher is the only
+// place the two modes differ. Every session then opens with the same
+// Hello/HelloAck handshake and identity cross-check, runs under the same
+// read/write deadlines and heartbeats, and recovers the same way.
+//
+// Failure model: a worker that vanishes (EOF, reset, or a missed read
+// deadline) is relaunched at generation + 1 — a forked child is SIGKILLed,
+// reaped and re-forked; a TCP session reconnects, redistributing its shard
+// to the next reachable endpoint when its own refuses to come back — and
+// replayed: the catalog (if already published) plus the in-flight request,
+// under a per-worker relaunch budget. A worker that *answers* with a kError
+// frame fails the run instead, because a relaunched worker would
+// deterministically hit the same error. Replies are always collected in
+// worker order, so merged counts never depend on worker scheduling or
+// which endpoint served a shard.
 #ifndef QARM_DIST_COORDINATOR_H_
 #define QARM_DIST_COORDINATOR_H_
 
@@ -22,57 +27,45 @@
 #include <string>
 #include <vector>
 
+#include "common/retry.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/miner.h"
+#include "dist/handshake.h"
 #include "dist/messages.h"
 #include "dist/transport.h"
-#include "dist/worker.h"
 #include "dist/worker_registry.h"
-#include "storage/checkpoint_format.h"
+#include "storage/record_source.h"
 
 namespace qarm {
 
-// TCP-mode connection parameters plus the coordinator's view of the QBT,
-// cross-checked against every HelloAck so a worker serving a stale or
-// different shard copy is rejected at handshake time.
-struct DistTcpOptions {
-  std::vector<WorkerEndpoint> endpoints;
-  uint64_t io_timeout_ms = 30000;   // per-frame read/write deadline
-  uint64_t heartbeat_ms = 1000;     // worker liveness interval (< timeout)
-  size_t connect_attempts = 10;     // per endpoint, with backoff
-  double connect_backoff_ms = 50.0;
-  uint64_t expected_num_rows = 0;
-  uint64_t expected_num_blocks = 0;
-  uint32_t expected_index_crc = 0;
-};
-
 class DistWorkerPool {
  public:
-  // One worker survives this many respawns (or reconnects) before the pool
-  // declares it permanently dead and fails the run. Each respawn raises
-  // the worker's generation, so any kill-fault schedule with
-  // fails_per_block <= this bound is ridden out.
+  // One worker survives this many relaunches before the pool declares it
+  // permanently dead and fails the run. Each relaunch raises the worker's
+  // generation, so any kill-fault schedule with fails_per_block <= this
+  // bound is ridden out.
   static constexpr size_t kMaxRespawnsPerWorker = 5;
 
-  // Forks one worker per shard (worker w counts blocks
-  // [shards[w].begin, shards[w].end) of base.qbt_path). `base` supplies
-  // everything except worker_id/generation/block range. Must be called
-  // while the calling process has no live threads (thread pools in this
-  // codebase are ephemeral, so any point between phases qualifies).
-  static Result<std::unique_ptr<DistWorkerPool>> Start(
-      const DistWorkerConfig& base, const std::vector<IndexRange>& shards);
+  // Launches one worker per shard — worker w counts blocks
+  // [shards[w].begin, shards[w].end) of `file` — and opens each session
+  // with the handshake. With no `endpoints`, every worker is a forked child
+  // serving the coordinator's own `file`, which must outlive the pool; the
+  // pool forks here and on every relaunch, so it must be driven while the
+  // process has no live threads (thread pools in this codebase are
+  // ephemeral, so any point between phases qualifies). Otherwise worker w
+  // connects to endpoints[w] (shards.size() <= endpoints.size(); spare
+  // endpoints stay idle as redistribution targets). Either way each
+  // HelloAck must report `file`'s rows, blocks and index CRC. `options`
+  // supplies the workers' execution knobs, the deadlines, the heartbeat
+  // interval and the connect budget.
+  static Result<std::unique_ptr<DistWorkerPool>> Launch(
+      const QbtFileSource& file, const MinerOptions& options,
+      uint64_t fingerprint, const std::vector<IndexRange>& shards,
+      std::vector<WorkerEndpoint> endpoints);
 
-  // TCP mode: connects one session per shard, worker w pinned to
-  // tcp.endpoints[w] (shards.size() <= endpoints.size(); spare endpoints
-  // stay idle as redistribution targets). Each session opens with the
-  // versioned Hello/HelloAck handshake (dist/handshake.h).
-  static Result<std::unique_ptr<DistWorkerPool>> Connect(
-      const DistWorkerConfig& base, const std::vector<IndexRange>& shards,
-      const DistTcpOptions& tcp);
-
-  // Shuts down every worker (fork mode reaps the children; TCP mode just
-  // closes the sessions — the servers keep serving other runs).
+  // Shuts every session down, then kills and reaps any forked children
+  // (the TCP servers keep serving other runs).
   ~DistWorkerPool();
 
   DistWorkerPool(const DistWorkerPool&) = delete;
@@ -89,7 +82,7 @@ class DistWorkerPool {
   Result<std::vector<ShardSnapshot>> ScanShards(DistPassStats* stats);
 
   // Broadcasts the item catalog (QCP catalog encoding) and retains the
-  // payload so a respawned worker can be replayed into the same state.
+  // payload so a relaunched worker can be replayed into the same state.
   Status PublishCatalog(std::string payload, DistPassStats* stats);
 
   // One counting pass: broadcasts `request`, returns the per-shard replies
@@ -99,30 +92,37 @@ class DistWorkerPool {
 
  private:
   struct Worker {
-    DistWorkerConfig config;
-    std::unique_ptr<Transport> transport;
-    pid_t pid = -1;       // fork mode only
-    size_t endpoint = 0;  // TCP mode: index into tcp_.endpoints
+    DistHello hello;  // the assignment; generation counts relaunches
+    std::unique_ptr<TcpTransport> transport;
+    pid_t pid = -1;       // the forked child, while one runs
+    size_t endpoint = 0;  // current pin into endpoints_
     DistWorkerStats stats;
   };
 
   DistWorkerPool() = default;
 
-  Status Fork(size_t w);
-  // TCP: connect + handshake, walking the endpoint ring from the worker's
-  // current pin — so a reconnect tries the same endpoint first (replay)
-  // and falls over to survivors (redistribution) when it stays down.
+  // The launcher, the one place fork and TCP differ: a connected socket
+  // for worker w's current generation. Fork mode forks a child that serves
+  // the socketpair's other end; TCP mode connects to endpoints_[e].
+  Result<int> OpenChannel(size_t w, size_t e);
+  // Closes worker w's session and SIGKILLs and reaps its forked child, if
+  // any: a live-but-silent child must not turn a deadline verdict into a
+  // hang in waitpid.
+  void Reap(Worker& worker);
+  // Opens a session for worker w's current generation: walks the endpoint
+  // ring from the worker's pin — the same endpoint first (replay), then
+  // the survivors (redistribution); fork mode's ring is one fresh child —
+  // and handshakes on the first channel that opens.
   Status ConnectWorker(size_t w);
-  // Kills the bookkeeping for a vanished worker, brings up generation + 1
-  // (refork or reconnect), and replays the catalog plus the in-flight
-  // request.
+  // Reaps a vanished worker, brings up generation + 1, and replays the
+  // catalog plus the in-flight request.
   Status RespawnAndReplay(size_t w, DistMessageType request_type,
                           const std::string& request_payload,
                           DistPassStats* stats);
   Status SendToWorker(size_t w, DistMessageType type,
                       const std::string& payload, DistPassStats* stats);
   // Reads worker w's reply to the in-flight request, skipping heartbeat
-  // frames and respawning/replaying through transport failures until the
+  // frames and relaunching/replaying through transport failures until the
   // budget runs out.
   Status ReceiveReply(size_t w, DistMessageType request_type,
                       const std::string& request_payload,
@@ -133,10 +133,17 @@ class DistWorkerPool {
                                             DistMessageType reply_type,
                                             DistPassStats* stats);
 
-  bool tcp_mode_ = false;
-  DistTcpOptions tcp_;
+  // The QBT every worker must serve; forked children serve this very
+  // mapping.
+  const QbtFileSource* file_ = nullptr;
+  uint32_t expected_index_crc_ = 0;
+  bool forked_ = false;
+  // TCP mode: the endpoint ring. Fork mode: one unnamed place.
+  std::vector<WorkerEndpoint> endpoints_;
+  uint64_t io_timeout_ms_ = 0;
+  RetryPolicy connect_policy_;
   std::vector<Worker> workers_;
-  std::string catalog_payload_;  // retained for respawn replay
+  std::string catalog_payload_;  // retained for relaunch replay
   size_t workers_respawned_ = 0;
 };
 

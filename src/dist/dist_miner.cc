@@ -50,23 +50,17 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
   QARM_ASSIGN_OR_RETURN(std::unique_ptr<QbtFileSource> source,
                         QbtFileSource::Open(qbt_path));
 
-  // TCP mode (endpoints listed) runs one worker per endpoint; fork mode
-  // runs --workers processes. Either way a worker needs at least one
-  // block. A one-worker forked "pool" would only add transport overhead to
-  // an identical computation, so it runs in-process instead — but a single
-  // TCP endpoint still mines remotely: that is the point of the flag.
-  const bool tcp_mode = !options.worker_endpoints.empty();
-  std::vector<WorkerEndpoint> endpoints;
-  size_t effective = 0;
-  if (tcp_mode) {
-    QARM_ASSIGN_OR_RETURN(endpoints,
-                          ParseWorkerEndpoints(options.worker_endpoints));
-    effective = std::min(endpoints.size(), source->num_blocks());
-  } else {
-    const size_t requested =
-        options.num_workers == 0 ? 1 : options.num_workers;
-    effective = std::min(requested, source->num_blocks());
-  }
+  // Listed endpoints run one worker each; otherwise --workers processes
+  // are forked. Either way a worker needs at least one block. A one-worker
+  // forked "pool" would only add transport overhead to an identical
+  // computation, so it runs in-process instead — but a single TCP endpoint
+  // still mines remotely: that is the point of the flag.
+  QARM_ASSIGN_OR_RETURN(std::vector<WorkerEndpoint> endpoints,
+                        ParseWorkerEndpoints(options.worker_endpoints));
+  const size_t requested = endpoints.empty()
+                               ? std::max<size_t>(1, options.num_workers)
+                               : endpoints.size();
+  const size_t effective = std::min(requested, source->num_blocks());
   const QuantitativeRuleMiner miner(options);
   // Append-mode checkpoints must record which QBT blocks they cover so a
   // later incremental run can validate the file grew without rewriting
@@ -77,34 +71,18 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
     base_info.index_crc =
         source->reader().IndexPrefixCrc(source->num_blocks());
   }
-  if (effective == 0 || (effective == 1 && !tcp_mode)) {
+  if (effective == 0 || (effective == 1 && endpoints.empty())) {
     MiningHooks base_hooks;
     base_hooks.checkpoint_base = base_info;
     return miner.MineStreamed(*source, base_hooks);
   }
 
-  DistWorkerConfig base;
-  base.qbt_path = qbt_path;
-  base.options = options;
-  base.fingerprint = ComputeMiningFingerprint(options, *source);
-  const std::vector<IndexRange> shards =
-      SplitRange(source->num_blocks(), effective);
-  std::unique_ptr<DistWorkerPool> pool;
-  if (tcp_mode) {
-    DistTcpOptions tcp;
-    tcp.endpoints = std::move(endpoints);
-    tcp.io_timeout_ms = options.dist_io_timeout_ms;
-    tcp.heartbeat_ms = options.dist_heartbeat_ms;
-    tcp.connect_attempts = options.dist_connect_attempts;
-    tcp.connect_backoff_ms = options.dist_connect_backoff_ms;
-    tcp.expected_num_rows = source->num_rows();
-    tcp.expected_num_blocks = source->num_blocks();
-    tcp.expected_index_crc =
-        source->reader().IndexPrefixCrc(source->num_blocks());
-    QARM_ASSIGN_OR_RETURN(pool, DistWorkerPool::Connect(base, shards, tcp));
-  } else {
-    QARM_ASSIGN_OR_RETURN(pool, DistWorkerPool::Start(base, shards));
-  }
+  QARM_ASSIGN_OR_RETURN(
+      std::unique_ptr<DistWorkerPool> pool,
+      DistWorkerPool::Launch(*source, options,
+                             ComputeMiningFingerprint(options, *source),
+                             SplitRange(source->num_blocks(), effective),
+                             std::move(endpoints)));
 
   DistRunStats dist;
   dist.num_workers = pool->num_workers();

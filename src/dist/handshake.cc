@@ -1,6 +1,7 @@
 #include "dist/handshake.h"
 
 #include "common/string_util.h"
+#include "core/options.h"
 #include "storage/qbt_format.h"
 
 namespace qarm {
@@ -119,6 +120,11 @@ Result<DistHello> ParseHello(const uint8_t* data, size_t size) {
   }
   QARM_ASSIGN_OR_RETURN(hello.fingerprint, cursor.ReadU64());
   QARM_ASSIGN_OR_RETURN(hello.num_threads, cursor.ReadU64());
+  if (hello.num_threads > MinerOptions::kMaxThreads) {
+    return Status::InvalidArgument(StrFormat(
+        "num_threads must be at most %zu, got %llu", MinerOptions::kMaxThreads,
+        static_cast<unsigned long long>(hello.num_threads)));
+  }
   QARM_ASSIGN_OR_RETURN(hello.counter_memory_budget_bytes, cursor.ReadU64());
   QARM_ASSIGN_OR_RETURN(hello.parallel_replication_budget_bytes,
                         cursor.ReadU64());

@@ -1,8 +1,9 @@
-// The versioned Hello/HelloAck handshake that opens every TCP worker
-// session. Fork-mode workers inherit their DistWorkerConfig through fork;
-// a remote worker instead receives it as the connection's first frame:
+// The versioned Hello/HelloAck handshake that opens every worker session,
+// whichever launcher started it: a forked child on its socketpair and a
+// `qarm worker` TCP connection both receive their assignment and
+// execution knobs as the session's first frame:
 //
-//   coordinator                          worker (qarm worker --listen=...)
+//   coordinator                          worker (forked, or qarm worker)
 //   ------------------------------------------------------------------
 //   kHello (DistHello)               ->
 //                                    <-  kHelloAck (DistHelloAck)
@@ -11,10 +12,10 @@
 // DistHello carries the protocol version FIRST, then the worker's shard
 // assignment (worker id, generation, block range), the run fingerprint,
 // and the execution knobs the worker needs (thread count, counter budgets,
-// fault spec, heartbeat interval). Output-affecting options never travel:
-// the worker only scans value counts and counts supports against the
-// catalog the coordinator broadcasts, so the fingerprint — not an options
-// codec — is the run-identity contract.
+// fault spec, heartbeat interval, write deadline). Output-affecting
+// options never travel: the worker only scans value counts and counts
+// supports against the catalog the coordinator broadcasts, so the
+// fingerprint — not an options codec — is the run-identity contract.
 //
 // DistHelloAck echoes the assignment and adds the worker's view of its QBT
 // file (row/block counts and the block-index prefix CRC), which the
@@ -78,8 +79,10 @@ struct DistHelloAck {
 };
 
 void EncodeHello(const DistHello& hello, std::string* out);
-// InvalidArgument on a version mismatch (message names both versions);
-// IOError on truncation, oversized fields, or trailing bytes.
+// InvalidArgument on a version mismatch (message names both versions) or a
+// thread count above MinerOptions::kMaxThreads (the MinerOptions::Validate
+// bound); IOError on truncation, oversized fields, an inverted block range,
+// or trailing bytes.
 Result<DistHello> ParseHello(const uint8_t* data, size_t size);
 
 void EncodeHelloAck(const DistHelloAck& ack, std::string* out);

@@ -39,7 +39,7 @@ enum class DistMessageType : uint32_t {
   kError = 7,
   // TCP sessions only (dist/handshake.h). A fork-mode worker inherits its
   // config through fork and never sees these.
-  kHello = 8,     // coordinator -> worker: versioned DistWorkerConfig
+  kHello = 8,     // coordinator -> worker: versioned DistHello
   kHelloAck = 9,  // worker -> coordinator: identity echo + shard identity
   // Liveness while a long counting pass runs: the worker emits these
   // between request and reply so the coordinator's per-frame read deadline

@@ -64,49 +64,12 @@ Status ResolveIpv4(const std::string& host, in_addr* addr) {
   return Status::OK();
 }
 
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
-
-Status FdTransport::Read(void* data, size_t size, size_t* bytes_read) {
-  *bytes_read = 0;
-  if (fd_ < 0) return Status::IOError("transport is closed");
-  for (;;) {
-    const ssize_t n = ::read(fd_, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("transport read failed: %s", std::strerror(errno)));
-    }
-    *bytes_read = static_cast<size_t>(n);
-    return Status::OK();
-  }
-}
-
-Status FdTransport::Write(const void* data, size_t size) {
-  if (fd_ < 0) return Status::IOError("transport is closed");
-  const char* p = static_cast<const char*>(data);
-  size_t remaining = size;
-  while (remaining > 0) {
-    ssize_t n = ::send(fd_, p, remaining, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd_, p, remaining);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(
-          StrFormat("transport write failed: %s", std::strerror(errno)));
-    }
-    p += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-void FdTransport::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
 
 NetFaultInjection NetFaultsFromSpec(const FaultInjectionConfig& config,
                                     uint64_t generation) {
@@ -132,8 +95,6 @@ TcpTransport::TcpTransport(int fd, uint64_t io_timeout_ms,
   // keep EINTR or byte-trickle loops from stretching it.
   SetSocketTimeout(fd_, SO_RCVTIMEO, read_timeout_ms_);
   SetSocketTimeout(fd_, SO_SNDTIMEO, io_timeout_ms_);
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void TcpTransport::SetWriteTimeoutMs(uint64_t io_timeout_ms) {
@@ -163,6 +124,7 @@ bool TcpTransport::PickFault(uint64_t ordinal, FaultKind* kind) const {
 }
 
 void TcpTransport::AbortConnection() {
+  std::lock_guard<std::mutex> lock(fd_mu_);
   if (fd_ < 0) return;
   // SO_LINGER with zero timeout turns close() into an RST: the peer's next
   // read fails with ECONNRESET instead of a clean EOF, modeling a crashed
@@ -260,10 +222,16 @@ Status TcpTransport::Write(const void* data, size_t size) {
 }
 
 void TcpTransport::Close() {
+  std::lock_guard<std::mutex> lock(fd_mu_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void TcpTransport::Shutdown() {
+  std::lock_guard<std::mutex> lock(fd_mu_);
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Result<int> TcpConnect(const std::string& host, uint16_t port,
@@ -311,6 +279,7 @@ Result<int> TcpConnect(const std::string& host, uint16_t port,
                                      port, std::strerror(errno)));
   }
   ::fcntl(fd, F_SETFL, flags);
+  SetNoDelay(fd);
   return fd;
 }
 
@@ -356,6 +325,19 @@ Result<int> TcpListen(const std::string& host, uint16_t port,
     *bound_port = ntohs(bound.sin_port);
   }
   return fd;
+}
+
+Result<int> TcpAccept(int listen_fd) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      SetNoDelay(fd);
+      return fd;
+    }
+    if (errno != EINTR) {
+      return Status::IOError(std::string("accept: ") + std::strerror(errno));
+    }
+  }
 }
 
 }  // namespace qarm

@@ -1,18 +1,14 @@
 // Byte-stream transport between the distributed-mining coordinator and a
-// worker. Two implementations:
-//
-//   * FdTransport — the original fork-mode socketpair (or any pipe-like
-//     fd). Blocking, no deadlines: a forked worker shares the coordinator's
-//     fate, so a stalled read means a program bug, not a network partition.
-//
-//   * TcpTransport — a connected TCP socket with per-operation deadlines
-//     (SO_RCVTIMEO/SO_SNDTIMEO plus a wall-clock bound, the serve-engine
-//     SendAll pattern) so a vanished or partitioned peer surfaces as a
-//     bounded IOError, never a hang. The worker side can also carry a
-//     deterministic network-fault injector (storage/fault_injection.h
-//     kinds conn_reset, stall, partial_write) that sabotages a seeded
-//     subset of frame writes, so every reconnect/redistribute path in the
-//     coordinator is exercised by reproducible tests.
+// worker. TcpTransport is the one socket implementation: it runs over a
+// connected TCP socket (a `qarm worker` session) and over the socketpair a
+// forked worker is launched with, so both launchers share its
+// per-operation deadlines (SO_RCVTIMEO/SO_SNDTIMEO plus a wall-clock bound,
+// the serve-engine SendAll pattern) — a vanished, partitioned or silent
+// peer surfaces as a bounded IOError, never a hang. The worker side can
+// also carry a deterministic network-fault injector (storage/
+// fault_injection.h kinds conn_reset, stall, partial_write) that sabotages
+// a seeded subset of frame writes, so every recovery path in the
+// coordinator is exercised by reproducible tests in both launch modes.
 //
 // Reads may return fewer bytes than asked (that is what the byte-split
 // framing tests rely on); writes either complete or fail. A clean EOF is
@@ -22,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -45,25 +42,7 @@ class Transport {
   virtual void Close() = 0;
 };
 
-// Fork-mode transport over a socketpair (or pipe) fd. Owns the fd: Close
-// (and the destructor) closes it. send() with MSG_NOSIGNAL keeps a dead
-// peer an EPIPE instead of a SIGPIPE; non-socket fds fall back to write().
-class FdTransport : public Transport {
- public:
-  explicit FdTransport(int fd) : fd_(fd) {}
-  ~FdTransport() override { Close(); }
-
-  Status Read(void* data, size_t size, size_t* bytes_read) override;
-  Status Write(const void* data, size_t size) override;
-  void Close() override;
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-};
-
-// Deterministic sabotage of a TCP transport's frame writes. Whether write
+// Deterministic sabotage of a socket transport's frame writes. Whether write
 // ordinal n (0-based, counted per connection) is faulted is a pure function
 // of (seed, n), and only incarnations with generation < fails_per_block
 // fault at all — a reconnected session (generation bumped) replays clean,
@@ -84,12 +63,14 @@ struct NetFaultInjection {
 NetFaultInjection NetFaultsFromSpec(const FaultInjectionConfig& config,
                                     uint64_t generation);
 
-// TCP transport with deadlines. `io_timeout_ms` bounds every Write and, when
+// Stream-socket transport with deadlines. Owns the fd: Close (and the
+// destructor) closes it. `io_timeout_ms` bounds every Write and, when
 // `read_timeout_ms` > 0, every Read: the socket timeout arms the kernel
 // bound and a wall-clock check stops EINTR/short-transfer loops from
-// extending it. read_timeout_ms == 0 leaves reads blocking — the worker
-// server waits indefinitely for the next request by design; only the
-// coordinator must never hang.
+// extending it. read_timeout_ms == 0 leaves reads blocking — a worker
+// waits indefinitely for the next request by design; only the coordinator
+// must never hang. send() with MSG_NOSIGNAL keeps a dead peer an EPIPE
+// instead of a SIGPIPE.
 class TcpTransport : public Transport {
  public:
   TcpTransport(int fd, uint64_t io_timeout_ms, uint64_t read_timeout_ms,
@@ -100,10 +81,14 @@ class TcpTransport : public Transport {
   Status Write(const void* data, size_t size) override;
   void Close() override;
 
-  int fd() const { return fd_; }
+  // Fails any Read/Write blocked on this transport. The one member another
+  // thread may call (a server stopping its sessions): it is ordered
+  // against the owner's Close and injected aborts, so it never shuts down
+  // an fd number that was closed and reused.
+  void Shutdown();
 
-  // The worker server learns the session's fault config and write deadline
-  // from the Hello — which arrives over this very transport — so both are
+  // A worker learns the session's fault config and write deadline from the
+  // Hello — which arrives over this very transport — so both are
   // armed after construction. The write ordinal keeps counting from the
   // handshake.
   void SetFaults(NetFaultInjection faults) { faults_ = faults; }
@@ -115,6 +100,9 @@ class TcpTransport : public Transport {
   // Sets SO_LINGER(0) and closes, so the peer sees RST, not orderly EOF.
   void AbortConnection();
 
+  // Guards fd_ changes against Shutdown; the owning thread reads fd_
+  // without it.
+  std::mutex fd_mu_;
   int fd_ = -1;
   uint64_t io_timeout_ms_ = 0;
   uint64_t read_timeout_ms_ = 0;
@@ -122,8 +110,9 @@ class TcpTransport : public Transport {
   uint64_t writes_ = 0;
 };
 
-// Connects to host:port. One attempt; callers wrap it in RetryWithBackoff
-// for discovery/reconnect. `io_timeout_ms` also bounds the connect itself.
+// Connects to host:port with TCP_NODELAY set (frames are small and
+// latency-bound). One attempt; callers wrap it in RetryWithBackoff for
+// discovery/reconnect. `io_timeout_ms` also bounds the connect itself.
 Result<int> TcpConnect(const std::string& host, uint16_t port,
                        uint64_t io_timeout_ms);
 
@@ -131,6 +120,10 @@ Result<int> TcpConnect(const std::string& host, uint16_t port,
 // `bound_port` receives the actual port.
 Result<int> TcpListen(const std::string& host, uint16_t port,
                       uint16_t* bound_port);
+
+// Accepts one connection on `listen_fd` (retrying EINTR) and sets
+// TCP_NODELAY on it. IOError once the listener is shut down or broken.
+Result<int> TcpAccept(int listen_fd);
 
 }  // namespace qarm
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,8 +14,10 @@
 #include "common/string_util.h"
 #include "core/candidate_gen.h"
 #include "core/frequent_items.h"
+#include "core/options.h"
 #include "core/support_counting.h"
 #include "dist/framing.h"
+#include "dist/handshake.h"
 #include "dist/messages.h"
 #include "storage/checkpoint_format.h"
 #include "storage/fault_injection.h"
@@ -80,17 +83,18 @@ class HeartbeatGuard {
   bool stop_ = false;
 };
 
-Result<std::string> HandlePass1(const DistWorkerConfig& config,
+Result<std::string> HandlePass1(const DistHello& hello,
+                                const MinerOptions& options,
                                 const RecordSource& shard) {
   ScanIoStats io;
   QARM_ASSIGN_OR_RETURN(
       std::vector<std::vector<uint64_t>> value_counts,
-      ItemCatalog::ScanValueCounts(shard, config.options.num_threads, &io));
+      ItemCatalog::ScanValueCounts(shard, options.num_threads, &io));
   ShardSnapshot snapshot;
-  snapshot.fingerprint = config.fingerprint;
-  snapshot.worker_id = config.worker_id;
-  snapshot.block_begin = config.block_begin;
-  snapshot.block_end = config.block_end;
+  snapshot.fingerprint = hello.fingerprint;
+  snapshot.worker_id = hello.worker_id;
+  snapshot.block_begin = hello.block_begin;
+  snapshot.block_end = hello.block_end;
   snapshot.num_rows = shard.num_rows();
   snapshot.value_counts = std::move(value_counts);
   snapshot.blocks_read = io.blocks_read;
@@ -102,7 +106,8 @@ Result<std::string> HandlePass1(const DistWorkerConfig& config,
   return payload;
 }
 
-Result<std::string> HandleCount(const DistWorkerConfig& config,
+Result<std::string> HandleCount(uint32_t worker_id,
+                                const MinerOptions& options,
                                 const RecordSource& shard,
                                 const ItemCatalog* catalog,
                                 const std::string& payload) {
@@ -135,10 +140,10 @@ Result<std::string> HandleCount(const DistWorkerConfig& config,
         "mismatch?)");
   }
   DistCountReply reply;
-  reply.worker_id = config.worker_id;
+  reply.worker_id = worker_id;
   QARM_ASSIGN_OR_RETURN(reply.counts,
-                        CountSupports(shard, *catalog, *candidates,
-                                      config.options, &reply.stats));
+                        CountSupports(shard, *catalog, *candidates, options,
+                                      &reply.stats));
   std::string out;
   EncodeCountReply(reply, &out);
   return out;
@@ -151,8 +156,8 @@ Result<std::string> HandleCount(const DistWorkerConfig& config,
 // next catalog SendFrame hits EOF inside PublishCatalog) or on receipt of
 // the catalog frame before applying it (so the death surfaces at the first
 // count request). Respawned incarnations (generation >= 1) ignore both.
-bool TestExitHere(const DistWorkerConfig& config, const char* env) {
-  return config.generation == 0 && std::getenv(env) != nullptr;
+bool TestExitHere(const DistHello& hello, const char* env) {
+  return hello.generation == 0 && std::getenv(env) != nullptr;
 }
 
 // A third hook for the TCP tests and the dist-tcp-smoke CI job: kill the
@@ -164,27 +169,55 @@ uint64_t TestExitAfterFrames() {
   return std::strtoull(env, nullptr, 10);
 }
 
-}  // namespace
+// The session's scan options: the execution knobs its Hello carries.
+// Everything that shapes the *output* arrives later through the request
+// stream (the catalog broadcast, the candidate lists), so defaulted
+// MinerOptions fields here are harmless.
+MinerOptions ScanOptions(const DistHello& hello) {
+  MinerOptions options;
+  options.num_threads = static_cast<size_t>(hello.num_threads);
+  options.counter_memory_budget_bytes = hello.counter_memory_budget_bytes;
+  options.parallel_replication_budget_bytes =
+      hello.parallel_replication_budget_bytes;
+  options.stream_block_rows = static_cast<size_t>(hello.stream_block_rows);
+  options.inject_faults_spec = hello.inject_faults_spec;
+  return options;
+}
 
-Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
+// Answers a rejected opening frame with a best-effort kError, and returns
+// the rejection as the session's result.
+Status SendError(Transport& transport, const Status& status) {
+  const Status sent =
+      SendFrame(transport, static_cast<uint32_t>(DistMessageType::kError),
+                status.ToString());
+  (void)sent;
+  return status;
+}
+
+// ServeConnection's request loop, after the handshake. `file` is the
+// worker's full view of the QBT; the session scopes it to the Hello's
+// block range.
+Status RunWorkerSession(Transport& transport, const DistHello& hello,
                         const RecordSource& file) {
+  const MinerOptions options = ScanOptions(hello);
   // Fault injection wraps the *full* source so block ids in the fault
   // schedule stay global — the same spec faults the same blocks whether the
   // run is single-process or sharded across any worker count. Only the
-  // storage kinds apply here; network kinds live in the TCP transport.
+  // storage kinds apply here; network kinds live in the transport.
   std::unique_ptr<FaultInjectingRecordSource> faulty;
   const RecordSource* full = &file;
-  if (!config.options.inject_faults_spec.empty()) {
+  if (!hello.inject_faults_spec.empty()) {
     QARM_ASSIGN_OR_RETURN(FaultInjectionConfig fault_config,
-                          ParseFaultSpec(config.options.inject_faults_spec));
+                          ParseFaultSpec(hello.inject_faults_spec));
     if (StorageFaultKinds(fault_config.kinds) != 0) {
-      fault_config.generation = config.generation;
+      fault_config.generation = hello.generation;
       faulty =
           std::make_unique<FaultInjectingRecordSource>(file, fault_config);
       full = faulty.get();
     }
   }
-  const BlockRangeSource shard(*full, config.block_begin, config.block_end);
+  const BlockRangeSource shard(*full, static_cast<size_t>(hello.block_begin),
+                               static_cast<size_t>(hello.block_end));
 
   SessionWriter writer(transport);
   const uint64_t exit_after_frames = TestExitAfterFrames();
@@ -197,7 +230,7 @@ Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
       return frame.status();
     }
     ++frames_handled;
-    if (exit_after_frames > 0 && config.generation == 0 &&
+    if (exit_after_frames > 0 && hello.generation == 0 &&
         frames_handled >= exit_after_frames) {
       std::_Exit(137);  // mimic SIGKILL's 128+9 exit status
     }
@@ -207,8 +240,8 @@ Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
       case DistMessageType::kPass1Request: {
         Result<std::string> reply{std::string()};
         {
-          HeartbeatGuard liveness(writer, config.heartbeat_ms);
-          reply = HandlePass1(config, shard);
+          HeartbeatGuard liveness(writer, hello.heartbeat_ms);
+          reply = HandlePass1(hello, options, shard);
         }
         const Status sent =
             reply.ok() ? writer.Send(DistMessageType::kPass1Reply, *reply)
@@ -216,13 +249,13 @@ Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
                                      reply.status().ToString());
         (void)sent;
         if (reply.ok() &&
-            TestExitHere(config, "QARM_DIST_TEST_EXIT_BEFORE_CATALOG")) {
+            TestExitHere(hello, "QARM_DIST_TEST_EXIT_BEFORE_CATALOG")) {
           std::_Exit(1);
         }
         break;
       }
       case DistMessageType::kCatalog: {
-        if (TestExitHere(config, "QARM_DIST_TEST_EXIT_ON_CATALOG")) {
+        if (TestExitHere(hello, "QARM_DIST_TEST_EXIT_ON_CATALOG")) {
           std::_Exit(1);
         }
         Result<CheckpointCatalog> parsed = ParseCheckpointCatalog(
@@ -245,8 +278,8 @@ Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
       case DistMessageType::kCountRequest: {
         Result<std::string> reply{std::string()};
         {
-          HeartbeatGuard liveness(writer, config.heartbeat_ms);
-          reply = HandleCount(config, shard,
+          HeartbeatGuard liveness(writer, hello.heartbeat_ms);
+          reply = HandleCount(hello.worker_id, options, shard,
                               catalog.has_value() ? &*catalog : nullptr,
                               frame->payload);
         }
@@ -268,19 +301,56 @@ Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
   }
 }
 
-int RunDistWorker(int fd, const DistWorkerConfig& config) {
-  FdTransport transport(fd);
-  Result<std::unique_ptr<QbtFileSource>> opened =
-      QbtFileSource::Open(config.qbt_path);
-  if (!opened.ok()) {
-    const Status sent =
-        SendFrame(transport, static_cast<uint32_t>(DistMessageType::kError),
-                  opened.status().ToString());
-    (void)sent;
-    return 1;
+}  // namespace
+
+Status ServeConnection(TcpTransport& transport, const QbtFileSource& file,
+                       std::atomic<uint64_t>* handshakes) {
+  QARM_ASSIGN_OR_RETURN(DistFrame first, RecvFrame(transport));
+  if (static_cast<DistMessageType>(first.type) != DistMessageType::kHello) {
+    return SendError(transport, Status::InvalidArgument(
+                                    "expected a Hello as the first frame"));
   }
-  const Status served = RunWorkerSession(transport, config, **opened);
-  return served.ok() ? 0 : 1;
+  Result<DistHello> hello = ParseHello(
+      reinterpret_cast<const uint8_t*>(first.payload.data()),
+      first.payload.size());
+  if (!hello.ok()) return SendError(transport, hello.status());
+  if (hello->block_end > file.num_blocks()) {
+    return SendError(
+        transport,
+        Status::InvalidArgument(StrFormat(
+            "hello block range [%llu, %llu) exceeds the %zu blocks served",
+            static_cast<unsigned long long>(hello->block_begin),
+            static_cast<unsigned long long>(hello->block_end),
+            file.num_blocks())));
+  }
+
+  // Arm the session's write deadline and (when the spec carries network
+  // kinds) the deterministic transport saboteur, both from the Hello.
+  if (hello->io_timeout_ms > 0) {
+    transport.SetWriteTimeoutMs(hello->io_timeout_ms);
+  }
+  if (!hello->inject_faults_spec.empty()) {
+    Result<FaultInjectionConfig> spec =
+        ParseFaultSpec(hello->inject_faults_spec);
+    if (!spec.ok()) return SendError(transport, spec.status());
+    transport.SetFaults(NetFaultsFromSpec(*spec, hello->generation));
+  }
+
+  DistHelloAck ack;
+  ack.worker_id = hello->worker_id;
+  ack.generation = hello->generation;
+  ack.fingerprint = hello->fingerprint;
+  ack.num_rows = file.num_rows();
+  ack.num_blocks = file.num_blocks();
+  ack.index_crc = file.reader().IndexPrefixCrc(file.num_blocks());
+  std::string payload;
+  EncodeHelloAck(ack, &payload);
+  QARM_RETURN_NOT_OK(SendFrame(
+      transport, static_cast<uint32_t>(DistMessageType::kHelloAck), payload));
+  if (handshakes != nullptr) {
+    handshakes->fetch_add(1, std::memory_order_relaxed);
+  }
+  return RunWorkerSession(transport, *hello, file);
 }
 
 }  // namespace qarm

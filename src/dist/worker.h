@@ -1,61 +1,40 @@
 // The worker side of distributed mining: a request loop that scans its
 // assigned QBT block range and answers the coordinator's framed messages.
 // Workers are deliberately dumb — they hold no pass state beyond the
-// published item catalog, so a respawned (or reconnected) worker only
-// needs the catalog and the current request replayed to continue.
+// published item catalog, so a relaunched worker only needs the catalog
+// and the current request replayed to continue.
 //
-// The loop itself (RunWorkerSession) is transport-generic: fork mode runs
-// it over the inherited socketpair (RunDistWorker), and the TCP worker
-// server (dist/worker_server.h) runs one session per accepted connection
-// after the Hello/HelloAck handshake supplies the config.
+// Every session, whichever launcher opened it, is served by
+// ServeConnection: the Hello/HelloAck handshake supplies the assignment
+// and execution knobs, then a request loop answers the coordinator. A
+// forked worker runs it on its end of the socketpair over the
+// coordinator's inherited QBT; the TCP worker server
+// (dist/worker_server.h) runs it once per accepted connection.
 #ifndef QARM_DIST_WORKER_H_
 #define QARM_DIST_WORKER_H_
 
-#include <cstddef>
+#include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
-#include "core/options.h"
 #include "dist/transport.h"
 #include "storage/record_source.h"
 
 namespace qarm {
 
-struct DistWorkerConfig {
-  std::string qbt_path;
-  MinerOptions options;  // num_threads and inject_faults_spec apply here
-  uint32_t worker_id = 0;
-  // Incarnation number: 0 for the first fork/connect, +1 per respawn or
-  // reconnect. Gates the fault injector's kill faults and the transport's
-  // network faults (FaultInjectionConfig::generation) so a scheduled fault
-  // fires once and the respawned incarnation survives the replay.
-  uint64_t generation = 0;
-  // Contiguous range of the QBT's blocks this worker counts.
-  size_t block_begin = 0;
-  size_t block_end = 0;
-  // The run fingerprint, stamped into pass-1 shard snapshots so the
-  // coordinator can cross-check that a worker is serving the same run.
-  uint64_t fingerprint = 0;
-  // Liveness heartbeats while a request is being served (ms between
-  // kHeartbeat frames); 0 — the fork-mode setting — disables them.
-  uint64_t heartbeat_ms = 0;
-};
-
-// Serves requests from `transport` against `file` (the worker's full view
-// of the QBT; the session scopes it to the config's block range) until a
+// Serves one session on `transport`: receives the kHello, validates it
+// against `file`, arms the session's write deadline and network faults
+// from it, answers kHelloAck with `file`'s identity (rows, blocks, index
+// CRC), then serves requests against its block range of `file` until a
 // kShutdown frame (OK) or a transport failure (the error). Clean
-// per-request failures are answered with kError frames and the loop
-// continues. When the config's fault spec carries storage kinds, the scan
-// runs through a FaultInjectingRecordSource at the config's generation.
-Status RunWorkerSession(Transport& transport, const DistWorkerConfig& config,
-                        const RecordSource& file);
-
-// Fork-mode entry: opens the QBT itself and runs the session over `fd`.
-// Called in the forked child, which must pass the return value to _Exit —
-// never return into the coordinator's stack. Returns 0 on a clean
-// shutdown, 1 when the channel broke.
-int RunDistWorker(int fd, const DistWorkerConfig& config);
+// per-request failures are answered with kError frames and the session
+// continues; storage fault kinds in the Hello's spec wrap the scans in a
+// FaultInjectingRecordSource at the Hello's generation. An opening
+// frame that is not a valid Hello gets a best-effort kError and ends the
+// session with that error. `handshakes`, when non-null, counts the
+// sessions that reached the HelloAck.
+Status ServeConnection(TcpTransport& transport, const QbtFileSource& file,
+                       std::atomic<uint64_t>* handshakes = nullptr);
 
 }  // namespace qarm
 

@@ -3,54 +3,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
-#include "common/logging.h"
-#include "common/string_util.h"
-#include "dist/framing.h"
-#include "dist/handshake.h"
-#include "dist/messages.h"
 #include "dist/worker.h"
-#include "storage/fault_injection.h"
 
 namespace qarm {
-namespace {
-
-// Builds the session's worker config from a validated Hello. The Hello
-// carries only execution knobs — everything that shapes the *output*
-// arrives later through the request stream (the catalog broadcast, the
-// candidate lists), so defaulted MinerOptions fields here are harmless.
-DistWorkerConfig ConfigFromHello(const DistHello& hello,
-                                 const std::string& qbt_path) {
-  DistWorkerConfig config;
-  config.qbt_path = qbt_path;
-  config.worker_id = hello.worker_id;
-  config.generation = hello.generation;
-  config.block_begin = static_cast<size_t>(hello.block_begin);
-  config.block_end = static_cast<size_t>(hello.block_end);
-  config.fingerprint = hello.fingerprint;
-  config.heartbeat_ms = hello.heartbeat_ms;
-  config.options.num_threads = static_cast<size_t>(hello.num_threads);
-  config.options.counter_memory_budget_bytes =
-      hello.counter_memory_budget_bytes;
-  config.options.parallel_replication_budget_bytes =
-      hello.parallel_replication_budget_bytes;
-  config.options.stream_block_rows =
-      static_cast<size_t>(hello.stream_block_rows);
-  config.options.inject_faults_spec = hello.inject_faults_spec;
-  return config;
-}
-
-void SendErrorBestEffort(Transport& transport, const Status& status) {
-  const Status sent =
-      SendFrame(transport, static_cast<uint32_t>(DistMessageType::kError),
-                status.ToString());
-  (void)sent;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<WorkerServer>> WorkerServer::Start(
     const WorkerServerOptions& options) {
@@ -60,7 +17,10 @@ Result<std::unique_ptr<WorkerServer>> WorkerServer::Start(
   QARM_ASSIGN_OR_RETURN(
       server->listen_fd_,
       TcpListen(options.host, options.port, &server->port_));
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  // The loop gets the listener by value: Stop() resets listen_fd_ while
+  // the accept thread may still be returning from its last accept.
+  server->accept_thread_ = std::thread(
+      [s = server.get(), fd = server->listen_fd_] { s->AcceptLoop(fd); });
   return server;
 }
 
@@ -74,11 +34,7 @@ void WorkerServer::Stop() {
     // Sessions block in recv with no deadline (idle between passes is
     // normal); shutdown makes those reads fail so the threads exit. The
     // transports are closed by their owning shared_ptrs after the join.
-    for (Session& session : sessions_) {
-      if (session.transport->fd() >= 0) {
-        ::shutdown(session.transport->fd(), SHUT_RDWR);
-      }
-    }
+    for (Session& session : sessions_) session.transport->Shutdown();
   }
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
@@ -94,15 +50,12 @@ void WorkerServer::Stop() {
   sessions_.clear();
 }
 
-void WorkerServer::AcceptLoop() {
+void WorkerServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or broken) — stop serving
-    }
+    Result<int> fd = TcpAccept(listen_fd);
+    if (!fd.ok()) return;  // listener shut down (or broken) — stop serving
     auto transport = std::make_shared<TcpTransport>(
-        fd, options_.handshake_timeout_ms, /*read_timeout_ms=*/0);
+        *fd, options_.handshake_timeout_ms, /*read_timeout_ms=*/0);
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       transport->Close();
@@ -110,75 +63,15 @@ void WorkerServer::AcceptLoop() {
     }
     Session session;
     session.transport = transport;
-    session.thread = std::thread(
-        [this, transport] { ServeConnection(transport); });
+    // A failed handshake or a session ended by EOF/reset closes only this
+    // connection; the server lives on.
+    session.thread = std::thread([this, transport] {
+      const Status served =
+          ServeConnection(*transport, *file_, &sessions_served_);
+      (void)served;
+    });
     sessions_.push_back(std::move(session));
   }
-}
-
-void WorkerServer::ServeConnection(
-    const std::shared_ptr<TcpTransport>& transport) {
-  Result<DistFrame> first = RecvFrame(*transport);
-  if (!first.ok()) return;  // garbage or vanished client: just close
-  if (static_cast<DistMessageType>(first->type) != DistMessageType::kHello) {
-    SendErrorBestEffort(*transport,
-                        Status::InvalidArgument(
-                            "expected a Hello as the first frame"));
-    return;
-  }
-  Result<DistHello> hello = ParseHello(
-      reinterpret_cast<const uint8_t*>(first->payload.data()),
-      first->payload.size());
-  if (!hello.ok()) {
-    SendErrorBestEffort(*transport, hello.status());
-    return;
-  }
-  if (hello->block_end > file_->num_blocks()) {
-    SendErrorBestEffort(
-        *transport,
-        Status::InvalidArgument(StrFormat(
-            "hello block range [%llu, %llu) exceeds the %zu blocks in %s",
-            static_cast<unsigned long long>(hello->block_begin),
-            static_cast<unsigned long long>(hello->block_end),
-            file_->num_blocks(), options_.qbt_path.c_str())));
-    return;
-  }
-
-  // Arm the session's write deadline and (when the spec carries network
-  // kinds) the deterministic transport saboteur, both from the Hello.
-  if (hello->io_timeout_ms > 0) {
-    transport->SetWriteTimeoutMs(hello->io_timeout_ms);
-  }
-  if (!hello->inject_faults_spec.empty()) {
-    Result<FaultInjectionConfig> spec =
-        ParseFaultSpec(hello->inject_faults_spec);
-    if (!spec.ok()) {
-      SendErrorBestEffort(*transport, spec.status());
-      return;
-    }
-    transport->SetFaults(NetFaultsFromSpec(*spec, hello->generation));
-  }
-
-  DistHelloAck ack;
-  ack.worker_id = hello->worker_id;
-  ack.generation = hello->generation;
-  ack.fingerprint = hello->fingerprint;
-  ack.num_rows = file_->num_rows();
-  ack.num_blocks = file_->num_blocks();
-  ack.index_crc = file_->reader().IndexPrefixCrc(file_->num_blocks());
-  std::string payload;
-  EncodeHelloAck(ack, &payload);
-  if (!SendFrame(*transport,
-                 static_cast<uint32_t>(DistMessageType::kHelloAck), payload)
-           .ok()) {
-    return;
-  }
-  sessions_served_.fetch_add(1, std::memory_order_relaxed);
-
-  const DistWorkerConfig config =
-      ConfigFromHello(*hello, options_.qbt_path);
-  const Status served = RunWorkerSession(*transport, config, *file_);
-  (void)served;  // EOF/reset just ends this session; the server lives on
 }
 
 }  // namespace qarm

@@ -1,14 +1,15 @@
 // The `qarm worker` process: listens on a TCP port, and serves one mining
-// session (dist/worker.h request loop) per accepted connection. The server
+// session (dist/worker.h ServeConnection, the same session a forked worker
+// runs) per accepted connection. The server
 // opens its QBT once at startup and shares the mmap across sessions —
 // concurrent sessions are how shard redistribution works: when another
 // worker dies, the coordinator connects a second session to a survivor
 // carrying the dead worker's shard assignment in the Hello.
 //
-// Connection lifecycle:
+// Connection lifecycle (ServeConnection):
 //   accept -> RecvFrame (must be kHello) -> ParseHello -> arm faults and
 //   the write deadline from the Hello -> send kHelloAck (shard identity:
-//   rows, blocks, index CRC) -> RunWorkerSession until shutdown/EOF.
+//   rows, blocks, index CRC) -> the request loop until shutdown/EOF.
 //
 // A connection that opens with garbage (bad magic, truncated Hello, a
 // version mismatch) gets a best-effort kError frame and is closed; the
@@ -60,8 +61,7 @@ class WorkerServer {
  private:
   WorkerServer() = default;
 
-  void AcceptLoop();
-  void ServeConnection(const std::shared_ptr<TcpTransport>& transport);
+  void AcceptLoop(int listen_fd);
 
   WorkerServerOptions options_;
   std::unique_ptr<QbtFileSource> file_;

@@ -1,6 +1,8 @@
 // End-to-end equivalence of the out-of-core path: mining a QBT file
 // block-by-block must produce bit-for-bit the rules of an in-memory run
 // over the same records, at any thread count.
+#include <unistd.h>
+
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -39,8 +41,11 @@ void ExpectStreamedMatchesInMemory(size_t num_threads) {
   auto mapped = MapTable(raw, map_options);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
+  // pid-unique: counting_forced_scalar reruns this suite concurrently with
+  // the per-test ctest processes, and WriteQbt rewrites under a peer's mmap.
   const std::string path = ::testing::TempDir() + "/streaming_miner_" +
-                           std::to_string(num_threads) + ".qbt";
+                           std::to_string(num_threads) + "_" +
+                           std::to_string(::getpid()) + ".qbt";
   QbtWriteOptions write_options;
   write_options.rows_per_block = 256;  // 8 blocks: sharding really happens
   ASSERT_TRUE(WriteQbt(*mapped, path, write_options).ok());
@@ -105,7 +110,8 @@ TEST(StreamingMinerTest, PropagatesChecksumFailure) {
   auto mapped = MapTable(raw, MapOptions{});
   ASSERT_TRUE(mapped.ok());
 
-  const std::string path = ::testing::TempDir() + "/streaming_corrupt.qbt";
+  const std::string path = ::testing::TempDir() + "/streaming_corrupt_" +
+                           std::to_string(::getpid()) + ".qbt";
   QbtWriteOptions write_options;
   write_options.rows_per_block = 128;
   ASSERT_TRUE(WriteQbt(*mapped, path, write_options).ok());

@@ -1,5 +1,7 @@
 #include "core/support_counting.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <functional>
 #include <memory>
@@ -536,8 +538,11 @@ TEST_P(SupportCountingOracleTest, MatchesBruteForceEverywhere) {
   const ItemCatalog catalog = ItemCatalog::Build(table, options);
   ASSERT_GT(catalog.num_items(), 0u);
 
-  const std::string qbt_path =
-      ::testing::TempDir() + "/oracle_" + scenario.name + ".qbt";
+  // pid-unique: counting_forced_scalar reruns this suite concurrently with
+  // the per-test ctest processes, and WriteQbt rewrites under a peer's mmap.
+  const std::string qbt_path = ::testing::TempDir() + "/oracle_" +
+                               scenario.name + "_" +
+                               std::to_string(::getpid()) + ".qbt";
   QbtWriteOptions write_options;
   write_options.rows_per_block = 128;  // several blocks per scan shard
   ASSERT_TRUE(WriteQbt(table, qbt_path, write_options).ok());

@@ -1,5 +1,5 @@
 // The distributed transport layer in isolation: frame round-trips over a
-// real socketpair, every corruption the coordinator treats as a dead
+// real socketpair (the channel a forked worker is launched with), every corruption the coordinator treats as a dead
 // worker (bad magic, truncation, CRC mismatch, oversize length), and the
 // message encoders against truncated/hostile payloads.
 #include <sys/socket.h>
@@ -28,8 +28,8 @@ class DistFramingTest : public ::testing::Test {
   void SetUp() override {
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    writer_ = std::make_unique<FdTransport>(fds[0]);
-    reader_ = std::make_unique<FdTransport>(fds[1]);
+    writer_ = std::make_unique<TcpTransport>(fds[0], kTimeoutMs, kTimeoutMs);
+    reader_ = std::make_unique<TcpTransport>(fds[1], kTimeoutMs, kTimeoutMs);
   }
   void CloseWriter() { writer_->Close(); }
   // Raw bytes straight onto the wire, bypassing SendFrame.
@@ -37,8 +37,11 @@ class DistFramingTest : public ::testing::Test {
     ASSERT_TRUE(writer_->Write(bytes.data(), bytes.size()).ok());
   }
 
-  std::unique_ptr<FdTransport> writer_;
-  std::unique_ptr<FdTransport> reader_;
+  // The socket transport's deadlines, generous enough to never trip here.
+  static constexpr uint64_t kTimeoutMs = 10000;
+
+  std::unique_ptr<TcpTransport> writer_;
+  std::unique_ptr<TcpTransport> reader_;
 };
 
 TEST_F(DistFramingTest, RoundTripsPayloadsOfEverySize) {

@@ -1,13 +1,15 @@
 // The Hello/HelloAck handshake codecs against the wire's worst: every
 // truncation point, version skew (a readable diagnostic naming both
 // versions, not a CRC error), hostile length prefixes that must be
-// rejected before any allocation, and trailing bytes.
+// rejected before any allocation, out-of-range execution knobs, and
+// trailing bytes.
 #include <cstdint>
 #include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/options.h"
 #include "dist/handshake.h"
 #include "storage/qbt_format.h"
 
@@ -148,6 +150,27 @@ TEST(DistHandshakeTest, FaultSpecLengthBombIsRejectedBeforeAllocation) {
   bomb = payload.substr(0, payload.size() - 8);
   QbtAppendU64(&bomb, kDistMaxFaultSpecBytes + 1);
   EXPECT_FALSE(ParseHello(Bytes(bomb), bomb.size()).ok());
+}
+
+// The Hello's thread count obeys MinerOptions::Validate's bound: a worker,
+// forked or TCP, must answer an oversized one with kError instead of
+// trying to start that many scan threads.
+TEST(DistHandshakeTest, ThreadCountAboveTheOptionsCapIsRejected) {
+  DistHello hello = SampleHello();
+  hello.num_threads = MinerOptions::kMaxThreads;
+  std::string payload;
+  EncodeHello(hello, &payload);
+  EXPECT_TRUE(ParseHello(Bytes(payload), payload.size()).ok());
+
+  hello.num_threads = MinerOptions::kMaxThreads + 1;
+  payload.clear();
+  EncodeHello(hello, &payload);
+  Result<DistHello> parsed = ParseHello(Bytes(payload), payload.size());
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().ToString().find("num_threads"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 }  // namespace

@@ -14,7 +14,12 @@
 
 #include "common/macros.h"
 #include "core/miner.h"
+#include "core/options.h"
 #include "dist/dist_miner.h"
+#include "dist/framing.h"
+#include "dist/handshake.h"
+#include "dist/messages.h"
+#include "dist/transport.h"
 #include "dist/worker_server.h"
 #include "dist/dist_corpora.h"
 
@@ -191,6 +196,43 @@ TEST(TcpMinerTest, EndpointOptionsAreValidated) {
   options.worker_endpoints = {"127.0.0.1:9000"};
   options.dist_heartbeat_ms = options.dist_io_timeout_ms;  // must be <
   EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+
+  // Forked workers run the same session, so the deadline rules apply to
+  // them too — and stay inert for a single in-process worker.
+  options = corpus.options;
+  options.num_workers = 2;
+  options.dist_heartbeat_ms = options.dist_io_timeout_ms;
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+  options.dist_heartbeat_ms = 100;
+  options.dist_io_timeout_ms = 0;
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+  options.num_workers = 1;
+  EXPECT_TRUE(options.Validate().ok());
+}
+
+// A Hello whose thread count exceeds MinerOptions::kMaxThreads is answered
+// with kError before any session starts, and the server keeps serving.
+TEST(TcpMinerTest, OversizedThreadCountIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  auto fd = TcpConnect("127.0.0.1", fleet.servers[0]->port(), 5000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  TcpTransport transport(*fd, 5000, 5000);
+  DistHello hello;
+  hello.block_end = 1;
+  hello.num_threads = MinerOptions::kMaxThreads + 1;
+  std::string payload;
+  EncodeHello(hello, &payload);
+  ASSERT_TRUE(SendFrame(transport,
+                        static_cast<uint32_t>(DistMessageType::kHello),
+                        payload)
+                  .ok());
+  Result<DistFrame> reply = RecvFrame(transport);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, static_cast<uint32_t>(DistMessageType::kError));
+  EXPECT_NE(reply->payload.find("num_threads"), std::string::npos)
+      << reply->payload;
+  EXPECT_EQ(fleet.servers[0]->sessions_served(), 0u);
 }
 
 }  // namespace

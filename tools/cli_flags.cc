@@ -22,9 +22,11 @@ const char kUsage[] =
     "  --interest=F          interest level R; 0 = off       (default 0)\n"
     "  --intervals=N         override Eq.2 interval count    (default auto)\n"
     "  --threads=N           scan threads; 0 = all cores     (default 1)\n"
-    "  --workers=N           worker processes for --input-qbt mining; each\n"
-    "                        counts a contiguous block range, the merged\n"
-    "                        rules are bit-identical to --workers=1\n"
+    "  --workers=N           forked worker processes for --input-qbt\n"
+    "                        mining; each runs a `qarm worker` session\n"
+    "                        (handshake, deadlines, heartbeats) over one\n"
+    "                        contiguous block range, and the merged rules\n"
+    "                        are bit-identical to --workers=1\n"
     "                                                        (default 1)\n"
     "  --worker=HOST:PORT    repeatable: mine over TCP against running\n"
     "                        `qarm worker` servers instead of forking; one\n"
@@ -199,11 +201,13 @@ Result<CliFlags> ParseCliArgs(int argc, char* const* argv, int first_arg) {
     } else if (MatchFlag(argv[i], "listen", &value)) {
       flags.listen = value;
     } else if (MatchFlag(argv[i], "dist-timeout-ms", &value)) {
-      // Hidden: per-frame TCP read/write deadline (tests shrink it).
+      // Hidden: per-frame read/write deadline for forked and TCP workers
+      // (tests shrink it).
       QARM_ASSIGN_OR_RETURN(flags.dist_timeout_ms,
                             ParseSizeFlag("dist-timeout-ms", value));
     } else if (MatchFlag(argv[i], "dist-heartbeat-ms", &value)) {
-      // Hidden: worker liveness interval during long passes.
+      // Hidden: forked and TCP workers' liveness interval during long
+      // passes.
       QARM_ASSIGN_OR_RETURN(flags.dist_heartbeat_ms,
                             ParseSizeFlag("dist-heartbeat-ms", value));
     } else if (MatchFlag(argv[i], "dist-connect-attempts", &value)) {

@@ -47,7 +47,9 @@ struct CliFlags {
   // --worker=HOST:PORT per endpoint (repeatable, order = worker ids).
   std::vector<std::string> worker_endpoints;
   std::string listen;  // qarm worker: HOST:PORT to listen on (port 0 ok)
-  // Hidden TCP-mining tuning knobs (sane defaults; tests shrink them).
+  // Hidden distributed-mining tuning knobs (sane defaults; tests shrink
+  // them). The deadline and heartbeat apply to forked and TCP workers; the
+  // connect budget to TCP endpoints.
   size_t dist_timeout_ms = 30000;
   size_t dist_heartbeat_ms = 1000;
   size_t dist_connect_attempts = 10;
