@@ -1,10 +1,14 @@
 // Determinism of the parallel post-counting pipeline: candidate generation,
 // rule generation (boolean and decoded), and interest evaluation must
 // produce byte-identical output at any thread count — on tables with
-// taxonomies and missing values — and the volume-ordered close-ancestor
-// filter must agree with the all-pairs reference.
+// taxonomies and missing values. Two engine-independent oracles pin the
+// output itself: interest flags recomputed from the Section 4 definitions
+// (all-pairs close ancestors, a linear specialization scan), and the exact
+// rule order ap-genrules emits, enumerated by brute force.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "common/random.h"
 #include "core/apriori_quant.h"
 #include "core/candidate_gen.h"
+#include "core/expectation.h"
 #include "core/frequent_items.h"
 #include "core/interest.h"
 #include "core/miner.h"
@@ -332,77 +337,188 @@ TEST(RulePipelineTest, BooleanAprioriMatchesSerial) {
   }
 }
 
-// --- Close-ancestor filter vs the all-pairs reference ----------------------
+// --- Engine-independent oracles ---------------------------------------------
 
-// The original O(|ancestors|^2) close-ancestor computation, kept here as the
-// reference: process rules most-general first; an interesting ancestor is
-// close iff it does not strictly generalize any *other* ancestor; the rule
-// is interesting iff it is R-interesting w.r.t. every close ancestor.
-std::vector<bool> BruteForceInterestFlags(const InterestEvaluator& evaluator,
-                                          const std::vector<QuantRule>& rules) {
-  auto rule_generalizes = [](const QuantRule& a, const QuantRule& b) {
-    if (!IsGeneralization(a.antecedent, b.antecedent)) return false;
-    if (!IsGeneralization(a.consequent, b.consequent)) return false;
-    return a.antecedent != b.antecedent || a.consequent != b.consequent;
-  };
-  auto volume = [](const QuantRule& rule) {
-    double v = 1.0;
-    for (const RangeItem& item : rule.antecedent) {
-      v *= static_cast<double>(item.Width());
-    }
-    for (const RangeItem& item : rule.consequent) {
-      v *= static_cast<double>(item.Width());
-    }
-    return v;
-  };
+// Rows over a quantitative attribute and two taxonomized categoricals whose
+// interior nodes generalize their leaves, with y correlated to x's low
+// values and to the "warm" leaves — so interest has ancestors to compare
+// against on both range and taxonomy items.
+MappedTable TaxonomyTable(uint64_t seed, size_t num_rows) {
+  Rng rng(seed);
+  std::vector<std::vector<int32_t>> rows;
+  for (size_t r = 0; r < num_rows; ++r) {
+    const int32_t x = static_cast<int32_t>(rng.UniformInt(0, 9));
+    const int32_t climate = static_cast<int32_t>(rng.UniformInt(0, 3));
+    const int32_t drink = static_cast<int32_t>(rng.UniformInt(0, 3));
+    const bool likely = x < 3 || climate < 2;
+    const int32_t y = rng.UniformInt(0, 9) < (likely ? 8 : 3) ? 1 : 0;
+    std::vector<int32_t> row = {x, climate, drink, y};
+    if (rng.UniformInt(0, 29) == 0) row[2] = kMissingValue;
+    rows.push_back(std::move(row));
+  }
+  return MakeMappedTable(
+      {QuantAttr("x", 10),
+       TaxonomyAttr("climate", {"hot", "warm", "cool", "cold"},
+                    {{"any", 0, 3}, {"mild", 1, 2}, {"warmish", 0, 1}}),
+       TaxonomyAttr("drink", {"coffee", "tea", "soda", "juice"},
+                    {{"hot", 0, 1}, {"cold", 2, 3}}),
+       CatAttr("y", {"no", "yes"})},
+      rows);
+}
 
-  std::map<std::vector<int32_t>, std::vector<size_t>> groups;
-  for (size_t i = 0; i < rules.size(); ++i) {
-    std::vector<int32_t> key = AttributesOf(rules[i].antecedent);
-    key.push_back(-1);
-    const std::vector<int32_t> cons = AttributesOf(rules[i].consequent);
-    key.insert(key.end(), cons.begin(), cons.end());
-    groups[std::move(key)].push_back(i);
+// Ordering helpers shared by the oracles below.
+bool OracleRuleGeneralizes(const QuantRule& a, const QuantRule& b) {
+  // a is a strict generalization of b (as a rule).
+  if (!IsGeneralization(a.antecedent, b.antecedent)) return false;
+  if (!IsGeneralization(a.consequent, b.consequent)) return false;
+  return a.antecedent != b.antecedent || a.consequent != b.consequent;
+}
+
+double OracleVolume(const QuantRule& rule) {
+  double v = 1.0;
+  for (const RangeItem& item : rule.antecedent) {
+    v *= static_cast<double>(item.Width());
+  }
+  for (const RangeItem& item : rule.consequent) {
+    v *= static_cast<double>(item.Width());
+  }
+  return v;
+}
+
+// The Section 4 interest flags computed straight from the definitions, with
+// no part of the evaluator: close ancestors from all pairs, the support /
+// confidence test through ExpectedSupport / ExpectedConfidence, and the
+// specialization-difference test as a linear scan over every frequent
+// itemset with BoxDifference. The tolerance matches the evaluator's, so
+// the flags must agree exactly.
+class ReferenceInterest {
+ public:
+  ReferenceInterest(const ItemCatalog& catalog,
+                    const FrequentItemsetResult& mined, double level,
+                    InterestMode mode)
+      : catalog_(catalog),
+        level_(level),
+        mode_(mode),
+        n_(static_cast<double>(catalog.num_records())) {
+    for (const FrequentItemset& f : mined.itemsets) {
+      frequent_.push_back({catalog.Decode(f.items), f.count});
+    }
   }
 
-  std::vector<bool> flags(rules.size(), true);
-  for (const auto& [key, members] : groups) {
-    std::vector<size_t> order = members;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const double va = volume(rules[a]);
-      const double vb = volume(rules[b]);
-      if (va != vb) return va > vb;
-      return a < b;
-    });
-    std::vector<size_t> interesting_so_far;
-    for (size_t index : order) {
-      std::vector<size_t> ancestors;
-      for (size_t candidate : interesting_so_far) {
-        if (rule_generalizes(rules[candidate], rules[index])) {
-          ancestors.push_back(candidate);
-        }
-      }
-      bool interesting = true;
-      for (size_t i = 0; i < ancestors.size() && interesting; ++i) {
-        bool has_closer = false;
-        for (size_t j = 0; j < ancestors.size(); ++j) {
-          if (i != j &&
-              rule_generalizes(rules[ancestors[i]], rules[ancestors[j]])) {
-            has_closer = true;
-            break;
+  std::vector<bool> Flags(const std::vector<QuantRule>& rules) const {
+    std::map<std::vector<int32_t>, std::vector<size_t>> groups;
+    for (size_t i = 0; i < rules.size(); ++i) {
+      std::vector<int32_t> key = AttributesOf(rules[i].antecedent);
+      key.push_back(-1);
+      const std::vector<int32_t> cons = AttributesOf(rules[i].consequent);
+      key.insert(key.end(), cons.begin(), cons.end());
+      groups[std::move(key)].push_back(i);
+    }
+    std::vector<bool> flags(rules.size(), true);
+    for (const auto& [key, members] : groups) {
+      // Most general first: a strict generalization has a strictly larger
+      // volume, so every ancestor is decided before its descendants.
+      std::vector<size_t> order = members;
+      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        const double va = OracleVolume(rules[a]);
+        const double vb = OracleVolume(rules[b]);
+        if (va != vb) return va > vb;
+        return a < b;
+      });
+      std::vector<size_t> interesting_so_far;
+      for (size_t index : order) {
+        std::vector<size_t> ancestors;
+        for (size_t candidate : interesting_so_far) {
+          if (OracleRuleGeneralizes(rules[candidate], rules[index])) {
+            ancestors.push_back(candidate);
           }
         }
-        if (has_closer) continue;
-        if (!evaluator.IsRuleRInterestingWrt(rules[index],
-                                             rules[ancestors[i]])) {
-          interesting = false;
+        bool interesting = true;
+        for (size_t i = 0; i < ancestors.size() && interesting; ++i) {
+          bool has_closer = false;
+          for (size_t j = 0; j < ancestors.size(); ++j) {
+            if (i != j && OracleRuleGeneralizes(rules[ancestors[i]],
+                                                rules[ancestors[j]])) {
+              has_closer = true;
+              break;
+            }
+          }
+          if (has_closer) continue;
+          if (!RuleInterestingWrt(rules[index], rules[ancestors[i]])) {
+            interesting = false;
+          }
         }
+        flags[index] = interesting;
+        if (interesting) interesting_so_far.push_back(index);
       }
-      flags[index] = interesting;
-      if (interesting) interesting_so_far.push_back(index);
     }
+    return flags;
   }
-  return flags;
+
+ private:
+  static constexpr double kEps = 1e-9;
+
+  bool RuleInterestingWrt(const QuantRule& rule,
+                          const QuantRule& ancestor) const {
+    const RangeItemset z = rule.UnionItemset();
+    const RangeItemset z_hat = ancestor.UnionItemset();
+    const bool support_ok =
+        rule.support + kEps >=
+        level_ * ExpectedSupport(z, z_hat, ancestor.support, catalog_);
+    const bool confidence_ok =
+        rule.confidence + kEps >=
+        level_ * ExpectedConfidence(rule.consequent, ancestor.consequent,
+                                    ancestor.confidence, catalog_);
+    const bool rule_ok = mode_ == InterestMode::kSupportOrConfidence
+                             ? (support_ok || confidence_ok)
+                             : (support_ok && confidence_ok);
+    return rule_ok && ItemsetInteresting(z, rule.count, z_hat,
+                                         ancestor.count);
+  }
+
+  bool ItemsetInteresting(const RangeItemset& z, uint64_t z_count,
+                          const RangeItemset& z_hat,
+                          uint64_t z_hat_count) const {
+    const double sup_z = static_cast<double>(z_count) / n_;
+    const double sup_z_hat = static_cast<double>(z_hat_count) / n_;
+    if (sup_z + kEps <
+        level_ * ExpectedSupport(z, z_hat, sup_z_hat, catalog_)) {
+      return false;
+    }
+    RangeItemset difference;
+    for (const auto& [items, count] : frequent_) {
+      if (!BoxDifference(z, items, &difference)) continue;
+      const double sup_diff = static_cast<double>(z_count - count) / n_;
+      if (sup_diff + kEps <
+          level_ * ExpectedSupport(difference, z_hat, sup_z_hat, catalog_)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const ItemCatalog& catalog_;
+  double level_;
+  InterestMode mode_;
+  double n_;
+  std::vector<std::pair<RangeItemset, uint64_t>> frequent_;
+};
+
+struct OracleCase {
+  const char* name;
+  MappedTable table;
+  double minsup;
+};
+
+std::vector<OracleCase> OracleTables() {
+  std::vector<OracleCase> cases;
+  for (uint64_t seed : {11u, 13u, 19u}) {
+    cases.push_back({"mixed", MixedTable(seed, /*num_rows=*/1000), 0.06});
+  }
+  for (uint64_t seed : {3u, 7u}) {
+    cases.push_back({"taxonomy", TaxonomyTable(seed, /*num_rows=*/1200), 0.05});
+  }
+  return cases;
 }
 
 TEST(CloseAncestorTest, DominanceFilterMatchesBruteForce) {
@@ -422,7 +538,9 @@ TEST(CloseAncestorTest, DominanceFilterMatchesBruteForce) {
       InterestEvaluator evaluator(&catalog, &mined.itemsets, level,
                                   InterestMode::kSupportOrConfidence);
       const std::vector<bool> expected =
-          BruteForceInterestFlags(evaluator, rules);
+          ReferenceInterest(catalog, mined, level,
+                            InterestMode::kSupportOrConfidence)
+              .Flags(rules);
       // Some rules must actually have close ancestors for the comparison to
       // bite; the combined quant ranges and the taxonomy guarantee that.
       EXPECT_NE(std::count(expected.begin(), expected.end(), false), 0)
@@ -435,6 +553,143 @@ TEST(CloseAncestorTest, DominanceFilterMatchesBruteForce) {
           EXPECT_EQ(got[i].interesting, expected[i])
               << "seed " << seed << " level " << level << " threads "
               << threads << " rule " << i;
+        }
+      }
+    }
+  }
+}
+
+// Every interest mode and level against the reference, on range and
+// taxonomy tables, serial and on a pool.
+TEST(InterestOracleTest, FlagsMatchReferenceEveryModeAndLevel) {
+  for (const OracleCase& c : OracleTables()) {
+    MinerOptions options;
+    options.minsup = c.minsup;
+    options.max_support = 0.7;
+    options.interest_item_prune = false;  // keep wide ranges as ancestors
+    ItemCatalog catalog = ItemCatalog::Build(c.table, options);
+    FrequentItemsetResult mined =
+        MineFrequentItemsets(c.table, catalog, options);
+    const std::vector<QuantRule> rules = GenerateQuantRules(
+        mined.itemsets, catalog, c.table.num_rows(), /*minconf=*/0.2);
+    ASSERT_FALSE(rules.empty()) << c.name;
+
+    for (InterestMode mode : {InterestMode::kSupportOrConfidence,
+                              InterestMode::kSupportAndConfidence}) {
+      for (double level : {1.05, 1.5, 3.0}) {
+        const std::vector<bool> expected =
+            ReferenceInterest(catalog, mined, level, mode).Flags(rules);
+        const size_t boring =
+            std::count(expected.begin(), expected.end(), false);
+        // Both outcomes must occur, or the comparison proves nothing.
+        EXPECT_GT(boring, 0u) << c.name << " R=" << level;
+        EXPECT_LT(boring, rules.size()) << c.name << " R=" << level;
+        InterestEvaluator evaluator(&catalog, &mined.itemsets, level, mode);
+        for (size_t threads : {1u, 4u}) {
+          std::vector<QuantRule> got = rules;
+          evaluator.EvaluateRules(&got, threads);
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].interesting, expected[i])
+                << c.name << " mode " << static_cast<int>(mode) << " R="
+                << level << " threads " << threads << " rule " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The exact rule sequence ap-genrules emits, derived by brute force:
+// frequent itemsets in generation order (by size, then lexicographically);
+// within one itemset every non-empty proper subset as a consequent, kept
+// when it passes minconf, ordered by consequent size and then
+// lexicographically by item id; count, support and confidence from the
+// mined supports.
+std::vector<QuantRule> ReferenceRules(const ItemCatalog& catalog,
+                                      const FrequentItemsetResult& mined,
+                                      size_t num_records, double minconf) {
+  std::map<std::vector<int32_t>, uint64_t> support;
+  for (const FrequentItemset& f : mined.itemsets) support[f.items] = f.count;
+  const double n = static_cast<double>(num_records);
+  std::vector<QuantRule> rules;
+  for (const FrequentItemset& f : mined.itemsets) {
+    const size_t k = f.items.size();
+    if (k < 2) continue;
+    std::vector<std::vector<int32_t>> consequents;
+    for (uint32_t mask = 1; mask + 1 < (1u << k); ++mask) {
+      std::vector<int32_t> consequent;
+      for (size_t i = 0; i < k; ++i) {
+        if (mask & (1u << i)) consequent.push_back(f.items[i]);
+      }
+      consequents.push_back(std::move(consequent));
+    }
+    std::sort(consequents.begin(), consequents.end(),
+              [](const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
+                if (a.size() != b.size()) return a.size() < b.size();
+                return a < b;
+              });
+    for (const std::vector<int32_t>& consequent : consequents) {
+      std::vector<int32_t> antecedent;
+      std::set_difference(f.items.begin(), f.items.end(), consequent.begin(),
+                          consequent.end(), std::back_inserter(antecedent));
+      const auto it = support.find(antecedent);
+      EXPECT_NE(it, support.end()) << "subset of a frequent itemset missing";
+      if (it == support.end()) continue;
+      const double confidence =
+          static_cast<double>(f.count) / static_cast<double>(it->second);
+      if (confidence + 1e-12 < minconf) continue;
+      QuantRule rule;
+      rule.antecedent = catalog.Decode(antecedent);
+      rule.consequent = catalog.Decode(consequent);
+      rule.count = f.count;
+      rule.support = static_cast<double>(f.count) / n;
+      rule.confidence = confidence;
+      rules.push_back(std::move(rule));
+    }
+  }
+  return rules;
+}
+
+TEST(RuleOrderOracleTest, GeneratedRulesMatchBruteForceOrder) {
+  for (uint64_t seed : {5u, 23u, 47u}) {
+    MappedTable table = MixedTable(seed, /*num_rows=*/1200);
+    MinerOptions options;
+    options.minsup = 0.05;
+    options.max_support = 0.7;
+    ItemCatalog catalog = ItemCatalog::Build(table, options);
+    FrequentItemsetResult mined =
+        MineFrequentItemsets(table, catalog, options);
+
+    // Generation order is by size, then lexicographic by item id.
+    std::vector<int32_t> previous;
+    size_t levels = 0;
+    for (const FrequentItemset& f : mined.itemsets) {
+      if (f.items.size() != previous.size()) {
+        ASSERT_GT(f.items.size(), previous.size()) << "seed " << seed;
+        ++levels;
+      } else {
+        ASSERT_LT(previous, f.items) << "seed " << seed;
+      }
+      previous = f.items;
+    }
+    ASSERT_GE(levels, 3u) << "seed " << seed;
+
+    for (double minconf : {0.25, 0.6}) {
+      const std::vector<QuantRule> expected = ReferenceRules(
+          catalog, mined, table.num_rows(), minconf);
+      ASSERT_FALSE(expected.empty());
+      for (size_t threads : {1u, 4u}) {
+        const std::vector<QuantRule> got = GenerateQuantRules(
+            mined.itemsets, catalog, table.num_rows(), minconf, threads);
+        ASSERT_EQ(got.size(), expected.size())
+            << "seed " << seed << " minconf " << minconf << " threads "
+            << threads;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].antecedent, expected[i].antecedent) << i;
+          EXPECT_EQ(got[i].consequent, expected[i].consequent) << i;
+          EXPECT_EQ(got[i].count, expected[i].count) << i;
+          EXPECT_EQ(got[i].support, expected[i].support) << i;
+          EXPECT_EQ(got[i].confidence, expected[i].confidence) << i;
         }
       }
     }
