@@ -245,14 +245,14 @@ int main(int argc, char** argv) {
       CountingStats stats;  // of the first rep; counters never vary
       double total, total_min, total_max;
       double scan, scan_min, scan_max;
-      double reduce, build;
+      double group, reduce, build;
     };
     std::vector<Point> points;
     std::vector<uint32_t> baseline_counts;
 
-    std::vector<int> widths = {8, 10, 12, 12, 12, 10};
-    bench::PrintRow({"threads", "total (s)", "scan (s)", "reduce (s)",
-                     "build (s)", "speedup"},
+    std::vector<int> widths = {8, 10, 12, 12, 12, 12, 10};
+    bench::PrintRow({"threads", "total (s)", "group (s)", "scan (s)",
+                     "reduce (s)", "build (s)", "speedup"},
                     widths);
     bench::PrintSeparator(widths);
 
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
       run_options.num_threads = threads;
       Point p;
       p.threads = threads;
-      std::vector<double> totals, scans, reduces, builds;
+      std::vector<double> totals, groups, scans, reduces, builds;
       for (size_t rep = 0; rep < reps; ++rep) {
         CountingStats stats;
         Timer timer;
@@ -276,6 +276,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         if (rep == 0) p.stats = stats;
+        groups.push_back(stats.group_seconds);
         scans.push_back(stats.scan_seconds);
         reduces.push_back(stats.reduce_seconds);
         builds.push_back(stats.build_seconds);
@@ -286,6 +287,7 @@ int main(int argc, char** argv) {
       p.scan = Median(scans);
       p.scan_min = *std::min_element(scans.begin(), scans.end());
       p.scan_max = *std::max_element(scans.begin(), scans.end());
+      p.group = Median(groups);
       p.reduce = Median(reduces);
       p.build = Median(builds);
       points.push_back(p);
@@ -294,8 +296,8 @@ int main(int argc, char** argv) {
       const bool speedup_meaningful = threads == 1 || hw > 1;
       bench::PrintRow(
           {StrFormat("%zu", threads), StrFormat("%.3f", p.total),
-           StrFormat("%.3f", p.scan), StrFormat("%.3f", p.reduce),
-           StrFormat("%.3f", p.build),
+           StrFormat("%.3f", p.group), StrFormat("%.3f", p.scan),
+           StrFormat("%.3f", p.reduce), StrFormat("%.3f", p.build),
            speedup_meaningful
                ? StrFormat("%.2fx", points.front().total / p.total)
                : std::string("n/a")},
@@ -321,7 +323,8 @@ int main(int argc, char** argv) {
       json += StrFormat(
           "\n      {\"threads\": %zu, \"threads_used\": %zu,"
           " \"total_seconds\": %.6f, \"total_seconds_min\": %.6f,"
-          " \"total_seconds_max\": %.6f, \"scan_seconds\": %.6f,"
+          " \"total_seconds_max\": %.6f, \"group_seconds\": %.6f,"
+          " \"scan_seconds\": %.6f,"
           " \"scan_seconds_min\": %.6f, \"scan_seconds_max\": %.6f,"
           " \"reduce_seconds\": %.6f, \"build_seconds\": %.6f,"
           " \"speedup\": %s, \"scan_rows_per_sec\": %.0f,"
@@ -330,7 +333,7 @@ int main(int argc, char** argv) {
           " \"atomic_shared_counters\": %zu, \"counter_bytes\": %llu,"
           " \"replicated_bytes\": %llu}",
           p.threads, p.stats.threads_used, p.total, p.total_min, p.total_max,
-          p.scan, p.scan_min, p.scan_max, p.reduce, p.build,
+          p.group, p.scan, p.scan_min, p.scan_max, p.reduce, p.build,
           speedup_meaningful
               ? StrFormat("%.4f", points.front().total / p.total).c_str()
               : "null",

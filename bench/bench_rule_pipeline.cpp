@@ -80,10 +80,10 @@ int main(int argc, char** argv) {
   // Like the miner, stop at the itemset-size cap: generating candidates
   // one level past it would measure work the miner never does.
   std::map<size_t, ItemsetSet> levels;
-  for (const FrequentItemset& f : frequent.itemsets) {
-    if (max_itemset_size != 0 && f.items.size() >= max_itemset_size) continue;
-    levels.try_emplace(f.items.size(), f.items.size())
-        .first->second.AppendVector(f.items);
+  for (size_t k = 1; k <= frequent.itemsets.num_levels(); ++k) {
+    if (max_itemset_size != 0 && k >= max_itemset_size) continue;
+    if (frequent.itemsets.level_size(k) == 0) continue;
+    levels.emplace(k, ItemsetSet(k, frequent.itemsets.level_ids(k)));
   }
 
   // Interest evaluator built once; its wildcard index is shared read-only

@@ -1,18 +1,18 @@
 // Shared hashing for small integer sequences. Every hashed key in QARM —
-// super-candidate group keys, itemset-support lookup keys, the interest
-// evaluator's wildcard keys — is a short vector of small int32 values
-// (attribute indices, item ids, range endpoints). Plain FNV-1a leaves the
-// *low* bits of such keys poorly mixed, and unordered_map masks the hash
-// with its bucket count, so structurally similar keys pile into a handful
-// of buckets. The fix (PR 1): finalize FNV-1a with a splitmix64-style
-// 64->64-bit mixer so short small-integer keys spread over the whole
-// size_t range. This header is the single definition of that scheme.
+// super-candidate group keys, frequent itemsets, the interest evaluator's
+// wildcard keys and rule signatures — is a short run of small int32 values
+// (attribute indices, item ids) in a PackedKeyTable
+// (common/packed_key_table.h). Plain FNV-1a leaves the *low* bits of such
+// keys poorly mixed, and the table masks the hash with its power-of-two
+// slot count, so structurally similar keys would pile into a handful of
+// slots. The fix: finalize FNV-1a with a splitmix64-style 64->64-bit mixer
+// so short small-integer keys spread over the whole 64-bit range. This
+// header is the single definition of that scheme.
 #ifndef QARM_COMMON_HASH_H_
 #define QARM_COMMON_HASH_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace qarm {
 
@@ -42,13 +42,6 @@ inline uint64_t HashInt32Words(const int32_t* data, size_t n) {
   h ^= h >> 33;
   return h;
 }
-
-// Drop-in hasher for unordered containers keyed by std::vector<int32_t>.
-struct Int32VectorHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
-    return static_cast<size_t>(HashInt32Words(v.data(), v.size()));
-  }
-};
 
 }  // namespace qarm
 

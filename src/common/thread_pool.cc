@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <exception>
 
 #include "common/macros.h"
 
@@ -33,6 +34,11 @@ struct ThreadPool::Job {
   size_t num_tasks = 0;
   std::atomic<size_t> next_task{0};
   std::atomic<size_t> pending_tasks{0};
+  // The first exception a task threw; once set, the remaining tasks are
+  // claimed and retired without running.
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::exception_ptr error;
 };
 
 ThreadPool::ThreadPool(size_t num_threads) : num_threads_(num_threads) {
@@ -56,7 +62,15 @@ void ThreadPool::RunTasks(Job* job) {
   while (true) {
     const size_t i = job->next_task.fetch_add(1, std::memory_order_relaxed);
     if (i >= job->num_tasks) break;
-    job->fn(i);
+    if (!job->failed.load(std::memory_order_relaxed)) {
+      try {
+        job->fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(job->error_mu);
+        if (job->error == nullptr) job->error = std::current_exception();
+        job->failed.store(true, std::memory_order_relaxed);
+      }
+    }
     if (job->pending_tasks.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last task done: wake the caller. Taking the lock orders the notify
       // after the caller's predicate check began.
@@ -105,6 +119,9 @@ void ThreadPool::ParallelFor(size_t num_tasks,
   done_cv_.wait(lock, [&] {
     return job->pending_tasks.load(std::memory_order_acquire) == 0;
   });
+  lock.unlock();
+  // Every task has retired, so no worker touches `error` any more.
+  if (job->error != nullptr) std::rethrow_exception(job->error);
 }
 
 }  // namespace qarm

@@ -50,8 +50,10 @@ class ThreadPool {
   size_t num_threads() const { return num_threads_; }
 
   // Runs fn(i) for every i in [0, num_tasks). Tasks are claimed dynamically
-  // (an atomic cursor), so uneven task costs still balance. `fn` must not
-  // throw.
+  // (an atomic cursor), so uneven task costs still balance. If a task
+  // throws (e.g. std::bad_alloc), the tasks not yet started are skipped and
+  // the first exception is rethrown on the caller once every task has
+  // retired — a worker's exception never reaches std::terminate.
   void ParallelFor(size_t num_tasks, const std::function<void(size_t)>& fn);
 
  private:

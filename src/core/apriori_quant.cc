@@ -66,12 +66,11 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
       result.candidate_counts.resize(result.passes.size());
     }
     const size_t last_k = result.passes.back().k;
-    frequent = ItemsetSet(last_k);
-    for (const FrequentItemset& itemset : result.itemsets) {
-      if (itemset.items.size() == last_k) {
-        frequent.AppendVector(itemset.items);
-      }
+    if (result.itemsets.num_levels() != last_k) {
+      return Status::Internal(
+          "resumed itemsets do not match the resumed passes");
     }
+    frequent = ItemsetSet(last_k, result.itemsets.level_ids(last_k));
     k = last_k + 1;
   } else {
     // L1: the frequent items themselves (their supports are known from the
@@ -79,13 +78,15 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     PassStats pass;
     pass.k = 1;
     pass.num_candidates = catalog.num_items();
+    std::vector<int32_t> ids(catalog.num_items());
+    std::vector<uint64_t> counts(catalog.num_items());
     for (size_t i = 0; i < catalog.num_items(); ++i) {
-      const int32_t id = static_cast<int32_t>(i);
-      const uint64_t count = catalog.item_count(id);
       // Items were already generated with support >= minsup.
-      result.itemsets.push_back(FrequentItemset{{id}, count});
-      frequent.AppendVector({id});
+      ids[i] = static_cast<int32_t>(i);
+      counts[i] = catalog.item_count(ids[i]);
     }
+    frequent = ItemsetSet(1, ids);
+    result.itemsets.AppendLevel(std::move(ids), std::move(counts));
     pass.num_frequent = frequent.size();
     pass.seconds = timer.ElapsedSeconds();
     result.passes.push_back(pass);
@@ -125,6 +126,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     pass.num_candidates = candidates->size();
     if (candidates->size() == 0) {
       pass.seconds = timer.ElapsedSeconds();
+      result.itemsets.AppendLevel({}, {});
       result.passes.push_back(pass);
       if (options.collect_candidate_counts) {
         result.candidate_counts.emplace_back();
@@ -142,18 +144,26 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
       return Status::Internal("support counts do not match candidate count");
     }
 
-    ItemsetSet next(k);
+    std::vector<int32_t> level_ids;
+    std::vector<uint64_t> level_counts;
     candidates->ForEachChunk([&](size_t first, const ItemsetSet& chunk) {
       for (size_t i = 0; i < chunk.size(); ++i) {
         const size_t c = first + i;
         if (counts[c] >= min_count) {
-          result.itemsets.push_back(
-              FrequentItemset{chunk.itemset_vector(i), counts[c]});
-          next.Append(chunk.itemset(i));
+          level_ids.insert(level_ids.end(), chunk.itemset(i),
+                           chunk.itemset(i) + k);
+          level_counts.push_back(counts[c]);
         }
       }
     });
-    pass.num_frequent = next.size();
+    pass.num_frequent = level_counts.size();
+    // The next frontier is this level; it is only copied out when another
+    // pass will join it.
+    const bool more_passes =
+        pass.num_frequent > 0 &&
+        (options.max_itemset_size == 0 || k + 1 <= options.max_itemset_size);
+    ItemsetSet next(k, more_passes ? level_ids : std::vector<int32_t>());
+    result.itemsets.AppendLevel(std::move(level_ids), std::move(level_counts));
     pass.seconds = timer.ElapsedSeconds();
     result.passes.push_back(pass);
     if (options.collect_candidate_counts) {

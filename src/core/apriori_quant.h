@@ -14,6 +14,7 @@
 #include "core/options.h"
 #include "core/support_counting.h"
 #include "mining/apriori.h"
+#include "mining/itemset_store.h"
 #include "partition/mapped_table.h"
 
 namespace qarm {
@@ -30,10 +31,12 @@ struct PassStats {
 
 // All frequent itemsets over item ids, plus the per-pass stats.
 struct FrequentItemsetResult {
-  // Every frequent itemset of every size; `items` holds *item ids* into the
-  // catalog (reusing the boolean FrequentItemset container so rule
-  // generation is shared with the [AS94] implementation).
-  std::vector<FrequentItemset> itemsets;
+  // Every frequent itemset of every size over *item ids* into the catalog,
+  // one flat level per completed pass in generation order (level k is
+  // pass k's frequent itemsets). Rule generation, interest and checkpoints
+  // read the level arrays directly; iterating yields FrequentItemset
+  // values.
+  FrequentItemsetStore itemsets;
   std::vector<PassStats> passes;
   // With MinerOptions::collect_candidate_counts: one vector per completed
   // pass (parallel to `passes`), holding the FULL per-candidate counts of

@@ -230,15 +230,17 @@ void ImplicitPairStream::ForEachChunk(
   ItemsetSet chunk(2);
   chunk.Reserve(std::min(chunk_rows_, total_));
   size_t first = 0;
+  size_t rows = 0;
   int32_t pair[2];
   for (size_t i = 0; i < n; ++i) {
     pair[0] = static_cast<int32_t>(i);
     for (int32_t j = partner_begin_[i]; j < static_cast<int32_t>(n); ++j) {
       pair[1] = j;
       chunk.Append(pair);
-      if (chunk.size() == chunk_rows_) {
+      if (++rows == chunk_rows_) {
         fn(first, chunk);
-        first += chunk.size();
+        first += rows;
+        rows = 0;
         chunk.Clear();
       }
     }

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/frequent_items.h"
@@ -26,6 +27,9 @@ namespace qarm {
 class ItemsetSet {
  public:
   explicit ItemsetSet(size_t k) : k_(k) {}
+  // Adopts `flat` (k ids per itemset) as the set's contents.
+  ItemsetSet(size_t k, std::vector<int32_t> flat)
+      : k_(k), flat_(std::move(flat)) {}
 
   size_t k() const { return k_; }
   size_t size() const { return k_ == 0 ? 0 : flat_.size() / k_; }

@@ -282,11 +282,17 @@ Result<ItemCatalog> ItemCatalog::Restore(const RecordSource& source,
   return catalog;
 }
 
-RangeItemset ItemCatalog::Decode(const std::vector<int32_t>& ids) const {
-  RangeItemset itemset;
-  itemset.reserve(ids.size());
-  for (int32_t id : ids) itemset.push_back(item(id));
+RangeItemset ItemCatalog::Decode(const int32_t* ids, size_t k) const {
+  RangeItemset itemset(k);
+  for (size_t i = 0; i < k; ++i) itemset[i] = item(ids[i]);
   return itemset;
+}
+
+int32_t ItemCatalog::FindItem(const RangeItem& wanted) const {
+  // Items are sorted by (attr, lo, hi), RangeItem's own order.
+  const auto it = std::lower_bound(items_.begin(), items_.end(), wanted);
+  if (it == items_.end() || !(*it == wanted)) return -1;
+  return static_cast<int32_t>(it - items_.begin());
 }
 
 uint64_t ItemCatalog::RangeCount(int32_t attr, int32_t lo, int32_t hi) const {

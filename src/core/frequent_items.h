@@ -74,7 +74,14 @@ class ItemCatalog {
   size_t num_records() const { return num_records_; }
 
   // Converts an itemset of item ids into explicit ranges.
-  RangeItemset Decode(const std::vector<int32_t>& ids) const;
+  RangeItemset Decode(const std::vector<int32_t>& ids) const {
+    return Decode(ids.data(), ids.size());
+  }
+  RangeItemset Decode(const int32_t* ids, size_t k) const;
+
+  // The id of the item with exactly `item`'s attribute and range, or -1
+  // when the catalog holds no such item.
+  int32_t FindItem(const RangeItem& item) const;
 
   // Marginal support count / fraction of an arbitrary range of `attr`
   // (mapped domain, clipped).

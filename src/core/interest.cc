@@ -1,12 +1,10 @@
 #include "core/interest.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "common/macros.h"
 #include "common/thread_pool.h"
-#include "core/expectation.h"
 
 namespace qarm {
 namespace {
@@ -17,88 +15,168 @@ constexpr double kEps = 1e-9;
 // pool; the serial path is taken regardless of num_threads.
 constexpr size_t kMinParallelRules = 64;
 
-}  // namespace
-
-std::vector<int32_t> InterestEvaluator::WildcardKey(const RangeItemset& items,
-                                                    size_t wildcard) {
-  std::vector<int32_t> key;
-  key.reserve(1 + items.size() * 3);
-  key.push_back(static_cast<int32_t>(wildcard));
-  for (size_t i = 0; i < items.size(); ++i) {
-    key.push_back(items[i].attr);
-    if (i == wildcard) {
-      key.push_back(-1);
-      key.push_back(-1);
-    } else {
-      key.push_back(items[i].lo);
-      key.push_back(items[i].hi);
-    }
+// Packs attribute-sorted `items` as attributes, catalog ids (-1 for ranges
+// that are no item) and (lo, hi) bounds.
+void PackItems(const ItemCatalog& catalog, const RangeItemset& items,
+               std::vector<int32_t>* attrs, std::vector<int32_t>* ids,
+               std::vector<int32_t>* bounds) {
+  for (const RangeItem& item : items) {
+    attrs->push_back(item.attr);
+    ids->push_back(catalog.FindItem(item));
+    bounds->push_back(item.lo);
+    bounds->push_back(item.hi);
   }
-  return key;
 }
 
-InterestEvaluator::InterestEvaluator(
-    const ItemCatalog* catalog, const std::vector<FrequentItemset>* frequent,
-    double interest_level, InterestMode mode)
+// Counting sort of entries e = 0 .. key_of.size() - 1 by key_of[e]: key
+// g's entries, ascending, are members[offsets[g] .. offsets[g + 1]), each
+// stored as e / stride.
+void GroupByKey(const std::vector<uint32_t>& key_of, size_t num_keys,
+                size_t stride, std::vector<uint32_t>* offsets,
+                std::vector<uint32_t>* members) {
+  offsets->assign(num_keys + 1, 0);
+  for (uint32_t key : key_of) ++(*offsets)[key + 1];
+  std::partial_sum(offsets->begin(), offsets->end(), offsets->begin());
+  std::vector<uint32_t> cursor(offsets->begin(), offsets->end() - 1);
+  members->resize(key_of.size());
+  for (size_t e = 0; e < key_of.size(); ++e) {
+    (*members)[cursor[key_of[e]]++] = static_cast<uint32_t>(e / stride);
+  }
+}
+
+}  // namespace
+
+InterestEvaluator::InterestEvaluator(const ItemCatalog* catalog,
+                                     const FrequentItemsetStore* frequent,
+                                     double interest_level, InterestMode mode)
     : catalog_(catalog),
+      frequent_(frequent),
       level_(interest_level),
       mode_(mode),
       num_records_(catalog->num_records()) {
   if (level_ <= 0.0) return;  // evaluator is a no-op: skip indexing
-  decoded_.reserve(frequent->size());
-  for (const FrequentItemset& f : *frequent) {
-    DecodedItemset d;
-    d.items = catalog_->Decode(f.items);
-    d.count = f.count;
-    decoded_.push_back(std::move(d));
-  }
-  for (size_t i = 0; i < decoded_.size(); ++i) {
-    const RangeItemset& items = decoded_[i].items;
-    for (size_t p = 0; p < items.size(); ++p) {
-      by_wildcard_[WildcardKey(items, p)].push_back(i);
+  wildcard_.resize(frequent_->num_levels() + 1);
+  std::vector<int32_t> key;
+  for (size_t k = 1; k <= frequent_->num_levels(); ++k) {
+    const size_t n = frequent_->level_size(k);
+    if (n == 0) continue;
+    WildcardLevel& index = wildcard_[k];
+    index.keys = PackedKeyTable(k);
+    // Entry e = i * k + p: itemset i with position p wildcarded.
+    std::vector<uint32_t> key_of(n * k);
+    key.resize(k);
+    for (size_t i = 0; i < n; ++i) {
+      const int32_t* ids = frequent_->ids(k, i);
+      for (size_t p = 0; p < k; ++p) {
+        std::copy(ids, ids + k, key.begin());
+        key[p] = ~catalog_->item(ids[p]).attr;
+        key_of[i * k + p] = index.keys.Insert(key.data()).first;
+      }
     }
+    GroupByKey(key_of, index.keys.size(), k, &index.offsets,
+               &index.members);
   }
 }
 
-bool InterestEvaluator::IsItemsetRInteresting(const RangeItemset& z,
-                                              uint64_t z_count,
-                                              const RangeItemset& z_hat,
-                                              uint64_t z_hat_count) const {
+double InterestEvaluator::MarginalRatio(const Shape& shape,
+                                        const uint32_t* positions,
+                                        size_t num_positions, Packed z,
+                                        Packed z_hat, size_t replaced,
+                                        int32_t lo, int32_t hi) const {
+  double ratio = 1.0;
+  for (size_t t = 0; t < num_positions; ++t) {
+    const size_t i = positions != nullptr ? positions[t] : t;
+    const int32_t attr = shape.attrs[i];
+    const double numer =
+        i == replaced ? catalog_->RangeSupport(attr, lo, hi)
+                      : catalog_->RangeSupport(attr, z.bounds[2 * i],
+                                               z.bounds[2 * i + 1]);
+    const double denom = catalog_->RangeSupport(attr, z_hat.bounds[2 * i],
+                                                z_hat.bounds[2 * i + 1]);
+    if (denom <= 0.0) return 0.0;  // empty generalization: no expectation
+    ratio *= numer / denom;
+  }
+  return ratio;
+}
+
+bool InterestEvaluator::ItemsetRInteresting(const Shape& shape, Packed z,
+                                            uint64_t z_count, Packed z_hat,
+                                            uint64_t z_hat_count) const {
+  const size_t w = shape.w;
   const double n = static_cast<double>(num_records_);
   const double sup_z = static_cast<double>(z_count) / n;
   const double sup_z_hat = static_cast<double>(z_hat_count) / n;
-
-  if (sup_z + kEps < level_ * ExpectedSupport(z, z_hat, sup_z_hat, *catalog_)) {
-    return false;
-  }
+  const double expected =
+      MarginalRatio(shape, nullptr, w, z, z_hat) * sup_z_hat;
+  if (sup_z + kEps < level_ * expected) return false;
 
   // Specialization-difference test: frequent specializations of z whose
-  // difference is a box differ from z in exactly one position, so the
-  // wildcard index yields all candidates in O(|z|) lookups.
-  RangeItemset difference;
-  for (size_t p = 0; p < z.size(); ++p) {
-    auto it = by_wildcard_.find(WildcardKey(z, p));
-    if (it == by_wildcard_.end()) continue;
-    for (size_t index : it->second) {
-      const DecodedItemset& spec = decoded_[index];
-      if (!BoxDifference(z, spec.items, &difference)) continue;
-      QARM_CHECK_GE(z_count, spec.count);
-      const double sup_diff = static_cast<double>(z_count - spec.count) / n;
-      const double expected =
-          ExpectedSupport(difference, z_hat, sup_z_hat, *catalog_);
-      if (sup_diff + kEps < level_ * expected) return false;
+  // difference is a box differ from z in exactly one position p, so they
+  // all sit under z's key wildcarded at p.
+  if (w >= wildcard_.size() || wildcard_[w].keys.empty()) return true;
+  const WildcardLevel& index = wildcard_[w];
+  constexpr size_t kInlineWidth = 16;
+  int32_t inline_key[kInlineWidth];
+  std::vector<int32_t> heap_key;
+  int32_t* key = inline_key;
+  if (w > kInlineWidth) {
+    heap_key.resize(w);
+    key = heap_key.data();
+  }
+  for (size_t p = 0; p < w; ++p) {
+    bool keyed = true;
+    for (size_t q = 0; q < w && keyed; ++q) {
+      key[q] = q == p ? ~shape.attrs[p] : z.ids[q];
+      keyed = q == p || z.ids[q] >= 0;  // a non-item range has no match
+    }
+    if (!keyed) continue;
+    const uint32_t slot = index.keys.Find(key);
+    if (slot == PackedKeyTable::kNotFound) continue;
+    const int32_t z_lo = z.bounds[2 * p];
+    const int32_t z_hi = z.bounds[2 * p + 1];
+    for (uint32_t e = index.offsets[slot]; e < index.offsets[slot + 1];
+         ++e) {
+      const uint32_t spec = index.members[e];
+      const RangeItem& inner = catalog_->item(frequent_->ids(w, spec)[p]);
+      // z must strictly generalize the specialization at p (everywhere
+      // else the two are equal), leaving an upper or lower piece.
+      if (inner.lo < z_lo || inner.hi > z_hi) continue;
+      int32_t lo;
+      int32_t hi;
+      if (inner.lo == z_lo && inner.hi == z_hi) {
+        continue;  // z itself
+      } else if (inner.lo == z_lo) {
+        lo = inner.hi + 1;
+        hi = z_hi;
+      } else if (inner.hi == z_hi) {
+        lo = z_lo;
+        hi = inner.lo - 1;
+      } else {
+        continue;  // interior sub-range: the difference is two boxes
+      }
+      const uint64_t spec_count = frequent_->count(w, spec);
+      QARM_CHECK_GE(z_count, spec_count);
+      const double sup_diff = static_cast<double>(z_count - spec_count) / n;
+      const double diff_expected =
+          MarginalRatio(shape, nullptr, w, z, z_hat, p, lo, hi) * sup_z_hat;
+      if (sup_diff + kEps < level_ * diff_expected) return false;
     }
   }
   return true;
 }
 
-bool InterestEvaluator::IsRuleRInterestingWrt(const QuantRule& rule,
-                                              const QuantRule& ancestor) const {
-  const double expected_support = ExpectedSupport(
-      rule.UnionItemset(), ancestor.UnionItemset(), ancestor.support,
-      *catalog_);
-  const double expected_confidence = ExpectedConfidence(
-      rule.consequent, ancestor.consequent, ancestor.confidence, *catalog_);
+bool InterestEvaluator::RuleRInterestingWrt(const Shape& shape,
+                                            Packed rule_items,
+                                            const QuantRule& rule,
+                                            Packed ancestor_items,
+                                            const QuantRule& ancestor) const {
+  const double expected_support =
+      MarginalRatio(shape, nullptr, shape.w, rule_items, ancestor_items) *
+      ancestor.support;
+  const double expected_confidence =
+      MarginalRatio(shape, shape.cons_pos, shape.num_cons, rule_items,
+                    ancestor_items) *
+      ancestor.confidence;
   const bool support_ok = rule.support + kEps >= level_ * expected_support;
   const bool confidence_ok =
       rule.confidence + kEps >= level_ * expected_confidence;
@@ -106,8 +184,42 @@ bool InterestEvaluator::IsRuleRInterestingWrt(const QuantRule& rule,
                            ? (support_ok || confidence_ok)
                            : (support_ok && confidence_ok);
   if (!rule_ok) return false;
-  return IsItemsetRInteresting(rule.UnionItemset(), rule.count,
-                               ancestor.UnionItemset(), ancestor.count);
+  return ItemsetRInteresting(shape, rule_items, rule.count, ancestor_items,
+                             ancestor.count);
+}
+
+bool InterestEvaluator::IsItemsetRInteresting(const RangeItemset& z,
+                                              uint64_t z_count,
+                                              const RangeItemset& z_hat,
+                                              uint64_t z_hat_count) const {
+  QARM_CHECK_EQ(z.size(), z_hat.size());
+  std::vector<int32_t> attrs, z_ids, z_bounds, hat_attrs, hat_ids, hat_bounds;
+  PackItems(*catalog_, z, &attrs, &z_ids, &z_bounds);
+  PackItems(*catalog_, z_hat, &hat_attrs, &hat_ids, &hat_bounds);
+  QARM_CHECK(attrs == hat_attrs);
+  const Shape shape{attrs.data(), attrs.size(), nullptr, 0};
+  return ItemsetRInteresting(shape, {z_ids.data(), z_bounds.data()}, z_count,
+                             {hat_ids.data(), hat_bounds.data()},
+                             z_hat_count);
+}
+
+bool InterestEvaluator::IsRuleRInterestingWrt(const QuantRule& rule,
+                                              const QuantRule& ancestor) const {
+  std::vector<int32_t> attrs, ids, bounds, hat_attrs, hat_ids, hat_bounds;
+  PackItems(*catalog_, rule.UnionItemset(), &attrs, &ids, &bounds);
+  PackItems(*catalog_, ancestor.UnionItemset(), &hat_attrs, &hat_ids,
+            &hat_bounds);
+  QARM_CHECK(attrs == hat_attrs);
+  std::vector<uint32_t> cons_pos;
+  for (const RangeItem& item : rule.consequent) {
+    cons_pos.push_back(static_cast<uint32_t>(
+        std::lower_bound(attrs.begin(), attrs.end(), item.attr) -
+        attrs.begin()));
+  }
+  const Shape shape{attrs.data(), attrs.size(), cons_pos.data(),
+                    cons_pos.size()};
+  return RuleRInterestingWrt(shape, {ids.data(), bounds.data()}, rule,
+                             {hat_ids.data(), hat_bounds.data()}, ancestor);
 }
 
 void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
@@ -120,51 +232,112 @@ void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
   }
 
   // Group rules by (antecedent attributes, consequent attributes): ancestors
-  // must match the attribute split exactly. Ordered map so the grouping is
-  // deterministic; the groups are fully independent afterwards.
-  std::map<std::vector<int32_t>, std::vector<size_t>> groups;
-  for (size_t i = 0; i < rules->size(); ++i) {
-    std::vector<int32_t> key = AttributesOf((*rules)[i].antecedent);
-    key.push_back(-1);
-    const std::vector<int32_t> cons = AttributesOf((*rules)[i].consequent);
-    key.insert(key.end(), cons.begin(), cons.end());
-    groups[std::move(key)].push_back(i);
+  // must match the attribute split exactly. The packed signature is the
+  // antecedent's attributes, -1, the consequent's, padded with -2 to the
+  // widest rule; members are listed in rule order. The groups are fully
+  // independent afterwards.
+  size_t max_width = 0;
+  for (const QuantRule& rule : *rules) {
+    max_width =
+        std::max(max_width, rule.antecedent.size() + rule.consequent.size());
   }
-
-  auto rule_generalizes = [](const QuantRule& a, const QuantRule& b) {
-    // a is a strict generalization of b (as a rule).
-    if (!IsGeneralization(a.antecedent, b.antecedent)) return false;
-    if (!IsGeneralization(a.consequent, b.consequent)) return false;
-    return a.antecedent != b.antecedent || a.consequent != b.consequent;
-  };
-
-  // Total covered volume (product of range widths, both sides): a strict
-  // generalization always has strictly larger volume, so descending volume
-  // is a topological order over the generalization DAG.
-  auto volume = [](const QuantRule& rule) {
-    double v = 1.0;
-    for (const RangeItem& item : rule.antecedent) {
-      v *= static_cast<double>(item.Width());
-    }
-    for (const RangeItem& item : rule.consequent) {
-      v *= static_cast<double>(item.Width());
-    }
-    return v;
-  };
+  PackedKeyTable signatures(max_width + 1);
+  std::vector<int32_t> signature(max_width + 1);
+  std::vector<uint32_t> group_of(rules->size());
+  for (size_t i = 0; i < rules->size(); ++i) {
+    const QuantRule& rule = (*rules)[i];
+    size_t w = 0;
+    for (const RangeItem& item : rule.antecedent) signature[w++] = item.attr;
+    signature[w++] = -1;
+    for (const RangeItem& item : rule.consequent) signature[w++] = item.attr;
+    std::fill(signature.begin() + static_cast<std::ptrdiff_t>(w),
+              signature.end(), -2);
+    group_of[i] = signatures.Insert(signature.data()).first;
+  }
+  const size_t num_groups = signatures.size();
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> members;
+  GroupByKey(group_of, num_groups, 1, &offsets, &members);
 
   // Evaluates one group start to finish. Writes only its own members'
   // `interesting` flags, reads only its own members and the evaluator's
   // immutable state — groups never touch each other, so any schedule
   // produces identical flags.
-  auto evaluate_group = [&](const std::vector<size_t>& members) {
-    std::vector<size_t> order = members;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const double va = volume((*rules)[a]);
-      const double vb = volume((*rules)[b]);
-      // Index tie-break: equal-volume rules are never mutually ancestral
-      // (a strict generalization has strictly larger volume), so the tie
-      // order cannot change any flag — it only pins the schedule.
-      if (va != vb) return va > vb;
+  auto evaluate_group = [&](size_t g) {
+    const uint32_t* member = members.data() + offsets[g];
+    const size_t count = offsets[g + 1] - offsets[g];
+    const QuantRule& first = (*rules)[member[0]];
+    const size_t na = first.antecedent.size();
+    const size_t w = na + first.consequent.size();
+
+    // The union X ∪ Y in attribute order, shared by the group: source[j]
+    // indexes position j's item in antecedent-then-consequent order.
+    std::vector<int32_t> attrs;
+    std::vector<uint32_t> source;
+    std::vector<uint32_t> cons_pos;
+    for (size_t a = 0, c = 0; a + c < w;) {
+      const bool from_antecedent =
+          c == first.consequent.size() ||
+          (a < na && first.antecedent[a].attr < first.consequent[c].attr);
+      if (from_antecedent) {
+        attrs.push_back(first.antecedent[a].attr);
+        source.push_back(static_cast<uint32_t>(a++));
+      } else {
+        cons_pos.push_back(static_cast<uint32_t>(attrs.size()));
+        attrs.push_back(first.consequent[c].attr);
+        source.push_back(static_cast<uint32_t>(na + c++));
+      }
+    }
+    const Shape shape{attrs.data(), w, cons_pos.data(), cons_pos.size()};
+
+    // Members packed: catalog ids and (lo, hi) bounds in union order, and
+    // the covered volume (product of range widths, both sides).
+    std::vector<int32_t> ids(count * w);
+    std::vector<int32_t> bounds(count * w * 2);
+    std::vector<double> volume(count);
+    for (size_t m = 0; m < count; ++m) {
+      const QuantRule& rule = (*rules)[member[m]];
+      for (size_t j = 0; j < w; ++j) {
+        const RangeItem& item = source[j] < na
+                                    ? rule.antecedent[source[j]]
+                                    : rule.consequent[source[j] - na];
+        ids[m * w + j] = catalog_->FindItem(item);
+        bounds[(m * w + j) * 2] = item.lo;
+        bounds[(m * w + j) * 2 + 1] = item.hi;
+      }
+      double v = 1.0;
+      for (const RangeItem& item : rule.antecedent) {
+        v *= static_cast<double>(item.Width());
+      }
+      for (const RangeItem& item : rule.consequent) {
+        v *= static_cast<double>(item.Width());
+      }
+      volume[m] = v;
+    }
+    auto packed = [&](size_t m) -> Packed {
+      return {ids.data() + m * w, bounds.data() + m * w * 2};
+    };
+    // a strictly generalizes b (as a rule): every range of a contains b's
+    // at the same position, and some range differs.
+    auto generalizes = [&](size_t a, size_t b) {
+      const int32_t* ba = bounds.data() + a * w * 2;
+      const int32_t* bb = bounds.data() + b * w * 2;
+      bool differs = false;
+      for (size_t t = 0; t < 2 * w; t += 2) {
+        if (ba[t] > bb[t] || bb[t + 1] > ba[t + 1]) return false;
+        differs |= ba[t] != bb[t] || ba[t + 1] != bb[t + 1];
+      }
+      return differs;
+    };
+
+    // A strict generalization always has strictly larger volume, so
+    // descending volume is a topological order over the generalization DAG.
+    // Index tie-break: equal-volume rules are never mutually ancestral, so
+    // the tie order cannot change any flag — it only pins the schedule.
+    std::vector<uint32_t> order(count);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      if (volume[a] != volume[b]) return volume[a] > volume[b];
       return a < b;
     });
 
@@ -172,16 +345,13 @@ void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
     // no ancestors is interesting by definition, and a rule whose ancestors
     // are all uninteresting passes vacuously (its close interesting
     // ancestor set is empty). So uninteresting rules never need indexing.
-    std::vector<size_t> interesting_so_far;  // global indices, volume desc
-    std::vector<size_t> ancestors;           // scratch, volume desc
-    std::vector<size_t> close;               // scratch, volume asc
-    for (size_t index : order) {
-      QuantRule& rule = (*rules)[index];
+    std::vector<uint32_t> interesting_so_far;  // members, volume desc
+    std::vector<uint32_t> ancestors;           // scratch, volume desc
+    std::vector<uint32_t> close;               // scratch, volume asc
+    for (uint32_t m : order) {
       ancestors.clear();
-      for (size_t candidate : interesting_so_far) {
-        if (rule_generalizes((*rules)[candidate], rule)) {
-          ancestors.push_back(candidate);
-        }
+      for (uint32_t candidate : interesting_so_far) {
+        if (generalizes(candidate, m)) ancestors.push_back(candidate);
       }
       // Close = most specialized: the minimal elements of the ancestor set
       // under the generalization order. Sweep ancestors by *ascending*
@@ -192,32 +362,36 @@ void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
       // closer ancestor that disqualified B). This replaces the all-pairs
       // O(|ancestors|²) scan with O(|ancestors| · |close|), and |close| is
       // small (mutually incomparable rules over the same attributes).
+      const QuantRule& rule = (*rules)[member[m]];
       bool interesting = true;
       close.clear();
       for (size_t a = ancestors.size(); a-- > 0 && interesting;) {
-        const QuantRule& ancestor = (*rules)[ancestors[a]];
         bool dominated = false;
-        for (size_t c : close) {
-          if (rule_generalizes(ancestor, (*rules)[c])) {
+        for (uint32_t c : close) {
+          if (generalizes(ancestors[a], c)) {
             dominated = true;
             break;
           }
         }
         if (dominated) continue;  // not a close ancestor
         close.push_back(ancestors[a]);
-        if (!IsRuleRInterestingWrt(rule, ancestor)) interesting = false;
+        if (!RuleRInterestingWrt(shape, packed(m), rule,
+                                 packed(ancestors[a]),
+                                 (*rules)[member[ancestors[a]]])) {
+          interesting = false;
+        }
       }
-      rule.interesting = interesting;
-      if (interesting) interesting_so_far.push_back(index);
+      (*rules)[member[m]].interesting = interesting;
+      if (interesting) interesting_so_far.push_back(m);
     }
   };
 
   const size_t threads = rules->size() >= kMinParallelRules
                              ? std::min(ResolveNumThreads(num_threads),
-                                        groups.size())
+                                        num_groups)
                              : 1;
   if (threads <= 1) {
-    for (const auto& [key, members] : groups) evaluate_group(members);
+    for (size_t g = 0; g < num_groups; ++g) evaluate_group(g);
     return;
   }
   if (threads_used != nullptr) *threads_used = threads;
@@ -225,17 +399,16 @@ void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
   // One task per group, biggest first: group costs are quadratic in member
   // count, so starting the heavy ones early lets the pool's dynamic task
   // claiming backfill the small ones behind them.
-  std::vector<const std::vector<size_t>*> group_list;
-  group_list.reserve(groups.size());
-  for (const auto& [key, members] : groups) group_list.push_back(&members);
+  std::vector<uint32_t> group_list(num_groups);
+  std::iota(group_list.begin(), group_list.end(), 0u);
   std::stable_sort(group_list.begin(), group_list.end(),
-                   [](const std::vector<size_t>* a,
-                      const std::vector<size_t>* b) {
-                     return a->size() > b->size();
+                   [&](uint32_t a, uint32_t b) {
+                     return offsets[a + 1] - offsets[a] >
+                            offsets[b + 1] - offsets[b];
                    });
   ThreadPool pool(threads);
   pool.ParallelFor(group_list.size(),
-                   [&](size_t g) { evaluate_group(*group_list[g]); });
+                   [&](size_t i) { evaluate_group(group_list[i]); });
 }
 
 }  // namespace qarm

@@ -14,15 +14,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/packed_key_table.h"
 #include "core/frequent_items.h"
 #include "core/item.h"
 #include "core/options.h"
 #include "core/rules.h"
-#include "mining/apriori.h"
+#include "mining/itemset_store.h"
 
 namespace qarm {
 
@@ -34,7 +33,7 @@ class InterestEvaluator {
   // `catalog` and `frequent` must outlive the evaluator. `frequent` holds
   // item-id itemsets as produced by MineFrequentItemsets.
   InterestEvaluator(const ItemCatalog* catalog,
-                    const std::vector<FrequentItemset>* frequent,
+                    const FrequentItemsetStore* frequent,
                     double interest_level, InterestMode mode);
 
   // Sets rule.interesting on every rule: most-general rules first, each rule
@@ -44,11 +43,10 @@ class InterestEvaluator {
   // attributes) group — an ancestor must match the attribute split exactly —
   // so with `num_threads > 1` (0 = all hardware cores) the groups are
   // evaluated concurrently on a worker pool. Every worker reads the same
-  // precomputed wildcard index (built once at construction, immutable
-  // thereafter) and writes flags only for its own group's rules, so the
-  // flags are identical at any thread count. `threads_used`, when non-null,
-  // receives the parallelism actually applied (1 when there was nothing to
-  // shard).
+  // wildcard index (built once at construction, immutable thereafter) and
+  // writes flags only for its own group's rules, so the flags are identical
+  // at any thread count. `threads_used`, when non-null, receives the
+  // parallelism actually applied (1 when there was nothing to shard).
   void EvaluateRules(std::vector<QuantRule>* rules, size_t num_threads = 1,
                      size_t* threads_used = nullptr) const;
 
@@ -65,31 +63,55 @@ class InterestEvaluator {
                              const QuantRule& ancestor) const;
 
  private:
-  // Serializes an itemset with the range at position `wildcard` masked out;
-  // two itemsets share a key iff they are identical except at that position.
-  static std::vector<int32_t> WildcardKey(const RangeItemset& items,
-                                          size_t wildcard);
+  // An itemset of w items in attribute order, packed: `ids` holds catalog
+  // item ids (-1 for a range that is no catalog item) and `bounds` the
+  // (lo, hi) pairs.
+  struct Packed {
+    const int32_t* ids;
+    const int32_t* bounds;
+  };
+  // What the rules of one attribute-split group share: the union's
+  // attributes (w of them) and the union positions of the consequent.
+  struct Shape {
+    const int32_t* attrs;
+    size_t w;
+    const uint32_t* cons_pos;
+    size_t num_cons;
+  };
+
+  // Π Pr(z_i)/Pr(ẑ_i) over `positions` — the product of expectation.cc,
+  // factor for factor. Position `replaced` (or none, when >= w) takes the
+  // range [lo, hi] instead of z's.
+  double MarginalRatio(const Shape& shape, const uint32_t* positions,
+                       size_t num_positions, Packed z, Packed z_hat,
+                       size_t replaced = ~size_t{0}, int32_t lo = 0,
+                       int32_t hi = 0) const;
+  bool ItemsetRInteresting(const Shape& shape, Packed z, uint64_t z_count,
+                           Packed z_hat, uint64_t z_hat_count) const;
+  bool RuleRInterestingWrt(const Shape& shape, Packed rule_items,
+                           const QuantRule& rule, Packed ancestor_items,
+                           const QuantRule& ancestor) const;
 
   const ItemCatalog* catalog_;
+  const FrequentItemsetStore* frequent_;
   double level_;
   InterestMode mode_;
   size_t num_records_;
 
-  struct DecodedItemset {
-    RangeItemset items;
-    uint64_t count;
+  // The specialization-difference test only involves frequent
+  // specializations differing from z in exactly one attribute (otherwise
+  // the difference is not a box). Per frequent level k, every itemset is
+  // entered once per position p under its ids with ids[p] replaced by
+  // ~attr(ids[p]) — so two itemsets share a key iff they are identical
+  // except in the range at p. `members[offsets[key] .. offsets[key + 1])`
+  // lists the level indices under each key. Built once at construction;
+  // EvaluateRules workers share it read-only.
+  struct WildcardLevel {
+    PackedKeyTable keys;
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> members;
   };
-  std::vector<DecodedItemset> decoded_;
-  // For each frequent itemset and each item position, an entry keyed by the
-  // itemset-with-that-position-wildcarded. The specialization-difference
-  // test only involves specializations differing in exactly one attribute
-  // (otherwise the difference is not a box), so this index answers it in
-  // O(items) lookups. Built once at construction; EvaluateRules workers
-  // share it read-only. Hash: the unified FNV-1a+splitmix64 of
-  // common/hash.h (shared with the counting pass's GroupKeyHash).
-  std::unordered_map<std::vector<int32_t>, std::vector<size_t>,
-                     Int32VectorHash>
-      by_wildcard_;
+  std::vector<WildcardLevel> wildcard_;  // index k; index 0 unused
 };
 
 }  // namespace qarm

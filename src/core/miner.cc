@@ -331,25 +331,26 @@ Status QuantitativeRuleMiner::MineWithSource(const RecordSource& base_source,
 
   // Decode the frequent itemsets for the caller. Each decode is independent
   // and index-addressed, so sharding the range cannot change the output.
-  result->frequent_itemsets.resize(frequent.itemsets.size());
+  const FrequentItemsetStore& store = frequent.itemsets;
+  result->frequent_itemsets.resize(store.size());
   const double n = static_cast<double>(num_rows);
   auto decode_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      const FrequentItemset& f = frequent.itemsets[i];
+      const FrequentItemsetStore::Ref f = store.at(i);
       FrequentRangeItemset& decoded = result->frequent_itemsets[i];
-      decoded.items = catalog->Decode(f.items);
+      decoded.items = catalog->Decode(f.ids, f.k);
       decoded.count = f.count;
       decoded.support = n > 0 ? static_cast<double>(f.count) / n : 0.0;
     }
   };
   constexpr size_t kMinParallelDecodes = 512;
   const size_t decode_threads =
-      frequent.itemsets.size() >= kMinParallelDecodes ? stats.num_threads : 1;
+      store.size() >= kMinParallelDecodes ? stats.num_threads : 1;
   if (decode_threads <= 1) {
-    decode_range(0, frequent.itemsets.size());
+    decode_range(0, store.size());
   } else {
     const std::vector<IndexRange> shards =
-        SplitRange(frequent.itemsets.size(), decode_threads);
+        SplitRange(store.size(), decode_threads);
     ThreadPool pool(decode_threads);
     pool.ParallelFor(shards.size(), [&](size_t s) {
       decode_range(shards[s].begin, shards[s].end);

@@ -83,23 +83,19 @@ CheckpointState BuildCheckpointState(uint64_t fingerprint,
   state.num_attributes = static_cast<uint32_t>(source.num_attributes());
   state.catalog = catalog.Snapshot();
 
+  // Level k of the store is pass k's frequent itemsets, flat and in
+  // generation order — the checkpoint's own layout, so each pass is a copy
+  // of the level arrays.
+  QARM_CHECK_EQ(progress.itemsets.num_levels(), progress.passes.size());
   state.passes.reserve(progress.passes.size());
-  for (const PassStats& pass : progress.passes) {
+  for (size_t p = 0; p < progress.passes.size(); ++p) {
     CheckpointPass saved;
-    saved.k = static_cast<uint32_t>(pass.k);
-    saved.num_candidates = pass.num_candidates;
+    saved.k = static_cast<uint32_t>(progress.passes[p].k);
+    QARM_CHECK_EQ(saved.k, p + 1);
+    saved.num_candidates = progress.passes[p].num_candidates;
+    saved.itemsets = progress.itemsets.level_ids(p + 1);
+    saved.counts = progress.itemsets.level_counts(p + 1);
     state.passes.push_back(std::move(saved));
-  }
-  // Itemsets are stored grouped by level in generation order — the order
-  // the resumed run's frontier must preserve.
-  for (const FrequentItemset& itemset : progress.itemsets) {
-    const size_t k = itemset.items.size();
-    QARM_CHECK_GE(k, 1u);
-    QARM_CHECK_LE(k, state.passes.size());
-    CheckpointPass& saved = state.passes[k - 1];
-    saved.itemsets.insert(saved.itemsets.end(), itemset.items.begin(),
-                          itemset.items.end());
-    saved.counts.push_back(itemset.count);
   }
   // Full per-candidate counts (collect_candidate_counts) travel with the
   // pass they belong to; absent or mismatched vectors are simply not
@@ -119,7 +115,7 @@ CheckpointState BuildCheckpointState(uint64_t fingerprint,
 Status RestoreCheckpointProgress(const CheckpointState& state,
                                  const ItemCatalog& catalog,
                                  FrequentItemsetResult* progress) {
-  progress->itemsets.clear();
+  progress->itemsets = FrequentItemsetStore();
   progress->passes.clear();
   progress->candidate_counts.clear();
   if (state.passes.empty()) {
@@ -149,13 +145,7 @@ Status RestoreCheckpointProgress(const CheckpointState& state,
     pass.num_frequent = saved.counts.size();
     progress->passes.push_back(pass);
     progress->candidate_counts.push_back(saved.candidate_counts);
-    for (size_t i = 0; i < saved.counts.size(); ++i) {
-      FrequentItemset itemset;
-      itemset.items.assign(saved.itemsets.begin() + i * saved.k,
-                           saved.itemsets.begin() + (i + 1) * saved.k);
-      itemset.count = saved.counts[i];
-      progress->itemsets.push_back(std::move(itemset));
-    }
+    progress->itemsets.AppendLevel(saved.itemsets, saved.counts);
   }
   return Status::OK();
 }

@@ -29,13 +29,13 @@ struct QuantRule {
 };
 
 // Generates all rules with confidence >= minconf from the frequent itemsets
-// (reusing ap-genrules over item ids) and decodes them into ranges. With
-// `num_threads > 1` (0 = all hardware cores) both the per-itemset rule
-// generation and the range decode fan out across a worker pool; the rules
+// (ap-genrules over the store's item ids, mining/rulegen.h), decoding each
+// rule into ranges as it is emitted. With `num_threads > 1` (0 = all
+// hardware cores) itemset chunks fan out across a worker pool; the rules
 // are identical, in the same order, at any thread count. `threads_used`,
 // when non-null, receives the parallelism actually applied.
 std::vector<QuantRule> GenerateQuantRules(
-    const std::vector<FrequentItemset>& itemsets, const ItemCatalog& catalog,
+    const FrequentItemsetStore& itemsets, const ItemCatalog& catalog,
     size_t num_records, double minconf, size_t num_threads = 1,
     size_t* threads_used = nullptr);
 

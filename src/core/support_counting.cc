@@ -4,13 +4,12 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/cpu_dispatch.h"
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/macros.h"
+#include "common/packed_key_table.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/count_kernels.h"
@@ -23,7 +22,11 @@ namespace {
 struct SuperCandidate {
   std::vector<int32_t> cat_item_ids;  // sorted item ids (categorical part)
   std::vector<int32_t> quant_attrs;   // sorted attribute indices
-  std::vector<uint32_t> members;      // candidate indices
+  // Member candidates as runs [first, second) of consecutive candidate
+  // indices, in candidate order: pass 2's implicit pairs arrive in long
+  // same-group runs, so a run costs one pair instead of one id per member.
+  std::vector<std::pair<uint32_t, uint32_t>> runs;
+  size_t num_members = 0;
   std::unique_ptr<NDimArray> array;
   std::unique_ptr<RStarTree> tree;
   // Parallel to members; used by both the tree mode and the degraded
@@ -66,14 +69,17 @@ struct WorkerCounters {
   std::vector<uint64_t> direct;                     // per group
 };
 
-}  // namespace
-
-size_t GroupKeyHash::operator()(const std::vector<int32_t>& v) const {
-  // The shared FNV-1a+splitmix64 of common/hash.h; the finalizer matters
-  // here because short keys of small integers (attr indices, item ids)
-  // collide structurally under an unordered_map's bucket mask otherwise.
-  return static_cast<size_t>(HashInt32Words(v.data(), v.size()));
+// Calls fn(m, c) for every member m of `sc` with candidate index c, in
+// member order.
+template <typename Fn>
+void ForEachMember(const SuperCandidate& sc, Fn fn) {
+  size_t m = 0;
+  for (const auto& [first, end] : sc.runs) {
+    for (uint32_t c = first; c < end; ++c) fn(m++, c);
+  }
 }
+
+}  // namespace
 
 std::vector<uint32_t> CountSupports(const MappedTable& table,
                                     const ItemCatalog& catalog,
@@ -121,41 +127,76 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
   };
 
   // --- Group candidates into super-candidates. ---
-  // Key: [quantitative attrs..., -1, categorical item ids...]. Categorical
-  // items pin both attribute and value, exactly the paper's grouping.
-  // The chunked sweep visits candidates in their exact serial generation
+  // Key: [quantitative attrs..., -1, categorical item ids...] — always k+1
+  // words, since each item contributes either its attribute or its id.
+  // Categorical items pin both attribute and value, exactly the paper's
+  // grouping. Group ids are the keys' insertion order in a flat table. The
+  // chunked sweep visits candidates in their exact serial generation
   // order, so group creation order and member order — and therefore every
   // downstream count — are identical whether the stream is materialized or
   // implicit.
-  std::unordered_map<std::vector<int32_t>, size_t, GroupKeyHash> group_index;
+  //
+  // Per item, its part of a key as one code word: ~attr for a ranged item
+  // (negative), the item id for a categorical one. Candidates with equal
+  // codes at every position have equal keys, so a candidate coded like its
+  // predecessor only extends the open run of members, skipping the key and
+  // the table; pass 2's implicit pairs arrive in long such runs.
+  std::vector<int32_t> item_code(catalog.num_items());
+  for (size_t id = 0; id < item_code.size(); ++id) {
+    const int32_t attr = catalog.item(static_cast<int32_t>(id)).attr;
+    item_code[id] = is_ranged(attr) ? ~attr : static_cast<int32_t>(id);
+  }
+  PackedKeyTable group_keys(k + 1);
   std::vector<SuperCandidate> groups;
-  std::vector<int32_t> key;
+  std::vector<int32_t> key(k + 1);
+  std::vector<int32_t> previous_codes(k);
+  // The open run: candidates [run_begin, run_end) of group run_group, all
+  // with codes previous_codes. It is appended to its group when a
+  // candidate with other codes closes it.
+  uint32_t run_group = PackedKeyTable::kNotFound;
+  uint32_t run_begin = 0;
+  uint32_t run_end = 0;
+  auto close_run = [&]() {
+    if (run_group == PackedKeyTable::kNotFound) return;
+    SuperCandidate& sc = groups[run_group];
+    sc.runs.emplace_back(run_begin, run_end);
+    sc.num_members += run_end - run_begin;
+  };
   candidates.ForEachChunk([&](size_t first, const ItemsetSet& chunk) {
     for (size_t i = 0; i < chunk.size(); ++i) {
       const int32_t* ids = chunk.itemset(i);
-      const size_t c = first + i;
-      key.clear();
+      bool same = run_group != PackedKeyTable::kNotFound;
       for (size_t p = 0; p < k; ++p) {
-        const RangeItem& item = catalog.item(ids[p]);
-        if (is_ranged(item.attr)) key.push_back(item.attr);
+        same &= item_code[static_cast<size_t>(ids[p])] == previous_codes[p];
       }
-      key.push_back(-1);
+      if (same) {
+        ++run_end;  // same group as the previous candidate
+        continue;
+      }
+      size_t quant = 0;
       for (size_t p = 0; p < k; ++p) {
-        const RangeItem& item = catalog.item(ids[p]);
-        if (!is_ranged(item.attr)) key.push_back(ids[p]);
+        previous_codes[p] = item_code[static_cast<size_t>(ids[p])];
+        if (previous_codes[p] < 0) key[quant++] = ~previous_codes[p];
       }
-      auto [it, inserted] = group_index.emplace(key, groups.size());
+      key[quant] = -1;
+      size_t cat = quant + 1;
+      for (size_t p = 0; p < k; ++p) {
+        if (previous_codes[p] >= 0) key[cat++] = previous_codes[p];
+      }
+      close_run();
+      const auto [g, inserted] = group_keys.Insert(key.data());
       if (inserted) {
         SuperCandidate sc;
-        size_t sep = 0;
-        while (key[sep] != -1) ++sep;
-        sc.quant_attrs.assign(key.begin(), key.begin() + sep);
-        sc.cat_item_ids.assign(key.begin() + sep + 1, key.end());
+        sc.quant_attrs.assign(key.begin(), key.begin() + quant);
+        sc.cat_item_ids.assign(key.begin() + quant + 1, key.end());
         groups.push_back(std::move(sc));
       }
-      groups[it->second].members.push_back(static_cast<uint32_t>(c));
+      run_group = g;
+      run_begin = static_cast<uint32_t>(first + i);
+      run_end = run_begin + 1;
     }
   });
+  close_run();
   local_stats.num_super_candidates = groups.size();
   local_stats.group_seconds = phase_timer.ElapsedSeconds();
   phase_timer.Reset();
@@ -176,7 +217,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
   uint64_t replicated_bytes_total = 0;
   for (SuperCandidate& sc : groups) {
     if (sc.quant_attrs.empty()) {
-      QARM_CHECK_EQ(sc.members.size(), 1u);  // identical itemsets are unique
+      QARM_CHECK_EQ(sc.num_members, 1u);  // identical itemsets are unique
       ++local_stats.num_direct;
       continue;
     }
@@ -188,7 +229,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
     }
     const uint64_t array_bytes = NDimArray::EstimateBytes(dim_sizes);
     const uint64_t tree_bytes =
-        RStarTree::EstimateBytes(sc.members.size(), dim_sizes.size());
+        RStarTree::EstimateBytes(sc.num_members, dim_sizes.size());
     const bool fits_budget =
         array_bytes <= options.counter_memory_budget_bytes &&
         array_bytes_total <=
@@ -240,17 +281,17 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       const bool tree_fits =
           tree_allowed &&
           tree_bytes_total <= options.counter_memory_budget_bytes;
-      sc.tree_counts.assign(sc.members.size(), 0);
+      sc.tree_counts.assign(sc.num_members, 0);
       if (tree_fits) {
         sc.tree = std::make_unique<RStarTree>(sc.quant_attrs.size());
       } else {
         sc.degraded_scan = true;
-        sc.member_rects.reserve(sc.members.size() * dim_sizes.size() * 2);
+        sc.member_rects.reserve(sc.num_members * dim_sizes.size() * 2);
         ++local_stats.num_degraded;
       }
       std::vector<int32_t> ids(k);
-      for (size_t m = 0; m < sc.members.size(); ++m) {
-        candidates.Get(sc.members[m], ids.data());
+      ForEachMember(sc, [&](size_t m, uint32_t c) {
+        candidates.Get(c, ids.data());
         RStarRect rect;
         size_t d = 0;
         for (size_t i = 0; i < k; ++i) {
@@ -268,7 +309,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
         if (!sc.degraded_scan) {
           sc.tree->Insert(rect, static_cast<int32_t>(m));
         }
-      }
+      });
       if (tree_fits) {
         tree_bytes_total += tree_bytes;
         local_stats.counter_bytes += tree_bytes;
@@ -441,7 +482,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       // range compare per dimension and popcount it.
       const int32_t* rects = sc.member_rects.data();
       uint64_t* tmp = member_mask.data();
-      for (size_t m = 0; m < sc.members.size(); ++m) {
+      for (size_t m = 0; m < sc.num_members; ++m) {
         const int32_t* rect = rects + m * dims * 2;
         std::memcpy(tmp, mask, words * sizeof(uint64_t));
         for (size_t d = 0; d < dims; ++d) {
@@ -511,7 +552,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
         for (size_t g = 0; g < groups.size(); ++g) {
           const SuperCandidate& sc = groups[g];
           if (sc.tree != nullptr || sc.degraded_scan) {
-            wc.tree_counts[g].assign(sc.members.size(), 0);
+            wc.tree_counts[g].assign(sc.num_members, 0);
           } else if (sc.array != nullptr && !sc.atomic_shared) {
             wc.arrays[g] = std::make_unique<NDimArray>(sc.array->dim_sizes());
           }
@@ -575,13 +616,13 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       // Counts are bounded by the record count, but that invariant lives far
       // from here (in the scan workers); guard the narrowing explicitly.
       QARM_CHECK_LE(sc.direct_count, std::numeric_limits<uint32_t>::max());
-      counts[sc.members[0]] = static_cast<uint32_t>(sc.direct_count);
+      counts[sc.runs[0].first] = static_cast<uint32_t>(sc.direct_count);
       return;
     }
     if (sc.tree != nullptr || sc.degraded_scan) {
-      for (size_t m = 0; m < sc.members.size(); ++m) {
-        counts[sc.members[m]] = sc.tree_counts[m];
-      }
+      ForEachMember(sc, [&](size_t m, uint32_t c) {
+        counts[c] = sc.tree_counts[m];
+      });
       return;
     }
     sc.array->BuildPrefixSums();
@@ -589,29 +630,34 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
     // Chunked batched collect: decode member rectangles into dim-major SoA
     // bounds, then count the whole chunk in one call.
     constexpr size_t kChunk = 2048;
-    const size_t chunk = std::min(kChunk, sc.members.size());
+    const size_t chunk = std::min(kChunk, sc.num_members);
     std::vector<int32_t> los(dims * chunk);
     std::vector<int32_t> his(dims * chunk);
     std::vector<uint32_t> out(chunk);
+    std::vector<uint32_t> chunk_members(chunk);
     std::vector<int32_t> ids(k);
-    for (size_t begin = 0; begin < sc.members.size(); begin += chunk) {
-      const size_t num = std::min(chunk, sc.members.size() - begin);
-      for (size_t m = 0; m < num; ++m) {
-        candidates.Get(sc.members[begin + m], ids.data());
-        size_t d = 0;
-        for (size_t i = 0; i < k; ++i) {
-          const RangeItem& item = catalog.item(ids[i]);
-          if (!is_ranged(item.attr)) continue;
-          los[d * num + m] = item.lo;
-          his[d * num + m] = item.hi;
-          ++d;
-        }
+    size_t begin = 0;
+    size_t num = std::min(chunk, sc.num_members);
+    size_t filled = 0;
+    ForEachMember(sc, [&](size_t, uint32_t c) {
+      // Bounds are dim-major over the chunk's `num` members.
+      candidates.Get(c, ids.data());
+      size_t d = 0;
+      for (size_t i = 0; i < k; ++i) {
+        const RangeItem& item = catalog.item(ids[i]);
+        if (!is_ranged(item.attr)) continue;
+        los[d * num + filled] = item.lo;
+        his[d * num + filled] = item.hi;
+        ++d;
       }
+      chunk_members[filled++] = c;
+      if (filled < num) return;
       sc.array->CountRects(los.data(), his.data(), num, out.data());
-      for (size_t m = 0; m < num; ++m) {
-        counts[sc.members[begin + m]] = out[m];
-      }
-    }
+      for (size_t m = 0; m < num; ++m) counts[chunk_members[m]] = out[m];
+      begin += num;
+      num = std::min(chunk, sc.num_members - begin);
+      filled = 0;
+    });
     sc.array.reset();  // release the grid before the next group collects
   };
 

@@ -64,15 +64,6 @@ struct CountingStats {
   double reduce_seconds = 0.0;  // merging thread counters + collecting counts
 };
 
-// Hash for super-candidate group keys ([quantitative attrs..., -1,
-// categorical item ids...]). Delegates to the shared FNV-1a+splitmix64 of
-// common/hash.h: the finalizer keeps the sparse, small-integer inputs —
-// attribute indices and item ids draw from the same small range — spread
-// over the whole size_t range instead of clustering in the low bits.
-struct GroupKeyHash {
-  size_t operator()(const std::vector<int32_t>& v) const;
-};
-
 // Counts the support of every candidate in one block-streamed pass over
 // `source`. Returns counts parallel to `candidates` (uint32: a count is
 // bounded by the record count). Fails only when a block read fails (e.g. a

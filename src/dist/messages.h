@@ -37,8 +37,8 @@ enum class DistMessageType : uint32_t {
   kCountReply = 5,
   kShutdown = 6,
   kError = 7,
-  // TCP sessions only (dist/handshake.h). A fork-mode worker inherits its
-  // config through fork and never sees these.
+  // Every session opens with these (dist/handshake.h), forked and TCP
+  // workers alike.
   kHello = 8,     // coordinator -> worker: versioned DistHello
   kHelloAck = 9,  // worker -> coordinator: identity echo + shard identity
   // Liveness while a long counting pass runs: the worker emits these

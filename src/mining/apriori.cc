@@ -18,56 +18,92 @@ constexpr size_t kMinParallelTransactions = 1024;
 
 }  // namespace
 
-std::vector<std::vector<int32_t>> AprioriGen(
-    const std::vector<std::vector<int32_t>>& frequent) {
-  std::vector<std::vector<int32_t>> candidates;
-  if (frequent.empty()) return candidates;
-  const size_t k_minus_1 = frequent[0].size();
+namespace {
 
-  // Join phase: p and q share the first k-2 items; p.last < q.last.
-  // `frequent` is sorted, so join partners are contiguous runs.
+// Row r of a flat array of width-m rows.
+inline const int32_t* Row(const std::vector<int32_t>& rows, size_t m,
+                          size_t r) {
+  return rows.data() + r * m;
+}
+
+// Binary search for `row` among the sorted width-m rows.
+bool ContainsRow(const std::vector<int32_t>& rows, size_t m,
+                 const int32_t* row) {
+  size_t lo = 0;
+  size_t hi = rows.size() / m;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    const int32_t* probe = Row(rows, m, mid);
+    if (std::lexicographical_compare(probe, probe + m, row, row + m)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < rows.size() / m && std::equal(row, row + m, Row(rows, m, lo));
+}
+
+}  // namespace
+
+void AprioriGenFlat(const std::vector<int32_t>& frequent, size_t m,
+                    std::vector<int32_t>* candidates,
+                    std::vector<int32_t>* scratch) {
+  candidates->clear();
+  const size_t num = frequent.size() / m;
+  std::vector<int32_t>& subset = *scratch;
+  subset.resize(m);
+  // Join phase: p and q share the first m-1 items; p.last < q.last.
+  // `frequent` is sorted, so join partners are contiguous runs, and the
+  // joined rows come out sorted.
   size_t run_start = 0;
-  while (run_start < frequent.size()) {
+  while (run_start < num) {
+    const int32_t* first = Row(frequent, m, run_start);
     size_t run_end = run_start + 1;
-    auto same_prefix = [&](const std::vector<int32_t>& a,
-                           const std::vector<int32_t>& b) {
-      return std::equal(a.begin(), a.end() - 1, b.begin(), b.end() - 1);
-    };
-    while (run_end < frequent.size() &&
-           same_prefix(frequent[run_start], frequent[run_end])) {
+    while (run_end < num &&
+           std::equal(first, first + m - 1, Row(frequent, m, run_end))) {
       ++run_end;
     }
     for (size_t i = run_start; i < run_end; ++i) {
+      const int32_t* p = Row(frequent, m, i);
       for (size_t j = i + 1; j < run_end; ++j) {
-        std::vector<int32_t> candidate = frequent[i];
-        candidate.push_back(frequent[j].back());
-        candidates.push_back(std::move(candidate));
+        const int32_t q_last = Row(frequent, m, j)[m - 1];
+        // Prune phase: every m-subset must be frequent. The subsets
+        // dropping either of the last two items are p and q themselves.
+        bool keep = true;
+        for (size_t skip = 0; keep && skip + 1 < m; ++skip) {
+          size_t w = 0;
+          for (size_t t = 0; t < m; ++t) {
+            if (t != skip) subset[w++] = p[t];
+          }
+          subset[w] = q_last;
+          keep = ContainsRow(frequent, m, subset.data());
+        }
+        if (!keep) continue;
+        candidates->insert(candidates->end(), p, p + m);
+        candidates->push_back(q_last);
       }
     }
     run_start = run_end;
   }
+}
 
-  // Prune phase: every (k-1)-subset must be frequent.
-  auto is_frequent = [&](const std::vector<int32_t>& set) {
-    return std::binary_search(frequent.begin(), frequent.end(), set);
-  };
-  std::vector<std::vector<int32_t>> pruned;
-  pruned.reserve(candidates.size());
-  std::vector<int32_t> subset(k_minus_1);
-  for (std::vector<int32_t>& candidate : candidates) {
-    bool keep = true;
-    // Skipping position k-1 and k (the two join parents) is unnecessary but
-    // harmless; check all subsets for clarity.
-    for (size_t skip = 0; keep && skip + 2 < candidate.size(); ++skip) {
-      size_t out = 0;
-      for (size_t i = 0; i < candidate.size(); ++i) {
-        if (i != skip) subset[out++] = candidate[i];
-      }
-      keep = is_frequent(subset);
-    }
-    if (keep) pruned.push_back(std::move(candidate));
+std::vector<std::vector<int32_t>> AprioriGen(
+    const std::vector<std::vector<int32_t>>& frequent) {
+  std::vector<std::vector<int32_t>> candidates;
+  if (frequent.empty()) return candidates;
+  const size_t m = frequent[0].size();
+  std::vector<int32_t> rows;
+  rows.reserve(frequent.size() * m);
+  for (const std::vector<int32_t>& f : frequent) {
+    rows.insert(rows.end(), f.begin(), f.end());
   }
-  return pruned;
+  std::vector<int32_t> flat;
+  std::vector<int32_t> scratch;
+  AprioriGenFlat(rows, m, &flat, &scratch);
+  for (size_t c = 0; c < flat.size(); c += m + 1) {
+    candidates.emplace_back(flat.begin() + c, flat.begin() + c + m + 1);
+  }
+  return candidates;
 }
 
 std::vector<FrequentItemset> AprioriMine(

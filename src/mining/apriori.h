@@ -39,9 +39,17 @@ struct AprioriOptions {
 
 // Candidate generation (the apriori-gen function): joins L_{k-1} with itself
 // on the first k-2 items and prunes joins with an infrequent (k-1)-subset.
-// `frequent` must be lexicographically sorted. Exposed for testing.
+// `frequent` must be lexicographically sorted; so is the result.
 std::vector<std::vector<int32_t>> AprioriGen(
     const std::vector<std::vector<int32_t>>& frequent);
+
+// The same over flat buffers: `frequent` holds sorted rows of m ids each,
+// `candidates` receives the (m+1)-rows. `scratch` is reused across calls,
+// so a caller looping over many small sets (ap-genrules' consequents)
+// allocates nothing per call.
+void AprioriGenFlat(const std::vector<int32_t>& frequent, size_t m,
+                    std::vector<int32_t>* candidates,
+                    std::vector<int32_t>* scratch);
 
 // Mines all frequent itemsets (k >= 1) of `transactions`. Results are
 // ordered by size, then lexicographically.

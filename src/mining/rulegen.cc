@@ -1,11 +1,6 @@
 #include "mining/rulegen.h"
 
-#include <algorithm>
-#include <unordered_map>
-
-#include "common/hash.h"
 #include "common/macros.h"
-#include "common/thread_pool.h"
 
 namespace qarm {
 namespace {
@@ -14,115 +9,95 @@ namespace {
 // waking a pool; the serial path is taken regardless of num_threads.
 constexpr size_t kMinParallelItemsets = 128;
 
-// Tasks per worker: itemset costs vary wildly (rule count is exponential in
-// itemset size), so hand the pool more chunks than workers and let dynamic
-// task claiming balance them.
-constexpr size_t kChunksPerThread = 8;
+}  // namespace
 
-// Itemset-support lookup; itemset collections reach into the millions, so
-// hashed lookup beats an ordered map by a large constant. Uses the shared
-// FNV-1a+splitmix64 hash (common/hash.h) — short small-integer keys need
-// the finalizer to spread over the bucket mask.
-using SupportMap =
-    std::unordered_map<std::vector<int32_t>, uint64_t, Int32VectorHash>;
-
-// Set difference of sorted vectors: a \ b.
-std::vector<int32_t> Difference(const std::vector<int32_t>& a,
-                                const std::vector<int32_t>& b) {
-  std::vector<int32_t> out;
-  out.reserve(a.size() - b.size());
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
+size_t RuleGenThreads(size_t num_itemsets, size_t num_threads) {
+  return num_itemsets >= kMinParallelItemsets ? ResolveNumThreads(num_threads)
+                                              : 1;
 }
 
-// ap-genrules for one frequent itemset: grow consequents level-wise; if a
-// consequent fails the confidence test, all of its supersets fail too (a
-// superset consequent has a smaller antecedent, hence larger antecedent
-// support, hence no larger confidence). Appends rules to `rules` in the
-// same order the serial algorithm emits them.
-void GenerateRulesFor(const FrequentItemset& itemset,
-                      const SupportMap& support, double n, double minconf,
-                      std::vector<BooleanRule>* rules) {
-  if (itemset.items.size() < 2) return;
-  const double itemset_support = static_cast<double>(itemset.count);
+void ForEachRule(const FrequentItemsetStore& store, size_t begin, size_t end,
+                 size_t num_transactions, double minconf,
+                 const std::function<void(const RuleView&)>& emit) {
+  const double n = static_cast<double>(num_transactions);
+  // Scratch reused across itemsets: nothing is allocated per rule.
+  std::vector<int32_t> consequents;
+  std::vector<int32_t> surviving;
+  std::vector<int32_t> antecedent;
+  std::vector<int32_t> subset;
 
-  std::vector<std::vector<int32_t>> consequents;
-  for (int32_t item : itemset.items) consequents.push_back({item});
+  size_t k = 1;
+  for (size_t pos = begin; pos < end; ++pos) {
+    while (pos >= store.level_begin(k) + store.level_size(k)) ++k;
+    if (k < 2) continue;
+    const int32_t* itemset = store.ids(k, pos - store.level_begin(k));
+    const uint64_t count = store.count(k, pos - store.level_begin(k));
+    const double itemset_support = static_cast<double>(count);
+    antecedent.resize(k);
 
-  // The loop condition consequents[0].size() < itemset.items.size()
-  // guarantees a non-empty antecedent (the whole itemset is never a
-  // consequent).
-  while (!consequents.empty() &&
-         consequents[0].size() < itemset.items.size()) {
-    std::vector<std::vector<int32_t>> surviving;
-    for (const std::vector<int32_t>& consequent : consequents) {
-      std::vector<int32_t> antecedent = Difference(itemset.items, consequent);
-      auto it = support.find(antecedent);
-      QARM_CHECK(it != support.end());
-      double confidence = itemset_support / static_cast<double>(it->second);
-      if (confidence + 1e-12 >= minconf) {
-        BooleanRule rule;
-        rule.antecedent = std::move(antecedent);
-        rule.consequent = consequent;
-        rule.count = itemset.count;
-        rule.support = itemset_support / n;
-        rule.confidence = confidence;
-        rules->push_back(std::move(rule));
-        surviving.push_back(consequent);
+    // Consequents grow level-wise from the single items. A consequent that
+    // fails the confidence test drops all its supersets: a superset
+    // consequent has a smaller antecedent, hence no smaller antecedent
+    // support, hence no larger confidence.
+    consequents.assign(itemset, itemset + k);
+    for (size_t m = 1; !consequents.empty(); ++m) {
+      surviving.clear();
+      for (size_t c = 0; c < consequents.size() / m; ++c) {
+        const int32_t* consequent = consequents.data() + c * m;
+        // Antecedent = itemset \ consequent; both are sorted and the
+        // consequent is a subset, so one merge pass splits them.
+        size_t a = 0;
+        size_t j = 0;
+        for (size_t i = 0; i < k; ++i) {
+          if (j < m && itemset[i] == consequent[j]) {
+            ++j;
+          } else {
+            antecedent[a++] = itemset[i];
+          }
+        }
+        uint64_t antecedent_count = 0;
+        QARM_CHECK(store.FindCount(antecedent.data(), k - m,
+                                   &antecedent_count));
+        const double confidence =
+            itemset_support / static_cast<double>(antecedent_count);
+        if (confidence + 1e-12 < minconf) continue;
+        emit(RuleView{antecedent.data(), k - m, consequent, m, count,
+                      itemset_support / n, confidence});
+        surviving.insert(surviving.end(), consequent, consequent + m);
       }
+      // Survivors keep the consequents' lexicographic order, which the
+      // join below needs and preserves. Consequents of k items would leave
+      // no antecedent, so the last level is not generated.
+      if (m + 1 == k) break;
+      AprioriGenFlat(surviving, m, &consequents, &subset);
     }
-    std::sort(surviving.begin(), surviving.end());
-    consequents = AprioriGen(surviving);
   }
 }
 
-}  // namespace
+std::vector<BooleanRule> GenerateRules(const FrequentItemsetStore& itemsets,
+                                       size_t num_transactions, double minconf,
+                                       size_t num_threads,
+                                       size_t* threads_used) {
+  return GenerateRulesAs<BooleanRule>(
+      itemsets, num_transactions, minconf, num_threads, threads_used,
+      [](const RuleView& view) {
+        BooleanRule rule;
+        rule.antecedent.assign(view.antecedent,
+                               view.antecedent + view.antecedent_size);
+        rule.consequent.assign(view.consequent,
+                               view.consequent + view.consequent_size);
+        rule.count = view.count;
+        rule.support = view.support;
+        rule.confidence = view.confidence;
+        return rule;
+      });
+}
 
 std::vector<BooleanRule> GenerateRules(
     const std::vector<FrequentItemset>& itemsets, size_t num_transactions,
     double minconf, size_t num_threads, size_t* threads_used) {
-  SupportMap support;
-  support.reserve(itemsets.size() * 2);
-  for (const FrequentItemset& itemset : itemsets) {
-    support[itemset.items] = itemset.count;
-  }
-
-  const double n = static_cast<double>(num_transactions);
-  const size_t threads = itemsets.size() >= kMinParallelItemsets
-                             ? ResolveNumThreads(num_threads)
-                             : 1;
-
-  std::vector<BooleanRule> rules;
-  if (threads <= 1) {
-    if (threads_used != nullptr) *threads_used = 1;
-    for (const FrequentItemset& itemset : itemsets) {
-      GenerateRulesFor(itemset, support, n, minconf, &rules);
-    }
-    return rules;
-  }
-
-  // Fan out itemset chunks across the pool; the support map and the input
-  // are read-only during the scan, and each chunk fills its own buffer.
-  // Concatenating the buffers in chunk order reproduces the serial rule
-  // order exactly.
-  if (threads_used != nullptr) *threads_used = threads;
-  const std::vector<IndexRange> chunks =
-      SplitRange(itemsets.size(), threads * kChunksPerThread);
-  std::vector<std::vector<BooleanRule>> partial(chunks.size());
-  ThreadPool pool(threads);
-  pool.ParallelFor(chunks.size(), [&](size_t chunk) {
-    for (size_t i = chunks[chunk].begin; i < chunks[chunk].end; ++i) {
-      GenerateRulesFor(itemsets[i], support, n, minconf, &partial[chunk]);
-    }
-  });
-  size_t total = 0;
-  for (const std::vector<BooleanRule>& p : partial) total += p.size();
-  rules.reserve(total);
-  for (std::vector<BooleanRule>& p : partial) {
-    for (BooleanRule& rule : p) rules.push_back(std::move(rule));
-  }
-  return rules;
+  return GenerateRules(FrequentItemsetStore::FromItemsets(itemsets),
+                       num_transactions, minconf, num_threads, threads_used);
 }
 
 }  // namespace qarm

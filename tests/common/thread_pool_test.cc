@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <new>
 #include <numeric>
 #include <vector>
 
@@ -93,6 +94,23 @@ TEST(ThreadPoolTest, ZeroAndOneTasks) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, TaskExceptionIsRethrownOnCaller) {
+  ThreadPool pool(4);
+  std::atomic<int> calls{0};
+  EXPECT_THROW(pool.ParallelFor(64,
+                                [&](size_t i) {
+                                  ++calls;
+                                  if (i == 5) throw std::bad_alloc();
+                                }),
+               std::bad_alloc);
+  EXPECT_GE(calls.load(), 1);
+  EXPECT_LE(calls.load(), 64);
+  // The pool survives a failed job.
+  std::atomic<int> after{0};
+  pool.ParallelFor(16, [&](size_t) { ++after; });
+  EXPECT_EQ(after.load(), 16);
 }
 
 }  // namespace

@@ -218,5 +218,45 @@ TEST(MinerTest, InterestingRulesAccessor) {
   }
 }
 
+TEST(MinerTest, MaxItemsetSizeKeepsSmallerRulesUnchanged) {
+  // A cap stops the level-wise loop early. Rules are emitted level by
+  // level and a rule's interest flag depends only on rules and itemsets of
+  // its own size, so a capped run must print exactly the uncapped run's
+  // rules of at most `cap` items, in order, flags included.
+  Table data = MakeFinancialDataset(1500, 21);
+  MinerOptions options;
+  options.minsup = 0.2;
+  options.minconf = 0.4;
+  options.partial_completeness = 3.0;
+  options.interest_level = 1.2;
+  auto full = QuantitativeRuleMiner(options).Mine(data);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  for (size_t cap : {1u, 2u}) {
+    MinerOptions capped_options = options;
+    capped_options.max_itemset_size = cap;
+    auto capped = QuantitativeRuleMiner(capped_options).Mine(data);
+    ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+    std::vector<const QuantRule*> expected;
+    size_t wider = 0;
+    for (const QuantRule& rule : full->rules) {
+      if (rule.antecedent.size() + rule.consequent.size() <= cap) {
+        expected.push_back(&rule);
+      } else {
+        ++wider;
+      }
+    }
+    ASSERT_GT(wider, 0u) << "cap " << cap << " is not exercised";
+    ASSERT_EQ(capped->rules.size(), expected.size()) << "cap " << cap;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(RuleToString(capped->rules[i], capped->mapped),
+                RuleToString(*expected[i], full->mapped));
+      EXPECT_EQ(capped->rules[i].interesting, expected[i]->interesting);
+    }
+    for (const FrequentRangeItemset& f : capped->frequent_itemsets) {
+      EXPECT_LE(f.items.size(), cap);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qarm

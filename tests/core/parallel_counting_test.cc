@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "core/apriori_quant.h"
 #include "core/candidate_gen.h"
@@ -268,10 +269,16 @@ TEST(ParallelCountingTest, EndToEndMinerMatchesSerial) {
   EXPECT_EQ(parallel->stats.num_threads, 4u);
 }
 
-// --- Group-key hash (the VecHash replacement) ------------------------------
+// --- Group-key hash ----------------------------------------------------------
+
+// Super-candidate group keys live in a PackedKeyTable, which hashes them
+// with HashInt32Words and masks the hash with its power-of-two slot count.
+size_t GroupKeyHash(const std::vector<int32_t>& key) {
+  return static_cast<size_t>(HashInt32Words(key.data(), key.size()));
+}
 
 TEST(GroupKeyHashTest, QuantAttrAndCategoricalIdKeysDiffer) {
-  GroupKeyHash hash;
+  const auto hash = GroupKeyHash;
   // {a, -1} encodes "quantitative attribute a, no categorical items";
   // {-1, a} encodes "no quantitative attributes, categorical item id a".
   // These denote different super-candidates for every a and must not
@@ -282,7 +289,7 @@ TEST(GroupKeyHashTest, QuantAttrAndCategoricalIdKeysDiffer) {
 }
 
 TEST(GroupKeyHashTest, NoCollisionsAcrossRealisticKeys) {
-  GroupKeyHash hash;
+  const auto hash = GroupKeyHash;
   std::set<size_t> hashes;
   size_t num_keys = 0;
   // Keys shaped like real group keys: one or two small attr indices, the
@@ -303,12 +310,12 @@ TEST(GroupKeyHashTest, NoCollisionsAcrossRealisticKeys) {
 }
 
 TEST(GroupKeyHashTest, LowBitsAreMixed) {
-  // unordered_map masks the hash with the bucket count, so the *low* bits
+  // The table masks the hash with its slot count, so the *low* bits
   // must already be well distributed. Bucket 1024 sequential single-attr
   // keys by their lowest 6 bits and require every bucket to be hit (a
   // uniform hash misses a given bucket with probability (63/64)^1024,
   // i.e. never in practice; raw FNV-1a without the finalizer fails this).
-  GroupKeyHash hash;
+  const auto hash = GroupKeyHash;
   std::vector<int> buckets(64, 0);
   for (int32_t a = 0; a < 1024; ++a) {
     ++buckets[hash({a, -1}) & 63];

@@ -13,7 +13,6 @@
 #include <set>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/random.h"
 #include "core/apriori_quant.h"
 #include "core/candidate_gen.h"
@@ -291,23 +290,6 @@ TEST(RulePipelineTest, StatsJsonCarriesPhaseFields) {
         "\"rulegen_threads_used\":", "\"interest_threads_used\":",
         "\"candgen\":{\"threads_used\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
-  }
-}
-
-TEST(RulePipelineTest, SharedHashMatchesGroupKeyHash) {
-  // GroupKeyHash (counting) and Int32VectorHash (rulegen / interest) must
-  // stay the same function: both delegate to common/hash.h.
-  GroupKeyHash group_hash;
-  Int32VectorHash vec_hash;
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<int32_t> key;
-    const size_t len = 1 + rng.UniformInt(0, 5);
-    for (size_t i = 0; i < len; ++i) {
-      key.push_back(static_cast<int32_t>(rng.UniformInt(0, 100)) - 2);
-    }
-    EXPECT_EQ(group_hash(key), vec_hash(key));
-    EXPECT_EQ(vec_hash(key), HashInt32Words(key.data(), key.size()));
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -189,8 +190,13 @@ FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
   FaultOutcome outcome;
   LoopbackPeer peer;
   peer.Listen();
+  // The server sends only once the client's connect has returned: an
+  // injected RST that lands while TcpConnect is still checking SO_ERROR
+  // would otherwise fail the connect instead of the read under test.
+  std::promise<void> connected;
   std::thread server([&]() {
     TcpTransport transport(peer.Accept(), 5000, 5000, faults);
+    connected.get_future().wait();
     for (size_t i = 0; i < frames; ++i) {
       outcome.server_sends.push_back(
           SendFrame(transport, 1, "frame " + std::to_string(i)));
@@ -198,6 +204,7 @@ FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
   });
   auto fd = TcpConnect("127.0.0.1", peer.port(), 5000);
   QARM_CHECK(fd.ok());
+  connected.set_value();
   TcpTransport transport(*fd, 5000, 5000);
   server.join();  // all sends (and any RST) land before the client reads
   for (size_t i = 0; i < frames; ++i) {

@@ -86,5 +86,19 @@ TEST(CliFlagsTest, OptionsFromFlagsValidatesRanges) {
   EXPECT_DOUBLE_EQ(options->max_support, 0.6);
 }
 
+TEST(CliFlagsTest, MaxItemsetSizeReachesOptions) {
+  auto flags = Parse({"--max-itemset-size=2"});
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  auto options = MinerOptionsFromFlags(*flags);
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->max_itemset_size, 2u);
+  // Unset means unlimited, the library default.
+  flags = Parse({});
+  ASSERT_TRUE(flags.ok());
+  EXPECT_EQ(MinerOptionsFromFlags(*flags)->max_itemset_size, 0u);
+  EXPECT_FALSE(Parse({"--max-itemset-size=two"}).ok());
+  EXPECT_FALSE(Parse({"--max-itemset-size=-1"}).ok());
+}
+
 }  // namespace
 }  // namespace qarm

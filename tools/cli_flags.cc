@@ -22,6 +22,8 @@ const char kUsage[] =
     "  --interest=F          interest level R; 0 = off       (default 0)\n"
     "  --intervals=N         override Eq.2 interval count    (default auto)\n"
     "  --threads=N           scan threads; 0 = all cores     (default 1)\n"
+    "  --max-itemset-size=N  mine itemsets (and rules) of at most N\n"
+    "                        items; 0 = unlimited            (default 0)\n"
     "  --workers=N           forked worker processes for --input-qbt\n"
     "                        mining; each runs a `qarm worker` session\n"
     "                        (handshake, deadlines, heartbeats) over one\n"
@@ -94,7 +96,10 @@ const char kUsage[] =
     "  [--format=text|json]  output format                 (default text)\n"
     "  [--min-conf=F]        only rules with confidence >= F\n"
     "  [--attr=NAME]         only rules mentioning the attribute\n"
-    "  [--interesting-only]  only rules past the interest filter\n";
+    "  [--interesting-only]  only rules past the interest filter\n"
+    "\n"
+    "exit codes: 0 ok; 1 I/O or data error; 2 bad flags; 3 mine found no\n"
+    "rules; 4 out of memory; 130 interrupted (SIGINT)\n";
 
 bool MatchFlag(const char* arg, const char* name, std::string* out) {
   std::string prefix = std::string("--") + name + "=";
@@ -191,6 +196,9 @@ Result<CliFlags> ParseCliArgs(int argc, char* const* argv, int first_arg) {
                             ParseSizeFlag("intervals", value));
     } else if (MatchFlag(argv[i], "threads", &value)) {
       QARM_ASSIGN_OR_RETURN(flags.threads, ParseSizeFlag("threads", value));
+    } else if (MatchFlag(argv[i], "max-itemset-size", &value)) {
+      QARM_ASSIGN_OR_RETURN(flags.max_itemset_size,
+                            ParseSizeFlag("max-itemset-size", value));
     } else if (MatchFlag(argv[i], "workers", &value)) {
       QARM_ASSIGN_OR_RETURN(flags.workers, ParseSizeFlag("workers", value));
     } else if (MatchFlag(argv[i], "worker", &value)) {
@@ -277,6 +285,7 @@ Result<MinerOptions> MinerOptionsFromFlags(const CliFlags& flags) {
   options.interest_level = flags.interest;
   options.num_intervals_override = flags.intervals;
   options.num_threads = flags.threads;
+  options.max_itemset_size = flags.max_itemset_size;
   options.num_workers = flags.workers;
   options.worker_endpoints = flags.worker_endpoints;
   options.dist_io_timeout_ms = flags.dist_timeout_ms;

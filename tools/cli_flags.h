@@ -42,6 +42,7 @@ struct CliFlags {
   double interest = 0.0;
   size_t intervals = 0;
   size_t threads = 1;
+  size_t max_itemset_size = 0;  // mine: itemset-size cap (0 = unlimited)
   size_t workers = 1;  // mine --input-qbt: worker processes (1 = in-process)
   // mine --input-qbt over TCP: remote `qarm worker` endpoints, one
   // --worker=HOST:PORT per endpoint (repeatable, order = worker ids).

@@ -23,7 +23,8 @@
 // Every input is untrusted: flag parsing, option validation, schema-spec
 // parsing, the CSV reader, and the QBT reader all return Status instead of
 // aborting, so a bad flag or a corrupt file always exits with a diagnostic
-// (exit code 1 or 2), never a crash. cli_flags.{h,cc} holds the parsing so
+// (exit code 1 or 2), never a crash; running out of memory exits 4 with a
+// diagnostic. cli_flags.{h,cc} holds the parsing so
 // tests and the fuzz harnesses drive the same code path.
 #include <atomic>
 #include <chrono>
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -451,19 +453,11 @@ int RunServe(const CliFlags& flags) {
   return 0;
 }
 
-int Run(int argc, char** argv) {
-  int first_arg = 1;
-  std::string command;
-  if (argc > 1 && argv[1][0] != '-') {
-    command = argv[1];
-    first_arg = 2;
-  }
-  // `qarm rules dump ...` is a two-word command.
-  if (command == "rules" && argc > 2 &&
-      std::string(argv[2]) == "dump") {
-    command = "rules dump";
-    first_arg = 3;
-  }
+// Exit code of a command that ran out of memory.
+constexpr int kExitOutOfMemory = 4;
+
+int RunCommand(int argc, char** argv, const std::string& command,
+               int first_arg) {
   auto flags_or = ParseCliArgs(argc, argv, first_arg);
   if (!flags_or.ok()) {
     std::fprintf(stderr, "%s\n%s", flags_or.status().ToString().c_str(),
@@ -718,6 +712,32 @@ int Run(int argc, char** argv) {
     }
   }
   return printed > 0 ? 0 : 3;
+}
+
+int Run(int argc, char** argv) {
+  int first_arg = 1;
+  std::string command;
+  if (argc > 1 && argv[1][0] != '-') {
+    command = argv[1];
+    first_arg = 2;
+  }
+  // `qarm rules dump ...` is a two-word command.
+  if (command == "rules" && argc > 2 &&
+      std::string(argv[2]) == "dump") {
+    command = "rules dump";
+    first_arg = 3;
+  }
+  // A run whose output outgrows memory (the miner's output can be
+  // exponential in its input) ends with a diagnostic and a documented exit
+  // code, never an abort: allocation failures on pool workers reach here
+  // too, rethrown by ThreadPool::ParallelFor.
+  try {
+    return RunCommand(argc, argv, command, first_arg);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "qarm: out of memory during %s\n",
+                 command.empty() ? "mine" : command.c_str());
+    return kExitOutOfMemory;
+  }
 }
 
 }  // namespace
