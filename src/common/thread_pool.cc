@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <exception>
+#include <new>
+#include <system_error>
 
 #include "common/macros.h"
 
@@ -44,12 +46,30 @@ struct ThreadPool::Job {
 ThreadPool::ThreadPool(size_t num_threads) : num_threads_(num_threads) {
   QARM_CHECK_GE(num_threads_, 1u);
   workers_.reserve(num_threads_ - 1);
-  for (size_t i = 0; i + 1 < num_threads_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  try {
+    for (size_t i = 0; i + 1 < num_threads_; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (const std::system_error& error) {
+    // A thread failed to start. Join the ones that did before the error
+    // leaves, since no destructor runs for a half-built pool. A thread
+    // whose stack cannot be mapped is an allocation failure, and is
+    // reported as one.
+    StopWorkers();
+    if (error.code() == std::errc::resource_unavailable_try_again ||
+        error.code() == std::errc::not_enough_memory) {
+      throw std::bad_alloc();
+    }
+    throw;
+  } catch (...) {
+    StopWorkers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { StopWorkers(); }
+
+void ThreadPool::StopWorkers() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;

@@ -40,7 +40,8 @@ std::vector<IndexRange> SplitRange(size_t n, size_t chunks);
 class ThreadPool {
  public:
   // `num_threads` >= 1 is the total parallelism (the constructor spawns
-  // num_threads - 1 workers; 1 means everything runs on the caller).
+  // num_threads - 1 workers; 1 means everything runs on the caller). A
+  // worker that cannot start for want of memory throws std::bad_alloc.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
@@ -63,6 +64,7 @@ class ThreadPool {
   struct Job;
 
   void WorkerLoop();
+  void StopWorkers();
   void RunTasks(Job* job);
 
   const size_t num_threads_;

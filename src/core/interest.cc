@@ -15,19 +15,6 @@ constexpr double kEps = 1e-9;
 // pool; the serial path is taken regardless of num_threads.
 constexpr size_t kMinParallelRules = 64;
 
-// Packs attribute-sorted `items` as attributes, catalog ids (-1 for ranges
-// that are no item) and (lo, hi) bounds.
-void PackItems(const ItemCatalog& catalog, const RangeItemset& items,
-               std::vector<int32_t>* attrs, std::vector<int32_t>* ids,
-               std::vector<int32_t>* bounds) {
-  for (const RangeItem& item : items) {
-    attrs->push_back(item.attr);
-    ids->push_back(catalog.FindItem(item));
-    bounds->push_back(item.lo);
-    bounds->push_back(item.hi);
-  }
-}
-
 // Counting sort of entries e = 0 .. key_of.size() - 1 by key_of[e]: key
 // g's entries, ascending, are members[offsets[g] .. offsets[g + 1]), each
 // stored as e / stride.
@@ -188,38 +175,66 @@ bool InterestEvaluator::RuleRInterestingWrt(const Shape& shape,
                              ancestor.count);
 }
 
+InterestEvaluator::PackedRules InterestEvaluator::PackRules(
+    const std::vector<const QuantRule*>& rules) const {
+  PackedRules packed;
+  const QuantRule& first = *rules[0];
+  const size_t na = first.antecedent.size();
+  const size_t w = na + first.consequent.size();
+  // The union X ∪ Y in attribute order: source[j] indexes position j's item
+  // in antecedent-then-consequent order.
+  std::vector<uint32_t> source;
+  for (size_t a = 0, c = 0; a + c < w;) {
+    const bool from_antecedent =
+        c == first.consequent.size() ||
+        (a < na && first.antecedent[a].attr < first.consequent[c].attr);
+    if (from_antecedent) {
+      packed.attrs.push_back(first.antecedent[a].attr);
+      source.push_back(static_cast<uint32_t>(a++));
+    } else {
+      packed.cons_pos.push_back(static_cast<uint32_t>(packed.attrs.size()));
+      packed.attrs.push_back(first.consequent[c].attr);
+      source.push_back(static_cast<uint32_t>(na + c++));
+    }
+  }
+  packed.ids.resize(rules.size() * w);
+  packed.bounds.resize(rules.size() * w * 2);
+  for (size_t m = 0; m < rules.size(); ++m) {
+    const QuantRule& rule = *rules[m];
+    QARM_CHECK_EQ(rule.antecedent.size(), na);
+    QARM_CHECK_EQ(rule.consequent.size() + na, w);
+    for (size_t j = 0; j < w; ++j) {
+      const RangeItem& item = source[j] < na
+                                  ? rule.antecedent[source[j]]
+                                  : rule.consequent[source[j] - na];
+      QARM_CHECK_EQ(item.attr, packed.attrs[j]);
+      packed.ids[m * w + j] = catalog_->FindItem(item);
+      packed.bounds[(m * w + j) * 2] = item.lo;
+      packed.bounds[(m * w + j) * 2 + 1] = item.hi;
+    }
+  }
+  return packed;
+}
+
 bool InterestEvaluator::IsItemsetRInteresting(const RangeItemset& z,
                                               uint64_t z_count,
                                               const RangeItemset& z_hat,
                                               uint64_t z_hat_count) const {
-  QARM_CHECK_EQ(z.size(), z_hat.size());
-  std::vector<int32_t> attrs, z_ids, z_bounds, hat_attrs, hat_ids, hat_bounds;
-  PackItems(*catalog_, z, &attrs, &z_ids, &z_bounds);
-  PackItems(*catalog_, z_hat, &hat_attrs, &hat_ids, &hat_bounds);
-  QARM_CHECK(attrs == hat_attrs);
-  const Shape shape{attrs.data(), attrs.size(), nullptr, 0};
-  return ItemsetRInteresting(shape, {z_ids.data(), z_bounds.data()}, z_count,
-                             {hat_ids.data(), hat_bounds.data()},
-                             z_hat_count);
+  // An itemset packs as a rule with an empty consequent.
+  QuantRule z_rule;
+  z_rule.antecedent = z;
+  QuantRule hat_rule;
+  hat_rule.antecedent = z_hat;
+  const PackedRules packed = PackRules({&z_rule, &hat_rule});
+  return ItemsetRInteresting(packed.shape(), packed.member(0), z_count,
+                             packed.member(1), z_hat_count);
 }
 
 bool InterestEvaluator::IsRuleRInterestingWrt(const QuantRule& rule,
                                               const QuantRule& ancestor) const {
-  std::vector<int32_t> attrs, ids, bounds, hat_attrs, hat_ids, hat_bounds;
-  PackItems(*catalog_, rule.UnionItemset(), &attrs, &ids, &bounds);
-  PackItems(*catalog_, ancestor.UnionItemset(), &hat_attrs, &hat_ids,
-            &hat_bounds);
-  QARM_CHECK(attrs == hat_attrs);
-  std::vector<uint32_t> cons_pos;
-  for (const RangeItem& item : rule.consequent) {
-    cons_pos.push_back(static_cast<uint32_t>(
-        std::lower_bound(attrs.begin(), attrs.end(), item.attr) -
-        attrs.begin()));
-  }
-  const Shape shape{attrs.data(), attrs.size(), cons_pos.data(),
-                    cons_pos.size()};
-  return RuleRInterestingWrt(shape, {ids.data(), bounds.data()}, rule,
-                             {hat_ids.data(), hat_bounds.data()}, ancestor);
+  const PackedRules packed = PackRules({&rule, &ancestor});
+  return RuleRInterestingWrt(packed.shape(), packed.member(0), rule,
+                             packed.member(1), ancestor);
 }
 
 void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
@@ -266,57 +281,27 @@ void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
   auto evaluate_group = [&](size_t g) {
     const uint32_t* member = members.data() + offsets[g];
     const size_t count = offsets[g + 1] - offsets[g];
-    const QuantRule& first = (*rules)[member[0]];
-    const size_t na = first.antecedent.size();
-    const size_t w = na + first.consequent.size();
+    std::vector<const QuantRule*> group_rules(count);
+    for (size_t m = 0; m < count; ++m) group_rules[m] = &(*rules)[member[m]];
+    const PackedRules packed_rules = PackRules(group_rules);
+    const Shape shape = packed_rules.shape();
+    const size_t w = shape.w;
+    const std::vector<int32_t>& bounds = packed_rules.bounds;
 
-    // The union X ∪ Y in attribute order, shared by the group: source[j]
-    // indexes position j's item in antecedent-then-consequent order.
-    std::vector<int32_t> attrs;
-    std::vector<uint32_t> source;
-    std::vector<uint32_t> cons_pos;
-    for (size_t a = 0, c = 0; a + c < w;) {
-      const bool from_antecedent =
-          c == first.consequent.size() ||
-          (a < na && first.antecedent[a].attr < first.consequent[c].attr);
-      if (from_antecedent) {
-        attrs.push_back(first.antecedent[a].attr);
-        source.push_back(static_cast<uint32_t>(a++));
-      } else {
-        cons_pos.push_back(static_cast<uint32_t>(attrs.size()));
-        attrs.push_back(first.consequent[c].attr);
-        source.push_back(static_cast<uint32_t>(na + c++));
-      }
-    }
-    const Shape shape{attrs.data(), w, cons_pos.data(), cons_pos.size()};
-
-    // Members packed: catalog ids and (lo, hi) bounds in union order, and
-    // the covered volume (product of range widths, both sides).
-    std::vector<int32_t> ids(count * w);
-    std::vector<int32_t> bounds(count * w * 2);
+    // The covered volume of each member: the product of its range widths
+    // (both sides).
     std::vector<double> volume(count);
     for (size_t m = 0; m < count; ++m) {
-      const QuantRule& rule = (*rules)[member[m]];
-      for (size_t j = 0; j < w; ++j) {
-        const RangeItem& item = source[j] < na
-                                    ? rule.antecedent[source[j]]
-                                    : rule.consequent[source[j] - na];
-        ids[m * w + j] = catalog_->FindItem(item);
-        bounds[(m * w + j) * 2] = item.lo;
-        bounds[(m * w + j) * 2 + 1] = item.hi;
-      }
       double v = 1.0;
-      for (const RangeItem& item : rule.antecedent) {
+      for (const RangeItem& item : group_rules[m]->antecedent) {
         v *= static_cast<double>(item.Width());
       }
-      for (const RangeItem& item : rule.consequent) {
+      for (const RangeItem& item : group_rules[m]->consequent) {
         v *= static_cast<double>(item.Width());
       }
       volume[m] = v;
     }
-    auto packed = [&](size_t m) -> Packed {
-      return {ids.data() + m * w, bounds.data() + m * w * 2};
-    };
+
     // a strictly generalizes b (as a rule): every range of a contains b's
     // at the same position, and some range differs.
     auto generalizes = [&](size_t a, size_t b) {
@@ -375,8 +360,8 @@ void InterestEvaluator::EvaluateRules(std::vector<QuantRule>* rules,
         }
         if (dominated) continue;  // not a close ancestor
         close.push_back(ancestors[a]);
-        if (!RuleRInterestingWrt(shape, packed(m), rule,
-                                 packed(ancestors[a]),
+        if (!RuleRInterestingWrt(shape, packed_rules.member(m), rule,
+                                 packed_rules.member(ancestors[a]),
                                  (*rules)[member[ancestors[a]]])) {
           interesting = false;
         }

@@ -79,6 +79,25 @@ class InterestEvaluator {
     size_t num_cons;
   };
 
+  // Rules over one attribute split, packed in union (attribute) order:
+  // `attrs` and `cons_pos` are shared, `ids` and `bounds` hold each rule's
+  // w ids and 2w bounds back to back.
+  struct PackedRules {
+    std::vector<int32_t> attrs;
+    std::vector<uint32_t> cons_pos;
+    std::vector<int32_t> ids;
+    std::vector<int32_t> bounds;
+    Shape shape() const {
+      return {attrs.data(), attrs.size(), cons_pos.data(), cons_pos.size()};
+    }
+    Packed member(size_t m) const {
+      return {ids.data() + m * attrs.size(),
+              bounds.data() + m * attrs.size() * 2};
+    }
+  };
+  // Packs `rules` (all with the attribute split of rules[0]).
+  PackedRules PackRules(const std::vector<const QuantRule*>& rules) const;
+
   // Π Pr(z_i)/Pr(ẑ_i) over `positions` — the product of expectation.cc,
   // factor for factor. Position `replaced` (or none, when >= w) takes the
   // range [lo, hi] instead of z's.

@@ -117,10 +117,20 @@ Result<int> DistWorkerPool::OpenChannel(size_t w, size_t e) {
       // serve one session over the inherited QBT mapping, exactly as a
       // `qarm worker` connection would. _Exit skips the coordinator's
       // atexit state — this process must never run coordinator teardown.
+      // Nor may an exception (e.g. std::bad_alloc) leave the session: it
+      // would unwind the coordinator frames this child inherited, and this
+      // pool's destructor would SIGKILL the sibling workers. A failed
+      // session just closes the channel, and the coordinator recovers.
       ::close(fds[0]);
       for (Worker& other : workers_) other.transport.reset();
-      TcpTransport transport(fds[1], io_timeout_ms_, /*read_timeout_ms=*/0);
-      std::_Exit(ServeConnection(transport, *file_).ok() ? 0 : 1);
+      bool served = false;
+      try {
+        TcpTransport transport(fds[1], io_timeout_ms_,
+                               /*read_timeout_ms=*/0);
+        served = ServeConnection(transport, *file_).ok();
+      } catch (...) {
+      }
+      std::_Exit(served ? 0 : 1);
     }
     ::close(fds[1]);
     worker.pid = pid;

@@ -1,8 +1,13 @@
 #include "common/thread_pool.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <new>
 #include <numeric>
 #include <vector>
@@ -111,6 +116,57 @@ TEST(ThreadPoolTest, TaskExceptionIsRethrownOnCaller) {
   std::atomic<int> after{0};
   pool.ParallelFor(16, [&](size_t) { ++after; });
   EXPECT_EQ(after.load(), 16);
+}
+
+// The process's mapped bytes, from /proc/self/statm.
+size_t MappedBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  unsigned long pages = 0;
+  if (f == nullptr || std::fscanf(f, "%lu", &pages) != 1) std::abort();
+  std::fclose(f);
+  return pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// Exits 0 if ThreadPool(3) throws std::bad_alloc under an address-space
+// limit that leaves room for one worker's stack but not two; 1 if it
+// constructs, 2 on any other exception. A half-built pool must join the
+// worker that did start (else std::terminate, SIGABRT) and report the
+// failed start as an allocation failure.
+[[noreturn]] void ConstructPoolUnderTightLimit() {
+  ::alarm(30);  // a hang fails the test too
+  const size_t base = MappedBytes();
+  size_t per_thread = 0;
+  {
+    ThreadPool probe(2);
+    per_thread = MappedBytes() - base;
+  }
+  rlimit limit{};
+  limit.rlim_cur = limit.rlim_max = base + per_thread + per_thread / 2;
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+  try {
+    ThreadPool pool(3);
+  } catch (const std::bad_alloc&) {
+    std::_Exit(0);
+  } catch (...) {
+    std::_Exit(2);
+  }
+  std::_Exit(1);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define QARM_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define QARM_SANITIZED_BUILD 1
+#endif
+#endif
+
+TEST(ThreadPoolDeathTest, WorkerThatCannotStartThrowsBadAlloc) {
+#ifdef QARM_SANITIZED_BUILD
+  GTEST_SKIP() << "sanitizer runtimes map memory of their own per thread";
+#endif
+  EXPECT_EXIT(ConstructPoolUnderTightLimit(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 }  // namespace

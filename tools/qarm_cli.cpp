@@ -730,7 +730,8 @@ int Run(int argc, char** argv) {
   // A run whose output outgrows memory (the miner's output can be
   // exponential in its input) ends with a diagnostic and a documented exit
   // code, never an abort: allocation failures on pool workers reach here
-  // too, rethrown by ThreadPool::ParallelFor.
+  // too, rethrown by ThreadPool::ParallelFor, and so do pool threads that
+  // cannot start for want of memory.
   try {
     return RunCommand(argc, argv, command, first_arg);
   } catch (const std::bad_alloc&) {
