@@ -1,11 +1,13 @@
 // Fuzz harness for the distributed wire decoders. The first input byte
 // selects the decoder — 0: RecvFrame over an in-memory transport (magic,
 // length-cap, CRC checks, reassembly from single-byte reads), 1:
-// ParseHello, 2: ParseHelloAck (version gate first, every field bounds-
-// checked in division form before allocation). Property: hostile bytes
-// never crash, hang, or trigger an absurd allocation — every defect
-// surfaces as a Status. Decoded messages are re-encoded and round-trip
-// compared, so an accepting parse that loses information is also a crash.
+// ParseHello, 2: ParseHelloAck (version gate first), 3: ParseCountRequest,
+// 4: ParseCountReply, 5: ParseShardSnapshot, 6: ParseCheckpointCatalog
+// (every count bounds-checked in division form before allocation).
+// Property: hostile bytes never crash, hang, or trigger an absurd
+// allocation — every defect surfaces as a Status. Decoded messages are
+// re-encoded and compared with the input, so an accepting parse that loses
+// information or accepts a non-canonical encoding is also a crash.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -15,7 +17,9 @@
 #include "common/macros.h"
 #include "dist/framing.h"
 #include "dist/handshake.h"
+#include "dist/messages.h"
 #include "dist/transport.h"
+#include "storage/checkpoint_format.h"
 
 namespace {
 
@@ -43,41 +47,58 @@ class FuzzTransport : public qarm::Transport {
   size_t pos_ = 0;
 };
 
+// An accepted payload must re-encode to exactly its input bytes.
+template <typename Message>
+void CheckRoundTrip(const qarm::Result<Message>& parsed,
+                    void (*encode)(const Message&, std::string*),
+                    const uint8_t* payload, size_t size) {
+  if (!parsed.ok()) return;
+  std::string reencoded;
+  encode(*parsed, &reencoded);
+  QARM_CHECK(reencoded.size() == size);
+  QARM_CHECK(size == 0 || std::memcmp(reencoded.data(), payload, size) == 0);
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
-  const uint8_t selector = data[0] % 3;
+  const uint8_t selector = data[0] % 7;
   const uint8_t* payload = data + 1;
   const size_t payload_size = size - 1;
 
-  if (selector == 0) {
-    FuzzTransport transport(payload, payload_size);
-    auto frame = qarm::RecvFrame(transport);
-    if (frame.ok()) {
-      // Whatever decoded must re-frame to the exact bytes consumed.
-      QARM_CHECK(frame->payload.size() <= payload_size);
+  switch (selector) {
+    case 0: {
+      FuzzTransport transport(payload, payload_size);
+      auto frame = qarm::RecvFrame(transport);
+      // Whatever decoded must fit in the bytes consumed.
+      if (frame.ok()) QARM_CHECK(frame->payload.size() <= payload_size);
+      break;
     }
-    return 0;
-  }
-
-  if (selector == 1) {
-    auto hello = qarm::ParseHello(payload, payload_size);
-    if (hello.ok()) {
-      std::string reencoded;
-      qarm::EncodeHello(*hello, &reencoded);
-      QARM_CHECK(reencoded.size() == payload_size);
-      QARM_CHECK(std::memcmp(reencoded.data(), payload, payload_size) == 0);
-    }
-    return 0;
-  }
-
-  auto ack = qarm::ParseHelloAck(payload, payload_size);
-  if (ack.ok()) {
-    std::string reencoded;
-    qarm::EncodeHelloAck(*ack, &reencoded);
-    QARM_CHECK(reencoded.size() == payload_size);
-    QARM_CHECK(std::memcmp(reencoded.data(), payload, payload_size) == 0);
+    case 1:
+      CheckRoundTrip(qarm::ParseHello(payload, payload_size),
+                     &qarm::EncodeHello, payload, payload_size);
+      break;
+    case 2:
+      CheckRoundTrip(qarm::ParseHelloAck(payload, payload_size),
+                     &qarm::EncodeHelloAck, payload, payload_size);
+      break;
+    case 3:
+      CheckRoundTrip(qarm::ParseCountRequest(payload, payload_size),
+                     &qarm::EncodeCountRequest, payload, payload_size);
+      break;
+    case 4:
+      CheckRoundTrip(qarm::ParseCountReply(payload, payload_size),
+                     &qarm::EncodeCountReply, payload, payload_size);
+      break;
+    case 5:
+      CheckRoundTrip(qarm::ParseShardSnapshot(payload, payload_size),
+                     &qarm::EncodeShardSnapshot, payload, payload_size);
+      break;
+    default:
+      CheckRoundTrip(qarm::ParseCheckpointCatalog(payload, payload_size),
+                     &qarm::EncodeCheckpointCatalog, payload, payload_size);
+      break;
   }
   return 0;
 }
