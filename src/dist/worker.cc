@@ -128,6 +128,15 @@ Result<std::string> HandleCount(uint32_t worker_id,
     }
     candidates = std::make_unique<ImplicitPairStream>(*catalog);
   } else {
+    // The ids index the catalog's per-item tables in CountSupports; a
+    // peer's id outside the catalog is a deterministic error, not a read.
+    for (int32_t id : request.ids) {
+      if (id < 0 || static_cast<size_t>(id) >= catalog->num_items()) {
+        return Status::InvalidArgument(
+            StrFormat("count request names item %d of a %zu-item catalog",
+                      id, catalog->num_items()));
+      }
+    }
     materialized.Reserve(static_cast<size_t>(request.num_candidates));
     for (size_t c = 0; c < request.num_candidates; ++c) {
       materialized.Append(&request.ids[c * request.k]);
