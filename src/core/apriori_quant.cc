@@ -1,6 +1,5 @@
 #include "core/apriori_quant.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -48,9 +47,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     const AfterPassFn& after_pass, const CountSupportsFn& count_supports) {
   FrequentItemsetResult result;
   const size_t num_rows = source.num_rows();
-  uint64_t min_count = static_cast<uint64_t>(
-      std::ceil(options.minsup * static_cast<double>(num_rows) - 1e-9));
-  if (min_count == 0) min_count = 1;
+  const uint64_t min_count = MinSupportCount(options.minsup, num_rows);
 
   Timer timer;
   size_t k = 0;

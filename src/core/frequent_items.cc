@@ -6,6 +6,7 @@
 
 #include "common/macros.h"
 #include "common/thread_pool.h"
+#include "mining/apriori.h"
 
 namespace qarm {
 
@@ -126,9 +127,7 @@ Result<ItemCatalog> ItemCatalog::BuildFromValueCounts(
     }
   }
 
-  uint64_t min_count = static_cast<uint64_t>(
-      std::ceil(options.minsup * static_cast<double>(num_rows) - 1e-9));
-  if (min_count == 0) min_count = 1;
+  const uint64_t min_count = MinSupportCount(options.minsup, num_rows);
   const double max_support =
       options.max_support <= 0.0 ? 1.0 : options.max_support;
   const uint64_t max_count = static_cast<uint64_t>(

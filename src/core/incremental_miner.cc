@@ -1,7 +1,6 @@
 #include "core/incremental_miner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "common/string_util.h"
 #include "core/mining_checkpoint.h"
 #include "core/support_counting.h"
+#include "mining/apriori.h"
 #include "storage/checkpoint_format.h"
 #include "storage/fault_injection.h"
 #include "storage/qbt_writer.h"
@@ -18,15 +18,6 @@
 
 namespace qarm {
 namespace {
-
-// The frequency threshold MineFrequentItemsets applies (kept in lockstep
-// with apriori_quant.cc: the frontier-divergence test below must use the
-// exact same rounding).
-uint64_t MinCount(double minsup, uint64_t num_rows) {
-  uint64_t min_count = static_cast<uint64_t>(
-      std::ceil(minsup * static_cast<double>(num_rows) - 1e-9));
-  return min_count == 0 ? 1 : min_count;
-}
 
 // Everything the counting hooks share across passes.
 struct IncrementalState {
@@ -202,8 +193,8 @@ Result<MiningResult> MineIncremental(const std::string& qbt_path,
   state.options = &scan_opts;
   state.base_blocks = base_blocks;
   state.total_blocks = total_blocks;
-  state.base_min_count = MinCount(opts.minsup, base_rows);
-  state.cur_min_count = MinCount(opts.minsup, total_rows);
+  state.base_min_count = MinSupportCount(opts.minsup, base_rows);
+  state.cur_min_count = MinSupportCount(opts.minsup, total_rows);
 
   MiningHooks hooks;
   hooks.checkpoint_base.num_blocks = total_blocks;

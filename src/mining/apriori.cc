@@ -106,14 +106,19 @@ std::vector<std::vector<int32_t>> AprioriGen(
   return candidates;
 }
 
+uint64_t MinSupportCount(double minsup, uint64_t num_records) {
+  const uint64_t min_count = static_cast<uint64_t>(
+      std::ceil(minsup * static_cast<double>(num_records) - 1e-9));
+  return min_count == 0 ? 1 : min_count;
+}
+
 std::vector<FrequentItemset> AprioriMine(
     const std::vector<Transaction>& transactions,
     const AprioriOptions& options) {
   std::vector<FrequentItemset> result;
   if (transactions.empty()) return result;
-  uint64_t min_count = static_cast<uint64_t>(std::ceil(
-      options.minsup * static_cast<double>(transactions.size()) - 1e-9));
-  if (min_count == 0) min_count = 1;
+  const uint64_t min_count =
+      MinSupportCount(options.minsup, transactions.size());
 
   // Pass 1: count single items directly.
   std::map<int32_t, uint64_t> item_counts;

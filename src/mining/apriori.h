@@ -37,6 +37,13 @@ struct AprioriOptions {
   size_t num_threads = 1;
 };
 
+// The smallest count that meets `minsup` over `num_records`:
+// ceil(minsup * num_records), less a 1e-9 tolerance so that a product
+// such as 0.3 * 10 that lands just above an integer rounds to it, and at
+// least 1. Every miner applies this one rounding, so their frequent sets
+// agree.
+uint64_t MinSupportCount(double minsup, uint64_t num_records);
+
 // Candidate generation (the apriori-gen function): joins L_{k-1} with itself
 // on the first k-2 items and prunes joins with an infrequent (k-1)-subset.
 // `frequent` must be lexicographically sorted; so is the result.

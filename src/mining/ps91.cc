@@ -1,9 +1,8 @@
 #include "mining/ps91.h"
 
-#include <cmath>
-
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "mining/apriori.h"
 
 namespace qarm {
 
@@ -41,9 +40,7 @@ std::vector<Ps91Rule> Ps91MineAttribute(const MappedTable& table,
     }
   }
 
-  uint64_t min_count = static_cast<uint64_t>(
-      std::ceil(options.minsup * static_cast<double>(num_rows) - 1e-9));
-  if (min_count == 0) min_count = 1;
+  const uint64_t min_count = MinSupportCount(options.minsup, num_rows);
 
   for (size_t v = 0; v < ante_domain; ++v) {
     if (ante_counts[v] == 0) continue;

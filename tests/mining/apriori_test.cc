@@ -12,6 +12,14 @@ namespace {
 using testutil::BruteForceFrequent;
 using testutil::Sorted;
 
+TEST(MinSupportCountTest, RoundsUpWithToleranceAndAtLeastOne) {
+  EXPECT_EQ(MinSupportCount(0.07, 100), 7u);  // 0.07 * 100 is 7.000000000000001
+  EXPECT_EQ(MinSupportCount(0.25, 10), 3u);
+  EXPECT_EQ(MinSupportCount(1.0, 7), 7u);
+  EXPECT_EQ(MinSupportCount(0.0, 100), 1u);
+  EXPECT_EQ(MinSupportCount(0.5, 0), 1u);
+}
+
 TEST(AprioriGenTest, JoinAndPrune) {
   // L2 = {1,2},{1,3},{1,4},{2,3}: join gives {1,2,3},{1,2,4},{1,3,4};
   // {1,2,4} is pruned ({2,4} not frequent), {1,3,4} pruned ({3,4} missing).
