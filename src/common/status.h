@@ -54,6 +54,12 @@ class Status {
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
   }
+  // An error whose code the caller chose at run time; `code` must not be
+  // kOk.
+  static Status Error(StatusCode code, std::string msg) {
+    QARM_CHECK(code != StatusCode::kOk);
+    return Status(code, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

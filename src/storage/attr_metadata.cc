@@ -1,57 +1,10 @@
 #include "storage/attr_metadata.h"
 
-#include <utility>
-
 #include "common/string_util.h"
-#include "storage/qbt_format.h"
+#include "storage/byte_reader.h"
 
 namespace qarm {
 namespace {
-
-// Bounds-checked cursor over the metadata section.
-class MetaCursor {
- public:
-  MetaCursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    *v = QbtReadU32(data_ + pos_);
-    pos_ += 4;
-    return true;
-  }
-  bool ReadI32(int32_t* v) {
-    uint32_t u;
-    if (!ReadU32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool ReadF64(double* v) {
-    if (size_ - pos_ < 8) return false;
-    *v = QbtReadF64(data_ + pos_);
-    pos_ += 8;
-    return true;
-  }
-  bool ReadByte(uint8_t* v) {
-    if (size_ - pos_ < 1) return false;
-    *v = data_[pos_++];
-    return true;
-  }
-  bool ReadString(std::string* s) {
-    uint32_t len;
-    if (!ReadU32(&len)) return false;
-    if (size_ - pos_ < len) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 // Minimum encoded bytes of one attribute: name length (4) + four flag
 // bytes + three element counts (4 each). Used to bound declared counts
@@ -61,6 +14,46 @@ constexpr size_t kMinAttrBytes = 4 + 4 + 4 + 4 + 4;
 constexpr size_t kMinLabelBytes = 4;       // u32 length
 constexpr size_t kIntervalBytes = 8 + 8;   // f64 lo + f64 hi
 constexpr size_t kMinTaxonomyBytes = 4 + 4 + 4;  // name length + lo + hi
+
+Status DecodeAttribute(ByteReader* reader, MappedAttribute* attr) {
+  uint8_t kind = 0, source_type = 0, partitioned = 0, reserved = 0;
+  QARM_RETURN_NOT_OK(reader->ReadString(&attr->name));
+  QARM_RETURN_NOT_OK(reader->ReadU8(&kind));
+  QARM_RETURN_NOT_OK(reader->ReadU8(&source_type));
+  QARM_RETURN_NOT_OK(reader->ReadU8(&partitioned));
+  QARM_RETURN_NOT_OK(reader->ReadU8(&reserved));
+  if (kind > 1 || source_type > 2) {
+    return Status::InvalidArgument(StrFormat(
+        "kind %u / type %u out of range", kind, source_type));
+  }
+  attr->kind = static_cast<AttributeKind>(kind);
+  attr->source_type = static_cast<ValueType>(source_type);
+  attr->partitioned = partitioned != 0;
+
+  uint32_t count = 0;
+  QARM_RETURN_NOT_OK(reader->ReadU32(&count));
+  QARM_RETURN_NOT_OK(reader->NeedCount(count, kMinLabelBytes));
+  attr->labels.resize(count);
+  for (std::string& label : attr->labels) {
+    QARM_RETURN_NOT_OK(reader->ReadString(&label));
+  }
+  QARM_RETURN_NOT_OK(reader->ReadU32(&count));
+  QARM_RETURN_NOT_OK(reader->NeedCount(count, kIntervalBytes));
+  attr->intervals.resize(count);
+  for (Interval& interval : attr->intervals) {
+    QARM_RETURN_NOT_OK(reader->ReadF64(&interval.lo));
+    QARM_RETURN_NOT_OK(reader->ReadF64(&interval.hi));
+  }
+  QARM_RETURN_NOT_OK(reader->ReadU32(&count));
+  QARM_RETURN_NOT_OK(reader->NeedCount(count, kMinTaxonomyBytes));
+  attr->taxonomy_ranges.resize(count);
+  for (Taxonomy::NodeRange& node : attr->taxonomy_ranges) {
+    QARM_RETURN_NOT_OK(reader->ReadString(&node.name));
+    QARM_RETURN_NOT_OK(reader->ReadI32(&node.lo));
+    QARM_RETURN_NOT_OK(reader->ReadI32(&node.hi));
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -94,89 +87,21 @@ std::string EncodeAttributeMetadata(
 
 Result<std::vector<MappedAttribute>> DecodeAttributeMetadata(
     const uint8_t* data, size_t size, uint32_t num_attrs, size_t* consumed) {
-  MetaCursor cur(data, size);
   if (static_cast<uint64_t>(num_attrs) * kMinAttrBytes > size) {
     return Status::InvalidArgument(
         StrFormat("%u attributes cannot fit in %zu metadata bytes", num_attrs,
                   size));
   }
-  std::vector<MappedAttribute> attrs;
-  attrs.reserve(num_attrs);
+  ByteReader reader(data, size, "metadata", StatusCode::kInvalidArgument);
+  std::vector<MappedAttribute> attrs(num_attrs);
   for (uint32_t a = 0; a < num_attrs; ++a) {
-    MappedAttribute attr;
-    uint8_t kind = 0, source_type = 0, partitioned = 0, reserved = 0;
-    uint32_t count = 0;
-    if (!cur.ReadString(&attr.name) || !cur.ReadByte(&kind) ||
-        !cur.ReadByte(&source_type) || !cur.ReadByte(&partitioned) ||
-        !cur.ReadByte(&reserved)) {
+    const Status status = DecodeAttribute(&reader, &attrs[a]);
+    if (!status.ok()) {
       return Status::InvalidArgument(
-          StrFormat("truncated metadata of attribute %u", a));
+          StrFormat("attribute %u: %s", a, status.message().c_str()));
     }
-    if (kind > 1 || source_type > 2) {
-      return Status::InvalidArgument(
-          StrFormat("attribute %u has kind %u / type %u out of range", a,
-                    kind, source_type));
-    }
-    attr.kind = static_cast<AttributeKind>(kind);
-    attr.source_type = static_cast<ValueType>(source_type);
-    attr.partitioned = partitioned != 0;
-    if (!cur.ReadU32(&count)) {
-      return Status::InvalidArgument(
-          StrFormat("truncated labels of attribute %u", a));
-    }
-    if (static_cast<uint64_t>(count) * kMinLabelBytes > cur.remaining()) {
-      return Status::InvalidArgument(
-          StrFormat("attribute %u declares %u labels, more than the "
-                    "metadata can hold",
-                    a, count));
-    }
-    attr.labels.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!cur.ReadString(&attr.labels[i])) {
-        return Status::InvalidArgument(
-            StrFormat("truncated label of attribute %u", a));
-      }
-    }
-    if (!cur.ReadU32(&count)) {
-      return Status::InvalidArgument(
-          StrFormat("truncated intervals of attribute %u", a));
-    }
-    if (static_cast<uint64_t>(count) * kIntervalBytes > cur.remaining()) {
-      return Status::InvalidArgument(
-          StrFormat("attribute %u declares %u intervals, more than the "
-                    "metadata can hold",
-                    a, count));
-    }
-    attr.intervals.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!cur.ReadF64(&attr.intervals[i].lo) ||
-          !cur.ReadF64(&attr.intervals[i].hi)) {
-        return Status::InvalidArgument(
-            StrFormat("truncated interval of attribute %u", a));
-      }
-    }
-    if (!cur.ReadU32(&count)) {
-      return Status::InvalidArgument(
-          StrFormat("truncated taxonomy of attribute %u", a));
-    }
-    if (static_cast<uint64_t>(count) * kMinTaxonomyBytes > cur.remaining()) {
-      return Status::InvalidArgument(
-          StrFormat("attribute %u declares %u taxonomy nodes, more than "
-                    "the metadata can hold",
-                    a, count));
-    }
-    attr.taxonomy_ranges.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Taxonomy::NodeRange& node = attr.taxonomy_ranges[i];
-      if (!cur.ReadString(&node.name) || !cur.ReadI32(&node.lo) ||
-          !cur.ReadI32(&node.hi)) {
-        return Status::InvalidArgument(
-            StrFormat("truncated taxonomy node of attribute %u", a));
-      }
-    }
-    attrs.push_back(std::move(attr));
   }
-  if (consumed != nullptr) *consumed = cur.pos();
+  if (consumed != nullptr) *consumed = size - reader.remaining();
   return attrs;
 }
 

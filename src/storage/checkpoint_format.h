@@ -60,12 +60,14 @@
 //     u32    CRC-32 of the payload bytes
 //     u8[4]  end magic "QCPE"
 //
-// Writes are atomic: the writer streams to "<path>.tmp", flushes and (on
-// POSIX) fsyncs, then renames over <path>, so a crash mid-write leaves the
-// previous checkpoint intact. The reader validates magic, version,
-// endianness, every declared count against the actual byte budget (in
-// division form, before any allocation), and the payload CRC; any mismatch
-// is a clean Status and the miner restarts from scratch.
+// The header and tail are the CRC envelope shared with QRS, and the file is
+// written with WriteFileAtomic (storage/byte_reader.h): to "<path>.tmp",
+// flushed and (on POSIX) fsynced, then renamed over <path>, so a crash
+// mid-write leaves the previous checkpoint intact. The reader maps the file
+// and validates the envelope (magic, endianness, version, size, CRC), then
+// decodes the payload with ByteReader, which checks every declared count
+// against the remaining bytes (in division form, before any allocation);
+// any mismatch is a clean Status and the miner restarts from scratch.
 #ifndef QARM_STORAGE_CHECKPOINT_FORMAT_H_
 #define QARM_STORAGE_CHECKPOINT_FORMAT_H_
 
@@ -75,7 +77,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "storage/qbt_format.h"
+#include "storage/byte_reader.h"
 
 namespace qarm {
 
@@ -90,8 +92,12 @@ inline constexpr uint32_t kCheckpointMinVersion = 1;
 // completion — the state is a reusable incremental-mining base rather than
 // mid-run resume progress.
 inline constexpr uint32_t kCheckpointFlagComplete = 1u;
-inline constexpr size_t kCheckpointHeaderSize = 4 + 4 + 4 + 4 + 8;
-inline constexpr size_t kCheckpointTailSize = 4 + 4;
+inline constexpr size_t kCheckpointHeaderSize = kEnvelopeHeaderSize;
+inline constexpr size_t kCheckpointTailSize = kEnvelopeTailSize;
+inline constexpr FileFormat kCheckpointFormat = {
+    "checkpoint",          kCheckpointMagic,   kCheckpointEndMagic,
+    kCheckpointMinVersion, kCheckpointVersion, 0,
+    StatusCode::kInvalidArgument};
 
 // The item catalog's serialized state (see core/frequent_items.h).
 struct CheckpointCatalog {

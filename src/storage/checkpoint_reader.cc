@@ -1,125 +1,57 @@
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+#include <memory>
 #include <string>
-#include <utility>
 
 #include "common/string_util.h"
+#include "storage/byte_reader.h"
 #include "storage/checkpoint_format.h"
-#include "storage/crc32.h"
+#include "storage/mmap_file.h"
 
 namespace qarm {
 namespace {
 
-// Bounded cursor over the payload. Every Read* call checks the remaining
-// byte budget first, so a hostile or truncated checkpoint can neither read
-// out of bounds nor trigger an oversized allocation: element counts are
-// validated in division form (count <= remaining / element_size) before any
-// vector is resized.
-class PayloadCursor {
- public:
-  PayloadCursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-
-  Status ReadU32(uint32_t* out) {
-    QARM_RETURN_NOT_OK(Need(4));
-    *out = QbtReadU32(data_ + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-  Status ReadU64(uint64_t* out) {
-    QARM_RETURN_NOT_OK(Need(8));
-    *out = QbtReadU64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-  Status ReadI32Array(size_t count, std::vector<int32_t>* out) {
-    QARM_RETURN_NOT_OK(NeedCount(count, 4));
-    out->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      (*out)[i] = QbtReadI32(data_ + pos_ + i * 4);
-    }
-    pos_ += count * 4;
-    return Status::OK();
-  }
-  Status ReadU64Array(size_t count, std::vector<uint64_t>* out) {
-    QARM_RETURN_NOT_OK(NeedCount(count, 8));
-    out->resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      (*out)[i] = QbtReadU64(data_ + pos_ + i * 8);
-    }
-    pos_ += count * 8;
-    return Status::OK();
-  }
-  // Count declared for elements of `element_size` bytes each; rejects
-  // counts the remaining payload cannot possibly hold.
-  Status NeedCount(uint64_t count, size_t element_size) const {
-    if (count > remaining() / element_size) {
-      return Status::InvalidArgument(StrFormat(
-          "checkpoint declares %llu elements but only %zu bytes remain",
-          static_cast<unsigned long long>(count), remaining()));
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Need(size_t bytes) const {
-    if (remaining() < bytes) {
-      return Status::InvalidArgument("checkpoint payload truncated");
-    }
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-Status ParseValueCounts(PayloadCursor* cursor,
+Status ParseValueCounts(ByteReader* reader,
                         std::vector<std::vector<uint64_t>>* value_counts) {
   uint32_t num_value_vectors = 0;
-  QARM_RETURN_NOT_OK(cursor->ReadU32(&num_value_vectors));
-  QARM_RETURN_NOT_OK(cursor->NeedCount(num_value_vectors, 8));
+  QARM_RETURN_NOT_OK(reader->ReadU32(&num_value_vectors));
+  QARM_RETURN_NOT_OK(reader->NeedCount(num_value_vectors, 8));
   value_counts->resize(num_value_vectors);
   for (std::vector<uint64_t>& counts : *value_counts) {
     uint64_t num_values = 0;
-    QARM_RETURN_NOT_OK(cursor->ReadU64(&num_values));
-    QARM_RETURN_NOT_OK(
-        cursor->ReadU64Array(static_cast<size_t>(num_values), &counts));
+    QARM_RETURN_NOT_OK(reader->ReadU64(&num_values));
+    QARM_RETURN_NOT_OK(reader->ReadU64Array(num_values, &counts));
   }
   return Status::OK();
 }
 
-Status ParseCatalogSection(PayloadCursor* cursor, CheckpointCatalog* catalog) {
-  QARM_RETURN_NOT_OK(cursor->ReadU64(&catalog->num_records));
-  QARM_RETURN_NOT_OK(cursor->ReadU64(&catalog->items_pruned_by_interest));
+Status ParseCatalogSection(ByteReader* reader, CheckpointCatalog* catalog) {
+  QARM_RETURN_NOT_OK(reader->ReadU64(&catalog->num_records));
+  QARM_RETURN_NOT_OK(reader->ReadU64(&catalog->items_pruned_by_interest));
   uint64_t num_items = 0;
-  QARM_RETURN_NOT_OK(cursor->ReadU64(&num_items));
-  QARM_RETURN_NOT_OK(cursor->NeedCount(num_items, 3 * 4 + 8));
-  QARM_RETURN_NOT_OK(
-      cursor->ReadI32Array(static_cast<size_t>(num_items) * 3,
-                           &catalog->item_words));
-  QARM_RETURN_NOT_OK(cursor->ReadU64Array(static_cast<size_t>(num_items),
-                                          &catalog->item_counts));
-  return ParseValueCounts(cursor, &catalog->value_counts);
+  QARM_RETURN_NOT_OK(reader->ReadU64(&num_items));
+  QARM_RETURN_NOT_OK(reader->NeedCount(num_items, 3 * 4 + 8));
+  QARM_RETURN_NOT_OK(reader->ReadI32Array(num_items * 3, &catalog->item_words));
+  QARM_RETURN_NOT_OK(reader->ReadU64Array(num_items, &catalog->item_counts));
+  return ParseValueCounts(reader, &catalog->value_counts);
 }
 
 Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
                     CheckpointState* state) {
-  PayloadCursor cursor(data, size);
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&state->fingerprint));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&state->num_rows));
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&state->num_attributes));
+  ByteReader reader(data, size, "checkpoint payload",
+                    StatusCode::kInvalidArgument);
+  QARM_RETURN_NOT_OK(reader.ReadU64(&state->fingerprint));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&state->num_rows));
+  QARM_RETURN_NOT_OK(reader.ReadU32(&state->num_attributes));
   if (version >= 2) {
-    QARM_RETURN_NOT_OK(cursor.ReadU32(&state->flags));
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&state->options_fingerprint));
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&state->base_num_blocks));
-    QARM_RETURN_NOT_OK(cursor.ReadU32(&state->base_index_crc));
+    QARM_RETURN_NOT_OK(reader.ReadU32(&state->flags));
+    QARM_RETURN_NOT_OK(reader.ReadU64(&state->options_fingerprint));
+    QARM_RETURN_NOT_OK(reader.ReadU64(&state->base_num_blocks));
+    QARM_RETURN_NOT_OK(reader.ReadU32(&state->base_index_crc));
   }
 
   CheckpointCatalog& catalog = state->catalog;
-  QARM_RETURN_NOT_OK(ParseCatalogSection(&cursor, &catalog));
+  QARM_RETURN_NOT_OK(ParseCatalogSection(&reader, &catalog));
   if (catalog.value_counts.size() != state->num_attributes) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint has %zu value-count vectors for %u attributes",
@@ -127,161 +59,96 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
   }
 
   uint32_t num_passes = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&num_passes));
-  QARM_RETURN_NOT_OK(cursor.NeedCount(num_passes, 4 + 8 + 8));
+  QARM_RETURN_NOT_OK(reader.ReadU32(&num_passes));
+  QARM_RETURN_NOT_OK(reader.NeedCount(num_passes, 4 + 8 + 8));
   state->passes.resize(num_passes);
   for (CheckpointPass& pass : state->passes) {
-    QARM_RETURN_NOT_OK(cursor.ReadU32(&pass.k));
+    QARM_RETURN_NOT_OK(reader.ReadU32(&pass.k));
     if (pass.k == 0) {
       return Status::InvalidArgument("checkpoint pass has k == 0");
     }
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&pass.num_candidates));
+    QARM_RETURN_NOT_OK(reader.ReadU64(&pass.num_candidates));
     uint64_t num_frequent = 0;
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&num_frequent));
+    QARM_RETURN_NOT_OK(reader.ReadU64(&num_frequent));
     // Each itemset costs k * 4 bytes of ids plus 8 bytes of count.
     QARM_RETURN_NOT_OK(
-        cursor.NeedCount(num_frequent, static_cast<size_t>(pass.k) * 4 + 8));
+        reader.NeedCount(num_frequent, static_cast<size_t>(pass.k) * 4 + 8));
     QARM_RETURN_NOT_OK(
-        cursor.ReadI32Array(static_cast<size_t>(num_frequent) * pass.k,
-                            &pass.itemsets));
-    QARM_RETURN_NOT_OK(
-        cursor.ReadU64Array(static_cast<size_t>(num_frequent), &pass.counts));
+        reader.ReadI32Array(num_frequent * pass.k, &pass.itemsets));
+    QARM_RETURN_NOT_OK(reader.ReadU64Array(num_frequent, &pass.counts));
     if (version >= 2) {
       uint64_t num_candidate_counts = 0;
-      QARM_RETURN_NOT_OK(cursor.ReadU64(&num_candidate_counts));
+      QARM_RETURN_NOT_OK(reader.ReadU64(&num_candidate_counts));
       if (num_candidate_counts != 0 &&
           num_candidate_counts != pass.num_candidates) {
         return Status::InvalidArgument(
             "checkpoint pass candidate counts do not match the candidate "
             "count");
       }
-      QARM_RETURN_NOT_OK(cursor.NeedCount(num_candidate_counts, 4));
-      pass.candidate_counts.resize(
-          static_cast<size_t>(num_candidate_counts));
-      for (uint32_t& count : pass.candidate_counts) {
-        QARM_RETURN_NOT_OK(cursor.ReadU32(&count));
-      }
+      QARM_RETURN_NOT_OK(
+          reader.ReadU32Array(num_candidate_counts, &pass.candidate_counts));
     }
   }
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("checkpoint payload has %zu trailing bytes",
-                  cursor.remaining()));
-  }
-  return Status::OK();
+  return reader.ExpectEnd();
 }
 
 }  // namespace
 
 Result<CheckpointCatalog> ParseCheckpointCatalog(const uint8_t* data,
                                                  size_t size) {
-  PayloadCursor cursor(data, size);
+  ByteReader reader(data, size, "catalog section",
+                    StatusCode::kInvalidArgument);
   CheckpointCatalog catalog;
-  QARM_RETURN_NOT_OK(ParseCatalogSection(&cursor, &catalog));
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("catalog section has %zu trailing bytes",
-                  cursor.remaining()));
-  }
+  QARM_RETURN_NOT_OK(ParseCatalogSection(&reader, &catalog));
+  QARM_RETURN_NOT_OK(reader.ExpectEnd());
   return catalog;
 }
 
 Result<ShardSnapshot> ParseShardSnapshot(const uint8_t* data, size_t size) {
-  if (size < sizeof(kShardSnapshotMagic) + 4 ||
+  ByteReader reader(data, size, "shard snapshot",
+                    StatusCode::kInvalidArgument);
+  if (size < sizeof(kShardSnapshotMagic) ||
       std::memcmp(data, kShardSnapshotMagic, sizeof(kShardSnapshotMagic)) !=
           0) {
     return Status::InvalidArgument("not a QCP shard snapshot (bad magic)");
   }
-  PayloadCursor cursor(data + sizeof(kShardSnapshotMagic),
-                       size - sizeof(kShardSnapshotMagic));
+  QARM_RETURN_NOT_OK(reader.Skip(sizeof(kShardSnapshotMagic)));
   uint32_t version = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&version));
+  QARM_RETURN_NOT_OK(reader.ReadU32(&version));
   if (version != kShardSnapshotVersion) {
     return Status::InvalidArgument(StrFormat(
         "unsupported shard snapshot version %u (expected %u)", version,
         kShardSnapshotVersion));
   }
   ShardSnapshot snapshot;
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.fingerprint));
-  QARM_RETURN_NOT_OK(cursor.ReadU32(&snapshot.worker_id));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.block_begin));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.block_end));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.num_rows));
-  QARM_RETURN_NOT_OK(ParseValueCounts(&cursor, &snapshot.value_counts));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.blocks_read));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.bytes_read));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.read_retries));
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&snapshot.faults_injected));
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("shard snapshot has %zu trailing bytes",
-                  cursor.remaining()));
-  }
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.fingerprint));
+  QARM_RETURN_NOT_OK(reader.ReadU32(&snapshot.worker_id));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.block_begin));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.block_end));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.num_rows));
+  QARM_RETURN_NOT_OK(ParseValueCounts(&reader, &snapshot.value_counts));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.blocks_read));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.bytes_read));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.read_retries));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.faults_injected));
+  QARM_RETURN_NOT_OK(reader.ExpectEnd());
   return snapshot;
 }
 
 Result<CheckpointState> ParseCheckpoint(const uint8_t* data, size_t size) {
-  if (size < kCheckpointHeaderSize + kCheckpointTailSize) {
-    return Status::InvalidArgument(
-        StrFormat("checkpoint too small: %zu bytes", size));
-  }
-  if (std::memcmp(data, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
-    return Status::InvalidArgument("not a QCP checkpoint (bad magic)");
-  }
-  if (QbtReadU32(data + 4) != kQbtEndianMarker) {
-    return Status::InvalidArgument(
-        "checkpoint endianness does not match this host");
-  }
-  const uint32_t version = QbtReadU32(data + 8);
-  if (version < kCheckpointMinVersion || version > kCheckpointVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported checkpoint version %u (reader supports %u through %u)",
-        version, kCheckpointMinVersion, kCheckpointVersion));
-  }
-  const uint64_t payload_size = QbtReadU64(data + 16);
-  if (payload_size !=
-      size - kCheckpointHeaderSize - kCheckpointTailSize) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint payload size %llu does not match file size %zu",
-        static_cast<unsigned long long>(payload_size), size));
-  }
-  const uint8_t* payload = data + kCheckpointHeaderSize;
-  const uint8_t* tail = payload + payload_size;
-  if (std::memcmp(tail + 4, kCheckpointEndMagic,
-                  sizeof(kCheckpointEndMagic)) != 0) {
-    return Status::InvalidArgument("checkpoint end magic missing");
-  }
-  const uint32_t expected_crc = QbtReadU32(tail);
-  const uint32_t actual_crc = Crc32(payload, static_cast<size_t>(payload_size));
-  if (expected_crc != actual_crc) {
-    return Status::IOError(StrFormat(
-        "checkpoint payload checksum mismatch (stored %08x, computed %08x)",
-        expected_crc, actual_crc));
-  }
-
+  QARM_ASSIGN_OR_RETURN(Envelope envelope,
+                        ParseEnvelope(kCheckpointFormat, data, size));
   CheckpointState state;
-  QARM_RETURN_NOT_OK(ParsePayload(payload, static_cast<size_t>(payload_size),
-                                  version, &state));
+  QARM_RETURN_NOT_OK(ParsePayload(envelope.payload, envelope.payload_size,
+                                  envelope.version, &state));
   return state;
 }
 
 Result<CheckpointState> ReadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint '" + path + "'");
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    return Status::IOError("cannot stat checkpoint '" + path + "'");
-  }
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.seekg(0);
-  if (!bytes.empty() &&
-      !in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
-    return Status::IOError("cannot read checkpoint '" + path + "'");
-  }
-  return ParseCheckpoint(reinterpret_cast<const uint8_t*>(bytes.data()),
-                         bytes.size());
+  Result<std::unique_ptr<MmapFile>> file = MmapFile::Open(path);
+  // A missing checkpoint is the miner's cue to start from scratch.
+  if (!file.ok()) return Status::NotFound(file.status().message());
+  return ParseCheckpoint((*file)->data(), (*file)->size());
 }
 
 }  // namespace qarm

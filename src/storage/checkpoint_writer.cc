@@ -1,13 +1,8 @@
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
+#include "storage/byte_reader.h"
 #include "storage/checkpoint_format.h"
-#include "storage/crc32.h"
 
 namespace qarm {
 namespace {
@@ -44,28 +39,6 @@ std::string EncodePayload(const CheckpointState& state) {
     for (uint32_t count : pass.candidate_counts) QbtAppendU32(&out, count);
   }
   return out;
-}
-
-// stdio instead of ofstream: the file descriptor is needed for fsync, and
-// a checkpoint that the OS never flushed is exactly the crash window this
-// file exists to close.
-Status WriteFile(const std::string& path, const std::string& bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  ok = std::fflush(file) == 0 && ok;
-#if defined(__unix__) || defined(__APPLE__)
-  ok = fsync(fileno(file)) == 0 && ok;
-#endif
-  ok = std::fclose(file) == 0 && ok;
-  if (!ok) {
-    std::remove(path.c_str());
-    return Status::IOError("write to '" + path + "' failed");
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -115,27 +88,10 @@ Status WriteCheckpoint(const CheckpointState& state, const std::string& path,
     }
   }
 
-  const std::string payload = EncodePayload(state);
-  std::string bytes;
-  bytes.reserve(kCheckpointHeaderSize + payload.size() + kCheckpointTailSize);
-  bytes.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  QbtAppendU32(&bytes, kQbtEndianMarker);
-  QbtAppendU32(&bytes, kCheckpointVersion);
-  QbtAppendU32(&bytes, 0);  // reserved
-  QbtAppendU64(&bytes, payload.size());
-  bytes.append(payload);
-  QbtAppendU32(&bytes, Crc32(payload.data(), payload.size()));
-  bytes.append(kCheckpointEndMagic, sizeof(kCheckpointEndMagic));
-
-  // Atomic replace: a crash before the rename leaves the previous
-  // checkpoint valid; a crash after it leaves the new one.
-  const std::string tmp_path = path + ".tmp";
-  QARM_RETURN_NOT_OK(WriteFile(tmp_path, bytes));
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("cannot rename '" + tmp_path + "' to '" + path +
-                           "'");
-  }
+  const std::string bytes =
+      EncodeEnvelope(kCheckpointFormat, /*header_word=*/0, "",
+                     EncodePayload(state));
+  QARM_RETURN_NOT_OK(WriteFileAtomic(path, bytes));
   if (bytes_written != nullptr) *bytes_written = bytes.size();
   return Status::OK();
 }

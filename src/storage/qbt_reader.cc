@@ -44,21 +44,8 @@ Result<std::unique_ptr<QbtReader>> QbtReader::Open(const std::string& path) {
   if (size < kQbtHeaderSize + kQbtTailSize) {
     return Corrupt(path, StrFormat("file is only %zu bytes", size));
   }
-  if (std::memcmp(data, kQbtMagic, sizeof(kQbtMagic)) != 0) {
-    return Corrupt(path, "bad magic");
-  }
-  const uint32_t endian = QbtReadU32(data + 4);
-  if (endian != kQbtEndianMarker) {
-    return Corrupt(path, StrFormat("endian marker 0x%08x (file written on a "
-                                   "host of different byte order?)",
-                                   endian));
-  }
-  const uint32_t version = QbtReadU32(data + 8);
-  if (version != kQbtVersion) {
-    return Corrupt(path, StrFormat("unsupported version %u (reader supports "
-                                   "%u)",
-                                   version, kQbtVersion));
-  }
+  const Result<uint32_t> version = CheckPreamble(kQbtFormat, data, size);
+  if (!version.ok()) return Corrupt(path, version.status().message());
   auto reader = std::unique_ptr<QbtReader>(new QbtReader());
   reader->rows_per_block_ = QbtReadU32(data + 12);
   reader->num_rows_ = QbtReadU64(data + 16);

@@ -14,9 +14,17 @@
 
 #include "common/status.h"
 #include "partition/mapped_table.h"
+#include "storage/byte_reader.h"
 #include "storage/mmap_file.h"
+#include "storage/qbt_format.h"
 
 namespace qarm {
+
+// QBT's preamble (qbt_format.h has the full layout). Open reports a bad
+// file as IOError.
+inline constexpr FileFormat kQbtFormat = {
+    "QBT file", kQbtMagic, /*end_magic=*/nullptr, kQbtVersion, kQbtVersion,
+    /*extra_header_bytes=*/0, StatusCode::kIOError};
 
 class QbtReader {
  public:

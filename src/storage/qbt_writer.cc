@@ -77,9 +77,7 @@ Status WriteQbt(const MappedTable& table, const std::string& path,
   while (metadata.size() % sizeof(int32_t) != 0) metadata.push_back('\0');
 
   std::string header;
-  header.append(kQbtMagic, sizeof(kQbtMagic));
-  QbtAppendU32(&header, kQbtEndianMarker);
-  QbtAppendU32(&header, kQbtVersion);
+  AppendPreamble(kQbtFormat, &header);
   QbtAppendU32(&header, rows_per_block);
   QbtAppendU64(&header, num_rows);
   QbtAppendU32(&header, static_cast<uint32_t>(num_attrs));
@@ -135,9 +133,7 @@ Status RecoverQbt(const std::string& path, bool* recovered) {
   const uint8_t* data = file->data();
   const size_t size = file->size();
   if (size < kQbtHeaderSize + kQbtTailSize ||
-      std::memcmp(data, kQbtMagic, sizeof(kQbtMagic)) != 0 ||
-      QbtReadU32(data + 4) != kQbtEndianMarker ||
-      QbtReadU32(data + 8) != kQbtVersion) {
+      !CheckPreamble(kQbtFormat, data, size).ok()) {
     return Status::IOError("'" + path +
                            "' is not a recoverable QBT file (bad header)");
   }

@@ -1,95 +1,31 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "common/string_util.h"
 #include "storage/attr_metadata.h"
-#include "storage/crc32.h"
+#include "storage/byte_reader.h"
 #include "storage/mmap_file.h"
-#include "storage/qbt_format.h"
 #include "storage/rules_format.h"
 
 namespace qarm {
 namespace {
 
-// Bounded cursor over the payload; every Read* call checks the remaining
-// byte budget first, so a hostile or truncated rule set can neither read
-// out of bounds nor trigger an oversized allocation.
-class PayloadCursor {
- public:
-  PayloadCursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  const uint8_t* here() const { return data_ + pos_; }
-  void Skip(size_t bytes) { pos_ += bytes; }
-
-  Status ReadByte(uint8_t* out) {
-    QARM_RETURN_NOT_OK(Need(1));
-    *out = data_[pos_++];
-    return Status::OK();
-  }
-  Status ReadU32(uint32_t* out) {
-    QARM_RETURN_NOT_OK(Need(4));
-    *out = QbtReadU32(data_ + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-  Status ReadU64(uint64_t* out) {
-    QARM_RETURN_NOT_OK(Need(8));
-    *out = QbtReadU64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-  Status ReadF64(double* out) {
-    QARM_RETURN_NOT_OK(Need(8));
-    *out = QbtReadF64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-  // Count declared for elements of `element_size` bytes each; rejects
-  // counts the remaining payload cannot possibly hold (division form, so
-  // the product cannot overflow).
-  Status NeedCount(uint64_t count, size_t element_size) const {
-    if (count > remaining() / element_size) {
-      return Status::InvalidArgument(StrFormat(
-          "rule set declares %llu elements but only %zu bytes remain",
-          static_cast<unsigned long long>(count), remaining()));
-    }
-    return Status::OK();
-  }
-  Status Need(size_t bytes) const {
-    if (remaining() < bytes) {
-      return Status::InvalidArgument("rule-set payload truncated");
-    }
-    return Status::OK();
-  }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 // Reads one side of a rule and checks it is a well-formed itemset: sorted
 // strictly by attribute (so at most one item per attribute) with every
 // endpoint inside the attribute's mapped domain.
-Status ReadSide(PayloadCursor* cursor, size_t rule_index, const char* side,
+Status ReadSide(ByteReader* reader, size_t rule_index, const char* side,
                 size_t num_items, const std::vector<MappedAttribute>& attrs,
                 std::vector<StoredItem>* out) {
   out->resize(num_items);
   int32_t prev_attr = -1;
   for (StoredItem& item : *out) {
-    const uint8_t* p = cursor->here();
-    QARM_RETURN_NOT_OK(cursor->Need(kQrsItemBytes));
-    item.attr = QbtReadI32(p);
-    item.lo = QbtReadI32(p + 4);
-    item.hi = QbtReadI32(p + 8);
-    cursor->Skip(kQrsItemBytes);
+    QARM_RETURN_NOT_OK(reader->ReadI32(&item.attr));
+    QARM_RETURN_NOT_OK(reader->ReadI32(&item.lo));
+    QARM_RETURN_NOT_OK(reader->ReadI32(&item.hi));
     if (item.attr < 0 ||
         static_cast<size_t>(item.attr) >= attrs.size()) {
       return Status::InvalidArgument(
@@ -124,12 +60,14 @@ Status CheckMeasure(size_t rule_index, const char* name, double v, double lo,
   return Status::OK();
 }
 
+// Decodes the payload into `set`, whose num_records the header supplied.
 Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
-                    uint64_t num_records, StoredRuleSet* set) {
-  PayloadCursor cursor(data, size);
-  QARM_RETURN_NOT_OK(cursor.ReadF64(&set->minsup));
-  QARM_RETURN_NOT_OK(cursor.ReadF64(&set->minconf));
-  QARM_RETURN_NOT_OK(cursor.ReadF64(&set->interest_level));
+                    StoredRuleSet* set) {
+  ByteReader reader(data, size, "rule-set payload",
+                    StatusCode::kInvalidArgument);
+  QARM_RETURN_NOT_OK(reader.ReadF64(&set->minsup));
+  QARM_RETURN_NOT_OK(reader.ReadF64(&set->minconf));
+  QARM_RETURN_NOT_OK(reader.ReadF64(&set->interest_level));
   if (!std::isfinite(set->minsup) || !std::isfinite(set->minconf) ||
       !std::isfinite(set->interest_level)) {
     return Status::InvalidArgument(
@@ -137,24 +75,24 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
   }
 
   uint64_t metadata_size = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&metadata_size));
-  if (metadata_size > cursor.remaining()) {
+  QARM_RETURN_NOT_OK(reader.ReadU64(&metadata_size));
+  if (metadata_size > reader.remaining()) {
     return Status::InvalidArgument("metadata section exceeds the payload");
   }
   size_t consumed = 0;
   QARM_ASSIGN_OR_RETURN(
       set->attributes,
-      DecodeAttributeMetadata(cursor.here(),
+      DecodeAttributeMetadata(reader.here(),
                               static_cast<size_t>(metadata_size), num_attrs,
                               &consumed));
   if (consumed != metadata_size) {
     return Status::InvalidArgument("metadata section has trailing bytes");
   }
-  cursor.Skip(consumed);
+  QARM_RETURN_NOT_OK(reader.Skip(consumed));
 
   uint64_t num_rules = 0;
-  QARM_RETURN_NOT_OK(cursor.ReadU64(&num_rules));
-  QARM_RETURN_NOT_OK(cursor.NeedCount(num_rules, kQrsMinRuleBytes));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&num_rules));
+  QARM_RETURN_NOT_OK(reader.NeedCount(num_rules, kQrsMinRuleBytes));
   // Rule ids are packed into 31 bits by the serving indexes; a file
   // anywhere near that limit is hostile (the division-form bound above
   // already caps real files far lower).
@@ -167,20 +105,20 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
   for (size_t i = 0; i < set->rules.size(); ++i) {
     StoredRule& rule = set->rules[i];
     uint8_t num_ante = 0, num_cons = 0, interesting = 0, reserved = 0;
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&num_ante));
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&num_cons));
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&interesting));
-    QARM_RETURN_NOT_OK(cursor.ReadByte(&reserved));
+    QARM_RETURN_NOT_OK(reader.ReadU8(&num_ante));
+    QARM_RETURN_NOT_OK(reader.ReadU8(&num_cons));
+    QARM_RETURN_NOT_OK(reader.ReadU8(&interesting));
+    QARM_RETURN_NOT_OK(reader.ReadU8(&reserved));
     if (num_ante == 0 || num_cons == 0) {
       return Status::InvalidArgument(
           StrFormat("rule %zu has an empty side", i));
     }
     rule.interesting = interesting != 0;
-    QARM_RETURN_NOT_OK(cursor.NeedCount(
+    QARM_RETURN_NOT_OK(reader.NeedCount(
         static_cast<uint64_t>(num_ante) + num_cons, kQrsItemBytes));
-    QARM_RETURN_NOT_OK(ReadSide(&cursor, i, "antecedent", num_ante,
+    QARM_RETURN_NOT_OK(ReadSide(&reader, i, "antecedent", num_ante,
                                 set->attributes, &rule.antecedent));
-    QARM_RETURN_NOT_OK(ReadSide(&cursor, i, "consequent", num_cons,
+    QARM_RETURN_NOT_OK(ReadSide(&reader, i, "consequent", num_cons,
                                 set->attributes, &rule.consequent));
     // The sides must not share an attribute (a record-model itemset holds
     // at most one item per attribute). Both sides are sorted, so a merge
@@ -195,27 +133,23 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t num_attrs,
       }
       ante_attr < cons_attr ? ++a : ++c;
     }
-    QARM_RETURN_NOT_OK(cursor.ReadU64(&rule.count));
-    if (rule.count > num_records) {
+    QARM_RETURN_NOT_OK(reader.ReadU64(&rule.count));
+    if (rule.count > set->num_records) {
       return Status::InvalidArgument(StrFormat(
           "rule %zu counts %llu of %llu records", i,
           static_cast<unsigned long long>(rule.count),
-          static_cast<unsigned long long>(num_records)));
+          static_cast<unsigned long long>(set->num_records)));
     }
-    QARM_RETURN_NOT_OK(cursor.ReadF64(&rule.support));
-    QARM_RETURN_NOT_OK(cursor.ReadF64(&rule.confidence));
-    QARM_RETURN_NOT_OK(cursor.ReadF64(&rule.lift));
+    QARM_RETURN_NOT_OK(reader.ReadF64(&rule.support));
+    QARM_RETURN_NOT_OK(reader.ReadF64(&rule.confidence));
+    QARM_RETURN_NOT_OK(reader.ReadF64(&rule.lift));
     QARM_RETURN_NOT_OK(CheckMeasure(i, "support", rule.support, 0.0, 1.0));
     QARM_RETURN_NOT_OK(
         CheckMeasure(i, "confidence", rule.confidence, 0.0, 1.0));
     QARM_RETURN_NOT_OK(CheckMeasure(i, "lift", rule.lift, 0.0,
                                     std::numeric_limits<double>::max()));
   }
-  if (cursor.remaining() != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "rule-set payload has %zu trailing bytes", cursor.remaining()));
-  }
-  return Status::OK();
+  return reader.ExpectEnd();
 }
 
 }  // namespace
@@ -224,49 +158,12 @@ Result<StoredRuleSet> ParseRuleSet(const uint8_t* data, size_t size) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::Internal("QRS reading requires a little-endian host");
   }
-  if (size < kQrsHeaderSize + kQrsTailSize) {
-    return Status::InvalidArgument(
-        StrFormat("rule set too small: %zu bytes", size));
-  }
-  if (std::memcmp(data, kQrsMagic, sizeof(kQrsMagic)) != 0) {
-    return Status::InvalidArgument("not a QRS rule set (bad magic)");
-  }
-  if (QbtReadU32(data + 4) != kQbtEndianMarker) {
-    return Status::InvalidArgument(
-        "rule-set endianness does not match this host");
-  }
-  const uint32_t version = QbtReadU32(data + 8);
-  if (version != kQrsVersion) {
-    return Status::InvalidArgument(StrFormat(
-        "unsupported rule-set version %u (expected %u)", version,
-        kQrsVersion));
-  }
-  const uint32_t num_attrs = QbtReadU32(data + 12);
-  const uint64_t payload_size = QbtReadU64(data + 16);
-  const uint64_t num_records = QbtReadU64(data + 24);
-  if (payload_size != size - kQrsHeaderSize - kQrsTailSize) {
-    return Status::InvalidArgument(StrFormat(
-        "rule-set payload size %llu does not match file size %zu",
-        static_cast<unsigned long long>(payload_size), size));
-  }
-  const uint8_t* payload = data + kQrsHeaderSize;
-  const uint8_t* tail = payload + payload_size;
-  if (std::memcmp(tail + 4, kQrsEndMagic, sizeof(kQrsEndMagic)) != 0) {
-    return Status::InvalidArgument("rule-set end magic missing");
-  }
-  const uint32_t expected_crc = QbtReadU32(tail);
-  const uint32_t actual_crc =
-      Crc32(payload, static_cast<size_t>(payload_size));
-  if (expected_crc != actual_crc) {
-    return Status::IOError(StrFormat(
-        "rule-set payload checksum mismatch (stored %08x, computed %08x)",
-        expected_crc, actual_crc));
-  }
-
+  QARM_ASSIGN_OR_RETURN(Envelope envelope,
+                        ParseEnvelope(kQrsFormat, data, size));
   StoredRuleSet set;
-  set.num_records = num_records;
-  QARM_RETURN_NOT_OK(ParsePayload(payload, static_cast<size_t>(payload_size),
-                                  num_attrs, num_records, &set));
+  set.num_records = QbtReadU64(envelope.extra_header);
+  QARM_RETURN_NOT_OK(ParsePayload(envelope.payload, envelope.payload_size,
+                                  envelope.header_word, &set));
   return set;
 }
 
@@ -274,10 +171,8 @@ Result<StoredRuleSet> ReadRuleSet(const std::string& path) {
   QARM_ASSIGN_OR_RETURN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
   Result<StoredRuleSet> set = ParseRuleSet(file->data(), file->size());
   if (!set.ok()) {
-    const std::string msg = "'" + path + "': " + set.status().message();
-    return set.status().code() == StatusCode::kIOError
-               ? Status::IOError(msg)
-               : Status::InvalidArgument(msg);
+    return Status::Error(set.status().code(),
+                         "'" + path + "': " + set.status().message());
   }
   return set;
 }

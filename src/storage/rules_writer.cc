@@ -1,16 +1,9 @@
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "common/string_util.h"
 #include "storage/attr_metadata.h"
-#include "storage/crc32.h"
-#include "storage/qbt_format.h"
+#include "storage/byte_reader.h"
 #include "storage/rules_format.h"
 
 namespace qarm {
@@ -48,28 +41,6 @@ std::string EncodePayload(const StoredRuleSet& set) {
   return out;
 }
 
-// stdio instead of ofstream: the file descriptor is needed for fsync; a
-// rule set the OS never flushed would vanish in the same crash window the
-// checkpoint writer closes.
-Status WriteFile(const std::string& path, const std::string& bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  ok = std::fflush(file) == 0 && ok;
-#if defined(__unix__) || defined(__APPLE__)
-  ok = fsync(fileno(file)) == 0 && ok;
-#endif
-  ok = std::fclose(file) == 0 && ok;
-  if (!ok) {
-    std::remove(path.c_str());
-    return Status::IOError("write to '" + path + "' failed");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status WriteRuleSet(const StoredRuleSet& set, const std::string& path,
@@ -86,28 +57,12 @@ Status WriteRuleSet(const StoredRuleSet& set, const std::string& path,
     }
   }
 
-  const std::string payload = EncodePayload(set);
-  std::string bytes;
-  bytes.reserve(kQrsHeaderSize + payload.size() + kQrsTailSize);
-  bytes.append(kQrsMagic, sizeof(kQrsMagic));
-  QbtAppendU32(&bytes, kQbtEndianMarker);
-  QbtAppendU32(&bytes, kQrsVersion);
-  QbtAppendU32(&bytes, static_cast<uint32_t>(set.attributes.size()));
-  QbtAppendU64(&bytes, payload.size());
-  QbtAppendU64(&bytes, set.num_records);
-  bytes.append(payload);
-  QbtAppendU32(&bytes, Crc32(payload.data(), payload.size()));
-  bytes.append(kQrsEndMagic, sizeof(kQrsEndMagic));
-
-  // Atomic replace, same as the checkpoint writer: a crash before the
-  // rename leaves any previous rule set valid.
-  const std::string tmp_path = path + ".tmp";
-  QARM_RETURN_NOT_OK(WriteFile(tmp_path, bytes));
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IOError("cannot rename '" + tmp_path + "' to '" + path +
-                           "'");
-  }
+  std::string num_records;
+  QbtAppendU64(&num_records, set.num_records);
+  const std::string bytes = EncodeEnvelope(
+      kQrsFormat, static_cast<uint32_t>(set.attributes.size()), num_records,
+      EncodePayload(set));
+  QARM_RETURN_NOT_OK(WriteFileAtomic(path, bytes));
   if (bytes_written != nullptr) *bytes_written = bytes.size();
   return Status::OK();
 }
