@@ -217,7 +217,6 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
   uint64_t replicated_bytes_total = 0;
   for (SuperCandidate& sc : groups) {
     if (sc.quant_attrs.empty()) {
-      QARM_CHECK_EQ(sc.num_members, 1u);  // identical itemsets are unique
       ++local_stats.num_direct;
       continue;
     }
@@ -616,7 +615,11 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       // Counts are bounded by the record count, but that invariant lives far
       // from here (in the scan workers); guard the narrowing explicitly.
       QARM_CHECK_LE(sc.direct_count, std::numeric_limits<uint32_t>::max());
-      counts[sc.runs[0].first] = static_cast<uint32_t>(sc.direct_count);
+      // One itemset; more than one member only when a distributed peer's
+      // request repeated it.
+      ForEachMember(sc, [&](size_t, uint32_t c) {
+        counts[c] = static_cast<uint32_t>(sc.direct_count);
+      });
       return;
     }
     if (sc.tree != nullptr || sc.degraded_scan) {

@@ -108,10 +108,14 @@ TEST(SupportCountingTest, PurelyCategoricalCandidates) {
     }
   }
   ASSERT_GT(c2.size(), 0u);
+  // The miner never repeats a candidate, but a distributed worker counts
+  // whatever its peer sends: a repeat gets the same count, not an abort.
+  c2.AppendVector(c2.itemset_vector(0));
   CountingStats stats;
   std::vector<uint32_t> counts =
       CountSupports(table, catalog, c2, options, &stats);
   EXPECT_EQ(stats.num_direct, stats.num_super_candidates);
+  EXPECT_EQ(counts.back(), counts.front());
   for (size_t c = 0; c < c2.size(); ++c) {
     EXPECT_EQ(counts[c],
               BruteForceSupport(table, catalog.Decode(c2.itemset_vector(c))));
