@@ -17,6 +17,9 @@ std::vector<std::string> Split(std::string_view input, char delim);
 // Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
+// Escapes `s` for embedding in a JSON document (quotes included).
+std::string JsonEscape(std::string_view s);
+
 // Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 

@@ -5,64 +5,14 @@
 
 namespace qarm {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 namespace {
-
-std::string ItemToJson(const RangeItem& item, const MappedTable& mapped) {
-  const MappedAttribute& attr =
-      mapped.attribute(static_cast<size_t>(item.attr));
-  std::string out = "{";
-  out += "\"attribute\":" + JsonEscape(attr.name);
-  out += ",\"kind\":";
-  out += attr.kind == AttributeKind::kQuantitative ? "\"quantitative\""
-                                                   : "\"categorical\"";
-  if (attr.kind == AttributeKind::kQuantitative) {
-    Interval raw = attr.RawInterval(item.lo, item.hi);
-    out += ",\"lo\":" + FormatDouble(raw.lo);
-    out += ",\"hi\":" + FormatDouble(raw.hi);
-  } else {
-    out += ",\"value\":" + JsonEscape(attr.DecodeRange(item.lo, item.hi));
-  }
-  out += ",\"display\":" + JsonEscape(attr.DecodeRange(item.lo, item.hi));
-  out += "}";
-  return out;
-}
 
 std::string SideToJson(const RangeItemset& side, const MappedTable& mapped) {
   std::string out = "[";
   for (size_t i = 0; i < side.size(); ++i) {
     if (i > 0) out += ',';
-    out += ItemToJson(side[i], mapped);
+    AppendItemJson(mapped.attribute(static_cast<size_t>(side[i].attr)),
+                   side[i].lo, side[i].hi, &out);
   }
   out += "]";
   return out;

@@ -36,9 +36,6 @@ std::string StatsToJson(const MiningStats& stats);
 std::string RulesToCsv(const std::vector<QuantRule>& rules,
                        const MappedTable& mapped);
 
-// Escapes a string for embedding in a JSON document (quotes included).
-std::string JsonEscape(const std::string& s);
-
 }  // namespace qarm
 
 #endif  // QARM_CORE_REPORT_H_

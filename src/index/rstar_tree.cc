@@ -53,13 +53,6 @@ double OverlapArea(const RStarRect& a, const RStarRect& b, size_t dims) {
   return area;
 }
 
-bool Intersects(const RStarRect& a, const RStarRect& b, size_t dims) {
-  for (size_t d = 0; d < dims; ++d) {
-    if (a.hi[d] < b.lo[d] || b.hi[d] < a.lo[d]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 struct RStarTree::Entry {
@@ -392,24 +385,6 @@ void RStarTree::ForEachContaining(
     }
     for (const Entry& entry : node->entries) {
       if (entry.mbr.ContainsPoint(point, dims_)) {
-        stack.push_back(entry.child.get());
-      }
-    }
-  }
-}
-
-void RStarTree::CollectIntersecting(const RStarRect& query,
-                                    std::vector<int32_t>* out) const {
-  if (size_ == 0) return;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    for (const Entry& entry : node->entries) {
-      if (!Intersects(entry.mbr, query, dims_)) continue;
-      if (node->level == 0) {
-        out->push_back(entry.id);
-      } else {
         stack.push_back(entry.child.get());
       }
     }

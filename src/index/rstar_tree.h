@@ -58,10 +58,6 @@ class RStarTree {
   void ForEachContaining(const double* point,
                          const std::function<void(int32_t)>& fn) const;
 
-  // Collects ids of all rectangles intersecting `query` (used by tests).
-  void CollectIntersecting(const RStarRect& query,
-                           std::vector<int32_t>* out) const;
-
   size_t size() const { return size_; }
   size_t dims() const { return dims_; }
   size_t height() const;

@@ -69,6 +69,12 @@ struct MappedAttribute {
   }
 };
 
+// Appends the JSON object of the item `attr` in mapped range [lo, hi]:
+// attribute, kind, lo/hi (raw bounds) or value (label), and display text.
+// The report writer and the rule server render items through this.
+void AppendItemJson(const MappedAttribute& attr, int32_t lo, int32_t hi,
+                    std::string* out);
+
 // Row-major matrix of mapped integer values plus decode metadata.
 class MappedTable {
  public:

@@ -8,38 +8,6 @@
 namespace qarm {
 namespace {
 
-// Serving-side JSON string escaping (matches the report writer's rules).
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 using Params = std::vector<std::pair<std::string, std::string>>;
 
 // Last occurrence wins, matching common query-string semantics.
@@ -81,7 +49,7 @@ bool BoolParam(const Params& params, const std::string& key) {
 HttpResponse ErrorResponse(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\":" + JsonString(message) + "}";
+  response.body = "{\"error\":" + JsonEscape(message) + "}";
   return response;
 }
 
@@ -143,33 +111,19 @@ std::string RuleService::CanonicalKey(const HttpRequest& request) {
 std::string RuleService::RuleToJson(uint32_t rule_id) const {
   const StoredRule& rule = catalog_->rules()[rule_id];
   const std::vector<MappedAttribute>& attrs = catalog_->attributes();
-  auto side_json = [&](const std::vector<StoredItem>& side) {
-    std::string out = "[";
+  std::string out = StrFormat("{\"id\":%u,\"antecedent\":", rule_id);
+  auto append_side = [&](const std::vector<StoredItem>& side) {
+    out += '[';
     for (size_t i = 0; i < side.size(); ++i) {
       if (i > 0) out += ',';
-      const StoredItem& item = side[i];
-      const MappedAttribute& attr = attrs[static_cast<size_t>(item.attr)];
-      out += "{\"attribute\":" + JsonString(attr.name);
-      out += ",\"kind\":";
-      out += attr.kind == AttributeKind::kQuantitative ? "\"quantitative\""
-                                                       : "\"categorical\"";
-      if (attr.kind == AttributeKind::kQuantitative) {
-        Interval raw = attr.RawInterval(item.lo, item.hi);
-        out += ",\"lo\":" + FormatDouble(raw.lo);
-        out += ",\"hi\":" + FormatDouble(raw.hi);
-      } else {
-        out += ",\"value\":" + JsonString(attr.DecodeRange(item.lo, item.hi));
-      }
-      out += ",\"display\":" + JsonString(attr.DecodeRange(item.lo, item.hi));
-      out += '}';
+      AppendItemJson(attrs[static_cast<size_t>(side[i].attr)], side[i].lo,
+                     side[i].hi, &out);
     }
     out += ']';
-    return out;
   };
-  std::string out = StrFormat("{\"id\":%u,\"antecedent\":", rule_id);
-  out += side_json(rule.antecedent);
+  append_side(rule.antecedent);
   out += ",\"consequent\":";
-  out += side_json(rule.consequent);
+  append_side(rule.consequent);
   out += StrFormat(
       ",\"support\":%s,\"confidence\":%s,\"lift\":%s,\"count\":%llu,"
       "\"interesting\":%s}",

@@ -96,6 +96,23 @@ inline void QbtAppendString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
+// The footer's per-block record: file offset, row count, CRC-32 of the
+// block's bytes.
+inline void QbtAppendIndexEntry(std::string* out, uint64_t offset,
+                                uint32_t num_rows, uint32_t crc) {
+  QbtAppendU64(out, offset);
+  QbtAppendU32(out, num_rows);
+  QbtAppendU32(out, crc);
+}
+
+// The 16-byte tail: footer offset, CRC-32 of the footer, end magic.
+inline void QbtAppendTail(std::string* out, uint64_t footer_offset,
+                          uint32_t footer_crc) {
+  QbtAppendU64(out, footer_offset);
+  QbtAppendU32(out, footer_crc);
+  out->append(kQbtEndMagic, sizeof(kQbtEndMagic));
+}
+
 inline uint32_t QbtReadU32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;

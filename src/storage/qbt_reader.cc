@@ -35,30 +35,41 @@ Result<std::vector<MappedAttribute>> DecodeAttributes(
 }  // namespace
 
 Result<std::unique_ptr<QbtReader>> QbtReader::Open(const std::string& path) {
+  QARM_ASSIGN_OR_RETURN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
+  auto reader = std::unique_ptr<QbtReader>(new QbtReader());
+  QARM_RETURN_NOT_OK(reader->Parse(path, file->data(), file->size()));
+  reader->file_ = std::move(file);
+  return reader;
+}
+
+Status QbtReader::ValidatePrefix(const std::string& path, const uint8_t* data,
+                                 size_t length) {
+  QbtReader reader;
+  return reader.Parse(path, data, length);
+}
+
+Status QbtReader::Parse(const std::string& path, const uint8_t* data,
+                        size_t size) {
   if constexpr (std::endian::native != std::endian::little) {
     return Status::Internal("QBT reading requires a little-endian host");
   }
-  QARM_ASSIGN_OR_RETURN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
-  const uint8_t* data = file->data();
-  const size_t size = file->size();
   if (size < kQbtHeaderSize + kQbtTailSize) {
     return Corrupt(path, StrFormat("file is only %zu bytes", size));
   }
   const Result<uint32_t> version = CheckPreamble(kQbtFormat, data, size);
   if (!version.ok()) return Corrupt(path, version.status().message());
-  auto reader = std::unique_ptr<QbtReader>(new QbtReader());
-  reader->rows_per_block_ = QbtReadU32(data + 12);
-  reader->num_rows_ = QbtReadU64(data + 16);
+  rows_per_block_ = QbtReadU32(data + 12);
+  num_rows_ = QbtReadU64(data + 16);
   const uint32_t num_attrs = QbtReadU32(data + 24);
   const uint64_t metadata_size = QbtReadU64(data + 32);
-  if (reader->rows_per_block_ == 0) {
+  if (rows_per_block_ == 0) {
     return Corrupt(path, "rows_per_block is 0");
   }
   if (metadata_size > size - kQbtHeaderSize - kQbtTailSize) {
     return Corrupt(path, "metadata section exceeds the file");
   }
   QARM_ASSIGN_OR_RETURN(
-      reader->attributes_,
+      attributes_,
       DecodeAttributes(path, data + kQbtHeaderSize,
                        static_cast<size_t>(metadata_size), num_attrs));
 
@@ -86,18 +97,18 @@ Result<std::unique_ptr<QbtReader>> QbtReader::Open(const std::string& path) {
   if (Crc32(footer, static_cast<size_t>(footer_size)) != footer_crc) {
     return Corrupt(path, "block index checksum mismatch");
   }
-  reader->blocks_.resize(static_cast<size_t>(num_blocks));
-  reader->row_begins_.resize(static_cast<size_t>(num_blocks));
+  blocks_.resize(static_cast<size_t>(num_blocks));
+  row_begins_.resize(static_cast<size_t>(num_blocks));
   uint64_t expected_rows = 0;
-  for (size_t b = 0; b < reader->blocks_.size(); ++b) {
+  for (size_t b = 0; b < blocks_.size(); ++b) {
     const uint8_t* entry = footer + b * kQbtBlockIndexEntrySize;
-    BlockEntry& block = reader->blocks_[b];
+    BlockEntry& block = blocks_[b];
     block.offset = QbtReadU64(entry);
     block.num_rows = QbtReadU32(entry + 8);
     block.crc32 = QbtReadU32(entry + 12);
     // The size check divides instead of multiplying out block_bytes so an
     // attacker-chosen row count cannot overflow the comparison.
-    if (block.num_rows == 0 || block.num_rows > reader->rows_per_block_ ||
+    if (block.num_rows == 0 || block.num_rows > rows_per_block_ ||
         block.offset % sizeof(int32_t) != 0 ||
         block.offset < kQbtHeaderSize + metadata_size ||
         block.offset > footer_offset ||
@@ -107,18 +118,17 @@ Result<std::unique_ptr<QbtReader>> QbtReader::Open(const std::string& path) {
       return Corrupt(path, StrFormat("block %zu index entry out of bounds",
                                      b));
     }
-    reader->row_begins_[b] = expected_rows;
+    row_begins_[b] = expected_rows;
     expected_rows += block.num_rows;
   }
-  if (expected_rows != reader->num_rows_) {
+  if (expected_rows != num_rows_) {
     return Corrupt(path, StrFormat("block rows sum to %llu, header says %llu",
                                    static_cast<unsigned long long>(
                                        expected_rows),
                                    static_cast<unsigned long long>(
-                                       reader->num_rows_)));
+                                       num_rows_)));
   }
-  reader->file_ = std::move(file);
-  return reader;
+  return Status::OK();
 }
 
 uint32_t QbtReader::IndexPrefixCrc(size_t num_blocks) const {
@@ -126,9 +136,8 @@ uint32_t QbtReader::IndexPrefixCrc(size_t num_blocks) const {
   std::string encoded;
   encoded.reserve(num_blocks * kQbtBlockIndexEntrySize);
   for (size_t b = 0; b < num_blocks; ++b) {
-    QbtAppendU64(&encoded, blocks_[b].offset);
-    QbtAppendU32(&encoded, blocks_[b].num_rows);
-    QbtAppendU32(&encoded, blocks_[b].crc32);
+    QbtAppendIndexEntry(&encoded, blocks_[b].offset, blocks_[b].num_rows,
+                        blocks_[b].crc32);
   }
   return Crc32(encoded.data(), encoded.size());
 }

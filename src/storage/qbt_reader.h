@@ -33,6 +33,12 @@ class QbtReader {
   // match the file size.
   static Result<std::unique_ptr<QbtReader>> Open(const std::string& path);
 
+  // Runs Open's checks on `data[0, length)` as if the file ended there,
+  // failing with the same IOError texts. RecoverQbt keeps the longest
+  // prefix of a torn file this accepts.
+  static Status ValidatePrefix(const std::string& path, const uint8_t* data,
+                               size_t length);
+
   const std::vector<MappedAttribute>& attributes() const {
     return attributes_;
   }
@@ -79,6 +85,10 @@ class QbtReader {
   };
 
   QbtReader() = default;
+
+  // Validates `data[0, size)` as a whole QBT file and fills every field
+  // but file_ from it.
+  Status Parse(const std::string& path, const uint8_t* data, size_t size);
 
   std::unique_ptr<MmapFile> file_;
   std::vector<MappedAttribute> attributes_;

@@ -33,10 +33,8 @@ void EncodeBlock(const MappedTable& table, uint64_t row, size_t block_rows,
       slice[r] = table.value(static_cast<size_t>(row) + r, a);
     }
   }
-  const size_t block_bytes = block->size() * sizeof(int32_t);
-  QbtAppendU64(footer, offset);
-  QbtAppendU32(footer, static_cast<uint32_t>(block_rows));
-  QbtAppendU32(footer, Crc32(block->data(), block_bytes));
+  QbtAppendIndexEntry(footer, offset, static_cast<uint32_t>(block_rows),
+                      Crc32(block->data(), block->size() * sizeof(int32_t)));
 }
 
 Status FlushAndSync(std::FILE* file, const std::string& path) {
@@ -107,10 +105,7 @@ Status WriteQbt(const MappedTable& table, const std::string& path,
   const uint64_t footer_offset = offset;
   out.write(footer.data(), static_cast<std::streamsize>(footer.size()));
   std::string tail;
-  QbtAppendU64(&tail, footer_offset);
-  QbtAppendU32(&tail, Crc32(footer.data(), footer.size()));
-  tail.append(kQbtEndMagic, sizeof(kQbtEndMagic));
-  QARM_CHECK_EQ(tail.size(), kQbtTailSize);
+  QbtAppendTail(&tail, footer_offset, Crc32(footer.data(), footer.size()));
   out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
 
   out.flush();
@@ -127,73 +122,31 @@ Status WriteQbt(const MappedTable& table, const std::string& path,
 
 Status RecoverQbt(const std::string& path, bool* recovered) {
   if (recovered != nullptr) *recovered = false;
-  if (QbtReader::Open(path).ok()) return Status::OK();
-
   QARM_ASSIGN_OR_RETURN(std::unique_ptr<MmapFile> file, MmapFile::Open(path));
   const uint8_t* data = file->data();
   const size_t size = file->size();
-  if (size < kQbtHeaderSize + kQbtTailSize ||
-      !CheckPreamble(kQbtFormat, data, size).ok()) {
-    return Status::IOError("'" + path +
-                           "' is not a recoverable QBT file (bad header)");
-  }
-  const uint32_t rows_per_block = QbtReadU32(data + 12);
-  const uint64_t num_rows = QbtReadU64(data + 16);
-  const uint64_t metadata_size = QbtReadU64(data + 32);
-  const uint64_t data_begin = kQbtHeaderSize + metadata_size;
-  if (rows_per_block == 0 || metadata_size > size - kQbtHeaderSize) {
-    return Status::IOError("'" + path +
-                           "' is not a recoverable QBT file (bad header)");
-  }
 
   // An interrupted append left partial suffix bytes after the last
   // committed tail (or a complete suffix whose row count was never
-  // committed to the header). Scan backwards for the most recent tail whose
-  // footer checksums and whose block rows sum to the committed header row
-  // count, and cut the file there.
-  for (size_t tail_end = size; tail_end >= data_begin + kQbtTailSize;
-       --tail_end) {
-    const uint8_t* tail = data + tail_end - kQbtTailSize;
-    if (std::memcmp(tail + 12, kQbtEndMagic, sizeof(kQbtEndMagic)) != 0) {
+  // committed to the header). The committed state is the longest prefix
+  // the reader accepts; only a prefix ending in the end magic can be one.
+  // A file the reader accepts as a whole is left as it is, and so is one
+  // with no accepted prefix at all.
+  for (size_t length = size; length >= sizeof(kQbtEndMagic); --length) {
+    if (std::memcmp(data + length - sizeof(kQbtEndMagic), kQbtEndMagic,
+                    sizeof(kQbtEndMagic)) != 0 ||
+        !QbtReader::ValidatePrefix(path, data, length).ok()) {
       continue;
     }
-    const uint64_t footer_offset = QbtReadU64(tail);
-    if (footer_offset < data_begin ||
-        footer_offset > tail_end - kQbtTailSize ||
-        (tail_end - kQbtTailSize - footer_offset) % kQbtBlockIndexEntrySize !=
-            0) {
-      continue;
-    }
-    const uint64_t footer_size = tail_end - kQbtTailSize - footer_offset;
-    const uint8_t* footer = data + footer_offset;
-    if (Crc32(footer, static_cast<size_t>(footer_size)) !=
-        QbtReadU32(tail + 8)) {
-      continue;
-    }
-    uint64_t rows = 0;
-    bool entries_ok = true;
-    for (uint64_t b = 0; b < footer_size / kQbtBlockIndexEntrySize; ++b) {
-      const uint8_t* entry = footer + b * kQbtBlockIndexEntrySize;
-      const uint64_t block_offset = QbtReadU64(entry);
-      const uint32_t block_rows = QbtReadU32(entry + 8);
-      if (block_rows == 0 || block_rows > rows_per_block ||
-          block_offset < data_begin || block_offset > footer_offset) {
-        entries_ok = false;
-        break;
-      }
-      rows += block_rows;
-    }
-    if (!entries_ok || rows != num_rows) continue;
-
+    if (length == size) return Status::OK();
     file.reset();  // unmap before truncating
 #if defined(__unix__) || defined(__APPLE__)
-    if (truncate(path.c_str(), static_cast<off_t>(tail_end)) != 0) {
+    if (truncate(path.c_str(), static_cast<off_t>(length)) != 0) {
       return Status::IOError("cannot truncate '" + path + "'");
     }
 #else
     return Status::Internal("QBT recovery requires POSIX truncate");
 #endif
-    QARM_RETURN_NOT_OK(QbtReader::Open(path).status());
     if (recovered != nullptr) *recovered = true;
     return Status::OK();
   }
@@ -242,9 +195,9 @@ Status AppendQbt(const MappedTable& delta, const std::string& path,
   std::string suffix;
   std::string footer;
   for (size_t b = 0; b < old_blocks; ++b) {
-    QbtAppendU64(&footer, reader->block_offset(b));
-    QbtAppendU32(&footer, static_cast<uint32_t>(reader->block_rows(b)));
-    QbtAppendU32(&footer, reader->block_crc(b));
+    QbtAppendIndexEntry(&footer, reader->block_offset(b),
+                        static_cast<uint32_t>(reader->block_rows(b)),
+                        reader->block_crc(b));
   }
   uint64_t offset = old_size;
   uint64_t new_blocks = 0;
@@ -260,9 +213,7 @@ Status AppendQbt(const MappedTable& delta, const std::string& path,
   }
   const uint64_t footer_offset = offset;
   suffix.append(footer);
-  QbtAppendU64(&suffix, footer_offset);
-  QbtAppendU32(&suffix, Crc32(footer.data(), footer.size()));
-  suffix.append(kQbtEndMagic, sizeof(kQbtEndMagic));
+  QbtAppendTail(&suffix, footer_offset, Crc32(footer.data(), footer.size()));
 
   reader.reset();  // unmap before writing
 

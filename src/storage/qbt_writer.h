@@ -61,12 +61,11 @@ Status AppendQbt(const MappedTable& delta, const std::string& path,
                  QbtAppendInfo* info = nullptr);
 
 // Restores the QBT file at `path` to its last committed state after an
-// interrupted append: if the file does not open cleanly, scans backwards
-// for the most recent tail whose footer checksums and whose block rows sum
-// to the header row count, and truncates the bytes after it. Returns
-// whether the file was truncated in `*recovered` (optional). Fails when no
-// committed state can be found (the file is corrupt beyond an interrupted
-// append).
+// interrupted append: truncates it to its longest prefix that
+// QbtReader::ValidatePrefix accepts. Returns whether the file was truncated
+// in `*recovered` (optional). A file the reader accepts as a whole is left
+// untouched. Fails, again leaving every byte as it was, when no prefix is
+// accepted (the file is corrupt beyond an interrupted append).
 Status RecoverQbt(const std::string& path, bool* recovered = nullptr);
 
 }  // namespace qarm

@@ -57,5 +57,13 @@ TEST(StrFormatTest, LongOutput) {
   EXPECT_EQ(out.back(), ']');
 }
 
+TEST(JsonEscapeTest, EscapesSpecials) {
+  EXPECT_EQ(JsonEscape("plain"), "\"plain\"");
+  EXPECT_EQ(JsonEscape("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(JsonEscape("back\\slash"), "\"back\\\\slash\"");
+  EXPECT_EQ(JsonEscape("line\nbreak"), "\"line\\nbreak\"");
+  EXPECT_EQ(JsonEscape(std::string("ctl\x01", 4)), "\"ctl\\u0001\"");
+}
+
 }  // namespace
 }  // namespace qarm

@@ -18,14 +18,6 @@ MiningResult MinePeople() {
   return std::move(miner.Mine(MakePeopleTable())).value();
 }
 
-TEST(JsonEscapeTest, EscapesSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "\"plain\"");
-  EXPECT_EQ(JsonEscape("a\"b"), "\"a\\\"b\"");
-  EXPECT_EQ(JsonEscape("back\\slash"), "\"back\\\\slash\"");
-  EXPECT_EQ(JsonEscape("line\nbreak"), "\"line\\nbreak\"");
-  EXPECT_EQ(JsonEscape(std::string("ctl\x01", 4)), "\"ctl\\u0001\"");
-}
-
 TEST(RuleToJsonTest, ContainsFields) {
   MiningResult result = MinePeople();
   ASSERT_FALSE(result.rules.empty());

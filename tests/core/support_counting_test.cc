@@ -511,6 +511,29 @@ std::vector<OracleScenario> OracleScenarios() {
     };
     scenarios.push_back(std::move(s));
   }
+  {
+    // Small domains and every candidate kept: each grid is smaller than
+    // the R*-tree its many members would need, so a 1-byte budget still
+    // counts every group on a dense grid.
+    OracleScenario s;
+    s.name = "ArrayOverBudget";
+    s.make_table = [] {
+      return UniformTable(
+          404, 500,
+          {QuantAttr("q1", 5), CatAttr("c", {"a", "b"}), QuantAttr("q2", 4),
+           QuantAttr("q3", 4)},
+          /*missing_one_in=*/0);
+    };
+    s.minsup = 0.05;
+    s.max_support = 0.5;
+    s.counter_budget = 1;
+    s.check_level2 = [](const CountingStats& stats) {
+      EXPECT_GT(stats.num_array_counters, 0u);
+      EXPECT_EQ(stats.num_tree_counters, 0u);
+      EXPECT_EQ(stats.num_degraded, 0u);
+    };
+    scenarios.push_back(std::move(s));
+  }
   return scenarios;
 }
 

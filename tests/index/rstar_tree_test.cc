@@ -74,20 +74,6 @@ TEST(RStarTreeTest, GrowsBeyondOneNode) {
   EXPECT_EQ(Containing(tree, {32.0, 42.0}), (std::vector<int32_t>{83}));
 }
 
-TEST(RStarTreeTest, CollectIntersecting) {
-  RStarTree tree(2, 8);
-  for (int32_t i = 0; i < 50; ++i) {
-    double x = i * 2.0;
-    tree.Insert(Rect2(x, x + 1, 0, 1), i);
-  }
-  std::vector<int32_t> out;
-  tree.CollectIntersecting(Rect2(10, 20, 0, 1), &out);
-  std::sort(out.begin(), out.end());
-  // Rects with [x, x+1] overlapping [10,20]: x in {10,12,...,20} -> ids 5..10
-  // plus id with x=9? x=9 isn't generated (x is even). ids 5..10.
-  EXPECT_EQ(out, (std::vector<int32_t>{5, 6, 7, 8, 9, 10}));
-}
-
 class RStarRandomTest : public ::testing::TestWithParam<std::pair<int, int>> {
 };
 

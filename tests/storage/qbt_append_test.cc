@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "partition/mapped_table.h"
+#include "storage/crc32.h"
 #include "storage/qbt_reader.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
@@ -234,6 +235,47 @@ TEST(QbtAppendTest, RecoveryTruncatesEveryTornAppendPrefix) {
   auto source = QbtFileSource::Open(torn_path);
   ASSERT_TRUE(source.ok());
   ExpectConcatenatedValues({&base, &delta}, **source);
+}
+
+// A torn file whose newest tail checksums but whose index the reader
+// rejects (the last block's offset is 2 bytes off alignment) has no
+// committed state: recovery fails and must not cut a single byte.
+TEST(QbtAppendTest, FailedRecoveryLeavesTheFileUntouched) {
+  const std::string path = TempPath("append_failed_recovery.qbt");
+  ASSERT_TRUE(WriteQbt(MakeTable(48, 0), path, {/*rows_per_block=*/16}).ok());
+  std::string bytes = ReadFileBytes(path);
+  const size_t tail = bytes.size() - kQbtTailSize;
+  const uint64_t footer_offset =
+      QbtReadU64(reinterpret_cast<const uint8_t*>(bytes.data() + tail));
+  const size_t num_entries =
+      (tail - footer_offset) / kQbtBlockIndexEntrySize;
+  ASSERT_EQ(num_entries, 3u);
+  std::string entry;
+  const size_t last = footer_offset + 2 * kQbtBlockIndexEntrySize;
+  QbtAppendU64(&entry, QbtReadU64(reinterpret_cast<const uint8_t*>(
+                           bytes.data() + last)) - 2);
+  bytes.replace(last, entry.size(), entry);
+  std::string crc;
+  QbtAppendU32(&crc, Crc32(bytes.data() + footer_offset, tail - footer_offset));
+  bytes.replace(tail + 8, crc.size(), crc);
+  bytes += std::string(10, '\x5a');
+  WriteFileBytes(path, bytes);
+
+  bool recovered = true;
+  const Status status = RecoverQbt(path, &recovered);
+  EXPECT_FALSE(status.ok());
+  EXPECT_FALSE(recovered);
+  const std::string after = ReadFileBytes(path);
+  EXPECT_EQ(after.size(), bytes.size());
+  EXPECT_TRUE(after == bytes) << "recovery rewrote bytes it did not cut";
+  // Without the garbage the reader names the defect.
+  const std::string clean_path = TempPath("append_failed_recovery_clean.qbt");
+  WriteFileBytes(clean_path, bytes.substr(0, bytes.size() - 10));
+  auto reader = QbtReader::Open(clean_path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().ToString().find("block 2 index entry out of bounds"),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 // An append onto a torn file recovers it first, then appends cleanly.
