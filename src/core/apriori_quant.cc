@@ -57,7 +57,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     // one; its itemsets were checkpointed in generation (lexicographic)
     // order, which GenerateCandidates requires.
     result = *resume_from;
-    if (options.collect_candidate_counts) {
+    if (options.append_mode) {
       // A base restored from an older checkpoint may lack some passes'
       // counts; keep the vector parallel to `passes` regardless.
       result.candidate_counts.resize(result.passes.size());
@@ -89,7 +89,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     result.passes.push_back(pass);
     // Pass 1 counts nothing (L1 supports live in the catalog), so its
     // candidate-count slot stays empty.
-    if (options.collect_candidate_counts) {
+    if (options.append_mode) {
       result.candidate_counts.emplace_back();
     }
     if (after_pass) QARM_RETURN_NOT_OK(after_pass(result));
@@ -125,7 +125,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
       pass.seconds = timer.ElapsedSeconds();
       result.itemsets.AppendLevel({}, {});
       result.passes.push_back(pass);
-      if (options.collect_candidate_counts) {
+      if (options.append_mode) {
         result.candidate_counts.emplace_back();
       }
       if (after_pass) QARM_RETURN_NOT_OK(after_pass(result));
@@ -163,7 +163,7 @@ Result<FrequentItemsetResult> MineFrequentItemsets(
     result.itemsets.AppendLevel(std::move(level_ids), std::move(level_counts));
     pass.seconds = timer.ElapsedSeconds();
     result.passes.push_back(pass);
-    if (options.collect_candidate_counts) {
+    if (options.append_mode) {
       result.candidate_counts.push_back(std::move(counts));
     }
     if (after_pass) QARM_RETURN_NOT_OK(after_pass(result));

@@ -38,7 +38,7 @@ struct FrequentItemsetResult {
   // values.
   FrequentItemsetStore itemsets;
   std::vector<PassStats> passes;
-  // With MinerOptions::collect_candidate_counts: one vector per completed
+  // With MinerOptions::append_mode: one vector per completed
   // pass (parallel to `passes`), holding the FULL per-candidate counts of
   // that pass in generation order (empty for passes that counted nothing —
   // pass 1 and the terminating empty pass). Incremental mining checkpoints

@@ -21,6 +21,20 @@ ItemCatalog ItemCatalog::Build(const MappedTable& table,
   return std::move(catalog).value();
 }
 
+void ItemCatalog::BuildPrefixCounts() {
+  prefix_counts_.resize(value_counts_.size());
+  for (size_t a = 0; a < value_counts_.size(); ++a) {
+    const auto& counts = value_counts_[a];
+    auto& prefix = prefix_counts_[a];
+    prefix.resize(counts.size());
+    uint64_t sum = 0;
+    for (size_t v = 0; v < counts.size(); ++v) {
+      sum += counts[v];
+      prefix[v] = sum;
+    }
+  }
+}
+
 Result<std::vector<std::vector<uint64_t>>> ItemCatalog::ScanValueCounts(
     const RecordSource& source, size_t num_threads, ScanIoStats* io) {
   const size_t num_attrs = source.num_attributes();
@@ -46,9 +60,8 @@ Result<std::vector<std::vector<uint64_t>>> ItemCatalog::ScanValueCounts(
       for (size_t a = 0; a < num_attrs; ++a) {
         std::vector<uint64_t>& column_counts = counts[a];
         const int32_t* column = view.column(a);
-        const size_t stride = view.stride();
         for (size_t r = 0; r < rows; ++r) {
-          const int32_t v = column[r * stride];
+          const int32_t v = column[r];
           if (v == kMissingValue) continue;
           ++column_counts[static_cast<size_t>(v)];
         }
@@ -115,17 +128,7 @@ Result<ItemCatalog> ItemCatalog::BuildFromValueCounts(
   ItemCatalog catalog;
   catalog.num_records_ = num_rows;
   catalog.value_counts_ = std::move(value_counts);
-  catalog.prefix_counts_.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    const auto& counts = catalog.value_counts_[a];
-    auto& prefix = catalog.prefix_counts_[a];
-    prefix.resize(counts.size());
-    uint64_t sum = 0;
-    for (size_t v = 0; v < counts.size(); ++v) {
-      sum += counts[v];
-      prefix[v] = sum;
-    }
-  }
+  catalog.BuildPrefixCounts();
 
   const uint64_t min_count = MinSupportCount(options.minsup, num_rows);
   const double max_support =
@@ -267,17 +270,7 @@ Result<ItemCatalog> ItemCatalog::Restore(const RecordSource& source,
   }
   catalog.item_counts_ = saved.item_counts;
 
-  catalog.prefix_counts_.resize(num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    const auto& counts = catalog.value_counts_[a];
-    auto& prefix = catalog.prefix_counts_[a];
-    prefix.resize(counts.size());
-    uint64_t sum = 0;
-    for (size_t v = 0; v < counts.size(); ++v) {
-      sum += counts[v];
-      prefix[v] = sum;
-    }
-  }
+  catalog.BuildPrefixCounts();
   return catalog;
 }
 

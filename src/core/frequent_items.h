@@ -101,6 +101,9 @@ class ItemCatalog {
  private:
   ItemCatalog() = default;
 
+  // Recomputes prefix_counts_ from value_counts_.
+  void BuildPrefixCounts();
+
   std::vector<RangeItem> items_;        // sorted by (attr, lo, hi)
   std::vector<uint64_t> item_counts_;   // parallel to items_
   size_t num_records_ = 0;

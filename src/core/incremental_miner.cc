@@ -49,7 +49,6 @@ Result<MiningResult> MineIncremental(const std::string& qbt_path,
                                      const FullMineFn& full_mine) {
   MinerOptions opts = options;
   opts.append_mode = true;
-  opts.collect_candidate_counts = true;
   QARM_RETURN_NOT_OK(opts.Validate());
 
   IncrementalDecision local_decision;
@@ -80,8 +79,7 @@ Result<MiningResult> MineIncremental(const std::string& qbt_path,
       return full_mine(opts);
     }
     MiningHooks hooks;
-    hooks.checkpoint_base.num_blocks = total_blocks;
-    hooks.checkpoint_base.index_crc = qbt->reader().IndexPrefixCrc(total_blocks);
+    hooks.checkpoint_base = CheckpointBaseOf(*qbt);
     const QuantitativeRuleMiner miner(opts);
     return miner.MineStreamed(*qbt, hooks);
   };
@@ -197,8 +195,7 @@ Result<MiningResult> MineIncremental(const std::string& qbt_path,
   state.cur_min_count = MinSupportCount(opts.minsup, total_rows);
 
   MiningHooks hooks;
-  hooks.checkpoint_base.num_blocks = total_blocks;
-  hooks.checkpoint_base.index_crc = qbt->reader().IndexPrefixCrc(total_blocks);
+  hooks.checkpoint_base = CheckpointBaseOf(*qbt);
 
   hooks.scan_value_counts =
       [&state](ScanIoStats* io) -> Result<std::vector<std::vector<uint64_t>>> {

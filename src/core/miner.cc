@@ -26,12 +26,13 @@ std::vector<QuantRule> MiningResult::InterestingRules() const {
   return out;
 }
 
-QuantitativeRuleMiner::QuantitativeRuleMiner(const MinerOptions& options)
-    : options_(options) {
-  // A checkpoint without full candidate counts cannot seed an incremental
-  // run, which is the whole point of append mode.
-  if (options_.append_mode) options_.collect_candidate_counts = true;
+CheckpointBaseInfo CheckpointBaseOf(const QbtFileSource& qbt) {
+  return CheckpointBaseInfo{
+      qbt.num_blocks(), qbt.reader().IndexPrefixCrc(qbt.num_blocks())};
 }
+
+QuantitativeRuleMiner::QuantitativeRuleMiner(const MinerOptions& options)
+    : options_(options) {}
 
 Status QuantitativeRuleMiner::ValidateOptions() const {
   return options_.Validate();

@@ -135,6 +135,9 @@ struct CheckpointBaseInfo {
   uint32_t index_crc = 0;   // QbtReader::IndexPrefixCrc(num_blocks)
 };
 
+// The identity of `qbt` as it is now: all of its blocks.
+CheckpointBaseInfo CheckpointBaseOf(const QbtFileSource& qbt);
+
 // Delegates that let a driver (the distributed coordinator, the
 // incremental miner) substitute its own implementations for the phases
 // that scan records, while the miner keeps running everything else —

@@ -97,10 +97,10 @@ CheckpointState BuildCheckpointState(uint64_t fingerprint,
     saved.counts = progress.itemsets.level_counts(p + 1);
     state.passes.push_back(std::move(saved));
   }
-  // Full per-candidate counts (collect_candidate_counts) travel with the
-  // pass they belong to; absent or mismatched vectors are simply not
-  // stored — the checkpoint stays valid for resume, just not as an
-  // incremental base for that pass.
+  // Full per-candidate counts (append mode) travel with the pass they
+  // belong to; absent or mismatched vectors are simply not stored — the
+  // checkpoint stays valid for resume, just not as an incremental base for
+  // that pass.
   if (progress.candidate_counts.size() == progress.passes.size()) {
     for (size_t p = 0; p < progress.passes.size(); ++p) {
       const std::vector<uint32_t>& counts = progress.candidate_counts[p];

@@ -153,16 +153,14 @@ struct MinerOptions {
   // Incremental (append) mode: on success the checkpoint is NOT deleted —
   // a final state flagged complete is written instead, so the next run over
   // the same file plus appended QBT blocks can mine only the delta (see
-  // core/incremental_miner.h). Implies collect_candidate_counts. Requires
-  // checkpoint_path. Like the checkpoint settings, this is an execution
-  // knob: it never changes the mined rules.
+  // core/incremental_miner.h). Every pass's full per-candidate support
+  // counts are recorded in the result (and therefore in checkpoints): that
+  // is what makes a checkpoint usable as an incremental base — delta counts
+  // merge into the stored counts positionally — at the cost of ~4 bytes per
+  // candidate in the checkpoint. Requires checkpoint_path. Like the
+  // checkpoint settings, this is an execution knob: it never changes the
+  // mined rules.
   bool append_mode = false;
-
-  // Record every pass's full per-candidate support counts in the result
-  // (and therefore in checkpoints). This is what makes a checkpoint usable
-  // as an incremental base — delta counts merge into the stored counts
-  // positionally — at the cost of ~4 bytes per candidate in the checkpoint.
-  bool collect_candidate_counts = false;
 
   // Debug/testing: stop cleanly (Status::Cancelled) after checkpointing
   // pass N, simulating a crash at that boundary. 0 = run to completion.

@@ -365,13 +365,6 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
     }
     max_dims = std::max(max_dims, sc.quant_attrs.size());
   }
-  // The columns the scan reads: every dimension has a not-missing mask, so
-  // the masked attributes cover the dimensions too.
-  std::vector<size_t> scan_attrs;
-  for (const SharedMask& mask : masks) scan_attrs.push_back(mask.attr);
-  std::sort(scan_attrs.begin(), scan_attrs.end());
-  scan_attrs.erase(std::unique(scan_attrs.begin(), scan_attrs.end()),
-                   scan_attrs.end());
   local_stats.build_seconds = phase_timer.ElapsedSeconds();
   phase_timer.Reset();
 
@@ -395,9 +388,6 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
     std::vector<uint64_t> group_mask(mask_stride);
     std::vector<uint64_t> member_mask(mask_stride);
     std::vector<int32_t> flat_idx(max_block_rows);
-    // Row-major sources materialize the scanned columns into this slab.
-    std::vector<int32_t> columns;
-    std::vector<const int32_t*> col_ptr(num_attrs, nullptr);
     std::vector<const int32_t*> group_cols(max_dims);
     double dpoint[kRStarMaxDims];
     BlockView view;
@@ -432,7 +422,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       }
       if (matches == 0) return;
       for (size_t d = 0; d < dims; ++d) {
-        group_cols[d] = col_ptr[static_cast<size_t>(sc.quant_attrs[d])];
+        group_cols[d] = view.column(static_cast<size_t>(sc.quant_attrs[d]));
       }
       if (sc.array != nullptr) {
         kern.flat_index(flat_idx.data(), group_cols.data(),
@@ -495,28 +485,9 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
     for (size_t b = block_begin; b < block_end; ++b) {
       QARM_RETURN_NOT_OK(source.ReadBlock(b, &view));
       const size_t block_rows = view.num_rows();
-
-      // Resolve contiguous column slices: columnar blocks (QBT) are read in
-      // place; row-major blocks materialize the scanned attributes into the
-      // worker's slab once per block.
-      if (view.columnar()) {
-        for (size_t a : scan_attrs) col_ptr[a] = view.column(a);
-      } else {
-        columns.resize(scan_attrs.size() * max_block_rows);
-        const size_t stride = view.stride();
-        for (size_t i = 0; i < scan_attrs.size(); ++i) {
-          const size_t a = scan_attrs[i];
-          const int32_t* src = view.column(a);
-          int32_t* dst = columns.data() + i * max_block_rows;
-          for (size_t r = 0; r < block_rows; ++r) {
-            dst[r] = src[r * stride];
-          }
-          col_ptr[a] = dst;
-        }
-      }
       for (size_t s = 0; s < masks.size(); ++s) {
         uint64_t* mask = shared_masks.data() + s * mask_stride;
-        const int32_t* col = col_ptr[masks[s].attr];
+        const int32_t* col = view.column(masks[s].attr);
         kern.fill_ones(mask, block_rows);
         if (masks[s].equal) {
           kern.mask_eq(mask, col, block_rows, masks[s].value);

@@ -28,11 +28,7 @@ void MergeCountingStats(const std::vector<DistCountReply>& replies,
   *stats = replies[0].stats;
   for (size_t w = 1; w < replies.size(); ++w) {
     const CountingStats& shard = replies[w].stats;
-    stats->io.blocks_read += shard.io.blocks_read;
-    stats->io.bytes_read += shard.io.bytes_read;
-    stats->io.checksum_seconds += shard.io.checksum_seconds;
-    stats->io.read_retries += shard.io.read_retries;
-    stats->io.faults_injected += shard.io.faults_injected;
+    stats->io += shard.io;
     stats->threads_used = std::max(stats->threads_used, shard.threads_used);
     stats->group_seconds = std::max(stats->group_seconds, shard.group_seconds);
     stats->build_seconds = std::max(stats->build_seconds, shard.build_seconds);
@@ -65,12 +61,8 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
   // Append-mode checkpoints must record which QBT blocks they cover so a
   // later incremental run can validate the file grew without rewriting
   // them. Harmless (all-zero) otherwise.
-  CheckpointBaseInfo base_info;
-  if (options.append_mode) {
-    base_info.num_blocks = source->num_blocks();
-    base_info.index_crc =
-        source->reader().IndexPrefixCrc(source->num_blocks());
-  }
+  const CheckpointBaseInfo base_info =
+      options.append_mode ? CheckpointBaseOf(*source) : CheckpointBaseInfo{};
   if (effective == 0 || (effective == 1 && endpoints.empty())) {
     MiningHooks base_hooks;
     base_hooks.checkpoint_base = base_info;

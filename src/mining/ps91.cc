@@ -28,15 +28,19 @@ std::vector<Ps91Rule> Ps91MineAttribute(const MappedTable& table,
     summaries[a].assign(ante_domain * table.attribute(a).domain_size(), 0);
   }
 
+  const int32_t* ante = table.column(antecedent_attr);
   for (size_t r = 0; r < num_rows; ++r) {
-    const int32_t* row = table.row(r);
-    if (row[antecedent_attr] == kMissingValue) continue;
-    const auto v = static_cast<size_t>(row[antecedent_attr]);
-    ++ante_counts[v];
-    for (size_t a = 0; a < num_attrs; ++a) {
-      if (a == antecedent_attr || row[a] == kMissingValue) continue;
-      ++summaries[a][v * table.attribute(a).domain_size() +
-                     static_cast<size_t>(row[a])];
+    if (ante[r] != kMissingValue) ++ante_counts[static_cast<size_t>(ante[r])];
+  }
+  for (size_t a = 0; a < num_attrs; ++a) {
+    if (a == antecedent_attr) continue;
+    const int32_t* column = table.column(a);
+    const size_t domain = table.attribute(a).domain_size();
+    std::vector<uint64_t>& summary = summaries[a];
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (ante[r] == kMissingValue || column[r] == kMissingValue) continue;
+      ++summary[static_cast<size_t>(ante[r]) * domain +
+                static_cast<size_t>(column[r])];
     }
   }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -75,29 +76,42 @@ struct MappedAttribute {
 void AppendItemJson(const MappedAttribute& attr, int32_t lo, int32_t hi,
                     std::string* out);
 
-// Row-major matrix of mapped integer values plus decode metadata.
+// Column-major matrix of mapped integer values plus decode metadata:
+// attribute a's values are one contiguous run of num_rows() integers, the
+// layout of the raw Table's columns and of every QBT block. Scans read the
+// runs in place (MappedTableSource hands out slices of them as blocks).
 class MappedTable {
  public:
   MappedTable(std::vector<MappedAttribute> attributes, size_t num_rows);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_attributes() const { return attributes_.size(); }
-  size_t num_quantitative() const { return num_quantitative_; }
+  size_t num_quantitative() const;
 
   const MappedAttribute& attribute(size_t a) const { return attributes_[a]; }
   const std::vector<MappedAttribute>& attributes() const {
     return attributes_;
   }
+  // Replaces attribute a's decode metadata. The mapper fills each column
+  // first and attaches the metadata it derived along the way.
+  void set_attribute(size_t a, MappedAttribute attribute) {
+    attributes_[a] = std::move(attribute);
+  }
 
   int32_t value(size_t row, size_t attr) const {
-    return data_[row * attributes_.size() + attr];
+    return data_[attr * num_rows_ + row];
   }
   void set_value(size_t row, size_t attr, int32_t v) {
-    data_[row * attributes_.size() + attr] = v;
+    data_[attr * num_rows_ + row] = v;
   }
 
-  // Pointer to the start of a row (num_attributes() consecutive values).
-  const int32_t* row(size_t r) const { return &data_[r * attributes_.size()]; }
+  // Attribute a's num_rows() values, row 0 first.
+  const int32_t* column(size_t attr) const {
+    return data_.data() + attr * num_rows_;
+  }
+  int32_t* mutable_column(size_t attr) {
+    return data_.data() + attr * num_rows_;
+  }
 
   // A mapped view of only the first n rows (shares no storage; copies).
   MappedTable Head(size_t n) const;
@@ -105,7 +119,6 @@ class MappedTable {
  private:
   std::vector<MappedAttribute> attributes_;
   size_t num_rows_;
-  size_t num_quantitative_;
   std::vector<int32_t> data_;
 };
 

@@ -56,31 +56,33 @@ MappedTable::MappedTable(std::vector<MappedAttribute> attributes,
                          size_t num_rows)
     : attributes_(std::move(attributes)),
       num_rows_(num_rows),
-      num_quantitative_(0),
-      data_(num_rows * attributes_.size(), 0) {
-  for (const MappedAttribute& attr : attributes_) {
-    if (attr.kind == AttributeKind::kQuantitative) ++num_quantitative_;
-  }
+      data_(num_rows * attributes_.size(), 0) {}
+
+size_t MappedTable::num_quantitative() const {
+  return static_cast<size_t>(std::count_if(
+      attributes_.begin(), attributes_.end(), [](const MappedAttribute& a) {
+        return a.kind == AttributeKind::kQuantitative;
+      }));
 }
 
 MappedTable MappedTable::Head(size_t n) const {
-  size_t rows = std::min(n, num_rows_);
+  const size_t rows = std::min(n, num_rows_);
   MappedTable out(attributes_, rows);
-  std::copy(data_.begin(),
-            data_.begin() + static_cast<ptrdiff_t>(rows * attributes_.size()),
-            out.data_.begin());
+  for (size_t a = 0; a < attributes_.size(); ++a) {
+    std::copy(column(a), column(a) + rows, out.mutable_column(a));
+  }
   return out;
 }
 
 namespace {
 
-// Maps one categorical column: distinct values sorted, then labeled 0..c-1.
-// With a taxonomy, ids follow the taxonomy's DFS leaf order instead (so
-// interior nodes cover contiguous id ranges); every value in the data must
-// be a leaf.
+// Maps one categorical column into `out` (one value per row): distinct
+// values sorted, then labeled 0..c-1. With a taxonomy, ids follow the
+// taxonomy's DFS leaf order instead (so interior nodes cover contiguous id
+// ranges); every value in the data must be a leaf.
 Result<MappedAttribute> MapCategorical(const Table& table, size_t col,
                                        const Taxonomy* taxonomy,
-                                       MappedTable* out) {
+                                       int32_t* out) {
   const AttributeDef& def = table.schema().attribute(col);
   const Column& column = table.column(col);
   MappedAttribute attr;
@@ -100,7 +102,7 @@ Result<MappedAttribute> MapCategorical(const Table& table, size_t col,
     attr.taxonomy_ranges = taxonomy->interior_ranges();
     for (size_t r = 0; r < table.num_rows(); ++r) {
       if (column.IsNull(r)) {
-        out->set_value(r, col, kMissingValue);
+        out[r] = kMissingValue;
         continue;
       }
       auto it = ids.find(column.Get(r));
@@ -109,7 +111,7 @@ Result<MappedAttribute> MapCategorical(const Table& table, size_t col,
             "value '" + column.Get(r).ToString() + "' of attribute '" +
             def.name + "' is not a leaf of its taxonomy");
       }
-      out->set_value(r, col, it->second);
+      out[r] = it->second;
     }
     return attr;
   }
@@ -124,16 +126,15 @@ Result<MappedAttribute> MapCategorical(const Table& table, size_t col,
     attr.labels.push_back(value.ToString());
   }
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    out->set_value(r, col,
-                   column.IsNull(r) ? kMissingValue : ids.at(column.Get(r)));
+    out[r] = column.IsNull(r) ? kMissingValue : ids.at(column.Get(r));
   }
   return attr;
 }
 
-// Maps one quantitative column, partitioning per the options.
+// Maps one quantitative column into `out`, partitioning per the options.
 MappedAttribute MapQuantitative(const Table& table, size_t col,
                                 size_t required_intervals,
-                                PartitionMethod method, MappedTable* out) {
+                                PartitionMethod method, int32_t* out) {
   const AttributeDef& def = table.schema().attribute(col);
   const Column& column = table.column(col);
   const size_t n = table.num_rows();
@@ -162,13 +163,12 @@ MappedAttribute MapQuantitative(const Table& table, size_t col,
     for (double v : distinct) attr.intervals.push_back(Interval{v, v});
     for (size_t r = 0; r < n; ++r) {
       if (column.IsNull(r)) {
-        out->set_value(r, col, kMissingValue);
+        out[r] = kMissingValue;
         continue;
       }
       auto it = std::lower_bound(distinct.begin(), distinct.end(),
                                  column.GetNumeric(r));
-      out->set_value(r, col,
-                     static_cast<int32_t>(it - distinct.begin()));
+      out[r] = static_cast<int32_t>(it - distinct.begin());
     }
     return attr;
   }
@@ -189,12 +189,12 @@ MappedAttribute MapQuantitative(const Table& table, size_t col,
   }
   for (size_t r = 0; r < n; ++r) {
     if (column.IsNull(r)) {
-      out->set_value(r, col, kMissingValue);
+      out[r] = kMissingValue;
       continue;
     }
     int64_t idx = AssignToInterval(attr.intervals, column.GetNumeric(r));
     QARM_CHECK_GE(idx, 0);
-    out->set_value(r, col, static_cast<int32_t>(idx));
+    out[r] = static_cast<int32_t>(idx);
   }
   return attr;
 }
@@ -235,16 +235,11 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options) {
           : IntervalsForPartialCompleteness(options.partial_completeness,
                                             n_quant, options.minsup);
 
-  // Build with placeholder attributes; fill per column.
-  std::vector<MappedAttribute> placeholder(schema.num_attributes());
+  // Map each column in place, then attach the metadata derived from it.
+  MappedTable mapped(std::vector<MappedAttribute>(schema.num_attributes()),
+                     table.num_rows());
   for (size_t c = 0; c < schema.num_attributes(); ++c) {
-    placeholder[c].name = schema.attribute(c).name;
-    placeholder[c].kind = schema.attribute(c).kind;
-  }
-  MappedTable mapped(std::move(placeholder), table.num_rows());
-
-  std::vector<MappedAttribute> attrs(schema.num_attributes());
-  for (size_t c = 0; c < schema.num_attributes(); ++c) {
+    int32_t* column = mapped.mutable_column(c);
     if (schema.attribute(c).kind == AttributeKind::kCategorical) {
       const Taxonomy* taxonomy = nullptr;
       for (const auto& [name, tax] : options.taxonomies) {
@@ -253,22 +248,15 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options) {
           break;
         }
       }
-      QARM_ASSIGN_OR_RETURN(attrs[c],
-                            MapCategorical(table, c, taxonomy, &mapped));
+      QARM_ASSIGN_OR_RETURN(MappedAttribute attr,
+                            MapCategorical(table, c, taxonomy, column));
+      mapped.set_attribute(c, std::move(attr));
     } else {
-      attrs[c] = MapQuantitative(table, c, required_intervals, options.method,
-                                 &mapped);
+      mapped.set_attribute(c, MapQuantitative(table, c, required_intervals,
+                                              options.method, column));
     }
   }
-
-  // Rebuild with the real metadata, moving the data across.
-  MappedTable out(std::move(attrs), table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < schema.num_attributes(); ++c) {
-      out.set_value(r, c, mapped.value(r, c));
-    }
-  }
-  return out;
+  return mapped;
 }
 
 Result<MappedTable> MapTableWithAttributes(

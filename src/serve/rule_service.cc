@@ -59,6 +59,20 @@ HttpResponse JsonOk(std::string body) {
   return response;
 }
 
+// Answers a cacheable request through `cache` (null when caching is
+// disabled): a hit returns the cached body; a miss runs `handle` and caches
+// the body of a 200 response.
+template <typename Handler>
+HttpResponse Cached(ResultCache* cache, const HttpRequest& request,
+                    Handler handle) {
+  if (cache == nullptr) return handle();
+  const std::string key = RuleService::CanonicalKey(request);
+  if (auto hit = cache->Lookup(key)) return JsonOk(std::move(*hit));
+  HttpResponse response = handle();
+  if (response.status == 200) cache->Insert(key, response.body);
+  return response;
+}
+
 std::string CacheStatsJson(const ResultCacheStats& stats) {
   return StrFormat(
       "{\"hits\":%llu,\"misses\":%llu,\"insertions\":%llu,"
@@ -139,40 +153,16 @@ HttpResponse RuleService::Handle(const HttpRequest& request) {
   HttpResponse response;
   if (request.path == "/match") {
     match_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (match_cache_ != nullptr) {
-      const std::string key = CanonicalKey(request);
-      if (auto hit = match_cache_->Lookup(key)) {
-        return JsonOk(std::move(*hit));
-      }
-      response = HandleMatch(request.params);
-      if (response.status == 200) match_cache_->Insert(key, response.body);
-    } else {
-      response = HandleMatch(request.params);
-    }
+    response = Cached(match_cache_.get(), request,
+                      [&] { return HandleMatch(request.params); });
   } else if (request.path == "/topk") {
     topk_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (topk_cache_ != nullptr) {
-      const std::string key = CanonicalKey(request);
-      if (auto hit = topk_cache_->Lookup(key)) {
-        return JsonOk(std::move(*hit));
-      }
-      response = HandleTopK(request.params);
-      if (response.status == 200) topk_cache_->Insert(key, response.body);
-    } else {
-      response = HandleTopK(request.params);
-    }
+    response = Cached(topk_cache_.get(), request,
+                      [&] { return HandleTopK(request.params); });
   } else if (request.path == "/rules") {
     rules_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (rules_cache_ != nullptr) {
-      const std::string key = CanonicalKey(request);
-      if (auto hit = rules_cache_->Lookup(key)) {
-        return JsonOk(std::move(*hit));
-      }
-      response = HandleRules(request.params);
-      if (response.status == 200) rules_cache_->Insert(key, response.body);
-    } else {
-      response = HandleRules(request.params);
-    }
+    response = Cached(rules_cache_.get(), request,
+                      [&] { return HandleRules(request.params); });
   } else if (request.path == "/statz") {
     statz_requests_.fetch_add(1, std::memory_order_relaxed);
     response = HandleStatz();

@@ -20,18 +20,16 @@
 namespace qarm {
 namespace {
 
-// Transposes rows [row, row + block_rows) of `table` into `block`
-// (column-major slices) and appends the block's index entry to `footer`.
+// Copies rows [row, row + block_rows) of each of `table`'s columns into
+// `block` (one slice per column) and appends the block's index entry to
+// `footer`.
 void EncodeBlock(const MappedTable& table, uint64_t row, size_t block_rows,
                  uint64_t offset, std::vector<int32_t>* block,
                  std::string* footer) {
-  const size_t num_attrs = table.num_attributes();
-  block->resize(block_rows * num_attrs);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    int32_t* slice = block->data() + a * block_rows;
-    for (size_t r = 0; r < block_rows; ++r) {
-      slice[r] = table.value(static_cast<size_t>(row) + r, a);
-    }
+  block->resize(block_rows * table.num_attributes());
+  for (size_t a = 0; a < table.num_attributes(); ++a) {
+    const int32_t* column = table.column(a) + row;
+    std::copy(column, column + block_rows, block->data() + a * block_rows);
   }
   QbtAppendIndexEntry(footer, offset, static_cast<uint32_t>(block_rows),
                       Crc32(block->data(), block->size() * sizeof(int32_t)));
@@ -85,8 +83,8 @@ Status WriteQbt(const MappedTable& table, const std::string& path,
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
   out.write(metadata.data(), static_cast<std::streamsize>(metadata.size()));
 
-  // Blocks: transpose each row range into per-column slices and stream them
-  // out, recording the index entry as we go.
+  // Blocks: copy each row range's column slices and stream them out,
+  // recording the index entry as we go.
   std::string footer;
   uint64_t offset = kQbtHeaderSize + metadata.size();
   uint64_t num_blocks = 0;

@@ -34,13 +34,9 @@ Status MappedTableSource::ReadBlock(size_t b, BlockView* view) const {
   const size_t begin = b * rows_per_block_;
   view->row_begin_ = begin;
   view->num_rows_ = block_rows(b);
-  view->stride_ = table_.num_attributes();
   view->columns_.resize(table_.num_attributes());
-  // Row-major table: column a of the block starts at element a of the first
-  // row, consecutive rows are one full record apart.
-  const int32_t* base = table_.row(begin);
   for (size_t a = 0; a < view->columns_.size(); ++a) {
-    view->columns_[a] = base + a;
+    view->columns_[a] = table_.column(a) + begin;
   }
   return Status::OK();
 }
@@ -55,7 +51,6 @@ Result<std::unique_ptr<QbtFileSource>> QbtFileSource::Open(
 Status QbtFileSource::ReadBlock(size_t b, BlockView* view) const {
   view->row_begin_ = static_cast<size_t>(reader_->block_row_begin(b));
   view->num_rows_ = reader_->block_rows(b);
-  view->stride_ = 1;
   const auto start = std::chrono::steady_clock::now();
   uint64_t retries = 0;
   const Status read_status = RetryWithBackoff(

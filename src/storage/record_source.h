@@ -1,13 +1,14 @@
 // RecordSource — the block-stream view of a mapped table that the mining
 // scans (the pass-1 value-count scan in ItemCatalog::Build and each
-// support-counting pass) iterate over. Two implementations:
+// support-counting pass) iterate over. Every block is columnar: one
+// contiguous slice of values per attribute. Two implementations:
 //
 //   * MappedTableSource wraps an in-memory MappedTable: blocks are row
-//     ranges of the resident row-major matrix (zero-copy, stride =
-//     num_attributes).
+//     ranges of the resident column-major table, each column a slice of
+//     the table's own column (zero-copy).
 //   * QbtFileSource wraps an mmap'd QBT file: blocks are the file's
-//     columnar blocks (zero-copy, stride = 1), validated against their
-//     CRC32 on every read.
+//     columnar blocks (zero-copy), validated against their CRC32 on every
+//     read.
 //
 // Scans shard *blocks* — not a resident row range — across the thread
 // pool, so a table larger than RAM streams through every pass with memory
@@ -58,24 +59,16 @@ struct ScanIoStats {
 };
 
 // One block of records. `value(r, a)` reads local row r (0-based within the
-// block) of attribute a; the layout (columnar vs row-major) is hidden
-// behind the stride. Views are cheap to reuse across ReadBlock calls (the
+// block) of attribute a; `column(a)` is attribute a's num_rows() values, row
+// 0 first. Views are cheap to reuse across ReadBlock calls (the
 // column-pointer vector keeps its capacity).
 class BlockView {
  public:
   size_t row_begin() const { return row_begin_; }
   size_t num_rows() const { return num_rows_; }
 
-  int32_t value(size_t row, size_t attr) const {
-    return columns_[attr][row * stride_];
-  }
-
-  // Base pointer and element stride of one attribute's values.
+  int32_t value(size_t row, size_t attr) const { return columns_[attr][row]; }
   const int32_t* column(size_t attr) const { return columns_[attr]; }
-  size_t stride() const { return stride_; }
-  // True when each column is a contiguous slice (stride 1) — the SIMD scan
-  // kernels then read it in place instead of materializing a copy.
-  bool columnar() const { return stride_ == 1; }
 
  private:
   friend class MappedTableSource;
@@ -83,7 +76,6 @@ class BlockView {
 
   size_t row_begin_ = 0;
   size_t num_rows_ = 0;
-  size_t stride_ = 1;
   std::vector<const int32_t*> columns_;
 };
 
@@ -109,7 +101,7 @@ class RecordSource {
   const MappedAttribute& attribute(size_t a) const { return attributes()[a]; }
 
   // Largest block_rows(b) over all blocks. Sizes per-worker kernel scratch
-  // (row masks, materialized columns) once per scan.
+  // (row masks, flat cell indices) once per scan.
   size_t max_block_rows() const {
     size_t rows = 0;
     for (size_t b = 0; b < num_blocks(); ++b) {

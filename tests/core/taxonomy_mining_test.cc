@@ -9,6 +9,7 @@
 #include "core/rules.h"
 #include "partition/taxonomy.h"
 #include "table/table.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
@@ -146,7 +147,10 @@ TEST(TaxonomyMiningTest, CountsMatchBruteForce) {
   for (const FrequentRangeItemset& f : result->frequent_itemsets) {
     uint64_t expected = 0;
     for (size_t r = 0; r < result->mapped.num_rows(); ++r) {
-      if (RecordSupports(result->mapped.row(r), f.items)) ++expected;
+      if (RecordSupports(testutil::RecordAt(result->mapped, r).data(),
+                         f.items)) {
+        ++expected;
+      }
     }
     EXPECT_EQ(f.count, expected);
   }

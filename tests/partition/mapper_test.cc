@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
@@ -142,6 +143,35 @@ TEST(MappedTableTest, HeadCopiesPrefix) {
   EXPECT_EQ(head.num_rows(), 2u);
   EXPECT_EQ(head.value(1, 0), mapped->value(1, 0));
   EXPECT_EQ(head.num_attributes(), mapped->num_attributes());
+}
+
+TEST(MappedTableTest, ValuesRoundTripByColumn) {
+  MappedTable table({testutil::QuantAttr("q", 5),
+                     testutil::CatAttr("c", {"a", "b", "c"}),
+                     testutil::QuantAttr("r", 3)},
+                    /*num_rows=*/10);
+  auto expected = [](size_t r, size_t a) {
+    if ((r + a) % 4 == 0) return kMissingValue;
+    return static_cast<int32_t>((r * 7 + a) % 3);
+  };
+  for (size_t r = 0; r < 10; ++r) {
+    for (size_t a = 0; a < 3; ++a) table.set_value(r, a, expected(r, a));
+  }
+  for (size_t r = 0; r < 10; ++r) {
+    for (size_t a = 0; a < 3; ++a) {
+      EXPECT_EQ(table.value(r, a), expected(r, a)) << r << "," << a;
+      EXPECT_EQ(table.column(a)[r], expected(r, a)) << r << "," << a;
+    }
+  }
+
+  const MappedTable head = table.Head(4);
+  ASSERT_EQ(head.num_rows(), 4u);
+  ASSERT_EQ(head.num_attributes(), 3u);
+  for (size_t a = 0; a < 3; ++a) {
+    for (size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(head.column(a)[r], expected(r, a)) << r << "," << a;
+    }
+  }
 }
 
 TEST(MappedTableTest, DecodeRangeFormats) {

@@ -1,12 +1,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "partition/mapped_table.h"
+#include "storage/crc32.h"
 #include "storage/qbt_reader.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
@@ -127,6 +129,22 @@ TEST(QbtRoundtripTest, MultiBlockWithRaggedTail) {
   EXPECT_EQ((*source)->block_rows(6), 7u);
   EXPECT_EQ((*source)->block_row_begin(6), 96u);
   ExpectSameValues(table, **source);
+}
+
+// Pins the encoder's output bytes: any change to the header, metadata,
+// block or footer encoding of this table changes the CRC or the size.
+TEST(QbtRoundtripTest, EncoderBytesArePinned) {
+  MappedTable table = MakeRichTable(103);
+  const std::string path = TempPath("roundtrip_pinned.qbt");
+  QbtWriteOptions options;
+  options.rows_per_block = 16;
+  ASSERT_TRUE(WriteQbt(table, path, options).ok());
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 1636u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x8BF8F65Au);
 }
 
 TEST(QbtRoundtripTest, EmptyTable) {

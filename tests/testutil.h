@@ -17,12 +17,19 @@
 namespace qarm {
 namespace testutil {
 
+// Row r of a mapped table as one record (num_attributes() values).
+inline std::vector<int32_t> RecordAt(const MappedTable& table, size_t r) {
+  std::vector<int32_t> record(table.num_attributes());
+  for (size_t a = 0; a < record.size(); ++a) record[a] = table.value(r, a);
+  return record;
+}
+
 // Brute-force support count of an itemset over a mapped table.
 inline uint64_t BruteForceSupport(const MappedTable& table,
                                   const RangeItemset& itemset) {
   uint64_t count = 0;
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (RecordSupports(table.row(r), itemset)) ++count;
+    if (RecordSupports(RecordAt(table, r).data(), itemset)) ++count;
   }
   return count;
 }
