@@ -93,6 +93,15 @@ SimdIsa DetectCpuIsa() {
 #endif
 }
 
+bool CpuHasClmul() {
+#if QARM_X86_DISPATCH
+  static const bool has = __builtin_cpu_supports("pclmul");
+  return has;
+#else
+  return false;
+#endif
+}
+
 SimdIsa ActiveIsa() {
   const int test = g_test_isa.load(std::memory_order_relaxed);
   if (test != kIsaUnset) return static_cast<SimdIsa>(test);

@@ -1,14 +1,18 @@
-// Runtime CPU dispatch for the SIMD counting kernels. The scan and reduce
-// hot paths come in up to three implementations — portable scalar, SSE4.2,
-// and AVX2 — and the one that runs is chosen once per process from cpuid,
-// overridable with the QARM_FORCE_ISA environment variable
-// (scalar|sse42|avx2) for A/B measurement and for running the determinism
-// suite against every kernel table.
+// Runtime CPU dispatch for the SIMD counting kernels and the CRC-32. The
+// scan and reduce hot paths come in up to three implementations — portable
+// scalar, SSE4.2, and AVX2 — and the one that runs is chosen once per
+// process from cpuid, overridable with the QARM_FORCE_ISA environment
+// variable (scalar|sse42|avx2) for A/B measurement and for running the
+// determinism suite against every kernel table. `Crc32Update`
+// (storage/crc32.h) folds with PCLMULQDQ when ActiveIsa() is at least
+// kSse42 *and* CpuHasClmul(), and runs its portable slicing-by-8 path
+// otherwise, so QARM_FORCE_ISA=scalar exercises the portable CRC too.
 //
 // Determinism contract: every ISA produces byte-identical mined rules. The
 // kernels only ever compute integer comparisons, integer sums, and
 // popcounts, all of which are exact, so this holds structurally; the ISA
-// determinism tests enforce it end to end.
+// determinism tests enforce it end to end. Both CRC paths compute the same
+// polynomial, so every checksum is the same whichever one runs.
 #ifndef QARM_COMMON_CPU_DISPATCH_H_
 #define QARM_COMMON_CPU_DISPATCH_H_
 
@@ -35,6 +39,13 @@ bool ParseIsaName(std::string_view name, SimdIsa* isa);
 // Best ISA this CPU supports, detected once via cpuid (always kScalar on
 // non-x86 builds). Never affected by overrides.
 SimdIsa DetectCpuIsa();
+
+// Whether this CPU has the carry-less multiply instruction (PCLMULQDQ),
+// detected once via cpuid; always false on non-x86 builds. It is separate
+// from the SimdIsa ladder because SSE4.2 does not imply it (some SSE4.2
+// CPUs lack it) and because it gates only the CRC, not the counting
+// kernels. Never affected by overrides.
+bool CpuHasClmul();
 
 // The ISA the kernels dispatch to: DetectCpuIsa(), unless QARM_FORCE_ISA or
 // a test override lowers it. A forced level above what the CPU supports is

@@ -1,6 +1,13 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) used to checksum QBT blocks.
-// Table-driven, byte-at-a-time; fast enough that block validation is a small
-// fraction of a mining scan, and dependency-free by design.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). It checksums every
+// QBT block on every read, the QBT footer and index, every distributed wire
+// frame and the QCP/QRS envelopes, so it reads every byte of every scan.
+// Two implementations of the one polynomial, dependency-free by design:
+//   - a PCLMULQDQ fold (64 bytes per step, then a Barrett reduction), used
+//     for inputs of 64 bytes or more when ActiveIsa() is at least kSse42 and
+//     CpuHasClmul() (common/cpu_dispatch.h);
+//   - a portable slicing-by-8 table path, used otherwise and for the last
+//     size % 16 bytes after the fold. QARM_FORCE_ISA=scalar selects it.
+// Both give the same value for every input; only the speed differs.
 #ifndef QARM_STORAGE_CRC32_H_
 #define QARM_STORAGE_CRC32_H_
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_dispatch.h"
 #include "partition/mapped_table.h"
 #include "storage/crc32.h"
 #include "storage/qbt_reader.h"
@@ -200,6 +201,62 @@ TEST(QbtRoundtripTest, CorruptedBlockFailsChecksum) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.message().find("checksum mismatch"), std::string::npos)
       << bad.ToString();
+}
+
+// A block whose size is not a multiple of 16 bytes (101 rows x 3
+// attributes x 4 bytes = 1212) ends in a tail the CRC's fold leaves to the
+// portable path. A flip in that tail and one in the fold's first 64 bytes
+// must both fail the block, whichever CRC path the dispatch selects.
+TEST(QbtRoundtripTest, FlipInBlockHeadOrTailFailsChecksumUnderEveryIsa) {
+  MappedTable table = MakeRichTable(101);
+  const std::string path = TempPath("roundtrip_tail_corrupt.qbt");
+  ASSERT_TRUE(WriteQbt(table, path, {}).ok());
+
+  uint64_t offset = 0;
+  uint64_t block_bytes = 0;
+  {
+    auto reader = QbtReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_EQ((*reader)->num_blocks(), 1u);
+    offset = (*reader)->block_offset(0);
+    block_bytes = (*reader)->block_bytes(0);
+  }
+  ASSERT_EQ(block_bytes, 1212u);
+  ASSERT_NE(block_bytes % 16, 0u);
+
+  auto flip_bit = [&](uint64_t at, char mask) {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekg(static_cast<std::streamoff>(at));
+    char byte = 0;
+    file.get(byte);
+    byte ^= mask;
+    file.seekp(static_cast<std::streamoff>(at));
+    file.put(byte);
+  };
+
+  for (SimdIsa isa : {SimdIsa::kScalar, DetectCpuIsa()}) {
+    SCOPED_TRACE(IsaName(isa));
+    SetIsaForTest(isa);
+    // Byte 1200 is 12 bytes from the end, inside the last 15; byte 37 is
+    // inside the first 64.
+    for (uint64_t at : {block_bytes - 12, uint64_t{37}}) {
+      SCOPED_TRACE("flipped byte " + std::to_string(at));
+      flip_bit(offset + at, 0x10);
+      auto source = QbtFileSource::Open(path);
+      ASSERT_TRUE(source.ok()) << source.status().ToString();
+      BlockView view;
+      Status bad = (*source)->ReadBlock(0, &view);
+      ASSERT_FALSE(bad.ok());
+      EXPECT_NE(bad.message().find("checksum mismatch"), std::string::npos)
+          << bad.ToString();
+      flip_bit(offset + at, 0x10);
+      source = QbtFileSource::Open(path);
+      ASSERT_TRUE(source.ok()) << source.status().ToString();
+      EXPECT_TRUE((*source)->ReadBlock(0, &view).ok());
+    }
+  }
+  ClearIsaForTest();
 }
 
 TEST(QbtRoundtripTest, OpenRejectsGarbage) {
