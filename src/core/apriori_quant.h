@@ -27,6 +27,16 @@ struct PassStats {
   CandidateGenStats candgen;
   CountingStats counting;
   double seconds = 0.0;
+
+  // The counting fields sit inline in the pass's JSON object.
+  static void Fields(auto&& f, auto&... s) {
+    f("k", s.k...);
+    f("candidates", s.num_candidates...);
+    f("frequent", s.num_frequent...);
+    f("candgen", s.candgen...);
+    CountingStats::Fields(f, s.counting...);
+    f("seconds", s.seconds...);
+  }
 };
 
 // All frequent itemsets over item ids, plus the per-pass stats.

@@ -69,6 +69,15 @@ struct CandidateGenStats {
   double join_seconds = 0.0;
   double prune_seconds = 0.0;
   double seconds = 0.0;
+
+  static void Fields(auto&& f, auto&... s) {
+    f("threads_used", s.threads_used...);
+    f("join_candidates", s.join_candidates...);
+    f("peak_materialized", s.peak_materialized...);
+    f("join_seconds", s.join_seconds...);
+    f("prune_seconds", s.prune_seconds...);
+    f("seconds", s.seconds...);
+  }
 };
 
 // A read-only sequence of k-itemset candidates in their serial generation

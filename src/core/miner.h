@@ -46,6 +46,14 @@ struct DistPassStats {
   uint64_t bytes_received = 0;  // workers -> coordinator, framed
   double exchange_seconds = 0.0;  // send requests + await all replies
   double merge_seconds = 0.0;     // fixed-order merge of shard counts
+
+  static void Fields(auto&& f, auto&... s) {
+    f("k", s.k...);
+    f("bytes_sent", s.bytes_sent...);
+    f("bytes_received", s.bytes_received...);
+    f("exchange_seconds", s.exchange_seconds...);
+    f("merge_seconds", s.merge_seconds...);
+  }
 };
 
 // Per-worker robustness accounting for one distributed run. Every worker
@@ -64,6 +72,19 @@ struct DistWorkerStats {
   size_t frames_retried = 0;      // request/catalog frames resent in replay
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
+
+  static void Fields(auto&& f, auto&... s) {
+    f("worker_id", s.worker_id...);
+    f("endpoint", s.endpoint...);
+    f("respawns", s.respawns...);
+    f("reconnects", s.reconnects...);
+    f("redistributed", s.redistributed...);
+    f("heartbeats", s.heartbeats...);
+    f("heartbeat_timeouts", s.heartbeat_timeouts...);
+    f("frames_retried", s.frames_retried...);
+    f("bytes_sent", s.bytes_sent...);
+    f("bytes_received", s.bytes_received...);
+  }
 };
 
 // Distributed-run statistics (num_workers == 0 for ordinary runs).
@@ -72,6 +93,14 @@ struct DistRunStats {
   size_t workers_respawned = 0;
   std::vector<DistPassStats> passes;
   std::vector<DistWorkerStats> workers;
+
+  // JSON only, and `workers` only when there are some.
+  static void Fields(auto&& f, auto& s) {
+    f("num_workers", s.num_workers);
+    f("workers_respawned", s.workers_respawned);
+    f("passes", s.passes);
+    if (!s.workers.empty()) f("workers", s.workers);
+  }
 };
 
 // Aggregate run statistics.
@@ -110,6 +139,31 @@ struct MiningStats {
   size_t interest_threads_used = 1;
   // Distributed-mode accounting (empty unless --workers > 1).
   DistRunStats dist;
+
+  // The --stats JSON; `distributed` only for distributed runs.
+  static void Fields(auto&& f, auto& s) {
+    f("num_records", s.num_records);
+    f("num_threads", s.num_threads);
+    f("num_frequent_items", s.num_frequent_items);
+    f("items_pruned_by_interest", s.items_pruned_by_interest);
+    f("achieved_partial_completeness", s.achieved_partial_completeness);
+    f("num_rules", s.num_rules);
+    f("num_interesting_rules", s.num_interesting_rules);
+    f("total_seconds", s.total_seconds);
+    f("map_seconds", s.map_seconds);
+    f("pass1_seconds", s.pass1_seconds);
+    f("itemset_seconds", s.itemset_seconds);
+    f("candgen_seconds", s.candgen_seconds);
+    f("rulegen_seconds", s.rulegen_seconds);
+    f("interest_seconds", s.interest_seconds);
+    f("candgen_threads_used", s.candgen_threads_used);
+    f("rulegen_threads_used", s.rulegen_threads_used);
+    f("interest_threads_used", s.interest_threads_used);
+    f("pass1_io", s.pass1_io);
+    f("checkpoint", s.checkpoint);
+    f("passes", s.passes);
+    if (s.dist.num_workers > 0) f("distributed", s.dist);
+  }
 };
 
 // Everything a mining run produces. `mapped` carries the decode metadata

@@ -28,6 +28,15 @@ struct CheckpointRunStats {
   size_t checkpoints_written = 0;
   uint64_t last_checkpoint_bytes = 0;
   double write_seconds = 0.0;
+
+  static void Fields(auto&& f, auto&... s) {
+    f("enabled", s.enabled...);
+    f("resumed", s.resumed...);
+    f("resumed_passes", s.resumed_passes...);
+    f("checkpoints_written", s.checkpoints_written...);
+    f("last_checkpoint_bytes", s.last_checkpoint_bytes...);
+    f("write_seconds", s.write_seconds...);
+  }
 };
 
 // Hash of everything that determines the mining *output*: the

@@ -62,6 +62,25 @@ struct CountingStats {
   double build_seconds = 0.0;   // counting structures + shared-mask plan
   double scan_seconds = 0.0;    // the (possibly sharded) pass over the rows
   double reduce_seconds = 0.0;  // merging thread counters + collecting counts
+
+  // In the count reply's wire order (storage/stats_fields.h).
+  static void Fields(auto&& f, auto&... s) {
+    f("super_candidates", s.num_super_candidates...);
+    f("array_counters", s.num_array_counters...);
+    f("tree_counters", s.num_tree_counters...);
+    f("direct_counters", s.num_direct...);
+    f("degraded_counters", s.num_degraded...);
+    f("atomic_shared_counters", s.num_atomic_shared...);
+    f("threads_used", s.threads_used...);
+    f("isa", s.isa...);
+    f("io", s.io...);
+    f("counter_bytes", s.counter_bytes...);
+    f("replicated_bytes", s.replicated_bytes...);
+    f("group_seconds", s.group_seconds...);
+    f("build_seconds", s.build_seconds...);
+    f("scan_seconds", s.scan_seconds...);
+    f("reduce_seconds", s.reduce_seconds...);
+  }
 };
 
 // Counts the support of every candidate in one block-streamed pass over

@@ -32,10 +32,10 @@ std::optional<std::string> ResultCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
-    ++shard.misses;
+    ++shard.stats.misses;
     return std::nullopt;
   }
-  ++shard.hits;
+  ++shard.stats.hits;
   ++it->second.frequency;
   return it->second.value;
 }
@@ -45,7 +45,7 @@ void ResultCache::Insert(const std::string& key, const std::string& value) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (cost > shard_budget_) {
-    ++shard.oversized_rejects;
+    ++shard.stats.oversized_rejects;
     return;
   }
   auto it = shard.entries.find(key);
@@ -61,11 +61,11 @@ void ResultCache::Insert(const std::string& key, const std::string& value) {
     }
     shard.bytes -= EntryCost(victim->first, victim->second.value);
     shard.entries.erase(victim);
-    ++shard.evictions;
+    ++shard.stats.evictions;
   }
   shard.entries.emplace(key, Entry{value, 1});
   shard.bytes += cost;
-  ++shard.insertions;
+  ++shard.stats.insertions;
 }
 
 void ResultCache::Clear() {
@@ -81,11 +81,7 @@ ResultCacheStats ResultCache::Stats() const {
   stats.byte_budget = byte_budget_;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.insertions += shard->insertions;
-    stats.evictions += shard->evictions;
-    stats.oversized_rejects += shard->oversized_rejects;
+    stats += shard->stats;
     stats.entries += shard->entries.size();
     stats.bytes_used += shard->bytes;
   }
@@ -128,16 +124,7 @@ ResultCacheManager::AllStats() const {
 
 ResultCacheStats ResultCacheManager::TotalStats() const {
   ResultCacheStats total;
-  for (const auto& [name, stats] : AllStats()) {
-    total.hits += stats.hits;
-    total.misses += stats.misses;
-    total.insertions += stats.insertions;
-    total.evictions += stats.evictions;
-    total.oversized_rejects += stats.oversized_rejects;
-    total.entries += stats.entries;
-    total.bytes_used += stats.bytes_used;
-    total.byte_budget += stats.byte_budget;
-  }
+  for (const auto& [name, stats] : AllStats()) total += stats;
   return total;
 }
 

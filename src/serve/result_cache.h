@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/stats_fields.h"
 
 namespace qarm {
 
@@ -38,6 +39,18 @@ struct ResultCacheStats {
   size_t entries = 0;
   size_t bytes_used = 0;
   size_t byte_budget = 0;
+
+  // The /statz cache objects (storage/stats_fields.h).
+  static void Fields(auto&& f, auto&... s) {
+    f("hits", s.hits...);
+    f("misses", s.misses...);
+    f("insertions", s.insertions...);
+    f("evictions", s.evictions...);
+    f("oversized_rejects", s.oversized_rejects...);
+    f("entries", s.entries...);
+    f("bytes_used", s.bytes_used...);
+    f("byte_budget", s.byte_budget...);
+  }
 };
 
 class ResultCache {
@@ -70,11 +83,7 @@ class ResultCache {
     mutable std::mutex mu;
     std::unordered_map<std::string, Entry> entries;
     size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t oversized_rejects = 0;
+    ResultCacheStats stats;  // the counters; Stats() fills in the sizes
   };
 
   // Accounted footprint of one entry (strings + bookkeeping overhead).

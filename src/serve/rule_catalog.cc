@@ -220,6 +220,7 @@ void RuleCatalog::BuildIndexes(const RuleCatalogOptions& options) {
   // --- Size accounting -----------------------------------------------------
   stats_.num_rules = rules.size();
   stats_.num_attributes = num_attrs;
+  stats_.num_records = set_.num_records;
   size_t bytes = 0;
   for (const AttrIndex& index : interval_index_) {
     bytes += index.offsets.size() * sizeof(uint32_t);

@@ -90,12 +90,26 @@ struct RuleCatalogOptions {
 struct RuleCatalogStats {
   size_t num_rules = 0;
   size_t num_attributes = 0;
+  uint64_t num_records = 0;      // records the rules were mined from
   size_t interval_entries = 0;   // (rule, side) entries across attributes
   size_t grid_cells = 0;         // CSR cells across grid-indexed attributes
   size_t grid_attributes = 0;    // attributes using the grid
   size_t scan_attributes = 0;    // attributes on the sorted-scan fallback
   size_t index_bytes = 0;        // interval index + top-K views
   double build_seconds = 0.0;
+
+  // The /statz `catalog` object (storage/stats_fields.h).
+  static void Fields(auto&& f, auto&... s) {
+    f("num_rules", s.num_rules...);
+    f("num_attributes", s.num_attributes...);
+    f("num_records", s.num_records...);
+    f("interval_entries", s.interval_entries...);
+    f("grid_cells", s.grid_cells...);
+    f("grid_attributes", s.grid_attributes...);
+    f("scan_attributes", s.scan_attributes...);
+    f("index_bytes", s.index_bytes...);
+    f("build_seconds", s.build_seconds...);
+  }
 };
 
 class RuleCatalog {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "storage/stats_fields.h"
 
 namespace qarm {
 namespace {
@@ -71,19 +72,6 @@ HttpResponse Cached(ResultCache* cache, const HttpRequest& request,
   HttpResponse response = handle();
   if (response.status == 200) cache->Insert(key, response.body);
   return response;
-}
-
-std::string CacheStatsJson(const ResultCacheStats& stats) {
-  return StrFormat(
-      "{\"hits\":%llu,\"misses\":%llu,\"insertions\":%llu,"
-      "\"evictions\":%llu,\"oversized_rejects\":%llu,\"entries\":%zu,"
-      "\"bytes_used\":%zu,\"byte_budget\":%zu}",
-      static_cast<unsigned long long>(stats.hits),
-      static_cast<unsigned long long>(stats.misses),
-      static_cast<unsigned long long>(stats.insertions),
-      static_cast<unsigned long long>(stats.evictions),
-      static_cast<unsigned long long>(stats.oversized_rejects),
-      stats.entries, stats.bytes_used, stats.byte_budget);
 }
 
 }  // namespace
@@ -290,7 +278,6 @@ HttpResponse RuleService::HandleStatz() {
   const uint64_t rules = rules_requests_.load(std::memory_order_relaxed);
   const uint64_t statz = statz_requests_.load(std::memory_order_relaxed);
   const uint64_t total = match + topk + rules + statz;
-  const RuleCatalogStats& cat = catalog_->stats();
 
   std::string body = StrFormat(
       "{\"uptime_seconds\":%s,\"qps\":%s,"
@@ -306,23 +293,14 @@ HttpResponse RuleService::HandleStatz() {
       static_cast<unsigned long long>(total),
       static_cast<unsigned long long>(
           error_responses_.load(std::memory_order_relaxed)));
-  body += StrFormat(
-      ",\"catalog\":{\"num_rules\":%zu,\"num_attributes\":%zu,"
-      "\"num_records\":%llu,\"interval_entries\":%zu,\"grid_cells\":%zu,"
-      "\"grid_attributes\":%zu,\"scan_attributes\":%zu,"
-      "\"index_bytes\":%zu,\"build_seconds\":%s}",
-      cat.num_rules, cat.num_attributes,
-      static_cast<unsigned long long>(catalog_->num_records()),
-      cat.interval_entries, cat.grid_cells, cat.grid_attributes,
-      cat.scan_attributes, cat.index_bytes,
-      FormatDouble(cat.build_seconds, 6).c_str());
+  body += ",\"catalog\":" + StatsJson(catalog_->stats());
   body += ",\"cache\":{\"enabled\":";
   if (cache_manager_ == nullptr) {
     body += "false}";
   } else {
-    body += "true,\"total\":" + CacheStatsJson(cache_manager_->TotalStats());
+    body += "true,\"total\":" + StatsJson(cache_manager_->TotalStats());
     for (const auto& [name, stats] : cache_manager_->AllStats()) {
-      body += ",\"" + name + "\":" + CacheStatsJson(stats);
+      body += ",\"" + name + "\":" + StatsJson(stats);
     }
     body += '}';
   }

@@ -28,6 +28,7 @@
 #include "common/status.h"
 #include "partition/mapped_table.h"
 #include "storage/qbt_reader.h"
+#include "storage/stats_fields.h"
 
 namespace qarm {
 
@@ -41,20 +42,13 @@ struct ScanIoStats {
   uint64_t read_retries = 0;       // block reads retried after a failure
   uint64_t faults_injected = 0;    // injected faults (fault_injection.h)
 
-  ScanIoStats operator-(const ScanIoStats& other) const {
-    return ScanIoStats{blocks_read - other.blocks_read,
-                       bytes_read - other.bytes_read,
-                       checksum_seconds - other.checksum_seconds,
-                       read_retries - other.read_retries,
-                       faults_injected - other.faults_injected};
-  }
-  ScanIoStats& operator+=(const ScanIoStats& other) {
-    blocks_read += other.blocks_read;
-    bytes_read += other.bytes_read;
-    checksum_seconds += other.checksum_seconds;
-    read_retries += other.read_retries;
-    faults_injected += other.faults_injected;
-    return *this;
+  // JSON, wire, += and - (storage/stats_fields.h).
+  static void Fields(auto&& f, auto&... s) {
+    f("blocks_read", s.blocks_read...);
+    f("bytes_read", s.bytes_read...);
+    f("checksum_seconds", s.checksum_seconds...);
+    f("read_retries", s.read_retries...);
+    f("faults_injected", s.faults_injected...);
   }
 };
 

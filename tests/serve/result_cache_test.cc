@@ -35,6 +35,19 @@ TEST(ResultCacheTest, HitAfterInsertMissBefore) {
   EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(ResultCacheTest, StatsPlusEqualsSumsEveryField) {
+  ResultCacheStats a{1, 2, 3, 4, 5, 6, 7, 8};
+  a += ResultCacheStats{10, 20, 30, 40, 50, 60, 70, 80};
+  EXPECT_EQ(a.hits, 11u);
+  EXPECT_EQ(a.misses, 22u);
+  EXPECT_EQ(a.insertions, 33u);
+  EXPECT_EQ(a.evictions, 44u);
+  EXPECT_EQ(a.oversized_rejects, 55u);
+  EXPECT_EQ(a.entries, 66u);
+  EXPECT_EQ(a.bytes_used, 77u);
+  EXPECT_EQ(a.byte_budget, 88u);
+}
+
 TEST(ResultCacheTest, OverwriteReplacesValue) {
   ResultCache cache(64 * 1024, 1);
   cache.Insert("k", "old");

@@ -666,23 +666,15 @@ int RunCommand(int argc, char** argv, const std::string& command,
                    static_cast<unsigned long long>(io.read_retries));
     }
     if (stats.dist.num_workers > 0) {
-      uint64_t sent = 0;
-      uint64_t received = 0;
-      double exchange = 0;
-      double merge = 0;
-      for (const DistPassStats& pass : stats.dist.passes) {
-        sent += pass.bytes_sent;
-        received += pass.bytes_received;
-        exchange += pass.exchange_seconds;
-        merge += pass.merge_seconds;
-      }
+      DistPassStats sum;
+      for (const DistPassStats& pass : stats.dist.passes) sum += pass;
       std::fprintf(stderr,
                    "# distributed: workers=%zu respawned=%zu sent=%llu "
                    "received=%llu exchange=%.3fs merge=%.3fs\n",
                    stats.dist.num_workers, stats.dist.workers_respawned,
-                   static_cast<unsigned long long>(sent),
-                   static_cast<unsigned long long>(received), exchange,
-                   merge);
+                   static_cast<unsigned long long>(sum.bytes_sent),
+                   static_cast<unsigned long long>(sum.bytes_received),
+                   sum.exchange_seconds, sum.merge_seconds);
       for (const DistWorkerStats& worker : stats.dist.workers) {
         // One line per worker only when something noteworthy happened —
         // a clean run stays quiet.
