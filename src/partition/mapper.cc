@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <map>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "common/string_util.h"
 #include "partition/partial_completeness.h"
@@ -76,127 +78,147 @@ MappedTable MappedTable::Head(size_t n) const {
 
 namespace {
 
-// Maps one categorical column into `out` (one value per row): distinct
-// values sorted, then labeled 0..c-1. With a taxonomy, ids follow the
-// taxonomy's DFS leaf order instead (so interior nodes cover contiguous id
-// ranges); every value in the data must be a leaf.
-Result<MappedAttribute> MapCategorical(const Table& table, size_t col,
-                                       const Taxonomy* taxonomy,
-                                       int32_t* out) {
-  const AttributeDef& def = table.schema().attribute(col);
-  const Column& column = table.column(col);
-  MappedAttribute attr;
-  attr.name = def.name;
-  attr.kind = AttributeKind::kCategorical;
-  attr.source_type = def.type;
-
-  std::map<Value, int32_t> ids;
-  if (taxonomy != nullptr) {
-    // Every taxonomy leaf gets an id (absent leaves keep zero support);
-    // this keeps interior node ranges exact.
-    int32_t next = 0;
-    for (const std::string& leaf : taxonomy->leaves_dfs()) {
-      ids.emplace(Value(leaf), next++);
-      attr.labels.push_back(leaf);
-    }
-    attr.taxonomy_ranges = taxonomy->interior_ranges();
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (column.IsNull(r)) {
-        out[r] = kMissingValue;
-        continue;
-      }
-      auto it = ids.find(column.Get(r));
-      if (it == ids.end()) {
-        return Status::InvalidArgument(
-            "value '" + column.Get(r).ToString() + "' of attribute '" +
-            def.name + "' is not a leaf of its taxonomy");
-      }
-      out[r] = it->second;
-    }
-    return attr;
-  }
-
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (column.IsNull(r)) continue;
-    ids.emplace(column.Get(r), 0);  // sorted => deterministic mapping
-  }
-  int32_t next = 0;
-  for (auto& [value, id] : ids) {
-    id = next++;
-    attr.labels.push_back(value.ToString());
-  }
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    out[r] = column.IsNull(r) ? kMissingValue : ids.at(column.Get(r));
-  }
-  return attr;
-}
-
-// Maps one quantitative column into `out`, partitioning per the options.
-MappedAttribute MapQuantitative(const Table& table, size_t col,
-                                size_t required_intervals,
-                                PartitionMethod method, int32_t* out) {
-  const AttributeDef& def = table.schema().attribute(col);
-  const Column& column = table.column(col);
-  const size_t n = table.num_rows();
-
-  std::vector<double> values;  // non-null cells only
-  values.reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    if (!column.IsNull(r)) values.push_back(column.GetNumeric(r));
-  }
-
-  std::vector<double> distinct = values;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-
-  MappedAttribute attr;
-  attr.name = def.name;
-  attr.kind = AttributeKind::kQuantitative;
-  attr.source_type = def.type;
-
-  if (distinct.size() <= required_intervals || distinct.size() <= 1) {
-    // Few values: no partitioning; each distinct value is its own integer
-    // (order preserved), per Section 2.1.
-    attr.partitioned = false;
-    attr.intervals.reserve(distinct.size());
-    for (double v : distinct) attr.intervals.push_back(Interval{v, v});
-    for (size_t r = 0; r < n; ++r) {
-      if (column.IsNull(r)) {
-        out[r] = kMissingValue;
-        continue;
-      }
-      auto it = std::lower_bound(distinct.begin(), distinct.end(),
-                                 column.GetNumeric(r));
-      out[r] = static_cast<int32_t>(it - distinct.begin());
-    }
-    return attr;
-  }
-
-  attr.partitioned = true;
-  switch (method) {
-    case PartitionMethod::kEquiDepth:
-      attr.intervals = EquiDepthPartition(values, required_intervals);
-      break;
-    case PartitionMethod::kEquiWidth:
-      attr.intervals =
-          EquiWidthPartition(distinct.front(), distinct.back(),
-                             required_intervals);
-      break;
-    case PartitionMethod::kKMeans:
-      attr.intervals = KMeansPartition(values, required_intervals);
-      break;
-  }
+// Maps each cell of a categorical column to its id in `ids`, looking the
+// cell up by `key(row)`; NULL cells map to kMissingValue. Returns the first
+// row whose key `ids` lacks, or `n` when every cell maps.
+template <class Ids, class Key>
+size_t MapCategoricalCells(const Column& column, size_t n, const Ids& ids,
+                           Key key, int32_t* out) {
   for (size_t r = 0; r < n; ++r) {
     if (column.IsNull(r)) {
       out[r] = kMissingValue;
       continue;
     }
-    int64_t idx = AssignToInterval(attr.intervals, column.GetNumeric(r));
-    QARM_CHECK_GE(idx, 0);
+    const auto it = ids.find(key(r));
+    if (it == ids.end()) return r;
+    out[r] = it->second;
+  }
+  return n;
+}
+
+// Maps each cell of a quantitative column to the first interval reaching
+// it (AssignToInterval); unless `partitioned`, that interval must be the
+// cell's own value. NULL cells map to kMissingValue. Returns the first row
+// with no interval, or `n` when every cell maps.
+size_t MapQuantitativeCells(const Column& column, size_t n,
+                            const std::vector<Interval>& intervals,
+                            bool partitioned, int32_t* out) {
+  for (size_t r = 0; r < n; ++r) {
+    if (column.IsNull(r)) {
+      out[r] = kMissingValue;
+      continue;
+    }
+    const double v = column.GetNumeric(r);
+    const int64_t idx = AssignToInterval(intervals, v);
+    if (idx < 0 || (!partitioned && intervals[idx].lo != v)) return r;
     out[r] = static_cast<int32_t>(idx);
   }
-  return attr;
+  return n;
+}
+
+// Maps a categorical column as MapCategoricalCells does, against the
+// label -> id table of `labels`, by each cell's Value::ToString text.
+size_t MapByLabel(const Column& column, size_t n,
+                  const std::vector<std::string>& labels, int32_t* out) {
+  std::unordered_map<std::string_view, int32_t> ids;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    ids.emplace(labels[i], static_cast<int32_t>(i));
+  }
+  if (column.type() == ValueType::kString) {
+    return MapCategoricalCells(
+        column, n, ids,
+        [&](size_t r) { return std::string_view(column.GetString(r)); }, out);
+  }
+  return MapCategoricalCells(
+      column, n, ids, [&](size_t r) { return column.Get(r).ToString(); },
+      out);
+}
+
+// Numbers the distinct keys `key(row)` of the non-NULL cells 0..c-1 in
+// Value order, labels each with the Value::ToString text of its first cell,
+// then maps the cells as MapCategoricalCells does.
+template <class Key, class GetKey>
+size_t RankAndMap(const Column& column, size_t n, GetKey key,
+                  MappedAttribute* attr, int32_t* out) {
+  std::unordered_map<Key, int32_t> ids;
+  std::vector<std::pair<Key, size_t>> first_rows;
+  for (size_t r = 0; r < n; ++r) {
+    if (!column.IsNull(r) && ids.emplace(key(r), 0).second) {
+      first_rows.emplace_back(key(r), r);
+    }
+  }
+  std::sort(first_rows.begin(), first_rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 0; i < first_rows.size(); ++i) {
+    ids[first_rows[i].first] = static_cast<int32_t>(i);
+    attr->labels.push_back(column.Get(first_rows[i].second).ToString());
+  }
+  return MapCategoricalCells(column, n, ids, key, out);
+}
+
+// Maps one categorical column into `out`: distinct values sorted, then
+// labeled 0..c-1. A taxonomy (string columns only) numbers its DFS leaves
+// instead, so interior nodes cover contiguous id ranges, and every value
+// must be a leaf. Returns the first row that maps to no id, or `n`.
+size_t MapCategorical(const Column& column, size_t n, const Taxonomy* taxonomy,
+                      MappedAttribute* attr, int32_t* out) {
+  if (taxonomy != nullptr) {
+    // Every taxonomy leaf gets an id (absent leaves keep zero support);
+    // this keeps interior node ranges exact.
+    attr->labels = taxonomy->leaves_dfs();
+    attr->taxonomy_ranges = taxonomy->interior_ranges();
+    return MapByLabel(column, n, attr->labels, out);
+  }
+  switch (column.type()) {
+    case ValueType::kInt64:
+      return RankAndMap<int64_t>(
+          column, n, [&](size_t r) { return column.GetInt64(r); }, attr, out);
+    case ValueType::kDouble:
+      return RankAndMap<double>(
+          column, n, [&](size_t r) { return column.GetDouble(r); }, attr, out);
+    case ValueType::kString:
+      return RankAndMap<std::string_view>(
+          column, n,
+          [&](size_t r) { return std::string_view(column.GetString(r)); },
+          attr, out);
+  }
+  return n;
+}
+
+// Maps one quantitative column into `out`, partitioning per the options.
+// The column's values are sorted once, and the intervals come from that
+// copy. Returns the first row that maps to no interval, or `n`.
+size_t MapQuantitative(const Column& column, size_t n,
+                       size_t required_intervals, PartitionMethod method,
+                       MappedAttribute* attr, int32_t* out) {
+  std::vector<double> sorted;  // non-null cells only
+  sorted.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    if (!column.IsNull(r)) sorted.push_back(column.GetNumeric(r));
+  }
+  std::sort(sorted.begin(), sorted.end());
+
+  // Few values: no partitioning; each distinct value is its own integer
+  // (order preserved), per Section 2.1. One distinct value more than
+  // `required_intervals` (at least 1) means the column is partitioned.
+  for (double v : sorted) {
+    if (!attr->intervals.empty() && attr->intervals.back().lo == v) continue;
+    attr->intervals.push_back(Interval{v, v});
+    if (attr->intervals.size() > required_intervals) break;
+  }
+  attr->partitioned = attr->intervals.size() > required_intervals;
+  if (attr->partitioned) {
+    if (method == PartitionMethod::kEquiDepth) {
+      attr->intervals = EquiDepthPartition(sorted, required_intervals);
+    } else if (method == PartitionMethod::kEquiWidth) {
+      attr->intervals = EquiWidthPartition(sorted.front(), sorted.back(),
+                                           required_intervals);
+    } else {
+      attr->intervals = KMeansPartition(sorted, required_intervals);
+    }
+  }
+  return MapQuantitativeCells(column, n, attr->intervals, attr->partitioned,
+                              out);
 }
 
 }  // namespace
@@ -218,13 +240,20 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options) {
   }
 
   const Schema& schema = table.schema();
+  std::vector<const Taxonomy*> taxonomy_of(schema.num_attributes(), nullptr);
   for (const auto& [name, taxonomy] : options.taxonomies) {
-    (void)taxonomy;
     QARM_ASSIGN_OR_RETURN(size_t index, schema.IndexOf(name));
-    if (schema.attribute(index).kind != AttributeKind::kCategorical) {
+    const AttributeDef& def = schema.attribute(index);
+    if (def.kind != AttributeKind::kCategorical) {
       return Status::InvalidArgument("taxonomy on non-categorical attribute '" +
                                      name + "'");
     }
+    if (def.type != ValueType::kString) {
+      return Status::InvalidArgument(
+          "taxonomy on attribute '" + name + "' needs a string column, not " +
+          ValueTypeName(def.type));
+    }
+    if (taxonomy_of[index] == nullptr) taxonomy_of[index] = &taxonomy;
   }
   size_t n_quant = options.max_quantitative_per_rule > 0
                        ? options.max_quantitative_per_rule
@@ -236,25 +265,31 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options) {
                                             n_quant, options.minsup);
 
   // Map each column in place, then attach the metadata derived from it.
-  MappedTable mapped(std::vector<MappedAttribute>(schema.num_attributes()),
-                     table.num_rows());
+  const size_t n = table.num_rows();
+  MappedTable mapped(std::vector<MappedAttribute>(schema.num_attributes()), n);
   for (size_t c = 0; c < schema.num_attributes(); ++c) {
-    int32_t* column = mapped.mutable_column(c);
-    if (schema.attribute(c).kind == AttributeKind::kCategorical) {
-      const Taxonomy* taxonomy = nullptr;
-      for (const auto& [name, tax] : options.taxonomies) {
-        if (name == schema.attribute(c).name) {
-          taxonomy = &tax;
-          break;
-        }
-      }
-      QARM_ASSIGN_OR_RETURN(MappedAttribute attr,
-                            MapCategorical(table, c, taxonomy, column));
-      mapped.set_attribute(c, std::move(attr));
-    } else {
-      mapped.set_attribute(c, MapQuantitative(table, c, required_intervals,
-                                              options.method, column));
+    const AttributeDef& def = schema.attribute(c);
+    const Column& column = table.column(c);
+    MappedAttribute attr;
+    attr.name = def.name;
+    attr.kind = def.kind;
+    attr.source_type = def.type;
+    int32_t* out = mapped.mutable_column(c);
+    const size_t bad =
+        def.kind == AttributeKind::kCategorical
+            ? MapCategorical(column, n, taxonomy_of[c], &attr, out)
+            : MapQuantitative(column, n, required_intervals, options.method,
+                              &attr, out);
+    // Each column is mapped against its own values, so outside a taxonomy
+    // only a NaN, which equals nothing, can miss.
+    if (bad < n) {
+      return Status::InvalidArgument(
+          "value '" + column.Get(bad).ToString() + "' of attribute '" +
+          def.name + "' is " +
+          (taxonomy_of[c] != nullptr ? "not a leaf of its taxonomy"
+                                     : "not a number"));
     }
+    mapped.set_attribute(c, std::move(attr));
   }
   return mapped;
 }
@@ -277,61 +312,32 @@ Result<MappedTable> MapTableWithAttributes(
     }
   }
 
-  MappedTable out(attributes, table.num_rows());
+  const size_t n = table.num_rows();
+  MappedTable out(attributes, n);
   for (size_t c = 0; c < attributes.size(); ++c) {
     const MappedAttribute& attr = attributes[c];
     const Column& column = table.column(c);
-    if (attr.kind == AttributeKind::kCategorical) {
-      std::map<std::string, int32_t> ids;
-      for (size_t i = 0; i < attr.labels.size(); ++i) {
-        ids.emplace(attr.labels[i], static_cast<int32_t>(i));
-      }
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (column.IsNull(r)) {
-          out.set_value(r, c, kMissingValue);
-          continue;
-        }
-        auto it = ids.find(column.Get(r).ToString());
-        if (it == ids.end()) {
-          return Status::InvalidArgument(
-              "value '" + column.Get(r).ToString() + "' of attribute '" +
-              attr.name + "' is not in the existing domain; re-convert the "
-              "file to admit new categorical values");
-        }
-        out.set_value(r, c, it->second);
-      }
-      continue;
+    const bool categorical = attr.kind == AttributeKind::kCategorical;
+    const size_t bad =
+        categorical ? MapByLabel(column, n, attr.labels, out.mutable_column(c))
+                    : MapQuantitativeCells(column, n, attr.intervals,
+                                           attr.partitioned,
+                                           out.mutable_column(c));
+    if (bad == n) continue;
+    if (categorical) {
+      return Status::InvalidArgument(
+          "value '" + column.Get(bad).ToString() + "' of attribute '" +
+          attr.name + "' is not in the existing domain; re-convert the "
+          "file to admit new categorical values");
     }
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (column.IsNull(r)) {
-        out.set_value(r, c, kMissingValue);
-        continue;
-      }
-      const double v = column.GetNumeric(r);
-      if (attr.partitioned) {
-        const int64_t idx = AssignToInterval(attr.intervals, v);
-        if (idx < 0) {
-          return Status::InvalidArgument("attribute '" + attr.name +
-                                         "' has no intervals to assign to");
-        }
-        out.set_value(r, c, static_cast<int32_t>(idx));
-        continue;
-      }
-      // Unpartitioned: every existing integer is one exact raw value.
-      const auto it = std::lower_bound(
-          attr.intervals.begin(), attr.intervals.end(), v,
-          [](const Interval& interval, double value) {
-            return interval.lo < value;
-          });
-      if (it == attr.intervals.end() || it->lo != v) {
-        return Status::InvalidArgument(
-            "value " + FormatDouble(v) + " of attribute '" + attr.name +
-            "' is not in the existing domain; re-convert the file to admit "
-            "new quantitative values");
-      }
-      out.set_value(
-          r, c, static_cast<int32_t>(it - attr.intervals.begin()));
+    if (attr.partitioned) {
+      return Status::InvalidArgument("attribute '" + attr.name +
+                                     "' has no intervals to assign to");
     }
+    return Status::InvalidArgument(
+        "value " + FormatDouble(column.GetNumeric(bad)) + " of attribute '" +
+        attr.name + "' is not in the existing domain; re-convert the file "
+        "to admit new quantitative values");
   }
   return out;
 }

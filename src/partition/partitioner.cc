@@ -7,14 +7,14 @@
 
 namespace qarm {
 
-std::vector<Interval> EquiDepthPartition(std::vector<double> values,
+std::vector<Interval> EquiDepthPartition(const std::vector<double>& sorted,
                                          size_t num_partitions) {
   QARM_CHECK_GT(num_partitions, 0u);
+  QARM_DCHECK(std::is_sorted(sorted.begin(), sorted.end()));
   std::vector<Interval> out;
-  if (values.empty()) return out;
-  std::sort(values.begin(), values.end());
+  if (sorted.empty()) return out;
 
-  const size_t n = values.size();
+  const size_t n = sorted.size();
   size_t begin = 0;
   for (size_t p = 0; p < num_partitions && begin < n; ++p) {
     // Ideal end of this partition by rank.
@@ -27,12 +27,12 @@ std::vector<Interval> EquiDepthPartition(std::vector<double> values,
     size_t end = std::max(target, begin + 1);
     // Never split a run of equal values across partitions: push the boundary
     // forward to the first distinct value.
-    while (end < n && values[end] == values[end - 1]) ++end;
-    out.push_back(Interval{values[begin], values[end - 1]});
+    while (end < n && sorted[end] == sorted[end - 1]) ++end;
+    out.push_back(Interval{sorted[begin], sorted[end - 1]});
     begin = end;
   }
   // Heavy duplication may leave a tail; extend the last interval over it.
-  if (begin < n) out.back().hi = values[n - 1];
+  if (begin < n) out.back().hi = sorted[n - 1];
   return out;
 }
 
@@ -55,14 +55,14 @@ std::vector<Interval> EquiWidthPartition(double lo, double hi,
   return out;
 }
 
-std::vector<Interval> KMeansPartition(std::vector<double> values,
+std::vector<Interval> KMeansPartition(const std::vector<double>& sorted,
                                       size_t num_partitions,
                                       size_t max_iterations) {
   QARM_CHECK_GT(num_partitions, 0u);
+  QARM_DCHECK(std::is_sorted(sorted.begin(), sorted.end()));
   std::vector<Interval> out;
-  if (values.empty()) return out;
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
+  if (sorted.empty()) return out;
+  const size_t n = sorted.size();
 
   // 1-D k-means over sorted values: clusters are contiguous runs, so the
   // state is just the k-1 boundary ranks. Seed at equi-depth quantiles.
@@ -71,7 +71,7 @@ std::vector<Interval> KMeansPartition(std::vector<double> values,
   for (size_t c = 0; c <= k; ++c) boundary[c] = c * n / k;
 
   std::vector<double> prefix(n + 1, 0.0);
-  for (size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + values[i];
+  for (size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + sorted[i];
 
   for (size_t iter = 0; iter < max_iterations; ++iter) {
     // Means of the current clusters.
@@ -80,7 +80,7 @@ std::vector<Interval> KMeansPartition(std::vector<double> values,
       size_t lo = boundary[c], hi = boundary[c + 1];
       mean[c] = hi > lo
                     ? (prefix[hi] - prefix[lo]) / static_cast<double>(hi - lo)
-                    : (lo < n ? values[lo] : values[n - 1]);
+                    : (lo < n ? sorted[lo] : sorted[n - 1]);
     }
     // Reassign: each boundary moves to the midpoint of adjacent means.
     bool changed = false;
@@ -88,8 +88,8 @@ std::vector<Interval> KMeansPartition(std::vector<double> values,
     for (size_t c = 1; c < k; ++c) {
       double cut = (mean[c - 1] + mean[c]) * 0.5;
       size_t pos = static_cast<size_t>(
-          std::lower_bound(values.begin(), values.end(), cut) -
-          values.begin());
+          std::lower_bound(sorted.begin(), sorted.end(), cut) -
+          sorted.begin());
       pos = std::clamp(pos, next[c - 1], next[c + 1]);
       if (pos != next[c]) {
         next[c] = pos;
@@ -104,7 +104,7 @@ std::vector<Interval> KMeansPartition(std::vector<double> values,
     size_t lo = boundary[c], hi = boundary[c + 1];
     if (hi <= lo) continue;  // empty cluster
     // Never split runs of equal values: extend to the run end.
-    Interval interval{values[lo], values[hi - 1]};
+    Interval interval{sorted[lo], sorted[hi - 1]};
     if (!out.empty() && out.back().hi == interval.lo) {
       out.back().hi = interval.hi;  // merge clusters split inside a run
       continue;

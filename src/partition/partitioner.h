@@ -15,12 +15,12 @@
 
 namespace qarm {
 
-// Partitions `values` into at most `num_partitions` intervals of roughly
-// equal record count. Equal raw values always land in the same interval, so
-// the result may have fewer than `num_partitions` intervals on heavy
-// duplication. Intervals are returned sorted, non-overlapping, and cover
-// every input value. `values` is consumed (sorted in place).
-std::vector<Interval> EquiDepthPartition(std::vector<double> values,
+// Partitions `sorted` (ascending, one entry per record) into at most
+// `num_partitions` intervals of roughly equal record count. Equal raw values
+// always land in the same interval, so the result may have fewer than
+// `num_partitions` intervals on heavy duplication. Intervals are returned
+// sorted, non-overlapping, and cover every input value.
+std::vector<Interval> EquiDepthPartition(const std::vector<double>& sorted,
                                          size_t num_partitions);
 
 // Splits [lo, hi] into `num_partitions` equal-width intervals. The returned
@@ -40,8 +40,8 @@ int64_t AssignToInterval(const std::vector<Interval>& intervals, double v);
 // [JD88]): 1-D k-means over the values with deterministic quantile seeding,
 // returning one interval per non-empty cluster. Unlike equi-depth it keeps
 // tight value clusters together even when that unbalances the depths.
-// `values` is consumed (sorted in place). Deterministic.
-std::vector<Interval> KMeansPartition(std::vector<double> values,
+// `sorted` is ascending, one entry per record. Deterministic.
+std::vector<Interval> KMeansPartition(const std::vector<double>& sorted,
                                       size_t num_partitions,
                                       size_t max_iterations = 50);
 

@@ -1,5 +1,7 @@
 #include "partition/mapper.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "table/datagen.h"
@@ -131,6 +133,170 @@ TEST(MapperTest, RejectsBadOptions) {
   options.partial_completeness = 1.0;
   options.num_intervals_override = 0;
   EXPECT_FALSE(MapTable(people, options).ok());
+}
+
+// At the parent, a taxonomy over an int64 column aborted in the leaf
+// lookup (a cross-type Value comparison); it is now a Status.
+TEST(MapperTest, TaxonomyOnNonStringColumnIsRejected) {
+  Table table(Schema::Make({{"code", AttributeKind::kCategorical,
+                             ValueType::kInt64}})
+                  .value());
+  ASSERT_TRUE(table.AppendRow({Value(int64_t{0})}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(int64_t{1})}).ok());
+  MapOptions options;
+  options.taxonomies.emplace_back(
+      "code", Taxonomy::Make({{"0", "any"}, {"1", "any"}}).value());
+  auto mapped = MapTable(table, options);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mapped.status().message(),
+            "taxonomy on attribute 'code' needs a string column, not int64");
+}
+
+// A NaN cell equals no value, so it has no id or single-value interval.
+// CSV input never holds one; an in-memory table gets a Status, not a
+// silently misplaced cell.
+TEST(MapperTest, NaNCellIsRejected) {
+  for (AttributeKind kind :
+       {AttributeKind::kCategorical, AttributeKind::kQuantitative}) {
+    Table table(Schema::Make({{"x", kind, ValueType::kDouble}}).value());
+    ASSERT_TRUE(table.AppendRow({Value(1.0)}).ok());
+    ASSERT_TRUE(table.AppendRow({Value(std::nan(""))}).ok());
+    MapOptions options;
+    options.num_intervals_override = 4;
+    auto mapped = MapTable(table, options);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(mapped.status().message(),
+              "value 'nan' of attribute 'x' is not a number");
+  }
+}
+
+// A table with every attribute shape MapTableWithAttributes handles: a
+// partitioned and an unpartitioned quantitative column, string and int64
+// categorical columns, and NULL cells in each.
+Table MixedTableWithNulls() {
+  Table table(Schema::Make({{"q", AttributeKind::kQuantitative,
+                             ValueType::kDouble},
+                            {"few", AttributeKind::kQuantitative,
+                             ValueType::kInt64},
+                            {"s", AttributeKind::kCategorical,
+                             ValueType::kString},
+                            {"i", AttributeKind::kCategorical,
+                             ValueType::kInt64}})
+                  .value());
+  const char* kStrings[] = {"x", "y", "z"};
+  for (int64_t r = 0; r < 200; ++r) {
+    auto cell = [&](Value v) {
+      return r % 7 == 0 ? Value::Null() : std::move(v);
+    };
+    EXPECT_TRUE(table
+                    .AppendRow({cell(Value(static_cast<double>(r * r % 97))),
+                                cell(Value(r % 3)),
+                                cell(Value(kStrings[r % 3])),
+                                cell(Value(r % 4 * 10))})
+                    .ok());
+  }
+  return table;
+}
+
+TEST(MapperTest, WithAttributesReproducesMapTable) {
+  const Table table = MixedTableWithNulls();
+  MapOptions options;
+  options.num_intervals_override = 5;
+  auto mapped = MapTable(table, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(mapped->attribute(0).partitioned);
+  ASSERT_FALSE(mapped->attribute(1).partitioned);
+
+  auto again = MapTableWithAttributes(table, mapped->attributes());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      EXPECT_EQ(again->value(r, c), mapped->value(r, c)) << r << "," << c;
+      if (table.column(c).IsNull(r)) {
+        EXPECT_EQ(again->value(r, c), kMissingValue) << r << "," << c;
+      }
+    }
+  }
+}
+
+TEST(MapperTest, WithAttributesRejectsValuesOutsideTheDomain) {
+  const Table table = MixedTableWithNulls();
+  MapOptions options;
+  options.num_intervals_override = 5;
+  auto mapped = MapTable(table, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  auto delta = [](Value few, Value s, Value i) {
+    Table t(MixedTableWithNulls().schema());
+    EXPECT_TRUE(t.AppendRow({Value(1e9), few, s, i}).ok());
+    return t;
+  };
+  // A partitioned value beyond every interval clips to the last one.
+  auto clipped = MapTableWithAttributes(
+      delta(Value(int64_t{1}), Value("x"), Value(int64_t{10})),
+      mapped->attributes());
+  ASSERT_TRUE(clipped.ok()) << clipped.status().ToString();
+  EXPECT_EQ(clipped->value(0, 0),
+            static_cast<int32_t>(mapped->attribute(0).intervals.size() - 1));
+
+  auto unseen_string = MapTableWithAttributes(
+      delta(Value(int64_t{1}), Value("w"), Value(int64_t{10})),
+      mapped->attributes());
+  ASSERT_FALSE(unseen_string.ok());
+  EXPECT_EQ(unseen_string.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unseen_string.status().message(),
+            "value 'w' of attribute 's' is not in the existing domain; "
+            "re-convert the file to admit new categorical values");
+
+  auto unseen_int = MapTableWithAttributes(
+      delta(Value(int64_t{1}), Value("x"), Value(int64_t{15})),
+      mapped->attributes());
+  ASSERT_FALSE(unseen_int.ok());
+  EXPECT_EQ(unseen_int.status().message(),
+            "value '15' of attribute 'i' is not in the existing domain; "
+            "re-convert the file to admit new categorical values");
+
+  auto unseen_quant = MapTableWithAttributes(
+      delta(Value(int64_t{5}), Value("x"), Value(int64_t{10})),
+      mapped->attributes());
+  ASSERT_FALSE(unseen_quant.ok());
+  EXPECT_EQ(unseen_quant.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unseen_quant.status().message(),
+            "value 5 of attribute 'few' is not in the existing domain; "
+            "re-convert the file to admit new quantitative values");
+}
+
+TEST(MapperTest, WithAttributesRejectsMismatchedSchemas) {
+  const Table table = MixedTableWithNulls();
+  MapOptions options;
+  options.num_intervals_override = 5;
+  auto mapped = MapTable(table, options);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  std::vector<MappedAttribute> renamed = mapped->attributes();
+  renamed[2].name = "t";
+  auto by_name = MapTableWithAttributes(table, renamed);
+  ASSERT_FALSE(by_name.ok());
+  EXPECT_EQ(by_name.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(by_name.status().message(),
+            "attribute 2 ('s') does not match the existing metadata ('t')");
+
+  std::vector<MappedAttribute> rekinded = mapped->attributes();
+  rekinded[1].kind = AttributeKind::kCategorical;
+  auto by_kind = MapTableWithAttributes(table, rekinded);
+  ASSERT_FALSE(by_kind.ok());
+  EXPECT_EQ(by_kind.status().message(),
+            "attribute 1 ('few') does not match the existing metadata "
+            "('few')");
+
+  std::vector<MappedAttribute> shorter = mapped->attributes();
+  shorter.pop_back();
+  auto by_count = MapTableWithAttributes(table, shorter);
+  ASSERT_FALSE(by_count.ok());
+  EXPECT_EQ(by_count.status().message(),
+            "table has 4 attributes, existing metadata has 3");
 }
 
 TEST(MappedTableTest, HeadCopiesPrefix) {

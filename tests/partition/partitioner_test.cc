@@ -26,6 +26,7 @@ TEST(EquiDepthTest, CoversAllValuesDisjointly) {
   for (int i = 0; i < 1000; ++i) {
     values.push_back(rng.LogNormal(3.0, 1.0));
   }
+  std::sort(values.begin(), values.end());
   std::vector<Interval> parts = EquiDepthPartition(values, 10);
   ASSERT_FALSE(parts.empty());
   // Sorted, non-overlapping.
@@ -56,8 +57,8 @@ TEST(EquiDepthTest, DepthsRoughlyEqualOnSkewedData) {
   Rng rng(9);
   std::vector<double> values;
   for (int i = 0; i < 10000; ++i) values.push_back(rng.LogNormal(0.0, 1.5));
-  std::vector<double> copy = values;
-  std::vector<Interval> parts = EquiDepthPartition(copy, 20);
+  std::sort(values.begin(), values.end());
+  std::vector<Interval> parts = EquiDepthPartition(values, 20);
   ASSERT_EQ(parts.size(), 20u);
   for (const Interval& p : parts) {
     size_t count = 0;
@@ -74,6 +75,41 @@ TEST(EquiDepthTest, FewerPartitionsThanRequestedOnDuplicates) {
   std::vector<Interval> parts = EquiDepthPartition(values, 5);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_TRUE(parts[0].IsSingleValue());
+}
+
+// The partitioners read sorted input; any arrival order, once sorted,
+// gives the intervals pinned above.
+TEST(PartitionerTest, SortedShuffleGivesPinnedIntervals) {
+  Rng rng(3);
+  std::vector<double> values;
+  for (int i = 0; i < 100; ++i) values.push_back(i);
+  rng.Shuffle(&values);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(EquiDepthPartition(values, 4),
+            (std::vector<Interval>{{0, 24}, {25, 49}, {50, 74}, {75, 99}}));
+
+  std::vector<double> skewed(100, 7.0);
+  for (int i = 0; i < 100; ++i) skewed.push_back(100.0 + i);
+  rng.Shuffle(&skewed);
+  std::sort(skewed.begin(), skewed.end());
+  EXPECT_EQ(EquiDepthPartition(skewed, 10),
+            (std::vector<Interval>{{7, 7},
+                                   {100, 100},
+                                   {101, 101},
+                                   {102, 102},
+                                   {103, 103},
+                                   {104, 119},
+                                   {120, 139},
+                                   {140, 159},
+                                   {160, 179},
+                                   {180, 199}}));
+}
+
+// Debug builds check that the input is sorted.
+TEST(PartitionerDeathTest, UnsortedInputFailsTheDebugCheck) {
+  const std::vector<double> unsorted = {3.0, 1.0, 2.0};
+  EXPECT_DEBUG_DEATH(EquiDepthPartition(unsorted, 2), "is_sorted");
+  EXPECT_DEBUG_DEATH(KMeansPartition(unsorted, 2), "is_sorted");
 }
 
 TEST(EquiDepthTest, EmptyInput) {
@@ -127,6 +163,7 @@ TEST(KMeansTest, SeparatesObviousClusters) {
   for (int i = 0; i < 600; ++i) values.push_back(10.0 + (i % 5) * 0.1);
   for (int i = 0; i < 100; ++i) values.push_back(50.0 + (i % 5) * 0.1);
   for (int i = 0; i < 300; ++i) values.push_back(90.0 + (i % 5) * 0.1);
+  std::sort(values.begin(), values.end());
   std::vector<Interval> parts = KMeansPartition(values, 3);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_TRUE(parts[0].Contains(10.2));
@@ -139,8 +176,8 @@ TEST(KMeansTest, CoversAllValuesDisjointly) {
   Rng rng(31);
   std::vector<double> values;
   for (int i = 0; i < 2000; ++i) values.push_back(rng.LogNormal(2.0, 1.0));
-  std::vector<double> copy = values;
-  std::vector<Interval> parts = KMeansPartition(copy, 8);
+  std::sort(values.begin(), values.end());
+  std::vector<Interval> parts = KMeansPartition(values, 8);
   ASSERT_FALSE(parts.empty());
   EXPECT_LE(parts.size(), 8u);
   for (size_t i = 1; i < parts.size(); ++i) {
@@ -169,6 +206,7 @@ TEST(KMeansTest, Deterministic) {
   Rng rng(7);
   std::vector<double> values;
   for (int i = 0; i < 500; ++i) values.push_back(rng.Normal(0, 10));
+  std::sort(values.begin(), values.end());
   auto a = KMeansPartition(values, 5);
   auto b = KMeansPartition(values, 5);
   EXPECT_EQ(a, b);
