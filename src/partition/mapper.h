@@ -44,10 +44,10 @@ struct MapOptions {
   // n' quantitative attributes, fewer intervals suffice).
   size_t max_quantitative_per_rule = 0;
 
-  // Taxonomies over categorical attributes (Section 1.1 / [SA95]), keyed by
-  // attribute name. A taxonomized attribute's values are mapped in DFS leaf
-  // order so interior nodes become contiguous ranges; every value in the
-  // data must be a leaf of the taxonomy.
+  // Taxonomies over string-typed categorical attributes (Section 1.1 /
+  // [SA95]), keyed by attribute name. A taxonomized attribute's values are
+  // mapped in DFS leaf order so interior nodes become contiguous ranges;
+  // every value in the data must be a leaf of the taxonomy.
   std::vector<std::pair<std::string, Taxonomy>> taxonomies;
 };
 
