@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
           " \"speedup\": %s, \"scan_rows_per_sec\": %.0f,"
           " \"array_counters\": %zu,"
           " \"tree_counters\": %zu, \"direct_counters\": %zu,"
-          " \"atomic_shared_counters\": %zu, \"counter_bytes\": %llu,"
+          " \"counter_bytes\": %llu,"
           " \"replicated_bytes\": %llu}",
           p.threads, p.stats.threads_used, p.total, p.total_min, p.total_max,
           p.group, p.scan, p.scan_min, p.scan_max, p.reduce, p.build,
@@ -339,7 +339,6 @@ int main(int argc, char** argv) {
               : "null",
           scan_rows_per_sec, p.stats.num_array_counters,
           p.stats.num_tree_counters, p.stats.num_direct,
-          p.stats.num_atomic_shared,
           static_cast<unsigned long long>(p.stats.counter_bytes),
           static_cast<unsigned long long>(p.stats.replicated_bytes));
     }

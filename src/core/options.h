@@ -69,7 +69,9 @@ struct MinerOptions {
   // accounted cumulatively across super-candidates; once the running total
   // would exceed it, further super-candidates use the R*-tree instead
   // (Section 5.2 heuristic). A grid estimated smaller than its R*-tree is
-  // always kept dense — the tree would cost more memory, not less.
+  // always kept dense — the tree would cost more memory, not less. A
+  // parallel pass gives each scan thread its own copy of every grid, so it
+  // runs only as many threads as the budget holds copies (at least one).
   uint64_t counter_memory_budget_bytes = 64ull << 20;
 
   // Worker threads for the database scans (the pass-1 value-count scan and
@@ -121,13 +123,6 @@ struct MinerOptions {
   // reconnect after a worker death.
   size_t dist_connect_attempts = 10;
   double dist_connect_backoff_ms = 50.0;
-
-  // Budget for the *extra* per-thread replicas of dense counting grids that
-  // a parallel scan allocates (one replica per worker beyond the first).
-  // Grids whose replicas do not fit — accounted cumulatively in group
-  // order — stay shared across workers and are updated with atomic
-  // increments instead, keeping memory bounded at the cost of contention.
-  uint64_t parallel_replication_budget_bytes = 32ull << 20;
 
   // Cap on itemset size (0 = unlimited). Useful to bound exploratory runs.
   size_t max_itemset_size = 0;

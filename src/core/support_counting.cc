@@ -39,9 +39,6 @@ struct SuperCandidate {
   // lo/hi pairs per dimension.
   bool degraded_scan = false;
   std::vector<int32_t> member_rects;
-  // Parallel scan: grid shared across workers, updated atomically (its
-  // per-thread replicas would not fit the replication budget).
-  bool atomic_shared = false;
   // Grid strides as int32, for the vectorized flat-index computation.
   std::vector<int32_t> grid_strides;
   // The shared row masks (see SharedMask) whose AND selects the rows this
@@ -201,20 +198,12 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
   local_stats.group_seconds = phase_timer.ElapsedSeconds();
   phase_timer.Reset();
 
-  // The scan parallelism: never more shards than blocks (in-memory sources
-  // pick their block size so that small tables still feed every worker).
-  const size_t threads_used =
-      std::max<size_t>(1, std::min(ResolveNumThreads(options.num_threads),
-                                   source.num_blocks()));
-  local_stats.threads_used = threads_used;
-
   // --- Build a counting structure per super-candidate. ---
   // Dense grids are budgeted cumulatively: `array_bytes_total` tracks every
   // grid of this pass against counter_memory_budget_bytes, so total counter
   // memory stays bounded no matter how many super-candidates a pass has.
   uint64_t array_bytes_total = 0;
   uint64_t tree_bytes_total = 0;
-  uint64_t replicated_bytes_total = 0;
   for (SuperCandidate& sc : groups) {
     if (sc.quant_attrs.empty()) {
       ++local_stats.num_direct;
@@ -252,24 +241,6 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       array_bytes_total += array_bytes;
       local_stats.counter_bytes += array_bytes;
       ++local_stats.num_array_counters;
-      if (threads_used > 1) {
-        // Replicate the grid per extra worker if the replicas fit the
-        // (cumulative) replication budget; otherwise share it and count
-        // with atomic increments.
-        const uint64_t extra_workers = threads_used - 1;
-        const bool replicas_fit =
-            array_bytes <=
-                options.parallel_replication_budget_bytes / extra_workers &&
-            replicated_bytes_total <=
-                options.parallel_replication_budget_bytes -
-                    array_bytes * extra_workers;
-        if (replicas_fit) {
-          replicated_bytes_total += array_bytes * extra_workers;
-        } else {
-          sc.atomic_shared = true;
-          ++local_stats.num_atomic_shared;
-        }
-      }
     } else {
       // Trees are budgeted cumulatively too, as a high-water mark: a tree
       // is admitted while the running tree total is still within budget
@@ -316,7 +287,21 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       }
     }
   }
-  local_stats.replicated_bytes = replicated_bytes_total;
+  // The scan parallelism: never more shards than blocks (in-memory sources
+  // pick their block size so that small tables still feed every worker),
+  // and never more than the counter budget holds copies of every grid, as
+  // each extra worker counts into its own replica. Grids alone over budget
+  // (kept because they beat their tree) leave one worker.
+  size_t threads_used =
+      std::max<size_t>(1, std::min(ResolveNumThreads(options.num_threads),
+                                   source.num_blocks()));
+  if (array_bytes_total > 0) {
+    threads_used = static_cast<size_t>(std::clamp<uint64_t>(
+        options.counter_memory_budget_bytes / array_bytes_total, 1,
+        threads_used));
+  }
+  local_stats.threads_used = threads_used;
+  local_stats.replicated_bytes = (threads_used - 1) * array_bytes_total;
   if (local_stats.num_degraded > 0) {
     QARM_LOG(Warning) << "counter memory budget ("
                       << options.counter_memory_budget_bytes
@@ -376,8 +361,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
   // BlockView, so memory stays bounded by the blocks in flight no matter
   // how large the source is. `local == nullptr` means the worker owns the
   // groups' primary structures (worker 0, and the whole serial path);
-  // otherwise increments go to the worker's own replicas. Grids flagged
-  // atomic_shared are written by every worker via relaxed atomic adds.
+  // otherwise increments go to the worker's own replicas.
   //
   // Per block, the worker builds the shared masks, then finishes each group
   // from its ANDed mask: popcount, flat-index scatter, tree probe of the
@@ -427,9 +411,8 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
       if (sc.array != nullptr) {
         kern.flat_index(flat_idx.data(), group_cols.data(),
                         sc.grid_strides.data(), dims, n);
-        NDimArray* grid = sc.atomic_shared || local == nullptr
-                              ? sc.array.get()
-                              : local->arrays[g].get();
+        NDimArray* grid =
+            local == nullptr ? sc.array.get() : local->arrays[g].get();
         const int32_t* idx = flat_idx.data();
         for (size_t w = 0; w < words; ++w) {
           uint64_t bits = mask[w];
@@ -437,13 +420,8 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
             const size_t r =
                 w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
             bits &= bits - 1;
-            const size_t cell = static_cast<size_t>(
-                static_cast<uint32_t>(idx[r]));
-            if (sc.atomic_shared) {
-              grid->AtomicIncrementFlat(cell);
-            } else {
-              grid->IncrementFlat(cell);
-            }
+            grid->IncrementFlat(
+                static_cast<size_t>(static_cast<uint32_t>(idx[r])));
           }
         }
         return;
@@ -523,7 +501,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
           const SuperCandidate& sc = groups[g];
           if (sc.tree != nullptr || sc.degraded_scan) {
             wc.tree_counts[g].assign(sc.num_members, 0);
-          } else if (sc.array != nullptr && !sc.atomic_shared) {
+          } else if (sc.array != nullptr) {
             wc.arrays[g] = std::make_unique<NDimArray>(sc.array->dim_sizes());
           }
         }
@@ -567,7 +545,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
             kern.add_u32(shard(i), shard(i + step), len);
           }
         }
-      } else if (sc.array != nullptr && !sc.atomic_shared) {
+      } else if (sc.array != nullptr) {
         auto shard = [&](size_t s) -> NDimArray* {
           return s == 0 ? sc.array.get() : workers[s].arrays[g].get();
         };

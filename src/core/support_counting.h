@@ -36,13 +36,10 @@ struct CountingStats {
   // counter memory budget and fell back to a linear scan of their member
   // rectangles (slower, near-zero memory). The pass logs one warning.
   size_t num_degraded = 0;
-  // Array super-candidates whose grid stayed shared across scan workers
-  // (atomic increments) because per-thread replicas would have blown the
-  // replication budget. Always 0 on a serial scan.
-  size_t num_atomic_shared = 0;
 
   // Threads that actually scanned (<= the resolved option: capped by the
-  // number of blocks of the scanned source).
+  // number of blocks of the scanned source, and by how many copies of the
+  // pass's grids fit counter_memory_budget_bytes).
   size_t threads_used = 1;
 
   // The kernel table the pass's block scan dispatched to (detection clamped
@@ -54,7 +51,8 @@ struct CountingStats {
   ScanIoStats io;
   // Bytes of the primary counting structures (grids + tree estimates).
   uint64_t counter_bytes = 0;
-  // Extra bytes of per-thread grid replicas allocated for the scan.
+  // Extra bytes of per-thread grid replicas allocated for the scan:
+  // (threads_used - 1) copies of every grid.
   uint64_t replicated_bytes = 0;
 
   // Per-phase wall times of the pass.
@@ -70,7 +68,6 @@ struct CountingStats {
     f("tree_counters", s.num_tree_counters...);
     f("direct_counters", s.num_direct...);
     f("degraded_counters", s.num_degraded...);
-    f("atomic_shared_counters", s.num_atomic_shared...);
     f("threads_used", s.threads_used...);
     f("isa", s.isa...);
     f("io", s.io...);

@@ -63,9 +63,6 @@ Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Launch(
     hello.fingerprint = fingerprint;
     hello.num_threads = options.num_threads;
     hello.counter_memory_budget_bytes = options.counter_memory_budget_bytes;
-    hello.parallel_replication_budget_bytes =
-        options.parallel_replication_budget_bytes;
-    hello.stream_block_rows = options.stream_block_rows;
     hello.heartbeat_ms = options.dist_heartbeat_ms;
     hello.io_timeout_ms = options.dist_io_timeout_ms;
     hello.inject_faults_spec = options.inject_faults_spec;

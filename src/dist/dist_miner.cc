@@ -100,12 +100,7 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
             w, snapshot.value_counts.size(), num_attributes));
       }
       total_rows += snapshot.num_rows;
-      if (io != nullptr) {
-        io->blocks_read += snapshot.blocks_read;
-        io->bytes_read += snapshot.bytes_read;
-        io->read_retries += snapshot.read_retries;
-        io->faults_injected += snapshot.faults_injected;
-      }
+      if (io != nullptr) *io += snapshot.io;
       if (w == 0) {
         merged = std::move(snapshot.value_counts);
         continue;

@@ -29,8 +29,6 @@ void EncodeHello(const DistHello& hello, std::string* out) {
   QbtAppendU64(out, hello.fingerprint);
   QbtAppendU64(out, hello.num_threads);
   QbtAppendU64(out, hello.counter_memory_budget_bytes);
-  QbtAppendU64(out, hello.parallel_replication_budget_bytes);
-  QbtAppendU64(out, hello.stream_block_rows);
   QbtAppendU64(out, hello.heartbeat_ms);
   QbtAppendU64(out, hello.io_timeout_ms);
   QbtAppendU64(out, hello.inject_faults_spec.size());
@@ -60,9 +58,6 @@ Result<DistHello> ParseHello(const uint8_t* data, size_t size) {
         static_cast<unsigned long long>(hello.num_threads)));
   }
   QARM_RETURN_NOT_OK(reader.ReadU64(&hello.counter_memory_budget_bytes));
-  QARM_RETURN_NOT_OK(
-      reader.ReadU64(&hello.parallel_replication_budget_bytes));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&hello.stream_block_rows));
   QARM_RETURN_NOT_OK(reader.ReadU64(&hello.heartbeat_ms));
   QARM_RETURN_NOT_OK(reader.ReadU64(&hello.io_timeout_ms));
   QARM_RETURN_NOT_OK(

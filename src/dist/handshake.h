@@ -11,11 +11,13 @@
 //
 // DistHello carries the protocol version FIRST, then the worker's shard
 // assignment (worker id, generation, block range), the run fingerprint,
-// and the execution knobs the worker needs (thread count, counter budgets,
-// fault spec, heartbeat interval, write deadline). Output-affecting
-// options never travel: the worker only scans value counts and counts
-// supports against the catalog the coordinator broadcasts, so the
-// fingerprint — not an options codec — is the run-identity contract.
+// and the execution knobs the worker needs (thread count, counter budget,
+// fault spec, heartbeat interval, write deadline). The worker scans only
+// QBT files, which carry their own block size, so no block size travels.
+// Output-affecting options never travel: the worker only scans value
+// counts and counts supports against the catalog the coordinator
+// broadcasts, so the fingerprint — not an options codec — is the
+// run-identity contract.
 //
 // DistHelloAck echoes the assignment and adds the worker's view of its QBT
 // file (row/block counts and the block-index prefix CRC), which the
@@ -40,7 +42,7 @@ namespace qarm {
 
 // Bump on any wire-visible change to the frame layout, the handshake
 // payloads, or the request/reply vocabulary.
-inline constexpr uint32_t kDistProtocolVersion = 2;
+inline constexpr uint32_t kDistProtocolVersion = 3;
 
 // Caps the Hello's fault-spec string. Real specs are tens of bytes; the
 // cap only exists so a hostile length prefix cannot turn into a giant
@@ -57,8 +59,6 @@ struct DistHello {
   // Execution knobs for the worker's scans.
   uint64_t num_threads = 1;
   uint64_t counter_memory_budget_bytes = 0;
-  uint64_t parallel_replication_budget_bytes = 0;
-  uint64_t stream_block_rows = 0;
   // Liveness + deadline contract for this session (ms). heartbeat_ms == 0
   // disables heartbeats; io_timeout_ms bounds the worker's frame writes.
   uint64_t heartbeat_ms = 0;

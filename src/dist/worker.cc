@@ -97,10 +97,7 @@ Result<std::string> HandlePass1(const DistHello& hello,
   snapshot.block_end = hello.block_end;
   snapshot.num_rows = shard.num_rows();
   snapshot.value_counts = std::move(value_counts);
-  snapshot.blocks_read = io.blocks_read;
-  snapshot.bytes_read = io.bytes_read;
-  snapshot.read_retries = io.read_retries;
-  snapshot.faults_injected = io.faults_injected;
+  snapshot.io = io;
   std::string payload;
   EncodeShardSnapshot(snapshot, &payload);
   return payload;
@@ -186,9 +183,6 @@ MinerOptions ScanOptions(const DistHello& hello) {
   MinerOptions options;
   options.num_threads = static_cast<size_t>(hello.num_threads);
   options.counter_memory_budget_bytes = hello.counter_memory_budget_bytes;
-  options.parallel_replication_budget_bytes =
-      hello.parallel_replication_budget_bytes;
-  options.stream_block_rows = static_cast<size_t>(hello.stream_block_rows);
   options.inject_faults_spec = hello.inject_faults_spec;
   return options;
 }

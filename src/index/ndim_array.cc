@@ -1,7 +1,6 @@
 #include "index/ndim_array.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "common/cpu_dispatch.h"
@@ -198,13 +197,6 @@ size_t NDimArray::FlatIndex(const int32_t* point) const {
 
 void NDimArray::Increment(const int32_t* point) {
   ++cells_[FlatIndex(point)];
-}
-
-void NDimArray::AtomicIncrementFlat(size_t index) {
-  // uint32_t in a vector satisfies atomic_ref's alignment requirement, so
-  // the plain storage doubles as the shared-atomic counting mode.
-  std::atomic_ref<uint32_t> cell(cells_[index]);
-  cell.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NDimArray::AddFrom(const NDimArray& other) {

@@ -62,14 +62,7 @@ class NDimArray {
 
   // Flat-index increments for the SIMD scan kernels, which compute the cell
   // index vectorized (count_kernels.h flat_index) and scatter scalar.
-  //
-  // AtomicIncrementFlat is the thread-safe variant for grids shared across
-  // scan workers: a relaxed atomic add on the cell. All concurrent writers
-  // of a grid must use it — mixing it with concurrent plain increments on
-  // the same grid is a data race. Counts are exact regardless of
-  // interleaving.
   void IncrementFlat(size_t index) { ++cells_[index]; }
-  void AtomicIncrementFlat(size_t index);
 
   // True when every flat index fits an int32 — the precondition of the
   // vectorized index computation (strides then fit int32 too).

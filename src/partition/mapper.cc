@@ -117,13 +117,19 @@ size_t MapQuantitativeCells(const Column& column, size_t n,
 }
 
 // Maps a categorical column as MapCategoricalCells does, against the
-// label -> id table of `labels`, by each cell's Value::ToString text.
+// label -> id table of `labels`, by each cell's Value::ToString text. A
+// label several ids share (distinct doubles can print alike) names no one
+// id, so a cell with that text does not map.
 size_t MapByLabel(const Column& column, size_t n,
                   const std::vector<std::string>& labels, int32_t* out) {
   std::unordered_map<std::string_view, int32_t> ids;
+  std::vector<std::string_view> shared;
   for (size_t i = 0; i < labels.size(); ++i) {
-    ids.emplace(labels[i], static_cast<int32_t>(i));
+    if (!ids.emplace(labels[i], static_cast<int32_t>(i)).second) {
+      shared.push_back(labels[i]);
+    }
   }
+  for (std::string_view label : shared) ids.erase(label);
   if (column.type() == ValueType::kString) {
     return MapCategoricalCells(
         column, n, ids,
@@ -325,10 +331,17 @@ Result<MappedTable> MapTableWithAttributes(
                                            out.mutable_column(c));
     if (bad == n) continue;
     if (categorical) {
+      const std::string value = column.Get(bad).ToString();
+      if (std::count(attr.labels.begin(), attr.labels.end(), value) > 1) {
+        return Status::InvalidArgument(
+            "value '" + value + "' of attribute '" + attr.name +
+            "' matches label '" + value + "', which several categories "
+            "share; re-convert the file to tell them apart");
+      }
       return Status::InvalidArgument(
-          "value '" + column.Get(bad).ToString() + "' of attribute '" +
-          attr.name + "' is not in the existing domain; re-convert the "
-          "file to admit new categorical values");
+          "value '" + value + "' of attribute '" + attr.name +
+          "' is not in the existing domain; re-convert the file to admit "
+          "new categorical values");
     }
     if (attr.partitioned) {
       return Status::InvalidArgument("attribute '" + attr.name +

@@ -41,6 +41,22 @@ const char* StatusText(int status) {
   }
 }
 
+// The status line, headers and (unless `with_body` is false, for HEAD)
+// body of `response`: the one encoding of every response the server sends.
+std::string EncodeResponse(const HttpResponse& response, bool keep_alive,
+                           bool with_body) {
+  std::string payload = "HTTP/1.1 " + std::to_string(response.status) + " " +
+                        StatusText(response.status) +
+                        "\r\nContent-Type: " + response.content_type +
+                        "\r\nContent-Length: " +
+                        std::to_string(response.body.size()) +
+                        (keep_alive ? "\r\nConnection: keep-alive"
+                                    : "\r\nConnection: close") +
+                        "\r\n\r\n";
+  if (with_body) payload += response.body;
+  return payload;
+}
+
 // Sends the whole buffer; false on a broken connection or a reader that
 // stays stalled past `deadline_ms`. EAGAIN/EWOULDBLOCK here means the
 // SO_SNDTIMEO send timeout fired while the socket buffer was full — the
@@ -221,12 +237,9 @@ void HttpServer::ServeConnection(int fd) {
         HttpResponse too_big;
         too_big.status = 413;
         too_big.body = "{\"error\":\"request too large\"}";
-        std::string payload =
-            "HTTP/1.1 413 " + std::string(StatusText(413)) +
-            "\r\nContent-Type: application/json\r\nContent-Length: " +
-            std::to_string(too_big.body.size()) +
-            "\r\nConnection: close\r\n\r\n" + too_big.body;
-        SendAll(fd, payload, options_.send_deadline_ms);
+        SendAll(fd, EncodeResponse(too_big, /*keep_alive=*/false,
+                               /*with_body=*/true),
+                options_.send_deadline_ms);
         return;
       }
       char chunk[4096];
@@ -295,15 +308,8 @@ void HttpServer::ServeConnection(int fd) {
       }
     }
 
-    std::string payload = "HTTP/1.1 " + std::to_string(response.status) +
-                          " " + StatusText(response.status) +
-                          "\r\nContent-Type: " + response.content_type +
-                          "\r\nContent-Length: " +
-                          std::to_string(response.body.size()) +
-                          (keep_alive ? "\r\nConnection: keep-alive"
-                                      : "\r\nConnection: close") +
-                          "\r\n\r\n";
-    if (request.method != "HEAD") payload += response.body;
+    const std::string payload =
+        EncodeResponse(response, keep_alive, request.method != "HEAD");
     if (!SendAll(fd, payload, options_.send_deadline_ms) || !keep_alive) {
       return;
     }

@@ -78,6 +78,7 @@
 
 #include "common/status.h"
 #include "storage/byte_reader.h"
+#include "storage/record_source.h"
 
 namespace qarm {
 
@@ -169,10 +170,10 @@ Result<CheckpointState> ReadCheckpoint(const std::string& path);
 // Layout: u8[4] magic "QCPS", u32 version, u64 fingerprint, u32 worker_id,
 // u64 block_begin, u64 block_end, u64 num_rows, then the value-count
 // vectors (u32 vector count, per attribute u64 size + u64 per value) and
-// the shard's I/O counters (4 × u64).
+// the shard's ScanIoStats in its wire form (storage/stats_fields.h).
 
 inline constexpr char kShardSnapshotMagic[4] = {'Q', 'C', 'P', 'S'};
-inline constexpr uint32_t kShardSnapshotVersion = 1;
+inline constexpr uint32_t kShardSnapshotVersion = 2;
 
 struct ShardSnapshot {
   uint64_t fingerprint = 0;  // same run fingerprint as the checkpoint
@@ -181,11 +182,7 @@ struct ShardSnapshot {
   uint64_t block_end = 0;
   uint64_t num_rows = 0;  // rows scanned in the shard
   std::vector<std::vector<uint64_t>> value_counts;  // per attribute
-  // Shard-local I/O counters, merged into the coordinator's pass-1 stats.
-  uint64_t blocks_read = 0;
-  uint64_t bytes_read = 0;
-  uint64_t read_retries = 0;
-  uint64_t faults_injected = 0;
+  ScanIoStats io;  // the shard's pass-1 I/O, summed by the coordinator
 };
 
 void EncodeShardSnapshot(const ShardSnapshot& snapshot, std::string* out);

@@ -127,10 +127,7 @@ Result<ShardSnapshot> ParseShardSnapshot(const uint8_t* data, size_t size) {
   QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.block_end));
   QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.num_rows));
   QARM_RETURN_NOT_OK(ParseValueCounts(&reader, &snapshot.value_counts));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.blocks_read));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.bytes_read));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.read_retries));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&snapshot.faults_injected));
+  QARM_RETURN_NOT_OK(ReadStatsWire(&reader, "io", &snapshot.io));
   QARM_RETURN_NOT_OK(reader.ExpectEnd());
   return snapshot;
 }

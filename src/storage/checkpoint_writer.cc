@@ -62,10 +62,7 @@ void EncodeShardSnapshot(const ShardSnapshot& snapshot, std::string* out) {
   QbtAppendU64(out, snapshot.block_end);
   QbtAppendU64(out, snapshot.num_rows);
   AppendValueCounts(snapshot.value_counts, out);
-  QbtAppendU64(out, snapshot.blocks_read);
-  QbtAppendU64(out, snapshot.bytes_read);
-  QbtAppendU64(out, snapshot.read_retries);
-  QbtAppendU64(out, snapshot.faults_injected);
+  AppendStatsWire(snapshot.io, out);
 }
 
 Status WriteCheckpoint(const CheckpointState& state, const std::string& path,

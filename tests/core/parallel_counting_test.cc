@@ -1,8 +1,8 @@
 // Determinism of the parallel sharded counting paths: with any thread
 // count, CountSupports and ItemCatalog::Build must produce counts identical
 // to the serial path — on tables with missing values, taxonomies, and
-// super-candidates counted through all three engines (dense grid, shared
-// atomic grid, R*-tree).
+// super-candidates counted through every engine (dense grid, R*-tree,
+// direct), and with the scan threads capped by the counter budget.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -91,7 +91,6 @@ TEST_P(ParallelCountingTest, ThreadedCountsMatchSerial) {
   std::vector<uint32_t> serial_counts =
       CountSupports(table, catalog, c2, serial_options, &serial_stats);
   EXPECT_EQ(serial_stats.threads_used, 1u);
-  EXPECT_EQ(serial_stats.num_atomic_shared, 0u);
 
   MinerOptions parallel_options = serial_options;
   parallel_options.num_threads = num_threads;
@@ -167,7 +166,7 @@ TEST_P(ParallelCountingTest, TreeEngineMatchesSerial) {
   EXPECT_EQ(parallel_counts, serial_counts);
 }
 
-TEST_P(ParallelCountingTest, AtomicSharedGridsMatchSerial) {
+TEST_P(ParallelCountingTest, ReplicaBudgetCapsScanThreads) {
   const size_t num_threads = static_cast<size_t>(GetParam());
   MappedTable table = MixedTable(/*seed=*/31, /*num_rows=*/1000);
   MinerOptions options;
@@ -177,22 +176,59 @@ TEST_P(ParallelCountingTest, AtomicSharedGridsMatchSerial) {
   ItemCatalog catalog = ItemCatalog::Build(table, options);
   ItemsetSet c2 = MakeLevel2Candidates(catalog);
   ASSERT_GT(c2.size(), 0u);
+  CountingStats serial_stats;
   std::vector<uint32_t> serial_counts =
-      CountSupports(table, catalog, c2, options, nullptr);
+      CountSupports(table, catalog, c2, options, &serial_stats);
+  ASSERT_EQ(serial_stats.num_tree_counters, 0u);
+  const uint64_t grid_bytes = serial_stats.counter_bytes;
+  ASSERT_GT(grid_bytes, 0u);
 
-  // No replication budget: every grid group must fall back to the shared
-  // atomic mode, and the counts must still be exact.
+  // The grids fit the budget once but not once per thread: every extra
+  // scan thread needs its own copy of every grid, so the pass runs only as
+  // many threads as the budget holds copies.
   options.num_threads = num_threads;
-  options.parallel_replication_budget_bytes = 0;
+  options.counter_memory_budget_bytes =
+      grid_bytes * (num_threads - 1) + grid_bytes / 2;
   CountingStats stats;
-  std::vector<uint32_t> parallel_counts =
+  std::vector<uint32_t> capped_counts =
       CountSupports(table, catalog, c2, options, &stats);
-  if (num_threads > 1) {
-    EXPECT_GT(stats.num_atomic_shared, 0u);
-    EXPECT_EQ(stats.num_atomic_shared, stats.num_array_counters);
-    EXPECT_EQ(stats.replicated_bytes, 0u);
+  EXPECT_EQ(capped_counts, serial_counts);
+  EXPECT_EQ(stats.counter_bytes, grid_bytes);
+  EXPECT_EQ(stats.threads_used, num_threads - 1);
+  EXPECT_LE(stats.threads_used * stats.counter_bytes,
+            options.counter_memory_budget_bytes);
+  EXPECT_EQ(stats.replicated_bytes, (stats.threads_used - 1) * grid_bytes);
+
+  // Grids kept over budget (each smaller than its R*-tree) leave one
+  // thread.
+  options.counter_memory_budget_bytes = 1;
+  capped_counts = CountSupports(table, catalog, c2, options, &stats);
+  EXPECT_EQ(capped_counts, serial_counts);
+  ASSERT_GT(stats.num_array_counters, 0u);
+  EXPECT_EQ(stats.threads_used, 1u);
+  EXPECT_EQ(stats.replicated_bytes, 0u);
+
+  // A pass without grids is not capped, however small the budget.
+  const auto plain = [&catalog](int32_t id) {
+    const int32_t attr = catalog.item(id).attr;
+    return attr == 2 || attr == 4;  // status, employed
+  };
+  ItemsetSet direct(2);
+  for (size_t c = 0; c < c2.size(); ++c) {
+    const int32_t* ids = c2.itemset(c);
+    if (plain(ids[0]) && plain(ids[1])) direct.AppendVector({ids[0], ids[1]});
   }
-  EXPECT_EQ(parallel_counts, serial_counts);
+  ASSERT_GT(direct.size(), 0u);
+  options.num_threads = 1;
+  std::vector<uint32_t> direct_serial =
+      CountSupports(table, catalog, direct, options, nullptr);
+  options.num_threads = num_threads;
+  std::vector<uint32_t> direct_counts =
+      CountSupports(table, catalog, direct, options, &stats);
+  EXPECT_EQ(direct_counts, direct_serial);
+  EXPECT_EQ(stats.num_array_counters, 0u);
+  EXPECT_EQ(stats.counter_bytes, 0u);
+  EXPECT_EQ(stats.threads_used, num_threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelCountingTest,

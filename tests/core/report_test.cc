@@ -113,7 +113,6 @@ PassStats GoldenPass(size_t k, size_t base, SimdIsa isa) {
   counting.num_tree_counters = base + 11;
   counting.num_direct = base + 12;
   counting.num_degraded = base + 13;
-  counting.num_atomic_shared = base + 14;
   counting.threads_used = base + 15;
   counting.isa = isa;
   counting.io = {base + 16, base + 17, sec(18), base + 19, base + 20};
@@ -210,8 +209,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"prune_seconds\":1.671875,\"seconds\":1.687500},"
       "\"super_candidates\":109,\"array_counters\":110,"
       "\"tree_counters\":111,\"direct_counters\":112,"
-      "\"degraded_counters\":113,\"atomic_shared_counters\":114,"
-      "\"threads_used\":115,\"isa\":\"avx2\","
+      "\"degraded_counters\":113,\"threads_used\":115,\"isa\":\"avx2\","
       "\"io\":{\"blocks_read\":116,\"bytes_read\":117,"
       "\"checksum_seconds\":1.843750,\"read_retries\":119,"
       "\"faults_injected\":120},"
@@ -225,8 +223,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"prune_seconds\":3.234375,\"seconds\":3.250000},"
       "\"super_candidates\":209,\"array_counters\":210,"
       "\"tree_counters\":211,\"direct_counters\":212,"
-      "\"degraded_counters\":213,\"atomic_shared_counters\":214,"
-      "\"threads_used\":215,\"isa\":\"sse42\","
+      "\"degraded_counters\":213,\"threads_used\":215,\"isa\":\"sse42\","
       "\"io\":{\"blocks_read\":216,\"bytes_read\":217,"
       "\"checksum_seconds\":3.406250,\"read_retries\":219,"
       "\"faults_injected\":220},"

@@ -112,5 +112,19 @@ TEST(DistMinerTest, ImplicitPairRequestsStaySmall) {
   EXPECT_GT(pass2->bytes_received, pass2->bytes_sent * 10);
 }
 
+// Pass 1's I/O is the sum of the shards' I/O, checksum time included: the
+// workers together read every block exactly once, as one process does.
+TEST(DistMinerTest, Pass1IoSumsTheShards) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ScanIoStats want =
+      MustMineStreamed(corpus, /*threads=*/1).stats.pass1_io;
+  const ScanIoStats got =
+      MustMineDistributed(corpus, /*workers=*/2, /*threads=*/1).stats.pass1_io;
+  EXPECT_EQ(got.blocks_read, corpus.num_blocks);
+  EXPECT_EQ(got.blocks_read, want.blocks_read);
+  EXPECT_EQ(got.bytes_read, want.bytes_read);
+  EXPECT_GT(got.checksum_seconds, 0.0);
+}
+
 }  // namespace
 }  // namespace qarm

@@ -12,10 +12,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "dist/framing.h"
 #include "dist/handshake.h"
 #include "dist/messages.h"
@@ -238,6 +240,28 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
                        &EncodeCheckpointCatalog);
 }
 
+// Hello and HelloAck bytes of earlier protocol versions: a peer that still
+// speaks one is refused by version, with both versions named, before any
+// field of the changed layout is read.
+TEST(DistMessagesTest, EarlierProtocolSeedsAreRejectedByVersion) {
+  for (const auto& [name, version] :
+       {std::pair{"hello_v1", 1}, {"hello_v2", 2}, {"ack_v1", 1},
+        {"ack_v2", 2}}) {
+    const std::string payload = SeedPayload(name);
+    ASSERT_FALSE(payload.empty()) << name;
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(payload.data());
+    const Status status = name[0] == 'h'
+                              ? ParseHello(bytes, payload.size()).status()
+                              : ParseHelloAck(bytes, payload.size()).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.ToString().find(StrFormat(
+                  "peer speaks %d, this binary speaks %u", version,
+                  kDistProtocolVersion)),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
 // A reply whose every CountingStats field, io included, is distinct.
 DistCountReply EveryFieldReply() {
   DistCountReply reply;
@@ -249,7 +273,6 @@ DistCountReply EveryFieldReply() {
   stats.num_tree_counters = 13;
   stats.num_direct = 14;
   stats.num_degraded = 15;
-  stats.num_atomic_shared = 16;
   stats.threads_used = 17;
   stats.isa = SimdIsa::kSse42;
   stats.io = {18, 19, 0.5, 20, 21};
@@ -275,14 +298,14 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   const DistCountReply reply = EveryFieldReply();
   std::string payload;
   EncodeCountReply(reply, &payload);
-  // worker_id, count list, then the stats in wire order: the seven counter
+  // worker_id, count list, then the stats in wire order: the six counter
   // u64s, the isa u32, the five io fields, the two byte counts and the four
   // phase times (little-endian IEEE doubles).
   EXPECT_EQ(Hex(payload),
             "03000000" "0200000000000000" "07000000" "09000000"
             "0b00000000000000" "0c00000000000000" "0d00000000000000"
-            "0e00000000000000" "0f00000000000000" "1000000000000000"
-            "1100000000000000" "01000000"
+            "0e00000000000000" "0f00000000000000" "1100000000000000"
+            "01000000"
             "1200000000000000" "1300000000000000" "000000000000e03f"
             "1400000000000000" "1500000000000000"
             "1600000000000000" "1700000000000000"
@@ -299,7 +322,6 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   EXPECT_EQ(got.num_tree_counters, 13u);
   EXPECT_EQ(got.num_direct, 14u);
   EXPECT_EQ(got.num_degraded, 15u);
-  EXPECT_EQ(got.num_atomic_shared, 16u);
   EXPECT_EQ(got.threads_used, 17u);
   EXPECT_EQ(got.isa, SimdIsa::kSse42);
   EXPECT_EQ(got.io.blocks_read, 18u);
@@ -327,7 +349,7 @@ std::string HandMadeReply(uint32_t isa, double scan_seconds) {
   std::string payload;
   QbtAppendU32(&payload, 1);  // worker_id
   QbtAppendU64(&payload, 0);  // no counts
-  for (int i = 0; i < 7; ++i) QbtAppendU64(&payload, 1);  // counters
+  for (int i = 0; i < 6; ++i) QbtAppendU64(&payload, 1);  // counters
   QbtAppendU32(&payload, isa);
   QbtAppendU64(&payload, 2);     // io.blocks_read
   QbtAppendU64(&payload, 3);     // io.bytes_read
@@ -388,10 +410,7 @@ TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   snapshot.block_end = 20;
   snapshot.num_rows = 2560;
   snapshot.value_counts = {{5, 0, 12}, {}, {7, 7}};
-  snapshot.blocks_read = 10;
-  snapshot.bytes_read = 123456;
-  snapshot.read_retries = 1;
-  snapshot.faults_injected = 2;
+  snapshot.io = {10, 123456, 0.75, 1, 2};
   std::string payload;
   EncodeShardSnapshot(snapshot, &payload);
   Result<ShardSnapshot> parsed = ParseShardSnapshot(
@@ -403,10 +422,11 @@ TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   EXPECT_EQ(parsed->block_end, 20u);
   EXPECT_EQ(parsed->num_rows, 2560u);
   EXPECT_EQ(parsed->value_counts, snapshot.value_counts);
-  EXPECT_EQ(parsed->blocks_read, 10u);
-  EXPECT_EQ(parsed->bytes_read, 123456u);
-  EXPECT_EQ(parsed->read_retries, 1u);
-  EXPECT_EQ(parsed->faults_injected, 2u);
+  EXPECT_EQ(parsed->io.blocks_read, 10u);
+  EXPECT_EQ(parsed->io.bytes_read, 123456u);
+  EXPECT_EQ(parsed->io.checksum_seconds, 0.75);
+  EXPECT_EQ(parsed->io.read_retries, 1u);
+  EXPECT_EQ(parsed->io.faults_injected, 2u);
 }
 
 TEST(DistMessagesTest, ShardSnapshotRejectsCorruption) {

@@ -25,8 +25,6 @@ DistHello SampleHello() {
   hello.fingerprint = 0xabcdef0123456789ULL;
   hello.num_threads = 4;
   hello.counter_memory_budget_bytes = 1 << 20;
-  hello.parallel_replication_budget_bytes = 1 << 21;
-  hello.stream_block_rows = 4096;
   hello.heartbeat_ms = 250;
   hello.io_timeout_ms = 5000;
   hello.inject_faults_spec = "seed=5,rate=1,kinds=conn_reset";
@@ -51,9 +49,6 @@ TEST(DistHandshakeTest, HelloRoundTripsEveryField) {
   EXPECT_EQ(parsed->fingerprint, hello.fingerprint);
   EXPECT_EQ(parsed->num_threads, 4u);
   EXPECT_EQ(parsed->counter_memory_budget_bytes, hello.counter_memory_budget_bytes);
-  EXPECT_EQ(parsed->parallel_replication_budget_bytes,
-            hello.parallel_replication_budget_bytes);
-  EXPECT_EQ(parsed->stream_block_rows, 4096u);
   EXPECT_EQ(parsed->heartbeat_ms, 250u);
   EXPECT_EQ(parsed->io_timeout_ms, 5000u);
   EXPECT_EQ(parsed->inject_faults_spec, hello.inject_faults_spec);

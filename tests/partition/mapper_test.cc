@@ -1,6 +1,8 @@
 #include "partition/mapper.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -266,6 +268,37 @@ TEST(MapperTest, WithAttributesRejectsValuesOutsideTheDomain) {
   EXPECT_EQ(unseen_quant.status().message(),
             "value 5 of attribute 'few' is not in the existing domain; "
             "re-convert the file to admit new quantitative values");
+}
+
+// Labels are FormatDouble's six-decimal text, so distinct doubles can
+// share one. A cell with that text names no single category: remapping it
+// is an error, not a silent merge into the first of them.
+TEST(MapperTest, WithAttributesRejectsALabelSeveralCategoriesShare) {
+  const Schema schema =
+      Schema::Make({{"d", AttributeKind::kCategorical, ValueType::kDouble}})
+          .value();
+  Table table(schema);
+  for (double v : {0.0, 1e-7, 2e-7, 1.5}) {
+    ASSERT_TRUE(table.AppendRow({Value(v)}).ok());
+  }
+  auto mapped = MapTable(table, MapOptions());
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped->attribute(0).labels,
+            (std::vector<std::string>{"0", "0", "0", "1.5"}));
+
+  auto again = MapTableWithAttributes(table, mapped->attributes());
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(again.status().message(),
+            "value '0' of attribute 'd' matches label '0', which several "
+            "categories share; re-convert the file to tell them apart");
+
+  // A cell whose label is its own still maps.
+  Table unique(schema);
+  ASSERT_TRUE(unique.AppendRow({Value(1.5)}).ok());
+  auto remapped = MapTableWithAttributes(unique, mapped->attributes());
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  EXPECT_EQ(remapped->value(0, 0), 3);
 }
 
 TEST(MapperTest, WithAttributesRejectsMismatchedSchemas) {

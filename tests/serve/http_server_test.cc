@@ -406,6 +406,36 @@ TEST(ServeHttpTest, StalledReaderIsCutOffAtDeadline) {
   (*server)->Stop();
 }
 
+// A request head longer than max_request_bytes gets a 413 and the
+// connection closes; these are its exact bytes.
+TEST(HttpServerTest, OverlongRequestHeadGets413) {
+  HttpServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.max_request_bytes = 64;
+  auto server = HttpServer::Start(
+      options, [](const HttpRequest&) { return HttpResponse(); });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const int fd = ConnectRaw((*server)->port(), 0);
+  const std::string request = "GET /" + std::string(100, 'a');
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string received;
+  char chunk[1024];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(received,
+            "HTTP/1.1 413 Payload Too Large\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 29\r\n"
+            "Connection: close\r\n"
+            "\r\n"
+            "{\"error\":\"request too large\"}");
+}
+
 TEST(ServeHttpTest, StopIsIdempotentAndPromptly) {
   Harness h = StartHarness(0);
   ASSERT_TRUE(HttpGet("127.0.0.1", h.server->port(), "/healthz").ok());
