@@ -5,10 +5,15 @@
 // partition/map step), covering the full untrusted CSV -> MappedTable
 // pipeline. Property: never crash, abort, or OOM; all defects come back
 // as Status.
+//
+// A table that maps is mapped again under its own metadata through
+// MapTableWithAttributes (the `qarm append` step). Property: that succeeds
+// and gives every cell the id MapTable gave it.
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "common/macros.h"
 #include "partition/mapper.h"
 #include "table/csv.h"
 #include "table/schema.h"
@@ -27,6 +32,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   options.minsup = 0.25;
   options.partial_completeness = 1.5;
   auto mapped = qarm::MapTable(*table, options);
-  if (mapped.ok()) (void)mapped->num_rows();
+  if (!mapped.ok()) return 0;
+
+  auto again = qarm::MapTableWithAttributes(*table, mapped->attributes());
+  QARM_CHECK(again.ok());
+  for (size_t a = 0; a < mapped->num_attributes(); ++a) {
+    for (size_t r = 0; r < mapped->num_rows(); ++r) {
+      QARM_CHECK_EQ(again->value(r, a), mapped->value(r, a));
+    }
+  }
   return 0;
 }

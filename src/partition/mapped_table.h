@@ -26,6 +26,9 @@ inline constexpr int32_t kMissingValue = -1;
 struct MappedAttribute {
   std::string name;
   AttributeKind kind = AttributeKind::kCategorical;
+  // The source column's type: kString for every categorical attribute
+  // (files written before that rule may say int64 or double; their labels
+  // are plain text and decode the same).
   ValueType source_type = ValueType::kString;
   // True when the attribute was partitioned into multi-value base intervals.
   bool partitioned = false;

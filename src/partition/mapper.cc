@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/string_util.h"
@@ -78,24 +79,6 @@ MappedTable MappedTable::Head(size_t n) const {
 
 namespace {
 
-// Maps each cell of a categorical column to its id in `ids`, looking the
-// cell up by `key(row)`; NULL cells map to kMissingValue. Returns the first
-// row whose key `ids` lacks, or `n` when every cell maps.
-template <class Ids, class Key>
-size_t MapCategoricalCells(const Column& column, size_t n, const Ids& ids,
-                           Key key, int32_t* out) {
-  for (size_t r = 0; r < n; ++r) {
-    if (column.IsNull(r)) {
-      out[r] = kMissingValue;
-      continue;
-    }
-    const auto it = ids.find(key(r));
-    if (it == ids.end()) return r;
-    out[r] = it->second;
-  }
-  return n;
-}
-
 // Maps each cell of a quantitative column to the first interval reaching
 // it (AssignToInterval); unless `partitioned`, that interval must be the
 // cell's own value. NULL cells map to kMissingValue. Returns the first row
@@ -116,79 +99,53 @@ size_t MapQuantitativeCells(const Column& column, size_t n,
   return n;
 }
 
-// Maps a categorical column as MapCategoricalCells does, against the
-// label -> id table of `labels`, by each cell's Value::ToString text. A
-// label several ids share (distinct doubles can print alike) names no one
-// id, so a cell with that text does not map.
-size_t MapByLabel(const Column& column, size_t n,
-                  const std::vector<std::string>& labels, int32_t* out) {
+// Maps each cell of a categorical column to the id of its label in `attr`;
+// NULL cells map to kMissingValue. Returns the first row whose value is no
+// label, or `n` when every cell maps. A repeated label names no one
+// category; hand-built metadata can hold one, so it is an error.
+Result<size_t> MapByLabel(const Column& column, size_t n,
+                          const MappedAttribute& attr, int32_t* out) {
   std::unordered_map<std::string_view, int32_t> ids;
-  std::vector<std::string_view> shared;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (!ids.emplace(labels[i], static_cast<int32_t>(i)).second) {
-      shared.push_back(labels[i]);
+  for (size_t i = 0; i < attr.labels.size(); ++i) {
+    if (!ids.emplace(attr.labels[i], static_cast<int32_t>(i)).second) {
+      return Status::InvalidArgument("categorical attribute '" + attr.name +
+                                     "' repeats label '" + attr.labels[i] +
+                                     "'");
     }
   }
-  for (std::string_view label : shared) ids.erase(label);
-  if (column.type() == ValueType::kString) {
-    return MapCategoricalCells(
-        column, n, ids,
-        [&](size_t r) { return std::string_view(column.GetString(r)); }, out);
-  }
-  return MapCategoricalCells(
-      column, n, ids, [&](size_t r) { return column.Get(r).ToString(); },
-      out);
-}
-
-// Numbers the distinct keys `key(row)` of the non-NULL cells 0..c-1 in
-// Value order, labels each with the Value::ToString text of its first cell,
-// then maps the cells as MapCategoricalCells does.
-template <class Key, class GetKey>
-size_t RankAndMap(const Column& column, size_t n, GetKey key,
-                  MappedAttribute* attr, int32_t* out) {
-  std::unordered_map<Key, int32_t> ids;
-  std::vector<std::pair<Key, size_t>> first_rows;
   for (size_t r = 0; r < n; ++r) {
-    if (!column.IsNull(r) && ids.emplace(key(r), 0).second) {
-      first_rows.emplace_back(key(r), r);
+    if (column.IsNull(r)) {
+      out[r] = kMissingValue;
+      continue;
     }
+    const auto it = ids.find(column.GetString(r));
+    if (it == ids.end()) return r;
+    out[r] = it->second;
   }
-  std::sort(first_rows.begin(), first_rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t i = 0; i < first_rows.size(); ++i) {
-    ids[first_rows[i].first] = static_cast<int32_t>(i);
-    attr->labels.push_back(column.Get(first_rows[i].second).ToString());
-  }
-  return MapCategoricalCells(column, n, ids, key, out);
+  return n;
 }
 
-// Maps one categorical column into `out`: distinct values sorted, then
-// labeled 0..c-1. A taxonomy (string columns only) numbers its DFS leaves
-// instead, so interior nodes cover contiguous id ranges, and every value
-// must be a leaf. Returns the first row that maps to no id, or `n`.
-size_t MapCategorical(const Column& column, size_t n, const Taxonomy* taxonomy,
-                      MappedAttribute* attr, int32_t* out) {
+// Maps one categorical column into `out`: its distinct values, sorted, are
+// its labels 0..c-1. A taxonomy numbers its DFS leaves instead, so interior
+// nodes cover contiguous id ranges, and every value must be a leaf.
+// Returns the first row that maps to no id, or `n`.
+Result<size_t> MapCategorical(const Column& column, size_t n,
+                              const Taxonomy* taxonomy, MappedAttribute* attr,
+                              int32_t* out) {
   if (taxonomy != nullptr) {
     // Every taxonomy leaf gets an id (absent leaves keep zero support);
     // this keeps interior node ranges exact.
     attr->labels = taxonomy->leaves_dfs();
     attr->taxonomy_ranges = taxonomy->interior_ranges();
-    return MapByLabel(column, n, attr->labels, out);
+  } else {
+    std::unordered_set<std::string_view> distinct;
+    for (size_t r = 0; r < n; ++r) {
+      if (!column.IsNull(r)) distinct.insert(column.GetString(r));
+    }
+    attr->labels.assign(distinct.begin(), distinct.end());
+    std::sort(attr->labels.begin(), attr->labels.end());
   }
-  switch (column.type()) {
-    case ValueType::kInt64:
-      return RankAndMap<int64_t>(
-          column, n, [&](size_t r) { return column.GetInt64(r); }, attr, out);
-    case ValueType::kDouble:
-      return RankAndMap<double>(
-          column, n, [&](size_t r) { return column.GetDouble(r); }, attr, out);
-    case ValueType::kString:
-      return RankAndMap<std::string_view>(
-          column, n,
-          [&](size_t r) { return std::string_view(column.GetString(r)); },
-          attr, out);
-  }
-  return n;
+  return MapByLabel(column, n, *attr, out);
 }
 
 // Maps one quantitative column into `out`, partitioning per the options.
@@ -254,11 +211,6 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options) {
       return Status::InvalidArgument("taxonomy on non-categorical attribute '" +
                                      name + "'");
     }
-    if (def.type != ValueType::kString) {
-      return Status::InvalidArgument(
-          "taxonomy on attribute '" + name + "' needs a string column, not " +
-          ValueTypeName(def.type));
-    }
     if (taxonomy_of[index] == nullptr) taxonomy_of[index] = &taxonomy;
   }
   size_t n_quant = options.max_quantitative_per_rule > 0
@@ -281,19 +233,22 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options) {
     attr.kind = def.kind;
     attr.source_type = def.type;
     int32_t* out = mapped.mutable_column(c);
-    const size_t bad =
-        def.kind == AttributeKind::kCategorical
-            ? MapCategorical(column, n, taxonomy_of[c], &attr, out)
-            : MapQuantitative(column, n, required_intervals, options.method,
-                              &attr, out);
-    // Each column is mapped against its own values, so outside a taxonomy
-    // only a NaN, which equals nothing, can miss.
+    const bool categorical = def.kind == AttributeKind::kCategorical;
+    size_t bad = n;
+    if (categorical) {
+      QARM_ASSIGN_OR_RETURN(
+          bad, MapCategorical(column, n, taxonomy_of[c], &attr, out));
+    } else {
+      bad = MapQuantitative(column, n, required_intervals, options.method,
+                            &attr, out);
+    }
+    // Each column is mapped against its own values, so only a cell outside
+    // its taxonomy, or a NaN, which equals nothing, can miss.
     if (bad < n) {
       return Status::InvalidArgument(
           "value '" + column.Get(bad).ToString() + "' of attribute '" +
           def.name + "' is " +
-          (taxonomy_of[c] != nullptr ? "not a leaf of its taxonomy"
-                                     : "not a number"));
+          (categorical ? "not a leaf of its taxonomy" : "not a number"));
     }
     mapped.set_attribute(c, std::move(attr));
   }
@@ -323,26 +278,19 @@ Result<MappedTable> MapTableWithAttributes(
   for (size_t c = 0; c < attributes.size(); ++c) {
     const MappedAttribute& attr = attributes[c];
     const Column& column = table.column(c);
-    const bool categorical = attr.kind == AttributeKind::kCategorical;
-    const size_t bad =
-        categorical ? MapByLabel(column, n, attr.labels, out.mutable_column(c))
-                    : MapQuantitativeCells(column, n, attr.intervals,
-                                           attr.partitioned,
-                                           out.mutable_column(c));
-    if (bad == n) continue;
-    if (categorical) {
-      const std::string value = column.Get(bad).ToString();
-      if (std::count(attr.labels.begin(), attr.labels.end(), value) > 1) {
-        return Status::InvalidArgument(
-            "value '" + value + "' of attribute '" + attr.name +
-            "' matches label '" + value + "', which several categories "
-            "share; re-convert the file to tell them apart");
-      }
+    int32_t* cells = out.mutable_column(c);
+    if (attr.kind == AttributeKind::kCategorical) {
+      QARM_ASSIGN_OR_RETURN(const size_t bad,
+                            MapByLabel(column, n, attr, cells));
+      if (bad == n) continue;
       return Status::InvalidArgument(
-          "value '" + value + "' of attribute '" + attr.name +
+          "value '" + column.GetString(bad) + "' of attribute '" + attr.name +
           "' is not in the existing domain; re-convert the file to admit "
           "new categorical values");
     }
+    const size_t bad = MapQuantitativeCells(column, n, attr.intervals,
+                                            attr.partitioned, cells);
+    if (bad == n) continue;
     if (attr.partitioned) {
       return Status::InvalidArgument("attribute '" + attr.name +
                                      "' has no intervals to assign to");

@@ -44,10 +44,10 @@ struct MapOptions {
   // n' quantitative attributes, fewer intervals suffice).
   size_t max_quantitative_per_rule = 0;
 
-  // Taxonomies over string-typed categorical attributes (Section 1.1 /
-  // [SA95]), keyed by attribute name. A taxonomized attribute's values are
-  // mapped in DFS leaf order so interior nodes become contiguous ranges;
-  // every value in the data must be a leaf of the taxonomy.
+  // Taxonomies over categorical attributes (Section 1.1 / [SA95]), keyed
+  // by attribute name. A taxonomized attribute's values are mapped in DFS
+  // leaf order so interior nodes become contiguous ranges; every value in
+  // the data must be a leaf of the taxonomy.
   std::vector<std::pair<std::string, Taxonomy>> taxonomies;
 };
 
@@ -61,9 +61,10 @@ Result<MappedTable> MapTable(const Table& table, const MapOptions& options);
 // Maps `table` under *existing* attribute metadata instead of deriving a
 // fresh partitioning — the append path: rows added to a QBT file must mean
 // the same thing as the rows already in it, so labels and intervals are
-// frozen. Categorical values are looked up in `attributes`' labels (a value
-// absent from the labels is an error: admitting it would change the
-// domain, which is exactly the case that forces a full re-convert).
+// frozen. Categorical values are looked up in `attributes`' labels by
+// exact text (a value absent from the labels is an error: admitting it
+// would change the domain, which is exactly the case that forces a full
+// re-convert; so is a label that repeats, which names no one category).
 // Partitioned quantitative values are assigned to the existing intervals
 // (out-of-range values clip to the edge intervals, matching
 // AssignToInterval); unpartitioned quantitative values must match one of

@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "partition/mapped_table.h"
+#include "partition/partitioner.h"
 
 namespace qarm {
 namespace {
@@ -274,15 +275,13 @@ Result<int32_t> RuleCatalog::MapValue(int32_t attr,
                                    " is quantitative; bad value '" + raw +
                                    "'");
   }
-  // Base intervals are ordered by value; find the first whose hi admits
-  // the value and check containment (gaps between intervals map to
-  // missing, same as an out-of-range value).
-  const std::vector<Interval>& intervals = meta.intervals;
-  auto it = std::lower_bound(
-      intervals.begin(), intervals.end(), *value,
-      [](const Interval& interval, double v) { return interval.hi < v; });
-  if (it == intervals.end() || !it->Contains(*value)) return kMissingValue;
-  return static_cast<int32_t>(it - intervals.begin());
+  // The interval the mapper would assign the value to must also contain
+  // it: gaps between intervals map to missing, as out-of-range values do.
+  const int64_t id = AssignToInterval(meta.intervals, *value);
+  if (id < 0 || !meta.intervals[static_cast<size_t>(id)].Contains(*value)) {
+    return kMissingValue;
+  }
+  return static_cast<int32_t>(id);
 }
 
 Result<std::vector<int32_t>> RuleCatalog::ParseRecord(

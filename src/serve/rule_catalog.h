@@ -135,9 +135,12 @@ class RuleCatalog {
   Result<int32_t> AttributeIndex(const std::string& name) const;
 
   // Maps one raw field value ("25", "Yes") to the attribute's mapped id.
-  // A numeric value outside every base interval and a label the attribute
-  // does not have both map to kMissingValue — such a record supports no
-  // item over the attribute, exactly like a record that lacks it.
+  // A categorical value is looked up by its exact text among the labels,
+  // which are distinct strings. A numeric value takes the base interval
+  // AssignToInterval picks, if that interval contains it. A numeric value
+  // in a gap between intervals or beyond them, and a label the attribute
+  // does not have, map to kMissingValue — such a record supports no item
+  // over the attribute, exactly like a record that lacks it.
   // InvalidArgument only for type errors (non-numeric text for a
   // quantitative attribute).
   Result<int32_t> MapValue(int32_t attr, const std::string& raw) const;

@@ -1,5 +1,8 @@
 #include "storage/attr_metadata.h"
 
+#include <string_view>
+#include <unordered_set>
+
 #include "common/string_util.h"
 #include "storage/byte_reader.h"
 
@@ -34,8 +37,14 @@ Status DecodeAttribute(ByteReader* reader, MappedAttribute* attr) {
   QARM_RETURN_NOT_OK(reader->ReadU32(&count));
   QARM_RETURN_NOT_OK(reader->NeedCount(count, kMinLabelBytes));
   attr->labels.resize(count);
+  std::unordered_set<std::string_view> seen;
   for (std::string& label : attr->labels) {
     QARM_RETURN_NOT_OK(reader->ReadString(&label));
+    if (attr->kind == AttributeKind::kCategorical &&
+        !seen.insert(label).second) {
+      return Status::InvalidArgument("categorical attribute '" + attr->name +
+                                     "' repeats label '" + label + "'");
+    }
   }
   QARM_RETURN_NOT_OK(reader->ReadU32(&count));
   QARM_RETURN_NOT_OK(reader->NeedCount(count, kIntervalBytes));

@@ -35,6 +35,8 @@ std::string EncodeAttributeMetadata(
 // Decodes `num_attrs` attributes from a metadata section of `size` bytes.
 // Every declared count is validated against the remaining bytes before any
 // allocation, so a hostile count can never trigger an oversized resize.
+// A categorical attribute that repeats a label is malformed: each label
+// names one category, so readers may map label -> id one to one.
 // `consumed`, when non-null, receives the bytes actually decoded (callers
 // decide how much trailing padding their format permits). Errors are
 // InvalidArgument with a section-relative description; callers wrap them

@@ -32,6 +32,10 @@ Result<Schema> Schema::Make(std::vector<AttributeDef> attributes) {
                                        "' must be numeric");
       }
       ++num_quant;
+    } else if (def.type != ValueType::kString) {
+      return Status::InvalidArgument("categorical attribute '" + def.name +
+                                     "' must be a string, not " +
+                                     ValueTypeName(def.type));
     }
   }
   Schema schema;

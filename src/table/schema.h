@@ -29,12 +29,14 @@ struct AttributeDef {
 };
 
 // An ordered list of attribute definitions with name lookup.
-// Quantitative attributes must be numeric (int64 or double).
+// Quantitative attributes are numeric (int64 or double); categorical
+// attributes are strings, since a category needs only its label.
 class Schema {
  public:
   Schema() = default;
 
-  // Validates and builds a schema: unique names, quantitative => numeric.
+  // Validates and builds a schema: unique names, quantitative => numeric,
+  // categorical => string.
   static Result<Schema> Make(std::vector<AttributeDef> attributes);
 
   // Parses the user-facing schema-spec string, a comma-separated list of

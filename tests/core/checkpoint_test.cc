@@ -16,16 +16,18 @@
 
 #include "common/random.h"
 #include "core/miner.h"
-#include "core/report.h"
 #include "partition/mapper.h"
 #include "partition/taxonomy.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
 #include "table/table.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
+
+using testutil::SameRules;
 
 MinerOptions BaseOptions() {
   MinerOptions options;
@@ -35,15 +37,6 @@ MinerOptions BaseOptions() {
   options.partial_completeness = 3.0;
   options.interest_level = 1.2;
   return options;
-}
-
-std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
 }
 
 bool FileExists(const std::string& path) {
@@ -64,7 +57,6 @@ MiningResult MustMine(const MinerOptions& options, const Table& table) {
 void ExpectResumeMatchesBaseline(MinerOptions options, const Table& table,
                                  const std::string& tag) {
   const MiningResult baseline = MustMine(options, table);
-  const std::vector<std::string> want = RulesAsJson(baseline);
   const size_t num_passes = baseline.stats.passes.size();
   ASSERT_GE(num_passes, 2u) << tag << ": fixture too small to interrupt";
 
@@ -88,7 +80,7 @@ void ExpectResumeMatchesBaseline(MinerOptions options, const Table& table,
         << tag << " stop=" << stop << ": " << resumed.status().ToString();
     EXPECT_TRUE(resumed->stats.checkpoint.resumed);
     EXPECT_EQ(resumed->stats.checkpoint.resumed_passes, stop);
-    EXPECT_EQ(RulesAsJson(*resumed), want) << tag << " stop=" << stop;
+    EXPECT_TRUE(SameRules(*resumed, baseline)) << tag << " stop=" << stop;
     ASSERT_EQ(resumed->frequent_itemsets.size(),
               baseline.frequent_itemsets.size());
     for (size_t i = 0; i < baseline.frequent_itemsets.size(); ++i) {
@@ -138,7 +130,7 @@ TEST(CheckpointResumeTest, ResumeAcrossThreadCounts) {
   Result<MiningResult> resumed = QuantitativeRuleMiner(resume).Mine(table);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->stats.checkpoint.resumed);
-  EXPECT_EQ(RulesAsJson(*resumed), RulesAsJson(baseline));
+  EXPECT_TRUE(SameRules(*resumed, baseline));
 }
 
 // Same matrix over the out-of-core path: the checkpoint logic lives in
@@ -166,7 +158,6 @@ void ExpectStreamedResumeMatchesBaseline(size_t num_threads) {
   Result<MiningResult> baseline_result = miner.MineStreamed(**source);
   ASSERT_TRUE(baseline_result.ok()) << baseline_result.status().ToString();
   const MiningResult& baseline = *baseline_result;
-  const std::vector<std::string> want = RulesAsJson(baseline);
   const size_t num_passes = baseline.stats.passes.size();
   ASSERT_GE(num_passes, 2u);
 
@@ -191,7 +182,7 @@ void ExpectStreamedResumeMatchesBaseline(size_t num_threads) {
         << "stop=" << stop << ": " << resumed.status().ToString();
     EXPECT_TRUE(resumed->stats.checkpoint.resumed);
     EXPECT_EQ(resumed->stats.checkpoint.resumed_passes, stop);
-    EXPECT_EQ(RulesAsJson(*resumed), want) << "stop=" << stop;
+    EXPECT_TRUE(SameRules(*resumed, baseline)) << "stop=" << stop;
     // A resumed run skips the pass-1 scan and the first `stop` counting
     // passes entirely: the pass-1 I/O stats stay zero.
     EXPECT_EQ(resumed->stats.pass1_io.blocks_read, 0u);
@@ -300,7 +291,7 @@ TEST(CheckpointResumeTest, CheckpointEverySecondPass) {
   // The interrupt at pass 3 still checkpointed (stop_after_pass forces a
   // final write), so the resume picks up all three passes.
   EXPECT_EQ(resumed->stats.checkpoint.resumed_passes, 3u);
-  EXPECT_EQ(RulesAsJson(*resumed), RulesAsJson(baseline));
+  EXPECT_TRUE(SameRules(*resumed, baseline));
 }
 
 // A checkpoint from a different run (here: different minsup) is stale; the
@@ -327,7 +318,7 @@ TEST(CheckpointResumeTest, StaleFingerprintRestartsFromScratch) {
       QuantitativeRuleMiner(with_stale).Mine(table);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   EXPECT_FALSE(mined->stats.checkpoint.resumed);
-  EXPECT_EQ(RulesAsJson(*mined), RulesAsJson(baseline));
+  EXPECT_TRUE(SameRules(*mined, baseline));
 }
 
 // SIGINT path: the cancel flag stops mining with kCancelled after writing a
@@ -355,7 +346,7 @@ TEST(CheckpointResumeTest, CancelFlagCheckpointsBeforeStopping) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->stats.checkpoint.resumed);
   EXPECT_EQ(resumed->stats.checkpoint.resumed_passes, 1u);
-  EXPECT_EQ(RulesAsJson(*resumed), RulesAsJson(baseline));
+  EXPECT_TRUE(SameRules(*resumed, baseline));
 }
 
 }  // namespace

@@ -5,29 +5,19 @@
 // run — any divergence is a hard failure.
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
 #include "core/miner.h"
-#include "core/report.h"
 #include "partition/mapper.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
-
-std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
-}
 
 TEST(FaultStressTest, FiftySeedsAllRecoverBitIdentical) {
   Table raw = MakeFinancialDataset(800, 21);
@@ -52,8 +42,7 @@ TEST(FaultStressTest, FiftySeedsAllRecoverBitIdentical) {
   Result<MiningResult> clean =
       QuantitativeRuleMiner(options).MineStreamed(**source);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  const std::vector<std::string> want = RulesAsJson(*clean);
-  ASSERT_FALSE(want.empty());
+  ASSERT_FALSE(clean->rules.empty());
 
   uint64_t total_faults = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
@@ -71,7 +60,8 @@ TEST(FaultStressTest, FiftySeedsAllRecoverBitIdentical) {
         QuantitativeRuleMiner(faulty).MineStreamed(**source);
     ASSERT_TRUE(mined.ok())
         << "seed " << seed << ": " << mined.status().ToString();
-    ASSERT_EQ(RulesAsJson(*mined), want) << "seed " << seed << " diverged";
+    ASSERT_TRUE(testutil::SameRules(*mined, *clean))
+        << "seed " << seed << " diverged";
 
     // The stats prove faults actually happened and were retried away.
     ScanIoStats io = mined->stats.pass1_io;

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "core/incremental_miner.h"
 #include "core/miner.h"
 #include "core/mining_checkpoint.h"
-#include "core/report.h"
 #include "partition/mapped_table.h"
 #include "storage/checkpoint_format.h"
 #include "storage/qbt_writer.h"
@@ -27,6 +26,8 @@
 
 namespace qarm {
 namespace {
+
+using testutil::SameRules;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -67,17 +68,7 @@ MinerOptions BaseOptions() {
   return options;
 }
 
-std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
-}
-
-std::vector<std::string> FullMineRules(const std::string& qbt_path,
-                                       const MinerOptions& base) {
+MiningResult FullMine(const std::string& qbt_path, const MinerOptions& base) {
   MinerOptions options = base;
   options.checkpoint_path.clear();
   options.append_mode = false;
@@ -85,21 +76,20 @@ std::vector<std::string> FullMineRules(const std::string& qbt_path,
   QARM_CHECK(source.ok());
   auto result = QuantitativeRuleMiner(options).MineStreamed(**source);
   QARM_CHECK(result.ok());
-  return RulesAsJson(*result);
+  return std::move(result).value();
 }
 
 struct IncrementalRun {
-  std::vector<std::string> rules;
+  MiningResult result;
   IncrementalDecision decision;
 };
 
 IncrementalRun RunIncremental(const std::string& qbt_path,
                               const MinerOptions& options) {
-  IncrementalRun run;
-  auto result = MineIncremental(qbt_path, options, &run.decision);
+  IncrementalDecision decision;
+  auto result = MineIncremental(qbt_path, options, &decision);
   QARM_CHECK(result.ok());
-  run.rules = RulesAsJson(*result);
-  return run;
+  return {std::move(result).value(), std::move(decision)};
 }
 
 TEST(IncrementalMinerTest, MergesAppendedBlocksByteIdentically) {
@@ -117,7 +107,7 @@ TEST(IncrementalMinerTest, MergesAppendedBlocksByteIdentically) {
   EXPECT_FALSE(first.decision.incremental);
   EXPECT_NE(first.decision.reason.find("no checkpoint"), std::string::npos)
       << first.decision.reason;
-  EXPECT_EQ(first.rules, FullMineRules(qbt, options));
+  EXPECT_TRUE(SameRules(first.result, FullMine(qbt, options)));
 
   // Append ~10% more rows with the same proportions.
   ASSERT_TRUE(AppendQbt(MakeCyclingTable(18 * 4), qbt).ok());
@@ -132,13 +122,13 @@ TEST(IncrementalMinerTest, MergesAppendedBlocksByteIdentically) {
   EXPECT_GT(second.decision.passes_merged, 0u);
   EXPECT_EQ(second.decision.passes_rescanned, 0u);
   // The signature guarantee: byte-identical to mining the grown file flat.
-  EXPECT_EQ(second.rules, FullMineRules(qbt, options));
+  EXPECT_TRUE(SameRules(second.result, FullMine(qbt, options)));
 
   // Third run, nothing appended: a zero-delta merge, still byte-identical.
   IncrementalRun third = RunIncremental(qbt, options);
   EXPECT_TRUE(third.decision.incremental) << third.decision.reason;
   EXPECT_EQ(third.decision.delta_rows, 0u);
-  EXPECT_EQ(third.rules, second.rules);
+  EXPECT_TRUE(SameRules(third.result, second.result));
 }
 
 TEST(IncrementalMinerTest, ChangedOptionsFallBackToFullMineWithReason) {
@@ -161,13 +151,13 @@ TEST(IncrementalMinerTest, ChangedOptionsFallBackToFullMineWithReason) {
   IncrementalRun run = RunIncremental(qbt, changed);
   EXPECT_FALSE(run.decision.incremental);
   EXPECT_FALSE(run.decision.reason.empty());
-  EXPECT_EQ(run.rules, FullMineRules(qbt, changed));
+  EXPECT_TRUE(SameRules(run.result, FullMine(qbt, changed)));
 
   // The fallback rewrote the checkpoint for the new options: the next run
   // under them is incremental again (zero delta here).
   IncrementalRun again = RunIncremental(qbt, changed);
   EXPECT_TRUE(again.decision.incremental) << again.decision.reason;
-  EXPECT_EQ(again.rules, run.rules);
+  EXPECT_TRUE(SameRules(again.result, run.result));
 }
 
 TEST(IncrementalMinerTest, CompleteCheckpointCarriesV2BaseIdentity) {

@@ -6,18 +6,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/cpu_dispatch.h"
 #include "common/macros.h"
 #include "core/miner.h"
-#include "core/report.h"
 #include "partition/mapper.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
@@ -64,35 +63,24 @@ Corpus& GetCorpus() {
   return *corpus;
 }
 
-std::vector<std::string> MineToJson(size_t num_threads, bool streamed) {
+Result<MiningResult> MineCorpus(size_t num_threads, bool streamed) {
   Corpus& corpus = GetCorpus();
   QuantitativeRuleMiner miner(BaseOptions(num_threads));
-  Result<MiningResult> result = [&]() -> Result<MiningResult> {
-    if (streamed) {
-      auto source = QbtFileSource::Open(corpus.qbt_path);
-      QARM_CHECK(source.ok());
-      return miner.MineStreamed(**source);
-    }
-    return miner.Mine(corpus.raw);
-  }();
-  // A mining failure under a forced ISA is itself a determinism bug.
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  std::vector<std::string> json;
-  if (!result.ok()) return json;
-  json.reserve(result->rules.size());
-  for (const auto& rule : result->rules) {
-    json.push_back(RuleToJson(rule, result->mapped));
+  if (streamed) {
+    auto source = QbtFileSource::Open(corpus.qbt_path);
+    QARM_CHECK(source.ok());
+    return miner.MineStreamed(**source);
   }
-  // An empty result would make every cross-ISA comparison vacuous.
-  EXPECT_GT(json.size(), 0u);
-  return json;
+  return miner.Mine(corpus.raw);
 }
 
 TEST_F(IsaDeterminismTest, RulesByteIdenticalAcrossIsasAndThreads) {
   // Baseline: the scalar kernel table, serial, in memory.
   SetIsaForTest(SimdIsa::kScalar);
-  const std::vector<std::string> baseline = MineToJson(1, /*streamed=*/false);
-  ASSERT_FALSE(baseline.empty());
+  const Result<MiningResult> baseline = MineCorpus(1, /*streamed=*/false);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  // An empty result would make every cross-ISA comparison vacuous.
+  ASSERT_FALSE(baseline->rules.empty());
 
   const SimdIsa detected = DetectCpuIsa();
   for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse42, SimdIsa::kAvx2}) {
@@ -104,11 +92,10 @@ TEST_F(IsaDeterminismTest, RulesByteIdenticalAcrossIsasAndThreads) {
         SCOPED_TRACE(std::string(IsaName(isa)) + " threads=" +
                      std::to_string(threads) +
                      (streamed ? " streamed" : " in-memory"));
-        const std::vector<std::string> got = MineToJson(threads, streamed);
-        ASSERT_EQ(got.size(), baseline.size());
-        for (size_t i = 0; i < baseline.size(); ++i) {
-          ASSERT_EQ(got[i], baseline[i]) << "rule " << i;
-        }
+        // A mining failure under a forced ISA is itself a determinism bug.
+        const Result<MiningResult> got = MineCorpus(threads, streamed);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_TRUE(testutil::SameRules(*got, *baseline));
       }
     }
   }

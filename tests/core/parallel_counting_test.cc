@@ -13,7 +13,6 @@
 #include "core/candidate_gen.h"
 #include "core/frequent_items.h"
 #include "core/miner.h"
-#include "core/report.h"
 #include "core/support_counting.h"
 #include "table/datagen.h"
 #include "testutil.h"
@@ -297,11 +296,7 @@ TEST(ParallelCountingTest, EndToEndMinerMatchesSerial) {
     EXPECT_EQ(parallel->frequent_itemsets[i].count,
               serial->frequent_itemsets[i].count);
   }
-  ASSERT_EQ(parallel->rules.size(), serial->rules.size());
-  for (size_t i = 0; i < serial->rules.size(); ++i) {
-    EXPECT_EQ(RuleToJson(parallel->rules[i], parallel->mapped),
-              RuleToJson(serial->rules[i], serial->mapped));
-  }
+  EXPECT_TRUE(testutil::SameRules(*parallel, *serial));
   EXPECT_EQ(parallel->stats.num_threads, 4u);
 }
 

@@ -1,10 +1,13 @@
 #include "core/report.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/cpu_dispatch.h"
 #include "core/miner.h"
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
@@ -28,6 +31,35 @@ TEST(RuleToJsonTest, ContainsFields) {
   EXPECT_NE(json.find("\"support\":"), std::string::npos);
   EXPECT_NE(json.find("\"confidence\":"), std::string::npos);
   EXPECT_NE(json.find("\"interesting\":true"), std::string::npos);
+}
+
+// The rule comparison the miner tests share must be at least as strict as
+// comparing RuleToJson text, which rounds support and confidence to six
+// decimals.
+TEST(SameRulesTest, CatchesWhatRuleToJsonRoundsAway) {
+  const MiningResult want = MinePeople();
+  ASSERT_FALSE(want.rules.empty());
+  EXPECT_TRUE(testutil::SameRules(want, want));
+
+  MiningResult got = MinePeople();
+  got.rules[0].support = std::nextafter(got.rules[0].support, 2.0);
+  ASSERT_EQ(RuleToJson(got.rules[0], got.mapped),
+            RuleToJson(want.rules[0], want.mapped));
+  EXPECT_FALSE(testutil::SameRules(got, want));
+
+  got = MinePeople();
+  got.rules.back().interesting = !got.rules.back().interesting;
+  EXPECT_FALSE(testutil::SameRules(got, want));
+
+  got = MinePeople();
+  got.rules.pop_back();
+  EXPECT_FALSE(testutil::SameRules(got, want));
+
+  got = MinePeople();
+  MappedAttribute renamed = got.mapped.attribute(0);
+  renamed.name += "_renamed";
+  got.mapped.set_attribute(0, renamed);
+  EXPECT_FALSE(testutil::SameRules(got, want));
 }
 
 TEST(RuleToJsonTest, QuantitativeItemHasBounds) {

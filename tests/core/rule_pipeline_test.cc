@@ -182,11 +182,8 @@ TEST_P(RulePipelineTest, RulesMatchSerial) {
   std::vector<QuantRule> parallel_quant =
       GenerateQuantRules(mined.itemsets, catalog, table.num_rows(),
                          /*minconf=*/0.3, num_threads);
-  ASSERT_EQ(parallel_quant.size(), serial_quant.size());
-  for (size_t i = 0; i < serial_quant.size(); ++i) {
-    EXPECT_EQ(RuleToJson(parallel_quant[i], table),
-              RuleToJson(serial_quant[i], table));
-  }
+  EXPECT_TRUE(
+      testutil::SameRules(parallel_quant, table, serial_quant, table));
 }
 
 TEST_P(RulePipelineTest, InterestFlagsMatchSerial) {
@@ -259,11 +256,7 @@ TEST_P(RulePipelineTest, EndToEndMinerMatchesSerial) {
     EXPECT_EQ(parallel.frequent_itemsets[i].count,
               serial.frequent_itemsets[i].count);
   }
-  ASSERT_EQ(parallel.rules.size(), serial.rules.size());
-  for (size_t i = 0; i < serial.rules.size(); ++i) {
-    EXPECT_EQ(RuleToJson(parallel.rules[i], parallel.mapped),
-              RuleToJson(serial.rules[i], serial.mapped));
-  }
+  EXPECT_TRUE(testutil::SameRules(parallel, serial));
   EXPECT_EQ(parallel.stats.num_interesting_rules,
             serial.stats.num_interesting_rules);
 }

@@ -11,11 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "core/miner.h"
-#include "core/report.h"
 #include "partition/mapper.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
@@ -62,15 +62,9 @@ void ExpectStreamedMatchesInMemory(size_t num_threads) {
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
 
   // Bit-for-bit: same rules, in the same order, with identical counts,
-  // support, confidence, and interest flags (RuleToJson serializes all of
-  // them).
-  ASSERT_EQ(streamed->rules.size(), in_memory.rules.size());
-  for (size_t i = 0; i < in_memory.rules.size(); ++i) {
-    EXPECT_EQ(RuleToJson(streamed->rules[i], streamed->mapped),
-              RuleToJson(in_memory.rules[i], in_memory.mapped))
-        << "rule " << i << " at " << num_threads << " threads";
-    EXPECT_EQ(streamed->rules[i].count, in_memory.rules[i].count);
-  }
+  // support, confidence, and interest flags.
+  EXPECT_TRUE(testutil::SameRules(*streamed, in_memory))
+      << "at " << num_threads << " threads";
   ASSERT_EQ(streamed->frequent_itemsets.size(),
             in_memory.frequent_itemsets.size());
   for (size_t i = 0; i < in_memory.frequent_itemsets.size(); ++i) {

@@ -8,31 +8,22 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/macros.h"
 #include "core/miner.h"
 #include "core/mining_checkpoint.h"
-#include "core/report.h"
 #include "dist/dist_miner.h"
 #include "partition/mapper.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
-
-std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
-}
 
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
@@ -69,12 +60,12 @@ const CheckpointCorpus& Corpus() {
   return *corpus;
 }
 
-std::vector<std::string> Baseline() {
+MiningResult Baseline() {
   auto source = QbtFileSource::Open(Corpus().qbt_path);
   QARM_CHECK(source.ok());
   auto result = QuantitativeRuleMiner(Corpus().options).MineStreamed(**source);
   QARM_CHECK(result.ok());
-  return RulesAsJson(*result);
+  return std::move(result).value();
 }
 
 // Interrupt at `interrupt_workers` after pass 2, resume at `resume_workers`:
@@ -106,7 +97,7 @@ void ExpectResumeAcrossWorkerCounts(size_t interrupt_workers,
   ASSERT_TRUE(resumed.ok()) << tag << ": " << resumed.status().ToString();
   EXPECT_TRUE(resumed->stats.checkpoint.resumed) << tag;
   EXPECT_EQ(resumed->stats.checkpoint.resumed_passes, 2u) << tag;
-  EXPECT_EQ(RulesAsJson(*resumed), Baseline()) << tag;
+  EXPECT_TRUE(testutil::SameRules(*resumed, Baseline())) << tag;
   // The completed resume cleans the checkpoint up.
   EXPECT_FALSE(FileExists(path)) << tag;
 }

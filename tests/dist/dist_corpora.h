@@ -18,25 +18,16 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/miner.h"
-#include "core/report.h"
 #include "partition/mapper.h"
 #include "partition/taxonomy.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
 #include "table/table.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace disttest {
-
-inline std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
-}
 
 // A mined corpus on disk plus the options that partitioned it.
 struct DistCorpus {

@@ -23,8 +23,8 @@ using disttest::DistCorpus;
 using disttest::FinancialCorpus;
 using disttest::MissingValuesCorpus;
 using disttest::MustMineStreamed;
-using disttest::RulesAsJson;
 using disttest::TaxonomyCorpus;
+using testutil::SameRules;
 
 MiningResult MustMineDistributed(const DistCorpus& corpus, size_t workers,
                                  size_t threads) {
@@ -41,15 +41,14 @@ MiningResult MustMineDistributed(const DistCorpus& corpus, size_t workers,
 void ExpectMatrixMatchesBaseline(const DistCorpus& corpus) {
   ASSERT_GE(corpus.num_blocks, 4u) << "fixture too small to shard";
   const MiningResult baseline = MustMineStreamed(corpus, /*threads=*/1);
-  const std::vector<std::string> want = RulesAsJson(baseline);
-  ASSERT_FALSE(want.empty());
+  ASSERT_FALSE(baseline.rules.empty());
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " threads=" + std::to_string(threads));
       const MiningResult got = MustMineDistributed(corpus, workers, threads);
-      EXPECT_EQ(RulesAsJson(got), want);
+      EXPECT_TRUE(SameRules(got, baseline));
       ASSERT_EQ(got.frequent_itemsets.size(),
                 baseline.frequent_itemsets.size());
       for (size_t i = 0; i < baseline.frequent_itemsets.size(); ++i) {
@@ -93,7 +92,7 @@ TEST(DistMinerTest, WorkerCountClampsToBlockCount) {
   const MiningResult baseline = MustMineStreamed(corpus, 1);
   const MiningResult got =
       MustMineDistributed(corpus, /*workers=*/64, /*threads=*/1);
-  EXPECT_EQ(RulesAsJson(got), RulesAsJson(baseline));
+  EXPECT_TRUE(SameRules(got, baseline));
   EXPECT_EQ(got.stats.dist.num_workers, corpus.num_blocks);
 }
 

@@ -10,33 +10,25 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "core/miner.h"
-#include "core/report.h"
 #include "dist/dist_miner.h"
 #include "partition/mapper.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
+#include "testutil.h"
 
 namespace qarm {
 namespace {
 
-constexpr size_t kWorkers = 3;
+using testutil::SameRules;
 
-std::vector<std::string> RulesAsJson(const MiningResult& result) {
-  std::vector<std::string> out;
-  out.reserve(result.rules.size());
-  for (const QuantRule& rule : result.rules) {
-    out.push_back(RuleToJson(rule, result.mapped));
-  }
-  return out;
-}
+constexpr size_t kWorkers = 3;
 
 // Financial corpus in small blocks so each of the 3 workers owns several.
 struct RespawnCorpus {
@@ -75,12 +67,12 @@ const RespawnCorpus& Corpus() {
   return *corpus;
 }
 
-std::vector<std::string> FaultFreeBaseline() {
+MiningResult FaultFreeBaseline() {
   auto source = QbtFileSource::Open(Corpus().qbt_path);
   QARM_CHECK(source.ok());
   auto result = QuantitativeRuleMiner(Corpus().options).MineStreamed(**source);
   QARM_CHECK(result.ok());
-  return RulesAsJson(*result);
+  return std::move(result).value();
 }
 
 // Every worker is killed on its first block read (rate=1, generation 0);
@@ -93,7 +85,7 @@ TEST(DistRespawnTest, KillEveryWorkerDuringPass1) {
   Result<MiningResult> result =
       MineDistributedQbt(Corpus().qbt_path, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(RulesAsJson(*result), FaultFreeBaseline());
+  EXPECT_TRUE(SameRules(*result, FaultFreeBaseline()));
   EXPECT_EQ(result->stats.dist.num_workers, kWorkers);
   EXPECT_EQ(result->stats.dist.workers_respawned, kWorkers);
 }
@@ -114,7 +106,7 @@ TEST(DistRespawnTest, KillEveryWorkerMidCountingPass) {
   Result<MiningResult> result =
       MineDistributedQbt(Corpus().qbt_path, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(RulesAsJson(*result), FaultFreeBaseline());
+  EXPECT_TRUE(SameRules(*result, FaultFreeBaseline()));
   EXPECT_EQ(result->stats.dist.workers_respawned, kWorkers);
 }
 
@@ -140,7 +132,7 @@ MiningResult MineWithWorkerCrashHook(const char* env) {
 TEST(DistRespawnTest, KillEveryWorkerDuringCatalogBroadcast) {
   const MiningResult result =
       MineWithWorkerCrashHook("QARM_DIST_TEST_EXIT_BEFORE_CATALOG");
-  EXPECT_EQ(RulesAsJson(result), FaultFreeBaseline());
+  EXPECT_TRUE(SameRules(result, FaultFreeBaseline()));
   EXPECT_EQ(result.stats.dist.num_workers, kWorkers);
   EXPECT_EQ(result.stats.dist.workers_respawned, kWorkers);
 }
@@ -152,7 +144,7 @@ TEST(DistRespawnTest, KillEveryWorkerDuringCatalogBroadcast) {
 TEST(DistRespawnTest, KillEveryWorkerOnCatalogReceipt) {
   const MiningResult result =
       MineWithWorkerCrashHook("QARM_DIST_TEST_EXIT_ON_CATALOG");
-  EXPECT_EQ(RulesAsJson(result), FaultFreeBaseline());
+  EXPECT_TRUE(SameRules(result, FaultFreeBaseline()));
   EXPECT_EQ(result.stats.dist.workers_respawned, kWorkers);
 }
 

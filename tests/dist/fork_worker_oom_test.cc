@@ -96,15 +96,14 @@ namespace {
 
 using disttest::FinancialCorpus;
 using disttest::MustMineStreamed;
-using disttest::RulesAsJson;
+using testutil::SameRules;
 
 // One worker's session throws std::bad_alloc. Its child exits, the
 // coordinator respawns it and replays its shard, and the rules match the
 // single-process run. The child never unwinds into the coordinator's
 // frames, so the other worker is never killed and respawned.
 TEST(ForkWorkerOomTest, ThrowingSessionFailsOnlyItsOwnWorker) {
-  const std::vector<std::string> baseline =
-      RulesAsJson(MustMineStreamed(FinancialCorpus(), 1));
+  const MiningResult baseline = MustMineStreamed(FinancialCorpus(), 1);
   MinerOptions options = FinancialCorpus().options;
   options.num_workers = 2;
   options.num_threads = 1;
@@ -129,7 +128,7 @@ TEST(ForkWorkerOomTest, ThrowingSessionFailsOnlyItsOwnWorker) {
   EXPECT_EQ(shared->failures_left.load(), 0);  // the failure was injected
   EXPECT_EQ(shared->escaped.load(), 0);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(RulesAsJson(*result), baseline);
+  EXPECT_TRUE(SameRules(*result, baseline));
   EXPECT_EQ(result->stats.dist.num_workers, 2u);
   EXPECT_EQ(result->stats.dist.workers_respawned, 1u);
 }

@@ -33,8 +33,8 @@ using disttest::DistCorpus;
 using disttest::FinancialCorpus;
 using disttest::MissingValuesCorpus;
 using disttest::MustMineStreamed;
-using disttest::RulesAsJson;
 using disttest::TaxonomyCorpus;
+using testutil::SameRules;
 
 // A set of live worker servers over one corpus, plus their endpoints.
 struct ServerFleet {
@@ -75,8 +75,7 @@ MiningResult MustMineTcp(const DistCorpus& corpus,
 void ExpectTcpMatrixMatchesBaseline(const DistCorpus& corpus) {
   ASSERT_GE(corpus.num_blocks, 4u) << "fixture too small to shard";
   const MiningResult baseline = MustMineStreamed(corpus, /*threads=*/1);
-  const std::vector<std::string> want = RulesAsJson(baseline);
-  ASSERT_FALSE(want.empty());
+  ASSERT_FALSE(baseline.rules.empty());
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{4}}) {
     const ServerFleet fleet = StartFleet(corpus, workers);
@@ -85,7 +84,7 @@ void ExpectTcpMatrixMatchesBaseline(const DistCorpus& corpus) {
                    " threads=" + std::to_string(threads));
       const MiningResult got =
           MustMineTcp(corpus, fleet.endpoints, threads);
-      EXPECT_EQ(RulesAsJson(got), want);
+      EXPECT_TRUE(SameRules(got, baseline));
       // A single TCP endpoint still mines remotely — unlike --workers=1,
       // which short-circuits in-process. That is the point of the flag.
       EXPECT_EQ(got.stats.dist.num_workers, workers);
@@ -127,7 +126,7 @@ TEST(TcpMinerTest, OneServerServesSeveralShards) {
   const ServerFleet fleet = StartFleet(corpus, 1);
   const std::vector<std::string> endpoints(3, fleet.endpoints[0]);
   const MiningResult got = MustMineTcp(corpus, endpoints, /*threads=*/1);
-  EXPECT_EQ(RulesAsJson(got), RulesAsJson(baseline));
+  EXPECT_TRUE(SameRules(got, baseline));
   EXPECT_EQ(got.stats.dist.num_workers, 3u);
   EXPECT_EQ(fleet.servers[0]->sessions_served(), 3u);
 }

@@ -137,55 +137,34 @@ TEST(MapperTest, RejectsBadOptions) {
   EXPECT_FALSE(MapTable(people, options).ok());
 }
 
-// At the parent, a taxonomy over an int64 column aborted in the leaf
-// lookup (a cross-type Value comparison); it is now a Status.
-TEST(MapperTest, TaxonomyOnNonStringColumnIsRejected) {
-  Table table(Schema::Make({{"code", AttributeKind::kCategorical,
-                             ValueType::kInt64}})
+// A NaN cell equals no value, so it has no single-value interval. CSV
+// input never holds one; an in-memory table gets a Status, not a silently
+// misplaced cell.
+TEST(MapperTest, NaNCellIsRejected) {
+  Table table(Schema::Make({{"x", AttributeKind::kQuantitative,
+                             ValueType::kDouble}})
                   .value());
-  ASSERT_TRUE(table.AppendRow({Value(int64_t{0})}).ok());
-  ASSERT_TRUE(table.AppendRow({Value(int64_t{1})}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(1.0)}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(std::nan(""))}).ok());
   MapOptions options;
-  options.taxonomies.emplace_back(
-      "code", Taxonomy::Make({{"0", "any"}, {"1", "any"}}).value());
+  options.num_intervals_override = 4;
   auto mapped = MapTable(table, options);
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(mapped.status().message(),
-            "taxonomy on attribute 'code' needs a string column, not int64");
-}
-
-// A NaN cell equals no value, so it has no id or single-value interval.
-// CSV input never holds one; an in-memory table gets a Status, not a
-// silently misplaced cell.
-TEST(MapperTest, NaNCellIsRejected) {
-  for (AttributeKind kind :
-       {AttributeKind::kCategorical, AttributeKind::kQuantitative}) {
-    Table table(Schema::Make({{"x", kind, ValueType::kDouble}}).value());
-    ASSERT_TRUE(table.AppendRow({Value(1.0)}).ok());
-    ASSERT_TRUE(table.AppendRow({Value(std::nan(""))}).ok());
-    MapOptions options;
-    options.num_intervals_override = 4;
-    auto mapped = MapTable(table, options);
-    ASSERT_FALSE(mapped.ok());
-    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(mapped.status().message(),
-              "value 'nan' of attribute 'x' is not a number");
-  }
+            "value 'nan' of attribute 'x' is not a number");
 }
 
 // A table with every attribute shape MapTableWithAttributes handles: a
-// partitioned and an unpartitioned quantitative column, string and int64
-// categorical columns, and NULL cells in each.
+// partitioned and an unpartitioned quantitative column, a categorical
+// column, and NULL cells in each.
 Table MixedTableWithNulls() {
   Table table(Schema::Make({{"q", AttributeKind::kQuantitative,
                              ValueType::kDouble},
                             {"few", AttributeKind::kQuantitative,
                              ValueType::kInt64},
                             {"s", AttributeKind::kCategorical,
-                             ValueType::kString},
-                            {"i", AttributeKind::kCategorical,
-                             ValueType::kInt64}})
+                             ValueType::kString}})
                   .value());
   const char* kStrings[] = {"x", "y", "z"};
   for (int64_t r = 0; r < 200; ++r) {
@@ -195,8 +174,7 @@ Table MixedTableWithNulls() {
     EXPECT_TRUE(table
                     .AppendRow({cell(Value(static_cast<double>(r * r % 97))),
                                 cell(Value(r % 3)),
-                                cell(Value(kStrings[r % 3])),
-                                cell(Value(r % 4 * 10))})
+                                cell(Value(kStrings[r % 3]))})
                     .ok());
   }
   return table;
@@ -230,39 +208,28 @@ TEST(MapperTest, WithAttributesRejectsValuesOutsideTheDomain) {
   auto mapped = MapTable(table, options);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  auto delta = [](Value few, Value s, Value i) {
+  auto delta = [](Value few, Value s) {
     Table t(MixedTableWithNulls().schema());
-    EXPECT_TRUE(t.AppendRow({Value(1e9), few, s, i}).ok());
+    EXPECT_TRUE(t.AppendRow({Value(1e9), few, s}).ok());
     return t;
   };
   // A partitioned value beyond every interval clips to the last one.
-  auto clipped = MapTableWithAttributes(
-      delta(Value(int64_t{1}), Value("x"), Value(int64_t{10})),
-      mapped->attributes());
+  auto clipped = MapTableWithAttributes(delta(Value(int64_t{1}), Value("x")),
+                                        mapped->attributes());
   ASSERT_TRUE(clipped.ok()) << clipped.status().ToString();
   EXPECT_EQ(clipped->value(0, 0),
             static_cast<int32_t>(mapped->attribute(0).intervals.size() - 1));
 
   auto unseen_string = MapTableWithAttributes(
-      delta(Value(int64_t{1}), Value("w"), Value(int64_t{10})),
-      mapped->attributes());
+      delta(Value(int64_t{1}), Value("w")), mapped->attributes());
   ASSERT_FALSE(unseen_string.ok());
   EXPECT_EQ(unseen_string.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(unseen_string.status().message(),
             "value 'w' of attribute 's' is not in the existing domain; "
             "re-convert the file to admit new categorical values");
 
-  auto unseen_int = MapTableWithAttributes(
-      delta(Value(int64_t{1}), Value("x"), Value(int64_t{15})),
-      mapped->attributes());
-  ASSERT_FALSE(unseen_int.ok());
-  EXPECT_EQ(unseen_int.status().message(),
-            "value '15' of attribute 'i' is not in the existing domain; "
-            "re-convert the file to admit new categorical values");
-
   auto unseen_quant = MapTableWithAttributes(
-      delta(Value(int64_t{5}), Value("x"), Value(int64_t{10})),
-      mapped->attributes());
+      delta(Value(int64_t{5}), Value("x")), mapped->attributes());
   ASSERT_FALSE(unseen_quant.ok());
   EXPECT_EQ(unseen_quant.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(unseen_quant.status().message(),
@@ -270,35 +237,29 @@ TEST(MapperTest, WithAttributesRejectsValuesOutsideTheDomain) {
             "re-convert the file to admit new quantitative values");
 }
 
-// Labels are FormatDouble's six-decimal text, so distinct doubles can
-// share one. A cell with that text names no single category: remapping it
-// is an error, not a silent merge into the first of them.
+// MapTable labels each category with its own distinct string, and a
+// decoded file with a repeated label is rejected, but metadata built by
+// hand can still repeat one. Such a label names no one category: remapping
+// under it is an error, not a silent merge into the first of them.
 TEST(MapperTest, WithAttributesRejectsALabelSeveralCategoriesShare) {
-  const Schema schema =
-      Schema::Make({{"d", AttributeKind::kCategorical, ValueType::kDouble}})
-          .value();
-  Table table(schema);
-  for (double v : {0.0, 1e-7, 2e-7, 1.5}) {
-    ASSERT_TRUE(table.AppendRow({Value(v)}).ok());
-  }
-  auto mapped = MapTable(table, MapOptions());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_EQ(mapped->attribute(0).labels,
-            (std::vector<std::string>{"0", "0", "0", "1.5"}));
+  Table table(Schema::Make({{"d", AttributeKind::kCategorical,
+                             ValueType::kString}})
+                  .value());
+  ASSERT_TRUE(table.AppendRow({Value("1.5")}).ok());
+  std::vector<MappedAttribute> attributes = {
+      testutil::CatAttr("d", {"0", "0", "1.5"})};
 
-  auto again = MapTableWithAttributes(table, mapped->attributes());
+  auto again = MapTableWithAttributes(table, attributes);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(again.status().message(),
-            "value '0' of attribute 'd' matches label '0', which several "
-            "categories share; re-convert the file to tell them apart");
+            "categorical attribute 'd' repeats label '0'");
 
-  // A cell whose label is its own still maps.
-  Table unique(schema);
-  ASSERT_TRUE(unique.AppendRow({Value(1.5)}).ok());
-  auto remapped = MapTableWithAttributes(unique, mapped->attributes());
+  // The same cell maps once the labels are distinct.
+  attributes[0].labels[1] = "1e-07";
+  auto remapped = MapTableWithAttributes(table, attributes);
   ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
-  EXPECT_EQ(remapped->value(0, 0), 3);
+  EXPECT_EQ(remapped->value(0, 0), 2);
 }
 
 TEST(MapperTest, WithAttributesRejectsMismatchedSchemas) {
@@ -329,7 +290,7 @@ TEST(MapperTest, WithAttributesRejectsMismatchedSchemas) {
   auto by_count = MapTableWithAttributes(table, shorter);
   ASSERT_FALSE(by_count.ok());
   EXPECT_EQ(by_count.status().message(),
-            "table has 4 attributes, existing metadata has 3");
+            "table has 3 attributes, existing metadata has 2");
 }
 
 TEST(MappedTableTest, HeadCopiesPrefix) {

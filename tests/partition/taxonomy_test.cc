@@ -102,7 +102,11 @@ TEST(TaxonomyMapperTest, RejectsNonLeafValue) {
   MapOptions options;
   options.taxonomies.emplace_back("drink", DrinksTaxonomy());
   auto mapped = MapTable(table, options);
-  EXPECT_FALSE(mapped.ok());
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mapped.status().message(),
+            "value 'water' of attribute 'drink' is not a leaf of its "
+            "taxonomy");
 }
 
 TEST(TaxonomyMapperTest, RejectsTaxonomyOnQuantitative) {

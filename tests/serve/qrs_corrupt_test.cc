@@ -171,6 +171,23 @@ TEST(QrsSemanticTest, OutOfDomainEndpointRejected) {
   std::remove(path.c_str());
 }
 
+// Each label names one category, so /match can look a value up by text.
+TEST(QrsSemanticTest, RepeatedCategoricalLabelRejected) {
+  StoredRuleSet set = servetest::MakeRuleSet();
+  set.attributes[0].labels = {"no", "no"};
+  const std::string path = ::testing::TempDir() + "/semantic_labels_" +
+                           std::to_string(::getpid()) + ".qrs";
+  ASSERT_TRUE(WriteRuleSet(set, path).ok());
+  auto read = ReadRuleSet(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(read.status().message().find(
+                "categorical attribute 'married' repeats label 'no'"),
+            std::string::npos)
+      << read.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(QrsSemanticTest, OverlappingSidesRejected) {
   StoredRuleSet set = servetest::MakeRuleSet();
   set.rules[0].consequent[0].attr = set.rules[0].antecedent[0].attr;

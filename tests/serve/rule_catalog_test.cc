@@ -226,6 +226,7 @@ TEST(RuleCatalogTest, MapValueAndParseRecord) {
   // Quantitative single-value intervals: value -> its interval id.
   EXPECT_EQ(*catalog->MapValue(1, "2"), 2);
   EXPECT_EQ(*catalog->MapValue(1, "9"), kMissingValue);  // out of range
+  EXPECT_EQ(*catalog->MapValue(1, "1.5"), kMissingValue);  // between 1 and 2
   // Partitioned: 25 lands in [20..39] = id 1; boundary values stick to
   // their interval.
   EXPECT_EQ(*catalog->MapValue(2, "25"), 1);
@@ -233,6 +234,9 @@ TEST(RuleCatalogTest, MapValueAndParseRecord) {
   EXPECT_EQ(*catalog->MapValue(2, "39"), 1);
   EXPECT_EQ(*catalog->MapValue(2, "99"), 4);
   EXPECT_EQ(*catalog->MapValue(2, "250"), kMissingValue);
+  // Below the first interval, and in the gap between [0..19] and [20..39].
+  EXPECT_EQ(*catalog->MapValue(2, "-5"), kMissingValue);
+  EXPECT_EQ(*catalog->MapValue(2, "19.5"), kMissingValue);
   // Type error: non-numeric text for a quantitative attribute.
   EXPECT_FALSE(catalog->MapValue(2, "old").ok());
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "partition/mapped_table.h"
+#include "storage/attr_metadata.h"
 #include "storage/qbt_reader.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
@@ -108,6 +109,42 @@ TEST(QbtCorruptHeaderTest, ZeroRowsPerBlockWithRowsIsRejected) {
   const std::string path = WriteValidFile("zero_block.qbt");
   PatchLe(path, 12, 0, 4);  // rows_per_block = 0 while num_rows = 48
   EXPECT_FALSE(QbtFileSource::Open(path).ok());
+}
+
+// Each label names one category, so a file whose categorical attribute
+// repeats a label is malformed: readers map label -> id one to one.
+TEST(QbtCorruptHeaderTest, RepeatedCategoricalLabelIsRejected) {
+  MappedAttribute married = testutil::CatAttr("married", {"no", "yes", "no"});
+  MappedTable table({married}, 3);
+  for (size_t r = 0; r < 3; ++r) {
+    table.set_value(r, 0, static_cast<int32_t>(r));
+  }
+  const std::string path = TempPath("repeated_label.qbt");
+  ASSERT_TRUE(WriteQbt(table, path).ok());
+  auto source = QbtFileSource::Open(path);
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.status().message(),
+            "'" + path + "' is not a valid QBT file: attribute 0: "
+            "categorical attribute 'married' repeats label 'no'");
+
+  const std::string bytes = EncodeAttributeMetadata({married});
+  auto decoded = DecodeAttributeMetadata(
+      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), 1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Files written before categorical attributes were strings may carry an
+// int64 or double source type; distinct labels still decode.
+TEST(QbtCorruptHeaderTest, TypedCategoricalWithDistinctLabelsDecodes) {
+  MappedAttribute code = testutil::CatAttr("code", {"0", "1e-07", "1.5"});
+  code.source_type = ValueType::kDouble;
+  const std::string bytes = EncodeAttributeMetadata({code});
+  auto decoded = DecodeAttributeMetadata(
+      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), 1);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ((*decoded)[0].source_type, ValueType::kDouble);
+  EXPECT_EQ((*decoded)[0].labels, code.labels);
 }
 
 }  // namespace

@@ -36,6 +36,24 @@ TEST(SchemaTest, RejectsStringQuantitative) {
   EXPECT_FALSE(schema.ok());
 }
 
+// A category needs only its label, so a categorical attribute is a string.
+TEST(SchemaTest, RejectsNonStringCategorical) {
+  auto as_int = Schema::Make(
+      {{"code", AttributeKind::kCategorical, ValueType::kInt64}});
+  ASSERT_FALSE(as_int.ok());
+  EXPECT_EQ(as_int.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(as_int.status().message(),
+            "categorical attribute 'code' must be a string, not int64");
+
+  auto as_double = Schema::Make(
+      {{"Q", AttributeKind::kQuantitative, ValueType::kDouble},
+       {"d", AttributeKind::kCategorical, ValueType::kDouble}});
+  ASSERT_FALSE(as_double.ok());
+  EXPECT_EQ(as_double.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(as_double.status().message(),
+            "categorical attribute 'd' must be a string, not double");
+}
+
 TEST(SchemaTest, QuantitativeDoubleAllowed) {
   auto schema = Schema::Make(
       {{"Q", AttributeKind::kQuantitative, ValueType::kDouble}});
@@ -77,7 +95,7 @@ TEST(SchemaTest, EqualityAndToString) {
   auto b = Schema::Make(
       {{"A", AttributeKind::kQuantitative, ValueType::kInt64}});
   auto c = Schema::Make(
-      {{"A", AttributeKind::kCategorical, ValueType::kInt64}});
+      {{"A", AttributeKind::kCategorical, ValueType::kString}});
   EXPECT_TRUE(*a == *b);
   EXPECT_FALSE(*a == *c);
   EXPECT_EQ(a->ToString(), "A:quantitative:int64");

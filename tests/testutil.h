@@ -4,14 +4,21 @@
 #define QARM_TESTS_TESTUTIL_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "core/item.h"
+#include "core/miner.h"
+#include "core/report.h"
+#include "core/rules.h"
 #include "mining/apriori.h"
 #include "partition/mapped_table.h"
+#include "storage/attr_metadata.h"
 #include "table/table.h"
 
 namespace qarm {
@@ -134,6 +141,51 @@ inline std::vector<FrequentItemset> Sorted(std::vector<FrequentItemset> v) {
               return a.items < b.items;
             });
   return v;
+}
+
+// True when `a` and `b` are the same bits: -0 differs from 0, and a NaN
+// equals itself.
+inline bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Checks that `got` holds `want`'s rules in `want`'s order, each decoded
+// through its own table: the decode metadata once (as its encoded bytes,
+// so intervals compare bit for bit), then per rule the antecedent and
+// consequent items, the count, support and confidence bit for bit, and the
+// interest flag. On the first mismatch the message shows both rules'
+// RuleToJson.
+inline ::testing::AssertionResult SameRules(
+    const std::vector<QuantRule>& got, const MappedTable& got_table,
+    const std::vector<QuantRule>& want, const MappedTable& want_table) {
+  if (EncodeAttributeMetadata(got_table.attributes()) !=
+      EncodeAttributeMetadata(want_table.attributes())) {
+    return ::testing::AssertionFailure() << "the decode metadata differs";
+  }
+  const size_t common = std::min(got.size(), want.size());
+  for (size_t i = 0; i < common; ++i) {
+    const QuantRule& g = got[i];
+    const QuantRule& w = want[i];
+    if (g.antecedent != w.antecedent || g.consequent != w.consequent ||
+        g.count != w.count || !SameBits(g.support, w.support) ||
+        !SameBits(g.confidence, w.confidence) ||
+        g.interesting != w.interesting) {
+      return ::testing::AssertionFailure()
+             << "rule " << i << " differs:\n  got  "
+             << RuleToJson(g, got_table) << "\n  want "
+             << RuleToJson(w, want_table);
+    }
+  }
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "got " << got.size() << " rules, want " << want.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+inline ::testing::AssertionResult SameRules(const MiningResult& got,
+                                            const MiningResult& want) {
+  return SameRules(got.rules, got.mapped, want.rules, want.mapped);
 }
 
 }  // namespace testutil
