@@ -1,0 +1,196 @@
+#include "common/socket.h"
+
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+
+#include "common/string_util.h"
+#include "common/timer.h"
+
+namespace qarm {
+namespace {
+
+// One backlog for every server: HTTP keep-alive clients and dist
+// coordinators alike.
+constexpr int kListenBacklog = 128;
+
+void SetSocketTimeout(int fd, int which, uint64_t timeout_ms) {
+  if (timeout_ms == 0) return;
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
+}
+
+// Fills `addr` from an IPv4 literal or, failing that, a resolved hostname
+// ("localhost", a DNS name). IPv6 is out of scope.
+Status ResolveIpv4(const std::string& host, in_addr* addr) {
+  if (::inet_pton(AF_INET, host.c_str(), addr) == 1) return Status::OK();
+  addrinfo hints;
+  std::memset(&hints, 0, sizeof(hints));
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  const int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &res);
+  if (rc != 0 || res == nullptr) {
+    if (res != nullptr) ::freeaddrinfo(res);
+    return Status::InvalidArgument(StrFormat(
+        "cannot resolve host '%s': %s", host.c_str(), ::gai_strerror(rc)));
+  }
+  *addr = reinterpret_cast<const sockaddr_in*>(res->ai_addr)->sin_addr;
+  ::freeaddrinfo(res);
+  return Status::OK();
+}
+
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+}  // namespace
+
+Result<int> TcpListen(const std::string& host, uint16_t port,
+                      uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (const Status resolved = ResolveIpv4(host, &addr.sin_addr);
+      !resolved.ok()) {
+    ::close(fd);
+    return resolved;
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const Status status = Status::IOError(
+        StrFormat("bind %s:%u failed: %s", host.c_str(), port,
+                  std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  if (::listen(fd, kListenBacklog) != 0) {
+    const Status status =
+        Status::IOError(std::string("listen: ") + std::strerror(errno));
+    ::close(fd);
+    return status;
+  }
+  if (bound_port != nullptr) {
+    sockaddr_in bound;
+    socklen_t len = sizeof(bound);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
+      const Status status = Status::IOError(std::string("getsockname: ") +
+                                            std::strerror(errno));
+      ::close(fd);
+      return status;
+    }
+    *bound_port = ntohs(bound.sin_port);
+  }
+  return fd;
+}
+
+Result<int> TcpAccept(int listen_fd) {
+  for (;;) {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd >= 0) {
+      SetNoDelay(fd);
+      return fd;
+    }
+    if (errno != EINTR) {
+      return Status::IOError(std::string("accept: ") + std::strerror(errno));
+    }
+  }
+}
+
+Result<int> TcpConnect(const std::string& host, uint16_t port,
+                       uint64_t timeout_ms) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (const Status resolved = ResolveIpv4(host, &addr.sin_addr);
+      !resolved.ok()) {
+    ::close(fd);
+    return resolved;
+  }
+  // Non-blocking connect + poll bounds the connect, then the socket goes
+  // back to blocking mode for its owner.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  if (rc != 0 && errno == EINPROGRESS) {
+    pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    const int timeout = timeout_ms == 0 ? -1 : static_cast<int>(timeout_ms);
+    rc = ::poll(&pfd, 1, timeout);
+    if (rc == 0) {
+      ::close(fd);
+      return Status::IOError(StrFormat("connect %s:%u timed out",
+                                       host.c_str(), port));
+    }
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    rc = err == 0 ? 0 : -1;
+    errno = err;
+  }
+  if (rc != 0) {
+    ::close(fd);
+    return Status::IOError(StrFormat("connect %s:%u failed: %s", host.c_str(),
+                                     port, std::strerror(errno)));
+  }
+  ::fcntl(fd, F_SETFL, flags);
+  SetNoDelay(fd);
+  return fd;
+}
+
+void SetSocketTimeouts(int fd, uint64_t recv_timeout_ms,
+                       uint64_t send_timeout_ms) {
+  SetSocketTimeout(fd, SO_RCVTIMEO, recv_timeout_ms);
+  SetSocketTimeout(fd, SO_SNDTIMEO, send_timeout_ms);
+}
+
+Status SendAll(int fd, const void* data, size_t size, uint64_t deadline_ms) {
+  const Timer timer;
+  const char* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
+    if (n > 0) {
+      p += n;
+      size -= static_cast<size_t>(n);
+    } else if (n < 0 && errno != EINTR && errno != EAGAIN &&
+               errno != EWOULDBLOCK) {
+      return Status::IOError(
+          StrFormat("send failed: %s", std::strerror(errno)));
+    }
+    // A short send, a timed-out one (EAGAIN: the reader is slow, not gone)
+    // or an interrupted one: retry from the unsent tail until the deadline.
+    if (size > 0 && deadline_ms != 0 &&
+        timer.ElapsedMillis() >= static_cast<double>(deadline_ms)) {
+      return Status::IOError(
+          StrFormat("send timed out after %llu ms",
+                    static_cast<unsigned long long>(deadline_ms)));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace qarm

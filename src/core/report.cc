@@ -2,6 +2,7 @@
 
 #include "common/string_util.h"
 #include "storage/stats_fields.h"
+#include "table/csv.h"
 
 namespace qarm {
 
@@ -15,19 +16,6 @@ std::string SideToJson(const RangeItemset& side, const MappedTable& mapped) {
                    side[i].lo, side[i].hi, &out);
   }
   out += "]";
-  return out;
-}
-
-// CSV field quoting: wrap in double quotes when the field contains a comma
-// or a quote; embedded quotes are doubled.
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
   return out;
 }
 
@@ -68,9 +56,9 @@ std::string RulesToCsv(const std::vector<QuantRule>& rules,
                        const MappedTable& mapped) {
   std::string out = "antecedent,consequent,support,confidence,count,interesting\n";
   for (const QuantRule& rule : rules) {
-    out += CsvField(ItemsetToString(rule.antecedent, mapped));
+    out += CsvQuoteField(ItemsetToString(rule.antecedent, mapped));
     out += ',';
-    out += CsvField(ItemsetToString(rule.consequent, mapped));
+    out += CsvQuoteField(ItemsetToString(rule.consequent, mapped));
     out += StrFormat(",%.6f,%.6f,%llu,%s\n", rule.support, rule.confidence,
                      static_cast<unsigned long long>(rule.count),
                      rule.interesting ? "true" : "false");

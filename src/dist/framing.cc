@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "storage/crc32.h"
 #include "storage/qbt_format.h"
 
@@ -10,8 +11,11 @@ namespace qarm {
 namespace {
 
 // Reads exactly `size` bytes, looping over the transport's partial reads.
-// EOF partway through is an error: the peer died mid-frame.
-Status ReadFull(Transport& transport, void* data, size_t size) {
+// EOF partway through is an error: the peer died mid-frame. Once
+// `timeout_ms` (0 = none) has passed on `timer` with bytes still missing,
+// the frame has timed out, however steadily they trickle in.
+Status ReadFull(Transport& transport, void* data, size_t size,
+                const Timer& timer, uint64_t timeout_ms) {
   char* p = static_cast<char*>(data);
   size_t remaining = size;
   while (remaining > 0) {
@@ -22,6 +26,12 @@ Status ReadFull(Transport& transport, void* data, size_t size) {
     }
     p += n;
     remaining -= n;
+    if (remaining > 0 && timeout_ms != 0 &&
+        timer.ElapsedMillis() >= static_cast<double>(timeout_ms)) {
+      return Status::IOError(
+          StrFormat("frame read timed out after %llu ms",
+                    static_cast<unsigned long long>(timeout_ms)));
+    }
   }
   return Status::OK();
 }
@@ -48,8 +58,11 @@ Status SendFrame(Transport& transport, uint32_t type,
 }
 
 Result<DistFrame> RecvFrame(Transport& transport, uint64_t* bytes_received) {
+  const Timer timer;
+  const uint64_t timeout_ms = transport.read_timeout_ms();
   uint8_t header[kDistFrameHeaderSize];
-  QARM_RETURN_NOT_OK(ReadFull(transport, header, sizeof(header)));
+  QARM_RETURN_NOT_OK(
+      ReadFull(transport, header, sizeof(header), timer, timeout_ms));
   if (std::memcmp(header, kDistFrameMagic, 4) != 0) {
     return Status::IOError("bad frame magic");
   }
@@ -63,11 +76,12 @@ Result<DistFrame> RecvFrame(Transport& transport, uint64_t* bytes_received) {
   }
   frame.payload.resize(payload_size);
   if (payload_size > 0) {
-    QARM_RETURN_NOT_OK(
-        ReadFull(transport, frame.payload.data(), payload_size));
+    QARM_RETURN_NOT_OK(ReadFull(transport, frame.payload.data(), payload_size,
+                                timer, timeout_ms));
   }
   uint8_t crc_bytes[4];
-  QARM_RETURN_NOT_OK(ReadFull(transport, crc_bytes, sizeof(crc_bytes)));
+  QARM_RETURN_NOT_OK(
+      ReadFull(transport, crc_bytes, sizeof(crc_bytes), timer, timeout_ms));
   const uint32_t expected = QbtReadU32(crc_bytes);
   const uint32_t actual = Crc32(frame.payload.data(), frame.payload.size());
   if (expected != actual) {

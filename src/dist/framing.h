@@ -45,7 +45,12 @@ Status SendFrame(Transport& transport, uint32_t type,
 
 // Reads one frame, validating magic and CRC. EOF before any byte, EOF
 // mid-frame, a read deadline, and CRC mismatch all return IOError — to the
-// coordinator they mean the same thing (the worker is gone).
+// coordinator they mean the same thing (the worker is gone). The whole
+// frame is bounded by the transport's read_timeout_ms(), measured from
+// this call and checked after every partial read, so a peer trickling one
+// byte at a time still times out; since each read is bounded by the same
+// timeout, a frame takes under twice it. Each frame (a heartbeat too)
+// starts a fresh bound.
 Result<DistFrame> RecvFrame(Transport& transport,
                             uint64_t* bytes_received = nullptr);
 

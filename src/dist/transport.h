@@ -1,9 +1,10 @@
 // Byte-stream transport between the distributed-mining coordinator and a
 // worker. TcpTransport is the one socket implementation: it runs over a
 // connected TCP socket (a `qarm worker` session) and over the socketpair a
-// forked worker is launched with, so both launchers share its
-// per-operation deadlines (SO_RCVTIMEO/SO_SNDTIMEO plus a wall-clock bound,
-// the serve-engine SendAll pattern) — a vanished, partitioned or silent
+// forked worker is launched with, so both launchers share its deadlines.
+// A write goes through common/socket.h's SendAll, the send every socket in
+// the repo uses; a read is bounded per call here and per frame by
+// RecvFrame (dist/framing.h). A vanished, partitioned, silent or trickling
 // peer surfaces as a bounded IOError, never a hang. The worker side can
 // also carry a deterministic network-fault injector (storage/
 // fault_injection.h kinds conn_reset, stall, partial_write) that sabotages
@@ -19,8 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
 
+#include "common/socket.h"
 #include "common/status.h"
 #include "storage/fault_injection.h"
 
@@ -37,6 +38,10 @@ class Transport {
 
   // Writes all of [data, data + size) or returns an error.
   virtual Status Write(const void* data, size_t size) = 0;
+
+  // How long RecvFrame may take over one whole frame, in ms from its call;
+  // 0 = no bound (the frame's reads wait as long as the transport does).
+  virtual uint64_t read_timeout_ms() const { return 0; }
 
   // Idempotent. After Close every Read/Write fails.
   virtual void Close() = 0;
@@ -64,13 +69,12 @@ NetFaultInjection NetFaultsFromSpec(const FaultInjectionConfig& config,
                                     uint64_t generation);
 
 // Stream-socket transport with deadlines. Owns the fd: Close (and the
-// destructor) closes it. `io_timeout_ms` bounds every Write and, when
-// `read_timeout_ms` > 0, every Read: the socket timeout arms the kernel
-// bound and a wall-clock check stops EINTR/short-transfer loops from
-// extending it. read_timeout_ms == 0 leaves reads blocking — a worker
-// waits indefinitely for the next request by design; only the coordinator
-// must never hang. send() with MSG_NOSIGNAL keeps a dead peer an EPIPE
-// instead of a SIGPIPE.
+// destructor) closes it. `io_timeout_ms` is every Write's SendAll deadline
+// and the socket's send timeout. A non-zero `read_timeout_ms` bounds each
+// Read (the socket's receive timeout, plus a wall-clock check so EINTR
+// retries cannot extend it) and each whole frame RecvFrame reads.
+// read_timeout_ms == 0 leaves reads blocking: a worker waits indefinitely
+// for the next request by design; only the coordinator must never hang.
 class TcpTransport : public Transport {
  public:
   TcpTransport(int fd, uint64_t io_timeout_ms, uint64_t read_timeout_ms,
@@ -80,6 +84,7 @@ class TcpTransport : public Transport {
   Status Read(void* data, size_t size, size_t* bytes_read) override;
   Status Write(const void* data, size_t size) override;
   void Close() override;
+  uint64_t read_timeout_ms() const override { return read_timeout_ms_; }
 
   // Fails any Read/Write blocked on this transport. The one member another
   // thread may call (a server stopping its sessions): it is ordered
@@ -109,21 +114,6 @@ class TcpTransport : public Transport {
   NetFaultInjection faults_;
   uint64_t writes_ = 0;
 };
-
-// Connects to host:port with TCP_NODELAY set (frames are small and
-// latency-bound). One attempt; callers wrap it in RetryWithBackoff for
-// discovery/reconnect. `io_timeout_ms` also bounds the connect itself.
-Result<int> TcpConnect(const std::string& host, uint16_t port,
-                       uint64_t io_timeout_ms);
-
-// Binds and listens on host:port (port 0 = ephemeral); returns the fd.
-// `bound_port` receives the actual port.
-Result<int> TcpListen(const std::string& host, uint16_t port,
-                      uint16_t* bound_port);
-
-// Accepts one connection on `listen_fd` (retrying EINTR) and sets
-// TCP_NODELAY on it. IOError once the listener is shut down or broken.
-Result<int> TcpAccept(int listen_fd);
 
 }  // namespace qarm
 

@@ -1,16 +1,14 @@
 #include "serve/http_client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
 
+#include "common/socket.h"
 #include "common/string_util.h"
 
 namespace qarm {
@@ -33,33 +31,12 @@ bool StartsWithIgnoreCase(const std::string& line, const char* prefix) {
 
 Result<std::unique_ptr<HttpClient>> HttpClient::Connect(
     const std::string& host, uint16_t port, int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  timeval timeout{};
-  timeout.tv_sec = timeout_ms / 1000;
-  timeout.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad host address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::IOError("connect " + host + ":" + std::to_string(port) +
-                           ": " + error);
-  }
+  const uint64_t timeout = static_cast<uint64_t>(std::max(timeout_ms, 0));
+  QARM_ASSIGN_OR_RETURN(const int fd, TcpConnect(host, port, timeout));
+  SetSocketTimeouts(fd, timeout, timeout);
   auto client = std::unique_ptr<HttpClient>(new HttpClient());
   client->fd_ = fd;
+  client->timeout_ms_ = timeout;
   return client;
 }
 
@@ -71,16 +48,8 @@ Result<HttpResponse> HttpClient::Get(const std::string& target) {
   const std::string request = "GET " + target +
                               " HTTP/1.1\r\nHost: qarm\r\nConnection: "
                               "keep-alive\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd_, request.data() + sent,
-                             request.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
+  QARM_RETURN_NOT_OK(
+      SendAll(fd_, request.data(), request.size(), timeout_ms_));
 
   // Read the response head.
   size_t head_end;

@@ -1,4 +1,4 @@
-// Minimal blocking HTTP/1.1 client over POSIX sockets — the counterpart
+// Minimal blocking HTTP/1.1 client over common/socket.h — the counterpart
 // of http_server.h for the load generator, the CLI smoke helper, and the
 // end-to-end tests. Supports exactly what those need: GET over a
 // keep-alive connection, Content-Length responses, per-call timeouts.
@@ -18,6 +18,8 @@ namespace qarm {
 // connection per thread.
 class HttpClient {
  public:
+  // `host` is an IPv4 literal or a host name ("localhost"). `timeout_ms`
+  // bounds the connect, each receive and each request's send.
   static Result<std::unique_ptr<HttpClient>> Connect(
       const std::string& host, uint16_t port, int timeout_ms = 5000);
 
@@ -33,6 +35,7 @@ class HttpClient {
  private:
   HttpClient() = default;
   int fd_ = -1;
+  uint64_t timeout_ms_ = 0;
   std::string buffer_;  // bytes past the previous response
 };
 

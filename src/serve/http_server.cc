@@ -1,17 +1,11 @@
 #include "serve/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 
+#include "common/socket.h"
 #include "common/string_util.h"
 
 namespace qarm {
@@ -55,35 +49,6 @@ std::string EncodeResponse(const HttpResponse& response, bool keep_alive,
                         "\r\n\r\n";
   if (with_body) payload += response.body;
   return payload;
-}
-
-// Sends the whole buffer; false on a broken connection or a reader that
-// stays stalled past `deadline_ms`. EAGAIN/EWOULDBLOCK here means the
-// SO_SNDTIMEO send timeout fired while the socket buffer was full — the
-// peer is slow, not gone — so the send is retried (the kernel resumes from
-// the unsent tail) until the wall-clock deadline expires. Treating the
-// first timeout as fatal used to abandon a half-written keep-alive
-// response mid-body; now only a genuinely stuck reader gets cut off, and
-// the caller closes the connection without reusing it (a partial response
-// makes the stream unframeable).
-bool SendAll(int fd, const std::string& data, int deadline_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
-          std::chrono::steady_clock::now() < deadline) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -136,35 +101,9 @@ Result<std::unique_ptr<HttpServer>> HttpServer::Start(
   server->handler_ = std::move(handler);
   server->options_ = options;
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  server->listen_fd_ = fd;
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options.port);
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad listen address: " + options.host);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    return Status::IOError("bind " + options.host + ":" +
-                           std::to_string(options.port) + ": " +
-                           std::strerror(errno));
-  }
-  if (::listen(fd, 128) != 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    return Status::IOError(std::string("getsockname: ") +
-                           std::strerror(errno));
-  }
-  server->port_ = ntohs(bound.sin_port);
+  QARM_ASSIGN_OR_RETURN(
+      server->listen_fd_,
+      TcpListen(options.host, options.port, &server->port_));
 
   server->threads_.reserve(options.num_threads);
   for (size_t i = 0; i < options.num_threads; ++i) {
@@ -195,33 +134,21 @@ void HttpServer::Stop() {
 
 void HttpServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
+    const Result<int> accepted = TcpAccept(listen_fd_);
+    if (!accepted.ok()) {
       // shutdown() during Stop() lands here; anything else on a live
       // server is a transient accept failure worth retrying.
       if (stop_.load(std::memory_order_acquire)) break;
       continue;
     }
+    const int fd = *accepted;
     connections_.fetch_add(1, std::memory_order_relaxed);
-    timeval timeout{};
-    timeout.tv_sec = options_.recv_timeout_ms / 1000;
-    timeout.tv_usec = (options_.recv_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    // Bound each send() too: without SO_SNDTIMEO a reader that stops
-    // draining parks the thread in send() forever. SendAll retries timed-out
-    // sends until options_.send_deadline_ms of wall clock has passed.
-    timeval send_timeout{};
-    send_timeout.tv_sec = options_.send_timeout_ms / 1000;
-    send_timeout.tv_usec = (options_.send_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-                 sizeof(send_timeout));
+    SetSocketTimeouts(fd, options_.recv_timeout_ms,
+                      options_.send_deadline_ms);
     if (options_.send_buffer_bytes > 0) {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
                    sizeof(options_.send_buffer_bytes));
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ServeConnection(fd);
     ::close(fd);
   }
@@ -237,9 +164,9 @@ void HttpServer::ServeConnection(int fd) {
         HttpResponse too_big;
         too_big.status = 413;
         too_big.body = "{\"error\":\"request too large\"}";
-        SendAll(fd, EncodeResponse(too_big, /*keep_alive=*/false,
-                               /*with_body=*/true),
-                options_.send_deadline_ms);
+        const std::string payload = EncodeResponse(
+            too_big, /*keep_alive=*/false, /*with_body=*/true);
+        SendAll(fd, payload.data(), payload.size(), options_.send_deadline_ms);
         return;
       }
       char chunk[4096];
@@ -310,9 +237,11 @@ void HttpServer::ServeConnection(int fd) {
 
     const std::string payload =
         EncodeResponse(response, keep_alive, request.method != "HEAD");
-    if (!SendAll(fd, payload, options_.send_deadline_ms) || !keep_alive) {
-      return;
-    }
+    // A response cut off at the deadline leaves the stream unframeable, so
+    // the connection closes rather than being reused.
+    const Status sent =
+        SendAll(fd, payload.data(), payload.size(), options_.send_deadline_ms);
+    if (!sent.ok() || !keep_alive) return;
   }
 }
 

@@ -1,9 +1,10 @@
-// A thin hand-rolled HTTP/1.1 front end over POSIX sockets — no external
-// dependencies. Scope is exactly what rule serving needs: GET requests,
-// query strings, keep-alive connections, JSON responses. N threads share
-// one listening socket and each runs an accept loop; a per-connection
-// receive timeout plus an atomic stop flag makes shutdown prompt and
-// clean (Stop() is safe from signal-adjacent contexts and idempotent).
+// A thin hand-rolled HTTP/1.1 front end over the common/socket.h layer —
+// no external dependencies. Scope is exactly what rule serving needs: GET
+// requests, query strings, keep-alive connections, JSON responses. N
+// threads share one listening socket and each runs an accept loop; a
+// per-connection receive timeout plus an atomic stop flag makes shutdown
+// prompt and clean (Stop() is safe from signal-adjacent contexts and
+// idempotent).
 //
 // The server is transport only: every request is handed to a
 // caller-provided handler (RuleService in production, lambdas in tests).
@@ -44,16 +45,16 @@ std::string UrlDecode(const std::string& text);
 std::string UrlEncode(const std::string& text);
 
 struct HttpServerOptions {
+  // An IPv4 literal or a host name ("localhost").
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; bound port via HttpServer::port()
   size_t num_threads = 4;
   size_t max_request_bytes = 64 * 1024;
   int recv_timeout_ms = 5000;  // per-connection read timeout (keep-alive)
-  // Per-send() timeout (SO_SNDTIMEO). A timed-out send means the reader is
-  // slow, not dead: SendAll keeps retrying from the unsent tail until
-  // send_deadline_ms of wall clock has elapsed for the response, then the
-  // connection is closed without reuse.
-  int send_timeout_ms = 1000;
+  // Wall clock one response may take to send (SendAll's deadline, also the
+  // socket's send timeout). A reader that stalls or trickles past it is cut
+  // off and its connection closed without reuse, so one response holds a
+  // server thread for under twice this.
   int send_deadline_ms = 15000;
   // SO_SNDBUF for accepted sockets; 0 keeps the OS default. Tests shrink
   // this to force send() to block on a slow reader.

@@ -100,24 +100,22 @@ void AppendPreamble(const FileFormat& format, std::string* out) {
 Result<uint32_t> CheckPreamble(const FileFormat& format, const uint8_t* data,
                                size_t size) {
   if (size < kPreambleSize) {
-    return Status::Error(format.code, StrFormat("%s too small: %zu bytes",
+    return Status::InvalidArgument(StrFormat("%s too small: %zu bytes",
                                                 format.name, size));
   }
   if (std::memcmp(data, format.magic, 4) != 0) {
-    return Status::Error(format.code,
+    return Status::InvalidArgument(
                          StrFormat("not a %s (bad magic)", format.name));
   }
   const uint32_t endian = QbtReadU32(data + 4);
   if (endian != kQbtEndianMarker) {
-    return Status::Error(
-        format.code,
+    return Status::InvalidArgument(
         StrFormat("%s endian marker 0x%08x does not match this host",
                   format.name, endian));
   }
   const uint32_t version = QbtReadU32(data + 8);
   if (version < format.min_version || version > format.version) {
-    return Status::Error(
-        format.code,
+    return Status::InvalidArgument(
         StrFormat("unsupported %s version %u (reader supports %u through %u)",
                   format.name, version, format.min_version, format.version));
   }
@@ -145,7 +143,7 @@ Result<Envelope> ParseEnvelope(const FileFormat& format, const uint8_t* data,
                                size_t size) {
   const size_t header_size = kEnvelopeHeaderSize + format.extra_header_bytes;
   if (size < header_size + kEnvelopeTailSize) {
-    return Status::Error(format.code, StrFormat("%s too small: %zu bytes",
+    return Status::InvalidArgument(StrFormat("%s too small: %zu bytes",
                                                 format.name, size));
   }
   Envelope envelope;
@@ -153,8 +151,7 @@ Result<Envelope> ParseEnvelope(const FileFormat& format, const uint8_t* data,
   envelope.header_word = QbtReadU32(data + kPreambleSize);
   const uint64_t payload_size = QbtReadU64(data + kPreambleSize + 4);
   if (payload_size != size - header_size - kEnvelopeTailSize) {
-    return Status::Error(
-        format.code,
+    return Status::InvalidArgument(
         StrFormat("%s payload size %llu does not match file size %zu",
                   format.name, static_cast<unsigned long long>(payload_size),
                   size));
@@ -164,7 +161,7 @@ Result<Envelope> ParseEnvelope(const FileFormat& format, const uint8_t* data,
   envelope.payload_size = static_cast<size_t>(payload_size);
   const uint8_t* tail = envelope.payload + envelope.payload_size;
   if (std::memcmp(tail + 4, format.end_magic, 4) != 0) {
-    return Status::Error(format.code,
+    return Status::InvalidArgument(
                          StrFormat("%s end magic missing", format.name));
   }
   const uint32_t expected_crc = QbtReadU32(tail);

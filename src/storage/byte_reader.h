@@ -101,7 +101,6 @@ struct FileFormat {
   // Bytes of format-specific header between the envelope's payload size
   // and its payload (QRS: the u64 record count).
   size_t extra_header_bytes;
-  StatusCode code;  // what a malformed file returns
 };
 
 inline constexpr size_t kPreambleSize = 4 + 4 + 4;
@@ -109,7 +108,7 @@ inline constexpr size_t kPreambleSize = 4 + 4 + 4;
 void AppendPreamble(const FileFormat& format, std::string* out);
 
 // Checks the magic, endian marker and version range of `data`; returns the
-// version. Errors carry `format.code`.
+// version. A malformed preamble is InvalidArgument.
 Result<uint32_t> CheckPreamble(const FileFormat& format, const uint8_t* data,
                                size_t size);
 
@@ -141,8 +140,8 @@ struct Envelope {
 };
 
 // Validates size, preamble, payload size, end magic and CRC, in that order.
-// A CRC mismatch is IOError (the bytes were damaged); everything else
-// carries `format.code`.
+// A CRC mismatch is IOError (the bytes were damaged); a malformed
+// structure is InvalidArgument.
 Result<Envelope> ParseEnvelope(const FileFormat& format, const uint8_t* data,
                                size_t size);
 

@@ -97,8 +97,7 @@ inline constexpr size_t kCheckpointHeaderSize = kEnvelopeHeaderSize;
 inline constexpr size_t kCheckpointTailSize = kEnvelopeTailSize;
 inline constexpr FileFormat kCheckpointFormat = {
     "checkpoint",          kCheckpointMagic,   kCheckpointEndMagic,
-    kCheckpointMinVersion, kCheckpointVersion, 0,
-    StatusCode::kInvalidArgument};
+    kCheckpointMinVersion, kCheckpointVersion, 0};
 
 // The item catalog's serialized state (see core/frequent_items.h).
 struct CheckpointCatalog {

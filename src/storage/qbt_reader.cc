@@ -11,8 +11,12 @@
 namespace qarm {
 namespace {
 
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::IOError("'" + path + "' is not a valid QBT file: " + what);
+// A malformed structure is InvalidArgument, as in every other file format;
+// only a checksum mismatch (the bytes were damaged) is IOError.
+Status Corrupt(const std::string& path, const std::string& what,
+               StatusCode code = StatusCode::kInvalidArgument) {
+  return Status::Error(code,
+                       "'" + path + "' is not a valid QBT file: " + what);
 }
 
 // Delegates to the shared QBT/QRS attribute-metadata codec, wraps its
@@ -95,7 +99,8 @@ Status QbtReader::Parse(const std::string& path, const uint8_t* data,
   const uint64_t num_blocks = footer_size / kQbtBlockIndexEntrySize;
   const uint8_t* footer = data + footer_offset;
   if (Crc32(footer, static_cast<size_t>(footer_size)) != footer_crc) {
-    return Corrupt(path, "block index checksum mismatch");
+    return Corrupt(path, "block index checksum mismatch",
+                   StatusCode::kIOError);
   }
   blocks_.resize(static_cast<size_t>(num_blocks));
   row_begins_.resize(static_cast<size_t>(num_blocks));

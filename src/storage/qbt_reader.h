@@ -20,21 +20,21 @@
 
 namespace qarm {
 
-// QBT's preamble (qbt_format.h has the full layout). Open reports a bad
-// file as IOError.
+// QBT's preamble (qbt_format.h has the full layout).
 inline constexpr FileFormat kQbtFormat = {
     "QBT file", kQbtMagic, /*end_magic=*/nullptr, kQbtVersion, kQbtVersion,
-    /*extra_header_bytes=*/0, StatusCode::kIOError};
+    /*extra_header_bytes=*/0};
 
 class QbtReader {
  public:
-  // Maps and validates `path`. Fails with a descriptive Status on a bad
-  // magic/version/endianness, a truncated file, or an index that does not
-  // match the file size.
+  // Maps and validates `path`. A bad magic/version/endianness, a truncated
+  // file, malformed attribute metadata or an index that does not match the
+  // file size is InvalidArgument; a block-index checksum mismatch is
+  // IOError.
   static Result<std::unique_ptr<QbtReader>> Open(const std::string& path);
 
   // Runs Open's checks on `data[0, length)` as if the file ended there,
-  // failing with the same IOError texts. RecoverQbt keeps the longest
+  // failing with the same codes and texts. RecoverQbt keeps the longest
   // prefix of a torn file this accepts.
   static Status ValidatePrefix(const std::string& path, const uint8_t* data,
                                size_t length);

@@ -6,7 +6,9 @@
 
 #include "common/cpu_dispatch.h"
 #include "core/miner.h"
+#include "table/csv.h"
 #include "table/datagen.h"
+#include "table/schema.h"
 #include "testutil.h"
 
 namespace qarm {
@@ -348,6 +350,36 @@ TEST(RulesToCsvTest, QuotesFieldsWithCommas) {
   rule.consequent = {RangeItem{0, 0, 0}};
   std::string csv = RulesToCsv({rule}, mapped);
   EXPECT_NE(csv.find("\"<city: San Jose, CA>\""), std::string::npos);
+}
+
+// A quoted CSV input cell may hold a bare \r, and it becomes a category
+// label; the rule output must quote it, or a CSV reader ends the row there.
+TEST(RulesToCsvTest, LabelWithCarriageReturnReadsBackAsOneRow) {
+  MappedTable mapped(
+      {[] {
+        MappedAttribute attr;
+        attr.name = "note";
+        attr.kind = AttributeKind::kCategorical;
+        attr.labels = {"a\rb", "c"};
+        return attr;
+      }()},
+      0);
+  QuantRule first;
+  first.antecedent = {RangeItem{0, 0, 0}};
+  first.consequent = {RangeItem{0, 1, 1}};
+  QuantRule second;
+  second.antecedent = {RangeItem{0, 1, 1}};
+  second.consequent = {RangeItem{0, 0, 0}};
+  const std::string csv = RulesToCsv({first, second}, mapped);
+  const Schema schema =
+      Schema::Parse("antecedent:cat,consequent:cat,support:quant:double,"
+                    "confidence:quant:double,count:quant,interesting:cat")
+          .value();
+  auto table = ReadCsvString(csv, schema);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ(table->num_rows(), 2u);
+  EXPECT_EQ(table->Get(0, 0).ToString(), "<note: a\rb>");
+  EXPECT_EQ(table->Get(1, 1).ToString(), "<note: a\rb>");
 }
 
 }  // namespace

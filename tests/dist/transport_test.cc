@@ -8,6 +8,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -175,6 +177,37 @@ TEST(DistTransportTest, ReadDeadlineTripsInsteadOfHanging) {
   ASSERT_FALSE(frame.ok());
   EXPECT_NE(frame.status().ToString().find("timed out"), std::string::npos)
       << frame.status().ToString();
+}
+
+// The read deadline bounds a whole frame, not each read: a peer that sends
+// a valid header and then one payload byte every 40 ms never lets a single
+// read time out, yet the frame must fail at the deadline.
+TEST(DistTransportTest, TricklingFrameTimesOut) {
+  const std::string payload(30, 'p');
+  const std::string frame = FrameBytes(7, payload);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  TcpTransport writer(fds[0], 5000, 5000);
+  TcpTransport reader(fds[1], /*io_timeout_ms=*/5000,
+                      /*read_timeout_ms=*/100);
+  std::atomic<bool> stop{false};
+  std::thread trickler([&] {
+    if (!writer.Write(frame.data(), kDistFrameHeaderSize).ok()) return;
+    for (size_t i = kDistFrameHeaderSize; i < frame.size() && !stop; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(40));
+      if (!writer.Write(frame.data() + i, 1).ok()) return;
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Result<DistFrame> received = RecvFrame(reader);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop = true;
+  trickler.join();
+  ASSERT_FALSE(received.ok()) << "a trickled frame was read whole";
+  EXPECT_EQ(received.status().code(), StatusCode::kIOError);
+  EXPECT_NE(received.status().ToString().find("timed out"), std::string::npos)
+      << received.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(300));
 }
 
 // Runs one faulted exchange: the server sends `frames` frames through a

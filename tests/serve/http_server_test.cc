@@ -298,8 +298,7 @@ TEST(ServeHttpTest, ConcurrentMixedQueriesWithTinyCache) {
 }
 
 // A raw client socket with a deliberately tiny receive buffer, so the
-// server's tiny SO_SNDBUF fills and its send() hits the SO_SNDTIMEO
-// timeout while the reader is merely slow.
+// server's tiny SO_SNDBUF fills and its send() blocks on the reader.
 int ConnectRaw(uint16_t port, int rcvbuf_bytes) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -316,17 +315,17 @@ int ConnectRaw(uint16_t port, int rcvbuf_bytes) {
   return fd;
 }
 
-// Regression for the half-written-response bug: the per-send SO_SNDTIMEO
-// timeout fires while a slow reader drains a large body, and the old
+// Regression for the half-written-response bug: a blocked send() returns
+// short or times out while a slow reader drains a large body, and an old
 // SendAll treated the resulting EAGAIN like a broken pipe and abandoned
-// the response mid-body. A slow-but-alive reader must receive every byte.
+// the response mid-body. A slow-but-alive reader must receive every byte
+// within the deadline.
 TEST(ServeHttpTest, SlowReaderStillGetsTheWholeResponse) {
   const std::string big_body(512 * 1024, 'x');
   HttpServerOptions options;
   options.port = 0;
   options.num_threads = 1;
   options.send_buffer_bytes = 4096;  // kernel-clamped, still tiny
-  options.send_timeout_ms = 30;      // stalls below exceed this several-fold
   options.send_deadline_ms = 30000;
   auto server = HttpServer::Start(options, [&](const HttpRequest&) {
     HttpResponse response;
@@ -342,9 +341,8 @@ TEST(ServeHttpTest, SlowReaderStillGetsTheWholeResponse) {
   ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
 
-  // Trickle-read the response. The periodic stall is several multiples of
-  // the server's send timeout, so with both socket buffers tiny its send()
-  // definitely times out (EAGAIN) mid-body, repeatedly.
+  // Trickle-read the response. With both socket buffers tiny, the server's
+  // send() blocks mid-body at every periodic stall, repeatedly.
   std::string received;
   char chunk[8 * 1024];
   size_t reads = 0;
@@ -375,7 +373,6 @@ TEST(ServeHttpTest, StalledReaderIsCutOffAtDeadline) {
   options.port = 0;
   options.num_threads = 1;
   options.send_buffer_bytes = 4096;
-  options.send_timeout_ms = 20;
   options.send_deadline_ms = 300;
   auto server = HttpServer::Start(options, [&](const HttpRequest& request) {
     HttpResponse response;
@@ -404,6 +401,81 @@ TEST(ServeHttpTest, StalledReaderIsCutOffAtDeadline) {
   // Stop() joins the accept threads — it would hang if the stalled
   // connection were still being retried.
   (*server)->Stop();
+}
+
+// A reader that keeps draining, but too slowly, is cut off at the
+// deadline just like one that drains nothing: the deadline is checked
+// after every send(), not only when one times out, so the trickle cannot
+// keep the single server thread.
+TEST(ServeHttpTest, TricklingReaderIsCutOffAtDeadline) {
+  const std::string big_body(4 * 1024 * 1024, 'z');
+  HttpServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.send_buffer_bytes = 4096;
+  options.send_deadline_ms = 300;
+  auto server = HttpServer::Start(options, [&](const HttpRequest& request) {
+    HttpResponse response;
+    response.body = request.path == "/big" ? big_body : "pong";
+    return response;
+  });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const auto start = std::chrono::steady_clock::now();
+  auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  const int trickler = ConnectRaw((*server)->port(), 2048);
+  const std::string request = "GET /big HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(trickler, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+
+  // Drain 1 KB every 50 ms until the server closes the connection; give up
+  // after 5 s so a server that never cuts the trickle off fails the test
+  // instead of hanging it.
+  int64_t closed_ms = -1;
+  std::thread reader([&] {
+    char chunk[1024];
+    while (elapsed_ms() < 5000) {
+      if (::recv(trickler, chunk, sizeof(chunk), 0) <= 0) {
+        closed_ms = elapsed_ms();
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto ping = HttpGet("127.0.0.1", (*server)->port(), "/ping", 2000);
+  const int64_t ping_ms = elapsed_ms();
+  reader.join();
+  // Closing the trickler also frees a server thread still sending to it.
+  ::close(trickler);
+  ASSERT_TRUE(ping.ok()) << "server thread still held by the trickler: "
+                         << ping.status().ToString();
+  EXPECT_EQ(ping->body, "pong");
+  EXPECT_LT(ping_ms, 1500);
+  EXPECT_GE(closed_ms, 0) << "the trickler was never cut off";
+  EXPECT_LT(closed_ms, 1500);
+  (*server)->Stop();
+}
+
+// The server and the client take a host name as well as an IPv4 literal.
+TEST(ServeHttpTest, HostNamesResolve) {
+  HttpServerOptions options;
+  options.host = "localhost";
+  options.num_threads = 1;
+  auto server = HttpServer::Start(options, [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong";
+    return response;
+  });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto ping = HttpGet("localhost", (*server)->port(), "/ping", 2000);
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  EXPECT_EQ(ping->body, "pong");
 }
 
 // A request head longer than max_request_bytes gets a 413 and the

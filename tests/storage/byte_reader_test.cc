@@ -178,8 +178,7 @@ TEST(ByteReaderTest, TableOfCasesUnderBothStatusCodes) {
 
 constexpr char kMagic[4] = {'T', 'S', 'T', '1'};
 constexpr char kEndMagic[4] = {'T', 'S', 'T', 'E'};
-constexpr FileFormat kFormat = {"test file", kMagic, kEndMagic, 2, 3, 8,
-                                StatusCode::kInvalidArgument};
+constexpr FileFormat kFormat = {"test file", kMagic, kEndMagic, 2, 3, 8};
 
 std::string SampleEnvelope() {
   std::string extra;

@@ -16,6 +16,7 @@
 #include "storage/qbt_reader.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
+#include "storage/rules_format.h"
 #include "testutil.h"
 
 namespace qarm {
@@ -132,6 +133,52 @@ TEST(QbtCorruptHeaderTest, RepeatedCategoricalLabelIsRejected) {
       reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(), 1);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// One status rule for every file format: a malformed structure is
+// InvalidArgument, damaged bytes (a CRC mismatch) are IOError. The same
+// repeated-label defect gives the same code in a QBT and a QRS file.
+TEST(QbtCorruptHeaderTest, MalformedIsInvalidArgumentAndDamagedIsIoError) {
+  const std::string corpus = QARM_FUZZ_CORPUS_DIR;
+  auto qbt = QbtReader::Open(corpus + "/qbt_reader/repeated_label");
+  ASSERT_FALSE(qbt.ok());
+  EXPECT_EQ(qbt.status().code(), StatusCode::kInvalidArgument)
+      << qbt.status().ToString();
+  auto qrs = ReadRuleSet(corpus + "/qrs/repeated_label");
+  ASSERT_FALSE(qrs.ok());
+  EXPECT_EQ(qrs.status().code(), StatusCode::kInvalidArgument)
+      << qrs.status().ToString();
+
+  // A flipped byte in a block fails that block's CRC when it is read.
+  const std::string path = WriteValidFile("flipped_block.qbt");
+  uint64_t block_offset = 0;
+  uint32_t block_crc = 0;
+  uint64_t index_offset = 0;  // of block 1's index entry
+  {
+    auto reader = QbtReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_EQ((*reader)->num_blocks(), 3u);
+    block_offset = (*reader)->block_offset(1);
+    block_crc = (*reader)->block_crc(1);
+    index_offset = (*reader)->file_size() - kQbtTailSize -
+                   2 * kQbtBlockIndexEntrySize;
+  }
+  PatchLe(path, block_offset, 0x7F, 1);
+  {
+    auto reader = QbtReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::vector<const int32_t*> columns;
+    const Status read = (*reader)->ReadBlockColumns(1, &columns);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.code(), StatusCode::kIOError) << read.ToString();
+  }
+
+  // A flipped block CRC in the index fails the index checksum at open.
+  PatchLe(path, index_offset + 12, block_crc ^ 1, 4);
+  auto reopened = QbtReader::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kIOError)
+      << reopened.status().ToString();
 }
 
 // Files written before categorical attributes were strings may carry an

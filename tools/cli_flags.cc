@@ -82,7 +82,7 @@ const char kUsage[] =
     "\n"
     "qarm serve — serve a mined rule set over HTTP:\n"
     "  --rules=FILE.qrs      rule set to load (required)\n"
-    "  [--host=ADDR]         bind address                  (default "
+    "  [--host=HOST]         bind address or host name     (default "
     "127.0.0.1)\n"
     "  [--port=N]            port; 0 = ephemeral           (default 8080)\n"
     "  [--serve-threads=N]   HTTP server threads           (default 4)\n"

@@ -51,6 +51,7 @@
 #include "serve/http_server.h"
 #include "serve/rule_catalog.h"
 #include "serve/rule_service.h"
+#include "storage/byte_reader.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "storage/rules_format.h"
@@ -210,23 +211,6 @@ int RunGen(const CliFlags& flags) {
   return 0;
 }
 
-// Writes the bound port to `path` atomically (temp + rename), so a smoke
-// script polling for the file never reads a half-written value.
-Status WritePortFile(const std::string& path, uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot write " + tmp);
-  }
-  std::fprintf(f, "%u\n", port);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
 // One rule as display text: "Age[20..29] AND Married=Yes => NumCars[0..2]
 // (conf 71.2%, sup 12.3%, lift 1.35, count 123)".
 std::string StoredRuleToText(const StoredRule& rule,
@@ -352,7 +336,9 @@ int RunWorker(const CliFlags& flags) {
                flags.input_qbt.c_str(), endpoint->host.c_str(),
                (*server)->port());
   if (!flags.port_file.empty()) {
-    Status status = WritePortFile(flags.port_file, (*server)->port());
+    // Atomic, so a script polling for the file never reads half a value.
+    Status status = WriteFileAtomic(flags.port_file,
+                                    StrFormat("%u\n", (*server)->port()));
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -427,7 +413,9 @@ int RunServe(const CliFlags& flags) {
                flags.host.c_str(), (*server)->port(),
                server_options.num_threads, flags.cache_mb);
   if (!flags.port_file.empty()) {
-    Status status = WritePortFile(flags.port_file, (*server)->port());
+    // Atomic, so a script polling for the file never reads half a value.
+    Status status = WriteFileAtomic(flags.port_file,
+                                    StrFormat("%u\n", (*server)->port()));
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
