@@ -43,7 +43,7 @@ SimdIsa ResolveActiveIsa() {
       return ClampToDetected(isa, "QARM_FORCE_ISA");
     }
     QARM_LOG(Warning) << "unrecognized QARM_FORCE_ISA value \"" << forced
-                      << "\" (want scalar|sse42|avx2); using CPU detection";
+                      << "\" (want scalar|avx2); using CPU detection";
   }
   return DetectCpuIsa();
 }
@@ -54,8 +54,6 @@ const char* IsaName(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return "scalar";
-    case SimdIsa::kSse42:
-      return "sse42";
     case SimdIsa::kAvx2:
       return "avx2";
   }
@@ -65,8 +63,6 @@ const char* IsaName(SimdIsa isa) {
 bool ParseIsaName(std::string_view name, SimdIsa* isa) {
   if (name == "scalar") {
     *isa = SimdIsa::kScalar;
-  } else if (name == "sse42") {
-    *isa = SimdIsa::kSse42;
   } else if (name == "avx2") {
     *isa = SimdIsa::kAvx2;
   } else {
@@ -80,11 +76,10 @@ SimdIsa DetectCpuIsa() {
   // __builtin_cpu_supports reads cpuid once and caches; AVX2 implies the
   // OS saved YMM state per the builtin's semantics.
   static const SimdIsa detected = [] {
-    // Both vector tiers also use POPCNT, which every SSE4.2-era CPU has;
-    // a CPU (or VM) hiding it gets the scalar table.
+    // The AVX2 table also uses POPCNT, which every AVX2 CPU has; a CPU (or
+    // VM) hiding it gets the scalar table.
     if (!__builtin_cpu_supports("popcnt")) return SimdIsa::kScalar;
     if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
-    if (__builtin_cpu_supports("sse4.2")) return SimdIsa::kSse42;
     return SimdIsa::kScalar;
   }();
   return detected;

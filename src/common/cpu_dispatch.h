@@ -1,12 +1,12 @@
 // Runtime CPU dispatch for the SIMD counting kernels and the CRC-32. The
-// scan and reduce hot paths come in up to three implementations — portable
-// scalar, SSE4.2, and AVX2 — and the one that runs is chosen once per
-// process from cpuid, overridable with the QARM_FORCE_ISA environment
-// variable (scalar|sse42|avx2) for A/B measurement and for running the
-// determinism suite against every kernel table. `Crc32Update`
-// (storage/crc32.h) folds with PCLMULQDQ when ActiveIsa() is at least
-// kSse42 *and* CpuHasClmul(), and runs its portable slicing-by-8 path
-// otherwise, so QARM_FORCE_ISA=scalar exercises the portable CRC too.
+// scan and reduce hot paths come in two tiers — the portable scalar
+// reference and AVX2 — and the one that runs is chosen once per process
+// from cpuid, overridable with the QARM_FORCE_ISA environment variable
+// (scalar|avx2) for A/B measurement and for running the determinism suite
+// against both kernel tables. `Crc32Update` (storage/crc32.h) folds with
+// PCLMULQDQ when ActiveIsa() is kAvx2 *and* CpuHasClmul(), and runs its
+// portable slicing-by-8 path otherwise, so QARM_FORCE_ISA=scalar exercises
+// the portable CRC too.
 //
 // Determinism contract: every ISA produces byte-identical mined rules. The
 // kernels only ever compute integer comparisons, integer sums, and
@@ -20,16 +20,16 @@
 
 namespace qarm {
 
-// Instruction sets the counting kernels are specialized for, in strictly
-// increasing capability order (a CPU supporting a level supports all lower
-// ones, which makes clamping a forced level well defined).
+// Instruction sets the counting kernels are specialized for, in increasing
+// capability order (every CPU runs kScalar, which makes clamping a forced
+// level well defined). The values are the wire encoding of a worker's isa
+// stats field; 1 is unused.
 enum class SimdIsa : int {
   kScalar = 0,
-  kSse42 = 1,
   kAvx2 = 2,
 };
 
-// Display name: "scalar", "sse42", "avx2".
+// Display name: "scalar", "avx2".
 const char* IsaName(SimdIsa isa);
 
 // Parses an ISA name (the QARM_FORCE_ISA grammar). Returns false on an
@@ -42,8 +42,7 @@ SimdIsa DetectCpuIsa();
 
 // Whether this CPU has the carry-less multiply instruction (PCLMULQDQ),
 // detected once via cpuid; always false on non-x86 builds. It is separate
-// from the SimdIsa ladder because SSE4.2 does not imply it (some SSE4.2
-// CPUs lack it) and because it gates only the CRC, not the counting
+// from the SimdIsa ladder because it gates only the CRC, not the counting
 // kernels. Never affected by overrides.
 bool CpuHasClmul();
 

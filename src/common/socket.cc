@@ -193,4 +193,35 @@ Status SendAll(int fd, const void* data, size_t size, uint64_t deadline_ms) {
   return Status::OK();
 }
 
+Status RecvUntil(int fd, std::string* buffer, const Timer& since,
+                 uint64_t deadline_ms,
+                 const std::function<bool(const std::string&)>& done) {
+  const auto timed_out = [deadline_ms] {
+    return Status::IOError(
+        StrFormat("recv timed out after %llu ms",
+                  static_cast<unsigned long long>(deadline_ms)));
+  };
+  while (!done(*buffer)) {
+    // Read after every recv() that left the message incomplete, partial
+    // ones included: a trickle of bytes does not extend the deadline.
+    if (deadline_ms != 0 &&
+        since.ElapsedMillis() >= static_cast<double>(deadline_ms)) {
+      return timed_out();
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      buffer->append(chunk, static_cast<size_t>(n));
+    } else if (n == 0) {
+      return Status::IOError("connection closed");
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return timed_out();  // the socket's receive timeout fired
+    } else if (errno != EINTR) {
+      return Status::IOError(
+          StrFormat("recv failed: %s", std::strerror(errno)));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace qarm

@@ -4,17 +4,21 @@
 // and every message send is bounded by one deadline rule. IPv4 only; a host
 // is an IPv4 literal or a name resolved through getaddrinfo ("localhost").
 //
-// Receives stay with the callers: an idle keep-alive HTTP connection is
-// closed when its receive timeout fires, while a dist transport read is
-// retried up to its frame deadline.
+// RecvUntil is SendAll's receive twin: the HTTP server reads each request
+// head, and the client each response head and body, under one deadline, so
+// a peer trickling bytes is cut off like a silent one. The dist transport's
+// reads stay with RecvFrame (dist/framing.h), which bounds a whole frame by
+// the transport's read timeout.
 #ifndef QARM_COMMON_SOCKET_H_
 #define QARM_COMMON_SOCKET_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
+#include "common/timer.h"
 
 namespace qarm {
 
@@ -50,6 +54,18 @@ void SetSocketTimeouts(int fd, uint64_t recv_timeout_ms,
 // message takes under twice its deadline. `deadline_ms` == 0 means no
 // deadline.
 Status SendAll(int fd, const void* data, size_t size, uint64_t deadline_ms);
+
+// Appends received bytes to `*buffer` until `done(*buffer)` holds (checked
+// before each recv(), so bytes already buffered may suffice). The clock is
+// read after every recv() that leaves `done` false, and once `deadline_ms`
+// has passed on `since` the receive fails with IOError "timed out"; a
+// recv() that hits the socket's receive timeout fails the same way. Callers
+// set that timeout to at most `deadline_ms`, so a receive takes under twice
+// its deadline however the peer trickles. A peer that closes first is
+// IOError "connection closed". `deadline_ms` == 0 means no deadline.
+Status RecvUntil(int fd, std::string* buffer, const Timer& since,
+                 uint64_t deadline_ms,
+                 const std::function<bool(const std::string&)>& done);
 
 }  // namespace qarm
 

@@ -80,15 +80,11 @@ void FlatIndexScalar(int32_t* idx, const int32_t* const* cols,
   }
 }
 
-void AddU32Scalar(uint32_t* dst, const uint32_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
 #if QARM_X86_KERNELS
 
-// The scalar loop compiled for the POPCNT instruction (both vector tiers'
-// CPUs have it): without it __builtin_popcountll is a libgcc call, and the
-// scan popcounts one mask per super-candidate per block.
+// The scalar loop compiled for the POPCNT instruction (every AVX2 CPU has
+// it): without it __builtin_popcountll is a libgcc call, and the scan
+// popcounts one mask per super-candidate per block.
 __attribute__((target("popcnt"))) uint64_t PopcountHw(const uint64_t* mask,
                                                       size_t n) {
   uint64_t total = 0;
@@ -96,96 +92,6 @@ __attribute__((target("popcnt"))) uint64_t PopcountHw(const uint64_t* mask,
     total += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
   }
   return total;
-}
-
-// --- SSE4.2: 4 lanes, 16 compare steps per 64-row mask word. ----------------
-
-__attribute__((target("sse4.2"))) void AndEqSse42(uint64_t* mask,
-                                                  const int32_t* col, size_t n,
-                                                  int32_t value) {
-  const __m128i v = _mm_set1_epi32(value);
-  const size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) {
-    if (mask[w] == 0) continue;
-    const int32_t* p = col + w * 64;
-    uint64_t bits = 0;
-    for (size_t j = 0; j < 16; ++j) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + j * 4));
-      const uint32_t m = static_cast<uint32_t>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(x, v))));
-      bits |= static_cast<uint64_t>(m) << (4 * j);
-    }
-    mask[w] &= bits;
-  }
-  if (n % 64 != 0) {
-    uint64_t bits = 0;
-    for (size_t j = 0; j < n % 64; ++j) {
-      bits |= static_cast<uint64_t>(col[full * 64 + j] == value) << j;
-    }
-    mask[full] &= bits;
-  }
-}
-
-__attribute__((target("sse4.2"))) void AndNeqSse42(uint64_t* mask,
-                                                   const int32_t* col,
-                                                   size_t n, int32_t value) {
-  const __m128i v = _mm_set1_epi32(value);
-  const size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) {
-    if (mask[w] == 0) continue;
-    const int32_t* p = col + w * 64;
-    uint64_t bits = 0;
-    for (size_t j = 0; j < 16; ++j) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + j * 4));
-      const uint32_t m = static_cast<uint32_t>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(x, v))) ^ 0xF);
-      bits |= static_cast<uint64_t>(m) << (4 * j);
-    }
-    mask[w] &= bits;
-  }
-  if (n % 64 != 0) {
-    uint64_t bits = 0;
-    for (size_t j = 0; j < n % 64; ++j) {
-      bits |= static_cast<uint64_t>(col[full * 64 + j] != value) << j;
-    }
-    mask[full] &= bits;
-  }
-}
-
-__attribute__((target("sse4.2"))) void AndRangeSse42(uint64_t* mask,
-                                                     const int32_t* col,
-                                                     size_t n, int32_t lo,
-                                                     int32_t hi) {
-  const __m128i vlo = _mm_set1_epi32(lo);
-  const __m128i vhi = _mm_set1_epi32(hi);
-  const size_t full = n / 64;
-  for (size_t w = 0; w < full; ++w) {
-    if (mask[w] == 0) continue;
-    const int32_t* p = col + w * 64;
-    uint64_t bits = 0;
-    for (size_t j = 0; j < 16; ++j) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + j * 4));
-      // Out of range iff lo > x or x > hi (signed compares; missing = -1
-      // falls below any lo >= 0 automatically).
-      const __m128i out =
-          _mm_or_si128(_mm_cmpgt_epi32(vlo, x), _mm_cmpgt_epi32(x, vhi));
-      const uint32_t m = static_cast<uint32_t>(
-          _mm_movemask_ps(_mm_castsi128_ps(out)) ^ 0xF);
-      bits |= static_cast<uint64_t>(m) << (4 * j);
-    }
-    mask[w] &= bits;
-  }
-  if (n % 64 != 0) {
-    uint64_t bits = 0;
-    for (size_t j = 0; j < n % 64; ++j) {
-      const int32_t v = col[full * 64 + j];
-      bits |= static_cast<uint64_t>(lo <= v && v <= hi) << j;
-    }
-    mask[full] &= bits;
-  }
 }
 
 // --- AVX2: 8 lanes, 8 compare steps per 64-row mask word. -------------------
@@ -302,36 +208,17 @@ __attribute__((target("avx2"))) void FlatIndexAvx2(int32_t* idx,
   }
 }
 
-__attribute__((target("avx2"))) void AddU32Avx2(uint32_t* dst,
-                                                const uint32_t* src,
-                                                size_t n) {
-  const size_t vec = n / 8 * 8;
-  for (size_t i = 0; i < vec; i += 8) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_add_epi32(a, b));
-  }
-  for (size_t i = vec; i < n; ++i) dst[i] += src[i];
-}
-
 #endif  // QARM_X86_KERNELS
 
 constexpr CountKernels kScalarKernels = {
-    SimdIsa::kScalar, FillOnesScalar, AndEqScalar,     AndNeqScalar,
-    AndRangeScalar,   PopcountScalar, FlatIndexScalar, AddU32Scalar,
+    SimdIsa::kScalar, FillOnesScalar, AndEqScalar,    AndNeqScalar,
+    AndRangeScalar,   PopcountScalar, FlatIndexScalar,
 };
 
 #if QARM_X86_KERNELS
-constexpr CountKernels kSse42Kernels = {
-    SimdIsa::kSse42, FillOnesScalar, AndEqSse42,      AndNeqSse42,
-    AndRangeSse42,   PopcountHw,     FlatIndexScalar, AddU32Scalar,
-};
 constexpr CountKernels kAvx2Kernels = {
     SimdIsa::kAvx2, FillOnesScalar, AndEqAvx2,     AndNeqAvx2,
-    AndRangeAvx2,   PopcountHw,     FlatIndexAvx2, AddU32Avx2,
+    AndRangeAvx2,   PopcountHw,     FlatIndexAvx2,
 };
 #endif
 
@@ -341,16 +228,8 @@ const CountKernels& CountKernels::ForIsa(SimdIsa isa) {
 #if QARM_X86_KERNELS
   // Clamp to the CPU so a table is never dispatched above what the machine
   // can execute (ParseIsaName callers already clamp, but belt-and-braces).
-  if (static_cast<int>(isa) > static_cast<int>(DetectCpuIsa())) {
-    isa = DetectCpuIsa();
-  }
-  switch (isa) {
-    case SimdIsa::kAvx2:
-      return kAvx2Kernels;
-    case SimdIsa::kSse42:
-      return kSse42Kernels;
-    case SimdIsa::kScalar:
-      break;
+  if (isa == SimdIsa::kAvx2 && DetectCpuIsa() == SimdIsa::kAvx2) {
+    return kAvx2Kernels;
   }
 #else
   (void)isa;

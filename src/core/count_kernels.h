@@ -9,10 +9,12 @@
 // zero; every other operation only ever clears bits, so the invariant is
 // preserved and `popcount` never over-counts the tail.
 //
-// All operations are exact integer compares/sums, so every ISA variant
-// produces bit-identical results; the dispatch (common/cpu_dispatch.h)
+// All operations are exact integer compares/sums, so both ISA tiers
+// produce bit-identical results; the dispatch (common/cpu_dispatch.h)
 // merely picks how fast they run. The scalar variants are the reference
-// the SSE4.2/AVX2 ones are tested against.
+// the AVX2 ones are tested against. The reduce step's counter-shard add is
+// not here: it is index/ndim_array.h's AddU32Span, which the grids' own
+// reduce and prefix sums share.
 #ifndef QARM_CORE_COUNT_KERNELS_H_
 #define QARM_CORE_COUNT_KERNELS_H_
 
@@ -51,8 +53,6 @@ struct CountKernels {
   // construction.
   void (*flat_index)(int32_t* idx, const int32_t* const* cols,
                      const int32_t* strides, size_t dims, size_t n);
-  // dst[i] += src[i] (counter-shard reduction).
-  void (*add_u32)(uint32_t* dst, const uint32_t* src, size_t n);
 
   // Kernels of the given ISA (clamped to what this binary/CPU supports).
   static const CountKernels& ForIsa(SimdIsa isa);

@@ -542,7 +542,7 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
         const size_t len = sc.tree_counts.size();
         for (size_t step = 1; step < num_workers; step *= 2) {
           for (size_t i = 0; i + step < num_workers; i += 2 * step) {
-            kern.add_u32(shard(i), shard(i + step), len);
+            AddU32Span(shard(i), shard(i + step), len);
           }
         }
       } else if (sc.array != nullptr) {

@@ -17,9 +17,6 @@
 namespace qarm {
 namespace {
 
-// The reduction/prefix building block: dst[i] += src[i]. `dst` and `src`
-// must not overlap within 8 elements when the vector path runs (callers
-// guarantee a distance of at least 8 or use the scalar path).
 void AddSpanScalar(uint32_t* dst, const uint32_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
@@ -147,7 +144,9 @@ __attribute__((target("avx2"))) void CountRects2dAvx2(
 }
 #endif  // QARM_NDIM_AVX2
 
-void AddSpan(uint32_t* dst, const uint32_t* src, size_t n) {
+}  // namespace
+
+void AddU32Span(uint32_t* dst, const uint32_t* src, size_t n) {
 #if QARM_NDIM_AVX2
   if (ActiveIsa() == SimdIsa::kAvx2) {
     AddSpanAvx2(dst, src, n);
@@ -156,8 +155,6 @@ void AddSpan(uint32_t* dst, const uint32_t* src, size_t n) {
 #endif
   AddSpanScalar(dst, src, n);
 }
-
-}  // namespace
 
 NDimArray::NDimArray(std::vector<int32_t> dim_sizes)
     : dim_sizes_(std::move(dim_sizes)) {
@@ -202,7 +199,7 @@ void NDimArray::Increment(const int32_t* point) {
 void NDimArray::AddFrom(const NDimArray& other) {
   QARM_CHECK(!prefix_built_ && !other.prefix_built_);
   QARM_CHECK(dim_sizes_ == other.dim_sizes_);
-  AddSpan(cells_.data(), other.cells_.data(), cells_.size());
+  AddU32Span(cells_.data(), other.cells_.data(), cells_.size());
 }
 
 uint64_t NDimArray::CellAt(const int32_t* point) const {
@@ -225,7 +222,7 @@ void NDimArray::BuildPrefixSums() {
       for (uint64_t base = 0; base < total; base += stride * dim) {
         for (uint64_t k = 1; k < dim; ++k) {
           uint32_t* dst = cells_.data() + base + k * stride;
-          AddSpan(dst, dst - stride, static_cast<size_t>(stride));
+          AddU32Span(dst, dst - stride, static_cast<size_t>(stride));
         }
       }
       continue;

@@ -35,6 +35,13 @@ struct IntRect {
   }
 };
 
+// dst[i] += src[i] for i in [0, n): the reduction and prefix-sum building
+// block, shared by NDimArray and the tree-count shard reduce in
+// core/support_counting.cc. A scalar and an AVX2 body, chosen per call by
+// ActiveIsa(); both are exact. `dst` and `src` must not overlap within 8
+// elements (callers keep them at least 8 apart).
+void AddU32Span(uint32_t* dst, const uint32_t* src, size_t n);
+
 // Dense counting grid over the cross product of the dimension sizes.
 class NDimArray {
  public:

@@ -1,11 +1,9 @@
 #include "serve/http_client.h"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstring>
 
 #include "common/socket.h"
@@ -51,18 +49,14 @@ Result<HttpResponse> HttpClient::Get(const std::string& target) {
   QARM_RETURN_NOT_OK(
       SendAll(fd_, request.data(), request.size(), timeout_ms_));
 
-  // Read the response head.
-  size_t head_end;
-  while ((head_end = buffer_.find("\r\n\r\n")) == std::string::npos) {
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      return Status::IOError(n == 0 ? "connection closed mid-response"
-                                    : std::string("recv: ") +
-                                          std::strerror(errno));
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
+  // Read the response head, then the body, under one deadline.
+  const Timer receiving;
+  size_t head_end = std::string::npos;
+  QARM_RETURN_NOT_OK(RecvUntil(fd_, &buffer_, receiving, timeout_ms_,
+                               [&head_end](const std::string& bytes) {
+                                 head_end = bytes.find("\r\n\r\n");
+                                 return head_end != std::string::npos;
+                               }));
   const std::string head = buffer_.substr(0, head_end);
   buffer_.erase(0, head_end + 4);
 
@@ -94,16 +88,10 @@ Result<HttpResponse> HttpClient::Get(const std::string& target) {
   if (content_length == std::string::npos) {
     return Status::IOError("response without Content-Length");
   }
-  while (buffer_.size() < content_length) {
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      return Status::IOError(n == 0 ? "connection closed mid-body"
-                                    : std::string("recv: ") +
-                                          std::strerror(errno));
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
-  }
+  QARM_RETURN_NOT_OK(RecvUntil(fd_, &buffer_, receiving, timeout_ms_,
+                               [content_length](const std::string& bytes) {
+                                 return bytes.size() >= content_length;
+                               }));
   response.body = buffer_.substr(0, content_length);
   buffer_.erase(0, content_length);
   return response;

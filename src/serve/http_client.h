@@ -19,7 +19,7 @@ namespace qarm {
 class HttpClient {
  public:
   // `host` is an IPv4 literal or a host name ("localhost"). `timeout_ms`
-  // bounds the connect, each receive and each request's send.
+  // bounds the connect, each request's send and each response's receive.
   static Result<std::unique_ptr<HttpClient>> Connect(
       const std::string& host, uint16_t port, int timeout_ms = 5000);
 

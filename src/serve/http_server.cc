@@ -157,23 +157,27 @@ void HttpServer::AcceptLoop() {
 void HttpServer::ServeConnection(int fd) {
   std::string buffer;
   while (!stop_.load(std::memory_order_acquire)) {
-    // Accumulate until the end of the request head.
-    size_t head_end = buffer.find("\r\n\r\n");
-    while (head_end == std::string::npos) {
-      if (buffer.size() > options_.max_request_bytes) {
-        HttpResponse too_big;
-        too_big.status = 413;
-        too_big.body = "{\"error\":\"request too large\"}";
-        const std::string payload = EncodeResponse(
-            too_big, /*keep_alive=*/false, /*with_body=*/true);
-        SendAll(fd, payload.data(), payload.size(), options_.send_deadline_ms);
-        return;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return;  // closed, timed out, or errored
-      buffer.append(chunk, static_cast<size_t>(n));
-      head_end = buffer.find("\r\n\r\n");
+    // Accumulate until the end of the request head, under one deadline from
+    // when the wait for it begins: an idle keep-alive connection and a
+    // client trickling its head are both closed once it passes.
+    size_t head_end = std::string::npos;
+    const Timer waiting;
+    const Status received = RecvUntil(
+        fd, &buffer, waiting, static_cast<uint64_t>(options_.recv_timeout_ms),
+        [&](const std::string& bytes) {
+          head_end = bytes.find("\r\n\r\n");
+          return head_end != std::string::npos ||
+                 bytes.size() > options_.max_request_bytes;
+        });
+    if (!received.ok()) return;  // closed, timed out, or errored
+    if (head_end == std::string::npos) {
+      HttpResponse too_big;
+      too_big.status = 413;
+      too_big.body = "{\"error\":\"request too large\"}";
+      const std::string payload = EncodeResponse(
+          too_big, /*keep_alive=*/false, /*with_body=*/true);
+      SendAll(fd, payload.data(), payload.size(), options_.send_deadline_ms);
+      return;
     }
     const std::string head = buffer.substr(0, head_end);
     buffer.erase(0, head_end + 4);

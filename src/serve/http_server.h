@@ -50,7 +50,11 @@ struct HttpServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; bound port via HttpServer::port()
   size_t num_threads = 4;
   size_t max_request_bytes = 64 * 1024;
-  int recv_timeout_ms = 5000;  // per-connection read timeout (keep-alive)
+  // Wall clock a request head may take to arrive, from when the server
+  // starts waiting for it (RecvUntil's deadline, also the socket's receive
+  // timeout). An idle keep-alive connection closes after it, and a client
+  // trickling its head is cut off at it.
+  int recv_timeout_ms = 5000;
   // Wall clock one response may take to send (SendAll's deadline, also the
   // socket's send timeout). A reader that stalls or trickles past it is cut
   // off and its connection closed without reuse, so one response holds a

@@ -97,8 +97,8 @@ void AppendPreamble(const FileFormat& format, std::string* out) {
   QbtAppendU32(out, format.version);
 }
 
-Result<uint32_t> CheckPreamble(const FileFormat& format, const uint8_t* data,
-                               size_t size) {
+Status CheckPreamble(const FileFormat& format, const uint8_t* data,
+                     size_t size) {
   if (size < kPreambleSize) {
     return Status::InvalidArgument(StrFormat("%s too small: %zu bytes",
                                                 format.name, size));
@@ -114,12 +114,12 @@ Result<uint32_t> CheckPreamble(const FileFormat& format, const uint8_t* data,
                   format.name, endian));
   }
   const uint32_t version = QbtReadU32(data + 8);
-  if (version < format.min_version || version > format.version) {
+  if (version != format.version) {
     return Status::InvalidArgument(
-        StrFormat("unsupported %s version %u (reader supports %u through %u)",
-                  format.name, version, format.min_version, format.version));
+        StrFormat("unsupported %s version %u (reader supports %u)",
+                  format.name, version, format.version));
   }
-  return version;
+  return Status::OK();
 }
 
 std::string EncodeEnvelope(const FileFormat& format, uint32_t header_word,
@@ -147,7 +147,7 @@ Result<Envelope> ParseEnvelope(const FileFormat& format, const uint8_t* data,
                                                 format.name, size));
   }
   Envelope envelope;
-  QARM_ASSIGN_OR_RETURN(envelope.version, CheckPreamble(format, data, size));
+  QARM_RETURN_NOT_OK(CheckPreamble(format, data, size));
   envelope.header_word = QbtReadU32(data + kPreambleSize);
   const uint64_t payload_size = QbtReadU64(data + kPreambleSize + 4);
   if (payload_size != size - header_size - kEnvelopeTailSize) {

@@ -96,8 +96,7 @@ struct FileFormat {
   const char* name;       // names the file in errors: "checkpoint"
   const char* magic;      // 4 bytes
   const char* end_magic;  // 4 bytes closing a CRC envelope (null for QBT)
-  uint32_t min_version;   // oldest version the reader accepts
-  uint32_t version;       // the version writers emit, newest accepted
+  uint32_t version;       // the one version writers emit and readers accept
   // Bytes of format-specific header between the envelope's payload size
   // and its payload (QRS: the u64 record count).
   size_t extra_header_bytes;
@@ -107,10 +106,10 @@ inline constexpr size_t kPreambleSize = 4 + 4 + 4;
 
 void AppendPreamble(const FileFormat& format, std::string* out);
 
-// Checks the magic, endian marker and version range of `data`; returns the
-// version. A malformed preamble is InvalidArgument.
-Result<uint32_t> CheckPreamble(const FileFormat& format, const uint8_t* data,
-                               size_t size);
+// Checks the magic, endian marker and version of `data`. A malformed
+// preamble, or any version but format.version, is InvalidArgument.
+Status CheckPreamble(const FileFormat& format, const uint8_t* data,
+                     size_t size);
 
 // The CRC envelope of QCP and QRS files:
 //
@@ -132,7 +131,6 @@ std::string EncodeEnvelope(const FileFormat& format, uint32_t header_word,
                            const std::string& payload);
 
 struct Envelope {
-  uint32_t version = 0;
   uint32_t header_word = 0;
   const uint8_t* extra_header = nullptr;  // format.extra_header_bytes
   const uint8_t* payload = nullptr;

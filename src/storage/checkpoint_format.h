@@ -10,9 +10,8 @@
 // core dependencies; src/core/mining_checkpoint.{h,cc} converts to and from
 // the miner's structures.
 //
-// Layout (version 2, all integers little-endian via the QBT helpers;
-// version-1 files parse too — every version-2 field below marked [v2]
-// simply defaults to zero/absent):
+// Layout (version 2, the only version the reader accepts; all integers
+// little-endian via the QBT helpers):
 //
 //   Header (24 bytes)
 //     [0]  u8[4]  magic "QCP1"
@@ -27,15 +26,15 @@
 //                            a mismatch means the checkpoint is stale
 //     u64 num_rows
 //     u32 num_attributes
-//     u32 flags                  [v2] bit 0: the run COMPLETED (the file is
+//     u32 flags                  bit 0: the run COMPLETED (the file is
 //                                an incremental-mining base, not resume
 //                                progress)
-//     u64 options_fingerprint    [v2] fingerprint of the output-affecting
+//     u64 options_fingerprint    fingerprint of the output-affecting
 //                                options + attribute schema, EXCLUDING the
 //                                row count — decides whether a completed
 //                                base is reusable after the file grew
-//     u64 base_num_blocks        [v2] QBT blocks covered by this state
-//     u32 base_index_crc         [v2] CRC-32 of those blocks' index entries
+//     u64 base_num_blocks        QBT blocks covered by this state
+//     u32 base_index_crc         CRC-32 of those blocks' index entries
 //                                (QbtReader::IndexPrefixCrc)
 //     -- catalog --
 //     u64 num_records
@@ -50,7 +49,7 @@
 //       per pass: u32 k, u64 num_candidates, u64 num_frequent,
 //                 i32 * (k * num_frequent) item ids,
 //                 u64 * num_frequent supports,
-//                 [v2] u64 num_candidate_counts (0 = absent, else ==
+//                 u64 num_candidate_counts (0 = absent, else ==
 //                 num_candidates), u32 * num_candidate_counts — the FULL
 //                 per-candidate counts in generation order, which is what
 //                 lets an incremental run add delta counts positionally
@@ -85,9 +84,6 @@ namespace qarm {
 inline constexpr char kCheckpointMagic[4] = {'Q', 'C', 'P', '1'};
 inline constexpr char kCheckpointEndMagic[4] = {'Q', 'C', 'P', 'E'};
 inline constexpr uint32_t kCheckpointVersion = 2;
-// Oldest version the parser still accepts (v1 files lack the incremental
-// base fields and candidate counts; they parse with those defaulted).
-inline constexpr uint32_t kCheckpointMinVersion = 1;
 
 // CheckpointState::flags bit: the run this state describes ran to
 // completion — the state is a reusable incremental-mining base rather than
@@ -96,8 +92,8 @@ inline constexpr uint32_t kCheckpointFlagComplete = 1u;
 inline constexpr size_t kCheckpointHeaderSize = kEnvelopeHeaderSize;
 inline constexpr size_t kCheckpointTailSize = kEnvelopeTailSize;
 inline constexpr FileFormat kCheckpointFormat = {
-    "checkpoint",          kCheckpointMagic,   kCheckpointEndMagic,
-    kCheckpointMinVersion, kCheckpointVersion, 0};
+    "checkpoint", kCheckpointMagic, kCheckpointEndMagic, kCheckpointVersion,
+    0};
 
 // The item catalog's serialized state (see core/frequent_items.h).
 struct CheckpointCatalog {
@@ -126,15 +122,15 @@ struct CheckpointState {
   uint64_t fingerprint = 0;
   uint64_t num_rows = 0;
   uint32_t num_attributes = 0;
-  // kCheckpointFlag* bits (version >= 2; zero in v1 files).
+  // kCheckpointFlag* bits.
   uint32_t flags = 0;
-  // Row-count-independent run identity (version >= 2): the same options
-  // and attribute schema over a grown file keep this fingerprint, while
-  // `fingerprint` (which mixes the row count) changes.
+  // Row-count-independent run identity: the same options and attribute
+  // schema over a grown file keep this fingerprint, while `fingerprint`
+  // (which mixes the row count) changes.
   uint64_t options_fingerprint = 0;
   // The QBT block range this state covers and the CRC of those blocks'
-  // index entries (version >= 2): an incremental run re-validates that the
-  // base blocks are byte-identical before adding delta counts on top.
+  // index entries: an incremental run re-validates that the base blocks
+  // are byte-identical before adding delta counts on top.
   uint64_t base_num_blocks = 0;
   uint32_t base_index_crc = 0;
   CheckpointCatalog catalog;

@@ -36,19 +36,17 @@ Status ParseCatalogSection(ByteReader* reader, CheckpointCatalog* catalog) {
   return ParseValueCounts(reader, &catalog->value_counts);
 }
 
-Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
+Status ParsePayload(const uint8_t* data, size_t size,
                     CheckpointState* state) {
   ByteReader reader(data, size, "checkpoint payload",
                     StatusCode::kInvalidArgument);
   QARM_RETURN_NOT_OK(reader.ReadU64(&state->fingerprint));
   QARM_RETURN_NOT_OK(reader.ReadU64(&state->num_rows));
   QARM_RETURN_NOT_OK(reader.ReadU32(&state->num_attributes));
-  if (version >= 2) {
-    QARM_RETURN_NOT_OK(reader.ReadU32(&state->flags));
-    QARM_RETURN_NOT_OK(reader.ReadU64(&state->options_fingerprint));
-    QARM_RETURN_NOT_OK(reader.ReadU64(&state->base_num_blocks));
-    QARM_RETURN_NOT_OK(reader.ReadU32(&state->base_index_crc));
-  }
+  QARM_RETURN_NOT_OK(reader.ReadU32(&state->flags));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&state->options_fingerprint));
+  QARM_RETURN_NOT_OK(reader.ReadU64(&state->base_num_blocks));
+  QARM_RETURN_NOT_OK(reader.ReadU32(&state->base_index_crc));
 
   CheckpointCatalog& catalog = state->catalog;
   QARM_RETURN_NOT_OK(ParseCatalogSection(&reader, &catalog));
@@ -76,18 +74,15 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
     QARM_RETURN_NOT_OK(
         reader.ReadI32Array(num_frequent * pass.k, &pass.itemsets));
     QARM_RETURN_NOT_OK(reader.ReadU64Array(num_frequent, &pass.counts));
-    if (version >= 2) {
-      uint64_t num_candidate_counts = 0;
-      QARM_RETURN_NOT_OK(reader.ReadU64(&num_candidate_counts));
-      if (num_candidate_counts != 0 &&
-          num_candidate_counts != pass.num_candidates) {
-        return Status::InvalidArgument(
-            "checkpoint pass candidate counts do not match the candidate "
-            "count");
-      }
-      QARM_RETURN_NOT_OK(
-          reader.ReadU32Array(num_candidate_counts, &pass.candidate_counts));
+    uint64_t num_candidate_counts = 0;
+    QARM_RETURN_NOT_OK(reader.ReadU64(&num_candidate_counts));
+    if (num_candidate_counts != 0 &&
+        num_candidate_counts != pass.num_candidates) {
+      return Status::InvalidArgument(
+          "checkpoint pass candidate counts do not match the candidate count");
     }
+    QARM_RETURN_NOT_OK(
+        reader.ReadU32Array(num_candidate_counts, &pass.candidate_counts));
   }
   return reader.ExpectEnd();
 }
@@ -136,8 +131,8 @@ Result<CheckpointState> ParseCheckpoint(const uint8_t* data, size_t size) {
   QARM_ASSIGN_OR_RETURN(Envelope envelope,
                         ParseEnvelope(kCheckpointFormat, data, size));
   CheckpointState state;
-  QARM_RETURN_NOT_OK(ParsePayload(envelope.payload, envelope.payload_size,
-                                  envelope.version, &state));
+  QARM_RETURN_NOT_OK(
+      ParsePayload(envelope.payload, envelope.payload_size, &state));
   return state;
 }
 

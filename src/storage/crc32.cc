@@ -140,8 +140,7 @@ __attribute__((target("pclmul,sse4.1"))) uint32_t Crc32Clmul(uint32_t crc,
 // Read per call so QARM_FORCE_ISA and SetIsaForTest select the portable
 // path like they select the scalar counting kernels.
 bool UseClmul() {
-  return static_cast<int>(ActiveIsa()) >= static_cast<int>(SimdIsa::kSse42) &&
-         CpuHasClmul();
+  return ActiveIsa() == SimdIsa::kAvx2 && CpuHasClmul();
 }
 
 #endif  // QARM_X86_CRC

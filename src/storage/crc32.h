@@ -3,7 +3,7 @@
 // frame and the QCP/QRS envelopes, so it reads every byte of every scan.
 // Two implementations of the one polynomial, dependency-free by design:
 //   - a PCLMULQDQ fold (64 bytes per step, then a Barrett reduction), used
-//     for inputs of 64 bytes or more when ActiveIsa() is at least kSse42 and
+//     for inputs of 64 bytes or more when ActiveIsa() is kAvx2 and
 //     CpuHasClmul() (common/cpu_dispatch.h);
 //   - a portable slicing-by-8 table path, used otherwise and for the last
 //     size % 16 bytes after the fold. QARM_FORCE_ISA=scalar selects it.

@@ -125,15 +125,6 @@ FaultInjectingRecordSource::FaultInjectingRecordSource(
   config_.kinds = StorageFaultKinds(config_.kinds);
 }
 
-FaultInjectingRecordSource::FaultInjectingRecordSource(
-    std::unique_ptr<RecordSource> inner, const FaultInjectionConfig& config)
-    : inner_(inner.get()),
-      owned_(std::move(inner)),
-      config_(config),
-      block_failures_(new std::atomic<uint64_t>[inner_->num_blocks()]()) {
-  config_.kinds = StorageFaultKinds(config_.kinds);
-}
-
 bool FaultInjectingRecordSource::BlockIsFaulted(size_t b) const {
   const uint64_t bits =
       SplitMix64(config_.seed ^ kFaultStream ^

@@ -10,10 +10,9 @@
 // (the read error escapes to the miner, like a crash mid-pass).
 //
 // The decorator retries its own injected failures with a RetryPolicy, the
-// way a block-device driver retries below the filesystem: the inner
-// QbtFileSource's retry loop sits underneath the injection point and never
-// sees these faults. Recovered faults are invisible to the mining output;
-// only ScanIoStats records them.
+// way a block-device driver retries below the filesystem; the inner source
+// never sees these faults. Recovered faults are invisible to the mining
+// output; only ScanIoStats records them.
 //
 // Spec grammar (CLI `--inject-faults=SPEC` and tests), comma-separated
 // key=value pairs, all optional:
@@ -113,9 +112,6 @@ class FaultInjectingRecordSource : public RecordSource {
   // Non-owning: `inner` must outlive this source.
   FaultInjectingRecordSource(const RecordSource& inner,
                              const FaultInjectionConfig& config);
-  // Owning variant for call sites that hand over the inner source.
-  FaultInjectingRecordSource(std::unique_ptr<RecordSource> inner,
-                             const FaultInjectionConfig& config);
 
   const std::vector<MappedAttribute>& attributes() const override {
     return inner_->attributes();
@@ -138,7 +134,6 @@ class FaultInjectingRecordSource : public RecordSource {
   Status InjectOrRead(size_t b, BlockView* view) const;
 
   const RecordSource* inner_;
-  std::unique_ptr<RecordSource> owned_;
   FaultInjectionConfig config_;
   // Per-block failed-attempt counters; atomics because scans read blocks
   // from many workers at once.

@@ -46,10 +46,4 @@ MmapFile::~MmapFile() {
   }
 }
 
-void MmapFile::AdviseSequential() {
-  if (data_ != nullptr) {
-    ::madvise(const_cast<uint8_t*>(data_), size_, MADV_SEQUENTIAL);
-  }
-}
-
 }  // namespace qarm

@@ -27,10 +27,6 @@ class MmapFile {
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
 
-  // Hints the kernel that access will be sequential (readahead-friendly);
-  // best-effort, ignored on failure.
-  void AdviseSequential();
-
  private:
   MmapFile(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 

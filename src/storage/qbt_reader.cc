@@ -60,8 +60,8 @@ Status QbtReader::Parse(const std::string& path, const uint8_t* data,
   if (size < kQbtHeaderSize + kQbtTailSize) {
     return Corrupt(path, StrFormat("file is only %zu bytes", size));
   }
-  const Result<uint32_t> version = CheckPreamble(kQbtFormat, data, size);
-  if (!version.ok()) return Corrupt(path, version.status().message());
+  const Status preamble = CheckPreamble(kQbtFormat, data, size);
+  if (!preamble.ok()) return Corrupt(path, preamble.message());
   rows_per_block_ = QbtReadU32(data + 12);
   num_rows_ = QbtReadU64(data + 16);
   const uint32_t num_attrs = QbtReadU32(data + 24);

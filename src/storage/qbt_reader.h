@@ -22,7 +22,7 @@ namespace qarm {
 
 // QBT's preamble (qbt_format.h has the full layout).
 inline constexpr FileFormat kQbtFormat = {
-    "QBT file", kQbtMagic, /*end_magic=*/nullptr, kQbtVersion, kQbtVersion,
+    "QBT file", kQbtMagic, /*end_magic=*/nullptr, kQbtVersion,
     /*extra_header_bytes=*/0};
 
 class QbtReader {

@@ -52,12 +52,7 @@ Status QbtFileSource::ReadBlock(size_t b, BlockView* view) const {
   view->row_begin_ = static_cast<size_t>(reader_->block_row_begin(b));
   view->num_rows_ = reader_->block_rows(b);
   const auto start = std::chrono::steady_clock::now();
-  uint64_t retries = 0;
-  const Status read_status = RetryWithBackoff(
-      retry_policy_, /*key=*/static_cast<uint64_t>(b), &retries,
-      [&]() { return reader_->ReadBlockColumns(b, &view->columns_); });
-  read_retries_.fetch_add(retries, std::memory_order_relaxed);
-  QARM_RETURN_NOT_OK(read_status);
+  QARM_RETURN_NOT_OK(reader_->ReadBlockColumns(b, &view->columns_));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   blocks_read_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(reader_->block_bytes(b), std::memory_order_relaxed);
@@ -85,7 +80,6 @@ ScanIoStats QbtFileSource::io_stats() const {
   stats.checksum_seconds =
       static_cast<double>(checksum_nanos_.load(std::memory_order_relaxed)) *
       1e-9;
-  stats.read_retries = read_retries_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "partition/mapped_table.h"
 #include "storage/qbt_reader.h"
@@ -39,7 +38,7 @@ struct ScanIoStats {
   uint64_t blocks_read = 0;
   uint64_t bytes_read = 0;         // bytes mapped & checksummed
   double checksum_seconds = 0.0;   // wall time spent validating CRCs
-  uint64_t read_retries = 0;       // block reads retried after a failure
+  uint64_t read_retries = 0;       // injected-fault retries
   uint64_t faults_injected = 0;    // injected faults (fault_injection.h)
 
   // JSON, wire, += and - (storage/stats_fields.h).
@@ -136,6 +135,8 @@ class MappedTableSource : public RecordSource {
 };
 
 // Streaming blocks over an mmap'd QBT file, with per-read CRC validation.
+// A CRC mismatch is returned at once: the mapped bytes of a written block
+// never change (appends only add blocks), so a retry would fail again.
 class QbtFileSource : public RecordSource {
  public:
   static Result<std::unique_ptr<QbtFileSource>> Open(const std::string& path);
@@ -156,28 +157,16 @@ class QbtFileSource : public RecordSource {
 
   const QbtReader& reader() const { return *reader_; }
 
-  // Policy for retrying failed block reads (transient device errors). The
-  // default allows two retries with a short backoff; a policy with
-  // max_attempts == 1 restores fail-fast behavior. A persistent failure
-  // (e.g. real on-disk corruption) still surfaces the final read's Status
-  // verbatim.
-  void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
-
  private:
   explicit QbtFileSource(std::unique_ptr<QbtReader> reader)
       : reader_(std::move(reader)) {}
 
   std::unique_ptr<QbtReader> reader_;
-  RetryPolicy retry_policy_{/*max_attempts=*/3, /*initial_backoff_ms=*/0.5,
-                            /*backoff_multiplier=*/2.0,
-                            /*max_backoff_ms=*/10.0};
   // Relaxed: the counters are statistics, not synchronization; scans read
   // them only before and after a pass (pool joins order those reads).
   mutable std::atomic<uint64_t> blocks_read_{0};
   mutable std::atomic<uint64_t> bytes_read_{0};
   mutable std::atomic<uint64_t> checksum_nanos_{0};
-  mutable std::atomic<uint64_t> read_retries_{0};
 };
 
 // A contiguous sub-range of another source's blocks, presented as a

@@ -70,7 +70,7 @@ inline constexpr size_t kQrsTailSize = kEnvelopeTailSize;
 // The envelope's header word is num_attributes; its extra header is
 // num_records.
 inline constexpr FileFormat kQrsFormat = {
-    "rule set", kQrsMagic, kQrsEndMagic, kQrsVersion, kQrsVersion, 8};
+    "rule set", kQrsMagic, kQrsEndMagic, kQrsVersion, 8};
 // Encoded bytes of one item: i32 attr + i32 lo + i32 hi.
 inline constexpr size_t kQrsItemBytes = 3 * 4;
 // Minimum encoded bytes of one rule: the four flag bytes, one item per

@@ -62,8 +62,9 @@ std::string StatsJson(const T& value) {
 }
 
 // The wire carries u64 integers, f64 doubles and SimdIsa as u32. A peer's
-// stats end up in reports, so the reader rejects an isa above the ladder's
-// top (kAvx2) and a non-finite double, with an IOError naming the field.
+// stats end up in reports, so the reader rejects an isa that is not a
+// SimdIsa value (0 or 2) and a non-finite double, with an IOError naming the
+// field.
 inline void AppendStatsWire(uint64_t v, std::string* out) {
   QbtAppendU64(out, v);
 }
@@ -90,7 +91,8 @@ inline Status ReadStatsWire(ByteReader* reader, const char* name, double* v) {
 inline Status ReadStatsWire(ByteReader* reader, const char* name, SimdIsa* v) {
   uint32_t isa = 0;
   QARM_RETURN_NOT_OK(reader->ReadU32(&isa));
-  if (isa > static_cast<uint32_t>(SimdIsa::kAvx2)) {
+  if (isa != static_cast<uint32_t>(SimdIsa::kScalar) &&
+      isa != static_cast<uint32_t>(SimdIsa::kAvx2)) {
     return Status::IOError(StrFormat("stats field %s is %u", name, isa));
   }
   *v = static_cast<SimdIsa>(isa);

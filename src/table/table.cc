@@ -47,18 +47,6 @@ void Column::AppendInt64(int64_t v) {
   valid_.push_back(1);
 }
 
-void Column::AppendDouble(double v) {
-  QARM_DCHECK(type_ == ValueType::kDouble);
-  double_data_.push_back(v);
-  valid_.push_back(1);
-}
-
-void Column::AppendString(std::string v) {
-  QARM_DCHECK(type_ == ValueType::kString);
-  string_data_.push_back(std::move(v));
-  valid_.push_back(1);
-}
-
 void Column::AppendNull() {
   // Keep the typed storage dense so row indices stay aligned.
   switch (type_) {

@@ -47,8 +47,6 @@ class Column {
   // Appends a cell; a non-null value's type must match the column type.
   void Append(const Value& value);
   void AppendInt64(int64_t v);
-  void AppendDouble(double v);
-  void AppendString(std::string v);
   void AppendNull();
 
   void Reserve(size_t n);

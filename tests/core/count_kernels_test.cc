@@ -1,4 +1,4 @@
-// The SIMD counting kernels against their scalar reference: every ISA must
+// The SIMD counting kernels against their scalar reference: AVX2 must
 // produce bit-identical masks, counts, and indices on every input shape —
 // vector-width tails (n % 64, n % 8), all-missing columns, degenerate
 // lo==hi ranges. The scalar table defines the semantics; any divergence
@@ -22,14 +22,10 @@ namespace {
 // word boundaries, word + partial vector, partial 8-lane and 4-lane tails.
 const size_t kSizes[] = {1, 3, 7, 8, 9, 63, 64, 65, 127, 128, 200, 1000};
 
+// The vector tier this CPU can run: {kAvx2}, or none.
 std::vector<SimdIsa> VectorIsas() {
-  std::vector<SimdIsa> isas;
-  for (SimdIsa isa : {SimdIsa::kSse42, SimdIsa::kAvx2}) {
-    if (static_cast<int>(isa) <= static_cast<int>(DetectCpuIsa())) {
-      isas.push_back(isa);
-    }
-  }
-  return isas;
+  if (DetectCpuIsa() == SimdIsa::kAvx2) return {SimdIsa::kAvx2};
+  return {};
 }
 
 std::vector<int32_t> RandomColumn(Rng& rng, size_t n, int32_t domain) {
@@ -168,24 +164,6 @@ TEST(CountKernelsTest, FlatIndexMatchesScalar) {
         EXPECT_EQ(got, want)
             << IsaName(isa) << " n=" << n << " dims=" << dims;
       }
-    }
-  }
-}
-
-TEST(CountKernelsTest, AddU32MatchesScalar) {
-  const CountKernels& scalar = CountKernels::ForIsa(SimdIsa::kScalar);
-  for (SimdIsa isa : VectorIsas()) {
-    const CountKernels& kern = CountKernels::ForIsa(isa);
-    Rng rng(29);
-    for (size_t n : kSizes) {
-      std::vector<uint32_t> src(n), want(n), got(n);
-      for (size_t i = 0; i < n; ++i) {
-        src[i] = static_cast<uint32_t>(rng.UniformInt(0, 1 << 30));
-        want[i] = got[i] = static_cast<uint32_t>(rng.UniformInt(0, 1 << 30));
-      }
-      scalar.add_u32(want.data(), src.data(), n);
-      kern.add_u32(got.data(), src.data(), n);
-      EXPECT_EQ(got, want) << IsaName(isa) << " n=" << n;
     }
   }
 }

@@ -1,5 +1,5 @@
 // The hard acceptance gate for the SIMD counting kernels: mined rules must
-// be byte-identical across QARM_FORCE_ISA=scalar/sse42/avx2 at every thread
+// be byte-identical across QARM_FORCE_ISA=scalar/avx2 at every thread
 // count, on both the in-memory and the QBT-streamed path, so any kernel
 // table's divergence fails here before it can ship. (The per-candidate
 // oracle is the brute-force counter in support_counting_test.cc.)
@@ -83,7 +83,7 @@ TEST_F(IsaDeterminismTest, RulesByteIdenticalAcrossIsasAndThreads) {
   ASSERT_FALSE(baseline->rules.empty());
 
   const SimdIsa detected = DetectCpuIsa();
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse42, SimdIsa::kAvx2}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
     if (static_cast<int>(isa) > static_cast<int>(detected)) continue;
     SetIsaForTest(isa);
     ASSERT_EQ(ActiveIsa(), isa);
@@ -107,7 +107,7 @@ TEST_F(IsaDeterminismTest, StatsReportForcedIsa) {
   Corpus& corpus = GetCorpus();
   const SimdIsa detected = DetectCpuIsa();
   QuantitativeRuleMiner miner(BaseOptions(1));
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse42, SimdIsa::kAvx2}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
     if (static_cast<int>(isa) > static_cast<int>(detected)) continue;
     SCOPED_TRACE(IsaName(isa));
     SetIsaForTest(isa);

@@ -190,7 +190,7 @@ MiningStats GoldenStats() {
   stats.rulegen_threads_used = 8;
   stats.interest_threads_used = 9;
   stats.passes = {GoldenPass(2, 100, SimdIsa::kAvx2),
-                  GoldenPass(3, 200, SimdIsa::kSse42)};
+                  GoldenPass(3, 200, SimdIsa::kScalar)};
   stats.dist.num_workers = 2;
   stats.dist.workers_respawned = 17;
   for (size_t base : {300, 400}) {
@@ -257,7 +257,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"prune_seconds\":3.234375,\"seconds\":3.250000},"
       "\"super_candidates\":209,\"array_counters\":210,"
       "\"tree_counters\":211,\"direct_counters\":212,"
-      "\"degraded_counters\":213,\"threads_used\":215,\"isa\":\"sse42\","
+      "\"degraded_counters\":213,\"threads_used\":215,\"isa\":\"scalar\","
       "\"io\":{\"blocks_read\":216,\"bytes_read\":217,"
       "\"checksum_seconds\":3.406250,\"read_retries\":219,"
       "\"faults_injected\":220},"

@@ -594,7 +594,7 @@ TEST_P(SupportCountingOracleTest, MatchesBruteForceEverywhere) {
           table, catalog.Decode(candidates.itemset_vector(c))));
     }
 
-    for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse42, SimdIsa::kAvx2}) {
+    for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
       if (static_cast<int>(isa) > static_cast<int>(detected)) continue;
       SetIsaForTest(isa);
       for (size_t threads : {size_t{1}, size_t{4}}) {

@@ -274,7 +274,7 @@ DistCountReply EveryFieldReply() {
   stats.num_direct = 14;
   stats.num_degraded = 15;
   stats.threads_used = 17;
-  stats.isa = SimdIsa::kSse42;
+  stats.isa = SimdIsa::kAvx2;
   stats.io = {18, 19, 0.5, 20, 21};
   stats.counter_bytes = 22;
   stats.replicated_bytes = 23;
@@ -305,7 +305,7 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
             "03000000" "0200000000000000" "07000000" "09000000"
             "0b00000000000000" "0c00000000000000" "0d00000000000000"
             "0e00000000000000" "0f00000000000000" "1100000000000000"
-            "01000000"
+            "02000000"
             "1200000000000000" "1300000000000000" "000000000000e03f"
             "1400000000000000" "1500000000000000"
             "1600000000000000" "1700000000000000"
@@ -323,7 +323,7 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   EXPECT_EQ(got.num_direct, 14u);
   EXPECT_EQ(got.num_degraded, 15u);
   EXPECT_EQ(got.threads_used, 17u);
-  EXPECT_EQ(got.isa, SimdIsa::kSse42);
+  EXPECT_EQ(got.isa, SimdIsa::kAvx2);
   EXPECT_EQ(got.io.blocks_read, 18u);
   EXPECT_EQ(got.io.bytes_read, 19u);
   EXPECT_EQ(got.io.checksum_seconds, 0.5);
@@ -388,7 +388,9 @@ TEST(DistMessagesTest, CountReplyRejectsAnIsaOutsideTheLadder) {
   Result<DistCountReply> ok = ParseReplyBytes(HandMadeReply(2, 1.0));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->stats.isa, SimdIsa::kAvx2);
-  ExpectReplyRejected({HandMadeReply(3, 1.0), HandMadeReply(0xffffffff, 1.0),
+  // 1 is off the ladder too: SimdIsa has no value between scalar and avx2.
+  ExpectReplyRejected({HandMadeReply(1, 1.0), HandMadeReply(3, 1.0),
+                       HandMadeReply(0xffffffff, 1.0),
                        SeedPayload("reply_bad_isa")},
                       "isa");
 }
@@ -396,8 +398,8 @@ TEST(DistMessagesTest, CountReplyRejectsAnIsaOutsideTheLadder) {
 TEST(DistMessagesTest, CountReplyRejectsNonFiniteSeconds) {
   const double inf = std::numeric_limits<double>::infinity();
   ExpectReplyRejected(
-      {HandMadeReply(1, std::numeric_limits<double>::quiet_NaN()),
-       HandMadeReply(1, inf), HandMadeReply(1, -inf),
+      {HandMadeReply(2, std::numeric_limits<double>::quiet_NaN()),
+       HandMadeReply(2, inf), HandMadeReply(2, -inf),
        SeedPayload("reply_nan_seconds")},
       "scan_seconds");
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_dispatch.h"
 #include "common/random.h"
 
 namespace qarm {
@@ -184,6 +185,29 @@ TEST_P(NDimArrayCountRectsTest, MatchesCountRect) {
           << "rect " << m << " of " << num;
     }
   }
+}
+
+// The one u32 add (grid reduce, prefix sums and the tree-count shard
+// reduce) under each ISA this CPU runs, against a plain loop, at lengths
+// that hit every 8-lane tail.
+TEST(NDimArrayTest, AddU32SpanMatchesOracle) {
+  std::vector<SimdIsa> isas = {SimdIsa::kScalar};
+  if (DetectCpuIsa() == SimdIsa::kAvx2) isas.push_back(SimdIsa::kAvx2);
+  for (SimdIsa isa : isas) {
+    SetIsaForTest(isa);
+    Rng rng(29);
+    for (size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 200, 1000}) {
+      std::vector<uint32_t> src(n), want(n), got(n);
+      for (size_t i = 0; i < n; ++i) {
+        src[i] = static_cast<uint32_t>(rng.UniformInt(0, 1 << 30));
+        want[i] = got[i] = static_cast<uint32_t>(rng.UniformInt(0, 1 << 30));
+      }
+      for (size_t i = 0; i < n; ++i) want[i] += src[i];
+      AddU32Span(got.data(), src.data(), n);
+      EXPECT_EQ(got, want) << IsaName(isa) << " n=" << n;
+    }
+  }
+  ClearIsaForTest();
 }
 
 INSTANTIATE_TEST_SUITE_P(

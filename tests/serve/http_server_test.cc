@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/socket.h"
 #include "common/string_util.h"
 #include "serve/http_client.h"
 #include "serve/http_server.h"
@@ -460,6 +461,98 @@ TEST(ServeHttpTest, TricklingReaderIsCutOffAtDeadline) {
   EXPECT_GE(closed_ms, 0) << "the trickler was never cut off";
   EXPECT_LT(closed_ms, 1500);
   (*server)->Stop();
+}
+
+// A client that trickles its request head, one byte per 100 ms, is cut off
+// once recv_timeout_ms has passed since the server began waiting for the
+// head: each byte does not restart the timeout, so the trickle cannot keep
+// the single server thread for 100 bytes x 300 ms.
+TEST(ServeHttpTest, TricklingRequestHeadIsCutOffAtDeadline) {
+  HttpServerOptions options;
+  options.port = 0;
+  options.num_threads = 1;
+  options.recv_timeout_ms = 300;
+  auto server = HttpServer::Start(options, [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong";
+    return response;
+  });
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const auto start = std::chrono::steady_clock::now();
+  auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::string head = "GET /slow HTTP/1.1\r\nX-Pad: ";
+  head += std::string(100 - head.size() - 4, 'p') + "\r\n\r\n";
+  ASSERT_EQ(head.size(), 100u);
+  const int trickler = ConnectRaw((*server)->port(), 0);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (char c : head) {
+      if (done.load() || ::send(trickler, &c, 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto ping = HttpGet("127.0.0.1", (*server)->port(), "/ping", 5000);
+  const int64_t ping_ms = elapsed_ms();
+  done.store(true);
+  writer.join();
+  ::close(trickler);
+  ASSERT_TRUE(ping.ok()) << "server thread still held by the trickler: "
+                         << ping.status().ToString();
+  EXPECT_EQ(ping->body, "pong");
+  EXPECT_LT(ping_ms, 1000);
+  (*server)->Stop();
+}
+
+// The client's twin: a server trickling its response, one byte per 50 ms,
+// fails HttpClient::Get within twice the client's timeout instead of
+// holding it for as long as the trickle lasts.
+TEST(ServeHttpTest, ClientCutsOffATricklingResponse) {
+  uint16_t port = 0;
+  Result<int> listener = TcpListen("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::atomic<bool> done{false};
+  std::thread trickler([&] {
+    Result<int> fd = TcpAccept(*listener);
+    if (!fd.ok()) return;
+    char chunk[1024];
+    ::recv(*fd, chunk, sizeof(chunk), 0);  // the request
+    const std::string response =
+        "HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" +
+        std::string(20, 'b');
+    // Stops after 3 s, so a client that never cuts it off fails on the
+    // elapsed time below rather than hanging the test.
+    for (size_t i = 0; i < response.size() && i < 60 && !done.load(); ++i) {
+      if (::send(*fd, &response[i], 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ::close(*fd);
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  auto client = HttpClient::Connect("127.0.0.1", port, 300);
+  Result<HttpResponse> got =
+      client.ok() ? (*client)->Get("/slow") : Result<HttpResponse>(
+                                                  client.status());
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  done.store(true);
+  ::shutdown(*listener, SHUT_RDWR);  // frees an accept() nobody reached
+  trickler.join();
+  ::close(*listener);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_FALSE(got.ok()) << "a 3 s trickle was read to the end";
+  EXPECT_EQ(got.status().code(), StatusCode::kIOError);
+  EXPECT_NE(got.status().message().find("timed out"), std::string::npos)
+      << got.status().ToString();
+  EXPECT_LT(elapsed_ms, 600);
 }
 
 // The server and the client take a host name as well as an IPv4 literal.

@@ -178,7 +178,7 @@ TEST(ByteReaderTest, TableOfCasesUnderBothStatusCodes) {
 
 constexpr char kMagic[4] = {'T', 'S', 'T', '1'};
 constexpr char kEndMagic[4] = {'T', 'S', 'T', 'E'};
-constexpr FileFormat kFormat = {"test file", kMagic, kEndMagic, 2, 3, 8};
+constexpr FileFormat kFormat = {"test file", kMagic, kEndMagic, 3, 8};
 
 std::string SampleEnvelope() {
   std::string extra;
@@ -191,7 +191,6 @@ TEST(ByteReaderEnvelopeTest, RoundTripsHeaderWordExtraHeaderAndPayload) {
   ASSERT_EQ(bytes.size(), kEnvelopeHeaderSize + 8 + 7 + kEnvelopeTailSize);
   Result<Envelope> parsed = ParseEnvelope(kFormat, Bytes(bytes), bytes.size());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->version, 3u);
   EXPECT_EQ(parsed->header_word, 9u);
   EXPECT_EQ(QbtReadU64(parsed->extra_header), 42u);
   EXPECT_EQ(std::string(reinterpret_cast<const char*>(parsed->payload),
@@ -211,10 +210,8 @@ TEST(ByteReaderEnvelopeTest, EveryDefectIsRejectedWithItsCode) {
   const Defect defects[] = {
       {"magic", 0, 'X', StatusCode::kInvalidArgument, "bad magic"},
       {"endian marker", 4, 0x0A, StatusCode::kInvalidArgument, "endian"},
-      {"version below the range", 8, 1, StatusCode::kInvalidArgument,
-       "version 1"},
-      {"version above the range", 8, 4, StatusCode::kInvalidArgument,
-       "version 4"},
+      {"older version", 8, 2, StatusCode::kInvalidArgument, "version 2"},
+      {"newer version", 8, 4, StatusCode::kInvalidArgument, "version 4"},
       {"payload size", 16, 1, StatusCode::kInvalidArgument, "payload size"},
       {"payload byte", payload_at, 'P', StatusCode::kIOError, "checksum"},
       {"end magic", payload_at + 7 + 4, 'X', StatusCode::kInvalidArgument,

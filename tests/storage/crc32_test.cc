@@ -39,9 +39,8 @@ std::vector<uint8_t> PseudoRandomBytes(size_t size) {
   return bytes;
 }
 
-// Runs the suite under every ISA this CPU supports. Scalar always takes the
-// slicing-by-8 path; sse42 and avx2 take the PCLMULQDQ fold when the CPU
-// has it.
+// Runs the suite under each ISA tier this CPU supports. Scalar always takes
+// the slicing-by-8 path; avx2 takes the PCLMULQDQ fold when the CPU has it.
 class Crc32DispatchTest : public ::testing::TestWithParam<SimdIsa> {
  protected:
   void SetUp() override {
@@ -95,8 +94,7 @@ TEST_P(Crc32DispatchTest, CheckValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Isas, Crc32DispatchTest,
-                         ::testing::Values(SimdIsa::kScalar, SimdIsa::kSse42,
-                                           SimdIsa::kAvx2),
+                         ::testing::Values(SimdIsa::kScalar, SimdIsa::kAvx2),
                          [](const ::testing::TestParamInfo<SimdIsa>& info) {
                            return std::string(IsaName(info.param));
                          });
