@@ -1,8 +1,10 @@
 // RetryPolicy: bounded retries with exponential backoff and deterministic
-// jitter for transient I/O failures (a flaky block read, an injected fault
-// from storage/fault_injection.h). The jitter draws from SplitMix64 keyed by
-// (seed, key, attempt), so a given policy retries at identical delays on
-// every run and on every platform — retried runs stay reproducible.
+// jitter. The one user is the distributed coordinator's connect to a TCP
+// worker (dist/coordinator.cc), which rides out a worker still starting to
+// listen. Block reads are not retried: a failed read stops the run, and a
+// rerun resumes from its checkpoint. The jitter draws from SplitMix64 keyed
+// by (seed, key, attempt), so a given policy retries at identical delays on
+// every run and on every platform.
 #ifndef QARM_COMMON_RETRY_H_
 #define QARM_COMMON_RETRY_H_
 
@@ -64,18 +66,14 @@ inline double RetryBackoffMs(const RetryPolicy& policy, size_t retry,
 // Runs `fn` (a Status-returning callable) until it succeeds or
 // `policy.max_attempts` attempts are exhausted, sleeping the jittered
 // backoff between attempts. Returns the final Status (the last failure
-// verbatim — messages stay intact for matching and logging). Each retry
-// performed is counted into `*retries` when non-null; the caller surfaces
-// the total through its stats.
+// verbatim — messages stay intact for matching and logging).
 template <typename Fn>
-Status RetryWithBackoff(const RetryPolicy& policy, uint64_t key,
-                        uint64_t* retries, Fn&& fn) {
+Status RetryWithBackoff(const RetryPolicy& policy, uint64_t key, Fn&& fn) {
   const size_t max_attempts = std::max<size_t>(1, policy.max_attempts);
   Status status;
   for (size_t attempt = 1;; ++attempt) {
     status = fn();
     if (status.ok() || attempt >= max_attempts) return status;
-    if (retries != nullptr) ++*retries;
     const double delay_ms = RetryBackoffMs(policy, attempt, key);
     if (delay_ms > 0.0) {
       std::this_thread::sleep_for(

@@ -10,7 +10,10 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstring>
 
 #include "common/string_util.h"
@@ -139,12 +142,31 @@ Result<int> TcpConnect(const std::string& host, uint16_t port,
     pollfd pfd;
     pfd.fd = fd;
     pfd.events = POLLOUT;
-    const int timeout = timeout_ms == 0 ? -1 : static_cast<int>(timeout_ms);
-    rc = ::poll(&pfd, 1, timeout);
+    // A signal interrupts poll() before the connect completes: wait again
+    // for the rest of the timeout. The wait is capped at INT_MAX ms, since
+    // a larger int cast goes negative and poll() would wait forever.
+    const Timer timer;
+    do {
+      const double left_ms =
+          static_cast<double>(timeout_ms) - timer.ElapsedMillis();
+      const int wait_ms =
+          timeout_ms == 0
+              ? -1
+              : static_cast<int>(std::clamp(std::ceil(left_ms), 0.0,
+                                            static_cast<double>(INT_MAX)));
+      rc = ::poll(&pfd, 1, wait_ms);
+    } while (rc < 0 && errno == EINTR);
     if (rc == 0) {
       ::close(fd);
       return Status::IOError(StrFormat("connect %s:%u timed out",
                                        host.c_str(), port));
+    }
+    if (rc < 0) {
+      const Status status =
+          Status::IOError(StrFormat("connect %s:%u poll failed: %s",
+                                    host.c_str(), port, std::strerror(errno)));
+      ::close(fd);
+      return status;
     }
     int err = 0;
     socklen_t len = sizeof(err);

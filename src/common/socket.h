@@ -33,9 +33,10 @@ Result<int> TcpListen(const std::string& host, uint16_t port,
 Result<int> TcpAccept(int listen_fd);
 
 // Connects to host:port and turns Nagle off (requests and frames are small
-// and latency-bound). One attempt; callers wrap it in RetryWithBackoff for
-// discovery/reconnect. A non-zero `timeout_ms` bounds the connect itself,
-// so a silently dropping endpoint cannot hang the caller.
+// and latency-bound). One attempt; the dist coordinator retries it with
+// backoff (common/retry.h) for discovery/reconnect. A non-zero `timeout_ms`
+// bounds the connect itself, across signals that interrupt the wait, so a
+// silently dropping endpoint cannot hang the caller.
 Result<int> TcpConnect(const std::string& host, uint16_t port,
                        uint64_t timeout_ms);
 

@@ -137,7 +137,7 @@ Result<int> DistWorkerPool::OpenChannel(size_t w, size_t e) {
   const WorkerEndpoint& endpoint = endpoints_[e];
   int fd = -1;
   QARM_RETURN_NOT_OK(
-      RetryWithBackoff(connect_policy_, e, nullptr, [&]() -> Status {
+      RetryWithBackoff(connect_policy_, e, [&]() -> Status {
         QARM_ASSIGN_OR_RETURN(fd, TcpConnect(endpoint.host, endpoint.port,
                                              io_timeout_ms_));
         return Status::OK();

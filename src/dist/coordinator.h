@@ -43,8 +43,8 @@ class DistWorkerPool {
  public:
   // One worker survives this many relaunches before the pool declares it
   // permanently dead and fails the run. Each relaunch raises the worker's
-  // generation, so any kill-fault schedule with fails_per_block <= this
-  // bound is ridden out.
+  // generation, so any kill-fault schedule with fails <= this bound is
+  // ridden out.
   static constexpr size_t kMaxRespawnsPerWorker = 5;
 
   // Launches one worker per shard — worker w counts blocks

@@ -6,75 +6,32 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 
 namespace qarm {
-namespace {
-
-// Same stream-split trick as the storage injector: the faulted? decision
-// and the kind choice for one write ordinal are independent draws.
-constexpr uint64_t kNetFaultStream = 0x6e657466ULL;   // "netf"
-constexpr uint64_t kNetKindStream = 0x6e6b696eULL;    // "nkin"
-
-double UnitUniform(uint64_t bits) {
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
-NetFaultInjection NetFaultsFromSpec(const FaultInjectionConfig& config,
-                                    uint64_t generation) {
-  NetFaultInjection faults;
-  faults.kinds = NetFaultKinds(config.kinds);
-  faults.enabled = faults.kinds != 0;
-  faults.seed = config.seed;
-  faults.rate = config.rate;
-  faults.after_writes = config.after_reads;
-  faults.generation = generation;
-  faults.fails = config.fails_per_block;
-  faults.stall_ms = config.stall_ms;
-  return faults;
-}
 
 TcpTransport::TcpTransport(int fd, uint64_t io_timeout_ms,
-                           uint64_t read_timeout_ms, NetFaultInjection faults)
+                           uint64_t read_timeout_ms)
     : fd_(fd),
       io_timeout_ms_(io_timeout_ms),
-      read_timeout_ms_(read_timeout_ms),
-      faults_(faults) {
+      read_timeout_ms_(read_timeout_ms) {
   // The kernel timeouts arm the bound; the wall-clock checks in Read and
   // SendAll keep EINTR or byte-trickle loops from stretching it.
   SetSocketTimeouts(fd_, read_timeout_ms_, io_timeout_ms_);
 }
 
+void TcpTransport::SetFaults(const FaultInjectionConfig& faults) {
+  faults_ = faults;
+  faults_armed_ = FaultsArmed(faults_, FaultSite::kFrameWrite);
+}
+
 void TcpTransport::SetWriteTimeoutMs(uint64_t io_timeout_ms) {
   io_timeout_ms_ = io_timeout_ms;
   if (fd_ >= 0) SetSocketTimeouts(fd_, 0, io_timeout_ms_);
-}
-
-bool TcpTransport::PickFault(uint64_t ordinal, FaultKind* kind) const {
-  if (!faults_.enabled || faults_.generation >= faults_.fails ||
-      ordinal < faults_.after_writes) {
-    return false;
-  }
-  const uint64_t bits = SplitMix64(faults_.seed ^ kNetFaultStream ^
-                                   ordinal * 0x9e3779b97f4a7c15ULL);
-  if (UnitUniform(bits) >= faults_.rate) return false;
-  FaultKind enabled[3];
-  size_t n = 0;
-  for (FaultKind k : {FaultKind::kConnReset, FaultKind::kStall,
-                      FaultKind::kPartialWrite}) {
-    if (faults_.kinds & static_cast<uint32_t>(k)) enabled[n++] = k;
-  }
-  if (n == 0) return false;
-  const uint64_t pick = SplitMix64(faults_.seed ^ kNetKindStream ^
-                                   ordinal * 0x9e3779b97f4a7c15ULL);
-  *kind = enabled[pick % n];
-  return true;
 }
 
 void TcpTransport::AbortConnection() {
@@ -118,9 +75,12 @@ Status TcpTransport::Read(void* data, size_t size, size_t* bytes_read) {
 Status TcpTransport::Write(const void* data, size_t size) {
   if (fd_ < 0) return Status::IOError("transport is closed");
   const uint64_t ordinal = writes_++;
-  FaultKind kind;
-  if (PickFault(ordinal, &kind)) {
-    switch (kind) {
+  const std::optional<FaultKind> kind =
+      faults_armed_ && ordinal >= faults_.after
+          ? ScheduledFault(faults_, FaultSite::kFrameWrite, ordinal)
+          : std::nullopt;
+  if (kind.has_value()) {
+    switch (*kind) {
       case FaultKind::kConnReset:
         AbortConnection();
         return Status::IOError(StrFormat(

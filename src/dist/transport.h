@@ -6,10 +6,11 @@
 // the repo uses; a read is bounded per call here and per frame by
 // RecvFrame (dist/framing.h). A vanished, partitioned, silent or trickling
 // peer surfaces as a bounded IOError, never a hang. The worker side can
-// also carry a deterministic network-fault injector (storage/
-// fault_injection.h kinds conn_reset, stall, partial_write) that sabotages
-// a seeded subset of frame writes, so every recovery path in the
-// coordinator is exercised by reproducible tests in both launch modes.
+// also carry the fault injector's network kinds (conn_reset, stall,
+// partial_write): frame write n of the connection is sabotaged when
+// storage/fault_injection.h's one seeded schedule picks key n, so every
+// recovery path in the coordinator is exercised by reproducible tests in
+// both launch modes.
 //
 // Reads may return fewer bytes than asked (that is what the byte-split
 // framing tests rely on); writes either complete or fail. A clean EOF is
@@ -47,27 +48,6 @@ class Transport {
   virtual void Close() = 0;
 };
 
-// Deterministic sabotage of a socket transport's frame writes. Whether write
-// ordinal n (0-based, counted per connection) is faulted is a pure function
-// of (seed, n), and only incarnations with generation < fails_per_block
-// fault at all — a reconnected session (generation bumped) replays clean,
-// exactly like the storage injector's kill faults.
-struct NetFaultInjection {
-  bool enabled = false;
-  uint64_t seed = 1;
-  double rate = 1.0;
-  uint64_t after_writes = 0;   // spare the first N writes (handshake etc.)
-  uint64_t generation = 0;     // this session's incarnation
-  uint64_t fails = 1;          // generations [0, fails) fault
-  uint32_t kinds = 0;          // net subset of FaultKind bits
-  double stall_ms = 1000.0;    // how long a kStall write plays dead
-};
-
-// Builds the injection config for one worker session from a parsed fault
-// spec; disabled when the spec carries no network kinds.
-NetFaultInjection NetFaultsFromSpec(const FaultInjectionConfig& config,
-                                    uint64_t generation);
-
 // Stream-socket transport with deadlines. Owns the fd: Close (and the
 // destructor) closes it. `io_timeout_ms` is every Write's SendAll deadline
 // and the socket's send timeout. A non-zero `read_timeout_ms` bounds each
@@ -77,8 +57,7 @@ NetFaultInjection NetFaultsFromSpec(const FaultInjectionConfig& config,
 // for the next request by design; only the coordinator must never hang.
 class TcpTransport : public Transport {
  public:
-  TcpTransport(int fd, uint64_t io_timeout_ms, uint64_t read_timeout_ms,
-               NetFaultInjection faults = NetFaultInjection());
+  TcpTransport(int fd, uint64_t io_timeout_ms, uint64_t read_timeout_ms);
   ~TcpTransport() override { Close(); }
 
   Status Read(void* data, size_t size, size_t* bytes_read) override;
@@ -92,16 +71,15 @@ class TcpTransport : public Transport {
   // an fd number that was closed and reused.
   void Shutdown();
 
-  // A worker learns the session's fault config and write deadline from the
-  // Hello — which arrives over this very transport — so both are
-  // armed after construction. The write ordinal keeps counting from the
-  // handshake.
-  void SetFaults(NetFaultInjection faults) { faults_ = faults; }
+  // A worker learns the session's fault config (generation included) and
+  // write deadline from the Hello — which arrives over this very
+  // transport — so both are armed after construction. The write ordinal,
+  // the schedule's key, keeps counting from the handshake; a config with
+  // no network kind, or at generation >= fails, faults nothing.
+  void SetFaults(const FaultInjectionConfig& faults);
   void SetWriteTimeoutMs(uint64_t io_timeout_ms);
 
  private:
-  // True when write ordinal `ordinal` should be sabotaged, and with what.
-  bool PickFault(uint64_t ordinal, FaultKind* kind) const;
   // Sets SO_LINGER(0) and closes, so the peer sees RST, not orderly EOF.
   void AbortConnection();
 
@@ -111,7 +89,8 @@ class TcpTransport : public Transport {
   int fd_ = -1;
   uint64_t io_timeout_ms_ = 0;
   uint64_t read_timeout_ms_ = 0;
-  NetFaultInjection faults_;
+  FaultInjectionConfig faults_;
+  bool faults_armed_ = false;
   uint64_t writes_ = 0;
 };
 

@@ -156,19 +156,18 @@ Result<std::string> HandleCount(uint32_t worker_id,
 }
 
 // Deterministic crash hooks for the respawn tests. The block-read fault
-// injector can only kill a worker inside a shard scan; these environment
-// switches kill a generation-0 worker in the catalog-broadcast window
-// instead — either right after its pass-1 reply (so the coordinator's very
-// next catalog SendFrame hits EOF inside PublishCatalog) or on receipt of
-// the catalog frame before applying it (so the death surfaces at the first
-// count request). Respawned incarnations (generation >= 1) ignore both.
+// injector can only kill a worker inside a shard scan; this environment
+// switch kills a generation-0 worker right after its pass-1 reply, so the
+// coordinator's very next catalog SendFrame hits EOF inside
+// PublishCatalog. Respawned incarnations (generation >= 1) ignore it.
 bool TestExitHere(const DistHello& hello, const char* env) {
   return hello.generation == 0 && std::getenv(env) != nullptr;
 }
 
-// A third hook for the TCP tests and the dist-tcp-smoke CI job: kill the
-// worker *process* after handling N frames of a generation-0 session, the
-// moral equivalent of `kill -9` landing mid-pass at a deterministic spot.
+// A second hook for the respawn and TCP tests and the dist-tcp-smoke CI
+// job: kill the worker *process* after handling N frames of a generation-0
+// session, the moral equivalent of `kill -9` landing at a deterministic
+// spot. N = 2 dies on receipt of the catalog, before applying it.
 uint64_t TestExitAfterFrames() {
   const char* env = std::getenv("QARM_DIST_TEST_EXIT_AFTER_FRAMES");
   if (env == nullptr) return 0;
@@ -183,7 +182,6 @@ MinerOptions ScanOptions(const DistHello& hello) {
   MinerOptions options;
   options.num_threads = static_cast<size_t>(hello.num_threads);
   options.counter_memory_budget_bytes = hello.counter_memory_budget_bytes;
-  options.inject_faults_spec = hello.inject_faults_spec;
   return options;
 }
 
@@ -199,25 +197,19 @@ Status SendError(Transport& transport, const Status& status) {
 
 // ServeConnection's request loop, after the handshake. `file` is the
 // worker's full view of the QBT; the session scopes it to the Hello's
-// block range.
+// block range. `faults` is the Hello's parsed fault spec, if it had one.
 Status RunWorkerSession(Transport& transport, const DistHello& hello,
-                        const RecordSource& file) {
+                        const RecordSource& file,
+                        const std::optional<FaultInjectionConfig>& faults) {
   const MinerOptions options = ScanOptions(hello);
   // Fault injection wraps the *full* source so block ids in the fault
   // schedule stay global — the same spec faults the same blocks whether the
   // run is single-process or sharded across any worker count. Only the
   // storage kinds apply here; network kinds live in the transport.
-  std::unique_ptr<FaultInjectingRecordSource> faulty;
+  std::optional<FaultInjectingRecordSource> faulty;
   const RecordSource* full = &file;
-  if (!hello.inject_faults_spec.empty()) {
-    QARM_ASSIGN_OR_RETURN(FaultInjectionConfig fault_config,
-                          ParseFaultSpec(hello.inject_faults_spec));
-    if (StorageFaultKinds(fault_config.kinds) != 0) {
-      fault_config.generation = hello.generation;
-      faulty =
-          std::make_unique<FaultInjectingRecordSource>(file, fault_config);
-      full = faulty.get();
-    }
+  if (faults.has_value() && FaultsArmed(*faults, FaultSite::kBlockRead)) {
+    full = &faulty.emplace(file, *faults);
   }
   const BlockRangeSource shard(*full, static_cast<size_t>(hello.block_begin),
                                static_cast<size_t>(hello.block_end));
@@ -258,9 +250,6 @@ Status RunWorkerSession(Transport& transport, const DistHello& hello,
         break;
       }
       case DistMessageType::kCatalog: {
-        if (TestExitHere(hello, "QARM_DIST_TEST_EXIT_ON_CATALOG")) {
-          std::_Exit(1);
-        }
         Result<CheckpointCatalog> parsed = ParseCheckpointCatalog(
             reinterpret_cast<const uint8_t*>(frame->payload.data()),
             frame->payload.size());
@@ -332,11 +321,14 @@ Status ServeConnection(TcpTransport& transport, const QbtFileSource& file,
   if (hello->io_timeout_ms > 0) {
     transport.SetWriteTimeoutMs(hello->io_timeout_ms);
   }
+  std::optional<FaultInjectionConfig> faults;
   if (!hello->inject_faults_spec.empty()) {
     Result<FaultInjectionConfig> spec =
         ParseFaultSpec(hello->inject_faults_spec);
     if (!spec.ok()) return SendError(transport, spec.status());
-    transport.SetFaults(NetFaultsFromSpec(*spec, hello->generation));
+    faults = *spec;
+    faults->generation = hello->generation;
+    transport.SetFaults(*faults);
   }
 
   DistHelloAck ack;
@@ -353,7 +345,7 @@ Status ServeConnection(TcpTransport& transport, const QbtFileSource& file,
   if (handshakes != nullptr) {
     handshakes->fetch_add(1, std::memory_order_relaxed);
   }
-  return RunWorkerSession(transport, *hello, file);
+  return RunWorkerSession(transport, *hello, file, faults);
 }
 
 }  // namespace qarm

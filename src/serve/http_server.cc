@@ -202,7 +202,8 @@ void HttpServer::ServeConnection(int fd) {
       std::string target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
       const std::string version = request_line.substr(sp2 + 1);
       if (version.rfind("HTTP/1.0", 0) == 0) keep_alive = false;
-      // "Connection: close" in any casing turns keep-alive off.
+      // "Connection: close" in any casing, with or without whitespace
+      // around the value (RFC 9110), turns keep-alive off.
       for (size_t pos = line_end;
            pos != std::string::npos && pos + 2 < head.size();) {
         const size_t next = head.find("\r\n", pos + 2);
@@ -212,8 +213,15 @@ void HttpServer::ServeConnection(int fd) {
         for (char& c : header) {
           c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
         }
-        if (header == "connection: close") keep_alive = false;
-        if (header == "connection: keep-alive") keep_alive = true;
+        const std::string_view field(header);
+        const size_t colon = field.find(':');
+        if (colon != std::string_view::npos &&
+            StripWhitespace(field.substr(0, colon)) == "connection") {
+          const std::string_view value =
+              StripWhitespace(field.substr(colon + 1));
+          if (value == "close") keep_alive = false;
+          if (value == "keep-alive") keep_alive = true;
+        }
         pos = next;
       }
       const size_t question = target.find('?');

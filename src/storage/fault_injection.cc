@@ -1,7 +1,7 @@
 #include "storage/fault_injection.h"
 
+#include <bit>
 #include <cstdlib>
-#include <utility>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -9,10 +9,31 @@
 namespace qarm {
 namespace {
 
-// Distinct stream constants so the faulted? decision and the kind choice
-// for the same block are independent draws.
-constexpr uint64_t kFaultStream = 0x6661756c74ULL;  // "fault"
-constexpr uint64_t kKindStream = 0x6b696e64ULL;     // "kind"
+// Per site, distinct stream constants so the faulted? decision and the
+// kind choice for one key are independent draws.
+struct FaultStreams {
+  uint64_t fault;
+  uint64_t kind;
+};
+constexpr FaultStreams kBlockReadStreams = {0x6661756c74ULL,  // "fault"
+                                            0x6b696e64ULL};   // "kind"
+constexpr FaultStreams kFrameWriteStreams = {0x6e657466ULL,   // "netf"
+                                             0x6e6b696eULL};  // "nkin"
+
+constexpr uint32_t kBlockReadKinds =
+    static_cast<uint32_t>(FaultKind::kEio) |
+    static_cast<uint32_t>(FaultKind::kShortRead) |
+    static_cast<uint32_t>(FaultKind::kCrc) |
+    static_cast<uint32_t>(FaultKind::kKill);
+constexpr uint32_t kFrameWriteKinds =
+    static_cast<uint32_t>(FaultKind::kConnReset) |
+    static_cast<uint32_t>(FaultKind::kStall) |
+    static_cast<uint32_t>(FaultKind::kPartialWrite);
+
+uint32_t SiteKinds(const FaultInjectionConfig& config, FaultSite site) {
+  return config.kinds & (site == FaultSite::kBlockRead ? kBlockReadKinds
+                                                       : kFrameWriteKinds);
+}
 
 double UnitUniform(uint64_t bits) {
   // Top 53 bits -> [0, 1).
@@ -84,22 +105,11 @@ Result<FaultInjectionConfig> ParseFaultSpec(std::string_view spec) {
             "fault spec: 'rate' must be in (0, 1]");
       }
     } else if (key == "fails") {
-      QARM_ASSIGN_OR_RETURN(config.fails_per_block,
-                            ParsePositive(key, value));
+      QARM_ASSIGN_OR_RETURN(config.fails, ParsePositive(key, value));
     } else if (key == "after") {
-      QARM_ASSIGN_OR_RETURN(config.after_reads, ParseUint64(value));
+      QARM_ASSIGN_OR_RETURN(config.after, ParseUint64(value));
     } else if (key == "kinds") {
       QARM_ASSIGN_OR_RETURN(config.kinds, ParseKinds(value));
-    } else if (key == "attempts") {
-      QARM_ASSIGN_OR_RETURN(config.retry.max_attempts,
-                            ParsePositive(key, value));
-    } else if (key == "backoff") {
-      QARM_ASSIGN_OR_RETURN(config.retry.initial_backoff_ms,
-                            ParseDouble(value));
-      if (config.retry.initial_backoff_ms < 0.0) {
-        return Status::InvalidArgument(
-            "fault spec: 'backoff' must be >= 0");
-      }
     } else if (key == "stall") {
       QARM_ASSIGN_OR_RETURN(config.stall_ms, ParseDouble(value));
       if (config.stall_ms < 0.0) {
@@ -108,104 +118,69 @@ Result<FaultInjectionConfig> ParseFaultSpec(std::string_view spec) {
     } else {
       return Status::InvalidArgument(
           "fault spec: unknown key '" + std::string(key) +
-          "' (expected seed, rate, fails, after, kinds, attempts, backoff, "
-          "stall)");
+          "' (expected seed, rate, fails, after, kinds, stall)");
     }
   }
   return config;
+}
+
+bool FaultsArmed(const FaultInjectionConfig& config, FaultSite site) {
+  return SiteKinds(config, site) != 0 && config.generation < config.fails;
+}
+
+std::optional<FaultKind> ScheduledFault(const FaultInjectionConfig& config,
+                                        FaultSite site, uint64_t key) {
+  const FaultStreams& streams =
+      site == FaultSite::kBlockRead ? kBlockReadStreams : kFrameWriteStreams;
+  const uint64_t mixed_key = key * 0x9e3779b97f4a7c15ULL;
+  if (UnitUniform(SplitMix64(config.seed ^ streams.fault ^ mixed_key)) >=
+      config.rate) {
+    return std::nullopt;
+  }
+  const uint32_t kinds = SiteKinds(config, site);
+  if (kinds == 0) return std::nullopt;
+  // The n-th enabled kind, lowest bit first.
+  uint64_t n = SplitMix64(config.seed ^ streams.kind ^ mixed_key) %
+               static_cast<uint64_t>(std::popcount(kinds));
+  uint32_t rest = kinds;
+  for (; n > 0; --n) rest &= rest - 1;  // drop the lowest enabled kind
+  return static_cast<FaultKind>(1u << std::countr_zero(rest));
 }
 
 FaultInjectingRecordSource::FaultInjectingRecordSource(
     const RecordSource& inner, const FaultInjectionConfig& config)
     : inner_(&inner),
       config_(config),
-      block_failures_(new std::atomic<uint64_t>[inner.num_blocks()]()) {
-  // A record source can only inject storage faults; the network kinds
-  // belong to the TCP transport. Mask them so a mixed spec works here.
-  config_.kinds = StorageFaultKinds(config_.kinds);
-}
-
-bool FaultInjectingRecordSource::BlockIsFaulted(size_t b) const {
-  const uint64_t bits =
-      SplitMix64(config_.seed ^ kFaultStream ^
-                 static_cast<uint64_t>(b) * 0x9e3779b97f4a7c15ULL);
-  return UnitUniform(bits) < config_.rate;
-}
-
-FaultKind FaultInjectingRecordSource::BlockFaultKind(size_t b) const {
-  FaultKind enabled[4];
-  size_t n = 0;
-  for (FaultKind kind : {FaultKind::kEio, FaultKind::kShortRead,
-                         FaultKind::kCrc, FaultKind::kKill}) {
-    if (config_.kinds & static_cast<uint32_t>(kind)) enabled[n++] = kind;
-  }
-  QARM_CHECK_GT(n, 0u);
-  const uint64_t bits =
-      SplitMix64(config_.seed ^ kKindStream ^
-                 static_cast<uint64_t>(b) * 0x9e3779b97f4a7c15ULL);
-  return enabled[bits % n];
-}
-
-Status FaultInjectingRecordSource::InjectOrRead(size_t b,
-                                                BlockView* view) const {
-  const uint64_t read_ordinal =
-      total_reads_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.kinds != 0 && BlockIsFaulted(b) &&
-      read_ordinal >= config_.after_reads) {
-    // Process death is not a retryable read error: the first `fails`
-    // incarnations die outright; a respawned reader (generation bumped)
-    // survives the block. The budget is the generation, not a per-block
-    // counter, because the counter dies with the process.
-    if (BlockFaultKind(b) == FaultKind::kKill) {
-      if (config_.generation < config_.fails_per_block) {
-        std::_Exit(137);  // mimic SIGKILL's 128+9 exit status
-      }
-      return inner_->ReadBlock(b, view);
-    }
-    const uint64_t prior =
-        block_failures_[b].fetch_add(1, std::memory_order_relaxed);
-    if (prior < config_.fails_per_block) {
-      faults_injected_.fetch_add(1, std::memory_order_relaxed);
-      switch (BlockFaultKind(b)) {
-        case FaultKind::kEio:
-          return Status::IOError(
-              StrFormat("injected EIO reading block %zu", b));
-        case FaultKind::kShortRead:
-          return Status::IOError(
-              StrFormat("injected short read of block %zu", b));
-        case FaultKind::kCrc:
-          return Status::IOError(
-              StrFormat("injected checksum mismatch in block %zu", b));
-        case FaultKind::kKill:
-        case FaultKind::kConnReset:
-        case FaultKind::kStall:
-        case FaultKind::kPartialWrite:
-          // kKill is handled before the per-block budget above; the
-          // network kinds never reach a record source (the constructor
-          // masks them off — they live in the TCP transport).
-          break;
-      }
-    }
-    // Budget exhausted for this block: the "device" recovered.
-    block_failures_[b].store(config_.fails_per_block,
-                             std::memory_order_relaxed);
-  }
-  return inner_->ReadBlock(b, view);
-}
+      armed_(FaultsArmed(config, FaultSite::kBlockRead)) {}
 
 Status FaultInjectingRecordSource::ReadBlock(size_t b, BlockView* view) const {
-  uint64_t retries = 0;
-  const Status status = RetryWithBackoff(
-      config_.retry, /*key=*/static_cast<uint64_t>(b), &retries,
-      [&]() { return InjectOrRead(b, view); });
-  read_retries_.fetch_add(retries, std::memory_order_relaxed);
-  return status;
+  const uint64_t read_ordinal =
+      total_reads_.fetch_add(1, std::memory_order_relaxed);
+  const std::optional<FaultKind> kind =
+      armed_ && read_ordinal >= config_.after
+          ? ScheduledFault(config_, FaultSite::kBlockRead, b)
+          : std::nullopt;
+  if (!kind.has_value()) return inner_->ReadBlock(b, view);
+  if (*kind == FaultKind::kKill) {
+    std::_Exit(137);  // mimic SIGKILL's 128+9 exit status
+  }
+  faults_injected_.fetch_add(1, std::memory_order_relaxed);
+  switch (*kind) {
+    case FaultKind::kEio:
+      return Status::IOError(StrFormat("injected EIO reading block %zu", b));
+    case FaultKind::kShortRead:
+      return Status::IOError(
+          StrFormat("injected short read of block %zu", b));
+    case FaultKind::kCrc:
+    default:  // a block read draws storage kinds only
+      return Status::IOError(
+          StrFormat("injected checksum mismatch in block %zu", b));
+  }
 }
 
 ScanIoStats FaultInjectingRecordSource::io_stats() const {
   ScanIoStats stats = inner_->io_stats();
   stats.faults_injected += faults_injected_.load(std::memory_order_relaxed);
-  stats.read_retries += read_retries_.load(std::memory_order_relaxed);
   return stats;
 }
 

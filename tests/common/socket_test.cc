@@ -1,7 +1,11 @@
 // SendAll's deadline over loopback, against a reader that stalls or
-// trickles.
+// trickles, and TcpConnect's timeout under an interrupting signal.
 #include "common/socket.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -95,6 +99,58 @@ TEST(SocketTest, SendAllCutsOffAStalledReader) {
   EXPECT_NE(sent.message().find("timed out"), std::string::npos)
       << sent.ToString();
   EXPECT_LT(elapsed_ms, 2 * 300 + 200);
+}
+
+void IgnoreSignal(int) {}
+
+// A signal that interrupts TcpConnect's wait is not a completed connect.
+// The listener's backlog is 0 and already holds one queued connection, so
+// the kernel drops the next SYN and that connect stays in progress; a
+// SIGUSR1 whose handler does not restart syscalls lands 200 ms into it.
+// The connect must still fail "timed out" after its timeout, not return a
+// socket that is still connecting.
+TEST(SocketTest, ConnectInterruptedBySignalStillTimesOut) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 0), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const uint16_t port = ntohs(addr.sin_port);
+  Result<int> queued = TcpConnect("127.0.0.1", port, 2000);
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+
+  struct sigaction action {};
+  action.sa_handler = IgnoreSignal;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART: poll() returns EINTR
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  const pthread_t connecting = ::pthread_self();
+  std::thread interrupter([connecting] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ::pthread_kill(connecting, SIGUSR1);
+  });
+  constexpr uint64_t kTimeoutMs = 1000;
+  const Timer timer;
+  Result<int> stuck = TcpConnect("127.0.0.1", port, kTimeoutMs);
+  const double elapsed_ms = timer.ElapsedMillis();
+  interrupter.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  if (stuck.ok()) ::close(*stuck);
+  ::close(*queued);
+  ::close(listener);
+
+  ASSERT_FALSE(stuck.ok()) << "an interrupted connect returned a socket";
+  EXPECT_EQ(stuck.status().code(), StatusCode::kIOError);
+  EXPECT_NE(stuck.status().message().find("timed out"), std::string::npos)
+      << stuck.status().ToString();
+  EXPECT_GE(elapsed_ms, kTimeoutMs - 50.0);
+  EXPECT_LT(elapsed_ms, kTimeoutMs + 1000.0);
 }
 
 }  // namespace

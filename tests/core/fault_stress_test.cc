@@ -1,8 +1,11 @@
-// Fault-injection stress: 50 deterministic fault schedules, each one a
-// different seeded pattern of transient EIO / short-read / CRC failures
-// over the streamed blocks. Every schedule stays within the retry budget,
-// so every run must recover and emit bit-identical rules to the fault-free
-// run — any divergence is a hard failure.
+// Fault-injection stress of the one recovery for a failed block read: the
+// run stops with the read's Status, and a fault-free rerun resumes from the
+// last completed pass's checkpoint. 50 seeded schedules of EIO / short-read
+// / CRC faults, at threads {1, 4}, each aimed at one scan of the run. Every
+// faulted run must fail with the injected IOError — never abort, never
+// hang — and every rerun must emit bit-identical rules to the clean run.
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -11,6 +14,7 @@
 #include "common/string_util.h"
 #include "core/miner.h"
 #include "partition/mapper.h"
+#include "storage/fault_injection.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "table/datagen.h"
@@ -19,7 +23,7 @@
 namespace qarm {
 namespace {
 
-TEST(FaultStressTest, FiftySeedsAllRecoverBitIdentical) {
+TEST(FaultStressTest, FiftySeedsFailThenResumeFromCheckpoint) {
   Table raw = MakeFinancialDataset(800, 21);
   MinerOptions options;
   options.minsup = 0.20;
@@ -38,42 +42,86 @@ TEST(FaultStressTest, FiftySeedsAllRecoverBitIdentical) {
   ASSERT_TRUE(WriteQbt(*mapped, qbt, write_options).ok());
   Result<std::unique_ptr<QbtFileSource>> source = QbtFileSource::Open(qbt);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
+  const uint64_t num_blocks = (*source)->num_blocks();
 
   Result<MiningResult> clean =
       QuantitativeRuleMiner(options).MineStreamed(**source);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   ASSERT_FALSE(clean->rules.empty());
 
-  uint64_t total_faults = 0;
+  // Every scan reads each block once, so read ordinal `num_blocks * m` is
+  // the start of scan m (0 = the pass-1 catalog scan). Passes are scan
+  // barriers: with `after` there, the faulted scan and the blocks it fails
+  // on do not depend on how the threads interleave.
+  uint64_t blocks_read = clean->stats.pass1_io.blocks_read;
+  for (const PassStats& pass : clean->stats.passes) {
+    blocks_read += pass.counting.io.blocks_read;
+  }
+  ASSERT_EQ(blocks_read % num_blocks, 0u);
+  const uint64_t scans = blocks_read / num_blocks;
+  ASSERT_GE(scans, 3u);
+
+  size_t failed = 0;
+  size_t resumed = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
+    // Sweep the schedule space: fault density 10-40%, every scan of the
+    // run as the target, alternating thread counts.
     MinerOptions faulty = options;
-    // Sweep the schedule space: fault density 10-40%, 1-3 failures per
-    // faulted block (always under the attempts=5 budget), alternating
-    // thread counts. backoff=0 keeps the retries instant.
     faulty.num_threads = seed % 2 == 0 ? 4 : 1;
+    faulty.checkpoint_path = ::testing::TempDir() +
+                             StrFormat("/fault_stress_%llu.qcp",
+                                       static_cast<unsigned long long>(seed));
+    std::remove(faulty.checkpoint_path.c_str());
     faulty.inject_faults_spec = StrFormat(
-        "seed=%llu,rate=0.%llu,fails=%llu,attempts=5,backoff=0",
+        "seed=%llu,rate=0.%llu,after=%llu",
         static_cast<unsigned long long>(seed),
         static_cast<unsigned long long>(1 + seed % 4),
-        static_cast<unsigned long long>(1 + seed % 3));
+        static_cast<unsigned long long>(num_blocks * (seed % scans)));
+    Result<FaultInjectionConfig> config =
+        ParseFaultSpec(faulty.inject_faults_spec);
+    ASSERT_TRUE(config.ok()) << config.status().ToString();
+    bool scheduled = false;
+    for (uint64_t b = 0; b < num_blocks; ++b) {
+      scheduled |=
+          ScheduledFault(*config, FaultSite::kBlockRead, b).has_value();
+    }
+
     Result<MiningResult> mined =
         QuantitativeRuleMiner(faulty).MineStreamed(**source);
-    ASSERT_TRUE(mined.ok())
-        << "seed " << seed << ": " << mined.status().ToString();
-    ASSERT_TRUE(testutil::SameRules(*mined, *clean))
-        << "seed " << seed << " diverged";
-
-    // The stats prove faults actually happened and were retried away.
-    ScanIoStats io = mined->stats.pass1_io;
-    for (const PassStats& pass : mined->stats.passes) {
-      io += pass.counting.io;
+    if (scheduled) {
+      // The target scan reads every block, so it meets a faulted one.
+      ASSERT_FALSE(mined.ok()) << "seed " << seed << " did not fail";
+      EXPECT_EQ(mined.status().code(), StatusCode::kIOError)
+          << "seed " << seed << ": " << mined.status().ToString();
+      EXPECT_NE(mined.status().message().find("injected"), std::string::npos)
+          << "seed " << seed << ": " << mined.status().ToString();
+      ++failed;
+    } else {
+      ASSERT_TRUE(mined.ok())
+          << "seed " << seed << ": " << mined.status().ToString();
+      EXPECT_TRUE(testutil::SameRules(*mined, *clean)) << "seed " << seed;
     }
-    // Recovered faults always show up as retries; a sparse schedule may
-    // fault zero blocks for one seed, so the >0 assertion is on the total.
-    EXPECT_GE(io.read_retries, io.faults_injected) << "seed " << seed;
-    total_faults += io.faults_injected;
+
+    // The fault-free rerun picks up the last completed pass, if any.
+    const bool checkpointed =
+        std::filesystem::exists(faulty.checkpoint_path);
+    MinerOptions rerun = faulty;
+    rerun.inject_faults_spec.clear();
+    Result<MiningResult> recovered =
+        QuantitativeRuleMiner(rerun).MineStreamed(**source);
+    ASSERT_TRUE(recovered.ok())
+        << "seed " << seed << ": " << recovered.status().ToString();
+    ASSERT_TRUE(testutil::SameRules(*recovered, *clean))
+        << "seed " << seed << " diverged after resume";
+    if (scheduled) {
+      EXPECT_EQ(recovered->stats.checkpoint.resumed, checkpointed)
+          << "seed " << seed;
+      if (recovered->stats.checkpoint.resumed) ++resumed;
+    }
+    std::remove(faulty.checkpoint_path.c_str());
   }
-  EXPECT_GT(total_faults, 0u);
+  EXPECT_GT(failed, 25u);
+  EXPECT_GT(resumed, 0u);
 }
 
 }  // namespace

@@ -110,13 +110,13 @@ TEST(DistRespawnTest, KillEveryWorkerMidCountingPass) {
   EXPECT_EQ(result->stats.dist.workers_respawned, kWorkers);
 }
 
-// Flips a worker-side crash hook on for the duration of one distributed
-// run. The hooks only fire at generation 0, so the respawned incarnations
-// always survive.
-MiningResult MineWithWorkerCrashHook(const char* env) {
+// Sets a worker-side crash hook to `value` for the duration of one
+// distributed run. The hooks only fire at generation 0, so the respawned
+// incarnations always survive.
+MiningResult MineWithWorkerCrashHook(const char* env, const char* value) {
   MinerOptions options = Corpus().options;
   options.num_workers = kWorkers;
-  ::setenv(env, "1", 1);
+  ::setenv(env, value, 1);
   Result<MiningResult> result =
       MineDistributedQbt(Corpus().qbt_path, options);
   ::unsetenv(env);
@@ -131,19 +131,20 @@ MiningResult MineWithWorkerCrashHook(const char* env) {
 // must match the fault-free run.
 TEST(DistRespawnTest, KillEveryWorkerDuringCatalogBroadcast) {
   const MiningResult result =
-      MineWithWorkerCrashHook("QARM_DIST_TEST_EXIT_BEFORE_CATALOG");
+      MineWithWorkerCrashHook("QARM_DIST_TEST_EXIT_BEFORE_CATALOG", "1");
   EXPECT_TRUE(SameRules(result, FaultFreeBaseline()));
   EXPECT_EQ(result.stats.dist.num_workers, kWorkers);
   EXPECT_EQ(result.stats.dist.workers_respawned, kWorkers);
 }
 
-// Every worker dies on *receipt* of the catalog frame, before applying it:
-// the broadcast send itself succeeds, and the death surfaces at the first
-// count request. The replay must re-deliver the catalog before that request
-// or the fresh worker answers "count request arrived before the catalog".
+// Every worker dies on *receipt* of the catalog frame — the second frame
+// after the Hello — before applying it: the broadcast send itself
+// succeeds, and the death surfaces at the first count request. The replay
+// must re-deliver the catalog before that request or the fresh worker
+// answers "count request arrived before the catalog".
 TEST(DistRespawnTest, KillEveryWorkerOnCatalogReceipt) {
   const MiningResult result =
-      MineWithWorkerCrashHook("QARM_DIST_TEST_EXIT_ON_CATALOG");
+      MineWithWorkerCrashHook("QARM_DIST_TEST_EXIT_AFTER_FRAMES", "2");
   EXPECT_TRUE(SameRules(result, FaultFreeBaseline()));
   EXPECT_EQ(result.stats.dist.workers_respawned, kWorkers);
 }
@@ -163,15 +164,14 @@ TEST(DistRespawnTest, PermanentlyDyingWorkerExhaustsRespawnBudget) {
       << result.status().ToString();
 }
 
-// A deterministic in-worker failure (unrecoverable read errors, not a
-// crash) comes back as a kError reply; the coordinator fails the run
-// immediately rather than respawning a worker that would fail identically.
+// A deterministic in-worker failure (a read error, not a crash) comes back
+// as a kError reply; the coordinator fails the run immediately rather than
+// respawning a worker that would fail identically.
 TEST(DistRespawnTest, DeterministicWorkerErrorDoesNotRespawn) {
   MinerOptions options = Corpus().options;
   options.num_workers = kWorkers;
-  // Every block read fails with EIO more times than the retry budget.
-  options.inject_faults_spec =
-      "seed=5,rate=1,kinds=eio,fails=10,attempts=2";
+  // Every block read fails with EIO, in every incarnation up to 10.
+  options.inject_faults_spec = "seed=5,rate=1,kinds=eio,fails=10";
   Result<MiningResult> result =
       MineDistributedQbt(Corpus().qbt_path, options);
   ASSERT_FALSE(result.ok());

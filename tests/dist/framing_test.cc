@@ -245,8 +245,8 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
 // field of the changed layout is read.
 TEST(DistMessagesTest, EarlierProtocolSeedsAreRejectedByVersion) {
   for (const auto& [name, version] :
-       {std::pair{"hello_v1", 1}, {"hello_v2", 2}, {"ack_v1", 1},
-        {"ack_v2", 2}}) {
+       {std::pair{"hello_v1", 1}, {"hello_v2", 2}, {"hello_v3", 3},
+        {"ack_v1", 1}, {"ack_v2", 2}, {"ack_v3", 3}}) {
     const std::string payload = SeedPayload(name);
     ASSERT_FALSE(payload.empty()) << name;
     const uint8_t* bytes = reinterpret_cast<const uint8_t*>(payload.data());
@@ -275,7 +275,7 @@ DistCountReply EveryFieldReply() {
   stats.num_degraded = 15;
   stats.threads_used = 17;
   stats.isa = SimdIsa::kAvx2;
-  stats.io = {18, 19, 0.5, 20, 21};
+  stats.io = {18, 19, 0.5, 21};
   stats.counter_bytes = 22;
   stats.replicated_bytes = 23;
   stats.group_seconds = 0.25;
@@ -299,7 +299,7 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   std::string payload;
   EncodeCountReply(reply, &payload);
   // worker_id, count list, then the stats in wire order: the six counter
-  // u64s, the isa u32, the five io fields, the two byte counts and the four
+  // u64s, the isa u32, the four io fields, the two byte counts and the four
   // phase times (little-endian IEEE doubles).
   EXPECT_EQ(Hex(payload),
             "03000000" "0200000000000000" "07000000" "09000000"
@@ -307,7 +307,7 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
             "0e00000000000000" "0f00000000000000" "1100000000000000"
             "02000000"
             "1200000000000000" "1300000000000000" "000000000000e03f"
-            "1400000000000000" "1500000000000000"
+            "1500000000000000"
             "1600000000000000" "1700000000000000"
             "000000000000d03f" "000000000000c03f" "000000000000f83f"
             "0000000000000640");
@@ -327,7 +327,6 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   EXPECT_EQ(got.io.blocks_read, 18u);
   EXPECT_EQ(got.io.bytes_read, 19u);
   EXPECT_EQ(got.io.checksum_seconds, 0.5);
-  EXPECT_EQ(got.io.read_retries, 20u);
   EXPECT_EQ(got.io.faults_injected, 21u);
   EXPECT_EQ(got.counter_bytes, 22u);
   EXPECT_EQ(got.replicated_bytes, 23u);
@@ -354,7 +353,6 @@ std::string HandMadeReply(uint32_t isa, double scan_seconds) {
   QbtAppendU64(&payload, 2);     // io.blocks_read
   QbtAppendU64(&payload, 3);     // io.bytes_read
   QbtAppendF64(&payload, 0.5);   // io.checksum_seconds
-  QbtAppendU64(&payload, 0);     // io.read_retries
   QbtAppendU64(&payload, 0);     // io.faults_injected
   QbtAppendU64(&payload, 4);     // counter_bytes
   QbtAppendU64(&payload, 0);     // replicated_bytes
@@ -412,7 +410,7 @@ TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   snapshot.block_end = 20;
   snapshot.num_rows = 2560;
   snapshot.value_counts = {{5, 0, 12}, {}, {7, 7}};
-  snapshot.io = {10, 123456, 0.75, 1, 2};
+  snapshot.io = {10, 123456, 0.75, 2};
   std::string payload;
   EncodeShardSnapshot(snapshot, &payload);
   Result<ShardSnapshot> parsed = ParseShardSnapshot(
@@ -427,7 +425,6 @@ TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   EXPECT_EQ(parsed->io.blocks_read, 10u);
   EXPECT_EQ(parsed->io.bytes_read, 123456u);
   EXPECT_EQ(parsed->io.checksum_seconds, 0.75);
-  EXPECT_EQ(parsed->io.read_retries, 1u);
   EXPECT_EQ(parsed->io.faults_injected, 2u);
 }
 

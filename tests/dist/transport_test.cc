@@ -218,7 +218,7 @@ struct FaultOutcome {
   std::vector<Result<DistFrame>> client_reads;
 };
 
-FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
+FaultOutcome ExchangeWithFaults(const FaultInjectionConfig& faults,
                                 size_t frames) {
   FaultOutcome outcome;
   LoopbackPeer peer;
@@ -228,7 +228,8 @@ FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
   // would otherwise fail the connect instead of the read under test.
   std::promise<void> connected;
   std::thread server([&]() {
-    TcpTransport transport(peer.Accept(), 5000, 5000, faults);
+    TcpTransport transport(peer.Accept(), 5000, 5000);
+    transport.SetFaults(faults);
     connected.get_future().wait();
     for (size_t i = 0; i < frames; ++i) {
       outcome.server_sends.push_back(
@@ -246,12 +247,11 @@ FaultOutcome ExchangeWithFaults(const NetFaultInjection& faults,
   return outcome;
 }
 
-NetFaultInjection EveryWriteFaults(FaultKind kind) {
-  NetFaultInjection faults;
-  faults.enabled = true;
+FaultInjectionConfig EveryWriteFaults(FaultKind kind) {
+  FaultInjectionConfig faults;
   faults.seed = 11;
   faults.rate = 1.0;
-  faults.after_writes = 1;  // first frame lands, second faults
+  faults.after = 1;  // first frame lands, second faults
   faults.generation = 0;
   faults.fails = 1;
   faults.kinds = static_cast<uint32_t>(kind);
@@ -285,7 +285,7 @@ TEST(DistTransportTest, PartialWriteTearsTheFrameCleanly) {
 TEST(DistTransportTest, FaultsAreGatedByGeneration) {
   // The same schedule at generation >= fails delivers everything — this is
   // what makes a reconnected session's replay run clean.
-  NetFaultInjection faults = EveryWriteFaults(FaultKind::kConnReset);
+  FaultInjectionConfig faults = EveryWriteFaults(FaultKind::kConnReset);
   faults.generation = 1;  // == fails
   const FaultOutcome outcome = ExchangeWithFaults(faults, 2);
   EXPECT_TRUE(outcome.server_sends[1].ok());
@@ -294,8 +294,7 @@ TEST(DistTransportTest, FaultsAreGatedByGeneration) {
 }
 
 TEST(DistTransportTest, FaultScheduleIsDeterministic) {
-  NetFaultInjection faults;
-  faults.enabled = true;
+  FaultInjectionConfig faults;
   faults.seed = 77;
   faults.rate = 0.5;
   faults.fails = 1;

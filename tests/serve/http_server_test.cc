@@ -601,6 +601,37 @@ TEST(HttpServerTest, OverlongRequestHeadGets413) {
             "{\"error\":\"request too large\"}");
 }
 
+// The whitespace around a header value is optional (RFC 9110), so
+// "Connection:close" and "Connection:  close" close the connection right
+// after the response like "Connection: close" does, rather than keeping it
+// open until the server's receive timeout.
+TEST(ServeHttpTest, ConnectionCloseWithoutSpaceCloses) {
+  Harness h = StartHarness(0);
+  for (const char* header : {"Connection:close", "Connection:  close",
+                             "connection:\tCLOSE"}) {
+    const int fd = ConnectRaw(h.server->port(), 0);
+    SetSocketTimeouts(fd, 3000, 0);  // a kept-alive connection fails fast
+    const std::string request =
+        std::string("GET /healthz HTTP/1.1\r\n") + header + "\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    const auto start = std::chrono::steady_clock::now();
+    std::string received;
+    char chunk[1024];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      received.append(chunk, static_cast<size_t>(n));
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ::close(fd);
+    EXPECT_EQ(n, 0) << header << ": no EOF";
+    EXPECT_NE(received.find("200 OK"), std::string::npos) << header;
+    EXPECT_NE(received.find("Connection: close"), std::string::npos)
+        << header << ": " << received;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(1000)) << header;
+  }
+}
+
 TEST(ServeHttpTest, StopIsIdempotentAndPromptly) {
   Harness h = StartHarness(0);
   ASSERT_TRUE(HttpGet("127.0.0.1", h.server->port(), "/healthz").ok());

@@ -1,7 +1,9 @@
-// FaultInjectingRecordSource: the spec grammar, the determinism of the
-// fault schedule, and the transient-vs-permanent failure behavior its
-// internal retry loop produces.
+// The fault injector: the spec grammar, the one seeded schedule that block
+// reads and frame writes share, and FaultInjectingRecordSource failing
+// every read of a scheduled block like a real read error.
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,16 +36,15 @@ class FaultFixture : public ::testing::Test {
 
 TEST(ParseFaultSpecTest, FullGrammar) {
   Result<FaultInjectionConfig> config = ParseFaultSpec(
-      "seed=7,rate=0.25,fails=2,after=3,kinds=eio+crc,attempts=5,backoff=0");
+      "seed=7,rate=0.25,fails=2,after=3,kinds=eio+crc,stall=250");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->seed, 7u);
   EXPECT_DOUBLE_EQ(config->rate, 0.25);
-  EXPECT_EQ(config->fails_per_block, 2u);
-  EXPECT_EQ(config->after_reads, 3u);
+  EXPECT_EQ(config->fails, 2u);
+  EXPECT_EQ(config->after, 3u);
   EXPECT_EQ(config->kinds, static_cast<uint32_t>(FaultKind::kEio) |
                                static_cast<uint32_t>(FaultKind::kCrc));
-  EXPECT_EQ(config->retry.max_attempts, 5u);
-  EXPECT_DOUBLE_EQ(config->retry.initial_backoff_ms, 0.0);
+  EXPECT_DOUBLE_EQ(config->stall_ms, 250.0);
 }
 
 TEST(ParseFaultSpecTest, DefaultsFromSingleKey) {
@@ -51,114 +52,164 @@ TEST(ParseFaultSpecTest, DefaultsFromSingleKey) {
   ASSERT_TRUE(config.ok());
   EXPECT_EQ(config->seed, 9u);
   EXPECT_DOUBLE_EQ(config->rate, 0.05);
-  EXPECT_EQ(config->fails_per_block, 1u);
+  EXPECT_EQ(config->fails, 1u);
+  EXPECT_EQ(config->after, 0u);
   EXPECT_EQ(config->kinds, static_cast<uint32_t>(FaultKind::kEio) |
                                static_cast<uint32_t>(FaultKind::kShortRead) |
                                static_cast<uint32_t>(FaultKind::kCrc));
 }
 
+// `attempts` and `backoff` configured a retry of injected faults that no
+// longer exists; they are unknown keys now.
 TEST(ParseFaultSpecTest, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "   ", "seed", "seed=", "seed=x", "rate=0", "rate=1.5",
-        "rate=-0.1", "fails=0", "attempts=0", "kinds=", "kinds=disk",
-        "kinds=eio+bogus", "backoff=-1", "bogus=1", "rate=0.5,bogus=1"}) {
+        "rate=-0.1", "fails=0", "attempts=0", "attempts=2", "kinds=",
+        "kinds=disk", "kinds=eio+bogus", "backoff=-1", "backoff=1",
+        "stall=-1", "bogus=1", "rate=0.5,bogus=1"}) {
     Result<FaultInjectionConfig> config = ParseFaultSpec(bad);
     EXPECT_FALSE(config.ok()) << "spec accepted: '" << bad << "'";
     EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
+// The kind each key draws, 0 when spared.
+std::vector<uint32_t> DrawKeys(const FaultInjectionConfig& config,
+                               FaultSite site, size_t keys) {
+  std::vector<uint32_t> kinds;
+  for (uint64_t key = 0; key < keys; ++key) {
+    const std::optional<FaultKind> kind = ScheduledFault(config, site, key);
+    kinds.push_back(kind.has_value() ? static_cast<uint32_t>(*kind) : 0);
+  }
+  return kinds;
+}
+
 TEST_F(FaultFixture, ScheduleIsDeterministic) {
   FaultInjectionConfig config;
   config.seed = 11;
   config.rate = 0.4;
-  const FaultInjectingRecordSource a(*source_, config);
-  const FaultInjectingRecordSource b(*source_, config);
-  size_t faulted = 0;
-  for (size_t blk = 0; blk < source_->num_blocks(); ++blk) {
-    EXPECT_EQ(a.BlockIsFaulted(blk), b.BlockIsFaulted(blk));
-    if (a.BlockIsFaulted(blk)) {
-      ++faulted;
-      EXPECT_EQ(a.BlockFaultKind(blk), b.BlockFaultKind(blk));
-    }
-  }
+  const size_t blocks = source_->num_blocks();
+  const std::vector<uint32_t> a =
+      DrawKeys(config, FaultSite::kBlockRead, blocks);
+  EXPECT_EQ(a, DrawKeys(config, FaultSite::kBlockRead, blocks));
   // rate=0.4 over >= 10 blocks: the schedule actually faults something but
   // not everything.
+  const size_t faulted = blocks - std::count(a.begin(), a.end(), 0u);
   EXPECT_GT(faulted, 0u);
-  EXPECT_LT(faulted, source_->num_blocks());
+  EXPECT_LT(faulted, blocks);
 
   FaultInjectionConfig other = config;
   other.seed = 12;
-  const FaultInjectingRecordSource c(*source_, other);
-  size_t differs = 0;
-  for (size_t blk = 0; blk < source_->num_blocks(); ++blk) {
-    if (a.BlockIsFaulted(blk) != c.BlockIsFaulted(blk)) ++differs;
+  EXPECT_NE(a, DrawKeys(other, FaultSite::kBlockRead, blocks))
+      << "seed must change the schedule";
+
+  // The source fails exactly the scheduled reads, in any read order.
+  const FaultInjectingRecordSource faulty(*source_, config);
+  for (size_t blk = blocks; blk-- > 0;) {
+    BlockView view;
+    EXPECT_EQ(faulty.ReadBlock(blk, &view).ok(), a[blk] == 0)
+        << "block " << blk;
   }
-  EXPECT_GT(differs, 0u) << "seed must change the schedule";
 }
 
-TEST_F(FaultFixture, TransientFaultsRecoverThroughRetry) {
+// Reads and writes draw from their own streams and kinds. These are the
+// schedules that every spec had while the two sites kept separate copies
+// of the draw, so an existing spec still faults the same blocks and the
+// same writes.
+TEST_F(FaultFixture, ScheduleMatchesPinnedKeys) {
+  constexpr uint32_t kEio = static_cast<uint32_t>(FaultKind::kEio);
+  constexpr uint32_t kShort = static_cast<uint32_t>(FaultKind::kShortRead);
+  constexpr uint32_t kCrc = static_cast<uint32_t>(FaultKind::kCrc);
+  constexpr uint32_t kKill = static_cast<uint32_t>(FaultKind::kKill);
+  constexpr uint32_t kReset = static_cast<uint32_t>(FaultKind::kConnReset);
+  constexpr uint32_t kPartial =
+      static_cast<uint32_t>(FaultKind::kPartialWrite);
+  FaultInjectionConfig reads;
+  reads.seed = 11;
+  reads.rate = 0.4;
+  reads.kinds = kEio | kShort | kCrc | kKill;
+  EXPECT_EQ(DrawKeys(reads, FaultSite::kBlockRead, 16),
+            (std::vector<uint32_t>{kCrc, 0, kShort, 0, kShort, 0, kEio, kEio,
+                                   0, kCrc, 0, 0, kCrc, kKill, 0, kShort}));
+  FaultInjectionConfig writes;
+  writes.seed = 77;
+  writes.rate = 0.5;
+  writes.kinds = kReset | kPartial |
+                 static_cast<uint32_t>(FaultKind::kStall);
+  EXPECT_EQ(DrawKeys(writes, FaultSite::kFrameWrite, 16),
+            (std::vector<uint32_t>{0, 0, kPartial, 0, 0, kReset, 0, kReset,
+                                   0, kPartial, kPartial, 0, 0, kReset, 0,
+                                   0}));
+  // A site never draws the other site's kinds.
+  EXPECT_EQ(DrawKeys(writes, FaultSite::kBlockRead, 16),
+            std::vector<uint32_t>(16, 0));
+  EXPECT_FALSE(FaultsArmed(writes, FaultSite::kBlockRead));
+  EXPECT_TRUE(FaultsArmed(writes, FaultSite::kFrameWrite));
+}
+
+// A faulted read fails with its kind's IOError on every attempt and in
+// every pass: nothing retries it, and the "device" never recovers within
+// one incarnation.
+TEST_F(FaultFixture, FaultedReadsFailEveryTime) {
   FaultInjectionConfig config;
   config.seed = 5;
-  config.rate = 1.0;   // every block faulted
-  config.fails_per_block = 2;
-  config.retry.max_attempts = 4;  // retry budget > fails: all reads recover
-  config.retry.initial_backoff_ms = 0.0;
+  config.rate = 1.0;  // every block faulted
   const FaultInjectingRecordSource faulty(*source_, config);
 
-  for (size_t blk = 0; blk < source_->num_blocks(); ++blk) {
-    BlockView view;
-    Status status = faulty.ReadBlock(blk, &view);
-    ASSERT_TRUE(status.ok()) << "block " << blk << ": " << status.ToString();
-    EXPECT_EQ(view.num_rows(), source_->block_rows(blk));
+  const size_t blocks = source_->num_blocks();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t blk = 0; blk < blocks; ++blk) {
+      BlockView view;
+      const Status status = faulty.ReadBlock(blk, &view);
+      ASSERT_FALSE(status.ok()) << "block " << blk;
+      EXPECT_EQ(status.code(), StatusCode::kIOError);
+      EXPECT_NE(status.message().find("injected"), std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find("block " + std::to_string(blk)),
+                std::string::npos)
+          << status.ToString();
+    }
   }
-  const ScanIoStats stats = faulty.io_stats();
-  EXPECT_EQ(stats.faults_injected, 2 * source_->num_blocks());
-  EXPECT_EQ(stats.read_retries, 2 * source_->num_blocks());
-
-  // A second pass over the same blocks is clean: the "device" recovered.
-  for (size_t blk = 0; blk < source_->num_blocks(); ++blk) {
-    BlockView view;
-    ASSERT_TRUE(faulty.ReadBlock(blk, &view).ok());
-  }
-  EXPECT_EQ(faulty.io_stats().faults_injected, stats.faults_injected);
+  EXPECT_EQ(faulty.io_stats().faults_injected, 2 * blocks);
 }
 
-TEST_F(FaultFixture, PermanentFaultEscapesTheRetryBudget) {
+// `fails` counts incarnations: a reader at generation >= fails reads the
+// same schedule clean, the way a respawned worker replays its shard.
+TEST_F(FaultFixture, FaultsAreGatedByGeneration) {
   FaultInjectionConfig config;
   config.seed = 5;
   config.rate = 1.0;
-  config.fails_per_block = 100;   // far beyond the retry budget
-  config.retry.max_attempts = 3;
-  config.retry.initial_backoff_ms = 0.0;
+  config.fails = 2;
   config.kinds = static_cast<uint32_t>(FaultKind::kEio);
-  const FaultInjectingRecordSource faulty(*source_, config);
-
-  BlockView view;
-  Status status = faulty.ReadBlock(0, &view);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_NE(status.message().find("injected EIO"), std::string::npos);
-  EXPECT_EQ(faulty.io_stats().faults_injected, 3u);  // one per attempt
+  for (uint64_t generation : {0u, 1u, 2u, 3u}) {
+    config.generation = generation;
+    const FaultInjectingRecordSource faulty(*source_, config);
+    BlockView view;
+    const Status status = faulty.ReadBlock(0, &view);
+    EXPECT_EQ(status.ok(), generation >= config.fails)
+        << "generation " << generation << ": " << status.ToString();
+    if (!status.ok()) {
+      EXPECT_NE(status.message().find("injected EIO"), std::string::npos);
+    }
+  }
 }
 
 TEST_F(FaultFixture, AfterReadsSuppressesEarlyInjection) {
   FaultInjectionConfig config;
   config.seed = 5;
   config.rate = 1.0;
-  config.fails_per_block = 1000;  // permanent, once injection starts
-  config.retry.max_attempts = 1;
-  config.retry.initial_backoff_ms = 0.0;
-  config.after_reads = 3;
+  config.after = 3;
   const FaultInjectingRecordSource faulty(*source_, config);
 
-  // The first 3 reads are clean; the 4th injects.
+  // The first 3 reads are clean; every later one injects.
   for (size_t i = 0; i < 3; ++i) {
     BlockView view;
     ASSERT_TRUE(faulty.ReadBlock(i, &view).ok()) << "read " << i;
   }
-  BlockView view;
-  EXPECT_FALSE(faulty.ReadBlock(3, &view).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    BlockView view;
+    EXPECT_FALSE(faulty.ReadBlock(i, &view).ok()) << "read " << 3 + i;
+  }
 }
 
 TEST_F(FaultFixture, StatsPassThroughToInnerSource) {

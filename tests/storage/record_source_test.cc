@@ -123,19 +123,17 @@ TEST(QbtFileSourceTest, CountsEveryBlockRead) {
 }
 
 TEST(ScanIoStatsTest, Arithmetic) {
-  ScanIoStats a{10, 1000, 0.5, 3, 7};
-  ScanIoStats b{4, 400, 0.25, 1, 2};
+  ScanIoStats a{10, 1000, 0.5, 7};
+  ScanIoStats b{4, 400, 0.25, 2};
   ScanIoStats d = a - b;
   EXPECT_EQ(d.blocks_read, 6u);
   EXPECT_EQ(d.bytes_read, 600u);
   EXPECT_EQ(d.checksum_seconds, 0.25);
-  EXPECT_EQ(d.read_retries, 2u);
   EXPECT_EQ(d.faults_injected, 5u);
   b += d;
   EXPECT_EQ(b.blocks_read, 10u);
   EXPECT_EQ(b.bytes_read, 1000u);
   EXPECT_EQ(b.checksum_seconds, 0.5);
-  EXPECT_EQ(b.read_retries, 3u);
   EXPECT_EQ(b.faults_injected, 7u);
 }
 

@@ -648,10 +648,9 @@ int RunCommand(int argc, char** argv, const std::string& command,
                    static_cast<unsigned long long>(
                        stats.pass1_io.blocks_read));
     }
-    if (io.read_retries > 0 || io.faults_injected > 0) {
-      std::fprintf(stderr, "# io-faults: injected=%llu retries=%llu\n",
-                   static_cast<unsigned long long>(io.faults_injected),
-                   static_cast<unsigned long long>(io.read_retries));
+    if (io.faults_injected > 0) {
+      std::fprintf(stderr, "# io-faults: injected=%llu\n",
+                   static_cast<unsigned long long>(io.faults_injected));
     }
     if (stats.dist.num_workers > 0) {
       DistPassStats sum;
