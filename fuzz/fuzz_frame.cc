@@ -1,9 +1,11 @@
 // Fuzz harness for the distributed wire decoders. The first input byte
 // selects the decoder — 0: RecvFrame over an in-memory transport (magic,
 // length-cap, CRC checks, reassembly from single-byte reads), 1:
-// ParseHello, 2: ParseHelloAck (version gate first), 3: ParseCountRequest,
-// 4: ParseCountReply, 5: ParseShardSnapshot, 6: ParseCheckpointCatalog
-// (every count bounds-checked in division form before allocation).
+// ParseHello, 2: ParseHelloAck (version gate first), 3: ParseCountRequest
+// (a counting plan), 4: MergeCountReply (a shard's counters, decoded into
+// the fixed ReplyShape below), 5: ParseShardSnapshot, 6:
+// ParseCheckpointCatalog (every count bounds-checked in division form
+// before allocation).
 // Property: hostile bytes never crash, hang, or trigger an absurd
 // allocation — every defect surfaces as a Status. Decoded messages are
 // re-encoded and compared with the input, so an accepting parse that loses
@@ -12,7 +14,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "dist/framing.h"
@@ -59,6 +63,21 @@ void CheckRoundTrip(const qarm::Result<Message>& parsed,
   QARM_CHECK(size == 0 || std::memcmp(reencoded.data(), payload, size) == 0);
 }
 
+// The counters every selector-4 input decodes into, from a shard of
+// kShardRows rows: a direct count, a 3x4 grid, three member counts and a
+// 5-cell grid. tests/dist/framing_test.cc decodes the reply seeds of the
+// corpus into the same shape.
+qarm::PassCounters ReplyShape() {
+  qarm::PassCounters counters(4);
+  counters[1].grid =
+      std::make_unique<qarm::NDimArray>(std::vector<int32_t>{3, 4});
+  counters[2].members.assign(3, 0);
+  counters[3].grid = std::make_unique<qarm::NDimArray>(std::vector<int32_t>{5});
+  return counters;
+}
+
+constexpr uint64_t kShardRows = 1000;
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -87,10 +106,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       CheckRoundTrip(qarm::ParseCountRequest(payload, payload_size),
                      &qarm::EncodeCountRequest, payload, payload_size);
       break;
-    case 4:
-      CheckRoundTrip(qarm::ParseCountReply(payload, payload_size),
-                     &qarm::EncodeCountReply, payload, payload_size);
+    case 4: {
+      // Decoded into zeroed counters, an accepted reply's counters are its
+      // own, so it re-encodes to the input.
+      qarm::PassCounters counters = ReplyShape();
+      auto reply =
+          qarm::MergeCountReply(payload, payload_size, kShardRows, &counters);
+      if (!reply.ok()) break;
+      std::string reencoded;
+      qarm::EncodeCountReply(*reply, counters, &reencoded);
+      QARM_CHECK(reencoded.size() == payload_size);
+      QARM_CHECK(payload_size == 0 ||
+                 std::memcmp(reencoded.data(), payload, payload_size) == 0);
       break;
+    }
     case 5:
       CheckRoundTrip(qarm::ParseShardSnapshot(payload, payload_size),
                      &qarm::EncodeShardSnapshot, payload, payload_size);

@@ -14,6 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_dispatch.h"
@@ -21,6 +23,7 @@
 #include "core/candidate_gen.h"
 #include "core/frequent_items.h"
 #include "core/options.h"
+#include "index/ndim_array.h"
 #include "partition/mapped_table.h"
 #include "storage/record_source.h"
 
@@ -57,11 +60,11 @@ struct CountingStats {
 
   // Per-phase wall times of the pass.
   double group_seconds = 0.0;   // grouping candidates into super-candidates
-  double build_seconds = 0.0;   // counting structures + shared-mask plan
-  double scan_seconds = 0.0;    // the (possibly sharded) pass over the rows
-  double reduce_seconds = 0.0;  // merging thread counters + collecting counts
+  double build_seconds = 0.0;   // counter choice, counters + shared masks
+  double scan_seconds = 0.0;    // the pass over the rows + replica merge
+  double reduce_seconds = 0.0;  // prefix sums + per-candidate counts
 
-  // In the count reply's wire order (storage/stats_fields.h).
+  // In JSON order (storage/stats_fields.h).
   static void Fields(auto&& f, auto&... s) {
     f("super_candidates", s.num_super_candidates...);
     f("array_counters", s.num_array_counters...);
@@ -80,15 +83,111 @@ struct CountingStats {
   }
 };
 
+// Counting runs in three stages, so that distributed mining can split them
+// across processes:
+//
+//   1. Plan (PlanCounting): group the candidates into super-candidates and
+//      choose each one's counter. Reads candidates, never a record.
+//   2. Scan (ScanCounters): build the counters a plan names and sweep a
+//      record source into them. Reads records, never a candidate. An array
+//      count is a sum over records, so the counters of disjoint record
+//      sets add up to the counters of their union.
+//   3. Reduce (ReduceCounts): turn the counters into one count per
+//      candidate: prefix sums and rectangle lookups for the grids, a copy
+//      for member and direct counts.
+//
+// CountSupports runs all three in one process. Distributed mining plans
+// and reduces once on the coordinator and scans on the workers, which
+// receive only the plan's CounterGroups and send back their counters.
+
+// How a plan counts one super-candidate.
+enum class CounterKind : uint8_t {
+  kDirect = 0,    // no dimensions: one count of the rows matching its items
+  kArray = 1,     // an NDimArray over its dimensions
+  kTree = 2,      // an R*-tree of its member rectangles: a count per member
+  kDegraded = 3,  // each member rectangle tested per block: a count per member
+};
+
+// One super-candidate of a plan: all a scan needs to count it.
+struct CounterGroup {
+  CounterKind kind = CounterKind::kDirect;
+  std::vector<int32_t> quant_attrs;   // the dimensions, as attribute indices
+  std::vector<int32_t> cat_item_ids;  // sorted categorical item ids
+  // Candidates in the group. Not needed by a scan of a kArray group, but
+  // a worker checks the counter choice against it (CheckCountPlan).
+  uint64_t num_members = 0;
+  // kTree and kDegraded: member m's rectangle as a lo, hi pair per
+  // dimension at [m * 2 * dims, (m + 1) * 2 * dims).
+  std::vector<int32_t> member_rects;
+};
+
+struct CountPlan {
+  std::vector<CounterGroup> groups;
+  // Per group, its members as runs [first, end) of candidate indices, in
+  // candidate order. Only the planning process holds them: a scan needs
+  // none, and the reduce maps counters back to candidates through them.
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> member_runs;
+};
+
+// The counters of one group, of the kind its plan names.
+struct GroupCounter {
+  std::unique_ptr<NDimArray> grid;  // kArray
+  std::vector<uint32_t> members;    // kTree, kDegraded: one per member
+  uint64_t direct = 0;              // kDirect
+};
+// Parallel to CountPlan::groups.
+using PassCounters = std::vector<GroupCounter>;
+
+// Stage 1. Fills the plan's fields of `stats`: super-candidates, counter
+// kinds, counter_bytes, group_seconds and the choice's build_seconds. Logs
+// one warning when groups degrade.
+CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
+                       const CandidateStream& candidates,
+                       const MinerOptions& options, CountingStats* stats);
+
+// Checks a plan that came from a peer before anything is allocated for it:
+// every attribute is a ranged attribute of `source`, every item a
+// categorical item of `catalog`, every kTree/kDegraded group has members,
+// and every counter kind is the one PlanCounting's budget rule gives under
+// options.counter_memory_budget_bytes — so no grid is larger, and no tree
+// wider than kRStarMaxDims, than the planner itself would build.
+// InvalidArgument names the first offending group.
+Status CheckCountPlan(const CountPlan& plan, const RecordSource& source,
+                      const ItemCatalog& catalog, const MinerOptions& options);
+
+// Zeroed counters of the plan's shape (grid dimensions from `source`).
+PassCounters MakeCounters(const CountPlan& plan, const RecordSource& source);
+
+// Stage 2. Sweeps every block of `source`, sharded across threads, into the
+// plan's counters, and merges the thread replicas. Fills threads_used, isa,
+// replicated_bytes, io and scan_seconds of `stats`, and adds the counter
+// build to build_seconds. Fails only when a block read fails.
+Result<PassCounters> ScanCounters(const RecordSource& source,
+                                  const ItemCatalog& catalog,
+                                  const CountPlan& plan,
+                                  const MinerOptions& options,
+                                  CountingStats* stats);
+
+// Stage 3. The count of every candidate of `candidates` (the stream the
+// plan was made from), parallel over groups on `num_threads` threads.
+// Consumes the grids of `counters`. Fills reduce_seconds.
+std::vector<uint32_t> ReduceCounts(const CountPlan& plan,
+                                   const RecordSource& source,
+                                   const ItemCatalog& catalog,
+                                   const CandidateStream& candidates,
+                                   size_t num_threads, PassCounters* counters,
+                                   CountingStats* stats);
+
 // Counts the support of every candidate in one block-streamed pass over
-// `source`. Returns counts parallel to `candidates` (uint32: a count is
-// bounded by the record count). Fails only when a block read fails (e.g. a
-// QBT checksum mismatch). Workers shard over contiguous *block* ranges, so
-// a larger-than-RAM source streams through with memory bounded by the
-// blocks in flight plus the counting structures. The candidates arrive as
-// a CandidateStream: grouping consumes one sequential chunked sweep, and
-// only member decodes touch individual candidates afterwards, so pass 2's
-// implicit cross product never materializes.
+// `source`: plan, scan and reduce in this process. Returns counts parallel
+// to `candidates` (uint32: a count is bounded by the record count). Fails
+// only when a block read fails (e.g. a QBT checksum mismatch). Threads
+// shard over contiguous *block* ranges, so a larger-than-RAM source streams
+// through with memory bounded by the blocks in flight plus the counters.
+// The candidates arrive as a CandidateStream: planning consumes one
+// sequential chunked sweep, and only member decodes touch individual
+// candidates afterwards, so pass 2's implicit cross product never
+// materializes.
 Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
                                             const ItemCatalog& catalog,
                                             const CandidateStream& candidates,

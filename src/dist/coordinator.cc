@@ -393,26 +393,36 @@ Status DistWorkerPool::PublishCatalog(std::string payload,
   return Status::OK();
 }
 
-Result<std::vector<DistCountReply>> DistWorkerPool::CountShards(
-    const DistCountRequest& request, DistPassStats* stats) {
+Result<std::vector<CountingStats>> DistWorkerPool::CountShards(
+    const CountPlan& plan, PassCounters* merged, DistPassStats* stats) {
   std::string payload;
-  EncodeCountRequest(request, &payload);
+  EncodeCountRequest(plan, &payload);
   QARM_ASSIGN_OR_RETURN(std::vector<std::string> replies,
                         Exchange(DistMessageType::kCountRequest, payload,
                                  DistMessageType::kCountReply, stats));
-  std::vector<DistCountReply> parsed;
-  parsed.reserve(replies.size());
+  Timer merge_timer;
+  std::vector<CountingStats> scans;
+  scans.reserve(replies.size());
   for (size_t w = 0; w < replies.size(); ++w) {
+    const DistHello& hello = workers_[w].hello;
+    const BlockRangeSource shard(*file_,
+                                 static_cast<size_t>(hello.block_begin),
+                                 static_cast<size_t>(hello.block_end));
+    // Exact integer sums in fixed worker order: bit-identical merges at
+    // any worker count.
     QARM_ASSIGN_OR_RETURN(
         DistCountReply reply,
-        ParseCountReply(reinterpret_cast<const uint8_t*>(replies[w].data()),
-                        replies[w].size()));
-    if (reply.worker_id != workers_[w].hello.worker_id) {
-      return Status::Internal("count reply arrived out of worker order");
+        MergeCountReply(reinterpret_cast<const uint8_t*>(replies[w].data()),
+                        replies[w].size(), shard.num_rows(), merged));
+    if (reply.worker_id != hello.worker_id) {
+      return Status::IOError(
+          StrFormat("count reply of worker %u arrived from worker %u",
+                    hello.worker_id, reply.worker_id));
     }
-    parsed.push_back(std::move(reply));
+    scans.push_back(reply.stats);
   }
-  return parsed;
+  if (stats != nullptr) stats->merge_seconds += merge_timer.ElapsedSeconds();
+  return scans;
 }
 
 }  // namespace qarm

@@ -85,10 +85,15 @@ class DistWorkerPool {
   // payload so a relaunched worker can be replayed into the same state.
   Status PublishCatalog(std::string payload, DistPassStats* stats);
 
-  // One counting pass: broadcasts `request`, returns the per-shard replies
-  // in worker order.
-  Result<std::vector<DistCountReply>> CountShards(
-      const DistCountRequest& request, DistPassStats* stats);
+  // One counting pass: sends every worker the plan's groups and adds each
+  // shard's counters into `merged` (MakeCounters of `plan`), in worker
+  // order, with the decode counted as the pass's merge time. Returns the
+  // workers' scan stats in worker order. A reply that does not fit the
+  // plan or its shard's rows fails the pass with an IOError; it is not a
+  // dead worker, so nothing is relaunched.
+  Result<std::vector<CountingStats>> CountShards(const CountPlan& plan,
+                                                 PassCounters* merged,
+                                                 DistPassStats* stats);
 
  private:
   struct Worker {

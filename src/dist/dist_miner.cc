@@ -8,8 +8,8 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/candidate_gen.h"
 #include "core/mining_checkpoint.h"
+#include "core/support_counting.h"
 #include "dist/coordinator.h"
 #include "dist/worker_registry.h"
 #include "storage/checkpoint_format.h"
@@ -18,24 +18,24 @@
 namespace qarm {
 namespace {
 
-// Folds the shards' counting stats into the pass's: structural fields
-// (grouping, counter kinds, ISA) are identical across workers — every
-// worker groups the same candidates under the same options — so worker 0
-// speaks for all; I/O sums; wall times take the slowest shard.
-void MergeCountingStats(const std::vector<DistCountReply>& replies,
-                        CountingStats* stats) {
-  if (stats == nullptr || replies.empty()) return;
-  *stats = replies[0].stats;
-  for (size_t w = 1; w < replies.size(); ++w) {
-    const CountingStats& shard = replies[w].stats;
+// Folds the workers' scan stats into a pass whose plan and reduce ran
+// here: I/O and replicas sum over the shards, threads take the widest
+// shard, the ISA the lowest, and the scan and the workers' share of the
+// build the slowest shard.
+void AddScanStats(const std::vector<CountingStats>& scans,
+                  CountingStats* stats) {
+  if (scans.empty()) return;
+  double build_seconds = 0.0;
+  stats->isa = scans.front().isa;
+  for (const CountingStats& shard : scans) {
     stats->io += shard.io;
     stats->threads_used = std::max(stats->threads_used, shard.threads_used);
-    stats->group_seconds = std::max(stats->group_seconds, shard.group_seconds);
-    stats->build_seconds = std::max(stats->build_seconds, shard.build_seconds);
+    stats->isa = std::min(stats->isa, shard.isa);
+    stats->replicated_bytes += shard.replicated_bytes;
+    build_seconds = std::max(build_seconds, shard.build_seconds);
     stats->scan_seconds = std::max(stats->scan_seconds, shard.scan_seconds);
-    stats->reduce_seconds =
-        std::max(stats->reduce_seconds, shard.reduce_seconds);
   }
+  stats->build_seconds += build_seconds;
 }
 
 }  // namespace
@@ -129,10 +129,13 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
     return merged;
   };
 
-  hooks.publish_catalog = [&](const ItemCatalog& catalog,
+  // The catalog outlives every counting pass; plans and reduces read it.
+  const ItemCatalog* catalog = nullptr;
+  hooks.publish_catalog = [&](const ItemCatalog& published,
                               bool /*restored*/) -> Status {
+    catalog = &published;
     std::string payload;
-    EncodeCheckpointCatalog(catalog.Snapshot(), &payload);
+    EncodeCheckpointCatalog(published.Snapshot(), &payload);
     // Attribute the broadcast to pass 1 when it exists (fresh run); a
     // resumed run restored the catalog without a pass-1 exchange, so the
     // broadcast gets its own k = 1 entry.
@@ -146,47 +149,25 @@ Result<MiningResult> MineDistributedQbt(const std::string& qbt_path,
     return pool->PublishCatalog(std::move(payload), &dist.passes.front());
   };
 
+  // Plan once, let the workers count, reduce once: candidates never leave
+  // this process, and only the plan's groups and the counters travel.
   hooks.count_supports =
       [&](const CandidateStream& candidates,
           CountingStats* stats) -> Result<std::vector<uint32_t>> {
-    DistCountRequest request;
-    request.k = static_cast<uint32_t>(candidates.k());
-    request.num_candidates = candidates.size();
-    // Pass 2's implicit cross product ships as a flag — both sides derive
-    // the same C2 from the shared catalog instead of moving millions of
-    // ids over the pipe.
-    if (dynamic_cast<const ImplicitPairStream*>(&candidates) != nullptr) {
-      request.implicit_pairs = true;
-    } else {
-      request.ids.reserve(candidates.size() * candidates.k());
-      candidates.ForEachChunk([&](size_t /*first*/, const ItemsetSet& chunk) {
-        for (size_t i = 0; i < chunk.size(); ++i) {
-          const int32_t* ids = chunk.itemset(i);
-          request.ids.insert(request.ids.end(), ids, ids + chunk.k());
-        }
-      });
-    }
+    CountingStats counting;
+    const CountPlan plan =
+        PlanCounting(*source, *catalog, candidates, options, &counting);
+    PassCounters merged = MakeCounters(plan, *source);
     DistPassStats pass;
-    pass.k = request.k;
-    QARM_ASSIGN_OR_RETURN(std::vector<DistCountReply> replies,
-                          pool->CountShards(request, &pass));
-    Timer merge_timer;
-    std::vector<uint32_t> counts(candidates.size(), 0);
-    for (size_t w = 0; w < replies.size(); ++w) {
-      if (replies[w].counts.size() != counts.size()) {
-        return Status::Internal(StrFormat(
-            "worker %zu returned %zu counts for %zu candidates", w,
-            replies[w].counts.size(), counts.size()));
-      }
-      // Exact integer sums in fixed worker order: bit-identical merges at
-      // any worker count.
-      for (size_t c = 0; c < counts.size(); ++c) {
-        counts[c] += replies[w].counts[c];
-      }
-    }
-    MergeCountingStats(replies, stats);
-    pass.merge_seconds = merge_timer.ElapsedSeconds();
+    pass.k = candidates.k();
+    QARM_ASSIGN_OR_RETURN(std::vector<CountingStats> scans,
+                          pool->CountShards(plan, &merged, &pass));
+    AddScanStats(scans, &counting);
+    std::vector<uint32_t> counts = ReduceCounts(
+        plan, *source, *catalog, candidates,
+        ResolveNumThreads(options.num_threads), &merged, &counting);
     dist.passes.push_back(pass);
+    if (stats != nullptr) *stats = counting;
     return counts;
   };
 

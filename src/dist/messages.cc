@@ -1,59 +1,175 @@
 #include "dist/messages.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/string_util.h"
 #include "storage/byte_reader.h"
 #include "storage/stats_fields.h"
 
 namespace qarm {
+namespace {
 
-void EncodeCountRequest(const DistCountRequest& request, std::string* out) {
-  QbtAppendU32(out, request.k);
-  QbtAppendU32(out, request.implicit_pairs ? 1 : 0);
-  QbtAppendU64(out, request.num_candidates);
-  if (!request.implicit_pairs) {
-    for (int32_t id : request.ids) QbtAppendI32(out, id);
+void AppendIds(const std::vector<int32_t>& ids, std::string* out) {
+  AppendVarint(out, ids.size());
+  for (int32_t id : ids) AppendVarint(out, static_cast<uint32_t>(id));
+}
+
+Status ReadIds(ByteReader* reader, std::vector<int32_t>* out) {
+  uint64_t count = 0;
+  QARM_RETURN_NOT_OK(reader->ReadVarint(&count));
+  return reader->ReadVarintI32Array(count, out);
+}
+
+bool HasRects(CounterKind kind) {
+  return kind == CounterKind::kTree || kind == CounterKind::kDegraded;
+}
+
+// A count of at most `limit` rows of group g.
+Status ReadCount(ByteReader* reader, size_t g, uint64_t limit,
+                 uint64_t* out) {
+  QARM_RETURN_NOT_OK(reader->ReadVarint(out));
+  if (*out <= limit) return Status::OK();
+  return Status::IOError(StrFormat(
+      "count reply group %zu counts more rows than its shard holds", g));
+}
+
+}  // namespace
+
+void EncodeCountRequest(const CountPlan& plan, std::string* out) {
+  AppendVarint(out, plan.groups.size());
+  for (const CounterGroup& group : plan.groups) {
+    out->push_back(static_cast<char>(group.kind));
+    AppendIds(group.quant_attrs, out);
+    AppendIds(group.cat_item_ids, out);
+    if (group.kind != CounterKind::kDirect) {
+      AppendVarint(out, group.num_members);
+    }
+    if (HasRects(group.kind)) AppendIds(group.member_rects, out);
   }
 }
 
-Result<DistCountRequest> ParseCountRequest(const uint8_t* data, size_t size) {
+Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size) {
   ByteReader reader(data, size, "count request", StatusCode::kIOError);
-  DistCountRequest request;
-  uint32_t implicit = 0;
-  QARM_RETURN_NOT_OK(reader.ReadU32(&request.k));
-  QARM_RETURN_NOT_OK(reader.ReadU32(&implicit));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&request.num_candidates));
-  if (request.k == 0) {
-    return Status::IOError("count request has k == 0");
-  }
-  if (implicit > 1) {
-    return Status::IOError(
-        StrFormat("count request implicit-pairs flag is %u", implicit));
-  }
-  request.implicit_pairs = implicit == 1;
-  if (!request.implicit_pairs) {
-    QARM_RETURN_NOT_OK(reader.NeedCount(request.num_candidates,
-                                        4 * static_cast<size_t>(request.k)));
-    QARM_RETURN_NOT_OK(reader.ReadI32Array(request.num_candidates * request.k,
-                                           &request.ids));
+  uint64_t num_groups = 0;
+  QARM_RETURN_NOT_OK(reader.ReadVarint(&num_groups));
+  // A group takes at least its kind byte and two counts.
+  QARM_RETURN_NOT_OK(reader.NeedCount(num_groups, 3));
+  CountPlan plan;
+  plan.groups.resize(static_cast<size_t>(num_groups));
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    CounterGroup& group = plan.groups[g];
+    uint8_t kind = 0;
+    QARM_RETURN_NOT_OK(reader.ReadU8(&kind));
+    group.kind = static_cast<CounterKind>(kind);
+    QARM_RETURN_NOT_OK(ReadIds(&reader, &group.quant_attrs));
+    QARM_RETURN_NOT_OK(ReadIds(&reader, &group.cat_item_ids));
+    const size_t dims = group.quant_attrs.size();
+    // A direct group has no dimensions, and every other kind has some.
+    if (kind > static_cast<uint8_t>(CounterKind::kDegraded) ||
+        (group.kind == CounterKind::kDirect) != (dims == 0)) {
+      return Status::IOError(StrFormat(
+          "count request group %zu has kind %u and %zu dimensions", g, kind,
+          dims));
+    }
+    // Every group counts rows matching at least one item or dimension; a
+    // scan has no row mask to start such a group from.
+    if (dims == 0 && group.cat_item_ids.empty()) {
+      return Status::IOError(
+          StrFormat("count request group %zu counts no item", g));
+    }
+    if (group.kind == CounterKind::kDirect) continue;
+    QARM_RETURN_NOT_OK(reader.ReadVarint(&group.num_members));
+    if (!HasRects(group.kind)) continue;
+    // A lo and a hi per dimension and member.
+    QARM_RETURN_NOT_OK(ReadIds(&reader, &group.member_rects));
+    if (group.member_rects.size() / (2 * dims) != group.num_members ||
+        group.member_rects.size() % (2 * dims) != 0) {
+      return Status::IOError(StrFormat(
+          "count request group %zu has %zu bounds for %llu members", g,
+          group.member_rects.size(),
+          static_cast<unsigned long long>(group.num_members)));
+    }
   }
   QARM_RETURN_NOT_OK(reader.ExpectEnd());
-  return request;
+  return plan;
 }
 
-void EncodeCountReply(const DistCountReply& reply, std::string* out) {
+void EncodeCountReply(const DistCountReply& reply,
+                      const PassCounters& counters, std::string* out) {
   QbtAppendU32(out, reply.worker_id);
-  QbtAppendU64(out, reply.counts.size());
-  for (uint32_t c : reply.counts) QbtAppendU32(out, c);
+  AppendVarint(out, counters.size());
+  for (const GroupCounter& counter : counters) {
+    if (counter.grid != nullptr) {
+      const uint32_t* cells = counter.grid->cells();
+      const uint64_t num_cells = counter.grid->num_cells();
+      for (uint64_t c = 0;;) {
+        const uint64_t run_begin = c;
+        while (c < num_cells && cells[c] == 0) ++c;
+        AppendVarint(out, c - run_begin);
+        if (c == num_cells) break;
+        AppendVarint(out, cells[c++]);
+      }
+    } else if (!counter.members.empty()) {
+      for (uint32_t count : counter.members) AppendVarint(out, count);
+    } else {
+      AppendVarint(out, counter.direct);
+    }
+  }
   AppendStatsWire(reply.stats, out);
 }
 
-Result<DistCountReply> ParseCountReply(const uint8_t* data, size_t size) {
+Result<DistCountReply> MergeCountReply(const uint8_t* data, size_t size,
+                                       uint64_t shard_rows,
+                                       PassCounters* merged) {
   ByteReader reader(data, size, "count reply", StatusCode::kIOError);
   DistCountReply reply;
-  uint64_t num_counts = 0;
   QARM_RETURN_NOT_OK(reader.ReadU32(&reply.worker_id));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&num_counts));
-  QARM_RETURN_NOT_OK(reader.ReadU32Array(num_counts, &reply.counts));
+  uint64_t num_groups = 0;
+  QARM_RETURN_NOT_OK(reader.ReadVarint(&num_groups));
+  if (num_groups != merged->size()) {
+    return Status::IOError(
+        StrFormat("count reply has %llu groups, the plan %zu",
+                  static_cast<unsigned long long>(num_groups), merged->size()));
+  }
+  // No counter passes the shard's rows (nor a uint32 cell), and a grid's
+  // cells add up to at most the rows: a row lands in one cell at most.
+  const uint64_t max_count =
+      std::min<uint64_t>(shard_rows, std::numeric_limits<uint32_t>::max());
+  for (size_t g = 0; g < merged->size(); ++g) {
+    GroupCounter& counter = (*merged)[g];
+    uint64_t value = 0;
+    if (counter.grid != nullptr) {
+      uint32_t* cells = counter.grid->mutable_cells();
+      const uint64_t num_cells = counter.grid->num_cells();
+      uint64_t rows_left = max_count;
+      for (uint64_t c = 0;;) {
+        QARM_RETURN_NOT_OK(reader.ReadVarint(&value));
+        if (value > num_cells - c) {
+          return Status::IOError(StrFormat(
+              "count reply group %zu runs past its grid's %llu cells", g,
+              static_cast<unsigned long long>(num_cells)));
+        }
+        c += value;
+        if (c == num_cells) break;
+        QARM_RETURN_NOT_OK(ReadCount(&reader, g, rows_left, &value));
+        if (value == 0) {
+          return Status::IOError(StrFormat(
+              "count reply group %zu lists a zero cell outside a run", g));
+        }
+        rows_left -= value;
+        cells[c++] += static_cast<uint32_t>(value);
+      }
+    } else if (!counter.members.empty()) {
+      for (uint32_t& count : counter.members) {
+        QARM_RETURN_NOT_OK(ReadCount(&reader, g, max_count, &value));
+        count += static_cast<uint32_t>(value);
+      }
+    } else {
+      QARM_RETURN_NOT_OK(ReadCount(&reader, g, shard_rows, &value));
+      counter.direct += value;
+    }
+  }
   QARM_RETURN_NOT_OK(ReadStatsWire(&reader, "stats", &reply.stats));
   QARM_RETURN_NOT_OK(reader.ExpectEnd());
   return reply;

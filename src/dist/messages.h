@@ -8,10 +8,15 @@
 //   kPass1Request (empty)        ->
 //                                <-  kPass1Reply (ShardSnapshot, QCPS)
 //   kCatalog (QCP catalog bytes) ->                       (no reply)
-//   kCountRequest                ->
-//                                <-  kCountReply
+//   kCountRequest (a plan)       ->
+//                                <-  kCountReply (the shard's counters)
 //   ... one kCountRequest per pass ...
 //   kShutdown (empty)            ->                       (worker exits)
+//
+// A counting pass is plan -> counters -> one reduce (core/
+// support_counting.h): the coordinator plans, each worker checks the plan
+// (CheckCountPlan) and scans its shard into the plan's counters, and the
+// coordinator adds the replies up in worker order and reduces once.
 //
 // A worker that hits an unrecoverable error answers the request with
 // kError (a status message) instead of the reply type; the coordinator
@@ -22,7 +27,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/support_counting.h"
@@ -47,31 +51,31 @@ enum class DistMessageType : uint32_t {
   kHeartbeat = 10,
 };
 
-// One pass's candidates, coordinator -> worker. Pass 2 over a full L1
-// frontier ships only the `implicit_pairs` flag — both sides hold the same
-// catalog, so the worker derives C2 itself (an ImplicitPairStream) instead
-// of receiving millions of ids. Later passes ship the materialized ids.
-struct DistCountRequest {
-  uint32_t k = 0;
-  bool implicit_pairs = false;
-  uint64_t num_candidates = 0;
-  std::vector<int32_t> ids;  // k * num_candidates when !implicit_pairs
-};
+// kCountRequest: the plan's groups as varints (per group a u8 kind, its
+// dimensions and items, and for counted groups the member count and any
+// member rectangles), never its member runs or candidates.
+void EncodeCountRequest(const CountPlan& plan, std::string* out);
+Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size);
 
-// One shard's counts, worker -> coordinator. `counts` is parallel to the
-// request's candidate sequence; `stats` is the shard's CountingStats
-// (summed/maxed into the pass stats by the coordinator).
+// kCountReply: u32 worker_id, then each group's counters as varints (a
+// grid as zero runs between non-zero cells), then the worker's
+// CountingStats. A scan fills only its threads, isa, io, replicated bytes
+// and build and scan times; the coordinator's plan and reduce give the
+// rest (dist_miner.cc).
 struct DistCountReply {
   uint32_t worker_id = 0;
-  std::vector<uint32_t> counts;
   CountingStats stats;
 };
 
-void EncodeCountRequest(const DistCountRequest& request, std::string* out);
-Result<DistCountRequest> ParseCountRequest(const uint8_t* data, size_t size);
+void EncodeCountReply(const DistCountReply& reply,
+                      const PassCounters& counters, std::string* out);
 
-void EncodeCountReply(const DistCountReply& reply, std::string* out);
-Result<DistCountReply> ParseCountReply(const uint8_t* data, size_t size);
+// Adds a reply's counters into `merged` (MakeCounters of the request's
+// plan). Counters of another shape, or counting more than the `shard_rows`
+// rows the worker scanned, are an IOError, after which `merged` is void.
+Result<DistCountReply> MergeCountReply(const uint8_t* data, size_t size,
+                                       uint64_t shard_rows,
+                                       PassCounters* merged);
 
 }  // namespace qarm
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "core/candidate_gen.h"
 #include "core/frequent_items.h"
 #include "core/options.h"
 #include "core/support_counting.h"
@@ -111,47 +110,20 @@ Result<std::string> HandleCount(uint32_t worker_id,
   if (catalog == nullptr) {
     return Status::Internal("count request arrived before the catalog");
   }
-  QARM_ASSIGN_OR_RETURN(DistCountRequest request,
+  QARM_ASSIGN_OR_RETURN(CountPlan plan,
                         ParseCountRequest(
                             reinterpret_cast<const uint8_t*>(payload.data()),
                             payload.size()));
-  // Both stream shapes below must enumerate candidates in exactly the
-  // coordinator's order: the reply's counts are matched back by position.
-  ItemsetSet materialized(request.k);
-  std::unique_ptr<CandidateStream> candidates;
-  if (request.implicit_pairs) {
-    if (request.k != 2) {
-      return Status::Internal("implicit candidate stream requires k == 2");
-    }
-    candidates = std::make_unique<ImplicitPairStream>(*catalog);
-  } else {
-    // The ids index the catalog's per-item tables in CountSupports; a
-    // peer's id outside the catalog is a deterministic error, not a read.
-    for (int32_t id : request.ids) {
-      if (id < 0 || static_cast<size_t>(id) >= catalog->num_items()) {
-        return Status::InvalidArgument(
-            StrFormat("count request names item %d of a %zu-item catalog",
-                      id, catalog->num_items()));
-      }
-    }
-    materialized.Reserve(static_cast<size_t>(request.num_candidates));
-    for (size_t c = 0; c < request.num_candidates; ++c) {
-      materialized.Append(&request.ids[c * request.k]);
-    }
-    candidates = std::make_unique<ItemsetStreamView>(materialized);
-  }
-  if (candidates->size() != request.num_candidates) {
-    return Status::Internal(
-        "worker candidate count disagrees with the coordinator (catalog "
-        "mismatch?)");
-  }
+  // A peer's plan indexes the catalog, the schema and the counter budget;
+  // one that does not fit them is refused before any counter exists.
+  QARM_RETURN_NOT_OK(CheckCountPlan(plan, shard, *catalog, options));
   DistCountReply reply;
   reply.worker_id = worker_id;
-  QARM_ASSIGN_OR_RETURN(reply.counts,
-                        CountSupports(shard, *catalog, *candidates, options,
-                                      &reply.stats));
+  QARM_ASSIGN_OR_RETURN(
+      PassCounters counters,
+      ScanCounters(shard, *catalog, plan, options, &reply.stats));
   std::string out;
-  EncodeCountReply(reply, &out);
+  EncodeCountReply(reply, counters, &out);
   return out;
 }
 
@@ -176,7 +148,7 @@ uint64_t TestExitAfterFrames() {
 
 // The session's scan options: the execution knobs its Hello carries.
 // Everything that shapes the *output* arrives later through the request
-// stream (the catalog broadcast, the candidate lists), so defaulted
+// stream (the catalog broadcast, the counting plans), so defaulted
 // MinerOptions fields here are harmless.
 MinerOptions ScanOptions(const DistHello& hello) {
   MinerOptions options;
@@ -232,18 +204,26 @@ Status RunWorkerSession(Transport& transport, const DistHello& hello,
     switch (static_cast<DistMessageType>(frame->type)) {
       case DistMessageType::kShutdown:
         return Status::OK();
-      case DistMessageType::kPass1Request: {
+      case DistMessageType::kPass1Request:
+      case DistMessageType::kCountRequest: {
+        const bool pass1 =
+            static_cast<DistMessageType>(frame->type) ==
+            DistMessageType::kPass1Request;
         Result<std::string> reply{std::string()};
         {
           HeartbeatGuard liveness(writer, hello.heartbeat_ms);
-          reply = HandlePass1(hello, options, shard);
+          reply = pass1 ? HandlePass1(hello, options, shard)
+                        : HandleCount(hello.worker_id, options, shard,
+                                      catalog.has_value() ? &*catalog : nullptr,
+                                      frame->payload);
         }
         const Status sent =
-            reply.ok() ? writer.Send(DistMessageType::kPass1Reply, *reply)
-                       : writer.Send(DistMessageType::kError,
-                                     reply.status().ToString());
+            !reply.ok() ? writer.Send(DistMessageType::kError,
+                                      reply.status().ToString())
+            : pass1     ? writer.Send(DistMessageType::kPass1Reply, *reply)
+                        : writer.Send(DistMessageType::kCountReply, *reply);
         (void)sent;
-        if (reply.ok() &&
+        if (pass1 && reply.ok() &&
             TestExitHere(hello, "QARM_DIST_TEST_EXIT_BEFORE_CATALOG")) {
           std::_Exit(1);
         }
@@ -265,21 +245,6 @@ Status RunWorkerSession(Transport& transport, const DistHello& hello,
         // No reply: the coordinator pipelines the catalog broadcast with
         // the first count request.
         catalog.emplace(std::move(restored).value());
-        break;
-      }
-      case DistMessageType::kCountRequest: {
-        Result<std::string> reply{std::string()};
-        {
-          HeartbeatGuard liveness(writer, hello.heartbeat_ms);
-          reply = HandleCount(hello.worker_id, options, shard,
-                              catalog.has_value() ? &*catalog : nullptr,
-                              frame->payload);
-        }
-        const Status sent =
-            reply.ok() ? writer.Send(DistMessageType::kCountReply, *reply)
-                       : writer.Send(DistMessageType::kError,
-                                     reply.status().ToString());
-        (void)sent;
         break;
       }
       default: {

@@ -101,6 +101,11 @@ class NDimArray {
   void CountRects(const int32_t* los, const int32_t* his, size_t num,
                   uint32_t* out) const;
 
+  // The cells in flat-index order (a distributed worker ships them, the
+  // coordinator adds them up). Counts only before BuildPrefixSums.
+  const uint32_t* cells() const { return cells_.data(); }
+  uint32_t* mutable_cells() { return cells_.data(); }
+
   // Raw cell accessor (tests; invalid after BuildPrefixSums).
   uint64_t CellAt(const int32_t* point) const;
 

@@ -26,6 +26,47 @@ Status ByteReader::NeedCount(uint64_t count, size_t element_size) const {
   return Status::OK();
 }
 
+Status ByteReader::ReadLongVarint(uint64_t* out) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 10; ++i) {
+    if (remaining() == 0) return Truncated();
+    const uint8_t byte = data_[pos_++];
+    // The tenth byte holds bit 63 only.
+    if (i == 9 && byte > 1) {
+      return Status::Error(code_,
+                           StrFormat("%s holds a varint past 64 bits", label_));
+    }
+    value |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
+    if ((byte & 0x80) != 0) continue;
+    if (byte == 0 && i > 0) {
+      return Status::Error(
+          code_, StrFormat("%s holds an overlong varint", label_));
+    }
+    *out = value;
+    return Status::OK();
+  }
+  return Status::Error(code_,
+                       StrFormat("%s holds a varint past 64 bits", label_));
+}
+
+Status ByteReader::ReadVarintI32Array(uint64_t count,
+                                      std::vector<int32_t>* out) {
+  QARM_RETURN_NOT_OK(NeedCount(count, 1));
+  out->resize(static_cast<size_t>(count));
+  for (int32_t& value : *out) {
+    uint64_t word = 0;
+    QARM_RETURN_NOT_OK(ReadVarint(&word));
+    if (word > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+      return Status::Error(code_, StrFormat("%s holds %llu, past int32",
+                                            label_,
+                                            static_cast<unsigned long long>(
+                                                word)));
+    }
+    value = static_cast<int32_t>(word);
+  }
+  return Status::OK();
+}
+
 Status ByteReader::Skip(uint64_t bytes) {
   if (bytes > remaining()) return Truncated();
   pos_ += static_cast<size_t>(bytes);

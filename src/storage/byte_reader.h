@@ -42,6 +42,20 @@ class ByteReader {
   Status ReadU64(uint64_t* out) { return Read<8>(out, QbtReadU64); }
   Status ReadF64(double* out) { return Read<8>(out, QbtReadF64); }
 
+  // An unsigned LEB128 varint (AppendVarint): 7 bits per byte, low bits
+  // first. Only the shortest encoding of a value is accepted, so every
+  // accepted varint re-encodes to its own bytes.
+  Status ReadVarint(uint64_t* out) {
+    // Most counts on the wire are below 128: one byte, read inline.
+    if (pos_ < size_ && data_[pos_] < 0x80) {
+      *out = data_[pos_++];
+      return Status::OK();
+    }
+    return ReadLongVarint(out);
+  }
+  // `count` varints, each a non-negative int32, after NeedCount.
+  Status ReadVarintI32Array(uint64_t count, std::vector<int32_t>* out);
+
   // A string prefixed by its u32 length (ReadString) or u64 length
   // (ReadString64). The length is checked against `max_bytes`, then
   // against the remaining bytes, before the string allocates.
@@ -78,6 +92,7 @@ class ByteReader {
   Status ReadArray(uint64_t count, std::vector<T>* out,
                    T (*decode)(const uint8_t*));
   Status ReadBytes(uint64_t length, uint64_t max_bytes, std::string* out);
+  Status ReadLongVarint(uint64_t* out);
   Status Truncated() const;
 
   const uint8_t* data_;
@@ -86,6 +101,15 @@ class ByteReader {
   const char* label_;
   StatusCode code_;
 };
+
+// Appends `value` as the shortest unsigned LEB128 varint (1-10 bytes).
+inline void AppendVarint(std::string* out, uint64_t value) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
 
 // --- File preamble and CRC envelope ----------------------------------------
 

@@ -168,7 +168,7 @@ Result<CheckpointState> ReadCheckpoint(const std::string& path);
 // the shard's ScanIoStats in its wire form (storage/stats_fields.h).
 
 inline constexpr char kShardSnapshotMagic[4] = {'Q', 'C', 'P', 'S'};
-inline constexpr uint32_t kShardSnapshotVersion = 3;
+inline constexpr uint32_t kShardSnapshotVersion = 4;
 
 struct ShardSnapshot {
   uint64_t fingerprint = 0;  // same run fingerprint as the checkpoint

@@ -164,7 +164,6 @@ Status FaultInjectingRecordSource::ReadBlock(size_t b, BlockView* view) const {
   if (*kind == FaultKind::kKill) {
     std::_Exit(137);  // mimic SIGKILL's 128+9 exit status
   }
-  faults_injected_.fetch_add(1, std::memory_order_relaxed);
   switch (*kind) {
     case FaultKind::kEio:
       return Status::IOError(StrFormat("injected EIO reading block %zu", b));
@@ -176,12 +175,6 @@ Status FaultInjectingRecordSource::ReadBlock(size_t b, BlockView* view) const {
       return Status::IOError(
           StrFormat("injected checksum mismatch in block %zu", b));
   }
-}
-
-ScanIoStats FaultInjectingRecordSource::io_stats() const {
-  ScanIoStats stats = inner_->io_stats();
-  stats.faults_injected += faults_injected_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace qarm

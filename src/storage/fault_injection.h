@@ -124,14 +124,13 @@ class FaultInjectingRecordSource : public RecordSource {
   // Fails a scheduled block's read, once `after` reads have passed, with
   // its kind's IOError (or exits, for kKill); otherwise reads `inner`.
   Status ReadBlock(size_t b, BlockView* view) const override;
-  ScanIoStats io_stats() const override;
+  ScanIoStats io_stats() const override { return inner_->io_stats(); }
 
  private:
   const RecordSource* inner_;
   FaultInjectionConfig config_;
   bool armed_;
   mutable std::atomic<uint64_t> total_reads_{0};
-  mutable std::atomic<uint64_t> faults_injected_{0};
 };
 
 }  // namespace qarm

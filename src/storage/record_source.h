@@ -38,14 +38,12 @@ struct ScanIoStats {
   uint64_t blocks_read = 0;
   uint64_t bytes_read = 0;         // bytes mapped & checksummed
   double checksum_seconds = 0.0;   // wall time spent validating CRCs
-  uint64_t faults_injected = 0;    // injected faults (fault_injection.h)
 
   // JSON, wire, += and - (storage/stats_fields.h).
   static void Fields(auto&& f, auto&... s) {
     f("blocks_read", s.blocks_read...);
     f("bytes_read", s.bytes_read...);
     f("checksum_seconds", s.checksum_seconds...);
-    f("faults_injected", s.faults_injected...);
   }
 };
 

@@ -149,7 +149,7 @@ PassStats GoldenPass(size_t k, size_t base, SimdIsa isa) {
   counting.num_degraded = base + 13;
   counting.threads_used = base + 15;
   counting.isa = isa;
-  counting.io = {base + 16, base + 17, sec(18), base + 20};
+  counting.io = {base + 16, base + 17, sec(18)};
   counting.counter_bytes = base + 21;
   counting.replicated_bytes = base + 22;
   counting.group_seconds = sec(23);
@@ -172,7 +172,7 @@ MiningStats GoldenStats() {
   stats.achieved_partial_completeness = 1.234567;
   stats.num_rules = 52;
   stats.num_interesting_rules = 19;
-  stats.pass1_io = {11, 90112, 0.003125, 6};
+  stats.pass1_io = {11, 90112, 0.003125};
   stats.checkpoint.enabled = true;
   stats.checkpoint.resumed = false;
   stats.checkpoint.resumed_passes = 12;
@@ -231,8 +231,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"interest_seconds\":0.875000,\"candgen_threads_used\":4,"
       "\"rulegen_threads_used\":8,\"interest_threads_used\":9,"
       "\"pass1_io\":{\"blocks_read\":11,\"bytes_read\":90112,"
-      "\"checksum_seconds\":0.003125,"
-      "\"faults_injected\":6},"
+      "\"checksum_seconds\":0.003125},"
       "\"checkpoint\":{\"enabled\":true,\"resumed\":false,"
       "\"resumed_passes\":12,\"checkpoints_written\":13,"
       "\"last_checkpoint_bytes\":70001,\"write_seconds\":0.046875},"
@@ -245,8 +244,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"tree_counters\":111,\"direct_counters\":112,"
       "\"degraded_counters\":113,\"threads_used\":115,\"isa\":\"avx2\","
       "\"io\":{\"blocks_read\":116,\"bytes_read\":117,"
-      "\"checksum_seconds\":1.843750,"
-      "\"faults_injected\":120},"
+      "\"checksum_seconds\":1.843750},"
       "\"counter_bytes\":121,\"replicated_bytes\":122,"
       "\"group_seconds\":1.921875,\"build_seconds\":1.937500,"
       "\"scan_seconds\":1.953125,\"reduce_seconds\":1.968750,"
@@ -259,8 +257,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"tree_counters\":211,\"direct_counters\":212,"
       "\"degraded_counters\":213,\"threads_used\":215,\"isa\":\"scalar\","
       "\"io\":{\"blocks_read\":216,\"bytes_read\":217,"
-      "\"checksum_seconds\":3.406250,"
-      "\"faults_injected\":220},"
+      "\"checksum_seconds\":3.406250},"
       "\"counter_bytes\":221,\"replicated_bytes\":222,"
       "\"group_seconds\":3.484375,\"build_seconds\":3.500000,"
       "\"scan_seconds\":3.515625,\"reduce_seconds\":3.531250,"
@@ -303,8 +300,7 @@ TEST(StatsJsonTest, DistributedAndWorkersOnlyWhenPresent) {
             "\"interest_seconds\":0.000000,\"candgen_threads_used\":1,"
             "\"rulegen_threads_used\":1,\"interest_threads_used\":1,"
             "\"pass1_io\":{\"blocks_read\":0,\"bytes_read\":0,"
-            "\"checksum_seconds\":0.000000,"
-            "\"faults_injected\":0},"
+            "\"checksum_seconds\":0.000000},"
             "\"checkpoint\":{\"enabled\":false,\"resumed\":false,"
             "\"resumed_passes\":0,\"checkpoints_written\":0,"
             "\"last_checkpoint_bytes\":0,\"write_seconds\":0.000000},"

@@ -72,14 +72,18 @@ MiningResult Baseline() {
 // the checkpoint must be accepted (not treated as stale) and the resumed
 // rules must match the uninterrupted baseline bit for bit.
 void ExpectResumeAcrossWorkerCounts(size_t interrupt_workers,
-                                    size_t resume_workers) {
+                                    size_t resume_workers,
+                                    uint64_t counter_budget = 0) {
   const std::string tag = std::to_string(interrupt_workers) + "to" +
-                          std::to_string(resume_workers);
+                          std::to_string(resume_workers) + "b" +
+                          std::to_string(counter_budget);
   const std::string path =
       ::testing::TempDir() + "/dist_resume_" + tag + ".qcp";
   std::remove(path.c_str());
+  MinerOptions options = Corpus().options;
+  if (counter_budget > 0) options.counter_memory_budget_bytes = counter_budget;
 
-  MinerOptions interrupted = Corpus().options;
+  MinerOptions interrupted = options;
   interrupted.num_workers = interrupt_workers;
   interrupted.checkpoint_path = path;
   interrupted.stop_after_pass = 2;
@@ -89,7 +93,7 @@ void ExpectResumeAcrossWorkerCounts(size_t interrupt_workers,
   EXPECT_EQ(killed.status().code(), StatusCode::kCancelled) << tag;
   ASSERT_TRUE(FileExists(path)) << tag;
 
-  MinerOptions resume = Corpus().options;
+  MinerOptions resume = options;
   resume.num_workers = resume_workers;
   resume.checkpoint_path = path;
   Result<MiningResult> resumed =
@@ -115,6 +119,15 @@ TEST(DistCheckpointTest, InterruptAtOneWorkerResumeAtFour) {
 TEST(DistCheckpointTest, InterruptAtTwoWorkersResumeAtThree) {
   ExpectResumeAcrossWorkerCounts(/*interrupt_workers=*/2,
                                  /*resume_workers=*/3);
+}
+
+// A counter budget too small for the grids: the passes after the resume
+// count through R*-tree and degraded groups, whose member rectangles the
+// plan ships, at another worker count than the interrupted run.
+TEST(DistCheckpointTest, TinyCounterBudgetInterruptAtTwoWorkersResumeAtFour) {
+  ExpectResumeAcrossWorkerCounts(/*interrupt_workers=*/2,
+                                 /*resume_workers=*/4,
+                                 /*counter_budget=*/256);
 }
 
 // The invariant behind the resumes above, checked directly: the mining

@@ -61,6 +61,10 @@ inline DistCorpus BuildCorpus(const Table& table, const MinerOptions& options,
   return corpus;
 }
 
+// A counter budget that the financial corpus's grids overflow, so its
+// plans count groups with R*-trees and degraded member scans too.
+inline constexpr uint64_t kTinyCounterBudget = 256;
+
 inline const DistCorpus& FinancialCorpus() {
   static const DistCorpus* corpus = []() {
     MinerOptions options;

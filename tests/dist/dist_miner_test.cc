@@ -21,6 +21,7 @@ namespace {
 
 using disttest::DistCorpus;
 using disttest::FinancialCorpus;
+using disttest::kTinyCounterBudget;
 using disttest::MissingValuesCorpus;
 using disttest::MustMineStreamed;
 using disttest::TaxonomyCorpus;
@@ -96,19 +97,52 @@ TEST(DistMinerTest, WorkerCountClampsToBlockCount) {
   EXPECT_EQ(got.stats.dist.num_workers, corpus.num_blocks);
 }
 
-// The pass-2 exchange ships the implicit-C2 flag, not materialized pairs:
-// the request for k=2 must be orders of magnitude smaller than the counts
-// coming back.
-TEST(DistMinerTest, ImplicitPairRequestsStaySmall) {
+// A count request carries the pass's plan, not its candidates: on the
+// financial corpus every pass's request stays under 1 KB per worker however
+// many candidates the pass counts, and far below the counters coming back.
+TEST(DistMinerTest, CountRequestsStaySmall) {
   const MiningResult got =
       MustMineDistributed(FinancialCorpus(), /*workers=*/2, /*threads=*/1);
-  const DistPassStats* pass2 = nullptr;
+  size_t counting_passes = 0;
   for (const DistPassStats& pass : got.stats.dist.passes) {
-    if (pass.k == 2) pass2 = &pass;
+    if (pass.k < 2) continue;  // pass 1 and the catalog broadcast
+    ++counting_passes;
+    // Both workers get the same request.
+    EXPECT_LT(pass.bytes_sent / 2, 1024u) << "pass k=" << pass.k;
   }
-  ASSERT_NE(pass2, nullptr);
-  EXPECT_LT(pass2->bytes_sent, 1024u);
-  EXPECT_GT(pass2->bytes_received, pass2->bytes_sent * 10);
+  EXPECT_GE(counting_passes, 2u);
+  for (const PassStats& pass : got.stats.passes) {
+    if (pass.k == 2) {
+      EXPECT_GT(pass.num_candidates, 1000u);
+    }
+  }
+}
+
+// A counter budget too small for the pass's grids makes the plan count
+// groups with R*-trees and degraded member scans, whose member rectangles
+// travel in the plan. The rules stay byte-identical to the in-process
+// miner under the same budget.
+TEST(DistMinerTest, TinyCounterBudgetMatrixByteIdentical) {
+  DistCorpus corpus = FinancialCorpus();
+  corpus.options.counter_memory_budget_bytes = kTinyCounterBudget;
+  const MiningResult baseline = MustMineStreamed(corpus, /*threads=*/1);
+  ASSERT_FALSE(baseline.rules.empty());
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " threads=" + std::to_string(threads));
+      const MiningResult got = MustMineDistributed(corpus, workers, threads);
+      EXPECT_TRUE(SameRules(got, baseline));
+      size_t trees = 0;
+      size_t degraded = 0;
+      for (const PassStats& pass : got.stats.passes) {
+        trees += pass.counting.num_tree_counters;
+        degraded += pass.counting.num_degraded;
+      }
+      EXPECT_GT(trees, 0u);
+      EXPECT_GT(degraded, 0u);
+    }
+  }
 }
 
 // Pass 1's I/O is the sum of the shards' I/O, checksum time included: the

@@ -23,11 +23,14 @@
 #include "dist/messages.h"
 #include "dist/transport.h"
 #include "storage/checkpoint_format.h"
+#include "storage/byte_reader.h"
 #include "storage/crc32.h"
 #include "storage/qbt_format.h"
 
 namespace qarm {
 namespace {
+
+using namespace std::string_literals;
 
 class DistFramingTest : public ::testing::Test {
  protected:
@@ -127,76 +130,153 @@ TEST_F(DistFramingTest, CorruptPayloadFailsTheCrc) {
   EXPECT_NE(frame.status().ToString().find("CRC"), std::string::npos);
 }
 
-TEST(DistMessagesTest, CountRequestRoundTripsMaterializedIds) {
-  DistCountRequest request;
-  request.k = 3;
-  request.num_candidates = 2;
-  request.ids = {0, 4, 9, 1, 4, 11};
-  std::string payload;
-  EncodeCountRequest(request, &payload);
-  Result<DistCountRequest> parsed = ParseCountRequest(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->k, 3u);
-  EXPECT_FALSE(parsed->implicit_pairs);
-  EXPECT_EQ(parsed->num_candidates, 2u);
-  EXPECT_EQ(parsed->ids, request.ids);
+std::string Hex(const std::string& bytes) {
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += "0123456789abcdef"[c >> 4];
+    out += "0123456789abcdef"[c & 15];
+  }
+  return out;
 }
 
-TEST(DistMessagesTest, CountRequestRoundTripsImplicitPairs) {
-  DistCountRequest request;
-  request.k = 2;
-  request.implicit_pairs = true;
-  request.num_candidates = 3400000;  // no ids travel with the flag
+// A plan with one group of every counter kind.
+CountPlan EveryKindPlan() {
+  CountPlan plan;
+  plan.groups.resize(4);
+  plan.groups[0].kind = CounterKind::kDirect;
+  plan.groups[0].cat_item_ids = {3, 7};
+  plan.groups[1].kind = CounterKind::kArray;
+  plan.groups[1].quant_attrs = {0, 2};
+  plan.groups[1].cat_item_ids = {5};
+  plan.groups[1].num_members = 300;
+  plan.groups[2].kind = CounterKind::kTree;
+  plan.groups[2].quant_attrs = {1};
+  plan.groups[2].num_members = 2;
+  plan.groups[2].member_rects = {0, 3, 2, 5};
+  plan.groups[3].kind = CounterKind::kDegraded;
+  plan.groups[3].quant_attrs = {0, 1};
+  plan.groups[3].num_members = 1;
+  plan.groups[3].member_rects = {1, 200, 3, 4};
+  return plan;
+}
+
+Result<CountPlan> ParsePlanBytes(const std::string& payload) {
+  return ParseCountRequest(reinterpret_cast<const uint8_t*>(payload.data()),
+                           payload.size());
+}
+
+TEST(DistMessagesTest, CountRequestRoundTripsAPlan) {
+  const CountPlan plan = EveryKindPlan();
   std::string payload;
-  EncodeCountRequest(request, &payload);
-  EXPECT_EQ(payload.size(), 4u + 4u + 8u);
-  Result<DistCountRequest> parsed = ParseCountRequest(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->implicit_pairs);
-  EXPECT_EQ(parsed->num_candidates, 3400000u);
-  EXPECT_TRUE(parsed->ids.empty());
+  EncodeCountRequest(plan, &payload);
+  // The group count, then per group its kind, its dimensions and items
+  // (each a varint count and varints), and for counted groups the member
+  // count and, for tree and degraded groups, the member rectangles' bounds
+  // (a varint count and varints).
+  EXPECT_EQ(Hex(payload),
+            "04"
+            "00" "00" "020307"
+            "01" "020002" "0105" "ac02"
+            "02" "0101" "00" "02" "0400030205"
+            "03" "020001" "00" "01" "0401c8010304");
+  Result<CountPlan> parsed = ParsePlanBytes(payload);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->groups.size(), 4u);
+  for (size_t g = 0; g < 4; ++g) {
+    const CounterGroup& want = plan.groups[g];
+    const CounterGroup& got = parsed->groups[g];
+    EXPECT_EQ(got.kind, want.kind) << g;
+    EXPECT_EQ(got.quant_attrs, want.quant_attrs) << g;
+    EXPECT_EQ(got.cat_item_ids, want.cat_item_ids) << g;
+    EXPECT_EQ(got.num_members, want.num_members) << g;
+    EXPECT_EQ(got.member_rects, want.member_rects) << g;
+  }
+  // Member runs stay with the coordinator.
+  EXPECT_TRUE(parsed->member_runs.empty());
 }
 
 TEST(DistMessagesTest, CountRequestRejectsTruncationAndOverflowCounts) {
-  DistCountRequest request;
-  request.k = 2;
-  request.num_candidates = 4;
-  request.ids = {0, 1, 0, 2, 1, 2, 1, 3};
   std::string payload;
-  EncodeCountRequest(request, &payload);
-  for (size_t cut : {payload.size() - 1, payload.size() - 9, size_t{3}}) {
-    EXPECT_FALSE(ParseCountRequest(
-                     reinterpret_cast<const uint8_t*>(payload.data()), cut)
-                     .ok())
+  EncodeCountRequest(EveryKindPlan(), &payload);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_FALSE(ParsePlanBytes(payload.substr(0, cut)).ok())
         << "cut=" << cut;
   }
-  // A hostile candidate count far past the payload must not allocate.
-  std::string hostile;
-  QbtAppendU32(&hostile, 2);
-  QbtAppendU32(&hostile, 0);
-  QbtAppendU64(&hostile, ~0ull);
-  EXPECT_FALSE(ParseCountRequest(
-                   reinterpret_cast<const uint8_t*>(hostile.data()),
-                   hostile.size())
-                   .ok());
-}
-
-// EncodeCountRequest writes the implicit-pairs word as 0 or 1; any other
-// value is a non-canonical encoding and is rejected.
-TEST(DistMessagesTest, CountRequestRejectsNonCanonicalImplicitFlag) {
-  DistCountRequest request;
-  request.k = 2;
-  request.implicit_pairs = true;
-  request.num_candidates = 6;
-  std::string payload;
-  EncodeCountRequest(request, &payload);
-  payload[4] = 2;
-  Result<DistCountRequest> parsed = ParseCountRequest(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+  // Hostile group and member counts far past the payload must not
+  // allocate.
+  std::string groups_bomb;
+  AppendVarint(&groups_bomb, ~0ull);
+  groups_bomb += std::string(8, '\0');
+  Result<CountPlan> parsed = ParsePlanBytes(groups_bomb);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+  for (uint64_t members : {uint64_t{3}, uint64_t{~0ull >> 1}}) {
+    std::string members_bomb;
+    AppendVarint(&members_bomb, 1);
+    members_bomb += "\x02\x01\x00\x00"s;  // a tree group over attribute 0
+    AppendVarint(&members_bomb, members);
+    AppendVarint(&members_bomb, ~0ull >> 1);  // bounds
+    members_bomb += std::string(8, '\0');
+    EXPECT_FALSE(ParsePlanBytes(members_bomb).ok()) << members;
+  }
+  // Bounds that do not make the members' rectangles.
+  std::string short_rects;
+  AppendVarint(&short_rects, 1);
+  short_rects += "\x02\x01\x00\x00\x02\x02\x00\x01"s;
+  EXPECT_FALSE(ParsePlanBytes(short_rects).ok());
+}
+
+// Every accepted plan re-encodes to its own bytes: overlong varints, a kind
+// past kDegraded, an index past int32, a kind that disagrees with the
+// dimensions and a group without items or dimensions are rejected.
+TEST(DistMessagesTest, CountRequestRejectsNonCanonicalVarints) {
+  for (const std::string& bytes : {
+           std::string("\x81\x00\x00\x00\x01\x03", 6),  // overlong count
+           std::string("\x01\x00\x00\x02\x83\x00\x07", 7),  // overlong id
+           std::string("\x01\x04\x00\x00", 4),              // kind 4
+           std::string("\x01\x00\x01\x00\x00", 5),  // direct, 1 dimension
+           std::string("\x01\x01\x00\x00\x05", 5),  // array, 0 dimensions
+           std::string("\x01\x00\x00\x01\x80\x80\x80\x80\x08", 9),  // 2^31
+       }) {
+    Result<CountPlan> parsed = ParsePlanBytes(bytes);
+    ASSERT_FALSE(parsed.ok()) << Hex(bytes);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
+  }
+  // A direct group without items, alone or after a good group.
+  for (const std::string& bytes : {
+           std::string("\x01\x00\x00\x00", 4),
+           std::string("\x02\x00\x00\x01\x03\x00\x00\x00", 8),
+       }) {
+    Result<CountPlan> parsed = ParsePlanBytes(bytes);
+    ASSERT_FALSE(parsed.ok()) << Hex(bytes);
+    EXPECT_NE(parsed.status().ToString().find("counts no item"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The largest int32 index is accepted.
+  EXPECT_TRUE(
+      ParsePlanBytes(std::string("\x01\x00\x00\x01\xff\xff\xff\xff\x07", 9))
+          .ok());
+}
+
+// The counters every reply seed of the frame corpus (and fuzz_frame's
+// selector 4) decodes into: a direct count, a 3x4 grid, three member counts
+// and a 5-cell grid.
+PassCounters ReplyShape() {
+  PassCounters counters(4);
+  counters[1].grid = std::make_unique<NDimArray>(std::vector<int32_t>{3, 4});
+  counters[2].members.assign(3, 0);
+  counters[3].grid = std::make_unique<NDimArray>(std::vector<int32_t>{5});
+  return counters;
+}
+
+// The rows of the shard behind ReplyShape's replies.
+constexpr uint64_t kShardRows = 1000;
+
+Result<DistCountReply> ParseReplyBytes(const std::string& payload,
+                                       PassCounters* counters) {
+  return MergeCountReply(reinterpret_cast<const uint8_t*>(payload.data()),
+                         payload.size(), kShardRows, counters);
 }
 
 // The payload of seed `name` of the frame fuzz corpus: the file after its
@@ -231,13 +311,19 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
   ExpectSeedRoundTrips("hello_ok", &ParseHello, &EncodeHello);
   ExpectSeedRoundTrips("ack_ok", &ParseHelloAck, &EncodeHelloAck);
   ExpectSeedRoundTrips("request_ok", &ParseCountRequest, &EncodeCountRequest);
-  ExpectSeedRoundTrips("request_implicit", &ParseCountRequest,
-                       &EncodeCountRequest);
-  ExpectSeedRoundTrips("reply_ok", &ParseCountReply, &EncodeCountReply);
   ExpectSeedRoundTrips("snapshot_ok", &ParseShardSnapshot,
                        &EncodeShardSnapshot);
   ExpectSeedRoundTrips("catalog_ok", &ParseCheckpointCatalog,
                        &EncodeCheckpointCatalog);
+  // A reply decodes into counters of its plan's shape.
+  const std::string reply = SeedPayload("reply_ok");
+  ASSERT_FALSE(reply.empty());
+  PassCounters counters = ReplyShape();
+  Result<DistCountReply> parsed = ParseReplyBytes(reply, &counters);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::string reencoded;
+  EncodeCountReply(*parsed, counters, &reencoded);
+  EXPECT_EQ(reencoded, reply);
 }
 
 // Hello and HelloAck bytes of earlier protocol versions: a peer that still
@@ -246,7 +332,8 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
 TEST(DistMessagesTest, EarlierProtocolSeedsAreRejectedByVersion) {
   for (const auto& [name, version] :
        {std::pair{"hello_v1", 1}, {"hello_v2", 2}, {"hello_v3", 3},
-        {"ack_v1", 1}, {"ack_v2", 2}, {"ack_v3", 3}}) {
+        {"hello_v4", 4}, {"ack_v1", 1}, {"ack_v2", 2}, {"ack_v3", 3},
+        {"ack_v4", 4}}) {
     const std::string payload = SeedPayload(name);
     ASSERT_FALSE(payload.empty()) << name;
     const uint8_t* bytes = reinterpret_cast<const uint8_t*>(payload.data());
@@ -262,11 +349,18 @@ TEST(DistMessagesTest, EarlierProtocolSeedsAreRejectedByVersion) {
   }
 }
 
-// A reply whose every CountingStats field, io included, is distinct.
-DistCountReply EveryFieldReply() {
+// A reply whose every counter kind and every stats field, io included, is
+// distinct.
+DistCountReply EveryFieldReply(PassCounters* counters) {
+  *counters = ReplyShape();
+  (*counters)[0].direct = 17;
+  uint32_t* cells = (*counters)[1].grid->mutable_cells();
+  cells[2] = 5;
+  cells[8] = 200;
+  cells[11] = 1;
+  (*counters)[2].members = {3, 0, 9};
   DistCountReply reply;
   reply.worker_id = 3;
-  reply.counts = {7, 9};
   CountingStats& stats = reply.stats;
   stats.num_super_candidates = 11;
   stats.num_array_counters = 12;
@@ -275,47 +369,50 @@ DistCountReply EveryFieldReply() {
   stats.num_degraded = 15;
   stats.threads_used = 17;
   stats.isa = SimdIsa::kAvx2;
-  stats.io = {18, 19, 0.5, 21};
-  stats.counter_bytes = 22;
+  stats.io = {18, 19, 0.5};
+  stats.counter_bytes = 21;
   stats.replicated_bytes = 23;
   stats.group_seconds = 0.25;
   stats.build_seconds = 0.125;
   stats.scan_seconds = 1.5;
-  stats.reduce_seconds = 2.75;
+  stats.reduce_seconds = 0.75;
   return reply;
 }
 
-std::string Hex(const std::string& bytes) {
-  std::string out;
-  for (unsigned char c : bytes) {
-    out += "0123456789abcdef"[c >> 4];
-    out += "0123456789abcdef"[c & 15];
-  }
-  return out;
-}
-
 TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
-  const DistCountReply reply = EveryFieldReply();
+  PassCounters sent;
+  const DistCountReply reply = EveryFieldReply(&sent);
   std::string payload;
-  EncodeCountReply(reply, &payload);
-  // worker_id, count list, then the stats in wire order: the six counter
-  // u64s, the isa u32, the four io fields, the two byte counts and the four
-  // phase times (little-endian IEEE doubles).
+  EncodeCountReply(reply, sent, &payload);
+  // worker_id, the group count, then each group's counters as varints: the
+  // direct count; the 3x4 grid as zero runs and non-zero cells (2 zeros,
+  // 5, 5 zeros, 200, 2 zeros, 1, and the final empty run); the member
+  // counts; the all-zero 5-cell grid as one run. Then the CountingStats
+  // in wire order: five counter counts and threads u64, isa u32, the
+  // three io fields, counter and replicated bytes u64 and the four phase
+  // times (little-endian IEEE doubles).
   EXPECT_EQ(Hex(payload),
-            "03000000" "0200000000000000" "07000000" "09000000"
+            "03000000" "04"
+            "11"
+            "0205" "05c801" "0201" "00"
+            "030009"
+            "05"
             "0b00000000000000" "0c00000000000000" "0d00000000000000"
-            "0e00000000000000" "0f00000000000000" "1100000000000000"
-            "02000000"
+            "0e00000000000000" "0f00000000000000"
+            "1100000000000000" "02000000"
             "1200000000000000" "1300000000000000" "000000000000e03f"
-            "1500000000000000"
-            "1600000000000000" "1700000000000000"
+            "1500000000000000" "1700000000000000"
             "000000000000d03f" "000000000000c03f" "000000000000f83f"
-            "0000000000000640");
-  Result<DistCountReply> parsed = ParseCountReply(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+            "000000000000e83f");
+  PassCounters merged = ReplyShape();
+  Result<DistCountReply> parsed = ParseReplyBytes(payload, &merged);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->worker_id, 3u);
-  EXPECT_EQ(parsed->counts, reply.counts);
+  EXPECT_EQ(merged[0].direct, 17u);
+  for (uint64_t c = 0; c < 12; ++c) {
+    EXPECT_EQ(merged[1].grid->cells()[c], sent[1].grid->cells()[c]) << c;
+  }
+  EXPECT_EQ(merged[2].members, sent[2].members);
   const CountingStats& got = parsed->stats;
   EXPECT_EQ(got.num_super_candidates, 11u);
   EXPECT_EQ(got.num_array_counters, 12u);
@@ -327,45 +424,45 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   EXPECT_EQ(got.io.blocks_read, 18u);
   EXPECT_EQ(got.io.bytes_read, 19u);
   EXPECT_EQ(got.io.checksum_seconds, 0.5);
-  EXPECT_EQ(got.io.faults_injected, 21u);
-  EXPECT_EQ(got.counter_bytes, 22u);
+  EXPECT_EQ(got.counter_bytes, 21u);
   EXPECT_EQ(got.replicated_bytes, 23u);
   EXPECT_EQ(got.group_seconds, 0.25);
   EXPECT_EQ(got.build_seconds, 0.125);
   EXPECT_EQ(got.scan_seconds, 1.5);
-  EXPECT_EQ(got.reduce_seconds, 2.75);
+  EXPECT_EQ(got.reduce_seconds, 0.75);
+  // A second shard's reply adds into the same counters.
+  ASSERT_TRUE(ParseReplyBytes(payload, &merged).ok());
+  EXPECT_EQ(merged[0].direct, 34u);
+  EXPECT_EQ(merged[1].grid->cells()[8], 400u);
+  EXPECT_EQ(merged[2].members, (std::vector<uint32_t>{6, 0, 18}));
   // Trailing garbage is a framing bug, not something to ignore.
   payload += 'x';
-  EXPECT_FALSE(ParseCountReply(
-                   reinterpret_cast<const uint8_t*>(payload.data()),
-                   payload.size())
-                   .ok());
+  PassCounters fresh = ReplyShape();
+  EXPECT_FALSE(ParseReplyBytes(payload, &fresh).ok());
 }
 
-// A count reply written byte by byte: worker 1, no counts, then stats
-// whose isa is `isa` and whose scan time is `scan_seconds`.
-std::string HandMadeReply(uint32_t isa, double scan_seconds) {
+// A count reply written byte by byte: worker 1, the ReplyShape counters
+// `counters` (a direct count of 1 by default), then a worker's
+// CountingStats whose isa is `isa` and whose scan time is `scan_seconds`.
+std::string HandMadeReply(
+    uint32_t isa, double scan_seconds,
+    const std::string& counters = "\x04\x01\x0c\x00\x00\x00\x05"s) {
   std::string payload;
   QbtAppendU32(&payload, 1);  // worker_id
-  QbtAppendU64(&payload, 0);  // no counts
-  for (int i = 0; i < 6; ++i) QbtAppendU64(&payload, 1);  // counters
+  payload += counters;
+  for (int i = 0; i < 5; ++i) QbtAppendU64(&payload, 0);  // plan counts
+  QbtAppendU64(&payload, 1);     // threads_used
   QbtAppendU32(&payload, isa);
   QbtAppendU64(&payload, 2);     // io.blocks_read
   QbtAppendU64(&payload, 3);     // io.bytes_read
   QbtAppendF64(&payload, 0.5);   // io.checksum_seconds
-  QbtAppendU64(&payload, 0);     // io.faults_injected
-  QbtAppendU64(&payload, 4);     // counter_bytes
+  QbtAppendU64(&payload, 0);     // counter_bytes
   QbtAppendU64(&payload, 0);     // replicated_bytes
-  QbtAppendF64(&payload, 0.25);  // group_seconds
+  QbtAppendF64(&payload, 0.0);   // group_seconds
   QbtAppendF64(&payload, 0.25);  // build_seconds
   QbtAppendF64(&payload, scan_seconds);
-  QbtAppendF64(&payload, 0.25);  // reduce_seconds
+  QbtAppendF64(&payload, 0.0);   // reduce_seconds
   return payload;
-}
-
-Result<DistCountReply> ParseReplyBytes(const std::string& payload) {
-  return ParseCountReply(reinterpret_cast<const uint8_t*>(payload.data()),
-                         payload.size());
 }
 
 // Rejects `payloads` with an IOError that names `field`.
@@ -373,7 +470,8 @@ void ExpectReplyRejected(const std::vector<std::string>& payloads,
                          const char* field) {
   for (const std::string& payload : payloads) {
     ASSERT_FALSE(payload.empty());
-    Result<DistCountReply> parsed = ParseReplyBytes(payload);
+    PassCounters counters = ReplyShape();
+    Result<DistCountReply> parsed = ParseReplyBytes(payload, &counters);
     ASSERT_FALSE(parsed.ok()) << Hex(payload);
     EXPECT_EQ(parsed.status().code(), StatusCode::kIOError);
     EXPECT_NE(parsed.status().ToString().find(field), std::string::npos)
@@ -383,7 +481,9 @@ void ExpectReplyRejected(const std::vector<std::string>& payloads,
 
 // The last payload of each is the frame corpus seed for the check.
 TEST(DistMessagesTest, CountReplyRejectsAnIsaOutsideTheLadder) {
-  Result<DistCountReply> ok = ParseReplyBytes(HandMadeReply(2, 1.0));
+  PassCounters counters = ReplyShape();
+  Result<DistCountReply> ok =
+      ParseReplyBytes(HandMadeReply(2, 1.0), &counters);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->stats.isa, SimdIsa::kAvx2);
   // 1 is off the ladder too: SimdIsa has no value between scalar and avx2.
@@ -402,6 +502,52 @@ TEST(DistMessagesTest, CountReplyRejectsNonFiniteSeconds) {
       "scan_seconds");
 }
 
+// Counters that do not fit the plan: another group count, a zero run past
+// a grid, a cell listed as zero, or a reply cut inside its counters.
+TEST(DistMessagesTest, CountReplyRejectsAShapeOtherThanThePlans) {
+  ExpectReplyRejected({HandMadeReply(2, 1.0, "\x03\x01\x0c\x00\x00\x00"s),
+                       HandMadeReply(2, 1.0,
+                                     "\x05\x01\x0c\x00\x00\x00\x05\x00"s),
+                       SeedPayload("reply_count_bomb")},
+                      "groups");
+  ExpectReplyRejected({HandMadeReply(2, 1.0, "\x04\x01\x0d\x00\x00\x00\x05"s),
+                       HandMadeReply(2, 1.0, "\x04\x01\x0c\x00\x00\x00\x06"s)},
+                      "runs past");
+  ExpectReplyRejected({HandMadeReply(
+                          2, 1.0, "\x04\x01\x00\x00\x0b\x00\x00\x00\x00\x05"s)},
+                      "zero cell");
+  ExpectReplyRejected({std::string("\x01\x00\x00\x00\x04\x01\x02", 7)},
+                      "count reply");
+}
+
+// No counter can count more rows than the shard holds: a direct count,
+// one member count, or a grid's cells added up.
+TEST(DistMessagesTest, CountReplyRejectsCountsBeyondTheShardsRows) {
+  std::string direct("\x04", 1);
+  AppendVarint(&direct, kShardRows + 1);
+  direct += std::string("\x0c\x00\x00\x00\x05", 5);
+  std::string member("\x04\x01\x0c\x00", 4);
+  AppendVarint(&member, kShardRows + 1);
+  member += std::string("\x00\x05", 2);
+  // Two cells of 600 rows each: each fits, the sum does not.
+  std::string grid("\x04\x01\x00", 3);
+  AppendVarint(&grid, 600);
+  grid += '\x00';
+  AppendVarint(&grid, 600);
+  grid += std::string("\x0a\x00\x00\x00\x05", 5);
+  ExpectReplyRejected({HandMadeReply(2, 1.0, direct),
+                       HandMadeReply(2, 1.0, member),
+                       HandMadeReply(2, 1.0, grid),
+                       SeedPayload("reply_rows_bomb")},
+                      "more rows than its shard holds");
+  // Exactly the shard's rows is fine.
+  std::string full("\x04", 1);
+  AppendVarint(&full, kShardRows);
+  full += std::string("\x0c\x00\x00\x00\x05", 5);
+  PassCounters counters = ReplyShape();
+  EXPECT_TRUE(ParseReplyBytes(HandMadeReply(2, 1.0, full), &counters).ok());
+}
+
 TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   ShardSnapshot snapshot;
   snapshot.fingerprint = 0xfeedfacecafef00dULL;
@@ -410,7 +556,7 @@ TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   snapshot.block_end = 20;
   snapshot.num_rows = 2560;
   snapshot.value_counts = {{5, 0, 12}, {}, {7, 7}};
-  snapshot.io = {10, 123456, 0.75, 2};
+  snapshot.io = {10, 123456, 0.75};
   std::string payload;
   EncodeShardSnapshot(snapshot, &payload);
   Result<ShardSnapshot> parsed = ParseShardSnapshot(
@@ -425,7 +571,6 @@ TEST(DistMessagesTest, ShardSnapshotRoundTrips) {
   EXPECT_EQ(parsed->io.blocks_read, 10u);
   EXPECT_EQ(parsed->io.bytes_read, 123456u);
   EXPECT_EQ(parsed->io.checksum_seconds, 0.75);
-  EXPECT_EQ(parsed->io.faults_injected, 2u);
 }
 
 TEST(DistMessagesTest, ShardSnapshotRejectsCorruption) {

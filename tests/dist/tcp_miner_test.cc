@@ -5,23 +5,35 @@
 // wire, the handshake, and the coordinator are exactly the production
 // code; only the process boundary is elided (tcp_fault_test.cc and the
 // CLI smoke test cover real process death).
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/macros.h"
+#include "common/socket.h"
 #include "core/frequent_items.h"
 #include "core/miner.h"
 #include "core/options.h"
+#include "core/support_counting.h"
 #include "dist/dist_miner.h"
 #include "dist/framing.h"
 #include "dist/handshake.h"
 #include "dist/messages.h"
 #include "dist/transport.h"
 #include "dist/worker_server.h"
+#include "index/ndim_array.h"
+#include "index/rstar_tree.h"
 #include "storage/checkpoint_format.h"
 #include "storage/record_source.h"
 #include "dist/dist_corpora.h"
@@ -248,65 +260,412 @@ Result<DistFrame> RecvReply(Transport& transport) {
   }
 }
 
-// A count request naming item ids outside the published catalog — negative
-// or past its end — is answered with kError instead of counting through
-// out-of-range ids, and the session keeps serving.
+// The tiny-budget plans of dist_miner_test.cc over TCP: tree and degraded
+// groups travel with their member rectangles, and the rules match.
+TEST(TcpMinerTest, TinyCounterBudgetMatrixByteIdentical) {
+  DistCorpus corpus = FinancialCorpus();
+  corpus.options.counter_memory_budget_bytes = disttest::kTinyCounterBudget;
+  const MiningResult baseline = MustMineStreamed(corpus, /*threads=*/1);
+  ASSERT_FALSE(baseline.rules.empty());
+  for (size_t workers : {size_t{2}, size_t{4}}) {
+    const ServerFleet fleet = StartFleet(corpus, workers);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_TRUE(SameRules(MustMineTcp(corpus, fleet.endpoints, threads),
+                            baseline));
+    }
+  }
+}
+
+// One hand-driven worker session over the financial corpus: handshaken,
+// with the catalog published, ready for count requests.
+class CountSession {
+ public:
+  CountSession(const ServerFleet& fleet, const DistCorpus& corpus,
+               uint64_t counter_budget)
+      : source_(QbtFileSource::Open(corpus.qbt_path).value()),
+        catalog_(ItemCatalog::Build(*source_, corpus.options).value()) {
+    auto fd = TcpConnect("127.0.0.1", fleet.servers[0]->port(), 5000);
+    QARM_CHECK(fd.ok());
+    transport_ = std::make_unique<TcpTransport>(*fd, 5000, 5000);
+    DistHello hello;
+    hello.block_end = corpus.num_blocks;
+    hello.num_threads = 1;
+    hello.counter_memory_budget_bytes = counter_budget;
+    std::string payload;
+    EncodeHello(hello, &payload);
+    QARM_CHECK(Send(DistMessageType::kHello, payload).ok());
+    Result<DistFrame> ack = RecvReply(*transport_);
+    QARM_CHECK(ack.ok());
+    QARM_CHECK(ack->type == static_cast<uint32_t>(DistMessageType::kHelloAck));
+    payload.clear();
+    EncodeCheckpointCatalog(catalog_.Snapshot(), &payload);
+    QARM_CHECK(Send(DistMessageType::kCatalog, payload).ok());
+  }
+  ~CountSession() {
+    const Status sent = Send(DistMessageType::kShutdown, "");
+    (void)sent;
+  }
+
+  const RecordSource& source() const { return *source_; }
+  const ItemCatalog& catalog() const { return catalog_; }
+
+  // The first categorical item of the catalog, and the first ranged and
+  // categorical attributes of the schema.
+  int32_t CategoricalItem() const {
+    for (size_t id = 0; id < catalog_.num_items(); ++id) {
+      const int32_t item = static_cast<int32_t>(id);
+      if (!Ranged(catalog_.item(item).attr)) return item;
+    }
+    return -1;
+  }
+  int32_t FirstAttr(bool ranged) const {
+    for (size_t a = 0; a < source_->num_attributes(); ++a) {
+      if (Ranged(static_cast<int32_t>(a)) == ranged) {
+        return static_cast<int32_t>(a);
+      }
+    }
+    return -1;
+  }
+
+  // Sends `plan` and returns the worker's answer.
+  Result<DistFrame> Count(const CountPlan& plan) {
+    std::string payload;
+    EncodeCountRequest(plan, &payload);
+    QARM_RETURN_NOT_OK(Send(DistMessageType::kCountRequest, payload));
+    return RecvReply(*transport_);
+  }
+
+  // A plan the worker must accept: one direct group.
+  CountPlan GoodPlan() const {
+    CountPlan plan;
+    plan.groups.resize(1);
+    plan.groups[0].cat_item_ids = {CategoricalItem()};
+    return plan;
+  }
+
+ private:
+  bool Ranged(int32_t attr) const {
+    return source_->attribute(static_cast<size_t>(attr)).ranged();
+  }
+  Status Send(DistMessageType type, const std::string& payload) {
+    return SendFrame(*transport_, static_cast<uint32_t>(type), payload);
+  }
+
+  std::unique_ptr<QbtFileSource> source_;
+  ItemCatalog catalog_;
+  std::unique_ptr<TcpTransport> transport_;
+};
+
+// Each plan is answered with kError naming `what`, and the session keeps
+// serving: the good plan sent after each one is counted.
+void ExpectPlansRefused(CountSession& session,
+                        const std::vector<CountPlan>& plans,
+                        const char* what) {
+  for (size_t i = 0; i < plans.size(); ++i) {
+    SCOPED_TRACE("plan " + std::to_string(i));
+    Result<DistFrame> reply = session.Count(plans[i]);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->type, static_cast<uint32_t>(DistMessageType::kError));
+    EXPECT_NE(reply->payload.find(what), std::string::npos)
+        << reply->payload;
+    Result<DistFrame> good = session.Count(session.GoodPlan());
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    EXPECT_EQ(good->type, static_cast<uint32_t>(DistMessageType::kCountReply))
+        << good->payload;
+  }
+}
+
+// A plan naming item ids outside the published catalog — negative or past
+// its end —, a ranged item as a categorical one, or no item at all is
+// answered with kError instead of counting through the id, and the session
+// keeps serving.
 TEST(TcpMinerTest, CountRequestWithUnknownItemIdIsAnsweredWithError) {
   const DistCorpus& corpus = FinancialCorpus();
-  auto source = QbtFileSource::Open(corpus.qbt_path);
-  ASSERT_TRUE(source.ok()) << source.status().ToString();
-  auto catalog = ItemCatalog::Build(**source, corpus.options);
-  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
-  const int32_t num_items = static_cast<int32_t>(catalog->num_items());
-  ASSERT_GE(num_items, 2);
-
   const ServerFleet fleet = StartFleet(corpus, 1);
-  auto fd = TcpConnect("127.0.0.1", fleet.servers[0]->port(), 5000);
-  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  TcpTransport transport(*fd, 5000, 5000);
-  DistHello hello;
-  hello.block_end = corpus.num_blocks;
-  hello.num_threads = 1;
-  std::string payload;
-  EncodeHello(hello, &payload);
-  ASSERT_TRUE(SendFrame(transport,
-                        static_cast<uint32_t>(DistMessageType::kHello),
-                        payload)
-                  .ok());
-  Result<DistFrame> ack = RecvReply(transport);
-  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  ASSERT_EQ(ack->type, static_cast<uint32_t>(DistMessageType::kHelloAck))
-      << ack->payload;
-  payload.clear();
-  EncodeCheckpointCatalog(catalog->Snapshot(), &payload);
-  ASSERT_TRUE(SendFrame(transport,
-                        static_cast<uint32_t>(DistMessageType::kCatalog),
-                        payload)
-                  .ok());
-
-  for (int32_t bad_id :
-       {num_items, -1, int32_t{1} << 30, -(int32_t{1} << 30)}) {
-    DistCountRequest request;
-    request.k = 2;
-    request.num_candidates = 2;
-    request.ids = {0, 1, 0, bad_id};
-    payload.clear();
-    EncodeCountRequest(request, &payload);
-    ASSERT_TRUE(SendFrame(transport,
-                          static_cast<uint32_t>(DistMessageType::kCountRequest),
-                          payload)
-                    .ok());
-    Result<DistFrame> reply = RecvReply(transport);
-    ASSERT_TRUE(reply.ok()) << "id " << bad_id << ": "
-                            << reply.status().ToString();
-    EXPECT_EQ(reply->type, static_cast<uint32_t>(DistMessageType::kError))
-        << "id " << bad_id;
-    EXPECT_NE(reply->payload.find("item"), std::string::npos)
-        << reply->payload;
+  CountSession session(fleet, corpus,
+                       MinerOptions().counter_memory_budget_bytes);
+  const int32_t num_items = static_cast<int32_t>(session.catalog().num_items());
+  ASSERT_GE(session.CategoricalItem(), 0);
+  std::vector<CountPlan> plans;
+  for (int32_t bad_id : {num_items, int32_t{1} << 30, -1}) {
+    CountPlan plan = session.GoodPlan();
+    plan.groups[0].cat_item_ids.push_back(bad_id);
+    plans.push_back(plan);
   }
-  ASSERT_TRUE(SendFrame(transport,
-                        static_cast<uint32_t>(DistMessageType::kShutdown), "")
-                  .ok());
+  ExpectPlansRefused(session, {plans[0], plans[1]}, "item");
+  // A negative id travels as a varint past int32, refused by the decoder.
+  ExpectPlansRefused(session, {plans[2]}, "past int32");
+  int32_t ranged_item = -1;
+  for (int32_t id = 0; id < num_items && ranged_item < 0; ++id) {
+    if (session.source()
+            .attribute(static_cast<size_t>(session.catalog().item(id).attr))
+            .ranged()) {
+      ranged_item = id;
+    }
+  }
+  ASSERT_GE(ranged_item, 0);
+  CountPlan ranged = session.GoodPlan();
+  ranged.groups[0].cat_item_ids = {ranged_item};
+  ExpectPlansRefused(session, {ranged}, "not categorical");
+  // A group with neither items nor dimensions has no rows to count, alone
+  // or after a good group.
+  CountPlan empty = session.GoodPlan();
+  empty.groups[0].cat_item_ids.clear();
+  CountPlan empty_second = session.GoodPlan();
+  empty_second.groups.emplace_back();
+  ExpectPlansRefused(session, {empty, empty_second}, "counts no item");
+}
+
+// A plan whose dimensions are not ranged attributes of the QBT is refused.
+TEST(TcpMinerTest, CountPlanOutsideTheSchemaIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  CountSession session(fleet, corpus,
+                       MinerOptions().counter_memory_budget_bytes);
+  const int32_t num_attrs =
+      static_cast<int32_t>(session.source().num_attributes());
+  std::vector<CountPlan> outside;
+  for (int32_t attr : {num_attrs, int32_t{1} << 30}) {
+    CountPlan plan;
+    plan.groups.resize(1);
+    plan.groups[0].kind = CounterKind::kArray;
+    plan.groups[0].quant_attrs = {attr};
+    plan.groups[0].num_members = 1;
+    outside.push_back(plan);
+  }
+  ExpectPlansRefused(session, outside, "attribute");
+  const int32_t categorical = session.FirstAttr(/*ranged=*/false);
+  ASSERT_GE(categorical, 0);
+  CountPlan plan;
+  plan.groups.resize(1);
+  plan.groups[0].kind = CounterKind::kArray;
+  plan.groups[0].quant_attrs = {categorical};
+  plan.groups[0].num_members = 1;
+  ExpectPlansRefused(session, {plan}, "not ranged");
+}
+
+// The worker admits counters by the planner's own budget rule: a grid the
+// Hello's counter budget does not give (here about 400 MB for one member),
+// a tree wider than kRStarMaxDims, and a counted group without members are
+// refused before anything is allocated.
+TEST(TcpMinerTest, CountPlanBeyondTheCounterBudgetIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  constexpr uint64_t kBudget = 1 << 20;
+  CountSession session(fleet, corpus, kBudget);
+  const int32_t attr = session.FirstAttr(/*ranged=*/true);
+  ASSERT_GE(attr, 0);
+  const size_t domain =
+      session.source().attribute(static_cast<size_t>(attr)).domain_size();
+  ASSERT_GE(domain, 2u);
+
+  CountPlan big_grid;
+  big_grid.groups.resize(1);
+  CounterGroup& grid = big_grid.groups[0];
+  grid.kind = CounterKind::kArray;
+  grid.num_members = 1;
+  std::vector<int32_t> dim_sizes;
+  while (NDimArray::EstimateBytes(dim_sizes) < (uint64_t{400} << 20)) {
+    grid.quant_attrs.push_back(attr);
+    dim_sizes.push_back(static_cast<int32_t>(domain));
+  }
+
+  CountPlan wide_tree;
+  wide_tree.groups.resize(1);
+  CounterGroup& tree = wide_tree.groups[0];
+  tree.kind = CounterKind::kTree;
+  tree.num_members = 1;
+  tree.quant_attrs.assign(kRStarMaxDims + 1, attr);
+  tree.member_rects.assign(2 * tree.quant_attrs.size(), 0);
+  ExpectPlansRefused(session, {big_grid, wide_tree}, "counter budget");
+
+  CountPlan empty_tree;
+  empty_tree.groups.resize(1);
+  empty_tree.groups[0].kind = CounterKind::kTree;
+  empty_tree.groups[0].quant_attrs = {attr};
+  ExpectPlansRefused(session, {empty_tree}, "members");
+}
+
+// The same direct group listed twice is two counters, both counted: a plan
+// cannot make a worker abort on a repeated group.
+TEST(TcpMinerTest, RepeatedGroupsAreCountedNotFatal) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  CountSession session(fleet, corpus,
+                       MinerOptions().counter_memory_budget_bytes);
+  CountPlan plan = session.GoodPlan();
+  plan.groups.push_back(plan.groups[0]);
+  Result<DistFrame> reply = session.Count(plan);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, static_cast<uint32_t>(DistMessageType::kCountReply))
+      << reply->payload;
+  PassCounters counters = MakeCounters(plan, session.source());
+  Result<DistCountReply> merged = MergeCountReply(
+      reinterpret_cast<const uint8_t*>(reply->payload.data()),
+      reply->payload.size(), session.source().num_rows(), &counters);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_GT(counters[0].direct, 0u);
+  EXPECT_EQ(counters[0].direct, counters[1].direct);
+}
+
+// A worker endpoint that speaks the protocol, counts its shard with the
+// production code, and then falsifies the counters with `corrupt` before
+// replying. It serves one session at a time and counts them.
+class LyingWorker {
+ public:
+  using Corrupt = std::function<void(PassCounters*, uint64_t shard_rows)>;
+
+  LyingWorker(const DistCorpus& corpus, Corrupt corrupt)
+      : file_(QbtFileSource::Open(corpus.qbt_path).value()),
+        corrupt_(std::move(corrupt)) {
+    uint16_t port = 0;
+    listen_fd_ = TcpListen("127.0.0.1", 0, &port).value();
+    endpoint_ = "127.0.0.1:" + std::to_string(port);
+    thread_ = std::thread([this] {
+      for (;;) {
+        Result<int> fd = TcpAccept(listen_fd_);
+        if (!fd.ok()) return;
+        sessions_.fetch_add(1);
+        TcpTransport transport(*fd, 5000, 5000);
+        const Status served = Serve(transport);
+        (void)served;
+      }
+    });
+  }
+  ~LyingWorker() {
+    ::shutdown(listen_fd_, SHUT_RDWR);
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  const std::string& endpoint() const { return endpoint_; }
+  size_t sessions() const { return sessions_.load(); }
+
+ private:
+  Status Serve(TcpTransport& transport) {
+    QARM_ASSIGN_OR_RETURN(DistFrame frame, RecvFrame(transport));
+    QARM_ASSIGN_OR_RETURN(
+        DistHello hello,
+        ParseHello(reinterpret_cast<const uint8_t*>(frame.payload.data()),
+                   frame.payload.size()));
+    DistHelloAck ack;
+    ack.worker_id = hello.worker_id;
+    ack.generation = hello.generation;
+    ack.fingerprint = hello.fingerprint;
+    ack.num_rows = file_->num_rows();
+    ack.num_blocks = file_->num_blocks();
+    ack.index_crc = file_->reader().IndexPrefixCrc(file_->num_blocks());
+    std::string payload;
+    EncodeHelloAck(ack, &payload);
+    QARM_RETURN_NOT_OK(Send(transport, DistMessageType::kHelloAck, payload));
+    const BlockRangeSource shard(*file_,
+                                 static_cast<size_t>(hello.block_begin),
+                                 static_cast<size_t>(hello.block_end));
+    MinerOptions options;
+    options.counter_memory_budget_bytes = hello.counter_memory_budget_bytes;
+    std::optional<ItemCatalog> catalog;
+    for (;;) {
+      QARM_ASSIGN_OR_RETURN(frame, RecvFrame(transport));
+      const uint8_t* bytes =
+          reinterpret_cast<const uint8_t*>(frame.payload.data());
+      payload.clear();
+      switch (static_cast<DistMessageType>(frame.type)) {
+        case DistMessageType::kPass1Request: {
+          ShardSnapshot snapshot;
+          snapshot.fingerprint = hello.fingerprint;
+          snapshot.worker_id = hello.worker_id;
+          snapshot.block_begin = hello.block_begin;
+          snapshot.block_end = hello.block_end;
+          snapshot.num_rows = shard.num_rows();
+          QARM_ASSIGN_OR_RETURN(snapshot.value_counts,
+                                ItemCatalog::ScanValueCounts(shard, 1));
+          EncodeShardSnapshot(snapshot, &payload);
+          QARM_RETURN_NOT_OK(
+              Send(transport, DistMessageType::kPass1Reply, payload));
+          break;
+        }
+        case DistMessageType::kCatalog: {
+          QARM_ASSIGN_OR_RETURN(
+              CheckpointCatalog saved,
+              ParseCheckpointCatalog(bytes, frame.payload.size()));
+          QARM_ASSIGN_OR_RETURN(ItemCatalog restored,
+                                ItemCatalog::Restore(*file_, saved));
+          catalog.emplace(std::move(restored));
+          break;
+        }
+        case DistMessageType::kCountRequest: {
+          QARM_ASSIGN_OR_RETURN(
+              CountPlan plan, ParseCountRequest(bytes, frame.payload.size()));
+          CountingStats stats;
+          QARM_ASSIGN_OR_RETURN(
+              PassCounters counters,
+              ScanCounters(shard, *catalog, plan, options, &stats));
+          corrupt_(&counters, shard.num_rows());
+          DistCountReply reply;
+          reply.worker_id = hello.worker_id;
+          EncodeCountReply(reply, counters, &payload);
+          QARM_RETURN_NOT_OK(
+              Send(transport, DistMessageType::kCountReply, payload));
+          break;
+        }
+        default:
+          return Status::OK();  // kShutdown
+      }
+    }
+  }
+  static Status Send(TcpTransport& transport, DistMessageType type,
+                     const std::string& payload) {
+    return SendFrame(transport, static_cast<uint32_t>(type), payload);
+  }
+
+  std::unique_ptr<QbtFileSource> file_;
+  Corrupt corrupt_;
+  int listen_fd_ = -1;
+  std::string endpoint_;
+  std::atomic<size_t> sessions_{0};
+  std::thread thread_;
+};
+
+// Mines the financial corpus against one lying worker: the run must fail
+// with the coordinator's IOError naming `what`, without a relaunch.
+void ExpectLieCaught(const LyingWorker::Corrupt& corrupt, const char* what) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const LyingWorker liar(corpus, corrupt);
+  MinerOptions options = corpus.options;
+  options.worker_endpoints = {liar.endpoint()};
+  options.dist_connect_attempts = 3;
+  options.dist_connect_backoff_ms = 10.0;
+  Result<MiningResult> result = MineDistributedQbt(corpus.qbt_path, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  EXPECT_NE(result.status().ToString().find(what), std::string::npos)
+      << result.status().ToString();
+  EXPECT_EQ(liar.sessions(), 1u);
+}
+
+// The coordinator checks every reply against its plan and the shard it
+// assigned: counters of another shape, or counting more rows than the
+// shard holds, fail the run as an IOError. A lying worker is not a dead
+// one, so nothing is relaunched, and no rule comes from its counts.
+TEST(TcpMinerTest, ReplyThatDoesNotFitThePlanFailsTheRun) {
+  ExpectLieCaught([](PassCounters* counters, uint64_t) {
+    counters->pop_back();
+  }, "groups");
+}
+
+TEST(TcpMinerTest, ReplyCountingMoreRowsThanTheShardFailsTheRun) {
+  ExpectLieCaught([](PassCounters* counters, uint64_t rows) {
+    GroupCounter& first = counters->front();
+    if (first.grid != nullptr) {
+      first.grid->mutable_cells()[0] = static_cast<uint32_t>(rows + 1);
+    } else if (!first.members.empty()) {
+      first.members[0] = static_cast<uint32_t>(rows + 1);
+    } else {
+      first.direct = rows + 1;
+    }
+  }, "more rows than its shard holds");
 }
 
 }  // namespace

@@ -648,10 +648,6 @@ int RunCommand(int argc, char** argv, const std::string& command,
                    static_cast<unsigned long long>(
                        stats.pass1_io.blocks_read));
     }
-    if (io.faults_injected > 0) {
-      std::fprintf(stderr, "# io-faults: injected=%llu\n",
-                   static_cast<unsigned long long>(io.faults_injected));
-    }
     if (stats.dist.num_workers > 0) {
       DistPassStats sum;
       for (const DistPassStats& pass : stats.dist.passes) sum += pass;
