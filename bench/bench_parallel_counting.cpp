@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
           " \"reduce_seconds\": %.6f, \"build_seconds\": %.6f,"
           " \"speedup\": %s, \"scan_rows_per_sec\": %.0f,"
           " \"array_counters\": %zu,"
-          " \"tree_counters\": %zu, \"direct_counters\": %zu,"
+          " \"direct_counters\": %zu, \"member_counters\": %zu,"
           " \"counter_bytes\": %llu,"
           " \"replicated_bytes\": %llu}",
           p.threads, p.stats.threads_used, p.total, p.total_min, p.total_max,
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
               ? StrFormat("%.4f", points.front().total / p.total).c_str()
               : "null",
           scan_rows_per_sec, p.stats.num_array_counters,
-          p.stats.num_tree_counters, p.stats.num_direct,
+          p.stats.num_direct, p.stats.num_member_counters,
           static_cast<unsigned long long>(p.stats.counter_bytes),
           static_cast<unsigned long long>(p.stats.replicated_bytes));
     }

@@ -49,10 +49,11 @@ int main(int argc, char** argv) {
   for (const PassStats& pass : stats.passes) {
     std::printf(
         "  pass %zu: %zu candidates -> %zu frequent "
-        "(%zu super-candidates: %zu array / %zu tree / %zu direct) %.0f ms\n",
+        "(%zu super-candidates: %zu array / %zu member / %zu direct) "
+        "%.0f ms\n",
         pass.k, pass.num_candidates, pass.num_frequent,
         pass.counting.num_super_candidates, pass.counting.num_array_counters,
-        pass.counting.num_tree_counters, pass.counting.num_direct,
+        pass.counting.num_member_counters, pass.counting.num_direct,
         pass.seconds * 1e3);
   }
   std::printf("  rules: %zu total, %zu interesting\n\n", stats.num_rules,

@@ -57,10 +57,13 @@ void AndRangeScalar(uint64_t* mask, const int32_t* col, size_t n, int32_t lo,
   }
 }
 
-uint64_t PopcountScalar(const uint64_t* mask, size_t n) {
+uint64_t PopcountScalar(const uint64_t* mask, const uint64_t* const* others,
+                        size_t count, size_t n) {
   uint64_t total = 0;
   for (size_t w = 0; w < MaskWords(n); ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
+    uint64_t bits = mask[w];
+    for (size_t i = 0; i < count; ++i) bits &= others[i][w];
+    total += static_cast<uint64_t>(__builtin_popcountll(bits));
   }
   return total;
 }
@@ -81,18 +84,6 @@ void FlatIndexScalar(int32_t* idx, const int32_t* const* cols,
 }
 
 #if QARM_X86_KERNELS
-
-// The scalar loop compiled for the POPCNT instruction (every AVX2 CPU has
-// it): without it __builtin_popcountll is a libgcc call, and the scan
-// popcounts one mask per super-candidate per block.
-__attribute__((target("popcnt"))) uint64_t PopcountHw(const uint64_t* mask,
-                                                      size_t n) {
-  uint64_t total = 0;
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
-  }
-  return total;
-}
 
 // --- AVX2: 8 lanes, 8 compare steps per 64-row mask word. -------------------
 
@@ -182,6 +173,36 @@ __attribute__((target("avx2"))) void AndRangeAvx2(uint64_t* mask,
   }
 }
 
+// Four words (256 rows) per step; the AND is never written back. Every
+// AVX2 CPU has POPCNT, without which __builtin_popcountll is a libgcc call.
+__attribute__((target("avx2,popcnt"))) uint64_t PopcountAvx2(
+    const uint64_t* mask, const uint64_t* const* others, size_t count,
+    size_t n) {
+  const size_t words = MaskWords(n);
+  uint64_t total = 0;
+  size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    __m256i acc =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + w));
+    for (size_t i = 0; i < count; ++i) {
+      acc = _mm256_and_si256(
+          acc, _mm256_loadu_si256(
+                   reinterpret_cast<const __m256i*>(others[i] + w)));
+    }
+    alignas(32) uint64_t lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+    for (uint64_t lane : lanes) {
+      total += static_cast<uint64_t>(__builtin_popcountll(lane));
+    }
+  }
+  for (; w < words; ++w) {
+    uint64_t bits = mask[w];
+    for (size_t i = 0; i < count; ++i) bits &= others[i][w];
+    total += static_cast<uint64_t>(__builtin_popcountll(bits));
+  }
+  return total;
+}
+
 __attribute__((target("avx2"))) void FlatIndexAvx2(int32_t* idx,
                                                    const int32_t* const* cols,
                                                    const int32_t* strides,
@@ -218,7 +239,7 @@ constexpr CountKernels kScalarKernels = {
 #if QARM_X86_KERNELS
 constexpr CountKernels kAvx2Kernels = {
     SimdIsa::kAvx2, FillOnesScalar, AndEqAvx2,     AndNeqAvx2,
-    AndRangeAvx2,   PopcountHw,     FlatIndexAvx2,
+    AndRangeAvx2,   PopcountAvx2,   FlatIndexAvx2,
 };
 #endif
 

@@ -45,8 +45,11 @@ struct CountKernels {
   // mask &= (lo <= col[i] && col[i] <= hi)
   void (*mask_range)(uint64_t* mask, const int32_t* col, size_t n, int32_t lo,
                      int32_t hi);
-  // Number of set bits over rows [0, n) (tail bits are zero by invariant).
-  uint64_t (*popcount)(const uint64_t* mask, size_t n);
+  // Number of set bits of mask & others[0] & ... & others[count - 1] over
+  // rows [0, n) (tail bits are zero by invariant), without storing the AND:
+  // a member scan counts a member from the shared masks of its items.
+  uint64_t (*popcount)(const uint64_t* mask, const uint64_t* const* others,
+                       size_t count, size_t n);
   // idx[i] = sum_d cols[d][i] * strides[d], in wrapping int32 arithmetic.
   // Rows whose mask bit is clear may produce garbage (e.g. from missing
   // values); callers only read indices of set rows, which are in range by

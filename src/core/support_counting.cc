@@ -1,7 +1,6 @@
 #include "core/support_counting.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -15,29 +14,28 @@
 #include "common/timer.h"
 #include "core/count_kernels.h"
 #include "index/ndim_array.h"
-#include "index/rstar_tree.h"
 
 namespace qarm {
 namespace {
 
 // One row mask the scan builds per block and shares across every group
-// that needs it: rows where `attr` equals `value` (a categorical item), or,
-// with `equal` false, rows where `attr` differs from `value` (a dimension's
-// not-missing test).
+// that needs it: rows where `attr` lies in [lo, hi]. That is a categorical
+// item (lo == hi), a member's ranged item, or a dimension's not-missing
+// test ([0, INT32_MAX], a compare against kMissingValue).
 struct SharedMask {
   size_t attr;
-  int32_t value;
-  bool equal;
+  int32_t lo;
+  int32_t hi;
 };
 
-// A group's scan-side state, beside its counters: the R*-tree of a kTree
-// group, a grid's strides as int32 for the vectorized flat-index
-// computation, and the shared masks whose AND selects the group's rows
-// (one per categorical item, one per dimension).
+// A group's scan-side state, beside its counters: a grid's strides as int32
+// for the vectorized flat-index computation, the shared masks whose AND
+// selects the group's rows (one per categorical item, one per dimension),
+// and its members' shared masks (one per member and dimension).
 struct ScanGroup {
-  std::unique_ptr<RStarTree> tree;
   std::vector<int32_t> grid_strides;
   std::vector<uint32_t> mask_slots;
+  std::vector<uint32_t> member_slots;
 };
 
 using MemberRuns = std::vector<std::pair<uint32_t, uint32_t>>;
@@ -69,10 +67,8 @@ const char* KindName(CounterKind kind) {
       return "direct";
     case CounterKind::kArray:
       return "array";
-    case CounterKind::kTree:
-      return "tree";
-    case CounterKind::kDegraded:
-      return "degraded";
+    case CounterKind::kMembers:
+      return "member";
   }
   return "unknown";
 }
@@ -81,7 +77,8 @@ const char* KindName(CounterKind kind) {
 // order. Dense grids are budgeted cumulatively: every grid of the pass
 // counts against counter_memory_budget_bytes, so total counter memory stays
 // bounded no matter how many super-candidates a pass has. A grid over the
-// budget is still taken when it beats its R*-tree.
+// budget is still taken when it is no larger than the member scan's state;
+// any other group is a member scan, so the pass always completes.
 class CounterBudget {
  public:
   explicit CounterBudget(uint64_t budget) : budget_(budget) {}
@@ -90,8 +87,12 @@ class CounterBudget {
                     uint64_t num_members) {
     if (dim_sizes.empty()) return CounterKind::kDirect;
     const uint64_t array_bytes = NDimArray::EstimateBytes(dim_sizes);
-    const uint64_t tree_bytes =
-        RStarTree::EstimateBytes(num_members, dim_sizes.size());
+    // A member scan holds a count and an item id per dimension per member.
+    uint64_t member_bytes = 0;
+    if (__builtin_mul_overflow(num_members, 4 * (1 + dim_sizes.size()),
+                               &member_bytes)) {
+      member_bytes = std::numeric_limits<uint64_t>::max();
+    }
     const bool fits_budget = array_bytes <= budget_ &&
                              array_bytes_ <= budget_ - array_bytes;
     // The vectorized flat-index scatter computes int32 cell indices, so a
@@ -99,41 +100,28 @@ class CounterBudget {
     const bool grid_indexable =
         array_bytes / sizeof(uint32_t) <=
         static_cast<uint64_t>(std::numeric_limits<int32_t>::max());
-    // Only the R*-tree is limited in dimensions: a wider group gets the
-    // grid if it fits, or the degraded scan otherwise.
-    const bool tree_allowed = dim_sizes.size() <= kRStarMaxDims;
-    if (grid_indexable &&
-        (fits_budget || (tree_allowed && array_bytes <= tree_bytes))) {
+    if (grid_indexable && (fits_budget || array_bytes <= member_bytes)) {
       array_bytes_ += array_bytes;
       return CounterKind::kArray;
     }
-    // Trees are budgeted cumulatively too, as a high-water mark: a tree is
-    // admitted while the running tree total is still within budget (so a
-    // pass always gets at least one), and once the total crosses it the
-    // remaining super-candidates degrade to a structure-free linear scan
-    // of their member rectangles — much slower per record but near-zero
-    // memory, so the pass always completes.
-    if (tree_allowed && tree_bytes_ <= budget_) {
-      tree_bytes_ += tree_bytes;
-      return CounterKind::kTree;
-    }
-    return CounterKind::kDegraded;
+    member_bytes_ += member_bytes;
+    return CounterKind::kMembers;
   }
 
   uint64_t array_bytes() const { return array_bytes_; }
-  uint64_t tree_bytes() const { return tree_bytes_; }
+  uint64_t member_bytes() const { return member_bytes_; }
 
  private:
   uint64_t budget_;
   uint64_t array_bytes_ = 0;
-  uint64_t tree_bytes_ = 0;
+  uint64_t member_bytes_ = 0;
 };
 
 // The scan parallelism: never more shards than blocks (in-memory sources
 // pick their block size so that small tables still feed every thread), and
 // never more than the counter budget holds copies of every grid, as each
 // extra thread counts into its own replica. Grids alone over budget (kept
-// because they beat their tree) leave one thread.
+// because they are no larger than a member scan) leave one thread.
 size_t ScanThreads(const RecordSource& source, const MinerOptions& options,
                    uint64_t array_bytes) {
   size_t threads =
@@ -239,8 +227,8 @@ CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
   phase_timer.Reset();
 
   // --- Choose each group's counter. ---
-  // Tree and degraded groups carry their member rectangles, decoded here
-  // once, so a scan needs no candidate.
+  // Member groups carry their members' ranged item ids, decoded here once,
+  // so a scan needs no candidate.
   CounterBudget budget(options.counter_memory_budget_bytes);
   std::vector<int32_t> ids(k);
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -254,33 +242,28 @@ CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
       case CounterKind::kArray:
         ++s.num_array_counters;
         continue;
-      case CounterKind::kTree:
-        ++s.num_tree_counters;
-        break;
-      case CounterKind::kDegraded:
-        ++s.num_degraded;
+      case CounterKind::kMembers:
+        ++s.num_member_counters;
         break;
     }
-    group.member_rects.reserve(group.num_members * group.quant_attrs.size() *
-                               2);
+    group.member_items.reserve(group.num_members * group.quant_attrs.size());
     ForEachMember(plan.member_runs[g], [&](size_t, uint32_t c) {
       candidates.Get(c, ids.data());
       for (size_t i = 0; i < k; ++i) {
-        const RangeItem& item = catalog.item(ids[i]);
-        if (!is_ranged(item.attr)) continue;
-        group.member_rects.push_back(item.lo);
-        group.member_rects.push_back(item.hi);
+        if (item_code[static_cast<size_t>(ids[i])] < 0) {
+          group.member_items.push_back(ids[i]);
+        }
       }
     });
   }
-  s.counter_bytes = budget.array_bytes() + budget.tree_bytes();
-  if (s.num_degraded > 0) {
+  s.counter_bytes = budget.array_bytes() + budget.member_bytes();
+  if (s.num_member_counters > 0) {
     QARM_LOG(Warning) << "counter memory budget ("
                       << options.counter_memory_budget_bytes
-                      << " bytes) exhausted: " << s.num_degraded << " of "
-                      << groups.size()
-                      << " super-candidates degrade to direct-scan "
-                         "counting this pass";
+                      << " bytes) exhausted: " << s.num_member_counters
+                      << " of " << groups.size()
+                      << " super-candidates are counted by member scans "
+                         "this pass";
   }
   s.build_seconds = phase_timer.ElapsedSeconds();
   return plan;
@@ -327,6 +310,20 @@ Status CheckCountPlan(const CountPlan& plan, const RecordSource& source,
       return Status::InvalidArgument(
           StrFormat("count plan group %zu has %llu members", g,
                     static_cast<unsigned long long>(group.num_members)));
+    }
+    // A member scan builds a range mask per member item: every id must be
+    // an item of the (ranged) attribute of the dimension it stands at.
+    const size_t dims = group.quant_attrs.size();
+    for (size_t i = 0; i < group.member_items.size(); ++i) {
+      const int32_t id = group.member_items[i];
+      const int32_t attr = group.quant_attrs[i % dims];
+      if (id < 0 || static_cast<size_t>(id) >= catalog.num_items() ||
+          catalog.item(id).attr != attr) {
+        return Status::InvalidArgument(StrFormat(
+            "count plan group %zu names member item %d, not an item of "
+            "attribute %d of its %zu-item catalog",
+            g, id, attr, catalog.num_items()));
+      }
     }
     const CounterKind admitted =
         budget.Admit(DimSizes(source, group.quant_attrs), group.num_members);
@@ -383,17 +380,6 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
         scan[g].grid_strides.push_back(static_cast<int32_t>(stride));
       }
       array_bytes += grid.bytes();
-    } else if (group.kind == CounterKind::kTree) {
-      scan[g].tree = std::make_unique<RStarTree>(dims);
-      const int32_t* rects = group.member_rects.data();
-      for (size_t m = 0; m < group.num_members; ++m) {
-        RStarRect rect;
-        for (size_t d = 0; d < dims; ++d) {
-          rect.lo[d] = static_cast<double>(*rects++);
-          rect.hi[d] = static_cast<double>(*rects++);
-        }
-        scan[g].tree->Insert(rect, static_cast<int32_t>(m));
-      }
     }
   }
   const size_t threads_used = ScanThreads(source, options, array_bytes);
@@ -407,7 +393,9 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
   // not-missing mask per distinct dimension, and each group ANDs together
   // the masks of its items and dimensions. With G groups, I distinct items
   // and n rows, a block then costs about I * n compares plus G * n / 64
-  // word ANDs, where per-group sweeps would cost G * n compares.
+  // word ANDs, where per-group sweeps would cost G * n compares. Members
+  // share their ranged items' masks the same way: a member costs dims * n
+  // / 64 word ANDs, and the range compares are bounded by the items.
   const CountKernels& kern = CountKernels::Active();
   s.isa = kern.isa;
   std::vector<SharedMask> masks;
@@ -427,13 +415,21 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
       const RangeItem& item = catalog.item(id);
       scan[g].mask_slots.push_back(
           slot_of(&item_slot[static_cast<size_t>(id)],
-                  {static_cast<size_t>(item.attr), item.lo, true}));
+                  {static_cast<size_t>(item.attr), item.lo, item.lo}));
     }
     for (int32_t attr : groups[g].quant_attrs) {
       // A record lacking any dimension supports no member.
       scan[g].mask_slots.push_back(
           slot_of(&dim_slot[static_cast<size_t>(attr)],
-                  {static_cast<size_t>(attr), kMissingValue, false}));
+                  {static_cast<size_t>(attr), 0,
+                   std::numeric_limits<int32_t>::max()}));
+    }
+    for (int32_t id : groups[g].member_items) {
+      // Missing (-1) lies below every range, so it never matches.
+      const RangeItem& item = catalog.item(id);
+      scan[g].member_slots.push_back(
+          slot_of(&item_slot[static_cast<size_t>(id)],
+                  {static_cast<size_t>(item.attr), item.lo, item.hi}));
     }
   }
   s.build_seconds += phase_timer.ElapsedSeconds();
@@ -448,16 +444,15 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
   // in flight no matter how large the source is.
   //
   // Per block, the thread builds the shared masks, then finishes each group
-  // from its ANDed mask: popcount, flat-index scatter, tree probe of the
-  // surviving rows, or per-member range masks.
+  // from its ANDed mask: popcount, flat-index scatter, or per-member ANDs
+  // with the members' range masks.
   auto scan_blocks = [&](size_t block_begin, size_t block_end,
                          PassCounters& counters) -> Status {
     std::vector<uint64_t> shared_masks(masks.size() * mask_stride);
     std::vector<uint64_t> group_mask(mask_stride);
-    std::vector<uint64_t> member_mask(mask_stride);
     std::vector<int32_t> flat_idx(max_block_rows);
     std::vector<const int32_t*> group_cols(max_dims);
-    double dpoint[kRStarMaxDims];
+    std::vector<const uint64_t*> member_masks(max_dims);
     BlockView view;
 
     // One group over one block of n rows.
@@ -467,21 +462,21 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
       GroupCounter& counter = counters[g];
       const size_t dims = group.quant_attrs.size();
       const size_t words = MaskWords(n);
-      auto shared = [&](size_t i) {
-        return shared_masks.data() + sg.mask_slots[i] * mask_stride;
+      auto shared = [&](size_t slot) {
+        return shared_masks.data() + slot * mask_stride;
       };
-      const uint64_t* mask = shared(0);
+      const uint64_t* mask = shared(sg.mask_slots[0]);
       if (sg.mask_slots.size() > 1) {
         uint64_t* dst = group_mask.data();
-        const uint64_t* second = shared(1);
+        const uint64_t* second = shared(sg.mask_slots[1]);
         for (size_t w = 0; w < words; ++w) dst[w] = mask[w] & second[w];
         for (size_t i = 2; i < sg.mask_slots.size(); ++i) {
-          const uint64_t* next = shared(i);
+          const uint64_t* next = shared(sg.mask_slots[i]);
           for (size_t w = 0; w < words; ++w) dst[w] &= next[w];
         }
         mask = dst;
       }
-      const uint64_t matches = kern.popcount(mask, n);
+      const uint64_t matches = kern.popcount(mask, nullptr, 0, n);
       if (dims == 0) {
         counter.direct += matches;
         return;
@@ -507,36 +502,14 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
         }
         return;
       }
-      std::vector<uint32_t>& member_counts = counter.members;
-      if (sg.tree != nullptr) {
-        for (size_t w = 0; w < words; ++w) {
-          uint64_t bits = mask[w];
-          while (bits != 0) {
-            const size_t r =
-                w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-            bits &= bits - 1;
-            for (size_t d = 0; d < dims; ++d) {
-              dpoint[d] = static_cast<double>(group_cols[d][r]);
-            }
-            sg.tree->ForEachContaining(dpoint, [&member_counts](int32_t m) {
-              ++member_counts[static_cast<size_t>(m)];
-            });
-          }
-        }
-        return;
-      }
-      // Degraded mode: per member, refine a copy of the group mask with one
-      // range compare per dimension and popcount it.
-      const int32_t* rects = group.member_rects.data();
-      uint64_t* tmp = member_mask.data();
-      for (size_t m = 0; m < group.num_members; ++m) {
-        const int32_t* rect = rects + m * dims * 2;
-        std::memcpy(tmp, mask, words * sizeof(uint64_t));
-        for (size_t d = 0; d < dims; ++d) {
-          kern.mask_range(tmp, group_cols[d], n, rect[2 * d],
-                          rect[2 * d + 1]);
-        }
-        member_counts[m] += static_cast<uint32_t>(kern.popcount(tmp, n));
+      // A member scan: per member, the popcount of the group mask ANDed
+      // with the shared range masks of its items.
+      const uint32_t* slots = sg.member_slots.data();
+      for (uint32_t& count : counter.members) {
+        for (size_t d = 0; d < dims; ++d) member_masks[d] = shared(slots[d]);
+        count += static_cast<uint32_t>(
+            kern.popcount(mask, member_masks.data(), dims, n));
+        slots += dims;
       }
     };
 
@@ -545,12 +518,15 @@ Result<PassCounters> ScanCounters(const RecordSource& source,
       const size_t block_rows = view.num_rows();
       for (size_t i = 0; i < masks.size(); ++i) {
         uint64_t* mask = shared_masks.data() + i * mask_stride;
-        const int32_t* col = view.column(masks[i].attr);
+        const auto [attr, lo, hi] = masks[i];
+        const int32_t* col = view.column(attr);
         kern.fill_ones(mask, block_rows);
-        if (masks[i].equal) {
-          kern.mask_eq(mask, col, block_rows, masks[i].value);
+        if (lo == hi) {
+          kern.mask_eq(mask, col, block_rows, lo);
+        } else if (hi == std::numeric_limits<int32_t>::max()) {
+          kern.mask_neq(mask, col, block_rows, kMissingValue);
         } else {
-          kern.mask_neq(mask, col, block_rows, masks[i].value);
+          kern.mask_range(mask, col, block_rows, lo, hi);
         }
       }
       for (size_t g = 0; g < groups.size(); ++g) scan_group(g, block_rows);

@@ -7,8 +7,9 @@
 // per categorical item and per dimension, and a super-candidate's rows are
 // the AND of its items' and dimensions' masks. The quantitative values of
 // those rows then form points that are counted into the super-candidate's
-// n-dimensional array (or, when the array would be too large, queried
-// against an R*-tree holding the candidates' rectangles).
+// n-dimensional array, or, when the array would not fit the counter budget,
+// each member's count is the popcount of those rows ANDed with the shared
+// masks of its ranged items (a member scan).
 #ifndef QARM_CORE_SUPPORT_COUNTING_H_
 #define QARM_CORE_SUPPORT_COUNTING_H_
 
@@ -33,12 +34,10 @@ namespace qarm {
 struct CountingStats {
   size_t num_super_candidates = 0;
   size_t num_array_counters = 0;  // super-candidates counted via NDimArray
-  size_t num_tree_counters = 0;   // via R*-tree
   size_t num_direct = 0;          // purely categorical super-candidates
-  // Graceful degradation: super-candidates whose R*-tree no longer fit the
-  // counter memory budget and fell back to a linear scan of their member
-  // rectangles (slower, near-zero memory). The pass logs one warning.
-  size_t num_degraded = 0;
+  // Super-candidates whose grid did not fit the counter memory budget,
+  // counted by member scan. The pass logs one warning.
+  size_t num_member_counters = 0;
 
   // Threads that actually scanned (<= the resolved option: capped by the
   // number of blocks of the scanned source, and by how many copies of the
@@ -52,7 +51,7 @@ struct CountingStats {
 
   // I/O performed by this pass's scan (zero for in-memory sources).
   ScanIoStats io;
-  // Bytes of the primary counting structures (grids + tree estimates).
+  // Bytes of the grids plus each member group's counts and item ids.
   uint64_t counter_bytes = 0;
   // Extra bytes of per-thread grid replicas allocated for the scan:
   // (threads_used - 1) copies of every grid.
@@ -68,9 +67,8 @@ struct CountingStats {
   static void Fields(auto&& f, auto&... s) {
     f("super_candidates", s.num_super_candidates...);
     f("array_counters", s.num_array_counters...);
-    f("tree_counters", s.num_tree_counters...);
     f("direct_counters", s.num_direct...);
-    f("degraded_counters", s.num_degraded...);
+    f("member_counters", s.num_member_counters...);
     f("threads_used", s.threads_used...);
     f("isa", s.isa...);
     f("io", s.io...);
@@ -102,10 +100,9 @@ struct CountingStats {
 
 // How a plan counts one super-candidate.
 enum class CounterKind : uint8_t {
-  kDirect = 0,    // no dimensions: one count of the rows matching its items
-  kArray = 1,     // an NDimArray over its dimensions
-  kTree = 2,      // an R*-tree of its member rectangles: a count per member
-  kDegraded = 3,  // each member rectangle tested per block: a count per member
+  kDirect = 0,   // no dimensions: one count of the rows matching its items
+  kArray = 1,    // an NDimArray over its dimensions
+  kMembers = 2,  // each member's item masks ANDed per block: a count per member
 };
 
 // One super-candidate of a plan: all a scan needs to count it.
@@ -116,9 +113,9 @@ struct CounterGroup {
   // Candidates in the group. Not needed by a scan of a kArray group, but
   // a worker checks the counter choice against it (CheckCountPlan).
   uint64_t num_members = 0;
-  // kTree and kDegraded: member m's rectangle as a lo, hi pair per
-  // dimension at [m * 2 * dims, (m + 1) * 2 * dims).
-  std::vector<int32_t> member_rects;
+  // kMembers: member m's ranged item ids, one per dimension in dimension
+  // order, at [m * dims, (m + 1) * dims).
+  std::vector<int32_t> member_items;
 };
 
 struct CountPlan {
@@ -132,7 +129,7 @@ struct CountPlan {
 // The counters of one group, of the kind its plan names.
 struct GroupCounter {
   std::unique_ptr<NDimArray> grid;  // kArray
-  std::vector<uint32_t> members;    // kTree, kDegraded: one per member
+  std::vector<uint32_t> members;    // kMembers: one per member
   uint64_t direct = 0;              // kDirect
 };
 // Parallel to CountPlan::groups.
@@ -140,18 +137,19 @@ using PassCounters = std::vector<GroupCounter>;
 
 // Stage 1. Fills the plan's fields of `stats`: super-candidates, counter
 // kinds, counter_bytes, group_seconds and the choice's build_seconds. Logs
-// one warning when groups degrade.
+// one warning when groups are member scans.
 CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
                        const CandidateStream& candidates,
                        const MinerOptions& options, CountingStats* stats);
 
 // Checks a plan that came from a peer before anything is allocated for it:
 // every attribute is a ranged attribute of `source`, every item a
-// categorical item of `catalog`, every kTree/kDegraded group has members,
-// and every counter kind is the one PlanCounting's budget rule gives under
-// options.counter_memory_budget_bytes — so no grid is larger, and no tree
-// wider than kRStarMaxDims, than the planner itself would build.
-// InvalidArgument names the first offending group.
+// categorical item of `catalog`, every counted group has members, every
+// member item an item of its dimension's attribute, and every counter kind
+// the one PlanCounting's budget rule gives under
+// options.counter_memory_budget_bytes — so no grid is larger than the
+// planner itself would build. InvalidArgument names the first offending
+// group.
 Status CheckCountPlan(const CountPlan& plan, const RecordSource& source,
                       const ItemCatalog& catalog, const MinerOptions& options);
 

@@ -42,7 +42,7 @@ namespace qarm {
 
 // Bump on any wire-visible change to the frame layout, the handshake
 // payloads, or the request/reply vocabulary.
-inline constexpr uint32_t kDistProtocolVersion = 5;
+inline constexpr uint32_t kDistProtocolVersion = 6;
 
 // Caps the Hello's fault-spec string. Real specs are tens of bytes; the
 // cap only exists so a hostile length prefix cannot turn into a giant

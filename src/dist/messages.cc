@@ -21,10 +21,6 @@ Status ReadIds(ByteReader* reader, std::vector<int32_t>* out) {
   return reader->ReadVarintI32Array(count, out);
 }
 
-bool HasRects(CounterKind kind) {
-  return kind == CounterKind::kTree || kind == CounterKind::kDegraded;
-}
-
 // A count of at most `limit` rows of group g.
 Status ReadCount(ByteReader* reader, size_t g, uint64_t limit,
                  uint64_t* out) {
@@ -45,7 +41,7 @@ void EncodeCountRequest(const CountPlan& plan, std::string* out) {
     if (group.kind != CounterKind::kDirect) {
       AppendVarint(out, group.num_members);
     }
-    if (HasRects(group.kind)) AppendIds(group.member_rects, out);
+    if (group.kind == CounterKind::kMembers) AppendIds(group.member_items, out);
   }
 }
 
@@ -66,7 +62,7 @@ Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size) {
     QARM_RETURN_NOT_OK(ReadIds(&reader, &group.cat_item_ids));
     const size_t dims = group.quant_attrs.size();
     // A direct group has no dimensions, and every other kind has some.
-    if (kind > static_cast<uint8_t>(CounterKind::kDegraded) ||
+    if (kind > static_cast<uint8_t>(CounterKind::kMembers) ||
         (group.kind == CounterKind::kDirect) != (dims == 0)) {
       return Status::IOError(StrFormat(
           "count request group %zu has kind %u and %zu dimensions", g, kind,
@@ -80,14 +76,14 @@ Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size) {
     }
     if (group.kind == CounterKind::kDirect) continue;
     QARM_RETURN_NOT_OK(reader.ReadVarint(&group.num_members));
-    if (!HasRects(group.kind)) continue;
-    // A lo and a hi per dimension and member.
-    QARM_RETURN_NOT_OK(ReadIds(&reader, &group.member_rects));
-    if (group.member_rects.size() / (2 * dims) != group.num_members ||
-        group.member_rects.size() % (2 * dims) != 0) {
+    if (group.kind != CounterKind::kMembers) continue;
+    // An item id per dimension and member.
+    QARM_RETURN_NOT_OK(ReadIds(&reader, &group.member_items));
+    if (group.member_items.size() / dims != group.num_members ||
+        group.member_items.size() % dims != 0) {
       return Status::IOError(StrFormat(
-          "count request group %zu has %zu bounds for %llu members", g,
-          group.member_rects.size(),
+          "count request group %zu has %zu member items for %llu members", g,
+          group.member_items.size(),
           static_cast<unsigned long long>(group.num_members)));
     }
   }

@@ -52,8 +52,9 @@ enum class DistMessageType : uint32_t {
 };
 
 // kCountRequest: the plan's groups as varints (per group a u8 kind, its
-// dimensions and items, and for counted groups the member count and any
-// member rectangles), never its member runs or candidates.
+// dimensions and items, for counted groups the member count, and for
+// member groups each member's ranged item ids), never its member runs or
+// candidates.
 void EncodeCountRequest(const CountPlan& plan, std::string* out);
 Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size);
 

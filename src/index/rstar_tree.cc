@@ -87,13 +87,6 @@ RStarTree::RStarTree(size_t dims, size_t max_entries)
 
 RStarTree::~RStarTree() = default;
 
-uint64_t RStarTree::EstimateBytes(size_t num_rects, size_t dims) {
-  // Data entries plus ~50% structural overhead for interior nodes and
-  // vector slack.
-  uint64_t per_entry = 2 * dims * sizeof(double) + 24;
-  return num_rects * per_entry * 3 / 2;
-}
-
 size_t RStarTree::height() const {
   return static_cast<size_t>(root_->level) + 1;
 }

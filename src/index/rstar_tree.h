@@ -1,8 +1,9 @@
-// R*-tree [BKSS90] over low-dimensional rectangles, used by the support-
-// counting phase (Section 5.2) when a super-candidate's n-dimensional array
-// would need too much memory. Implements ChooseSubtree with overlap
-// minimization at the leaf level, the R* topological split (axis by minimum
-// margin, distribution by minimum overlap), and forced reinsertion.
+// R*-tree [BKSS90] over low-dimensional rectangles: the paper's counter for
+// a super-candidate whose array would need too much memory (Section 5.2),
+// which here only the Section 5.2 counting-structure bench uses. Implements
+// ChooseSubtree with overlap minimization at the leaf level, the R*
+// topological split (axis by minimum margin, distribution by minimum
+// overlap), and forced reinsertion.
 #ifndef QARM_INDEX_RSTAR_TREE_H_
 #define QARM_INDEX_RSTAR_TREE_H_
 
@@ -61,10 +62,6 @@ class RStarTree {
   size_t size() const { return size_; }
   size_t dims() const { return dims_; }
   size_t height() const;
-
-  // Rough memory estimate for `num_rects` rectangles of `dims` dimensions,
-  // for the Section 5.2 array-vs-tree heuristic.
-  static uint64_t EstimateBytes(size_t num_rects, size_t dims);
 
   // Validates tree invariants (MBR containment, fill factors); tests only.
   bool CheckInvariants() const;

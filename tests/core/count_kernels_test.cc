@@ -57,7 +57,7 @@ TEST(CountKernelsTest, FillOnesZeroesTailBits) {
   for (size_t n : kSizes) {
     std::vector<uint64_t> mask(MaskWords(n), 0xDEADBEEFDEADBEEFull);
     kern.fill_ones(mask.data(), n);
-    EXPECT_EQ(kern.popcount(mask.data(), n), n) << "n=" << n;
+    EXPECT_EQ(kern.popcount(mask.data(), nullptr, 0, n), n) << "n=" << n;
     if (n % 64 != 0) {
       EXPECT_EQ(mask.back() >> (n % 64), 0u) << "n=" << n;
     }
@@ -94,7 +94,40 @@ TEST(CountKernelsTest, MaskOpsMatchScalarReference) {
       scalar.mask_range(want.data(), col.data(), n, lo, hi);
       kern.mask_range(got.data(), col.data(), n, lo, hi);
       EXPECT_EQ(got, want) << IsaName(isa) << " mask_range n=" << n;
-      EXPECT_EQ(kern.popcount(got.data(), n), scalar.popcount(want.data(), n));
+      EXPECT_EQ(kern.popcount(got.data(), nullptr, 0, n),
+                scalar.popcount(want.data(), nullptr, 0, n));
+    }
+  }
+}
+
+// popcount with other masks counts the bits of their AND, for every ISA,
+// with zero to three masks after the first.
+TEST(CountKernelsTest, PopcountCountsTheAndOfItsMasks) {
+  std::vector<SimdIsa> isas = VectorIsas();
+  isas.push_back(SimdIsa::kScalar);
+  for (SimdIsa isa : isas) {
+    const CountKernels& kern = CountKernels::ForIsa(isa);
+    Rng rng(11 + static_cast<uint64_t>(isa));
+    for (size_t n : kSizes) {
+      std::vector<std::vector<uint64_t>> masks;
+      for (size_t i = 0; i < 4; ++i) masks.push_back(RandomMask(rng, kern, n));
+      std::vector<const uint64_t*> others;
+      for (size_t i = 1; i < masks.size(); ++i) {
+        others.push_back(masks[i].data());
+      }
+      for (size_t count = 0; count < masks.size(); ++count) {
+        uint64_t want = 0;
+        for (size_t r = 0; r < n; ++r) {
+          bool set = (masks[0][r / 64] >> (r % 64)) & 1;
+          for (size_t i = 0; i < count; ++i) {
+            set = set && ((others[i][r / 64] >> (r % 64)) & 1);
+          }
+          want += set;
+        }
+        EXPECT_EQ(kern.popcount(masks[0].data(), others.data(), count, n),
+                  want)
+            << IsaName(isa) << " n=" << n << " count=" << count;
+      }
     }
   }
 }
@@ -107,12 +140,12 @@ TEST(CountKernelsTest, AllMissingColumnClearsEverything) {
       std::vector<uint64_t> mask(MaskWords(n));
       kern.fill_ones(mask.data(), n);
       kern.mask_neq(mask.data(), col.data(), n, kMissingValue);
-      EXPECT_EQ(kern.popcount(mask.data(), n), 0u)
+      EXPECT_EQ(kern.popcount(mask.data(), nullptr, 0, n), 0u)
           << IsaName(isa) << " n=" << n;
       // And an equality probe against a real value matches nothing either.
       kern.fill_ones(mask.data(), n);
       kern.mask_eq(mask.data(), col.data(), n, 3);
-      EXPECT_EQ(kern.popcount(mask.data(), n), 0u)
+      EXPECT_EQ(kern.popcount(mask.data(), nullptr, 0, n), 0u)
           << IsaName(isa) << " n=" << n;
     }
   }

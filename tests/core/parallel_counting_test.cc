@@ -116,8 +116,8 @@ TEST_P(ParallelCountingTest, ThreadedCountsMatchSerial) {
 TEST_P(ParallelCountingTest, TreeEngineMatchesSerial) {
   const size_t num_threads = static_cast<size_t>(GetParam());
   // Wide quantitative domains with missing values: a handful of candidate
-  // pairs makes the 48x44 grid dwarf the R*-tree estimate, so a tight budget
-  // routes the group through the tree engine.
+  // pairs makes the 48x44 grid dwarf the members' counts and item ids, so
+  // a tight budget routes the group through the member scan.
   Rng rng(23);
   std::vector<std::vector<int32_t>> rows;
   for (size_t r = 0; r < 900; ++r) {
@@ -133,7 +133,7 @@ TEST_P(ParallelCountingTest, TreeEngineMatchesSerial) {
   MinerOptions options;
   options.minsup = 0.05;
   options.max_support = 0.30;
-  options.counter_memory_budget_bytes = 1;  // grids only when <= tree bytes
+  options.counter_memory_budget_bytes = 1;  // grids only when <= member bytes
   options.num_threads = 1;
   ItemCatalog catalog = ItemCatalog::Build(table, options);
   std::vector<int32_t> q1_items, q2_items;
@@ -155,13 +155,13 @@ TEST_P(ParallelCountingTest, TreeEngineMatchesSerial) {
   CountingStats serial_stats;
   std::vector<uint32_t> serial_counts =
       CountSupports(table, catalog, c2, options, &serial_stats);
-  EXPECT_GT(serial_stats.num_tree_counters, 0u);
+  EXPECT_GT(serial_stats.num_member_counters, 0u);
 
   options.num_threads = num_threads;
   CountingStats parallel_stats;
   std::vector<uint32_t> parallel_counts =
       CountSupports(table, catalog, c2, options, &parallel_stats);
-  EXPECT_GT(parallel_stats.num_tree_counters, 0u);
+  EXPECT_GT(parallel_stats.num_member_counters, 0u);
   EXPECT_EQ(parallel_counts, serial_counts);
 }
 
@@ -178,7 +178,7 @@ TEST_P(ParallelCountingTest, ReplicaBudgetCapsScanThreads) {
   CountingStats serial_stats;
   std::vector<uint32_t> serial_counts =
       CountSupports(table, catalog, c2, options, &serial_stats);
-  ASSERT_EQ(serial_stats.num_tree_counters, 0u);
+  ASSERT_EQ(serial_stats.num_member_counters, 0u);
   const uint64_t grid_bytes = serial_stats.counter_bytes;
   ASSERT_GT(grid_bytes, 0u);
 

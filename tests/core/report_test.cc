@@ -144,9 +144,8 @@ PassStats GoldenPass(size_t k, size_t base, SimdIsa isa) {
   CountingStats& counting = pass.counting;
   counting.num_super_candidates = base + 9;
   counting.num_array_counters = base + 10;
-  counting.num_tree_counters = base + 11;
   counting.num_direct = base + 12;
-  counting.num_degraded = base + 13;
+  counting.num_member_counters = base + 13;
   counting.threads_used = base + 15;
   counting.isa = isa;
   counting.io = {base + 16, base + 17, sec(18)};
@@ -241,8 +240,8 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"peak_materialized\":105,\"join_seconds\":1.656250,"
       "\"prune_seconds\":1.671875,\"seconds\":1.687500},"
       "\"super_candidates\":109,\"array_counters\":110,"
-      "\"tree_counters\":111,\"direct_counters\":112,"
-      "\"degraded_counters\":113,\"threads_used\":115,\"isa\":\"avx2\","
+      "\"direct_counters\":112,"
+      "\"member_counters\":113,\"threads_used\":115,\"isa\":\"avx2\","
       "\"io\":{\"blocks_read\":116,\"bytes_read\":117,"
       "\"checksum_seconds\":1.843750},"
       "\"counter_bytes\":121,\"replicated_bytes\":122,"
@@ -254,8 +253,8 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "\"peak_materialized\":205,\"join_seconds\":3.218750,"
       "\"prune_seconds\":3.234375,\"seconds\":3.250000},"
       "\"super_candidates\":209,\"array_counters\":210,"
-      "\"tree_counters\":211,\"direct_counters\":212,"
-      "\"degraded_counters\":213,\"threads_used\":215,\"isa\":\"scalar\","
+      "\"direct_counters\":212,"
+      "\"member_counters\":213,\"threads_used\":215,\"isa\":\"scalar\","
       "\"io\":{\"blocks_read\":216,\"bytes_read\":217,"
       "\"checksum_seconds\":3.406250},"
       "\"counter_bytes\":221,\"replicated_bytes\":222,"

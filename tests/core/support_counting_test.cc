@@ -11,7 +11,6 @@
 
 #include "common/cpu_dispatch.h"
 #include "common/random.h"
-#include "index/rstar_tree.h"
 #include "storage/qbt_writer.h"
 #include "storage/record_source.h"
 #include "testutil.h"
@@ -123,9 +122,8 @@ TEST(SupportCountingTest, PurelyCategoricalCandidates) {
 }
 
 // A table with wide quantitative domains, so that a handful of candidate
-// pairs makes the dense grid bigger than the R*-tree estimate (the regime
-// where the Section 5.2 heuristic must switch engines under a tight memory
-// budget).
+// pairs makes the dense grid bigger than the member scan's state (the
+// regime where a tight memory budget must switch counters).
 struct WideDomainFixture {
   MappedTable table;
   ItemCatalog catalog;
@@ -145,8 +143,8 @@ struct WideDomainFixture {
     options.max_support = 0.30;
     ItemCatalog catalog = ItemCatalog::Build(table, options);
     WideDomainFixture f{std::move(table), std::move(catalog), ItemsetSet(2)};
-    // A handful of cross-attribute pairs: few enough that the R*-tree
-    // estimate undercuts the 40x40 grid.
+    // A handful of cross-attribute pairs: few enough that their counts and
+    // item ids undercut the 40x40 grid.
     std::vector<int32_t> q1_items, q2_items;
     for (size_t i = 0; i < f.catalog.num_items(); ++i) {
       (f.catalog.item(static_cast<int32_t>(i)).attr == 0 ? q1_items
@@ -163,7 +161,7 @@ struct WideDomainFixture {
   }
 };
 
-TEST(SupportCountingTest, TreeEngineUnderTightBudget) {
+TEST(SupportCountingTest, MemberScanUnderTightBudget) {
   WideDomainFixture f = WideDomainFixture::Make(6);
   ASSERT_GT(f.candidates.size(), 0u);
   MinerOptions options;
@@ -172,7 +170,7 @@ TEST(SupportCountingTest, TreeEngineUnderTightBudget) {
   CountingStats stats;
   std::vector<uint32_t> counts =
       CountSupports(f.table, f.catalog, f.candidates, options, &stats);
-  EXPECT_GT(stats.num_tree_counters, 0u);
+  EXPECT_GT(stats.num_member_counters, 0u);
   EXPECT_EQ(stats.num_array_counters, 0u);
   for (size_t c = 0; c < f.candidates.size(); ++c) {
     EXPECT_EQ(counts[c],
@@ -182,32 +180,31 @@ TEST(SupportCountingTest, TreeEngineUnderTightBudget) {
   }
 }
 
-TEST(SupportCountingTest, ArrayAndTreeAgree) {
+TEST(SupportCountingTest, ArrayAndMemberScanAgree) {
   WideDomainFixture f = WideDomainFixture::Make(7);
   MinerOptions array_options;
   array_options.minsup = 0.05;  // default budget: grid fits
-  MinerOptions tree_options = array_options;
-  tree_options.counter_memory_budget_bytes = 1;
-  CountingStats array_stats, tree_stats;
+  MinerOptions member_options = array_options;
+  member_options.counter_memory_budget_bytes = 1;
+  CountingStats array_stats, member_stats;
   auto array_counts =
       CountSupports(f.table, f.catalog, f.candidates, array_options,
                     &array_stats);
-  auto tree_counts = CountSupports(f.table, f.catalog, f.candidates,
-                                   tree_options, &tree_stats);
+  auto member_counts = CountSupports(f.table, f.catalog, f.candidates,
+                                     member_options, &member_stats);
   EXPECT_GT(array_stats.num_array_counters, 0u);
-  EXPECT_GT(tree_stats.num_tree_counters, 0u);
-  EXPECT_EQ(array_counts, tree_counts);
+  EXPECT_GT(member_stats.num_member_counters, 0u);
+  EXPECT_EQ(array_counts, member_counts);
 }
 
-// Graceful degradation: once the first R*-tree has consumed the counter
-// budget, later tree-mode groups fall back to a direct scan of their member
-// rectangles — slower, but bit-identical counts.
-TEST(SupportCountingTest, DegradedGroupsMatchBruteForce) {
+// Groups whose grid does not fit the counter budget are counted by member
+// scans: slower per row, but bit-identical counts, and a counter_bytes
+// that charges each member its count and item ids.
+TEST(SupportCountingTest, MemberGroupsMatchBruteForce) {
   // Three wide-domain attributes: every attribute pair forms its own
-  // super-candidate whose 40x40 grid (6.4 KB) loses to the R*-tree
-  // estimate for a handful of members, so all three groups want a tree.
-  // The 1-byte high-water-mark budget admits only the first and degrades
-  // the rest: both engines run in the same pass.
+  // super-candidate whose 40x40 grid (6.4 KB) is larger than a handful of
+  // members' counts and item ids, so at a 1-byte budget all three groups
+  // are member scans, and members of a group share items.
   Rng rng(13);
   std::vector<std::vector<int32_t>> rows;
   for (size_t r = 0; r < 300; ++r) {
@@ -220,7 +217,7 @@ TEST(SupportCountingTest, DegradedGroupsMatchBruteForce) {
   MinerOptions options;
   options.minsup = 0.05;
   options.max_support = 0.30;
-  options.counter_memory_budget_bytes = 1;  // grids never fit; 1 tree max
+  options.counter_memory_budget_bytes = 1;  // grids never fit
   ItemCatalog catalog = ItemCatalog::Build(table, options);
   std::vector<std::vector<int32_t>> by_attr(3);
   for (size_t i = 0; i < catalog.num_items(); ++i) {
@@ -249,43 +246,42 @@ TEST(SupportCountingTest, DegradedGroupsMatchBruteForce) {
   CountingStats stats;
   std::vector<uint32_t> counts =
       CountSupports(table, catalog, c2, options, &stats);
-  // The high-water-mark budget admits the first tree and degrades the rest:
-  // both engines ran in the same pass.
-  EXPECT_GT(stats.num_tree_counters, 0u);
-  EXPECT_GT(stats.num_degraded, 0u);
+  // Every group is a member scan, charged a uint32 count and two int32 item
+  // ids per member.
+  EXPECT_EQ(stats.num_member_counters, 3u);
+  EXPECT_EQ(stats.num_array_counters, 0u);
+  EXPECT_EQ(stats.counter_bytes, c2.size() * (4 + 4 * 2));
   for (size_t c = 0; c < c2.size(); ++c) {
     EXPECT_EQ(counts[c],
               BruteForceSupport(table, catalog.Decode(c2.itemset_vector(c))))
         << "candidate " << c;
   }
 
-  // The sharded parallel scan reduces degraded counters exactly like tree
-  // counters.
+  // The sharded parallel scan adds the member counters of its shards.
   MinerOptions parallel_options = options;
   parallel_options.num_threads = 4;
   CountingStats parallel_stats;
   std::vector<uint32_t> parallel_counts =
       CountSupports(table, catalog, c2, parallel_options, &parallel_stats);
-  EXPECT_GT(parallel_stats.num_degraded, 0u);
+  EXPECT_EQ(parallel_stats.num_member_counters, 3u);
   EXPECT_EQ(parallel_counts, counts);
 
-  // An unconstrained budget produces the same counts without degrading.
+  // An unconstrained budget produces the same counts from grids alone.
   MinerOptions roomy = options;
   roomy.counter_memory_budget_bytes = MinerOptions().counter_memory_budget_bytes;
   CountingStats roomy_stats;
   std::vector<uint32_t> roomy_counts =
       CountSupports(table, catalog, c2, roomy, &roomy_stats);
-  EXPECT_EQ(roomy_stats.num_degraded, 0u);
+  EXPECT_EQ(roomy_stats.num_member_counters, 0u);
   EXPECT_EQ(roomy_counts, counts);
 }
 
-// Candidates spanning kRStarMaxDims quantitative attributes (the widest an
-// R*-tree can index) and one more. Only the tree is limited in dimensions:
-// a wider group takes the grid when it fits and the degraded member scan
-// otherwise, so both widths must count exactly — serially and sharded, at
-// the default budget and at one that rules every grid out.
+// Candidates spanning 16 quantitative attributes and 17. Neither counter
+// is limited in dimensions: a group takes the grid when it fits and the
+// member scan otherwise, so both widths must count exactly — serially and
+// sharded, at the default budget and at one that rules every grid out.
 TEST(SupportCountingTest, CandidateAtMaxDimsCounts) {
-  for (size_t dims : {kRStarMaxDims, kRStarMaxDims + 1}) {
+  for (size_t dims : {size_t{16}, size_t{17}}) {
     SCOPED_TRACE("dims=" + std::to_string(dims));
     Rng rng(17);
     std::vector<std::vector<int32_t>> rows;
@@ -337,10 +333,9 @@ TEST(SupportCountingTest, CandidateAtMaxDimsCounts) {
       ASSERT_EQ(counts.size(), 1u);
       EXPECT_EQ(counts[0], expected);
       if (budget == 1) {
-        // No grid fits: the 16-wide group gets its tree, the wider one
-        // degrades.
-        EXPECT_EQ(stats.num_tree_counters, dims <= kRStarMaxDims ? 1u : 0u);
-        EXPECT_EQ(stats.num_degraded, dims <= kRStarMaxDims ? 0u : 1u);
+        // No grid fits: both widths count by member scan.
+        EXPECT_EQ(stats.num_member_counters, 1u);
+        EXPECT_EQ(stats.num_array_counters, 0u);
       } else {
         EXPECT_EQ(stats.num_array_counters, 1u);
       }
@@ -376,7 +371,8 @@ struct OracleScenario {
   uint64_t counter_budget = MinerOptions().counter_memory_budget_bytes;
   size_t max_level = 3;
   // Keep every stride-th candidate of each level (1 = all): sparse groups
-  // have few members, which is what makes the R*-tree beat the grid.
+  // have few members, which is what makes the member scan smaller than the
+  // grid.
   size_t candidate_stride = 1;
   // Checked on the serial level-2 pass, so each scenario provably reaches
   // the regime it is named for.
@@ -475,9 +471,9 @@ std::vector<OracleScenario> OracleScenarios() {
     scenarios.push_back(std::move(s));
   }
   // Wide quantitative domains with a categorical attribute and missing
-  // values; sampled candidates leave each group a handful of members, so a
-  // small counter budget prefers R*-trees, and a 1-byte budget admits one
-  // tree and degrades the rest.
+  // values; sampled candidates leave each group few members, so a small
+  // counter budget counts groups by member scan. With a small stride the
+  // members of a group share items, and so share their range masks.
   auto wide_quant = [] {
     return UniformTable(
         303, 600,
@@ -487,14 +483,14 @@ std::vector<OracleScenario> OracleScenarios() {
   };
   {
     OracleScenario s;
-    s.name = "TreeBudget";
+    s.name = "MemberBudget";
     s.make_table = wide_quant;
     s.minsup = 0.02;
     s.max_support = 0.12;
     s.counter_budget = 4 << 10;  // no 40 x 40 grid fits
-    s.candidate_stride = 211;
+    s.candidate_stride = 97;
     s.check_level2 = [](const CountingStats& stats) {
-      EXPECT_GT(stats.num_tree_counters, 0u);
+      EXPECT_GT(stats.num_member_counters, 0u);
     };
     scenarios.push_back(std::move(s));
   }
@@ -507,13 +503,13 @@ std::vector<OracleScenario> OracleScenarios() {
     s.counter_budget = 1;
     s.candidate_stride = 211;
     s.check_level2 = [](const CountingStats& stats) {
-      EXPECT_GT(stats.num_degraded, 0u);
+      EXPECT_GT(stats.num_member_counters, 0u);
     };
     scenarios.push_back(std::move(s));
   }
   {
     // Small domains and every candidate kept: each grid is smaller than
-    // the R*-tree its many members would need, so a 1-byte budget still
+    // its many members' counts and item ids, so a 1-byte budget still
     // counts every group on a dense grid.
     OracleScenario s;
     s.name = "ArrayOverBudget";
@@ -529,8 +525,7 @@ std::vector<OracleScenario> OracleScenarios() {
     s.counter_budget = 1;
     s.check_level2 = [](const CountingStats& stats) {
       EXPECT_GT(stats.num_array_counters, 0u);
-      EXPECT_EQ(stats.num_tree_counters, 0u);
-      EXPECT_EQ(stats.num_degraded, 0u);
+      EXPECT_EQ(stats.num_member_counters, 0u);
     };
     scenarios.push_back(std::move(s));
   }

@@ -122,8 +122,8 @@ TEST(DistCheckpointTest, InterruptAtTwoWorkersResumeAtThree) {
 }
 
 // A counter budget too small for the grids: the passes after the resume
-// count through R*-tree and degraded groups, whose member rectangles the
-// plan ships, at another worker count than the interrupted run.
+// count through member groups, whose member item ids the plan ships, at
+// another worker count than the interrupted run.
 TEST(DistCheckpointTest, TinyCounterBudgetInterruptAtTwoWorkersResumeAtFour) {
   ExpectResumeAcrossWorkerCounts(/*interrupt_workers=*/2,
                                  /*resume_workers=*/4,

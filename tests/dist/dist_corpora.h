@@ -62,7 +62,7 @@ inline DistCorpus BuildCorpus(const Table& table, const MinerOptions& options,
 }
 
 // A counter budget that the financial corpus's grids overflow, so its
-// plans count groups with R*-trees and degraded member scans too.
+// plans count groups by member scan too.
 inline constexpr uint64_t kTinyCounterBudget = 256;
 
 inline const DistCorpus& FinancialCorpus() {

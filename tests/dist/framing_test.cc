@@ -142,21 +142,17 @@ std::string Hex(const std::string& bytes) {
 // A plan with one group of every counter kind.
 CountPlan EveryKindPlan() {
   CountPlan plan;
-  plan.groups.resize(4);
+  plan.groups.resize(3);
   plan.groups[0].kind = CounterKind::kDirect;
   plan.groups[0].cat_item_ids = {3, 7};
   plan.groups[1].kind = CounterKind::kArray;
   plan.groups[1].quant_attrs = {0, 2};
   plan.groups[1].cat_item_ids = {5};
   plan.groups[1].num_members = 300;
-  plan.groups[2].kind = CounterKind::kTree;
-  plan.groups[2].quant_attrs = {1};
+  plan.groups[2].kind = CounterKind::kMembers;
+  plan.groups[2].quant_attrs = {0, 1};
   plan.groups[2].num_members = 2;
-  plan.groups[2].member_rects = {0, 3, 2, 5};
-  plan.groups[3].kind = CounterKind::kDegraded;
-  plan.groups[3].quant_attrs = {0, 1};
-  plan.groups[3].num_members = 1;
-  plan.groups[3].member_rects = {1, 200, 3, 4};
+  plan.groups[2].member_items = {3, 9, 4, 200};
   return plan;
 }
 
@@ -171,25 +167,24 @@ TEST(DistMessagesTest, CountRequestRoundTripsAPlan) {
   EncodeCountRequest(plan, &payload);
   // The group count, then per group its kind, its dimensions and items
   // (each a varint count and varints), and for counted groups the member
-  // count and, for tree and degraded groups, the member rectangles' bounds
+  // count and, for member groups, the members' item ids, one per dimension
   // (a varint count and varints).
   EXPECT_EQ(Hex(payload),
-            "04"
+            "03"
             "00" "00" "020307"
             "01" "020002" "0105" "ac02"
-            "02" "0101" "00" "02" "0400030205"
-            "03" "020001" "00" "01" "0401c8010304");
+            "02" "020001" "00" "02" "04030904c801");
   Result<CountPlan> parsed = ParsePlanBytes(payload);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->groups.size(), 4u);
-  for (size_t g = 0; g < 4; ++g) {
+  ASSERT_EQ(parsed->groups.size(), 3u);
+  for (size_t g = 0; g < 3; ++g) {
     const CounterGroup& want = plan.groups[g];
     const CounterGroup& got = parsed->groups[g];
     EXPECT_EQ(got.kind, want.kind) << g;
     EXPECT_EQ(got.quant_attrs, want.quant_attrs) << g;
     EXPECT_EQ(got.cat_item_ids, want.cat_item_ids) << g;
     EXPECT_EQ(got.num_members, want.num_members) << g;
-    EXPECT_EQ(got.member_rects, want.member_rects) << g;
+    EXPECT_EQ(got.member_items, want.member_items) << g;
   }
   // Member runs stay with the coordinator.
   EXPECT_TRUE(parsed->member_runs.empty());
@@ -213,26 +208,33 @@ TEST(DistMessagesTest, CountRequestRejectsTruncationAndOverflowCounts) {
   for (uint64_t members : {uint64_t{3}, uint64_t{~0ull >> 1}}) {
     std::string members_bomb;
     AppendVarint(&members_bomb, 1);
-    members_bomb += "\x02\x01\x00\x00"s;  // a tree group over attribute 0
+    members_bomb += "\x02\x01\x00\x00"s;  // a member group over attribute 0
     AppendVarint(&members_bomb, members);
-    AppendVarint(&members_bomb, ~0ull >> 1);  // bounds
+    AppendVarint(&members_bomb, ~0ull >> 1);  // item ids
     members_bomb += std::string(8, '\0');
     EXPECT_FALSE(ParsePlanBytes(members_bomb).ok()) << members;
   }
-  // Bounds that do not make the members' rectangles.
-  std::string short_rects;
-  AppendVarint(&short_rects, 1);
-  short_rects += "\x02\x01\x00\x00\x02\x02\x00\x01"s;
-  EXPECT_FALSE(ParsePlanBytes(short_rects).ok());
+  // Item ids that do not give each member one per dimension: three ids
+  // for two members of two dimensions.
+  std::string short_items;
+  AppendVarint(&short_items, 1);
+  short_items += "\x02\x02\x00\x01\x00\x02\x03\x00\x01\x02"s;
+  Result<CountPlan> short_parsed = ParsePlanBytes(short_items);
+  ASSERT_FALSE(short_parsed.ok());
+  EXPECT_NE(short_parsed.status().ToString().find("3 member items for 2"),
+            std::string::npos)
+      << short_parsed.status().ToString();
 }
 
 // Every accepted plan re-encodes to its own bytes: overlong varints, a kind
-// past kDegraded, an index past int32, a kind that disagrees with the
-// dimensions and a group without items or dimensions are rejected.
+// past kMembers (3 among them, a retired one), an index past int32, a kind
+// that disagrees with the dimensions and a group without items or
+// dimensions are rejected.
 TEST(DistMessagesTest, CountRequestRejectsNonCanonicalVarints) {
   for (const std::string& bytes : {
            std::string("\x81\x00\x00\x00\x01\x03", 6),  // overlong count
            std::string("\x01\x00\x00\x02\x83\x00\x07", 7),  // overlong id
+           std::string("\x01\x03\x00\x00", 4),              // kind 3
            std::string("\x01\x04\x00\x00", 4),              // kind 4
            std::string("\x01\x00\x01\x00\x00", 5),  // direct, 1 dimension
            std::string("\x01\x01\x00\x00\x05", 5),  // array, 0 dimensions
@@ -311,6 +313,10 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
   ExpectSeedRoundTrips("hello_ok", &ParseHello, &EncodeHello);
   ExpectSeedRoundTrips("ack_ok", &ParseHelloAck, &EncodeHelloAck);
   ExpectSeedRoundTrips("request_ok", &ParseCountRequest, &EncodeCountRequest);
+  // A protocol-5 member-rectangle group of the retired kind 3 is refused.
+  const std::string kind_3 = SeedPayload("request_kind_3");
+  ASSERT_FALSE(kind_3.empty());
+  EXPECT_FALSE(ParsePlanBytes(kind_3).ok());
   ExpectSeedRoundTrips("snapshot_ok", &ParseShardSnapshot,
                        &EncodeShardSnapshot);
   ExpectSeedRoundTrips("catalog_ok", &ParseCheckpointCatalog,
@@ -332,8 +338,8 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
 TEST(DistMessagesTest, EarlierProtocolSeedsAreRejectedByVersion) {
   for (const auto& [name, version] :
        {std::pair{"hello_v1", 1}, {"hello_v2", 2}, {"hello_v3", 3},
-        {"hello_v4", 4}, {"ack_v1", 1}, {"ack_v2", 2}, {"ack_v3", 3},
-        {"ack_v4", 4}}) {
+        {"hello_v4", 4}, {"hello_v5", 5}, {"ack_v1", 1}, {"ack_v2", 2},
+        {"ack_v3", 3}, {"ack_v4", 4}, {"ack_v5", 5}}) {
     const std::string payload = SeedPayload(name);
     ASSERT_FALSE(payload.empty()) << name;
     const uint8_t* bytes = reinterpret_cast<const uint8_t*>(payload.data());
@@ -364,9 +370,8 @@ DistCountReply EveryFieldReply(PassCounters* counters) {
   CountingStats& stats = reply.stats;
   stats.num_super_candidates = 11;
   stats.num_array_counters = 12;
-  stats.num_tree_counters = 13;
   stats.num_direct = 14;
-  stats.num_degraded = 15;
+  stats.num_member_counters = 15;
   stats.threads_used = 17;
   stats.isa = SimdIsa::kAvx2;
   stats.io = {18, 19, 0.5};
@@ -388,7 +393,7 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   // direct count; the 3x4 grid as zero runs and non-zero cells (2 zeros,
   // 5, 5 zeros, 200, 2 zeros, 1, and the final empty run); the member
   // counts; the all-zero 5-cell grid as one run. Then the CountingStats
-  // in wire order: five counter counts and threads u64, isa u32, the
+  // in wire order: four counter counts and threads u64, isa u32, the
   // three io fields, counter and replicated bytes u64 and the four phase
   // times (little-endian IEEE doubles).
   EXPECT_EQ(Hex(payload),
@@ -397,8 +402,8 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
             "0205" "05c801" "0201" "00"
             "030009"
             "05"
-            "0b00000000000000" "0c00000000000000" "0d00000000000000"
-            "0e00000000000000" "0f00000000000000"
+            "0b00000000000000" "0c00000000000000" "0e00000000000000"
+            "0f00000000000000"
             "1100000000000000" "02000000"
             "1200000000000000" "1300000000000000" "000000000000e03f"
             "1500000000000000" "1700000000000000"
@@ -416,9 +421,8 @@ TEST(DistMessagesTest, CountReplyRoundTripsCountsAndStats) {
   const CountingStats& got = parsed->stats;
   EXPECT_EQ(got.num_super_candidates, 11u);
   EXPECT_EQ(got.num_array_counters, 12u);
-  EXPECT_EQ(got.num_tree_counters, 13u);
   EXPECT_EQ(got.num_direct, 14u);
-  EXPECT_EQ(got.num_degraded, 15u);
+  EXPECT_EQ(got.num_member_counters, 15u);
   EXPECT_EQ(got.threads_used, 17u);
   EXPECT_EQ(got.isa, SimdIsa::kAvx2);
   EXPECT_EQ(got.io.blocks_read, 18u);
@@ -450,7 +454,7 @@ std::string HandMadeReply(
   std::string payload;
   QbtAppendU32(&payload, 1);  // worker_id
   payload += counters;
-  for (int i = 0; i < 5; ++i) QbtAppendU64(&payload, 0);  // plan counts
+  for (int i = 0; i < 4; ++i) QbtAppendU64(&payload, 0);  // plan counts
   QbtAppendU64(&payload, 1);     // threads_used
   QbtAppendU32(&payload, isa);
   QbtAppendU64(&payload, 2);     // io.blocks_read

@@ -33,7 +33,6 @@
 #include "dist/transport.h"
 #include "dist/worker_server.h"
 #include "index/ndim_array.h"
-#include "index/rstar_tree.h"
 #include "storage/checkpoint_format.h"
 #include "storage/record_source.h"
 #include "dist/dist_corpora.h"
@@ -260,8 +259,8 @@ Result<DistFrame> RecvReply(Transport& transport) {
   }
 }
 
-// The tiny-budget plans of dist_miner_test.cc over TCP: tree and degraded
-// groups travel with their member rectangles, and the rules match.
+// The tiny-budget plans of dist_miner_test.cc over TCP: member groups
+// travel with their member item ids, and the rules match.
 TEST(TcpMinerTest, TinyCounterBudgetMatrixByteIdentical) {
   DistCorpus corpus = FinancialCorpus();
   corpus.options.counter_memory_budget_bytes = disttest::kTinyCounterBudget;
@@ -325,6 +324,14 @@ class CountSession {
       if (Ranged(static_cast<int32_t>(a)) == ranged) {
         return static_cast<int32_t>(a);
       }
+    }
+    return -1;
+  }
+  // The first item of attribute `attr`, or -1.
+  int32_t ItemOf(int32_t attr) const {
+    for (size_t id = 0; id < catalog_.num_items(); ++id) {
+      const int32_t item = static_cast<int32_t>(id);
+      if (catalog_.item(item).attr == attr) return item;
     }
     return -1;
   }
@@ -448,8 +455,8 @@ TEST(TcpMinerTest, CountPlanOutsideTheSchemaIsAnsweredWithError) {
 
 // The worker admits counters by the planner's own budget rule: a grid the
 // Hello's counter budget does not give (here about 400 MB for one member),
-// a tree wider than kRStarMaxDims, and a counted group without members are
-// refused before anything is allocated.
+// a member scan of a group whose grid fits, and a counted group without
+// members are refused before anything is allocated.
 TEST(TcpMinerTest, CountPlanBeyondTheCounterBudgetIsAnsweredWithError) {
   const DistCorpus& corpus = FinancialCorpus();
   const ServerFleet fleet = StartFleet(corpus, 1);
@@ -472,20 +479,93 @@ TEST(TcpMinerTest, CountPlanBeyondTheCounterBudgetIsAnsweredWithError) {
     dim_sizes.push_back(static_cast<int32_t>(domain));
   }
 
-  CountPlan wide_tree;
-  wide_tree.groups.resize(1);
-  CounterGroup& tree = wide_tree.groups[0];
-  tree.kind = CounterKind::kTree;
-  tree.num_members = 1;
-  tree.quant_attrs.assign(kRStarMaxDims + 1, attr);
-  tree.member_rects.assign(2 * tree.quant_attrs.size(), 0);
-  ExpectPlansRefused(session, {big_grid, wide_tree}, "counter budget");
+  CountPlan small_members;
+  small_members.groups.resize(1);
+  CounterGroup& members = small_members.groups[0];
+  members.kind = CounterKind::kMembers;
+  members.num_members = 1;
+  members.quant_attrs = {attr};
+  members.member_items = {session.ItemOf(attr)};
+  ASSERT_GE(members.member_items[0], 0);
+  ExpectPlansRefused(session, {big_grid, small_members}, "counter budget");
 
-  CountPlan empty_tree;
-  empty_tree.groups.resize(1);
-  empty_tree.groups[0].kind = CounterKind::kTree;
-  empty_tree.groups[0].quant_attrs = {attr};
-  ExpectPlansRefused(session, {empty_tree}, "members");
+  CountPlan empty_members;
+  empty_members.groups.resize(1);
+  empty_members.groups[0].kind = CounterKind::kMembers;
+  empty_members.groups[0].quant_attrs = {attr};
+  ExpectPlansRefused(session, {empty_members}, "members");
+}
+
+// A member group of one member on the first ranged attribute, whose one
+// item is `item`. At a 1-byte counter budget its grid does not fit, so the
+// worker admits it as a member scan when the item is good.
+CountPlan OneMemberPlan(const CountSession& session, int32_t item) {
+  CountPlan plan;
+  plan.groups.resize(1);
+  CounterGroup& group = plan.groups[0];
+  group.kind = CounterKind::kMembers;
+  group.quant_attrs = {session.FirstAttr(/*ranged=*/true)};
+  group.num_members = 1;
+  group.member_items = {item};
+  return plan;
+}
+
+// With shared masks a member item id decides which range mask the worker
+// builds, so an id outside the published catalog is refused before
+// anything is allocated, and the session keeps serving.
+TEST(TcpMinerTest,
+     CountPlanWithMemberItemOutsideTheCatalogIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  CountSession session(fleet, corpus, /*counter_budget=*/1);
+  const int32_t attr = session.FirstAttr(/*ranged=*/true);
+  ASSERT_GE(attr, 0);
+  // The good member plan counts.
+  Result<DistFrame> good =
+      session.Count(OneMemberPlan(session, session.ItemOf(attr)));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->type, static_cast<uint32_t>(DistMessageType::kCountReply))
+      << good->payload;
+  const int32_t num_items = static_cast<int32_t>(session.catalog().num_items());
+  ExpectPlansRefused(session,
+                     {OneMemberPlan(session, num_items),
+                      OneMemberPlan(session, int32_t{1} << 30)},
+                     "member item");
+}
+
+// A categorical item as a member item is refused: it has no range.
+TEST(TcpMinerTest, CountPlanWithCategoricalMemberItemIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  CountSession session(fleet, corpus, /*counter_budget=*/1);
+  ASSERT_GE(session.FirstAttr(/*ranged=*/true), 0);
+  ASSERT_GE(session.CategoricalItem(), 0);
+  ExpectPlansRefused(session,
+                     {OneMemberPlan(session, session.CategoricalItem())},
+                     "member item");
+}
+
+// A ranged item of another attribute than the group's dimension at its
+// position is refused: its range would be tested against the wrong column.
+TEST(TcpMinerTest,
+     CountPlanWithMemberItemOfAnotherDimensionIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  CountSession session(fleet, corpus, /*counter_budget=*/1);
+  const int32_t first = session.FirstAttr(/*ranged=*/true);
+  ASSERT_GE(first, 0);
+  int32_t other_item = -1;
+  for (int32_t attr = first + 1;
+       attr < static_cast<int32_t>(session.source().num_attributes()) &&
+       other_item < 0;
+       ++attr) {
+    if (session.source().attribute(static_cast<size_t>(attr)).ranged()) {
+      other_item = session.ItemOf(attr);
+    }
+  }
+  ASSERT_GE(other_item, 0);
+  ExpectPlansRefused(session, {OneMemberPlan(session, other_item)},
+                     "member item");
 }
 
 // The same direct group listed twice is two counters, both counted: a plan

@@ -138,12 +138,5 @@ TEST(RStarTreeTest, SequentialInsertOrderStressesReinsertion) {
   EXPECT_EQ(Containing(tree, {250.25}), (std::vector<int32_t>{250}));
 }
 
-TEST(RStarTreeTest, EstimateBytesScalesWithInput) {
-  EXPECT_GT(RStarTree::EstimateBytes(1000, 3),
-            RStarTree::EstimateBytes(100, 3));
-  EXPECT_GT(RStarTree::EstimateBytes(100, 5),
-            RStarTree::EstimateBytes(100, 2));
-}
-
 }  // namespace
 }  // namespace qarm
