@@ -17,12 +17,15 @@
 //                               [--k=K] [--reps=R] [--out=FILE]
 //
 // --minsup and --k apply to the financial configuration. Every point
-// reports the median of R reps with the min/max spread of total and scan
-// time. Speedups are relative to the single-thread run of the same pass.
+// reports the median of R reps with the min/max spread of total, scan and
+// reduce time. Speedups are relative to the single-thread run of the same pass.
 // The JSON records the CPU count so results from machines with fewer cores
 // than threads (where no speedup is physically possible) are
 // interpretable.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <ctime>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -49,28 +52,70 @@ uint64_t SpinWork(uint64_t iters) {
   return acc;
 }
 
-// How many calibrated spin tasks actually run concurrently. Containers and
-// CI runners often report a nominal hardware_concurrency that cgroup quotas
-// cut down; timing N tasks against one task measures what the scheduler
-// really grants, which is what thread-sweep speedups are limited by.
-double MeasureEffectiveConcurrency(unsigned nominal) {
-  const uint64_t iters = 20000000;
-  SpinWork(iters);  // warm up
-  qarm::Timer serial_timer;
-  SpinWork(iters);
-  const double serial = serial_timer.ElapsedSeconds();
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
 
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// How many CPUs the scheduler really grants at once. Containers, VMs and
+// CI runners often report a nominal hardware_concurrency that quotas or
+// neighbours cut down. N threads spin side by side for a fixed wall-clock
+// window and record their own CPU time (CLOCK_THREAD_CPUTIME_ID); the sum
+// over the window's wall time is the CPUs they ran on. The threads live
+// through every trial, after a discarded one-second warm-up: on a 4-vCPU
+// VM, freshly started threads were seen to share one CPU for up to half a
+// second before the scheduler spread them, which a burst of tens of
+// milliseconds never waits out. The median of the trials damps one noisy
+// sample.
+double MeasureEffectiveConcurrency(unsigned nominal) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kTrials = 5;
+  constexpr auto kWarmUpLength = std::chrono::milliseconds(1000);
+  constexpr auto kTrialLength = std::chrono::milliseconds(100);
   const unsigned n = std::max(2u, nominal);
+  // The last trial the threads may run: none yet, and trial -1 warms up.
+  std::atomic<int> released{-2};
+  std::atomic<unsigned> finished{0};
+  Clock::time_point deadline;  // written before each release
+  std::vector<double> cpu(n, 0.0);
   std::vector<std::thread> workers;
-  qarm::Timer parallel_timer;
   for (unsigned i = 0; i < n; ++i) {
-    workers.emplace_back([iters] { SpinWork(iters); });
+    workers.emplace_back([&, i] {
+      for (int trial = -1; trial < kTrials; ++trial) {
+        while (released.load(std::memory_order_acquire) < trial) {
+          std::this_thread::yield();
+        }
+        const double start = ThreadCpuSeconds();
+        while (Clock::now() < deadline) SpinWork(10000);
+        cpu[i] = ThreadCpuSeconds() - start;
+        finished.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  std::vector<double> trials;
+  for (int trial = -1; trial < kTrials; ++trial) {
+    finished.store(0, std::memory_order_relaxed);
+    const Clock::time_point start = Clock::now();
+    deadline = start + (trial < 0 ? kWarmUpLength : kTrialLength);
+    released.store(trial, std::memory_order_release);
+    while (finished.load(std::memory_order_acquire) < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const double wall =
+        std::chrono::duration<double>(Clock::now() - start).count();
+    double cpu_sum = 0;
+    for (double c : cpu) cpu_sum += c;
+    if (trial >= 0 && wall > 0) trials.push_back(cpu_sum / wall);
   }
   for (std::thread& w : workers) w.join();
-  const double parallel = parallel_timer.ElapsedSeconds();
-  if (parallel <= 0 || serial <= 0) return 1.0;
-  const double effective = serial * static_cast<double>(n) / parallel;
-  return std::clamp(effective, 1.0, static_cast<double>(n));
+  return std::clamp(Median(trials), 1.0, static_cast<double>(n));
 }
 
 // One counting pass to sweep: a mapped table, its catalog and its level-2
@@ -148,12 +193,6 @@ size_t CategoricalGroups(const qarm::MappedTable& table,
     if (has_cat) keys.insert(std::move(key));
   }
   return keys.size();
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 }  // namespace
@@ -245,7 +284,8 @@ int main(int argc, char** argv) {
       CountingStats stats;  // of the first rep; counters never vary
       double total, total_min, total_max;
       double scan, scan_min, scan_max;
-      double group, reduce, build;
+      double reduce, reduce_min, reduce_max;
+      double group, build;
     };
     std::vector<Point> points;
     std::vector<uint32_t> baseline_counts;
@@ -289,6 +329,8 @@ int main(int argc, char** argv) {
       p.scan_max = *std::max_element(scans.begin(), scans.end());
       p.group = Median(groups);
       p.reduce = Median(reduces);
+      p.reduce_min = *std::min_element(reduces.begin(), reduces.end());
+      p.reduce_max = *std::max_element(reduces.begin(), reduces.end());
       p.build = Median(builds);
       points.push_back(p);
       // A one-core box cannot speed up a multi-thread run: report the ratio
@@ -326,14 +368,16 @@ int main(int argc, char** argv) {
           " \"total_seconds_max\": %.6f, \"group_seconds\": %.6f,"
           " \"scan_seconds\": %.6f,"
           " \"scan_seconds_min\": %.6f, \"scan_seconds_max\": %.6f,"
-          " \"reduce_seconds\": %.6f, \"build_seconds\": %.6f,"
+          " \"reduce_seconds\": %.6f, \"reduce_seconds_min\": %.6f,"
+          " \"reduce_seconds_max\": %.6f, \"build_seconds\": %.6f,"
           " \"speedup\": %s, \"scan_rows_per_sec\": %.0f,"
           " \"array_counters\": %zu,"
           " \"direct_counters\": %zu, \"member_counters\": %zu,"
           " \"counter_bytes\": %llu,"
           " \"replicated_bytes\": %llu}",
           p.threads, p.stats.threads_used, p.total, p.total_min, p.total_max,
-          p.group, p.scan, p.scan_min, p.scan_max, p.reduce, p.build,
+          p.group, p.scan, p.scan_min, p.scan_max, p.reduce, p.reduce_min,
+          p.reduce_max, p.build,
           speedup_meaningful
               ? StrFormat("%.4f", points.front().total / p.total).c_str()
               : "null",

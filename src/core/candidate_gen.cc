@@ -4,13 +4,14 @@
 #include <memory>
 
 #include "common/macros.h"
+#include "common/packed_key_table.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace qarm {
 namespace {
 
-// Below this many (k-1)-itemsets the join/prune is cheaper than waking a
+// Below this many (k-1)-itemsets the join is cheaper than waking a
 // pool; the serial path is taken regardless of num_threads.
 constexpr size_t kMinParallelItemsets = 256;
 
@@ -19,54 +20,112 @@ constexpr size_t kMinParallelItemsets = 256;
 // in the run length).
 constexpr size_t kChunksPerThread = 8;
 
-// Appends the join-phase candidates whose *outer* itemset index lies in
-// [first_i, last_i) to `out`: itemset i joins every partner j in
-// (i, run_end[i]) whose last attribute differs. The serial join emits
-// candidates in (i ascending, j ascending) order, so sharding by outer
-// index and concatenating the chunk outputs in chunk order reproduces the
-// serial candidate order exactly — even when all of L_{k-1} is one run
-// (the C2 join, whose shared prefix is empty).
+// L_{k-1}'s prefix runs. Runs sharing the first k-2 ids are contiguous
+// because the level is lexicographically sorted: run_end[i] is the end of
+// the run holding itemset i, and `prefixes` maps each run's (k-2)-prefix
+// to its id, run_start[id] being the run's first itemset (k >= 3 only; at
+// k = 2 every prefix is empty and the table stays empty).
+struct PrefixRuns {
+  std::vector<size_t> run_end;
+  PackedKeyTable prefixes;
+  std::vector<size_t> run_start;
+};
+
+PrefixRuns IndexPrefixRuns(const ItemsetSet& frequent) {
+  const size_t n = frequent.size();
+  const size_t prefix_len = frequent.k() - 1;
+  PrefixRuns runs{std::vector<size_t>(n), PackedKeyTable(prefix_len), {}};
+  std::vector<int32_t> prefix_words;
+  size_t run_start = 0;
+  while (run_start < n) {
+    const int32_t* base = frequent.itemset(run_start);
+    size_t end = run_start + 1;
+    while (end < n &&
+           std::equal(base, base + prefix_len, frequent.itemset(end))) {
+      ++end;
+    }
+    for (size_t i = run_start; i < end; ++i) runs.run_end[i] = end;
+    if (prefix_len > 0) {
+      prefix_words.insert(prefix_words.end(), base, base + prefix_len);
+      runs.run_start.push_back(run_start);
+    }
+    run_start = end;
+  }
+  if (prefix_len > 0) {
+    runs.prefixes.Assign(std::move(prefix_words));
+    runs.prefixes.BuildIndex();
+  }
+  return runs;
+}
+
+// Appends the candidates whose *outer* itemset index lies in [first_i,
+// last_i) to `out` and adds the pairs the join matched to `*joined`.
+// Itemset i joins every partner j in (i, run_end[i]) whose last attribute
+// differs; the candidate i + last(j) is kept when each (k-1)-subset that
+// skips an *earlier* position s < k-2 is frequent (dropping the last or
+// second-to-last item gives the two join parents). That subset is "i
+// without s" followed by last(j), so it lies in the run of prefix "i
+// without s", found once per i. Partners come in ascending order of last
+// item, as do the itemsets of that run, so each check is one forward
+// cursor step: a merge, not a search. Sharding by outer index and
+// concatenating the chunk outputs in chunk order reproduces the serial
+// candidate order exactly, even when all of L_{k-1} is one run (the C2
+// join, whose shared prefix is empty).
 void JoinOuterRange(const ItemCatalog& catalog, const ItemsetSet& frequent,
-                    const std::vector<size_t>& run_end, size_t first_i,
-                    size_t last_i, ItemsetSet* out) {
+                    const PrefixRuns& runs, size_t first_i, size_t last_i,
+                    ItemsetSet* out, size_t* joined) {
   const size_t k_minus_1 = frequent.k();
+  const size_t num_subsets = k_minus_1 - 1;
   std::vector<int32_t> scratch(k_minus_1 + 1);
+  std::vector<int32_t> subset_prefix(num_subsets);
+  // Per skipped position: the cursor into its subset's run, and the end.
+  std::vector<size_t> cursor(num_subsets);
+  std::vector<size_t> cursor_end(num_subsets);
+  auto last_of = [&](size_t i) { return frequent.itemset(i)[k_minus_1 - 1]; };
+  auto find_subset_runs = [&](const int32_t* base) {
+    for (size_t s = 0; s < num_subsets; ++s) {
+      std::copy(base, base + s, subset_prefix.begin());
+      std::copy(base + s + 1, base + k_minus_1, subset_prefix.begin() + s);
+      const uint32_t run = runs.prefixes.Find(subset_prefix.data());
+      if (run == PackedKeyTable::kNotFound) return false;
+      cursor[s] = runs.run_start[run];
+      cursor_end[s] = runs.run_end[cursor[s]];
+    }
+    return true;
+  };
+  // Item ids are sorted by attribute, so within i's run the partners
+  // sharing i's last attribute come first; every later one joins. The
+  // joined pairs bound the output, which is reserved once.
+  std::vector<size_t> first_partner(last_i - first_i);
+  size_t num_joined = 0;
   for (size_t i = first_i; i < last_i; ++i) {
-    const int32_t last_i_id = frequent.itemset(i)[k_minus_1 - 1];
-    const int32_t attr_i = catalog.item(last_i_id).attr;
-    const size_t end = run_end[i];
-    for (size_t j = i + 1; j < end; ++j) {
-      const int32_t last_j = frequent.itemset(j)[k_minus_1 - 1];
-      // Item ids are sorted by attribute, so within the run attributes are
-      // non-decreasing; all partners after the first attribute change
-      // qualify.
-      if (catalog.item(last_j).attr == attr_i) continue;
-      std::copy(frequent.itemset(i), frequent.itemset(i) + k_minus_1,
-                scratch.begin());
+    const size_t end = runs.run_end[i];
+    const int32_t attr_i = catalog.item(last_of(i)).attr;
+    size_t j = i + 1;
+    while (j < end && catalog.item(last_of(j)).attr == attr_i) ++j;
+    first_partner[i - first_i] = j;
+    num_joined += end - j;
+  }
+  *joined += num_joined;
+  out->Reserve(out->size() + num_joined);
+  for (size_t i = first_i; i < last_i; ++i) {
+    const size_t end = runs.run_end[i];
+    size_t j = first_partner[i - first_i];
+    const int32_t* base = frequent.itemset(i);
+    if (j == end || !find_subset_runs(base)) continue;
+    std::copy(base, base + k_minus_1, scratch.begin());
+    for (; j < end; ++j) {
+      const int32_t last_j = last_of(j);
+      bool frequent_subsets = true;
+      for (size_t s = 0; frequent_subsets && s < num_subsets; ++s) {
+        size_t& c = cursor[s];
+        while (c < cursor_end[s] && last_of(c) < last_j) ++c;
+        frequent_subsets = c < cursor_end[s] && last_of(c) == last_j;
+      }
+      if (!frequent_subsets) continue;
       scratch[k_minus_1] = last_j;
       out->Append(scratch.data());
     }
-  }
-}
-
-// keep[c] = 1 iff every (k-1)-subset of candidate c that skips an *earlier*
-// position is frequent (dropping the last or second-to-last item reproduces
-// the two join parents, which are frequent by construction).
-void PruneRange(const ItemsetSet& frequent, const ItemsetSet& candidates,
-                size_t begin, size_t end, std::vector<uint8_t>* keep) {
-  const size_t k = candidates.k();
-  std::vector<int32_t> subset(k - 1);
-  for (size_t c = begin; c < end; ++c) {
-    const int32_t* ids = candidates.itemset(c);
-    bool ok = true;
-    for (size_t skip = 0; ok && skip + 2 < k; ++skip) {
-      size_t out = 0;
-      for (size_t i = 0; i < k; ++i) {
-        if (i != skip) subset[out++] = ids[i];
-      }
-      ok = frequent.Contains(subset.data());
-    }
-    (*keep)[c] = ok ? 1 : 0;
   }
 }
 
@@ -75,29 +134,6 @@ void PruneRange(const ItemsetSet& frequent, const ItemsetSet& candidates,
 void ItemsetSet::AppendAll(const ItemsetSet& other) {
   QARM_CHECK_EQ(k_, other.k_);
   flat_.insert(flat_.end(), other.flat_.begin(), other.flat_.end());
-}
-
-bool ItemsetSet::Contains(const int32_t* ids) const {
-  if (k_ == 0) return false;
-  size_t lo = 0, hi = size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    const int32_t* candidate = itemset(mid);
-    int cmp = 0;
-    for (size_t i = 0; i < k_; ++i) {
-      if (candidate[i] != ids[i]) {
-        cmp = candidate[i] < ids[i] ? -1 : 1;
-        break;
-      }
-    }
-    if (cmp == 0) return true;
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return false;
 }
 
 ItemsetSet GenerateCandidates(const ItemCatalog& catalog,
@@ -116,80 +152,38 @@ ItemsetSet GenerateCandidates(const ItemCatalog& catalog,
   const size_t threads =
       n >= kMinParallelItemsets ? ResolveNumThreads(num_threads) : 1;
 
-  // Join phase: runs sharing the first k-2 ids are contiguous because the
-  // set is lexicographically sorted. Run boundaries are found in one cheap
-  // serial sweep (run_end[i] = end of the run containing itemset i); the
-  // quadratic join work is sharded by outer itemset index.
-  Timer phase_timer;
-  const size_t prefix_len = k_minus_1 - 1;
-  std::vector<size_t> run_end(n);
-  {
-    size_t run_start = 0;
-    while (run_start < n) {
-      const int32_t* base = frequent.itemset(run_start);
-      size_t end = run_start + 1;
-      while (end < n &&
-             std::equal(base, base + prefix_len, frequent.itemset(end))) {
-        ++end;
-      }
-      for (size_t i = run_start; i < end; ++i) run_end[i] = end;
-      run_start = end;
-    }
-  }
-
+  const PrefixRuns runs = IndexPrefixRuns(frequent);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(threads);
     local_stats.threads_used = threads;
   }
 
+  Timer join_timer;
   if (pool == nullptr) {
-    JoinOuterRange(catalog, frequent, run_end, 0, n, &candidates);
+    JoinOuterRange(catalog, frequent, runs, 0, n, &candidates,
+                   &local_stats.join_candidates);
   } else {
     // One ItemsetSet per chunk, concatenated in chunk order: identical to
     // the serial output no matter which worker ran which chunk.
     const std::vector<IndexRange> chunks =
         SplitRange(n, threads * kChunksPerThread);
     std::vector<ItemsetSet> partial(chunks.size(), ItemsetSet(k_minus_1 + 1));
+    std::vector<size_t> joined(chunks.size(), 0);
     pool->ParallelFor(chunks.size(), [&](size_t chunk) {
-      JoinOuterRange(catalog, frequent, run_end, chunks[chunk].begin,
-                     chunks[chunk].end, &partial[chunk]);
+      JoinOuterRange(catalog, frequent, runs, chunks[chunk].begin,
+                     chunks[chunk].end, &partial[chunk], &joined[chunk]);
     });
     size_t total = 0;
-    for (const ItemsetSet& p : partial) total += p.size();
+    for (size_t chunk = 0; chunk < chunks.size(); ++chunk) {
+      total += partial[chunk].size();
+      local_stats.join_candidates += joined[chunk];
+    }
     candidates.Reserve(total);
     for (const ItemsetSet& p : partial) candidates.AppendAll(p);
   }
-  local_stats.join_candidates = candidates.size();
   local_stats.peak_materialized = candidates.size();
-  local_stats.join_seconds = phase_timer.ElapsedSeconds();
-  phase_timer.Reset();
-
-  // Prune phase (k >= 3): every (k-1)-subset must be frequent. Each worker
-  // marks keep flags over its own candidate range; survivors are collected
-  // in index order, so the result is order-identical to the serial prune.
-  if (k_minus_1 >= 2 && !candidates.empty()) {
-    std::vector<uint8_t> keep(candidates.size(), 0);
-    if (pool == nullptr || candidates.size() < kMinParallelItemsets) {
-      PruneRange(frequent, candidates, 0, candidates.size(), &keep);
-    } else {
-      const std::vector<IndexRange> chunks =
-          SplitRange(candidates.size(), threads * kChunksPerThread);
-      pool->ParallelFor(chunks.size(), [&](size_t chunk) {
-        PruneRange(frequent, candidates, chunks[chunk].begin,
-                   chunks[chunk].end, &keep);
-      });
-    }
-    ItemsetSet pruned(k_minus_1 + 1);
-    size_t survivors = 0;
-    for (uint8_t flag : keep) survivors += flag;
-    pruned.Reserve(survivors);
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (keep[c]) pruned.Append(candidates.itemset(c));
-    }
-    candidates = std::move(pruned);
-  }
-  local_stats.prune_seconds = phase_timer.ElapsedSeconds();
+  local_stats.join_seconds = join_timer.ElapsedSeconds();
   local_stats.seconds = total_timer.ElapsedSeconds();
   if (stats != nullptr) *stats = local_stats;
   return candidates;
@@ -248,15 +242,20 @@ void ImplicitPairStream::ForEachChunk(
   if (!chunk.empty()) fn(first, chunk);
 }
 
-void ImplicitPairStream::Get(size_t c, int32_t* ids) const {
+void ImplicitPairStream::GetRange(size_t first, size_t count,
+                                  int32_t* ids) const {
+  if (count == 0) return;
   // Pairs with outer item i occupy [prefix_[i], prefix_[i+1]); upper_bound
   // lands past the owning range (skipping items with no partners, whose
-  // ranges are empty).
-  const auto it =
-      std::upper_bound(prefix_.begin(), prefix_.end(), static_cast<uint64_t>(c));
-  const size_t i = static_cast<size_t>(it - prefix_.begin()) - 1;
-  ids[0] = static_cast<int32_t>(i);
-  ids[1] = partner_begin_[i] + static_cast<int32_t>(c - prefix_[i]);
+  // ranges are empty). Later pairs walk on from there.
+  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(),
+                                   static_cast<uint64_t>(first));
+  size_t i = static_cast<size_t>(it - prefix_.begin()) - 1;
+  for (size_t c = first; c < first + count; ++c, ids += 2) {
+    while (c >= prefix_[i + 1]) ++i;
+    ids[0] = static_cast<int32_t>(i);
+    ids[1] = partner_begin_[i] + static_cast<int32_t>(c - prefix_[i]);
+  }
 }
 
 }  // namespace qarm

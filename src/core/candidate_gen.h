@@ -1,17 +1,18 @@
 // Candidate generation for quantitative itemsets (Section 5.1): join L_{k-1}
 // with itself on the first k-2 items with the *attributes* of the last two
-// items differing (an itemset holds at most one item per attribute), then
-// prune candidates with an infrequent (k-1)-subset. The Lemma 5 interest
-// prune happens earlier, at item level (ItemCatalog).
+// items differing (an itemset holds at most one item per attribute), and
+// drop every joined candidate with an infrequent (k-1)-subset before it is
+// appended. The Lemma 5 interest prune happens earlier, at item level
+// (ItemCatalog).
 //
-// Both phases shard across a worker pool (num_threads > 1): the join over
-// contiguous prefix runs (runs never split, so per-worker outputs
-// concatenated in run order reproduce the serial candidate order exactly),
-// the prune over candidate index ranges. Output is bit-identical to the
+// The join shards across a worker pool (num_threads > 1) by outer itemset
+// index; per-worker outputs concatenated in index order reproduce the
+// serial candidate order exactly, so the output is bit-identical to the
 // serial path at any thread count.
 #ifndef QARM_CORE_CANDIDATE_GEN_H_
 #define QARM_CORE_CANDIDATE_GEN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -48,10 +49,6 @@ class ItemsetSet {
   void AppendAll(const ItemsetSet& other);
   void Reserve(size_t n) { flat_.reserve(n * k_); }
 
-  // Lexicographic binary search; requires the set to be sorted (itemsets
-  // are generated in lexicographic order by construction).
-  bool Contains(const int32_t* ids) const;
-
  private:
   size_t k_;
   std::vector<int32_t> flat_;
@@ -60,14 +57,14 @@ class ItemsetSet {
 // Observability for one candidate-generation call.
 struct CandidateGenStats {
   size_t threads_used = 1;
-  // Candidates out of the join phase (before the subset prune).
+  // Pairs the join matched, counted before the subset check.
   size_t join_candidates = 0;
-  // Largest number of candidates resident at once. Equal to
-  // join_candidates when the join materializes its output (k >= 3); bounded
-  // by the chunk size when pass 2 streams the implicit cross product.
+  // Largest number of candidates resident at once: the candidates kept
+  // when the join materializes its output (k >= 3); bounded by the chunk
+  // size when pass 2 streams the implicit cross product.
   size_t peak_materialized = 0;
+  // The join with its subset check, after the prefix-run index is built.
   double join_seconds = 0.0;
-  double prune_seconds = 0.0;
   double seconds = 0.0;
 
   static void Fields(auto&& f, auto&... s) {
@@ -75,7 +72,6 @@ struct CandidateGenStats {
     f("join_candidates", s.join_candidates...);
     f("peak_materialized", s.peak_materialized...);
     f("join_seconds", s.join_seconds...);
-    f("prune_seconds", s.prune_seconds...);
     f("seconds", s.seconds...);
   }
 };
@@ -101,8 +97,10 @@ class CandidateStream {
       const std::function<void(size_t first, const ItemsetSet& chunk)>& fn)
       const = 0;
 
-  // Decodes candidate c into ids[0..k).
-  virtual void Get(size_t c, int32_t* ids) const = 0;
+  // Decodes candidates [first, first + count) into ids, k per candidate.
+  // A run of consecutive candidates costs one lookup, not one per
+  // candidate.
+  virtual void GetRange(size_t first, size_t count, int32_t* ids) const = 0;
 };
 
 // Non-owning CandidateStream over a materialized ItemsetSet (single chunk,
@@ -117,9 +115,8 @@ class ItemsetStreamView : public CandidateStream {
       const std::function<void(size_t, const ItemsetSet&)>& fn) const override {
     if (!set_.empty()) fn(0, set_);
   }
-  void Get(size_t c, int32_t* ids) const override {
-    const int32_t* p = set_.itemset(c);
-    for (size_t i = 0; i < set_.k(); ++i) ids[i] = p[i];
+  void GetRange(size_t first, size_t count, int32_t* ids) const override {
+    if (count > 0) std::copy_n(set_.itemset(first), count * set_.k(), ids);
   }
 
  private:
@@ -132,8 +129,9 @@ class ItemsetStreamView : public CandidateStream {
 // here from the catalog's per-attribute item ranges instead of being
 // materialized (3.4M candidates on the financial benchmark was the largest
 // single allocation of a run). Chunks materialize at most `chunk_rows`
-// candidates at a time; Get is a binary search over per-outer-item prefix
-// sums. The catalog must outlive the stream.
+// candidates at a time; GetRange finds its first pair by a binary search
+// over per-outer-item prefix sums and walks on from there. The catalog must
+// outlive the stream.
 class ImplicitPairStream : public CandidateStream {
  public:
   static constexpr size_t kDefaultChunkRows = 65536;
@@ -145,7 +143,7 @@ class ImplicitPairStream : public CandidateStream {
   size_t size() const override { return total_; }
   void ForEachChunk(const std::function<void(size_t, const ItemsetSet&)>& fn)
       const override;
-  void Get(size_t c, int32_t* ids) const override;
+  void GetRange(size_t first, size_t count, int32_t* ids) const override;
 
  private:
   // partner_begin_[i]: first partner of outer item i (the end of i's

@@ -230,7 +230,7 @@ CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
   // Member groups carry their members' ranged item ids, decoded here once,
   // so a scan needs no candidate.
   CounterBudget budget(options.counter_memory_budget_bytes);
-  std::vector<int32_t> ids(k);
+  std::vector<int32_t> ids;
   for (size_t g = 0; g < groups.size(); ++g) {
     CounterGroup& group = groups[g];
     group.kind =
@@ -247,14 +247,15 @@ CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
         break;
     }
     group.member_items.reserve(group.num_members * group.quant_attrs.size());
-    ForEachMember(plan.member_runs[g], [&](size_t, uint32_t c) {
-      candidates.Get(c, ids.data());
-      for (size_t i = 0; i < k; ++i) {
-        if (item_code[static_cast<size_t>(ids[i])] < 0) {
-          group.member_items.push_back(ids[i]);
+    for (const auto& [first, end] : plan.member_runs[g]) {
+      ids.resize(k * (end - first));
+      candidates.GetRange(first, end - first, ids.data());
+      for (int32_t id : ids) {
+        if (item_code[static_cast<size_t>(id)] < 0) {
+          group.member_items.push_back(id);
         }
       }
-    });
+    }
   }
   s.counter_bytes = budget.array_bytes() + budget.member_bytes();
   if (s.num_member_counters > 0) {
@@ -594,11 +595,26 @@ std::vector<uint32_t> ReduceCounts(const CountPlan& plan,
   const size_t k = candidates.k();
   std::vector<uint32_t> counts(candidates.size(), 0);
 
+  // Per item, its bounds when its attribute is a grid dimension, looked up
+  // once per call rather than through the catalog and the source's schema
+  // once per item per member.
+  struct ItemBounds {
+    int32_t lo;
+    int32_t hi;
+    bool ranged;
+  };
+  std::vector<ItemBounds> bounds(catalog.num_items());
+  for (size_t id = 0; id < bounds.size(); ++id) {
+    const RangeItem& item = catalog.item(static_cast<int32_t>(id));
+    bounds[id] = {item.lo, item.hi,
+                  source.attribute(static_cast<size_t>(item.attr)).ranged()};
+  }
+
   // One task per group: build a grid's prefix sums, then decode the
   // members' rectangles in chunks and count them batched
-  // (NDimArray::CountRects, vectorized for 1-d/2-d grids). Every task
-  // writes a disjoint slice of `counts`, so the schedule cannot affect the
-  // result.
+  // (NDimArray::CountRects, one vectorized inclusion-exclusion for any
+  // grid of up to kRectKernelMaxDims dimensions). Every task writes a
+  // disjoint slice of `counts`, so the schedule cannot affect the result.
   auto reduce_group = [&](size_t g) {
     const CounterGroup& group = plan.groups[g];
     const MemberRuns& runs = plan.member_runs[g];
@@ -624,39 +640,43 @@ std::vector<uint32_t> ReduceCounts(const CountPlan& plan,
     grid.BuildPrefixSums();
     const size_t dims = group.quant_attrs.size();
     const size_t num_members = static_cast<size_t>(group.num_members);
-    // Chunked batched collect: decode member rectangles into dim-major SoA
-    // bounds, then count the whole chunk in one call.
+    // Chunked batched collect: decode member runs straight into dim-major
+    // SoA bounds, then count the whole chunk in one call.
     constexpr size_t kChunk = 2048;
     const size_t chunk = std::min(kChunk, num_members);
     std::vector<int32_t> los(dims * chunk);
     std::vector<int32_t> his(dims * chunk);
     std::vector<uint32_t> out(chunk);
     std::vector<uint32_t> chunk_members(chunk);
-    std::vector<int32_t> ids(k);
+    std::vector<int32_t> ids(k * chunk);
     size_t begin = 0;
     size_t num = chunk;
     size_t filled = 0;
-    ForEachMember(runs, [&](size_t, uint32_t c) {
-      // Bounds are dim-major over the chunk's `num` members.
-      candidates.Get(c, ids.data());
-      size_t d = 0;
-      for (size_t i = 0; i < k; ++i) {
-        const RangeItem& item = catalog.item(ids[i]);
-        if (!source.attribute(static_cast<size_t>(item.attr)).ranged()) {
-          continue;
+    for (const auto& [first, end] : runs) {
+      for (uint32_t c = first; c < end;) {
+        const size_t piece = std::min<size_t>(end - c, num - filled);
+        candidates.GetRange(c, piece, ids.data());
+        for (size_t p = 0; p < piece; ++p, ++c) {
+          // Bounds are dim-major over the chunk's `num` members.
+          const int32_t* member = ids.data() + p * k;
+          size_t d = 0;
+          for (size_t i = 0; i < k; ++i) {
+            const ItemBounds& item = bounds[static_cast<size_t>(member[i])];
+            if (!item.ranged) continue;
+            los[d * num + filled] = item.lo;
+            his[d * num + filled] = item.hi;
+            ++d;
+          }
+          chunk_members[filled++] = c;
         }
-        los[d * num + filled] = item.lo;
-        his[d * num + filled] = item.hi;
-        ++d;
+        if (filled < num) continue;
+        grid.CountRects(los.data(), his.data(), num, out.data());
+        for (size_t m = 0; m < num; ++m) counts[chunk_members[m]] = out[m];
+        begin += num;
+        num = std::min(chunk, num_members - begin);
+        filled = 0;
       }
-      chunk_members[filled++] = c;
-      if (filled < num) return;
-      grid.CountRects(los.data(), his.data(), num, out.data());
-      for (size_t m = 0; m < num; ++m) counts[chunk_members[m]] = out[m];
-      begin += num;
-      num = std::min(chunk, num_members - begin);
-      filled = 0;
-    });
+    }
     counter.grid.reset();  // release the grid before the next group collects
   };
 

@@ -37,110 +37,64 @@ __attribute__((target("avx2"))) void AddSpanAvx2(uint32_t* dst,
   for (size_t i = vec; i < n; ++i) dst[i] += src[i];
 }
 
-// Batched 1-d rectangle counts over full prefix sums: out[m] =
-// P[min(hi[m], dim-1)] - P[max(lo[m], 0) - 1] with out-of-range and empty
-// rectangles zeroed — exactly CountRect, eight rectangles per iteration.
-__attribute__((target("avx2"))) void CountRects1dAvx2(
-    const uint32_t* cells, int32_t dim, const int32_t* los,
-    const int32_t* his, size_t num, uint32_t* out) {
+// Batched n-d inclusion-exclusion over full prefix sums, eight rectangles
+// per iteration: 2^n masked gathers, one per corner, where corner `mask`
+// takes lo[d] - 1 in the dimensions of its set bits and hi[d] elsewhere
+// and is subtracted when it has an odd number of them. A lane whose
+// clipped rectangle is empty, or whose corner has a coordinate of -1,
+// gathers nothing. Each corner's index and mask extend those of the corner
+// without its lowest bit, so a corner costs one add and one and. Signed
+// epi32 arithmetic is exact because the caller gates on int32 indices and
+// total count <= INT32_MAX. Returns how many rectangles it counted (a
+// multiple of eight); the caller counts the rest.
+__attribute__((target("avx2"))) size_t CountRectsNdAvx2(
+    const uint32_t* cells, const int32_t* dim_sizes, const int32_t* strides,
+    size_t n, const int32_t* los, const int32_t* his, size_t num,
+    uint32_t* out) {
   const __m256i zero = _mm256_setzero_si256();
-  const __m256i dim_m1 = _mm256_set1_epi32(dim - 1);
-  const int* base = reinterpret_cast<const int*>(cells);
-  const size_t vec = num / 8 * 8;
-  for (size_t i = 0; i < vec; i += 8) {
-    const __m256i lo = _mm256_max_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(los + i)), zero);
-    const __m256i hi = _mm256_min_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(his + i)),
-        dim_m1);
-    const __m256i valid =
-        _mm256_xor_si256(_mm256_cmpgt_epi32(lo, hi), _mm256_set1_epi32(-1));
-    const __m256i t_hi =
-        _mm256_mask_i32gather_epi32(zero, base, hi, valid, 4);
-    const __m256i lo_m1 = _mm256_sub_epi32(lo, _mm256_set1_epi32(1));
-    const __m256i lo_ok =
-        _mm256_and_si256(valid, _mm256_cmpgt_epi32(lo, zero));
-    const __m256i t_lo =
-        _mm256_mask_i32gather_epi32(zero, base, lo_m1, lo_ok, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi32(t_hi, t_lo));
-  }
-  for (size_t i = vec; i < num; ++i) {
-    const int32_t lo = std::max(los[i], 0);
-    const int32_t hi = std::min(his[i], dim - 1);
-    out[i] = lo > hi ? 0 : cells[hi] - (lo > 0 ? cells[lo - 1] : 0);
-  }
-}
-
-// Batched 2-d inclusion-exclusion: four masked gathers per eight
-// rectangles. Signed epi32 arithmetic is exact because the caller gates on
-// total count <= INT32_MAX.
-__attribute__((target("avx2"))) void CountRects2dAvx2(
-    const uint32_t* cells, int32_t dim0, int32_t dim1, int32_t stride0,
-    const int32_t* lo0s, const int32_t* hi0s, const int32_t* lo1s,
-    const int32_t* hi1s, size_t num, uint32_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ones = _mm256_set1_epi32(-1);
   const __m256i one = _mm256_set1_epi32(1);
-  const __m256i d0_m1 = _mm256_set1_epi32(dim0 - 1);
-  const __m256i d1_m1 = _mm256_set1_epi32(dim1 - 1);
-  const __m256i s0 = _mm256_set1_epi32(stride0);
   const int* base = reinterpret_cast<const int*>(cells);
+  const size_t num_corners = size_t{1} << n;
+  __m256i index[size_t{1} << kRectKernelMaxDims];
+  __m256i ok[size_t{1} << kRectKernelMaxDims];
+  __m256i step[kRectKernelMaxDims];     // (lo - 1 - hi) * stride
+  __m256i lo_ok[kRectKernelMaxDims];    // lo - 1 >= 0
   const size_t vec = num / 8 * 8;
   for (size_t i = 0; i < vec; i += 8) {
-    const __m256i lo0 = _mm256_max_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo0s + i)), zero);
-    const __m256i hi0 = _mm256_min_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi0s + i)),
-        d0_m1);
-    const __m256i lo1 = _mm256_max_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo1s + i)), zero);
-    const __m256i hi1 = _mm256_min_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi1s + i)),
-        d1_m1);
-    const __m256i valid = _mm256_xor_si256(
-        _mm256_or_si256(_mm256_cmpgt_epi32(lo0, hi0),
-                        _mm256_cmpgt_epi32(lo1, hi1)),
-        ones);
-    const __m256i a = _mm256_sub_epi32(lo0, one);  // >= -1
-    const __m256i b = _mm256_sub_epi32(lo1, one);
-    const __m256i a_ok =
-        _mm256_and_si256(valid, _mm256_cmpgt_epi32(lo0, zero));
-    const __m256i b_ok =
-        _mm256_and_si256(valid, _mm256_cmpgt_epi32(lo1, zero));
-    const __m256i ab_ok = _mm256_and_si256(a_ok, b_ok);
-
-    const __m256i hi0_s = _mm256_mullo_epi32(hi0, s0);
-    const __m256i a_s = _mm256_mullo_epi32(a, s0);
-    const __m256i t00 = _mm256_mask_i32gather_epi32(
-        zero, base, _mm256_add_epi32(hi0_s, hi1), valid, 4);
-    const __m256i t10 = _mm256_mask_i32gather_epi32(
-        zero, base, _mm256_add_epi32(a_s, hi1), a_ok, 4);
-    const __m256i t01 = _mm256_mask_i32gather_epi32(
-        zero, base, _mm256_add_epi32(hi0_s, b), b_ok, 4);
-    const __m256i t11 = _mm256_mask_i32gather_epi32(
-        zero, base, _mm256_add_epi32(a_s, b), ab_ok, 4);
-    const __m256i count = _mm256_add_epi32(
-        _mm256_sub_epi32(_mm256_sub_epi32(t00, t10), t01), t11);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), count);
-  }
-  for (size_t i = vec; i < num; ++i) {
-    const int32_t lo0 = std::max(lo0s[i], 0);
-    const int32_t hi0 = std::min(hi0s[i], dim0 - 1);
-    const int32_t lo1 = std::max(lo1s[i], 0);
-    const int32_t hi1 = std::min(hi1s[i], dim1 - 1);
-    if (lo0 > hi0 || lo1 > hi1) {
-      out[i] = 0;
-      continue;
+    __m256i hi_index = zero;
+    __m256i empty = zero;
+    for (size_t d = 0; d < n; ++d) {
+      const __m256i lo = _mm256_max_epi32(
+          _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(los + d * num + i)),
+          zero);
+      const __m256i hi = _mm256_min_epi32(
+          _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(his + d * num + i)),
+          _mm256_set1_epi32(dim_sizes[d] - 1));
+      const __m256i stride = _mm256_set1_epi32(strides[d]);
+      empty = _mm256_or_si256(empty, _mm256_cmpgt_epi32(lo, hi));
+      hi_index = _mm256_add_epi32(hi_index, _mm256_mullo_epi32(hi, stride));
+      step[d] = _mm256_mullo_epi32(
+          _mm256_sub_epi32(_mm256_sub_epi32(lo, one), hi), stride);
+      lo_ok[d] = _mm256_cmpgt_epi32(lo, zero);
     }
-    auto p = [&](int32_t x, int32_t y) -> uint32_t {
-      return (x < 0 || y < 0) ? 0 : cells[static_cast<size_t>(x) *
-                                              static_cast<size_t>(stride0) +
-                                          static_cast<size_t>(y)];
-    };
-    out[i] = p(hi0, hi1) - p(lo0 - 1, hi1) - p(hi0, lo1 - 1) +
-             p(lo0 - 1, lo1 - 1);
+    index[0] = hi_index;
+    ok[0] = _mm256_xor_si256(empty, _mm256_set1_epi32(-1));
+    __m256i sum = _mm256_mask_i32gather_epi32(zero, base, index[0], ok[0], 4);
+    for (size_t mask = 1; mask < num_corners; ++mask) {
+      const size_t low = static_cast<size_t>(__builtin_ctzll(mask));
+      const size_t rest = mask & (mask - 1);
+      index[mask] = _mm256_add_epi32(index[rest], step[low]);
+      ok[mask] = _mm256_and_si256(ok[rest], lo_ok[low]);
+      const __m256i corner =
+          _mm256_mask_i32gather_epi32(zero, base, index[mask], ok[mask], 4);
+      sum = __builtin_parityll(mask) ? _mm256_sub_epi32(sum, corner)
+                                     : _mm256_add_epi32(sum, corner);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), sum);
   }
+  return vec;
 }
 #endif  // QARM_NDIM_AVX2
 
@@ -267,27 +221,24 @@ void NDimArray::CountRects(const int32_t* los, const int32_t* his, size_t num,
   QARM_CHECK(prefix_built_);
   const size_t n = dim_sizes_.size();
   QARM_CHECK_LE(n, 63u);
+  size_t done = 0;
 #if QARM_NDIM_AVX2
-  // The vector paths do signed 32-bit index arithmetic and gather-based
-  // sums, so they require indices and the grand total (the last prefix
-  // cell) to fit int32. Both paths compute exactly what the scalar
+  // The vector path does signed 32-bit index arithmetic and gather-based
+  // sums, so it requires indices and the grand total (the last prefix
+  // cell) to fit int32. It computes exactly what the scalar
   // inclusion-exclusion computes.
-  if (ActiveIsa() == SimdIsa::kAvx2 && FlatIndexFitsInt32() &&
-      cells_.back() <= 0x7fffffffu) {
-    if (n == 1) {
-      CountRects1dAvx2(cells_.data(), dim_sizes_[0], los, his, num, out);
-      return;
+  if (ActiveIsa() == SimdIsa::kAvx2 && n <= kRectKernelMaxDims &&
+      FlatIndexFitsInt32() && cells_.back() <= 0x7fffffffu) {
+    int32_t strides[kRectKernelMaxDims];
+    for (size_t d = 0; d < n; ++d) {
+      strides[d] = static_cast<int32_t>(strides_[d]);
     }
-    if (n == 2) {
-      CountRects2dAvx2(cells_.data(), dim_sizes_[0], dim_sizes_[1],
-                       static_cast<int32_t>(strides_[0]), los, his,
-                       los + num, his + num, num, out);
-      return;
-    }
+    done = CountRectsNdAvx2(cells_.data(), dim_sizes_.data(), strides, n,
+                            los, his, num, out);
   }
 #endif
   int32_t lo[64], hi[64];
-  for (size_t m = 0; m < num; ++m) {
+  for (size_t m = done; m < num; ++m) {
     bool empty = false;
     for (size_t d = 0; d < n; ++d) {
       const int32_t l = los[d * num + m];

@@ -42,6 +42,10 @@ struct IntRect {
 // elements (callers keep them at least 8 apart).
 void AddU32Span(uint32_t* dst, const uint32_t* src, size_t n);
 
+// The most dimensions NDimArray::CountRects counts vectorized; its kernel
+// keeps 2^dims corner vectors on the stack. Wider grids count scalar.
+inline constexpr size_t kRectKernelMaxDims = 8;
+
 // Dense counting grid over the cross product of the dimension sizes.
 class NDimArray {
  public:
@@ -94,10 +98,11 @@ class NDimArray {
   // ("structure of arrays") bounds: rectangle m spans [los[d * num + m],
   // his[d * num + m]] in dimension d. Requires BuildPrefixSums(); results
   // are exactly CountRect of each rectangle (counts fit uint32 because the
-  // cells are uint32). The hot path of the per-pass collect phase: the 1-
-  // and 2-dimensional cases run vectorized (AVX2 gathers) when the active
-  // ISA allows, with a scalar allocation-free fallback elsewhere — every
-  // path is exact, so results never depend on the ISA.
+  // cells are uint32). The hot path of the per-pass reduce: grids of up to
+  // kRectKernelMaxDims dimensions run one vectorized inclusion-exclusion
+  // (AVX2 gathers, eight rectangles at a time) when the active ISA allows,
+  // with a scalar allocation-free fallback elsewhere — every path is
+  // exact, so results never depend on the ISA.
   void CountRects(const int32_t* los, const int32_t* his, size_t num,
                   uint32_t* out) const;
 

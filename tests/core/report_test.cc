@@ -139,7 +139,6 @@ PassStats GoldenPass(size_t k, size_t base, SimdIsa isa) {
   pass.candgen.join_candidates = base + 4;
   pass.candgen.peak_materialized = base + 5;
   pass.candgen.join_seconds = sec(6);
-  pass.candgen.prune_seconds = sec(7);
   pass.candgen.seconds = sec(8);
   CountingStats& counting = pass.counting;
   counting.num_super_candidates = base + 9;
@@ -238,7 +237,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "{\"k\":2,\"candidates\":101,\"frequent\":102,"
       "\"candgen\":{\"threads_used\":103,\"join_candidates\":104,"
       "\"peak_materialized\":105,\"join_seconds\":1.656250,"
-      "\"prune_seconds\":1.671875,\"seconds\":1.687500},"
+      "\"seconds\":1.687500},"
       "\"super_candidates\":109,\"array_counters\":110,"
       "\"direct_counters\":112,"
       "\"member_counters\":113,\"threads_used\":115,\"isa\":\"avx2\","
@@ -251,7 +250,7 @@ TEST(StatsJsonTest, EveryFieldHasItsKeyAndFormat) {
       "{\"k\":3,\"candidates\":201,\"frequent\":202,"
       "\"candgen\":{\"threads_used\":203,\"join_candidates\":204,"
       "\"peak_materialized\":205,\"join_seconds\":3.218750,"
-      "\"prune_seconds\":3.234375,\"seconds\":3.250000},"
+      "\"seconds\":3.250000},"
       "\"super_candidates\":209,\"array_counters\":210,"
       "\"direct_counters\":212,"
       "\"member_counters\":213,\"threads_used\":215,\"isa\":\"scalar\","

@@ -143,9 +143,11 @@ TEST_P(NDimArrayRandomTest, CountsMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NDimArrayRandomTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-// The batched collect path (CountRects, possibly AVX2-gathered for 1 and 2
-// dimensions) against per-rectangle CountRect, including rectangles that
-// poke outside the grid and must clip identically.
+// The batched collect path (CountRects: the n-d AVX2 inclusion-exclusion
+// up to kRectKernelMaxDims dimensions, scalar past it and on the scalar
+// tier) under each ISA this CPU runs, against counts taken from the points
+// themselves and against per-rectangle CountRect, including rectangles
+// that poke outside the grid on both sides and must clip identically.
 class NDimArrayCountRectsTest
     : public ::testing::TestWithParam<std::vector<int32_t>> {};
 
@@ -153,38 +155,53 @@ TEST_P(NDimArrayCountRectsTest, MatchesCountRect) {
   const std::vector<int32_t> dims = GetParam();
   Rng rng(static_cast<uint64_t>(dims.size()) * 31 + 5);
   NDimArray array(dims);
+  std::vector<std::vector<int32_t>> points;
   for (int i = 0; i < 400; ++i) {
     std::vector<int32_t> p;
     for (int32_t d : dims) {
       p.push_back(static_cast<int32_t>(rng.UniformInt(0, d - 1)));
     }
     array.Increment(p.data());
+    points.push_back(std::move(p));
   }
   array.BuildPrefixSums();
 
-  // Batch sizes around the vector width, plus a big one.
-  for (size_t num : {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{130}}) {
-    std::vector<int32_t> los(dims.size() * num), his(dims.size() * num);
-    std::vector<IntRect> rects(num);
-    for (size_t m = 0; m < num; ++m) {
-      for (size_t d = 0; d < dims.size(); ++d) {
-        // Bounds deliberately range outside the grid on both sides.
-        int32_t a = static_cast<int32_t>(rng.UniformInt(-3, dims[d] + 2));
-        int32_t b = static_cast<int32_t>(rng.UniformInt(-3, dims[d] + 2));
-        if (a > b) std::swap(a, b);
-        los[d * num + m] = a;
-        his[d * num + m] = b;
-        rects[m].lo.push_back(a);
-        rects[m].hi.push_back(b);
+  std::vector<SimdIsa> isas = {SimdIsa::kScalar};
+  if (DetectCpuIsa() == SimdIsa::kAvx2) isas.push_back(SimdIsa::kAvx2);
+  for (SimdIsa isa : isas) {
+    SetIsaForTest(isa);
+    // Batch sizes around the vector width, plus a big one.
+    for (size_t num :
+         {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{130}}) {
+      std::vector<int32_t> los(dims.size() * num), his(dims.size() * num);
+      std::vector<IntRect> rects(num);
+      for (size_t m = 0; m < num; ++m) {
+        for (size_t d = 0; d < dims.size(); ++d) {
+          // Bounds deliberately range outside the grid on both sides.
+          int32_t a = static_cast<int32_t>(rng.UniformInt(-3, dims[d] + 2));
+          int32_t b = static_cast<int32_t>(rng.UniformInt(-3, dims[d] + 2));
+          if (a > b) std::swap(a, b);
+          los[d * num + m] = a;
+          his[d * num + m] = b;
+          rects[m].lo.push_back(a);
+          rects[m].hi.push_back(b);
+        }
+      }
+      std::vector<uint32_t> batched(num);
+      array.CountRects(los.data(), his.data(), num, batched.data());
+      for (size_t m = 0; m < num; ++m) {
+        uint32_t expected = 0;
+        for (const auto& p : points) {
+          if (rects[m].Contains(p.data())) ++expected;
+        }
+        EXPECT_EQ(batched[m], expected)
+            << IsaName(isa) << " rect " << m << " of " << num;
+        EXPECT_EQ(batched[m], array.CountRect(rects[m]))
+            << IsaName(isa) << " rect " << m << " of " << num;
       }
     }
-    std::vector<uint32_t> batched(num);
-    array.CountRects(los.data(), his.data(), num, batched.data());
-    for (size_t m = 0; m < num; ++m) {
-      EXPECT_EQ(batched[m], array.CountRect(rects[m]))
-          << "rect " << m << " of " << num;
-    }
   }
+  ClearIsaForTest();
 }
 
 // The one u32 add (grid reduce, prefix sums and the tree-count shard
@@ -213,7 +230,11 @@ TEST(NDimArrayTest, AddU32SpanMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Dims, NDimArrayCountRectsTest,
     ::testing::Values(std::vector<int32_t>{40}, std::vector<int32_t>{9, 11},
-                      std::vector<int32_t>{5, 4, 6}));
+                      std::vector<int32_t>{5, 4, 6},
+                      std::vector<int32_t>{4, 3, 5, 2},
+                      std::vector<int32_t>{3, 2, 4, 2, 3, 2},
+                      // One dimension past the vectorized kernel's cap.
+                      std::vector<int32_t>(kRectKernelMaxDims + 1, 2)));
 
 }  // namespace
 }  // namespace qarm
