@@ -2,9 +2,9 @@
 // selects the decoder — 0: RecvFrame over an in-memory transport (magic,
 // length-cap, CRC checks, reassembly from single-byte reads), 1:
 // ParseHello, 2: ParseHelloAck (version gate first), 3: ParseCountRequest
-// (a counting plan), 4: MergeCountReply (a shard's counters, decoded into
-// the fixed ReplyShape below), 5: ParseShardSnapshot, 6:
-// ParseCheckpointCatalog (every count bounds-checked in division form
+// (a block range and a counting plan), 4: MergeCountReply (a shard's
+// counters, decoded into the fixed ReplyShape below), 5:
+// ParseShardSnapshot, 6: ParseCheckpointCatalog (every count bounds-checked in division form
 // before allocation).
 // Property: hostile bytes never crash, hang, or trigger an absurd
 // allocation — every defect surfaces as a Status. Decoded messages are
@@ -78,6 +78,10 @@ qarm::PassCounters ReplyShape() {
 
 constexpr uint64_t kShardRows = 1000;
 
+void EncodeRequest(const qarm::DistCountRequest& request, std::string* out) {
+  qarm::EncodeCountRequest(request.blocks, request.plan, out);
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -104,7 +108,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       break;
     case 3:
       CheckRoundTrip(qarm::ParseCountRequest(payload, payload_size),
-                     &qarm::EncodeCountRequest, payload, payload_size);
+                     &EncodeRequest, payload, payload_size);
       break;
     case 4: {
       // Decoded into zeroed counters, an accepted reply's counters are its

@@ -64,12 +64,12 @@ struct FrequentItemsetResult {
 // callers can distinguish a clean interruption from a failure.
 using AfterPassFn = std::function<Status(const FrequentItemsetResult&)>;
 
-// Replaces the per-pass CountSupports call. Distributed mining hooks in
-// here: the coordinator broadcasts the pass's candidates to its workers,
-// each counts its own block range (with CountSupports, unchanged), and the
-// merged per-candidate sums come back through this function. Must return
-// counts parallel to `candidates`; `stats` receives the pass's counting
-// stats (whatever breakdown the delegate can attribute).
+// Replaces the per-pass CountSupports call. The miner counts here through
+// its record scan (core/record_scan.h): it plans the pass, scans the
+// plan's counters over the blocks its scan policy picks (in process, or on
+// distributed workers, to which only the plan travels), reduces them, and
+// adds what the policy adds. Must return counts parallel to `candidates`;
+// `stats` receives the pass's counting stats.
 using CountSupportsFn = std::function<Result<std::vector<uint32_t>>(
     const CandidateStream& candidates, CountingStats* stats)>;
 

@@ -29,12 +29,14 @@
 #define QARM_CORE_INCREMENTAL_MINER_H_
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "core/miner.h"
 #include "core/options.h"
+#include "core/record_scan.h"
+#include "storage/record_source.h"
 
 namespace qarm {
 
@@ -60,23 +62,28 @@ struct IncrementalDecision {
   size_t passes_rescanned = 0;
 };
 
-// Full-mine delegate for the fallback routes when options.num_workers > 1:
-// core cannot depend on the distributed layer, so the caller (the CLI)
-// provides "mine this file from scratch / resume it, distributed" and
-// MineIncremental invokes it with the append-mode options. Ignored when
-// num_workers <= 1 (the in-process path runs directly).
-using FullMineFn =
-    std::function<Result<MiningResult>(const MinerOptions& options)>;
+// Opens the QBT file of an append-mode run. An append interrupted between
+// writing its suffix and committing the new row count leaves trailing
+// uncommitted bytes; a file that does not open is rolled back to its last
+// commit first (RecoverQbt), and a healthy file is untouched.
+Result<std::unique_ptr<QbtFileSource>> OpenAppendedQbt(
+    const std::string& qbt_path);
 
-// Mines `qbt_path` incrementally against the checkpoint at
+// Mines `qbt` incrementally against the checkpoint at
 // options.checkpoint_path (required). Forces append_mode (the run always
 // ends by writing a fresh complete checkpoint covering the whole file).
-// Incremental delta passes always run in-process; options.num_workers > 1
-// only affects the fallback full-mine routes (via `full_mine`).
+// Every record scan, the delta passes' and a fallback full mine's alike,
+// goes through `scan`: null is the in-process scan, and the distributed
+// entry (dist/dist_miner.h) passes its worker pool.
+Result<MiningResult> MineIncremental(const QbtFileSource& qbt,
+                                     const MinerOptions& options,
+                                     RecordScan* scan,
+                                     IncrementalDecision* decision);
+
+// Opens `qbt_path` with OpenAppendedQbt and mines it in this process.
 Result<MiningResult> MineIncremental(const std::string& qbt_path,
                                      const MinerOptions& options,
-                                     IncrementalDecision* decision = nullptr,
-                                     const FullMineFn& full_mine = nullptr);
+                                     IncrementalDecision* decision = nullptr);
 
 }  // namespace qarm
 

@@ -14,7 +14,6 @@
 #include "core/interest.h"
 #include "core/mining_checkpoint.h"
 #include "partition/partial_completeness.h"
-#include "storage/fault_injection.h"
 
 namespace qarm {
 
@@ -72,42 +71,38 @@ Result<MiningResult> QuantitativeRuleMiner::MineMapped(
 
 Result<MiningResult> QuantitativeRuleMiner::MineStreamed(
     const RecordSource& source) const {
-  QARM_RETURN_NOT_OK(ValidateOptions());
-  // The result's table holds only the decode metadata; the records stay in
-  // the source and stream through each pass.
-  MiningResult result(MappedTable(source.attributes(), /*num_rows=*/0));
-  QARM_RETURN_NOT_OK(MineWithSource(source, &result));
-  return result;
+  return MineStreamed(source, MiningHooks());
 }
 
 Result<MiningResult> QuantitativeRuleMiner::MineStreamed(
     const RecordSource& source, const MiningHooks& hooks) const {
   QARM_RETURN_NOT_OK(ValidateOptions());
+  // The result's table holds only the decode metadata; the records stay in
+  // the source and stream through each pass.
   MiningResult result(MappedTable(source.attributes(), /*num_rows=*/0));
-  QARM_RETURN_NOT_OK(MineWithSource(source, &result, &hooks));
+  QARM_RETURN_NOT_OK(MineWithSource(source, &result, hooks));
   return result;
 }
 
-Status QuantitativeRuleMiner::MineWithSource(const RecordSource& base_source,
+Status QuantitativeRuleMiner::MineWithSource(const RecordSource& source,
                                              MiningResult* result,
-                                             const MiningHooks* hooks) const {
+                                             const MiningHooks& hooks) const {
   Timer total_timer;
   Timer timer;
   MiningStats& stats = result->stats;
 
-  // Deterministic fault injection, when requested, wraps the source for the
-  // whole run — the pass-1 catalog scan and every counting pass read
-  // through it.
-  std::unique_ptr<FaultInjectingRecordSource> faulty;
-  const RecordSource* source_ptr = &base_source;
-  if (!options_.inject_faults_spec.empty()) {
-    QARM_ASSIGN_OR_RETURN(FaultInjectionConfig fault_config,
-                          ParseFaultSpec(options_.inject_faults_spec));
-    faulty = std::make_unique<FaultInjectingRecordSource>(base_source,
-                                                          fault_config);
-    source_ptr = faulty.get();
+  // Every read of records goes through one scan, over the blocks the
+  // policy picks; with no scan given it is this process's, which also
+  // applies the run's fault injection.
+  std::unique_ptr<LocalRecordScan> local_scan;
+  RecordScan* scan = hooks.scan;
+  if (scan == nullptr) {
+    QARM_ASSIGN_OR_RETURN(local_scan, LocalRecordScan::Open(source, options_));
+    scan = local_scan.get();
   }
-  const RecordSource& source = *source_ptr;
+  ScanPolicy full_mine;
+  ScanPolicy& policy = hooks.policy != nullptr ? *hooks.policy : full_mine;
+  const IndexRange all_blocks{0, source.num_blocks()};
 
   const size_t num_rows = source.num_rows();
   stats.num_records = num_rows;
@@ -123,10 +118,8 @@ Status QuantitativeRuleMiner::MineWithSource(const RecordSource& base_source,
   // (zero for non-QBT runs) so a later `mine --append` can validate it.
   auto stamp_base = [&](CheckpointState* state) {
     state->options_fingerprint = options_fp;
-    if (hooks != nullptr) {
-      state->base_num_blocks = hooks->checkpoint_base.num_blocks;
-      state->base_index_crc = hooks->checkpoint_base.index_crc;
-    }
+    state->base_num_blocks = hooks.checkpoint_base.num_blocks;
+    state->base_index_crc = hooks.checkpoint_base.index_crc;
   };
 
   // Step 3a: frequent items — restored from a valid checkpoint of this
@@ -145,7 +138,7 @@ Status QuantitativeRuleMiner::MineWithSource(const RecordSource& base_source,
             (loaded->flags & kCheckpointFlagComplete) != 0) {
           // Expected in append mode: the complete checkpoint of the
           // pre-append run is the incremental *base* (consumed by
-          // MineIncremental's hooks), not a resume point for this run.
+          // MineIncremental's scan policy), not a resume point for this run.
           QARM_LOG(Info) << "append mode: checkpoint '"
                          << options_.checkpoint_path
                          << "' is a completed prior run; mining the grown "
@@ -195,25 +188,18 @@ Status QuantitativeRuleMiner::MineWithSource(const RecordSource& base_source,
     }
   }
   if (!catalog.has_value()) {
-    if (hooks != nullptr && hooks->scan_value_counts) {
-      // Distributed pass 1: the workers scan their shards, the hook hands
-      // back the merged value counts, and only the derivation runs here.
-      QARM_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> value_counts,
-                            hooks->scan_value_counts(&stats.pass1_io));
-      QARM_ASSIGN_OR_RETURN(ItemCatalog built,
-                            ItemCatalog::BuildFromValueCounts(
-                                source, options_, std::move(value_counts)));
-      catalog.emplace(std::move(built));
-    } else {
-      QARM_ASSIGN_OR_RETURN(
-          ItemCatalog built,
-          ItemCatalog::Build(source, options_, &stats.pass1_io));
-      catalog.emplace(std::move(built));
-    }
+    QARM_ASSIGN_OR_RETURN(
+        ValueCounts value_counts,
+        scan->ScanValueCounts(policy.ValueCountBlocks(all_blocks),
+                              &stats.pass1_io));
+    policy.AddValueCounts(&value_counts);
+    QARM_ASSIGN_OR_RETURN(ItemCatalog built,
+                          ItemCatalog::BuildFromValueCounts(
+                              source, options_, std::move(value_counts)));
+    catalog.emplace(std::move(built));
   }
-  if (hooks != nullptr && hooks->publish_catalog) {
-    QARM_RETURN_NOT_OK(hooks->publish_catalog(*catalog, resumed));
-  }
+  QARM_RETURN_NOT_OK(scan->PublishCatalog(*catalog));
+  policy.UseCatalog(*catalog);
   stats.num_frequent_items = catalog->num_items();
   stats.items_pruned_by_interest = catalog->items_pruned_by_interest();
   stats.pass1_seconds = timer.ElapsedSeconds();
@@ -292,12 +278,28 @@ Status QuantitativeRuleMiner::MineWithSource(const RecordSource& base_source,
       return Status::OK();
     };
   }
+  // Each pass: plan here, scan the policy's blocks through the scan,
+  // reduce here, then add what the policy adds.
+  const CountSupportsFn count_supports =
+      [&](const CandidateStream& candidates,
+          CountingStats* counting) -> Result<std::vector<uint32_t>> {
+    const IndexRange blocks = policy.CountBlocks(candidates, all_blocks);
+    QARM_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> counts,
+        CountSupports(
+            source, *catalog, candidates, options_,
+            [&](const CountPlan& plan, CountingStats* scan_stats) {
+              return scan->ScanCounters(plan, blocks, scan_stats);
+            },
+            counting));
+    policy.AddCounts(candidates, &counts);
+    return counts;
+  };
   QARM_ASSIGN_OR_RETURN(
       FrequentItemsetResult frequent,
       MineFrequentItemsets(source, *catalog, options_,
                            resumed ? &resume_progress : nullptr, after_pass,
-                           hooks != nullptr ? hooks->count_supports
-                                            : CountSupportsFn()));
+                           count_supports));
   stats.passes = frequent.passes;
   stats.itemset_seconds = timer.ElapsedSeconds();
   for (const PassStats& pass : frequent.passes) {

@@ -25,6 +25,7 @@
 #include "core/apriori_quant.h"
 #include "core/mining_checkpoint.h"
 #include "core/options.h"
+#include "core/record_scan.h"
 #include "core/rules.h"
 #include "partition/mapped_table.h"
 #include "table/table.h"
@@ -192,27 +193,18 @@ struct CheckpointBaseInfo {
 // The identity of `qbt` as it is now: all of its blocks.
 CheckpointBaseInfo CheckpointBaseOf(const QbtFileSource& qbt);
 
-// Delegates that let a driver (the distributed coordinator, the
-// incremental miner) substitute its own implementations for the phases
-// that scan records, while the miner keeps running everything else —
-// checkpointing, rule generation, interest, decode — unchanged. Any
-// member may be left empty to keep the default.
+// What a driver sets about a run's record scans, while the miner keeps
+// running everything else — planning and reducing each pass,
+// checkpointing, rule generation, interest, decode — unchanged.
 struct MiningHooks {
-  // Replaces the pass-1 value-count scan: must return one count vector per
-  // attribute (indexed by mapped value) covering the *whole* source.
-  // `io`, when non-null, receives the scan's aggregate I/O.
-  std::function<Result<std::vector<std::vector<uint64_t>>>(ScanIoStats* io)>
-      scan_value_counts;
+  // The scan every read of records goes through (core/record_scan.h):
+  // null is the in-process LocalRecordScan over the run's source; the
+  // distributed entry passes its worker pool.
+  RecordScan* scan = nullptr;
 
-  // Called once the item catalog exists — freshly built or restored from a
-  // checkpoint (`restored`) — and before any counting pass. The distributed
-  // coordinator broadcasts the catalog to its workers here. A non-OK return
-  // aborts the run.
-  std::function<Status(const ItemCatalog& catalog, bool restored)>
-      publish_catalog;
-
-  // Replaces each pass's CountSupports call (see apriori_quant.h).
-  CountSupportsFn count_supports;
+  // Which blocks each scan covers and what is added to its counts: null
+  // is every block, nothing added; the incremental driver passes its own.
+  ScanPolicy* policy = nullptr;
 
   // Base-file identity recorded in checkpoints (see CheckpointBaseInfo).
   // Left zero for non-QBT runs; drivers that mine a QBT file in append
@@ -242,20 +234,20 @@ class QuantitativeRuleMiner {
   // a failing block read (e.g. a QBT checksum mismatch).
   Result<MiningResult> MineStreamed(const RecordSource& source) const;
 
-  // MineStreamed with the record-scanning phases delegated through `hooks`
-  // (distributed mining). `source` still supplies the schema, row count,
-  // and checkpoint fingerprint; with all hooks set the coordinator never
-  // reads a data block itself.
+  // MineStreamed with its record scans set by `hooks` (distributed and
+  // incremental mining). `source` still supplies the schema, row count,
+  // and checkpoint fingerprint; with a distributed scan the coordinator
+  // never reads a data block itself.
   Result<MiningResult> MineStreamed(const RecordSource& source,
                                     const MiningHooks& hooks) const;
 
  private:
   Status ValidateOptions() const;
-  // Shared steps 3-5 driver; scans go through `source` (or the hooks, when
-  // `hooks` is non-null and populated), stats/output land in `result`
-  // (whose `mapped` member only provides decode metadata here).
+  // Shared steps 3-5 driver; scans go through the hooks' scan (or the
+  // in-process scan over `source`), stats/output land in `result` (whose
+  // `mapped` member only provides decode metadata here).
   Status MineWithSource(const RecordSource& source, MiningResult* result,
-                        const MiningHooks* hooks = nullptr) const;
+                        const MiningHooks& hooks = MiningHooks()) const;
 
   MinerOptions options_;
 };

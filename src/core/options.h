@@ -67,9 +67,10 @@ struct MinerOptions {
 
   // Memory budget for the n-dimensional counting arrays of one pass,
   // accounted cumulatively across super-candidates; once the running total
-  // would exceed it, further super-candidates use the R*-tree instead
-  // (Section 5.2 heuristic). A grid estimated smaller than its R*-tree is
-  // always kept dense — the tree would cost more memory, not less. A
+  // would exceed it, further super-candidates are counted by member scan
+  // instead (core/support_counting.h). A grid no larger than its member
+  // scan's own state is always kept dense — the scan would cost more
+  // memory, not less. A
   // parallel pass gives each scan thread its own copy of every grid, so it
   // runs only as many threads as the budget holds copies (at least one).
   uint64_t counter_memory_budget_bytes = 64ull << 20;

@@ -170,6 +170,7 @@ CountPlan PlanCounting(const RecordSource& source, const ItemCatalog& catalog,
     item_code[id] = is_ranged(attr) ? ~attr : static_cast<int32_t>(id);
   }
   CountPlan plan;
+  plan.k = k;
   std::vector<CounterGroup>& groups = plan.groups;
   PackedKeyTable group_keys(k + 1);
   std::vector<int32_t> key(k + 1);
@@ -720,13 +721,25 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
                                             const CandidateStream& candidates,
                                             const MinerOptions& options,
                                             CountingStats* stats) {
+  return CountSupports(
+      source, catalog, candidates, options,
+      [&](const CountPlan& plan, CountingStats* scan_stats) {
+        return ScanCounters(source, catalog, plan, options, scan_stats);
+      },
+      stats);
+}
+
+Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
+                                            const ItemCatalog& catalog,
+                                            const CandidateStream& candidates,
+                                            const MinerOptions& options,
+                                            const ScanCountersFn& scan,
+                                            CountingStats* stats) {
   if (candidates.size() == 0) return std::vector<uint32_t>();
   CountingStats local_stats;
   const CountPlan plan =
       PlanCounting(source, catalog, candidates, options, &local_stats);
-  QARM_ASSIGN_OR_RETURN(
-      PassCounters counters,
-      ScanCounters(source, catalog, plan, options, &local_stats));
+  QARM_ASSIGN_OR_RETURN(PassCounters counters, scan(plan, &local_stats));
   std::vector<uint32_t> counts =
       ReduceCounts(plan, source, catalog, candidates,
                    local_stats.threads_used, &counters, &local_stats);

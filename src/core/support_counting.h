@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -94,9 +95,10 @@ struct CountingStats {
 //      candidate: prefix sums and rectangle lookups for the grids, a copy
 //      for member and direct counts.
 //
-// CountSupports runs all three in one process. Distributed mining plans
-// and reduces once on the coordinator and scans on the workers, which
-// receive only the plan's CounterGroups and send back their counters.
+// CountSupports runs all three, and the miner runs them the same way with
+// the scan stage through its record scan (core/record_scan.h): in this
+// process, or on distributed workers, which receive only the plan's
+// CounterGroups and send back their counters.
 
 // How a plan counts one super-candidate.
 enum class CounterKind : uint8_t {
@@ -119,6 +121,7 @@ struct CounterGroup {
 };
 
 struct CountPlan {
+  size_t k = 0;  // the candidates' size
   std::vector<CounterGroup> groups;
   // Per group, its members as runs [first, end) of candidate indices, in
   // candidate order. Only the planning process holds them: a scan needs
@@ -190,6 +193,20 @@ Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
                                             const ItemCatalog& catalog,
                                             const CandidateStream& candidates,
                                             const MinerOptions& options,
+                                            CountingStats* stats);
+
+// Stage 2 as a callback: the plan's counters over the records the caller
+// chooses.
+using ScanCountersFn = std::function<Result<PassCounters>(
+    const CountPlan& plan, CountingStats* stats)>;
+
+// CountSupports with the scan stage through `scan`; `source` supplies the
+// schema for the plan and the reduce. Stats and result as CountSupports.
+Result<std::vector<uint32_t>> CountSupports(const RecordSource& source,
+                                            const ItemCatalog& catalog,
+                                            const CandidateStream& candidates,
+                                            const MinerOptions& options,
+                                            const ScanCountersFn& scan,
                                             CountingStats* stats);
 
 // Convenience overload for materialized candidate sets (tests, k >= 3).

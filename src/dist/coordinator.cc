@@ -14,6 +14,7 @@
 #include "common/timer.h"
 #include "dist/framing.h"
 #include "dist/worker.h"
+#include "storage/checkpoint_format.h"
 
 namespace qarm {
 namespace {
@@ -28,10 +29,10 @@ Status SendOn(Transport& transport, DistMessageType type,
 
 Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Launch(
     const QbtFileSource& file, const MinerOptions& options,
-    uint64_t fingerprint, const std::vector<IndexRange>& shards,
+    uint64_t fingerprint, size_t num_workers,
     std::vector<WorkerEndpoint> endpoints) {
-  if (shards.empty()) {
-    return Status::InvalidArgument("worker pool needs at least one shard");
+  if (num_workers == 0) {
+    return Status::InvalidArgument("worker pool needs at least one worker");
   }
   // No public constructor, so no make_unique.
   std::unique_ptr<DistWorkerPool> pool(new DistWorkerPool());
@@ -41,10 +42,10 @@ Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Launch(
   pool->forked_ = endpoints.empty();
   if (pool->forked_) {
     endpoints.emplace_back();
-  } else if (shards.size() > endpoints.size()) {
+  } else if (num_workers > endpoints.size()) {
     return Status::InvalidArgument(StrFormat(
-        "%zu shards need at least as many worker endpoints, got %zu",
-        shards.size(), endpoints.size()));
+        "%zu workers need at least as many worker endpoints, got %zu",
+        num_workers, endpoints.size()));
   }
   pool->endpoints_ = std::move(endpoints);
   pool->io_timeout_ms_ = options.dist_io_timeout_ms;
@@ -53,13 +54,11 @@ Result<std::unique_ptr<DistWorkerPool>> DistWorkerPool::Launch(
   pool->connect_policy_.initial_backoff_ms = options.dist_connect_backoff_ms;
   pool->connect_policy_.max_backoff_ms =
       std::max(options.dist_connect_backoff_ms * 16.0, 1000.0);
-  pool->workers_.resize(shards.size());
-  for (size_t w = 0; w < shards.size(); ++w) {
+  pool->workers_.resize(num_workers);
+  for (size_t w = 0; w < num_workers; ++w) {
     Worker& worker = pool->workers_[w];
     DistHello& hello = worker.hello;
     hello.worker_id = static_cast<uint32_t>(w);
-    hello.block_begin = shards[w].begin;
-    hello.block_end = shards[w].end;
     hello.fingerprint = fingerprint;
     hello.num_threads = options.num_threads;
     hello.counter_memory_budget_bytes = options.counter_memory_budget_bytes;
@@ -87,12 +86,12 @@ DistWorkerPool::~DistWorkerPool() {
   for (Worker& worker : workers_) Reap(worker);
 }
 
-std::vector<DistWorkerStats> DistWorkerPool::WorkerStats() const {
-  std::vector<DistWorkerStats> stats;
-  stats.reserve(workers_.size());
-  for (const Worker& worker : workers_) {
-    stats.push_back(worker.stats);
-  }
+DistRunStats DistWorkerPool::RunStats() const {
+  DistRunStats stats;
+  stats.num_workers = workers_.size();
+  stats.workers_respawned = workers_respawned_;
+  stats.passes = passes_;
+  for (const Worker& worker : workers_) stats.workers.push_back(worker.stats);
   return stats;
 }
 
@@ -245,9 +244,8 @@ Status DistWorkerPool::RespawnAndReplay(size_t w,
   ++workers_respawned_;
   QARM_LOG(Warning) << "distributed worker " << worker.hello.worker_id
                     << " died; respawning (generation "
-                    << worker.hello.generation << ") and replaying blocks ["
-                    << worker.hello.block_begin << ", "
-                    << worker.hello.block_end << ")";
+                    << worker.hello.generation
+                    << ") and replaying its request";
   const size_t previous_endpoint = worker.endpoint;
   QARM_RETURN_NOT_OK(ConnectWorker(w));
   ++worker.stats.reconnects;
@@ -260,7 +258,7 @@ Status DistWorkerPool::RespawnAndReplay(size_t w,
   }
   uint64_t sent_bytes = 0;
   // Replay: the catalog (when one was published) restores the worker's only
-  // cross-request state, then the in-flight request re-runs its shard scan.
+  // cross-request state, then the in-flight request re-runs its range scan.
   // A worker that died during the catalog broadcast itself has the catalog
   // AS its in-flight request — send it once, not as both the state replay
   // and the request (the duplicate doubled the replay bytes for nothing).
@@ -338,91 +336,149 @@ Status DistWorkerPool::ReceiveReply(size_t w, DistMessageType request_type,
 }
 
 Result<std::vector<std::string>> DistWorkerPool::Exchange(
-    DistMessageType request_type, const std::string& payload,
+    DistMessageType request_type, const std::vector<std::string>& payloads,
     DistMessageType reply_type, DistPassStats* stats) {
   Timer timer;
-  // Fan the request out to every worker before reading any reply, so the
-  // shards count concurrently; then collect strictly in worker order.
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    QARM_RETURN_NOT_OK(SendToWorker(w, request_type, payload, stats));
+  // Fan the requests out before reading any reply, so the workers scan
+  // concurrently; then collect strictly in worker order.
+  for (size_t w = 0; w < payloads.size(); ++w) {
+    QARM_RETURN_NOT_OK(SendToWorker(w, request_type, payloads[w], stats));
   }
-  std::vector<std::string> replies(workers_.size());
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    QARM_RETURN_NOT_OK(ReceiveReply(w, request_type, payload, reply_type,
+  std::vector<std::string> replies(payloads.size());
+  for (size_t w = 0; w < payloads.size(); ++w) {
+    QARM_RETURN_NOT_OK(ReceiveReply(w, request_type, payloads[w], reply_type,
                                     stats, &replies[w]));
   }
   if (stats != nullptr) stats->exchange_seconds += timer.ElapsedSeconds();
   return replies;
 }
 
-Result<std::vector<ShardSnapshot>> DistWorkerPool::ScanShards(
-    DistPassStats* stats) {
-  QARM_ASSIGN_OR_RETURN(
-      std::vector<std::string> replies,
-      Exchange(DistMessageType::kPass1Request, "",
-               DistMessageType::kPass1Reply, stats));
-  std::vector<ShardSnapshot> snapshots;
-  snapshots.reserve(replies.size());
+std::vector<IndexRange> DistWorkerPool::SplitBlocks(IndexRange blocks) const {
+  std::vector<IndexRange> ranges = SplitRange(blocks.size(), workers_.size());
+  for (IndexRange& range : ranges) {
+    range.begin += blocks.begin;
+    range.end += blocks.begin;
+  }
+  return ranges;
+}
+
+Result<ValueCounts> DistWorkerPool::ScanValueCounts(IndexRange blocks,
+                                                    ScanIoStats* io) {
+  DistPassStats pass;
+  pass.k = 1;
+  const std::vector<IndexRange> ranges = SplitBlocks(blocks);
+  std::vector<std::string> payloads(ranges.size());
+  for (size_t w = 0; w < ranges.size(); ++w) {
+    EncodePass1Request(ranges[w], &payloads[w]);
+  }
+  QARM_ASSIGN_OR_RETURN(std::vector<std::string> replies,
+                        Exchange(DistMessageType::kPass1Request, payloads,
+                                 DistMessageType::kPass1Reply, &pass));
+  Timer merge_timer;
+  const size_t num_attributes = file_->num_attributes();
+  ValueCounts merged(num_attributes);
+  for (size_t a = 0; a < num_attributes; ++a) {
+    merged[a].assign(file_->attribute(a).domain_size(), 0);
+  }
   for (size_t w = 0; w < replies.size(); ++w) {
     QARM_ASSIGN_OR_RETURN(
         ShardSnapshot snapshot,
         ParseShardSnapshot(
             reinterpret_cast<const uint8_t*>(replies[w].data()),
             replies[w].size()));
-    const Worker& worker = workers_[w];
-    if (snapshot.worker_id != worker.hello.worker_id ||
-        snapshot.fingerprint != worker.hello.fingerprint ||
-        snapshot.block_begin != worker.hello.block_begin ||
-        snapshot.block_end != worker.hello.block_end) {
+    const DistHello& hello = workers_[w].hello;
+    const BlockRangeSource range(*file_, ranges[w].begin, ranges[w].end);
+    if (snapshot.worker_id != hello.worker_id ||
+        snapshot.fingerprint != hello.fingerprint ||
+        snapshot.block_begin != ranges[w].begin ||
+        snapshot.block_end != ranges[w].end ||
+        snapshot.num_rows != range.num_rows()) {
       return Status::Internal(StrFormat(
-          "shard snapshot from worker %u does not match its assignment",
-          worker.hello.worker_id));
+          "value counts from worker %u do not match the blocks [%zu, %zu) "
+          "it was sent",
+          hello.worker_id, ranges[w].begin, ranges[w].end));
     }
-    snapshots.push_back(std::move(snapshot));
+    if (snapshot.value_counts.size() != num_attributes) {
+      return Status::Internal(StrFormat(
+          "worker %zu returned counts for %zu attributes, expected %zu", w,
+          snapshot.value_counts.size(), num_attributes));
+    }
+    for (size_t a = 0; a < num_attributes; ++a) {
+      const std::vector<uint64_t>& counts = snapshot.value_counts[a];
+      std::vector<uint64_t>& total = merged[a];
+      if (counts.size() != total.size()) {
+        return Status::Internal(StrFormat(
+            "worker %zu disagrees on the domain size of attribute %zu", w,
+            a));
+      }
+      for (size_t v = 0; v < total.size(); ++v) total[v] += counts[v];
+    }
+    if (io != nullptr) *io += snapshot.io;
   }
-  return snapshots;
+  pass.merge_seconds = merge_timer.ElapsedSeconds();
+  passes_.push_back(pass);
+  return merged;
 }
 
-Status DistWorkerPool::PublishCatalog(std::string payload,
-                                      DistPassStats* stats) {
-  catalog_payload_ = std::move(payload);
+Status DistWorkerPool::PublishCatalog(const ItemCatalog& catalog) {
+  catalog_payload_.clear();
+  EncodeCheckpointCatalog(catalog.Snapshot(), &catalog_payload_);
+  // Attribute the broadcast to pass 1 when it ran here (a fresh run); a
+  // resumed run restored the catalog without a pass-1 exchange, so the
+  // broadcast gets its own k = 1 entry.
+  if (passes_.empty()) {
+    passes_.emplace_back();
+    passes_.back().k = 1;
+  }
   for (size_t w = 0; w < workers_.size(); ++w) {
     QARM_RETURN_NOT_OK(SendToWorker(w, DistMessageType::kCatalog,
-                                    catalog_payload_, stats));
+                                    catalog_payload_, &passes_.front()));
   }
   return Status::OK();
 }
 
-Result<std::vector<CountingStats>> DistWorkerPool::CountShards(
-    const CountPlan& plan, PassCounters* merged, DistPassStats* stats) {
-  std::string payload;
-  EncodeCountRequest(plan, &payload);
+Result<PassCounters> DistWorkerPool::ScanCounters(const CountPlan& plan,
+                                                  IndexRange blocks,
+                                                  CountingStats* stats) {
+  DistPassStats pass;
+  pass.k = plan.k;
+  const std::vector<IndexRange> ranges = SplitBlocks(blocks);
+  std::vector<std::string> payloads(ranges.size());
+  for (size_t w = 0; w < ranges.size(); ++w) {
+    EncodeCountRequest(ranges[w], plan, &payloads[w]);
+  }
   QARM_ASSIGN_OR_RETURN(std::vector<std::string> replies,
-                        Exchange(DistMessageType::kCountRequest, payload,
-                                 DistMessageType::kCountReply, stats));
+                        Exchange(DistMessageType::kCountRequest, payloads,
+                                 DistMessageType::kCountReply, &pass));
+  PassCounters merged = MakeCounters(plan, *file_);
   Timer merge_timer;
-  std::vector<CountingStats> scans;
-  scans.reserve(replies.size());
+  double build_seconds = 0.0;
   for (size_t w = 0; w < replies.size(); ++w) {
-    const DistHello& hello = workers_[w].hello;
-    const BlockRangeSource shard(*file_,
-                                 static_cast<size_t>(hello.block_begin),
-                                 static_cast<size_t>(hello.block_end));
+    const uint32_t worker_id = workers_[w].hello.worker_id;
+    const BlockRangeSource range(*file_, ranges[w].begin, ranges[w].end);
     // Exact integer sums in fixed worker order: bit-identical merges at
     // any worker count.
     QARM_ASSIGN_OR_RETURN(
         DistCountReply reply,
         MergeCountReply(reinterpret_cast<const uint8_t*>(replies[w].data()),
-                        replies[w].size(), shard.num_rows(), merged));
-    if (reply.worker_id != hello.worker_id) {
+                        replies[w].size(), range.num_rows(), &merged));
+    if (reply.worker_id != worker_id) {
       return Status::IOError(
           StrFormat("count reply of worker %u arrived from worker %u",
-                    hello.worker_id, reply.worker_id));
+                    worker_id, reply.worker_id));
     }
-    scans.push_back(reply.stats);
+    const CountingStats& scan = reply.stats;
+    stats->isa = w == 0 ? scan.isa : std::min(stats->isa, scan.isa);
+    stats->io += scan.io;
+    stats->threads_used = std::max(stats->threads_used, scan.threads_used);
+    stats->replicated_bytes += scan.replicated_bytes;
+    build_seconds = std::max(build_seconds, scan.build_seconds);
+    stats->scan_seconds = std::max(stats->scan_seconds, scan.scan_seconds);
   }
-  if (stats != nullptr) stats->merge_seconds += merge_timer.ElapsedSeconds();
-  return scans;
+  stats->build_seconds += build_seconds;
+  pass.merge_seconds = merge_timer.ElapsedSeconds();
+  passes_.push_back(pass);
+  return merged;
 }
 
 }  // namespace qarm

@@ -24,8 +24,6 @@ void EncodeHello(const DistHello& hello, std::string* out) {
   QbtAppendU32(out, hello.version);
   QbtAppendU32(out, hello.worker_id);
   QbtAppendU64(out, hello.generation);
-  QbtAppendU64(out, hello.block_begin);
-  QbtAppendU64(out, hello.block_end);
   QbtAppendU64(out, hello.fingerprint);
   QbtAppendU64(out, hello.num_threads);
   QbtAppendU64(out, hello.counter_memory_budget_bytes);
@@ -42,14 +40,6 @@ Result<DistHello> ParseHello(const uint8_t* data, size_t size) {
   QARM_RETURN_NOT_OK(CheckVersion(hello.version));
   QARM_RETURN_NOT_OK(reader.ReadU32(&hello.worker_id));
   QARM_RETURN_NOT_OK(reader.ReadU64(&hello.generation));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&hello.block_begin));
-  QARM_RETURN_NOT_OK(reader.ReadU64(&hello.block_end));
-  if (hello.block_end < hello.block_begin) {
-    return Status::IOError(StrFormat(
-        "hello block range [%llu, %llu) is inverted",
-        static_cast<unsigned long long>(hello.block_begin),
-        static_cast<unsigned long long>(hello.block_end)));
-  }
   QARM_RETURN_NOT_OK(reader.ReadU64(&hello.fingerprint));
   QARM_RETURN_NOT_OK(reader.ReadU64(&hello.num_threads));
   if (hello.num_threads > MinerOptions::kMaxThreads) {

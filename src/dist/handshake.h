@@ -9,9 +9,8 @@
 //                                    <-  kHelloAck (DistHelloAck)
 //   ... then the ordinary request loop (dist/messages.h) ...
 //
-// DistHello carries the protocol version FIRST, then the worker's shard
-// assignment (worker id, generation, block range), the run fingerprint,
-// and the execution knobs the worker needs (thread count, counter budget,
+// DistHello carries the protocol version FIRST, then the worker's identity
+// (worker id, generation), the run fingerprint, and the execution knobs the worker needs (thread count, counter budget,
 // fault spec, heartbeat interval, write deadline). The worker scans only
 // QBT files, which carry their own block size, so no block size travels.
 // Output-affecting options never travel: the worker only scans value
@@ -19,11 +18,11 @@
 // broadcasts, so the fingerprint — not an options codec — is the
 // run-identity contract.
 //
-// DistHelloAck echoes the assignment and adds the worker's view of its QBT
+// DistHelloAck echoes the identity and adds the worker's view of its QBT
 // file (row/block counts and the block-index prefix CRC), which the
 // coordinator cross-checks against its own file so a worker serving a
-// stale or wrong shard copy is rejected at handshake time, not as a count
-// mismatch three passes later.
+// stale or wrong copy — one started before a `qarm append`, say — is
+// rejected at handshake time, not as a count mismatch three passes later.
 //
 // Every field is validated against the payload's remaining size before any
 // allocation (the QBT/QRS division-form discipline), and a version
@@ -42,7 +41,7 @@ namespace qarm {
 
 // Bump on any wire-visible change to the frame layout, the handshake
 // payloads, or the request/reply vocabulary.
-inline constexpr uint32_t kDistProtocolVersion = 6;
+inline constexpr uint32_t kDistProtocolVersion = 7;
 
 // Caps the Hello's fault-spec string. Real specs are tens of bytes; the
 // cap only exists so a hostile length prefix cannot turn into a giant
@@ -53,8 +52,6 @@ struct DistHello {
   uint32_t version = kDistProtocolVersion;
   uint32_t worker_id = 0;
   uint64_t generation = 0;
-  uint64_t block_begin = 0;
-  uint64_t block_end = 0;
   uint64_t fingerprint = 0;
   // Execution knobs for the worker's scans.
   uint64_t num_threads = 1;
@@ -72,7 +69,7 @@ struct DistHelloAck {
   uint32_t worker_id = 0;
   uint64_t generation = 0;
   uint64_t fingerprint = 0;  // echo of the Hello's
-  // The worker's view of its QBT shard file.
+  // The worker's view of its QBT file.
   uint64_t num_rows = 0;
   uint64_t num_blocks = 0;
   uint32_t index_crc = 0;  // block-index prefix CRC over num_blocks entries
@@ -81,8 +78,7 @@ struct DistHelloAck {
 void EncodeHello(const DistHello& hello, std::string* out);
 // InvalidArgument on a version mismatch (message names both versions) or a
 // thread count above MinerOptions::kMaxThreads (the MinerOptions::Validate
-// bound); IOError on truncation, oversized fields, an inverted block range,
-// or trailing bytes.
+// bound); IOError on truncation, oversized fields, or trailing bytes.
 Result<DistHello> ParseHello(const uint8_t* data, size_t size);
 
 void EncodeHelloAck(const DistHelloAck& ack, std::string* out);

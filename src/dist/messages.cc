@@ -30,9 +30,40 @@ Status ReadCount(ByteReader* reader, size_t g, uint64_t limit,
       "count reply group %zu counts more rows than its shard holds", g));
 }
 
+Status ReadBlockRange(ByteReader* reader, IndexRange* blocks) {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  QARM_RETURN_NOT_OK(reader->ReadVarint(&begin));
+  QARM_RETURN_NOT_OK(reader->ReadVarint(&end));
+  if (end < begin) {
+    return Status::IOError(StrFormat(
+        "request block range [%llu, %llu) is inverted",
+        static_cast<unsigned long long>(begin),
+        static_cast<unsigned long long>(end)));
+  }
+  blocks->begin = static_cast<size_t>(begin);
+  blocks->end = static_cast<size_t>(end);
+  return Status::OK();
+}
+
 }  // namespace
 
-void EncodeCountRequest(const CountPlan& plan, std::string* out) {
+void EncodePass1Request(const IndexRange& blocks, std::string* out) {
+  AppendVarint(out, blocks.begin);
+  AppendVarint(out, blocks.end);
+}
+
+Result<IndexRange> ParsePass1Request(const uint8_t* data, size_t size) {
+  ByteReader reader(data, size, "pass-1 request", StatusCode::kIOError);
+  IndexRange blocks;
+  QARM_RETURN_NOT_OK(ReadBlockRange(&reader, &blocks));
+  QARM_RETURN_NOT_OK(reader.ExpectEnd());
+  return blocks;
+}
+
+void EncodeCountRequest(const IndexRange& blocks, const CountPlan& plan,
+                        std::string* out) {
+  EncodePass1Request(blocks, out);
   AppendVarint(out, plan.groups.size());
   for (const CounterGroup& group : plan.groups) {
     out->push_back(static_cast<char>(group.kind));
@@ -45,13 +76,15 @@ void EncodeCountRequest(const CountPlan& plan, std::string* out) {
   }
 }
 
-Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size) {
+Result<DistCountRequest> ParseCountRequest(const uint8_t* data, size_t size) {
   ByteReader reader(data, size, "count request", StatusCode::kIOError);
+  DistCountRequest request;
+  QARM_RETURN_NOT_OK(ReadBlockRange(&reader, &request.blocks));
   uint64_t num_groups = 0;
   QARM_RETURN_NOT_OK(reader.ReadVarint(&num_groups));
   // A group takes at least its kind byte and two counts.
   QARM_RETURN_NOT_OK(reader.NeedCount(num_groups, 3));
-  CountPlan plan;
+  CountPlan& plan = request.plan;
   plan.groups.resize(static_cast<size_t>(num_groups));
   for (size_t g = 0; g < plan.groups.size(); ++g) {
     CounterGroup& group = plan.groups[g];
@@ -88,7 +121,7 @@ Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size) {
     }
   }
   QARM_RETURN_NOT_OK(reader.ExpectEnd());
-  return plan;
+  return request;
 }
 
 void EncodeCountReply(const DistCountReply& reply,

@@ -5,18 +5,21 @@
 // Protocol (lockstep, one outstanding request per worker):
 //   coordinator                      worker
 //   ----------------------------------------------------------------
-//   kPass1Request (empty)        ->
-//                                <-  kPass1Reply (ShardSnapshot, QCPS)
-//   kCatalog (QCP catalog bytes) ->                       (no reply)
-//   kCountRequest (a plan)       ->
-//                                <-  kCountReply (the shard's counters)
+//   kPass1Request (a block range) ->
+//                                 <-  kPass1Reply (ShardSnapshot, QCPS)
+//   kCatalog (QCP catalog bytes)  ->                      (no reply)
+//   kCountRequest (range + plan)  ->
+//                                 <-  kCountReply (the range's counters)
 //   ... one kCountRequest per pass ...
 //   kShutdown (empty)            ->                       (worker exits)
 //
-// A counting pass is plan -> counters -> one reduce (core/
-// support_counting.h): the coordinator plans, each worker checks the plan
-// (CheckCountPlan) and scans its shard into the plan's counters, and the
-// coordinator adds the replies up in worker order and reduces once.
+// Every scan request names the blocks [begin, end) it covers, so one
+// session scans whichever range each pass needs: the coordinator splits a
+// pass's range across its workers (SplitRange). A counting pass is plan ->
+// counters -> one reduce (core/support_counting.h): the coordinator plans,
+// each worker checks the plan (CheckCountPlan) and scans its range into
+// the plan's counters, and the coordinator adds the replies up in worker
+// order and reduces once.
 //
 // A worker that hits an unrecoverable error answers the request with
 // kError (a status message) instead of the reply type; the coordinator
@@ -29,6 +32,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/support_counting.h"
 
 namespace qarm {
@@ -51,12 +55,24 @@ enum class DistMessageType : uint32_t {
   kHeartbeat = 10,
 };
 
-// kCountRequest: the plan's groups as varints (per group a u8 kind, its
-// dimensions and items, for counted groups the member count, and for
-// member groups each member's ranged item ids), never its member runs or
-// candidates.
-void EncodeCountRequest(const CountPlan& plan, std::string* out);
-Result<CountPlan> ParseCountRequest(const uint8_t* data, size_t size);
+// kPass1Request: the blocks to scan, begin and end as varints. A range
+// whose end precedes its begin is an IOError; the worker checks the end
+// against its file.
+void EncodePass1Request(const IndexRange& blocks, std::string* out);
+Result<IndexRange> ParsePass1Request(const uint8_t* data, size_t size);
+
+// kCountRequest: the blocks to scan as in kPass1Request, then the plan's
+// groups as varints (per group a u8 kind, its dimensions and items, for
+// counted groups the member count, and for member groups each member's
+// ranged item ids), never its member runs or candidates.
+struct DistCountRequest {
+  IndexRange blocks;
+  CountPlan plan;
+};
+
+void EncodeCountRequest(const IndexRange& blocks, const CountPlan& plan,
+                        std::string* out);
+Result<DistCountRequest> ParseCountRequest(const uint8_t* data, size_t size);
 
 // kCountReply: u32 worker_id, then each group's counters as varints (a
 // grid as zero runs between non-zero cells), then the worker's
@@ -73,7 +89,8 @@ void EncodeCountReply(const DistCountReply& reply,
 
 // Adds a reply's counters into `merged` (MakeCounters of the request's
 // plan). Counters of another shape, or counting more than the `shard_rows`
-// rows the worker scanned, are an IOError, after which `merged` is void.
+// rows of the request's range, are an IOError, after which `merged` is
+// void.
 Result<DistCountReply> MergeCountReply(const uint8_t* data, size_t size,
                                        uint64_t shard_rows,
                                        PassCounters* merged);

@@ -82,46 +82,62 @@ class HeartbeatGuard {
   bool stop_ = false;
 };
 
+// The blocks a request names, which are input from outside the process:
+// a range past the file's end is refused before any block is read.
+Status CheckBlockRange(const IndexRange& blocks, const RecordSource& file) {
+  if (blocks.end <= file.num_blocks()) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "request block range [%zu, %zu) runs past the %zu blocks served",
+      blocks.begin, blocks.end, file.num_blocks()));
+}
+
 Result<std::string> HandlePass1(const DistHello& hello,
                                 const MinerOptions& options,
-                                const RecordSource& shard) {
-  ScanIoStats io;
-  QARM_ASSIGN_OR_RETURN(
-      std::vector<std::vector<uint64_t>> value_counts,
-      ItemCatalog::ScanValueCounts(shard, options.num_threads, &io));
+                                const RecordSource& file,
+                                const std::string& payload) {
+  QARM_ASSIGN_OR_RETURN(IndexRange blocks,
+                        ParsePass1Request(
+                            reinterpret_cast<const uint8_t*>(payload.data()),
+                            payload.size()));
+  QARM_RETURN_NOT_OK(CheckBlockRange(blocks, file));
+  const BlockRangeSource range(file, blocks.begin, blocks.end);
   ShardSnapshot snapshot;
+  QARM_ASSIGN_OR_RETURN(
+      snapshot.value_counts,
+      ItemCatalog::ScanValueCounts(range, options.num_threads, &snapshot.io));
   snapshot.fingerprint = hello.fingerprint;
   snapshot.worker_id = hello.worker_id;
-  snapshot.block_begin = hello.block_begin;
-  snapshot.block_end = hello.block_end;
-  snapshot.num_rows = shard.num_rows();
-  snapshot.value_counts = std::move(value_counts);
-  snapshot.io = io;
-  std::string payload;
-  EncodeShardSnapshot(snapshot, &payload);
-  return payload;
+  snapshot.block_begin = blocks.begin;
+  snapshot.block_end = blocks.end;
+  snapshot.num_rows = range.num_rows();
+  std::string out;
+  EncodeShardSnapshot(snapshot, &out);
+  return out;
 }
 
 Result<std::string> HandleCount(uint32_t worker_id,
                                 const MinerOptions& options,
-                                const RecordSource& shard,
+                                const RecordSource& file,
                                 const ItemCatalog* catalog,
                                 const std::string& payload) {
   if (catalog == nullptr) {
     return Status::Internal("count request arrived before the catalog");
   }
-  QARM_ASSIGN_OR_RETURN(CountPlan plan,
+  QARM_ASSIGN_OR_RETURN(DistCountRequest request,
                         ParseCountRequest(
                             reinterpret_cast<const uint8_t*>(payload.data()),
                             payload.size()));
+  QARM_RETURN_NOT_OK(CheckBlockRange(request.blocks, file));
   // A peer's plan indexes the catalog, the schema and the counter budget;
   // one that does not fit them is refused before any counter exists.
-  QARM_RETURN_NOT_OK(CheckCountPlan(plan, shard, *catalog, options));
+  QARM_RETURN_NOT_OK(CheckCountPlan(request.plan, file, *catalog, options));
+  const BlockRangeSource range(file, request.blocks.begin,
+                               request.blocks.end);
   DistCountReply reply;
   reply.worker_id = worker_id;
   QARM_ASSIGN_OR_RETURN(
       PassCounters counters,
-      ScanCounters(shard, *catalog, plan, options, &reply.stats));
+      ScanCounters(range, *catalog, request.plan, options, &reply.stats));
   std::string out;
   EncodeCountReply(reply, counters, &out);
   return out;
@@ -168,8 +184,8 @@ Status SendError(Transport& transport, const Status& status) {
 }
 
 // ServeConnection's request loop, after the handshake. `file` is the
-// worker's full view of the QBT; the session scopes it to the Hello's
-// block range. `faults` is the Hello's parsed fault spec, if it had one.
+// worker's full view of the QBT; each scan request names its blocks.
+// `faults` is the Hello's parsed fault spec, if it had one.
 Status RunWorkerSession(Transport& transport, const DistHello& hello,
                         const RecordSource& file,
                         const std::optional<FaultInjectionConfig>& faults) {
@@ -183,8 +199,6 @@ Status RunWorkerSession(Transport& transport, const DistHello& hello,
   if (faults.has_value() && FaultsArmed(*faults, FaultSite::kBlockRead)) {
     full = &faulty.emplace(file, *faults);
   }
-  const BlockRangeSource shard(*full, static_cast<size_t>(hello.block_begin),
-                               static_cast<size_t>(hello.block_end));
 
   SessionWriter writer(transport);
   const uint64_t exit_after_frames = TestExitAfterFrames();
@@ -212,8 +226,8 @@ Status RunWorkerSession(Transport& transport, const DistHello& hello,
         Result<std::string> reply{std::string()};
         {
           HeartbeatGuard liveness(writer, hello.heartbeat_ms);
-          reply = pass1 ? HandlePass1(hello, options, shard)
-                        : HandleCount(hello.worker_id, options, shard,
+          reply = pass1 ? HandlePass1(hello, options, *full, frame->payload)
+                        : HandleCount(hello.worker_id, options, *full,
                                       catalog.has_value() ? &*catalog : nullptr,
                                       frame->payload);
         }
@@ -271,15 +285,6 @@ Status ServeConnection(TcpTransport& transport, const QbtFileSource& file,
       reinterpret_cast<const uint8_t*>(first.payload.data()),
       first.payload.size());
   if (!hello.ok()) return SendError(transport, hello.status());
-  if (hello->block_end > file.num_blocks()) {
-    return SendError(
-        transport,
-        Status::InvalidArgument(StrFormat(
-            "hello block range [%llu, %llu) exceeds the %zu blocks served",
-            static_cast<unsigned long long>(hello->block_begin),
-            static_cast<unsigned long long>(hello->block_end),
-            file.num_blocks())));
-  }
 
   // Arm the session's write deadline and (when the spec carries network
   // kinds) the deterministic transport saboteur, both from the Hello.

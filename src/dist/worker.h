@@ -1,5 +1,6 @@
-// The worker side of distributed mining: a request loop that scans its
-// assigned QBT block range and answers the coordinator's framed messages.
+// The worker side of distributed mining: a request loop that scans the QBT
+// block range each request names and answers the coordinator's framed
+// messages.
 // Workers are deliberately dumb — they hold no pass state beyond the
 // published item catalog, so a relaunched worker only needs the catalog
 // and the current request replayed to continue.
@@ -25,10 +26,10 @@ namespace qarm {
 // Serves one session on `transport`: receives the kHello, validates it
 // against `file`, arms the session's write deadline and network faults
 // from it, answers kHelloAck with `file`'s identity (rows, blocks, index
-// CRC), then serves requests against its block range of `file` until a
-// kShutdown frame (OK) or a transport failure (the error). Clean
-// per-request failures are answered with kError frames and the session
-// continues; storage fault kinds in the Hello's spec wrap the scans in a
+// CRC), then serves requests over the block ranges they name of `file`
+// until a kShutdown frame (OK) or a transport failure (the error). Clean
+// per-request failures — a range past `file`'s blocks among them — are
+// answered with kError frames and the session continues; storage fault kinds in the Hello's spec wrap the scans in a
 // FaultInjectingRecordSource at the Hello's generation. An opening
 // frame that is not a valid Hello gets a best-effort kError and ends the
 // session with that error. `handshakes`, when non-null, counts the

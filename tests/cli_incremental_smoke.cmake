@@ -5,6 +5,7 @@
 # Then the crash matrix: a mine --append run SIGKILL'd mid-run
 # (--kill-after-pass=2) at threads {1,4} x workers {1,4} must, on rerun
 # with the same flags, still end byte-identical to the from-scratch mine.
+# Last, a TCP leg: mine --append --worker=HOST:PORT against a `qarm worker`.
 #
 # All byte comparisons use --format=csv: the rules alone, no timing stats.
 set(DATA "${WORK_DIR}/inc_base.csv")
@@ -104,3 +105,58 @@ foreach(threads 1 4)
     endif()
   endforeach()
 endforeach()
+
+# TCP leg: `mine --append --worker=HOST:PORT` scans the delta on a `qarm
+# worker` server, started on the grown file (a server started before the
+# append is refused at the handshake), and must print the from-scratch
+# rules.
+set(tcp_qbt "${WORK_DIR}/inc_tcp.qbt")
+set(tcp_qcp "${WORK_DIR}/inc_tcp.qcp")
+set(tcp_port_file "${WORK_DIR}/inc_tcp_worker.port")
+set(tcp_pid_file "${WORK_DIR}/inc_tcp_worker.pid")
+file(REMOVE "${tcp_port_file}" "${tcp_pid_file}")
+run_or_die(ignored ${CMAKE_COMMAND} -E copy ${QBT}.base ${tcp_qbt})
+run_or_die(ignored ${CMAKE_COMMAND} -E copy ${QCP}.base ${tcp_qcp})
+run_or_die(ignored ${QARM} append --input=${DELTA} --schema=${SCHEMA}
+  --output=${tcp_qbt})
+# The server self-stops after 120 s as a backstop.
+execute_process(
+  COMMAND sh -c "'${QARM}' worker --listen=127.0.0.1:0 \
+--input-qbt='${tcp_qbt}' --port-file='${tcp_port_file}' \
+--serve-seconds=120 > '${WORK_DIR}/inc_tcp_worker.log' 2>&1 & \
+echo $! > '${tcp_pid_file}'"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "failed to launch the incremental TCP worker (${rc})")
+endif()
+set(tcp_port "")
+foreach(i RANGE 100)
+  if(EXISTS "${tcp_port_file}")
+    file(READ "${tcp_port_file}" tcp_port)
+    string(STRIP "${tcp_port}" tcp_port)
+    break()
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
+endforeach()
+if(tcp_port STREQUAL "")
+  message(FATAL_ERROR "the incremental TCP worker never wrote its port")
+endif()
+execute_process(
+  COMMAND ${QARM} --input-qbt=${tcp_qbt} ${MINE_FLAGS}
+    --checkpoint=${tcp_qcp} --append --format=csv --threads=2
+    --worker=127.0.0.1:${tcp_port}
+  OUTPUT_VARIABLE tcp_rules ERROR_VARIABLE tcp_err RESULT_VARIABLE rc)
+execute_process(
+  COMMAND sh -c "kill -TERM $(cat '${tcp_pid_file}') 2>/dev/null; true")
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mine --append --worker exited with ${rc}:\n${tcp_err}")
+endif()
+if(NOT tcp_err MATCHES "# incremental: base=")
+  message(FATAL_ERROR
+    "mine --append --worker did not take the incremental path:\n${tcp_err}")
+endif()
+if(NOT tcp_rules STREQUAL baseline)
+  message(FATAL_ERROR
+    "mine --append --worker rules differ from the from-scratch mine\n"
+    "--- baseline\n${baseline}\n--- tcp\n${tcp_rules}")
+endif()

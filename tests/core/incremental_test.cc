@@ -27,34 +27,11 @@
 namespace qarm {
 namespace {
 
+using testutil::MakeCyclingTable;
 using testutil::SameRules;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-// Three attributes cycling with periods 3, 2, and 9 (income == (r/3)%3 is
-// independent of cars == r%3 over a period of 9). Any row count that is a
-// multiple of 18 yields exactly proportional single/pair/triple supports,
-// so appending another multiple of 18 rows preserves every item and every
-// frequent itemset.
-MappedTable MakeCyclingTable(size_t num_rows) {
-  MappedAttribute income;
-  income.name = "income";
-  income.kind = AttributeKind::kQuantitative;
-  income.source_type = ValueType::kInt64;
-  income.partitioned = true;
-  income.intervals = {{0, 999}, {1000, 4999}, {5000, 9999}};
-  MappedAttribute married = testutil::CatAttr("married", {"no", "yes"});
-  MappedAttribute cars = testutil::CatAttr("cars", {"zero", "one", "two"});
-
-  MappedTable table({income, married, cars}, num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    table.set_value(r, 0, static_cast<int32_t>((r / 3) % 3));
-    table.set_value(r, 1, static_cast<int32_t>(r % 2));
-    table.set_value(r, 2, static_cast<int32_t>(r % 3));
-  }
-  return table;
 }
 
 MinerOptions BaseOptions() {

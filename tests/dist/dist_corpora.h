@@ -3,12 +3,16 @@
 // test binary (static) and shared by every worker x thread matrix — the
 // fork-mode suite, the TCP suite, and the fault suites all compare the
 // same three workloads (financial, taxonomy, missing values) against the
-// same single-process baseline.
+// same single-process baseline. SpawnDyingWorker forks a worker-server
+// process that dies mid-run like `kill -9`.
 #ifndef QARM_TESTS_DIST_DIST_CORPORA_H_
 #define QARM_TESTS_DIST_DIST_CORPORA_H_
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/miner.h"
+#include "dist/worker_server.h"
 #include "partition/mapper.h"
 #include "partition/taxonomy.h"
 #include "storage/qbt_writer.h"
@@ -161,6 +166,56 @@ inline MiningResult MustMineStreamed(const DistCorpus& corpus,
   auto result = QuantitativeRuleMiner(options).MineStreamed(**source);
   QARM_CHECK(result.ok());
   return std::move(result).value();
+}
+
+// A real worker-server process, forked with a kill-switch env var so its
+// first session dies like `kill -9` partway through the pass sequence.
+// Forked before any in-process server spawns threads.
+struct ChildWorker {
+  pid_t pid = -1;
+  uint16_t port = 0;
+
+  ChildWorker() = default;
+  // Moving hands the process over; only the last owner kills it.
+  ChildWorker(ChildWorker&& other) noexcept
+      : pid(std::exchange(other.pid, -1)), port(other.port) {}
+
+  ~ChildWorker() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      int status = 0;
+      ::waitpid(pid, &status, 0);
+    }
+  }
+};
+
+inline ChildWorker SpawnDyingWorker(const std::string& qbt_path,
+                             const char* frames) {
+  int pipe_fds[2];
+  QARM_CHECK(::pipe(pipe_fds) == 0);
+  const pid_t pid = ::fork();
+  QARM_CHECK(pid >= 0);
+  if (pid == 0) {
+    ::close(pipe_fds[0]);
+    ::setenv("QARM_DIST_TEST_EXIT_AFTER_FRAMES", frames, 1);
+    WorkerServerOptions options;
+    options.qbt_path = qbt_path;
+    auto server = WorkerServer::Start(options);
+    if (!server.ok()) std::_Exit(3);
+    const uint16_t port = (*server)->port();
+    if (::write(pipe_fds[1], &port, sizeof(port)) != sizeof(port)) {
+      std::_Exit(3);
+    }
+    ::close(pipe_fds[1]);
+    for (;;) ::pause();  // the kill switch ends the process
+  }
+  ::close(pipe_fds[1]);
+  ChildWorker child;
+  child.pid = pid;
+  QARM_CHECK(::read(pipe_fds[0], &child.port, sizeof(child.port)) ==
+             static_cast<ssize_t>(sizeof(child.port)));
+  ::close(pipe_fds[0]);
+  return child;
 }
 
 }  // namespace disttest

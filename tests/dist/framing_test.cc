@@ -156,26 +156,43 @@ CountPlan EveryKindPlan() {
   return plan;
 }
 
-Result<CountPlan> ParsePlanBytes(const std::string& payload) {
+Result<DistCountRequest> ParseRequestBytes(const std::string& payload) {
   return ParseCountRequest(reinterpret_cast<const uint8_t*>(payload.data()),
                            payload.size());
+}
+
+// The plan of a count request, the range [0, 0) followed by `plan_bytes`.
+Result<CountPlan> ParsePlanBytes(const std::string& plan_bytes) {
+  QARM_ASSIGN_OR_RETURN(DistCountRequest request,
+                        ParseRequestBytes("\x00\x00"s + plan_bytes));
+  return std::move(request.plan);
+}
+
+// The count request codec as a function of one message, for the round
+// trips.
+void EncodeRequest(const DistCountRequest& request, std::string* out) {
+  EncodeCountRequest(request.blocks, request.plan, out);
 }
 
 TEST(DistMessagesTest, CountRequestRoundTripsAPlan) {
   const CountPlan plan = EveryKindPlan();
   std::string payload;
-  EncodeCountRequest(plan, &payload);
-  // The group count, then per group its kind, its dimensions and items
-  // (each a varint count and varints), and for counted groups the member
-  // count and, for member groups, the members' item ids, one per dimension
-  // (a varint count and varints).
+  EncodeCountRequest(IndexRange{2, 300}, plan, &payload);
+  // The block range, then the group count, then per group its kind, its
+  // dimensions and items (each a varint count and varints), and for
+  // counted groups the member count and, for member groups, the members'
+  // item ids, one per dimension (a varint count and varints).
   EXPECT_EQ(Hex(payload),
+            "02" "ac02"
             "03"
             "00" "00" "020307"
             "01" "020002" "0105" "ac02"
             "02" "020001" "00" "02" "04030904c801");
-  Result<CountPlan> parsed = ParsePlanBytes(payload);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Result<DistCountRequest> request = ParseRequestBytes(payload);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(request->blocks.begin, 2u);
+  EXPECT_EQ(request->blocks.end, 300u);
+  const CountPlan* parsed = &request->plan;
   ASSERT_EQ(parsed->groups.size(), 3u);
   for (size_t g = 0; g < 3; ++g) {
     const CounterGroup& want = plan.groups[g];
@@ -192,9 +209,9 @@ TEST(DistMessagesTest, CountRequestRoundTripsAPlan) {
 
 TEST(DistMessagesTest, CountRequestRejectsTruncationAndOverflowCounts) {
   std::string payload;
-  EncodeCountRequest(EveryKindPlan(), &payload);
+  EncodeCountRequest(IndexRange{2, 300}, EveryKindPlan(), &payload);
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(ParsePlanBytes(payload.substr(0, cut)).ok())
+    EXPECT_FALSE(ParseRequestBytes(payload.substr(0, cut)).ok())
         << "cut=" << cut;
   }
   // Hostile group and member counts far past the payload must not
@@ -261,6 +278,43 @@ TEST(DistMessagesTest, CountRequestRejectsNonCanonicalVarints) {
           .ok());
 }
 
+// A scan request's block range round-trips as two varints, and an
+// inverted one is refused by both requests before anything else is read.
+TEST(DistMessagesTest, RequestBlockRangesRoundTripAndInvertedOnesAreRefused) {
+  std::string payload;
+  EncodePass1Request(IndexRange{7, 1000}, &payload);
+  EXPECT_EQ(Hex(payload), "07" "e807");
+  Result<IndexRange> blocks = ParsePass1Request(
+      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
+  EXPECT_EQ(blocks->begin, 7u);
+  EXPECT_EQ(blocks->end, 1000u);
+  // Empty ranges are ranges; trailing bytes are not.
+  for (const std::string& bytes : {"\x05\x05"s, "\x00\x00\x00"s}) {
+    EXPECT_EQ(ParsePass1Request(
+                  reinterpret_cast<const uint8_t*>(bytes.data()),
+                  bytes.size())
+                  .ok(),
+              bytes.size() == 2)
+        << Hex(bytes);
+  }
+  const std::string inverted = "\x05\x04"s;
+  Result<IndexRange> pass1 = ParsePass1Request(
+      reinterpret_cast<const uint8_t*>(inverted.data()), inverted.size());
+  ASSERT_FALSE(pass1.ok());
+  EXPECT_EQ(pass1.status().code(), StatusCode::kIOError);
+  EXPECT_NE(pass1.status().ToString().find("[5, 4) is inverted"),
+            std::string::npos)
+      << pass1.status().ToString();
+  std::string good_plan;
+  EncodeCountRequest(IndexRange{}, EveryKindPlan(), &good_plan);
+  Result<DistCountRequest> count =
+      ParseRequestBytes(inverted + good_plan.substr(2));
+  ASSERT_FALSE(count.ok());
+  EXPECT_NE(count.status().ToString().find("inverted"), std::string::npos)
+      << count.status().ToString();
+}
+
 // The counters every reply seed of the frame corpus (and fuzz_frame's
 // selector 4) decodes into: a direct count, a 3x4 grid, three member counts
 // and a 5-cell grid.
@@ -312,11 +366,20 @@ void ExpectSeedRoundTrips(const char* name,
 TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
   ExpectSeedRoundTrips("hello_ok", &ParseHello, &EncodeHello);
   ExpectSeedRoundTrips("ack_ok", &ParseHelloAck, &EncodeHelloAck);
-  ExpectSeedRoundTrips("request_ok", &ParseCountRequest, &EncodeCountRequest);
+  ExpectSeedRoundTrips("request_ok", &ParseCountRequest, &EncodeRequest);
   // A protocol-5 member-rectangle group of the retired kind 3 is refused.
   const std::string kind_3 = SeedPayload("request_kind_3");
   ASSERT_FALSE(kind_3.empty());
-  EXPECT_FALSE(ParsePlanBytes(kind_3).ok());
+  Result<DistCountRequest> kind_3_parsed = ParseRequestBytes(kind_3);
+  ASSERT_FALSE(kind_3_parsed.ok());
+  EXPECT_NE(kind_3_parsed.status().ToString().find("kind 3"),
+            std::string::npos)
+      << kind_3_parsed.status().ToString();
+  // The range seeds: an inverted range is refused by the decoder, and one
+  // past any file's end decodes (the worker refuses it against its file).
+  EXPECT_FALSE(ParseRequestBytes(SeedPayload("request_range_inverted")).ok());
+  ExpectSeedRoundTrips("request_range_past_end", &ParseCountRequest,
+                       &EncodeRequest);
   ExpectSeedRoundTrips("snapshot_ok", &ParseShardSnapshot,
                        &EncodeShardSnapshot);
   ExpectSeedRoundTrips("catalog_ok", &ParseCheckpointCatalog,
@@ -338,8 +401,9 @@ TEST(DistMessagesTest, CorpusSeedsDecodeAndReencodeByteForByte) {
 TEST(DistMessagesTest, EarlierProtocolSeedsAreRejectedByVersion) {
   for (const auto& [name, version] :
        {std::pair{"hello_v1", 1}, {"hello_v2", 2}, {"hello_v3", 3},
-        {"hello_v4", 4}, {"hello_v5", 5}, {"ack_v1", 1}, {"ack_v2", 2},
-        {"ack_v3", 3}, {"ack_v4", 4}, {"ack_v5", 5}}) {
+        {"hello_v4", 4}, {"hello_v5", 5}, {"hello_v6", 6}, {"ack_v1", 1},
+        {"ack_v2", 2}, {"ack_v3", 3}, {"ack_v4", 4}, {"ack_v5", 5},
+        {"ack_v6", 6}}) {
     const std::string payload = SeedPayload(name);
     ASSERT_FALSE(payload.empty()) << name;
     const uint8_t* bytes = reinterpret_cast<const uint8_t*>(payload.data());

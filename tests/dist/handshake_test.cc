@@ -20,8 +20,6 @@ DistHello SampleHello() {
   DistHello hello;
   hello.worker_id = 3;
   hello.generation = 2;
-  hello.block_begin = 10;
-  hello.block_end = 14;
   hello.fingerprint = 0xabcdef0123456789ULL;
   hello.num_threads = 4;
   hello.counter_memory_budget_bytes = 1 << 20;
@@ -44,8 +42,6 @@ TEST(DistHandshakeTest, HelloRoundTripsEveryField) {
   EXPECT_EQ(parsed->version, kDistProtocolVersion);
   EXPECT_EQ(parsed->worker_id, 3u);
   EXPECT_EQ(parsed->generation, 2u);
-  EXPECT_EQ(parsed->block_begin, 10u);
-  EXPECT_EQ(parsed->block_end, 14u);
   EXPECT_EQ(parsed->fingerprint, hello.fingerprint);
   EXPECT_EQ(parsed->num_threads, 4u);
   EXPECT_EQ(parsed->counter_memory_budget_bytes, hello.counter_memory_budget_bytes);

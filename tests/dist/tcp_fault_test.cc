@@ -33,55 +33,12 @@
 namespace qarm {
 namespace {
 
+using disttest::ChildWorker;
 using disttest::DistCorpus;
 using disttest::FinancialCorpus;
 using disttest::MustMineStreamed;
+using disttest::SpawnDyingWorker;
 using testutil::SameRules;
-
-// A real worker-server process, forked with a kill-switch env var so its
-// first session dies like `kill -9` partway through the pass sequence.
-// Forked before any in-process server spawns threads.
-struct ChildWorker {
-  pid_t pid = -1;
-  uint16_t port = 0;
-
-  ~ChildWorker() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-    }
-  }
-};
-
-ChildWorker SpawnDyingWorker(const std::string& qbt_path,
-                             const char* frames) {
-  int pipe_fds[2];
-  QARM_CHECK(::pipe(pipe_fds) == 0);
-  const pid_t pid = ::fork();
-  QARM_CHECK(pid >= 0);
-  if (pid == 0) {
-    ::close(pipe_fds[0]);
-    ::setenv("QARM_DIST_TEST_EXIT_AFTER_FRAMES", frames, 1);
-    WorkerServerOptions options;
-    options.qbt_path = qbt_path;
-    auto server = WorkerServer::Start(options);
-    if (!server.ok()) std::_Exit(3);
-    const uint16_t port = (*server)->port();
-    if (::write(pipe_fds[1], &port, sizeof(port)) != sizeof(port)) {
-      std::_Exit(3);
-    }
-    ::close(pipe_fds[1]);
-    for (;;) ::pause();  // the kill switch ends the process
-  }
-  ::close(pipe_fds[1]);
-  ChildWorker child;
-  child.pid = pid;
-  QARM_CHECK(::read(pipe_fds[0], &child.port, sizeof(child.port)) ==
-             static_cast<ssize_t>(sizeof(child.port)));
-  ::close(pipe_fds[0]);
-  return child;
-}
 
 MinerOptions TcpOptions(const DistCorpus& corpus,
                         std::vector<std::string> endpoints) {

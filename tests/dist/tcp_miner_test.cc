@@ -232,7 +232,6 @@ TEST(TcpMinerTest, OversizedThreadCountIsAnsweredWithError) {
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   TcpTransport transport(*fd, 5000, 5000);
   DistHello hello;
-  hello.block_end = 1;
   hello.num_threads = MinerOptions::kMaxThreads + 1;
   std::string payload;
   EncodeHello(hello, &payload);
@@ -289,7 +288,6 @@ class CountSession {
     QARM_CHECK(fd.ok());
     transport_ = std::make_unique<TcpTransport>(*fd, 5000, 5000);
     DistHello hello;
-    hello.block_end = corpus.num_blocks;
     hello.num_threads = 1;
     hello.counter_memory_budget_bytes = counter_budget;
     std::string payload;
@@ -336,11 +334,22 @@ class CountSession {
     return -1;
   }
 
-  // Sends `plan` and returns the worker's answer.
+  // Sends `plan` over every block, or over `blocks`, and returns the
+  // worker's answer.
   Result<DistFrame> Count(const CountPlan& plan) {
+    return Count(plan, IndexRange{0, source_->num_blocks()});
+  }
+  Result<DistFrame> Count(const CountPlan& plan, const IndexRange& blocks) {
     std::string payload;
-    EncodeCountRequest(plan, &payload);
+    EncodeCountRequest(blocks, plan, &payload);
     QARM_RETURN_NOT_OK(Send(DistMessageType::kCountRequest, payload));
+    return RecvReply(*transport_);
+  }
+  // Asks for the value counts of `blocks` and returns the worker's answer.
+  Result<DistFrame> ScanValueCounts(const IndexRange& blocks) {
+    std::string payload;
+    EncodePass1Request(blocks, &payload);
+    QARM_RETURN_NOT_OK(Send(DistMessageType::kPass1Request, payload));
     return RecvReply(*transport_);
   }
 
@@ -423,6 +432,54 @@ TEST(TcpMinerTest, CountRequestWithUnknownItemIdIsAnsweredWithError) {
   CountPlan empty_second = session.GoodPlan();
   empty_second.groups.emplace_back();
   ExpectPlansRefused(session, {empty, empty_second}, "counts no item");
+}
+
+// A request's block range is input from outside the worker too: a pass-1
+// or count request whose range is inverted or runs past the file's blocks
+// is answered with kError before any block is read, and the session keeps
+// serving.
+TEST(TcpMinerTest, RequestBlockRangeInvertedOrPastTheFileIsAnsweredWithError) {
+  const DistCorpus& corpus = FinancialCorpus();
+  const ServerFleet fleet = StartFleet(corpus, 1);
+  CountSession session(fleet, corpus,
+                       MinerOptions().counter_memory_budget_bytes);
+  const size_t num_blocks = session.source().num_blocks();
+  ASSERT_GE(num_blocks, 2u);
+  const std::pair<IndexRange, const char*> cases[] = {
+      {IndexRange{2, 1}, "[2, 1) is inverted"},
+      {IndexRange{0, num_blocks + 1}, "runs past the"},
+      {IndexRange{num_blocks + 5, num_blocks + 5}, "runs past the"},
+  };
+  for (const auto& [blocks, what] : cases) {
+    SCOPED_TRACE(what);
+    Result<DistFrame> pass1 = session.ScanValueCounts(blocks);
+    ASSERT_TRUE(pass1.ok()) << pass1.status().ToString();
+    EXPECT_EQ(pass1->type, static_cast<uint32_t>(DistMessageType::kError));
+    EXPECT_NE(pass1->payload.find(what), std::string::npos) << pass1->payload;
+    Result<DistFrame> count = session.Count(session.GoodPlan(), blocks);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(count->type, static_cast<uint32_t>(DistMessageType::kError));
+    EXPECT_NE(count->payload.find(what), std::string::npos) << count->payload;
+  }
+  // The session still serves both requests over a good range: the last
+  // block alone.
+  const IndexRange last{num_blocks - 1, num_blocks};
+  Result<DistFrame> pass1 = session.ScanValueCounts(last);
+  ASSERT_TRUE(pass1.ok()) << pass1.status().ToString();
+  ASSERT_EQ(pass1->type, static_cast<uint32_t>(DistMessageType::kPass1Reply))
+      << pass1->payload;
+  Result<ShardSnapshot> snapshot = ParseShardSnapshot(
+      reinterpret_cast<const uint8_t*>(pass1->payload.data()),
+      pass1->payload.size());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->block_begin, last.begin);
+  EXPECT_EQ(snapshot->block_end, last.end);
+  const BlockRangeSource range(session.source(), last.begin, last.end);
+  EXPECT_EQ(snapshot->num_rows, range.num_rows());
+  Result<DistFrame> count = session.Count(session.GoodPlan(), last);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->type, static_cast<uint32_t>(DistMessageType::kCountReply))
+      << count->payload;
 }
 
 // A plan whose dimensions are not ranged attributes of the QBT is refused.
@@ -640,9 +697,6 @@ class LyingWorker {
     std::string payload;
     EncodeHelloAck(ack, &payload);
     QARM_RETURN_NOT_OK(Send(transport, DistMessageType::kHelloAck, payload));
-    const BlockRangeSource shard(*file_,
-                                 static_cast<size_t>(hello.block_begin),
-                                 static_cast<size_t>(hello.block_end));
     MinerOptions options;
     options.counter_memory_budget_bytes = hello.counter_memory_budget_bytes;
     std::optional<ItemCatalog> catalog;
@@ -653,11 +707,14 @@ class LyingWorker {
       payload.clear();
       switch (static_cast<DistMessageType>(frame.type)) {
         case DistMessageType::kPass1Request: {
+          QARM_ASSIGN_OR_RETURN(IndexRange blocks,
+                                ParsePass1Request(bytes, frame.payload.size()));
+          const BlockRangeSource shard(*file_, blocks.begin, blocks.end);
           ShardSnapshot snapshot;
           snapshot.fingerprint = hello.fingerprint;
           snapshot.worker_id = hello.worker_id;
-          snapshot.block_begin = hello.block_begin;
-          snapshot.block_end = hello.block_end;
+          snapshot.block_begin = blocks.begin;
+          snapshot.block_end = blocks.end;
           snapshot.num_rows = shard.num_rows();
           QARM_ASSIGN_OR_RETURN(snapshot.value_counts,
                                 ItemCatalog::ScanValueCounts(shard, 1));
@@ -677,11 +734,14 @@ class LyingWorker {
         }
         case DistMessageType::kCountRequest: {
           QARM_ASSIGN_OR_RETURN(
-              CountPlan plan, ParseCountRequest(bytes, frame.payload.size()));
+              DistCountRequest request,
+              ParseCountRequest(bytes, frame.payload.size()));
+          const BlockRangeSource shard(*file_, request.blocks.begin,
+                                       request.blocks.end);
           CountingStats stats;
           QARM_ASSIGN_OR_RETURN(
               PassCounters counters,
-              ScanCounters(shard, *catalog, plan, options, &stats));
+              ScanCounters(shard, *catalog, request.plan, options, &stats));
           corrupt_(&counters, shard.num_rows());
           DistCountReply reply;
           reply.worker_id = hello.worker_id;

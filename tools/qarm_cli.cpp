@@ -485,12 +485,6 @@ int RunCommand(int argc, char** argv, const std::string& command,
                  "shard QBT blocks)\n");
     return 2;
   }
-  if (!flags.worker_endpoints.empty() && flags.append) {
-    std::fprintf(stderr,
-                 "--worker=HOST:PORT does not combine with --append yet; "
-                 "use forked --workers for incremental runs\n");
-    return 2;
-  }
   if (flags.append && !qbt_mode) {
     std::fprintf(stderr,
                  "--append needs --input-qbt (incremental mining works "
@@ -515,22 +509,15 @@ int RunCommand(int argc, char** argv, const std::string& command,
   IncrementalDecision incremental;
   Result<MiningResult> result = [&]() -> Result<MiningResult> {
     if (qbt_mode) {
-      if (flags.append) {
-        // Route B/C fallbacks at --workers > 1 go through the distributed
-        // miner; the incremental delta passes always run in-process.
-        const FullMineFn full_mine =
-            [&](const MinerOptions& append_options) {
-              return MineDistributedQbt(flags.input_qbt, append_options);
-            };
-        return MineIncremental(flags.input_qbt, *options, &incremental,
-                               flags.workers > 1 ? full_mine : FullMineFn());
-      }
       if (flags.workers > 1 || !flags.worker_endpoints.empty()) {
         // MineDistributedQbt opens the file itself (coordinator + each
         // forked worker map their own views; TCP workers serve their own
-        // copies) and falls back to the plain path when the file has
-        // fewer blocks than workers.
-        return MineDistributedQbt(flags.input_qbt, *options);
+        // copies) and mines full or incremental runs on one pool.
+        return MineDistributedQbt(flags.input_qbt, *options,
+                                  flags.append ? &incremental : nullptr);
+      }
+      if (flags.append) {
+        return MineIncremental(flags.input_qbt, *options, &incremental);
       }
       QARM_ASSIGN_OR_RETURN(std::unique_ptr<QbtFileSource> source,
                             QbtFileSource::Open(flags.input_qbt));
