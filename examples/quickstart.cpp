@@ -6,8 +6,10 @@
 // Walks the five-step decomposition end to end and prints every frequent
 // itemset and rule, reproducing the paper's worked example.
 #include <cstdio>
+#include <string>
 
 #include "core/miner.h"
+#include "core/report.h"
 #include "core/rules.h"
 #include "table/datagen.h"
 
@@ -33,9 +35,12 @@ int main() {
 
   std::printf("Frequent itemsets (minimum support %.0f%%):\n",
               options.minsup * 100);
+  ItemLabels labels(&result->mapped.attributes());
   for (const FrequentRangeItemset& f : result->frequent_itemsets) {
-    std::printf("  %-45s support %.0f%% (%llu records)\n",
-                ItemsetToString(f.items, result->mapped).c_str(),
+    std::string items;
+    OutputWriter out(&items);
+    WriteItemsText(f.items, labels, &out);
+    std::printf("  %-45s support %.0f%% (%llu records)\n", items.c_str(),
                 f.support * 100,
                 static_cast<unsigned long long>(f.count));
   }

@@ -1,7 +1,5 @@
 #include "core/item.h"
 
-#include "common/string_util.h"
-
 namespace qarm {
 
 std::vector<int32_t> AttributesOf(const RangeItemset& itemset) {
@@ -55,23 +53,6 @@ bool BoxDifference(const RangeItemset& x, const RangeItemset& x_prime,
   *difference = x;
   (*difference)[differing] = diff_item;
   return true;
-}
-
-std::string ItemToString(const RangeItem& item, const MappedTable& table) {
-  const MappedAttribute& attr =
-      table.attribute(static_cast<size_t>(item.attr));
-  return StrFormat("<%s: %s>", attr.name.c_str(),
-                   attr.DecodeRange(item.lo, item.hi).c_str());
-}
-
-std::string ItemsetToString(const RangeItemset& itemset,
-                            const MappedTable& table) {
-  std::vector<std::string> parts;
-  parts.reserve(itemset.size());
-  for (const RangeItem& item : itemset) {
-    parts.push_back(ItemToString(item, table));
-  }
-  return Join(parts, " and ");
 }
 
 bool RecordSupports(const int32_t* record, const RangeItemset& itemset) {

@@ -7,10 +7,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "partition/mapped_table.h"
 
 namespace qarm {
 
@@ -61,11 +59,6 @@ bool IsStrictGeneralization(const RangeItemset& general,
 // "X - X' in I_R"). Returns false otherwise.
 bool BoxDifference(const RangeItemset& x, const RangeItemset& x_prime,
                    RangeItemset* difference);
-
-// Renders "<Age: 20..29> and <Married: Yes>" using decode metadata.
-std::string ItemToString(const RangeItem& item, const MappedTable& table);
-std::string ItemsetToString(const RangeItemset& itemset,
-                            const MappedTable& table);
 
 // True if the record (mapped values, one per attribute) supports the
 // itemset.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/string_util.h"
 
 namespace qarm {
 
@@ -28,13 +27,6 @@ std::vector<QuantRule> GenerateQuantRules(
         rule.confidence = view.confidence;
         return rule;
       });
-}
-
-std::string RuleToString(const QuantRule& rule, const MappedTable& table) {
-  return StrFormat("%s => %s (support %.1f%%, confidence %.1f%%)",
-                   ItemsetToString(rule.antecedent, table).c_str(),
-                   ItemsetToString(rule.consequent, table).c_str(),
-                   rule.support * 100.0, rule.confidence * 100.0);
 }
 
 }  // namespace qarm

@@ -39,8 +39,9 @@ std::vector<QuantRule> GenerateQuantRules(
     size_t num_records, double minconf, size_t num_threads = 1,
     size_t* threads_used = nullptr);
 
-// "<Age: 20..29> and <Married: Yes> => <NumCars: 2> (support 40%,
-//  confidence 100%)".
+// "<Age: 20..29> and <Married: Yes> => <NumCars: 2> (support 40.0%,
+//  confidence 100.0%)": one rule in the mine text syntax, a one-rule
+// convenience over the rule renderer (core/report.cc).
 std::string RuleToString(const QuantRule& rule, const MappedTable& table);
 
 }  // namespace qarm

@@ -5,7 +5,10 @@
 
 #include <utility>
 
+#include "dist/framing.h"
+#include "dist/messages.h"
 #include "dist/worker.h"
+#include "storage/record_source.h"
 
 namespace qarm {
 
@@ -13,7 +16,8 @@ Result<std::unique_ptr<WorkerServer>> WorkerServer::Start(
     const WorkerServerOptions& options) {
   std::unique_ptr<WorkerServer> server(new WorkerServer());
   server->options_ = options;
-  QARM_ASSIGN_OR_RETURN(server->file_, QbtFileSource::Open(options.qbt_path));
+  // A path that does not open fails here; each session opens its own view.
+  QARM_RETURN_NOT_OK(QbtFileSource::Open(options.qbt_path).status());
   QARM_ASSIGN_OR_RETURN(
       server->listen_fd_,
       TcpListen(options.host, options.port, &server->port_));
@@ -66,8 +70,18 @@ void WorkerServer::AcceptLoop(int listen_fd) {
     // A failed handshake or a session ended by EOF/reset closes only this
     // connection; the server lives on.
     session.thread = std::thread([this, transport] {
+      // The session maps the file as it is now, so a server started before
+      // `qarm append` serves the grown file to the next run.
+      Result<std::unique_ptr<QbtFileSource>> file =
+          QbtFileSource::Open(options_.qbt_path);
+      if (!file.ok()) {
+        (void)SendFrame(*transport,
+                        static_cast<uint32_t>(DistMessageType::kError),
+                        file.status().ToString());
+        return;
+      }
       const Status served =
-          ServeConnection(*transport, *file_, &sessions_served_);
+          ServeConnection(*transport, **file, &sessions_served_);
       (void)served;
     });
     sessions_.push_back(std::move(session));

@@ -1,10 +1,11 @@
 // The `qarm worker` process: listens on a TCP port, and serves one mining
 // session (dist/worker.h ServeConnection, the same session a forked worker
-// runs) per accepted connection. The server
-// opens its QBT once at startup and shares the mmap across sessions —
-// concurrent sessions are how shard redistribution works: when another
-// worker dies, the coordinator connects a second session to a survivor
-// carrying the dead worker's shard assignment in the Hello.
+// runs) per accepted connection. Each session opens the QBT when it starts,
+// so a server left running across `qarm append` serves the grown file to
+// the next run. Sessions may run concurrently — that is how shard
+// redistribution works: when another worker dies, the coordinator connects
+// a second session to a survivor, and its requests name the dead worker's
+// blocks.
 //
 // Connection lifecycle (ServeConnection):
 //   accept -> RecvFrame (must be kHello) -> ParseHello -> arm faults and
@@ -29,7 +30,6 @@
 
 #include "common/status.h"
 #include "dist/transport.h"
-#include "storage/record_source.h"
 
 namespace qarm {
 
@@ -43,7 +43,8 @@ struct WorkerServerOptions {
 
 class WorkerServer {
  public:
-  // Opens the QBT, binds the listener, and starts the accept thread.
+  // Checks that the QBT opens, binds the listener, and starts the accept
+  // thread.
   static Result<std::unique_ptr<WorkerServer>> Start(
       const WorkerServerOptions& options);
 
@@ -64,7 +65,6 @@ class WorkerServer {
   void AcceptLoop(int listen_fd);
 
   WorkerServerOptions options_;
-  std::unique_ptr<QbtFileSource> file_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::thread accept_thread_;

@@ -73,12 +73,6 @@ struct MappedAttribute {
   }
 };
 
-// Appends the JSON object of the item `attr` in mapped range [lo, hi]:
-// attribute, kind, lo/hi (raw bounds) or value (label), and display text.
-// The report writer and the rule server render items through this.
-void AppendItemJson(const MappedAttribute& attr, int32_t lo, int32_t hi,
-                    std::string* out);
-
 // Column-major matrix of mapped integer values plus decode metadata:
 // attribute a's values are one contiguous run of num_rows() integers, the
 // layout of the raw Table's columns and of every QBT block. Scans read the

@@ -35,26 +35,6 @@ std::string MappedAttribute::DecodeRange(int32_t lo, int32_t hi) const {
   return RawInterval(lo, hi).ToString();
 }
 
-void AppendItemJson(const MappedAttribute& attr, int32_t lo, int32_t hi,
-                    std::string* out) {
-  const std::string display = attr.DecodeRange(lo, hi);
-  *out += "{\"attribute\":";
-  *out += JsonEscape(attr.name);
-  if (attr.kind == AttributeKind::kQuantitative) {
-    const Interval raw = attr.RawInterval(lo, hi);
-    *out += ",\"kind\":\"quantitative\",\"lo\":";
-    *out += FormatDouble(raw.lo);
-    *out += ",\"hi\":";
-    *out += FormatDouble(raw.hi);
-  } else {
-    *out += ",\"kind\":\"categorical\",\"value\":";
-    *out += JsonEscape(display);
-  }
-  *out += ",\"display\":";
-  *out += JsonEscape(display);
-  *out += '}';
-}
-
 MappedTable::MappedTable(std::vector<MappedAttribute> attributes,
                          size_t num_rows)
     : attributes_(std::move(attributes)),

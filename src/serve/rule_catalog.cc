@@ -71,7 +71,8 @@ void RuleCatalog::BuildIndexes(const RuleCatalogOptions& options) {
 
   // --- Interval index ------------------------------------------------------
   // Pass 1 over the rules: per attribute, how many (rule, side) entries and
-  // how many grid cells (sum of item widths) they would cost.
+  // how many grid cells (sum of item widths) they would cost. Each item is
+  // labelled here too, so serving threads only read the label table.
   std::vector<size_t> attr_entries(num_attrs, 0);
   std::vector<size_t> attr_cells(num_attrs, 0);
   auto tally = [&](const std::vector<StoredItem>& side) {
@@ -80,6 +81,7 @@ void RuleCatalog::BuildIndexes(const RuleCatalogOptions& options) {
       ++attr_entries[a];
       attr_cells[a] +=
           static_cast<size_t>(item.hi) - static_cast<size_t>(item.lo) + 1;
+      labels_.Get(item.attr, item.lo, item.hi);
     }
   };
   for (const StoredRule& rule : rules) {

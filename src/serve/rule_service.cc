@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/output_writer.h"
 #include "common/string_util.h"
+#include "core/report.h"
 #include "storage/stats_fields.h"
 
 namespace qarm {
@@ -110,33 +112,6 @@ std::string RuleService::CanonicalKey(const HttpRequest& request) {
   return key;
 }
 
-std::string RuleService::RuleToJson(uint32_t rule_id) const {
-  const StoredRule& rule = catalog_->rules()[rule_id];
-  const std::vector<MappedAttribute>& attrs = catalog_->attributes();
-  std::string out = StrFormat("{\"id\":%u,\"antecedent\":", rule_id);
-  auto append_side = [&](const std::vector<StoredItem>& side) {
-    out += '[';
-    for (size_t i = 0; i < side.size(); ++i) {
-      if (i > 0) out += ',';
-      AppendItemJson(attrs[static_cast<size_t>(side[i].attr)], side[i].lo,
-                     side[i].hi, &out);
-    }
-    out += ']';
-  };
-  append_side(rule.antecedent);
-  out += ",\"consequent\":";
-  append_side(rule.consequent);
-  out += StrFormat(
-      ",\"support\":%s,\"confidence\":%s,\"lift\":%s,\"count\":%llu,"
-      "\"interesting\":%s}",
-      FormatDouble(rule.support).c_str(),
-      FormatDouble(rule.confidence).c_str(),
-      FormatDouble(rule.lift).c_str(),
-      static_cast<unsigned long long>(rule.count),
-      rule.interesting ? "true" : "false");
-  return out;
-}
-
 HttpResponse RuleService::Handle(const HttpRequest& request) {
   HttpResponse response;
   if (request.path == "/match") {
@@ -191,16 +166,10 @@ HttpResponse RuleService::HandleMatch(const Params& params) {
   thread_local MatchScratch scratch;
   std::vector<uint32_t> matched;
   catalog_->MatchRules(*record, mode, &scratch, &matched);
-
-  std::string body =
-      StrFormat("{\"count\":%zu,\"rules\":[", matched.size());
-  const size_t shown = std::min(matched.size(), *limit);
-  for (size_t i = 0; i < shown; ++i) {
-    if (i > 0) body += ',';
-    body += RuleToJson(matched[i]);
-  }
-  body += "]}";
-  return JsonOk(std::move(body));
+  const size_t total = matched.size();
+  matched.resize(std::min(matched.size(), *limit));
+  return RulesBody(StrFormat("{\"count\":%zu,\"rules\":[", total),
+                   matched);
 }
 
 HttpResponse RuleService::HandleTopK(const Params& params) {
@@ -224,14 +193,9 @@ HttpResponse RuleService::HandleTopK(const Params& params) {
   }
   const std::vector<uint32_t> top =
       catalog_->TopK(measure, attr, *k, BoolParam(params, "interesting"));
-  std::string body = StrFormat("{\"metric\":\"%s\",\"count\":%zu,\"rules\":[",
-                               RankMeasureName(measure), top.size());
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) body += ',';
-    body += RuleToJson(top[i]);
-  }
-  body += "]}";
-  return JsonOk(std::move(body));
+  return RulesBody(StrFormat("{\"metric\":\"%s\",\"count\":%zu,\"rules\":[",
+                             RankMeasureName(measure), top.size()),
+                   top);
 }
 
 HttpResponse RuleService::HandleRules(const Params& params) {
@@ -260,15 +224,24 @@ HttpResponse RuleService::HandleRules(const Params& params) {
   size_t total = 0;
   const std::vector<uint32_t> page =
       catalog_->Browse(filter, *offset, *limit, &total);
-  std::string body = StrFormat(
-      "{\"total\":%zu,\"offset\":%zu,\"limit\":%zu,\"rules\":[", total,
-      *offset, *limit);
-  for (size_t i = 0; i < page.size(); ++i) {
-    if (i > 0) body += ',';
-    body += RuleToJson(page[i]);
+  return RulesBody(
+      StrFormat("{\"total\":%zu,\"offset\":%zu,\"limit\":%zu,\"rules\":[",
+                total, *offset, *limit),
+      page);
+}
+
+HttpResponse RuleService::RulesBody(const std::string& head,
+                                    const std::vector<uint32_t>& ids) const {
+  HttpResponse response;
+  OutputWriter out(&response.body);
+  out.Write(head);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out.Write(',');
+    WriteStoredRuleJson(ids[i], catalog_->rules()[ids[i]], catalog_->labels(),
+                        &out);
   }
-  body += "]}";
-  return JsonOk(std::move(body));
+  out.Write("]}");
+  return response;
 }
 
 HttpResponse RuleService::HandleStatz() {

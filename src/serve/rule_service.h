@@ -60,9 +60,6 @@ class RuleService {
     return cache_manager_.get();
   }
 
-  // Renders one rule as a JSON object (shared with `qarm rules dump`).
-  std::string RuleToJson(uint32_t rule_id) const;
-
  private:
   HttpResponse HandleMatch(
       const std::vector<std::pair<std::string, std::string>>& params);
@@ -71,6 +68,10 @@ class RuleService {
   HttpResponse HandleRules(
       const std::vector<std::pair<std::string, std::string>>& params);
   HttpResponse HandleStatz();
+  // A 200 response: `head`, the JSON object of each rule in `ids`
+  // (core/report.h), comma-separated, and "]}".
+  HttpResponse RulesBody(const std::string& head,
+                         const std::vector<uint32_t>& ids) const;
 
   std::shared_ptr<const RuleCatalog> catalog_;
   std::unique_ptr<ResultCacheManager> cache_manager_;

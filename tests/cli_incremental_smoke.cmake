@@ -106,19 +106,16 @@ foreach(threads 1 4)
   endforeach()
 endforeach()
 
-# TCP leg: `mine --append --worker=HOST:PORT` scans the delta on a `qarm
-# worker` server, started on the grown file (a server started before the
-# append is refused at the handshake), and must print the from-scratch
-# rules.
+# TCP leg: one `qarm worker` server runs through `qarm append`. A first
+# `mine --append --worker=HOST:PORT` mines the base file on it (leaving the
+# base checkpoint); after the append, the same running server scans the
+# delta, and the run must print the from-scratch rules.
 set(tcp_qbt "${WORK_DIR}/inc_tcp.qbt")
 set(tcp_qcp "${WORK_DIR}/inc_tcp.qcp")
 set(tcp_port_file "${WORK_DIR}/inc_tcp_worker.port")
 set(tcp_pid_file "${WORK_DIR}/inc_tcp_worker.pid")
-file(REMOVE "${tcp_port_file}" "${tcp_pid_file}")
+file(REMOVE "${tcp_port_file}" "${tcp_pid_file}" "${tcp_qcp}")
 run_or_die(ignored ${CMAKE_COMMAND} -E copy ${QBT}.base ${tcp_qbt})
-run_or_die(ignored ${CMAKE_COMMAND} -E copy ${QCP}.base ${tcp_qcp})
-run_or_die(ignored ${QARM} append --input=${DELTA} --schema=${SCHEMA}
-  --output=${tcp_qbt})
 # The server self-stops after 120 s as a backstop.
 execute_process(
   COMMAND sh -c "'${QARM}' worker --listen=127.0.0.1:0 \
@@ -141,15 +138,23 @@ endforeach()
 if(tcp_port STREQUAL "")
   message(FATAL_ERROR "the incremental TCP worker never wrote its port")
 endif()
-execute_process(
-  COMMAND ${QARM} --input-qbt=${tcp_qbt} ${MINE_FLAGS}
-    --checkpoint=${tcp_qcp} --append --format=csv --threads=2
-    --worker=127.0.0.1:${tcp_port}
-  OUTPUT_VARIABLE tcp_rules ERROR_VARIABLE tcp_err RESULT_VARIABLE rc)
+set(tcp_mine ${QARM} --input-qbt=${tcp_qbt} ${MINE_FLAGS}
+  --checkpoint=${tcp_qcp} --append --format=csv --threads=2
+  --worker=127.0.0.1:${tcp_port})
+execute_process(COMMAND ${tcp_mine}
+  OUTPUT_QUIET ERROR_VARIABLE tcp_err RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  execute_process(COMMAND ${QARM} append --input=${DELTA} --schema=${SCHEMA}
+    --output=${tcp_qbt} OUTPUT_QUIET ERROR_VARIABLE tcp_err RESULT_VARIABLE rc)
+endif()
+if(rc EQUAL 0)
+  execute_process(COMMAND ${tcp_mine}
+    OUTPUT_VARIABLE tcp_rules ERROR_VARIABLE tcp_err RESULT_VARIABLE rc)
+endif()
 execute_process(
   COMMAND sh -c "kill -TERM $(cat '${tcp_pid_file}') 2>/dev/null; true")
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "mine --append --worker exited with ${rc}:\n${tcp_err}")
+  message(FATAL_ERROR "the TCP leg exited with ${rc}:\n${tcp_err}")
 endif()
 if(NOT tcp_err MATCHES "# incremental: base=")
   message(FATAL_ERROR

@@ -113,10 +113,10 @@ TEST(RecordSupportsTest, Basic) {
 TEST(ItemToStringTest, RendersWithDecode) {
   MappedTable table = MakeMappedTable(
       {QuantAttr("Age", 5), CatAttr("Married", {"No", "Yes"})}, {});
-  EXPECT_EQ(ItemToString(RangeItem{0, 1, 3}, table), "<Age: 1..3>");
-  EXPECT_EQ(ItemToString(RangeItem{1, 1, 1}, table), "<Married: Yes>");
+  EXPECT_EQ(testutil::ItemsText({{0, 1, 3}}, table), "<Age: 1..3>");
+  EXPECT_EQ(testutil::ItemsText({{1, 1, 1}}, table), "<Married: Yes>");
   RangeItemset itemset = {{0, 1, 3}, {1, 0, 0}};
-  EXPECT_EQ(ItemsetToString(itemset, table),
+  EXPECT_EQ(testutil::ItemsText(itemset, table),
             "<Age: 1..3> and <Married: No>");
 }
 

@@ -109,7 +109,7 @@ TEST(KCompletenessPropertyTest, Lemma3ItemsetsAndLemma1Rules) {
       }
     }
     EXPECT_TRUE(covered) << "no K-close generalization for "
-                         << ItemsetToString(f.items, raw->mapped);
+                         << testutil::ItemsText(f.items, raw->mapped);
     ++checked;
   }
   EXPECT_GT(checked, 50u);  // the property was exercised non-trivially

@@ -14,7 +14,7 @@ namespace {
 const FrequentRangeItemset* FindItemset(const MiningResult& result,
                                         const std::string& rendered) {
   for (const FrequentRangeItemset& f : result.frequent_itemsets) {
-    if (ItemsetToString(f.items, result.mapped) == rendered) return &f;
+    if (testutil::ItemsText(f.items, result.mapped) == rendered) return &f;
   }
   return nullptr;
 }

@@ -94,7 +94,7 @@ TEST(MissingValuesTest, SupportFractionsShrinkWithNulls) {
   auto support_of_lo = [](const MiningResult& result) {
     for (const FrequentRangeItemset& f : result.frequent_itemsets) {
       if (f.items.size() == 1 && f.items[0].attr == 1 &&
-          ItemsetToString(f.items, result.mapped) == "<c: lo>") {
+          testutil::ItemsText(f.items, result.mapped) == "<c: lo>") {
         return f.support;
       }
     }

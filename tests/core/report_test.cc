@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cpu_dispatch.h"
+#include "common/output_writer.h"
 #include "core/miner.h"
 #include "table/csv.h"
 #include "table/datagen.h"
@@ -22,6 +23,26 @@ MiningResult MinePeople() {
   options.num_intervals_override = 4;
   QuantitativeRuleMiner miner(options);
   return std::move(miner.Mine(MakePeopleTable())).value();
+}
+
+// `result` in `format`, rendered through a string sink.
+std::string Render(const MiningResult& result, RuleFormat format,
+                   bool interesting_only = false) {
+  RuleOutputOptions options;
+  options.format = format;
+  options.interesting_only = interesting_only;
+  std::string bytes;
+  OutputWriter out(&bytes);
+  WriteMiningResult(result, options, &out);
+  EXPECT_TRUE(out.Finish().ok());
+  return bytes;
+}
+
+// `rules` over `mapped` as CSV.
+std::string RulesCsv(std::vector<QuantRule> rules, MappedTable mapped) {
+  MiningResult result(std::move(mapped));
+  result.rules = std::move(rules);
+  return Render(result, RuleFormat::kCsv);
 }
 
 TEST(RuleToJsonTest, ContainsFields) {
@@ -83,7 +104,7 @@ TEST(RuleToJsonTest, QuantitativeItemHasBounds) {
 
 TEST(MiningResultToJsonTest, WellFormedBraces) {
   MiningResult result = MinePeople();
-  std::string json = MiningResultToJson(result);
+  std::string json = Render(result, RuleFormat::kJson);
   // Balanced braces/brackets (a cheap well-formedness proxy).
   int braces = 0, brackets = 0;
   bool in_string = false;
@@ -121,8 +142,8 @@ TEST(MiningResultToJsonTest, InterestingOnlyFilters) {
   QuantitativeRuleMiner miner(options);
   auto result = miner.Mine(data);
   ASSERT_TRUE(result.ok());
-  std::string all = MiningResultToJson(*result, false);
-  std::string filtered = MiningResultToJson(*result, true);
+  std::string all = Render(*result, RuleFormat::kJson, false);
+  std::string filtered = Render(*result, RuleFormat::kJson, true);
   EXPECT_LT(filtered.size(), all.size());
   EXPECT_EQ(filtered.find("\"interesting\":false"), std::string::npos);
 }
@@ -315,7 +336,7 @@ TEST(StatsJsonTest, EndpointIsEscaped) {
 
 TEST(RulesToCsvTest, HeaderAndRows) {
   MiningResult result = MinePeople();
-  std::string csv = RulesToCsv(result.rules, result.mapped);
+  std::string csv = Render(result, RuleFormat::kCsv);
   EXPECT_EQ(csv.rfind(
                 "antecedent,consequent,support,confidence,count,interesting\n",
                 0),
@@ -342,7 +363,7 @@ TEST(RulesToCsvTest, QuotesFieldsWithCommas) {
   QuantRule rule;
   rule.antecedent = {RangeItem{0, 0, 0}};
   rule.consequent = {RangeItem{0, 0, 0}};
-  std::string csv = RulesToCsv({rule}, mapped);
+  std::string csv = RulesCsv({rule}, std::move(mapped));
   EXPECT_NE(csv.find("\"<city: San Jose, CA>\""), std::string::npos);
 }
 
@@ -364,7 +385,7 @@ TEST(RulesToCsvTest, LabelWithCarriageReturnReadsBackAsOneRow) {
   QuantRule second;
   second.antecedent = {RangeItem{0, 1, 1}};
   second.consequent = {RangeItem{0, 0, 0}};
-  const std::string csv = RulesToCsv({first, second}, mapped);
+  const std::string csv = RulesCsv({first, second}, std::move(mapped));
   const Schema schema =
       Schema::Parse("antecedent:cat,consequent:cat,support:quant:double,"
                     "confidence:quant:double,count:quant,interesting:cat")

@@ -124,8 +124,8 @@ TEST_P(RuleCompletenessTest, MinerMatchesBruteForce) {
   for (const RuleKey& key : expected) {
     EXPECT_TRUE(mined.count(key) > 0)
         << "missing rule "
-        << ItemsetToString(key.first, result.mapped) << " => "
-        << ItemsetToString(key.second, result.mapped);
+        << testutil::ItemsText(key.first, result.mapped) << " => "
+        << testutil::ItemsText(key.second, result.mapped);
   }
 }
 

@@ -60,7 +60,6 @@ std::string TempPath(const std::string& name) {
 // what every incremental run over it must reproduce.
 struct GrownFile {
   std::string qbt;
-  std::string pre_append_qbt;   // the file as the base run mined it
   std::string base_checkpoint;  // the base run's complete checkpoint
   MinerOptions options;
   size_t base_blocks = 0;
@@ -101,7 +100,6 @@ GrownFile MakeGrownFile(const std::string& tag, const MappedTable& delta,
                         double minsup) {
   GrownFile grown;
   grown.qbt = TempPath(tag + ".qbt");
-  grown.pre_append_qbt = TempPath(tag + "_pre_append.qbt");
   grown.base_checkpoint = TempPath(tag + "_base.qcp");
   grown.options = BaseOptions(minsup);
   QARM_CHECK(WriteQbt(MakeCyclingTable(kBaseRows), grown.qbt,
@@ -111,9 +109,6 @@ GrownFile MakeGrownFile(const std::string& tag, const MappedTable& delta,
   MinerOptions base_options = grown.options;
   base_options.checkpoint_path = grown.base_checkpoint;
   QARM_CHECK(MineIncremental(grown.qbt, base_options).ok());
-  std::filesystem::copy_file(
-      grown.qbt, grown.pre_append_qbt,
-      std::filesystem::copy_options::overwrite_existing);
   grown.base_blocks = QbtFileSource::Open(grown.qbt).value()->num_blocks();
   QARM_CHECK(AppendQbt(delta, grown.qbt).ok());
   grown.total_blocks = QbtFileSource::Open(grown.qbt).value()->num_blocks();
@@ -383,26 +378,41 @@ TEST(IncrementalDistTest, DeltaOfOneBlockScansOnOneOfFourWorkers) {
   }
 }
 
-// A `qarm worker` still serving the file as it was before `qarm append` is
-// refused at the handshake, not found out by its counts.
-TEST(IncrementalDistTest, WorkerOnThePreAppendFileIsRefusedAtHandshake) {
-  const GrownFile& grown = SameProportions();
-  const std::vector<std::unique_ptr<WorkerServer>> stale =
-      StartServers(grown.pre_append_qbt, 1);
-  MinerOptions options = grown.options;
-  options.worker_endpoints = {Endpoint(stale[0]->port())};
-  IncrementalDecision decision;
-  const Result<MiningResult> got =
-      MineFromBase(grown, options, "stale", &decision);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
-  const std::string message = got.status().ToString();
-  EXPECT_NE(message.find("serves a different QBT"), std::string::npos)
-      << message;
-  EXPECT_NE(message.find("blocks " + std::to_string(grown.base_blocks) +
-                         " vs " + std::to_string(grown.total_blocks)),
-            std::string::npos)
-      << message;
+// `qarm worker` servers started on the base file keep running through
+// `qarm append`: the next incremental run mines the grown file on the same
+// servers, to the from-scratch rules.
+TEST(IncrementalDistTest, RunningWorkerFollowsAnAppend) {
+  const std::string qbt = TempPath("follow.qbt");
+  QARM_CHECK(WriteQbt(MakeCyclingTable(kBaseRows), qbt,
+                      {/*rows_per_block=*/kRowsPerBlock})
+                 .ok());
+  const std::vector<std::unique_ptr<WorkerServer>> servers =
+      StartServers(qbt, 2);
+  MinerOptions options = BaseOptions(/*minsup=*/0.03);
+  options.checkpoint_path = TempPath("follow.qcp");
+  std::remove(options.checkpoint_path.c_str());
+  for (const auto& server : servers) {
+    options.worker_endpoints.push_back(Endpoint(server->port()));
+  }
+  IncrementalDecision base;
+  ASSERT_TRUE(MineDistributedQbt(qbt, options, &base).ok());
+  EXPECT_FALSE(base.incremental);
+
+  ASSERT_TRUE(AppendQbt(MakeCyclingTable(18 * 8), qbt).ok());
+  IncrementalDecision grown;
+  const Result<MiningResult> got = MineDistributedQbt(qbt, options, &grown);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(grown.incremental) << grown.reason;
+  EXPECT_EQ(grown.delta_blocks, 3u);
+  EXPECT_GE(grown.passes_merged, 2u);
+
+  auto source = QbtFileSource::Open(qbt);
+  ASSERT_TRUE(source.ok());
+  const Result<MiningResult> flat =
+      QuantitativeRuleMiner(BaseOptions(0.03)).MineStreamed(**source);
+  ASSERT_TRUE(flat.ok());
+  ASSERT_FALSE(flat->rules.empty());
+  EXPECT_TRUE(SameRules(*got, *flat));
 }
 
 }  // namespace

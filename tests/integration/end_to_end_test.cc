@@ -58,7 +58,7 @@ TEST(EndToEndTest, CategoricalOnlyMatchesBooleanApriori) {
   // Compare frequent itemsets as (rendered, count) sets.
   std::set<std::pair<std::string, uint64_t>> quant_sets, bool_sets;
   for (const FrequentRangeItemset& f : result.frequent_itemsets) {
-    quant_sets.insert({ItemsetToString(f.items, result.mapped), f.count});
+    quant_sets.insert({testutil::ItemsText(f.items, result.mapped), f.count});
   }
   BooleanEncoding encoding(*mapped);
   for (const FrequentItemset& f : bridge.itemsets) {
@@ -68,7 +68,7 @@ TEST(EndToEndTest, CategoricalOnlyMatchesBooleanApriori) {
       int32_t v = encoding.ValueOf(item);
       decoded.push_back(RangeItem{attr, v, v});
     }
-    bool_sets.insert({ItemsetToString(decoded, result.mapped), f.count});
+    bool_sets.insert({testutil::ItemsText(decoded, result.mapped), f.count});
   }
   EXPECT_EQ(quant_sets, bool_sets);
   EXPECT_EQ(result.rules.size(), bridge.rules.size());

@@ -8,21 +8,35 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/output_writer.h"
 #include "core/item.h"
 #include "core/miner.h"
 #include "core/report.h"
 #include "core/rules.h"
 #include "mining/apriori.h"
+#include "partition/item_labels.h"
 #include "partition/mapped_table.h"
 #include "storage/attr_metadata.h"
 #include "table/table.h"
 
 namespace qarm {
 namespace testutil {
+
+// An itemset in the mine text syntax, "<Age: 1..3> and <Married: No>",
+// through the rule renderer.
+inline std::string ItemsText(const RangeItemset& items,
+                             const MappedTable& table) {
+  ItemLabels labels(&table.attributes());
+  std::string text;
+  OutputWriter out(&text);
+  WriteItemsText(items, labels, &out);
+  return text;
+}
 
 // Row r of a mapped table as one record (num_attributes() values).
 inline std::vector<int32_t> RecordAt(const MappedTable& table, size_t r) {

@@ -37,12 +37,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/output_writer.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/incremental_miner.h"
 #include "core/miner.h"
 #include "core/report.h"
-#include "core/rules.h"
 #include "core/rules_export.h"
 #include "dist/dist_miner.h"
 #include "dist/worker_registry.h"
@@ -211,34 +211,13 @@ int RunGen(const CliFlags& flags) {
   return 0;
 }
 
-// One rule as display text: "Age[20..29] AND Married=Yes => NumCars[0..2]
-// (conf 71.2%, sup 12.3%, lift 1.35, count 123)".
-std::string StoredRuleToText(const StoredRule& rule,
-                             const std::vector<MappedAttribute>& attrs) {
-  auto side_text = [&](const std::vector<StoredItem>& side) {
-    std::string out;
-    for (size_t i = 0; i < side.size(); ++i) {
-      if (i > 0) out += " AND ";
-      const StoredItem& item = side[i];
-      const MappedAttribute& attr = attrs[static_cast<size_t>(item.attr)];
-      if (attr.kind == AttributeKind::kQuantitative) {
-        out += attr.name + "[" + attr.DecodeRange(item.lo, item.hi) + "]";
-      } else {
-        out += attr.name + "=" + attr.DecodeRange(item.lo, item.hi);
-      }
-    }
-    return out;
-  };
-  std::string out = side_text(rule.antecedent);
-  out += " => ";
-  out += side_text(rule.consequent);
-  out += StrFormat(" (conf %.1f%%, sup %.1f%%", rule.confidence * 100,
-                   rule.support * 100);
-  if (rule.lift > 0) out += StrFormat(", lift %.2f", rule.lift);
-  out += StrFormat(", count %llu)",
-                   static_cast<unsigned long long>(rule.count));
-  if (rule.interesting) out += "  [interesting]";
-  return out;
+// Flushes a command's rule output: `exit_code` once every byte is written,
+// else 1 with "cannot write output: ..." (a full disk, a closed pipe).
+int FinishOutput(OutputWriter* out, int exit_code) {
+  const Status status = out->Finish();
+  if (status.ok()) return exit_code;
+  std::fprintf(stderr, "cannot write output: %s\n", status.message().c_str());
+  return 1;
 }
 
 // `qarm rules dump FILE.qrs`: inspect a rule-set file with the same
@@ -271,18 +250,17 @@ int RunRulesDump(const CliFlags& flags) {
   size_t total = 0;
   const std::vector<uint32_t> selected = (*catalog)->Browse(
       filter, 0, std::numeric_limits<size_t>::max(), &total);
+  OutputWriter out(stdout);
   if (flags.format == "json") {
-    RuleServiceOptions service_options;
-    service_options.cache_bytes = 0;
-    RuleService service(*catalog, service_options);
-    std::printf("{\"file\":\"%s\",\"num_rules\":%zu,\"selected\":%zu,"
-                "\"rules\":[",
-                path.c_str(), (*catalog)->rules().size(), total);
+    out.Format("{\"file\":\"%s\",\"num_rules\":%zu,\"selected\":%zu,"
+               "\"rules\":[",
+               path.c_str(), (*catalog)->rules().size(), total);
     for (size_t i = 0; i < selected.size(); ++i) {
-      std::printf("%s%s", i > 0 ? "," : "",
-                  service.RuleToJson(selected[i]).c_str());
+      if (i > 0) out.Write(',');
+      WriteStoredRuleJson(selected[i], (*catalog)->rules()[selected[i]],
+                          (*catalog)->labels(), &out);
     }
-    std::printf("]}\n");
+    out.Write("]}\n");
   } else {
     std::fprintf(stderr,
                  "# %s: %zu rules over %zu attributes, %llu records "
@@ -292,13 +270,11 @@ int RunRulesDump(const CliFlags& flags) {
                  static_cast<unsigned long long>((*catalog)->num_records()),
                  (*catalog)->minsup(), (*catalog)->minconf(), total);
     for (uint32_t rule_id : selected) {
-      std::printf("%s\n",
-                  StoredRuleToText((*catalog)->rules()[rule_id],
-                                   (*catalog)->attributes())
-                      .c_str());
+      WriteStoredRuleText((*catalog)->rules()[rule_id], (*catalog)->labels(),
+                          &out);
     }
   }
-  return 0;
+  return FinishOutput(&out, 0);
 }
 
 // `qarm worker`: serve QBT shards to a remote mining coordinator until
@@ -504,28 +480,17 @@ int RunCommand(int argc, char** argv, const std::string& command,
     options->cancel_flag = &g_interrupted;
     std::signal(SIGINT, HandleSigint);
   }
-  QuantitativeRuleMiner miner(*options);
-
   IncrementalDecision incremental;
   Result<MiningResult> result = [&]() -> Result<MiningResult> {
     if (qbt_mode) {
-      if (flags.workers > 1 || !flags.worker_endpoints.empty()) {
-        // MineDistributedQbt opens the file itself (coordinator + each
-        // forked worker map their own views; TCP workers serve their own
-        // copies) and mines full or incremental runs on one pool.
-        return MineDistributedQbt(flags.input_qbt, *options,
-                                  flags.append ? &incremental : nullptr);
-      }
-      if (flags.append) {
-        return MineIncremental(flags.input_qbt, *options, &incremental);
-      }
-      QARM_ASSIGN_OR_RETURN(std::unique_ptr<QbtFileSource> source,
-                            QbtFileSource::Open(flags.input_qbt));
-      return miner.MineStreamed(*source);
+      // MineDistributedQbt opens the file itself and mines full or
+      // incremental runs, in process or on the workers the options name.
+      return MineDistributedQbt(flags.input_qbt, *options,
+                                flags.append ? &incremental : nullptr);
     }
     QARM_ASSIGN_OR_RETURN(Schema schema, Schema::Parse(flags.schema));
     QARM_ASSIGN_OR_RETURN(Table table, ReadCsv(flags.input, schema));
-    return miner.Mine(table);
+    return QuantitativeRuleMiner(*options).Mine(table);
   }();
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kCancelled) {
@@ -582,39 +547,16 @@ int RunCommand(int argc, char** argv, const std::string& command,
                  static_cast<unsigned long long>(bytes));
   }
 
-  if (flags.format == "json") {
-    std::printf("%s\n",
-                MiningResultToJson(*result, flags.interesting_only).c_str());
-  } else if (flags.format == "csv") {
-    std::vector<QuantRule> to_print;
-    for (const QuantRule& rule : result->rules) {
-      if (flags.interesting_only && !rule.interesting) continue;
-      to_print.push_back(rule);
-    }
-    std::printf("%s", RulesToCsv(to_print, result->mapped).c_str());
-  }
-
-  if (flags.format == "text" && flags.show_itemsets) {
-    std::printf("# %zu frequent itemsets\n",
-                result->frequent_itemsets.size());
-    for (const FrequentRangeItemset& f : result->frequent_itemsets) {
-      std::printf("%s  (support %.2f%%)\n",
-                  ItemsetToString(f.items, result->mapped).c_str(),
-                  f.support * 100);
-    }
-    std::printf("\n");
-  }
-
-  size_t printed = 0;
-  for (const QuantRule& rule : result->rules) {
-    if (flags.interesting_only && !rule.interesting) continue;
-    if (flags.format == "text") {
-      std::printf("%s%s\n", RuleToString(rule, result->mapped).c_str(),
-                  flags.interest > 0 && rule.interesting ? "  [interesting]"
-                                                         : "");
-    }
-    ++printed;
-  }
+  RuleOutputOptions output;
+  output.format = flags.format == "json"  ? RuleFormat::kJson
+                  : flags.format == "csv" ? RuleFormat::kCsv
+                                          : RuleFormat::kText;
+  output.interesting_only = flags.interesting_only;
+  output.show_itemsets = flags.show_itemsets;
+  output.mark_interesting = flags.interest > 0;
+  OutputWriter out(stdout);
+  const size_t printed = WriteMiningResult(*result, output, &out);
+  const int exit_code = FinishOutput(&out, printed > 0 ? 0 : 3);
   if (flags.show_stats) {
     const MiningStats& stats = result->stats;
     std::fprintf(stderr,
@@ -673,7 +615,7 @@ int RunCommand(int argc, char** argv, const std::string& command,
                    stats.checkpoint.write_seconds);
     }
   }
-  return printed > 0 ? 0 : 3;
+  return exit_code;
 }
 
 int Run(int argc, char** argv) {
